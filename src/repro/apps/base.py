@@ -79,7 +79,9 @@ class PreparedRun:
     (line addresses + metadata, phase 1) and the private-level filters
     (the LLC-visible subsequence per L1/L2 geometry, phase 2), keyed by
     hierarchy configuration. ``filter_counters`` records how often a
-    filter was built vs reused (throughput instrumentation).
+    filter was built vs reused (throughput instrumentation). P-OPT's
+    Rereference Matrices depend only on the run, never on the cache
+    geometry, so ``matrices`` keeps them too.
     """
 
     app_name: str
@@ -93,6 +95,12 @@ class PreparedRun:
     )
     filter_counters: Dict[str, int] = field(
         default_factory=lambda: {"built": 0, "reused": 0}, repr=False
+    )
+    #: Rereference Matrices built for this run, keyed by (irregular
+    #: stream index, entry_bits, variant): every P-OPT replay of the run
+    #: (one per LLC geometry) shares them instead of rebuilding.
+    matrices: Dict[Tuple[int, int, str], object] = field(
+        default_factory=dict, repr=False
     )
     #: Per-(private geometry, LLC geometry) LLC miss counts observed by
     #: sanitized replays; the sanitizer enforces the Belady lower bound

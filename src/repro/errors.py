@@ -29,6 +29,12 @@ class SimulationError(ReproError):
     """The simulation driver was wired incorrectly."""
 
 
+class ReservationError(SimulationError):
+    """P-OPT's Rereference Matrix reservation leaves no LLC way for data
+    (the regime where P-OPT stops being applicable: Fig. 11's right
+    edge)."""
+
+
 class SanitizerError(ReproError):
     """A runtime invariant of the cache simulator was violated.
 

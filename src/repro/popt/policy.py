@@ -24,6 +24,7 @@ in: ``inter_only``, ``inter_intra`` (default P-OPT), or ``single_epoch``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PolicyError
@@ -84,20 +85,6 @@ class POPT(ReplacementPolicy):
                     "range or use separate policies"
                 )
         self._epoch_size = epoch_size
-        # line -> (matrix, line offset), first stream winning overlaps like
-        # the register scan. Gated: a dict over tens of millions of lines
-        # would dwarf the matrices themselves, so the scan stays as the
-        # fallback for huge irregular footprints.
-        total_lines = sum(bound - base for base, bound, _ in self._regions)
-        self._line_table: Optional[
-            Dict[int, Tuple[RereferenceMatrix, int]]
-        ] = None
-        if total_lines <= 2_000_000:
-            table: Dict[int, Tuple[RereferenceMatrix, int]] = {}
-            for line_base, line_bound, matrix in reversed(self._regions):
-                for line in range(line_base, line_bound):
-                    table[line] = (matrix, line - line_base)
-            self._line_table = table
         self._tie_break = tie_break if tie_break is not None else DRRIP()
         self._current_epoch = -1
         self.counters = PoptCounters()
@@ -106,6 +93,25 @@ class POPT(ReplacementPolicy):
             self.name = "P-OPT-SE"
         elif variant == "inter_only":
             self.name = "P-OPT-Inter"
+
+    @cached_property
+    def _line_table(
+        self,
+    ) -> Optional[Dict[int, Tuple[RereferenceMatrix, int]]]:
+        """line -> (matrix, line offset), first stream winning overlaps
+        like the register scan; built on first use (the generic path
+        only: the replay kernels resolve membership vectorized). Gated:
+        a dict over tens of millions of lines would dwarf the matrices
+        themselves, so the scan stays as the fallback for huge irregular
+        footprints."""
+        total_lines = sum(bound - base for base, bound, _ in self._regions)
+        if total_lines > 2_000_000:
+            return None
+        table: Dict[int, Tuple[RereferenceMatrix, int]] = {}
+        for line_base, line_bound, matrix in reversed(self._regions):
+            for line in range(line_base, line_bound):
+                table[line] = (matrix, line - line_base)
+        return table
 
     # ------------------------------------------------------------------
 

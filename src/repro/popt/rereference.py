@@ -26,6 +26,7 @@ makes Table IV's "preprocessing is ~20% of one PageRank run" hold here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -100,13 +101,18 @@ class RereferenceMatrix:
         self._msb = rm_msb(self.entry_bits)
         self._next_bit = rm_next_bit(self.entry_bits, self.variant)
         self._low_mask = rm_low_mask(self.entry_bits, self.variant)
-        # Python nested lists beat numpy scalar extraction in the hot path,
-        # but converting huge matrices (fine-grained quantization on big
-        # graphs) would explode memory — fall back to numpy rows there.
+
+    @cached_property
+    def _rows(self):
+        """Row view for the per-access Python decode (generic engine and
+        pure kernel only; the compiled kernel reads ``entries``), built
+        on first use. Python nested lists beat numpy scalar extraction in
+        the hot path, but converting huge matrices (fine-grained
+        quantization on big graphs) would explode memory — fall back to
+        numpy rows there."""
         if self.entries.size <= 4_000_000:
-            self._rows = self.entries.tolist()
-        else:
-            self._rows = self.entries
+            return self.entries.tolist()
+        return self.entries
 
     # ------------------------------------------------------------------
     # Geometry
@@ -232,37 +238,33 @@ def _encode_entries(
     to a full rebuild: re-encoding only the changed rows reproduces
     exactly the rows the rebuild would produce.
     """
-    rows, num_epochs = referenced.shape
+    num_epochs = referenced.shape[1]
     sentinel = rm_sentinel(entry_bits, variant)
 
-    # Distance (in epochs) from each epoch to the next referencing epoch.
-    # Scan columns right-to-left carrying the next referencing epoch.
-    next_epoch = np.full(rows, np.iinfo(np.int64).max // 2, np.int64)
-    distance = np.empty((rows, num_epochs), dtype=np.int64)
-    for epoch in range(num_epochs - 1, -1, -1):
-        column_referenced = referenced[:, epoch]
-        gap = np.minimum(next_epoch - epoch, sentinel)
-        distance[:, epoch] = np.where(column_referenced, 0, gap)
-        next_epoch = np.where(column_referenced, epoch, next_epoch)
-
-    entries = np.empty((rows, num_epochs), dtype=np.int64)
-    if variant == "inter_only":
-        # Entry is the raw distance (0 while the epoch still references).
-        entries[:] = np.minimum(distance, sentinel)
-    else:
-        msb = rm_msb(entry_bits)
-        max_sub = sentinel
-        clamped_sub = np.minimum(last_sub, max_sub)
-        # Referenced epochs: MSB=0, low bits = final-access sub-epoch.
-        # Unreferenced epochs: MSB=1, low bits = clamped distance.
-        inter = msb | np.minimum(distance, sentinel)
-        entries[:] = np.where(referenced, clamped_sub, inter)
+    # Distance (in epochs) from each epoch to the next referencing epoch
+    # (0 when the epoch itself references): a running minimum, taken
+    # right to left, of each referencing epoch's index. Every step runs
+    # in place on the one int64 array that becomes the result.
+    epochs = np.arange(num_epochs, dtype=np.int64)
+    entries = np.where(referenced, epochs, np.iinfo(np.int64).max // 2)
+    backwards = entries[:, ::-1]
+    np.minimum.accumulate(backwards, axis=1, out=backwards)
+    entries -= epochs
+    np.minimum(entries, sentinel, out=entries)
+    if variant != "inter_only":
+        # Inter_only keeps the raw distance (0 while the epoch still
+        # references). Otherwise referenced epochs store MSB=0 and the
+        # clamped final-access sub-epoch; unreferenced epochs MSB=1 and
+        # the clamped distance.
+        entries |= rm_msb(entry_bits)
+        np.copyto(entries, last_sub, where=referenced)
+        np.minimum(entries, sentinel, out=entries, where=referenced)
         if variant == "single_epoch":
-            next_bit = rm_next_bit(entry_bits, variant)
-            accessed_next = np.zeros((rows, num_epochs), dtype=bool)
-            accessed_next[:, :-1] = referenced[:, 1:]
-            entries[:] = np.where(
-                referenced & accessed_next, entries | next_bit, entries
+            # Referenced epochs whose next epoch also references.
+            np.bitwise_or(
+                entries[:, :-1], rm_next_bit(entry_bits, variant),
+                out=entries[:, :-1],
+                where=referenced[:, :-1] & referenced[:, 1:],
             )
     return entries
 

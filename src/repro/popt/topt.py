@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,23 +73,19 @@ def build_line_reference_csr(
     n = reference_graph.num_vertices
     degrees = reference_graph.degrees()
     elems = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    lines = elems // elems_per_line
-    outer = reference_graph.neighbors.astype(np.int64)
-    order = np.lexsort((outer, lines))
-    lines_sorted = lines[order]
-    outer_sorted = outer[order]
-    if lines_sorted.size:
-        # Dedup (line, outer) pairs: after the lexsort duplicates are
-        # adjacent, so a keep-mask replaces the per-line np.unique calls.
-        keep = np.empty(lines_sorted.size, dtype=bool)
+    # One packed (line, outer) key per edge: outer < n, so sorting
+    # ``line * n + outer`` orders by line, then outer, and duplicate
+    # pairs land next to each other for a keep-mask dedup.
+    keys = elems // elems_per_line
+    keys *= n
+    keys += reference_graph.neighbors
+    keys.sort()
+    if keys.size:
+        keep = np.empty(keys.size, dtype=bool)
         keep[0] = True
-        np.logical_or(
-            lines_sorted[1:] != lines_sorted[:-1],
-            outer_sorted[1:] != outer_sorted[:-1],
-            out=keep[1:],
-        )
-        lines_sorted = lines_sorted[keep]
-        outer_sorted = outer_sorted[keep]
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+    lines_sorted, outer_sorted = np.divmod(keys, max(n, 1))
     offsets = np.searchsorted(
         lines_sorted, np.arange(num_lines + 1, dtype=np.int64),
         side="left",
@@ -126,7 +123,6 @@ class TOPT(ReplacementPolicy):
         self._regions: List[Tuple[int, int, np.ndarray]] = []
         ref_parts: List[np.ndarray] = []
         total_refs = 0
-        total_lines = 0
         for stream in streams:
             span = stream.span
             line_base = span.base // line_size
@@ -139,26 +135,35 @@ class TOPT(ReplacementPolicy):
             )
             ref_parts.append(refs)
             total_refs += refs.size
-            total_lines += num_lines
         self._refs_arr = (
             np.concatenate(ref_parts) if ref_parts
             else np.empty(0, dtype=np.int64)
         )
-        self._refs: List[int] = self._refs_arr.tolist()
-        # line -> (refs range) lookup, first stream winning overlaps like
-        # the region scan. Gated like the Rereference Matrix row cache: a
-        # dict over tens of millions of lines is not worth its memory.
-        self._line_table: Optional[Dict[int, Tuple[int, int]]] = None
-        if total_lines <= 2_000_000:
-            table: Dict[int, Tuple[int, int]] = {}
-            for line_base, line_bound, offsets in reversed(self._regions):
-                bounds = offsets.tolist()
-                for index, line in enumerate(range(line_base, line_bound)):
-                    table[line] = (bounds[index], bounds[index + 1])
-            self._line_table = table
         # Counters quantifying the overhead an actual T-OPT would pay.
         self.replacements = 0
         self.transpose_walk_elements = 0
+
+    @cached_property
+    def _refs(self) -> List[int]:
+        """List view of ``_refs_arr`` for the generic path and the pure
+        kernel, built on first use (the compiled kernel never reads it)."""
+        return self._refs_arr.tolist()
+
+    @cached_property
+    def _line_table(self) -> Optional[Dict[int, Tuple[int, int]]]:
+        """line -> (refs range) lookup, first stream winning overlaps
+        like the region scan; built on first use (the generic path
+        only). Gated like the Rereference Matrix row cache: a dict over
+        tens of millions of lines is not worth its memory."""
+        total_lines = sum(bound - base for base, bound, _ in self._regions)
+        if total_lines > 2_000_000:
+            return None
+        table: Dict[int, Tuple[int, int]] = {}
+        for line_base, line_bound, offsets in reversed(self._regions):
+            bounds = offsets.tolist()
+            for index, line in enumerate(range(line_base, line_bound)):
+                table[line] = (bounds[index], bounds[index + 1])
+        return table
 
     def reset(self) -> None:
         # Rebinding (or a mid-run cache reset) starts a fresh replay: the

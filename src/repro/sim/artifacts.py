@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import PolicyError
 from . import worker_state
 
 __all__ = [
@@ -596,8 +597,8 @@ def rereference_matrix_for(
                 elems_per_line=meta["elems_per_line"],
                 num_vertices=meta["num_vertices"],
             )
-        except Exception:
-            pass
+        except (KeyError, TypeError, ValueError, PolicyError):
+            pass  # a malformed stored entry: rebuild and overwrite it
     matrix = build_rereference_matrix(
         reference_graph,
         elems_per_line=elems_per_line,

@@ -25,7 +25,7 @@ from ..cache.config import HierarchyConfig
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.sanitizer import CacheSanitizer
 from ..cache.stats import MPKI_INSTRUCTIONS_PER_ACCESS, CacheStats
-from ..errors import SimulationError
+from ..errors import ReservationError, SimulationError
 from ..graph.csr import CSRGraph
 from ..graph.reorder import DbgLayout, apply_order, dbg_order
 from ..memory.trace import decode_trace
@@ -161,22 +161,32 @@ def _build_popt_policy(
 ) -> Tuple[POPT, float]:
     """Instantiate P-OPT with per-stream Rereference Matrices.
 
-    With ``width_report`` (sanitized runs), each freshly built matrix is
-    passed through :func:`~repro.sim.widthcontracts.check_width_contracts`
-    — RM-build-time validation that stored entries, storage dtype, and
-    epoch count fit the declared ``entry_bits`` encoding — and the
-    measured maxima are merged into the report.
+    Each matrix is built (or loaded from the artifact store) once per
+    prepared run and kept in ``prepared.matrices``: it depends on the
+    reference graph, the stream's span and the encoding, never on the
+    cache geometry, so every LLC point of a sweep reuses it.
+
+    With ``width_report`` (sanitized runs), each matrix — fresh or
+    reused — is passed through
+    :func:`~repro.sim.widthcontracts.check_width_contracts` (validation
+    that stored entries, storage dtype, and epoch count fit the declared
+    ``entry_bits`` encoding) and the measured maxima are merged into the
+    report.
     """
     start = time.perf_counter()  # simlint: allow[determinism-time]
     streams = []
-    for irregular in prepared.irregular_streams:
-        matrix = artifacts.rereference_matrix_for(
-            irregular.reference_graph,
-            elems_per_line=irregular.span.elems_per_line,
-            entry_bits=entry_bits,
-            variant=variant,
-            num_lines=irregular.span.num_lines,
-        )
+    for index, irregular in enumerate(prepared.irregular_streams):
+        memo_key = (index, entry_bits, variant)
+        matrix = prepared.matrices.get(memo_key)
+        if matrix is None:
+            matrix = artifacts.rereference_matrix_for(
+                irregular.reference_graph,
+                elems_per_line=irregular.span.elems_per_line,
+                entry_bits=entry_bits,
+                variant=variant,
+                num_lines=irregular.span.num_lines,
+            )
+            prepared.matrices[memo_key] = matrix
         if width_report is not None:
             for key, value in check_width_contracts(matrix=matrix).items():
                 width_report[key] = (
@@ -277,7 +287,7 @@ def simulate_prepared(
     if reserved:
         remaining = llc_config.num_ways - reserved
         if remaining < 1:
-            raise SimulationError(
+            raise ReservationError(
                 f"{policy_name}: Rereference Matrix needs {reserved} of "
                 f"{llc_config.num_ways} LLC ways; nothing left for data"
             )

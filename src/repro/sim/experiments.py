@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..apps import PageRank, bdfs_order
 from ..apps.pagerank import pagerank_reference
 from ..cache.config import scaled_hierarchy
+from ..errors import ReservationError
 from ..graph import datasets
 from ..policies.registry import PolicyContext
 from ..popt.rereference import build_rereference_matrix
@@ -404,7 +405,7 @@ def fig11_popt_se_scaling(
                     result.miss_reduction_over(baseline), 3
                 )
                 row[f"{policy}_ways"] = result.reserved_llc_ways
-            except Exception as error:  # reservation exceeds the LLC
+            except ReservationError as error:  # no LLC way left for data
                 row[f"{policy}_missred"] = None
                 row[f"{policy}_ways"] = str(error)[:40]
         rows.append(row)

@@ -217,9 +217,23 @@ def _fill_draws(seed: int, n: int) -> np.ndarray:
     """Pre-generate the fill-order RNG draws a BRRIP-family replay may
     consume: the same ``random.Random(seed).random()`` sequence the
     reference policy draws lazily, one per access as an upper bound on
-    fills (the compiled kernel consumes a prefix in identical order)."""
-    draw = random.Random(seed).random
-    return np.fromiter((draw() for _ in range(n)), dtype=np.float64, count=n)
+    fills (the compiled kernel consumes a prefix in identical order).
+
+    numpy's MT19937 is the same Mersenne Twister as CPython's, and both
+    turn two 32-bit words into a double with the same ``genrand_res53``
+    formula, so loading ``random.Random(seed)``'s 624-word state and
+    position into it yields that exact sequence in one vectorized call.
+    """
+    _, internal, _ = random.Random(seed).getstate()
+    bits = np.random.MT19937()
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.array(internal[:-1], dtype=np.uint32),
+            "pos": internal[-1],
+        },
+    }
+    return np.random.Generator(bits).random(n)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.sim.artifacts import (
     graph_sha,
     trace_sha,
 )
+from repro.popt.rereference import build_rereference_matrix
 from repro.sim import prepare_run, simulate_prepared
 from repro.sim.parallel import APP_FACTORIES, SweepTask, run_task
 
@@ -113,6 +114,53 @@ class TestPreparedRoundTrip:
             assert (a.llc.misses, a.llc.hits, a.cycles) == (
                 b.llc.misses, b.llc.hits, b.cycles
             )
+
+
+class TestMatrixEntries:
+    """A stored Rereference Matrix that does not decode is rebuilt; a
+    bug in the decode itself is not hidden behind a rebuild."""
+
+    def _key(self, graph):
+        return {
+            "graph": graph_sha(graph), "elems_per_line": 16,
+            "entry_bits": 8, "variant": "inter_intra", "num_lines": None,
+        }
+
+    def _matrix(self, graph, store):
+        return artifacts.rereference_matrix_for(
+            graph, elems_per_line=16, entry_bits=8,
+            variant="inter_intra", store=store,
+        )
+
+    def test_malformed_entry_is_rebuilt(self, store):
+        graph = datasets.load("URAND", scale="tiny")
+        fresh = build_rereference_matrix(graph, elems_per_line=16)
+        store.put(
+            artifacts.KIND_MATRIX, self._key(graph),
+            arrays={"entries": fresh.entries},
+            meta={"variant": "inter_intra"},  # geometry fields missing
+        )
+        matrix = self._matrix(graph, store)
+        assert np.array_equal(matrix.entries, fresh.entries)
+        assert matrix.epoch_size == fresh.epoch_size
+
+    def test_decode_bug_raises(self, store, monkeypatch):
+        graph = datasets.load("URAND", scale="tiny")
+        self._matrix(graph, store)  # stores a well-formed entry
+
+        class BrokenMeta(dict):
+            def __getitem__(self, name):
+                raise RuntimeError("decode bug")
+
+        real_get = ArtifactStore.get
+
+        def get(self, kind, key):
+            entry = real_get(self, kind, key)
+            return dict(entry, meta=BrokenMeta(entry["meta"]))
+
+        monkeypatch.setattr(ArtifactStore, "get", get)
+        with pytest.raises(RuntimeError, match="decode bug"):
+            self._matrix(graph, store)
 
 
 class TestRowsCache:

@@ -7,6 +7,7 @@ and the invariants that hold at any scale.
 
 import pytest
 
+from repro.errors import ReservationError, SimulationError
 from repro.sim import experiments as exp
 from repro.sim.tables import (
     format_table,
@@ -98,6 +99,38 @@ class TestHarnessSmoke:
         )
         assert len(rows) == 2
         assert rows[0]["P-OPT_ways"] is not None
+
+    def test_fig11_reservation_overflow_becomes_a_cell(self, monkeypatch):
+        real = exp.simulate_prepared
+
+        def overflowing(prepared, policy, hierarchy, **kwargs):
+            if policy == "P-OPT":
+                raise ReservationError(
+                    "P-OPT: Rereference Matrix needs 17 of 16 LLC ways"
+                )
+            return real(prepared, policy, hierarchy, **kwargs)
+
+        monkeypatch.setattr(exp, "simulate_prepared", overflowing)
+        (row,) = exp.fig11_popt_se_scaling(vertex_counts=(1024,),
+                                           scale="tiny")
+        assert row["P-OPT_missred"] is None
+        assert row["P-OPT_ways"].startswith("P-OPT: Rereference Matrix")
+        assert row["P-OPT-SE_missred"] is not None
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("bug"), SimulationError("miswired driver")]
+    )
+    def test_fig11_other_errors_propagate(self, monkeypatch, error):
+        real = exp.simulate_prepared
+
+        def broken(prepared, policy, hierarchy, **kwargs):
+            if policy == "P-OPT":
+                raise error
+            return real(prepared, policy, hierarchy, **kwargs)
+
+        monkeypatch.setattr(exp, "simulate_prepared", broken)
+        with pytest.raises(type(error)):
+            exp.fig11_popt_se_scaling(vertex_counts=(1024,), scale="tiny")
 
     def test_fig12a(self):
         rows = exp.fig12a_grasp(scale="tiny", graphs=("DBP",))
