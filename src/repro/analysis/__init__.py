@@ -13,14 +13,14 @@ cover the broken combination. Rule families:
 - ``determinism``  — unseeded RNGs, wall-clock reads, set-order
 - ``hotpath``      — per-access work creeping back into replay loops
 - ``kernels``      — replay-kernel dispatch coverage and loop hygiene
-- ``abi``          — cross-language kernel ABI and constant parity
-  (``kernels.c`` vs ``ckernels._SIGNATURES`` vs ``kernels.py`` call
-  sites, plus the shared-constants registry and the C dialect rules)
+- ``abi``          — the C dialect of ``kernels.c`` (parse + hygiene);
+  the ABI itself needs no lint, because ``ckernels`` derives the ctypes
+  signatures from ``kernels.c`` and passes ``constants.C_DEFINES`` as
+  ``-D`` flags
 - ``spec-coverage`` — experiment specs vs the registries they name
 - ``par``          — worker purity for process-parallel sweep workers
 - ``dtype``        — flow-based numpy dtype/width inference against the
   declared capacity contracts (``sim/constants.py:WIDTH_CONTRACTS``)
-  and the C kernel boundary
 
 See :mod:`repro.analysis.runner` for the CLI and
 ``# simlint: allow[rule]`` pragmas for intentional exceptions (the same

@@ -1,73 +1,38 @@
-"""``abi`` rule family: cross-language kernel ABI and constant parity.
+"""``abi`` rule family: the C dialect of the compiled replay kernels.
 
-The compiled replay path spans three layers that must agree exactly:
-
-1. ``kernels.c`` — the C definitions (ground truth for the compiled ABI),
-2. ``ckernels.py`` — the ctypes ``_SIGNATURES`` table that types them,
-3. ``kernels.py`` — the ``lib().k_*`` call sites that invoke them.
-
-A drift between any two (a widened C argument, a reordered ctypes
-parameter, a dropped call argument) does not crash: ctypes happily
-marshals the wrong shape and the kernel reads garbage — often
-*plausible* garbage that only skews hit counts. These rules make every
-such drift a static lint failure instead:
+``kernels.c`` needs no cross-language drift checks: its constants are
+passed in as ``-D`` flags from :data:`repro.sim.constants.C_DEFINES`,
+and :mod:`repro.sim.ckernels` derives every kernel's ctypes signature
+from the C definitions when it loads them. What a compiler does not
+check is the determinism discipline of the dialect, so the rules here
+cover that:
 
 - ``abi-parse`` — ``kernels.c`` failed the dialect parser
   (:mod:`repro.analysis.cparse`); everything the parser cannot model is
   reported rather than skipped.
-- ``abi-signature`` — ``_SIGNATURES`` vs the parsed C prototypes,
-  argument by argument (count, i64/u8/f64 kind, pointer vs scalar).
-- ``abi-callsite`` — actual call shapes in ``kernels.py`` (both direct
-  ``clib.k_*(...)`` calls and helper-dispatched
-  ``getattr(clib, name)(...)`` calls paired with their ``"k_*"``
-  string arguments) vs the C prototypes and ``_SIGNATURES``.
-- ``abi-coverage`` — three-way set equality: exported C ``k_*``
-  functions == ``_SIGNATURES`` keys == kernels referenced from
-  ``kernels.py``; plus ``KERNEL_TABLE`` <-> ``kernel_*`` function
-  coverage.
-- ``abi-constant`` — ``#define`` constants in ``kernels.c`` vs the
-  shared registry :data:`repro.sim.constants.C_PARITY`, both
-  directions, by name and value.
 - ``abi-c-hygiene`` — the C dialect contract: no heap allocation or
   other external calls, no mutable file-scope state, no numeric-literal
-  loop bounds, no includes beyond ``stdint.h``.
+  loop bounds, no includes beyond ``stdint.h``, and no object-like
+  ``#define`` (constants arrive as ``-D`` flags, so a local copy could
+  only shadow the registry).
 
-Suppression: Python-side findings honor ``# simlint: allow[...]``;
-C-side findings honor the same pragma written in a C comment.
+The rules run without a compiler. Suppression: a C comment containing
+``simlint: allow[...]`` (the Python pragma syntax); pragmas naming
+unknown rules are flagged.
 """
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
-from .astutil import SourceModule, dotted_name, pragma_allows
+from .astutil import SourceModule, sim_module
 from .cparse import CSource, parse_c_file
 from .findings import Finding
 
 __all__ = ["check_abi", "ABI_RULES"]
 
-ABI_RULES = (
-    "abi-parse",
-    "abi-signature",
-    "abi-callsite",
-    "abi-coverage",
-    "abi-constant",
-    "abi-c-hygiene",
-)
-
-#: ctypes spellings -> normalized kind.
-_CTYPE_KINDS = {
-    "c_longlong": "i64",
-    "c_int64": "i64",
-    "c_ubyte": "u8",
-    "c_uint8": "u8",
-    "c_double": "f64",
-}
-
-#: kernels.py pointer-wrapper helpers -> pointed-to kind.
-_WRAPPER_KINDS = {"_i64": "i64", "_u8": "u8", "_f64": "f64"}
+ABI_RULES = ("abi-parse", "abi-c-hygiene")
 
 #: The only headers the kernel dialect may include.
 _ALLOWED_INCLUDES = frozenset({"stdint.h"})
@@ -75,300 +40,6 @@ _ALLOWED_INCLUDES = frozenset({"stdint.h"})
 #: Heap/libc calls called out by name (clearer message than the generic
 #: external-call wording).
 _BANNED_CALLS = frozenset({"malloc", "calloc", "realloc", "free"})
-
-#: An argument's shape: (kind or None if unknown, is_pointer).
-_Shape = Tuple[Optional[str], bool]
-
-
-def _sim_module(
-    modules: Iterable[SourceModule], name: str
-) -> Optional[SourceModule]:
-    for module in modules:
-        parts = module.path.parts
-        if module.path.name == name and len(parts) >= 2 \
-                and parts[-2] == "sim":
-            return module
-    return None
-
-
-# ----------------------------------------------------------------------
-# ckernels.py: the ctypes _SIGNATURES table
-# ----------------------------------------------------------------------
-
-def _ctype_spec(
-    node: ast.AST, aliases: Dict[str, _Shape]
-) -> Optional[_Shape]:
-    """(kind, pointer) for a ctypes type expression, or None."""
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        if name in ("ctypes.POINTER", "POINTER") and node.args:
-            inner = _ctype_spec(node.args[0], aliases)
-            if inner is not None:
-                return (inner[0], True)
-        return None
-    if isinstance(node, ast.Attribute) and node.attr in _CTYPE_KINDS:
-        return (_CTYPE_KINDS[node.attr], False)
-    if isinstance(node, ast.Name):
-        if node.id in aliases:
-            return aliases[node.id]
-        if node.id in _CTYPE_KINDS:
-            return (_CTYPE_KINDS[node.id], False)
-    return None
-
-
-def _module_assigns(tree: ast.Module):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name):
-            yield node.targets[0].id, node.value, node
-        elif isinstance(node, ast.AnnAssign) \
-                and isinstance(node.target, ast.Name) \
-                and node.value is not None:
-            yield node.target.id, node.value, node
-
-
-def _extract_signatures(
-    module: SourceModule,
-) -> Dict[str, Tuple[int, List[Optional[_Shape]]]]:
-    """``_SIGNATURES`` as {kernel: (line, [shape-per-arg])}."""
-    aliases: Dict[str, _Shape] = {}
-    table: Dict[str, Tuple[int, List[Optional[_Shape]]]] = {}
-    for name, value, _node in _module_assigns(module.tree):
-        spec = _ctype_spec(value, aliases)
-        if spec is not None:
-            aliases[name] = spec
-            continue
-        if name != "_SIGNATURES" or not isinstance(value, ast.Dict):
-            continue
-        for key, elts in zip(value.keys, value.values):
-            if not isinstance(key, ast.Constant) \
-                    or not isinstance(key.value, str):
-                continue
-            if not isinstance(elts, (ast.List, ast.Tuple)):
-                continue
-            shapes = [_ctype_spec(e, aliases) for e in elts.elts]
-            table[key.value] = (key.lineno, shapes)
-    return table
-
-
-# ----------------------------------------------------------------------
-# kernels.py: call sites and kernel references
-# ----------------------------------------------------------------------
-
-def _arg_shape(node: ast.AST) -> _Shape:
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and node.func.id in _WRAPPER_KINDS:
-        return (_WRAPPER_KINDS[node.func.id], True)
-    return (None, False)
-
-
-class _CallSites:
-    """Every compiled-kernel invocation shape found in kernels.py."""
-
-    def __init__(self) -> None:
-        #: (kernel name, call line, [arg shapes], via)
-        self.sites: List[Tuple[str, int, List[_Shape], str]] = []
-        #: every k_* name the module mentions (attribute or string).
-        self.referenced: Dict[str, int] = {}
-
-
-def _find_dispatch(
-    func: ast.FunctionDef,
-) -> Optional[Tuple[int, List[_Shape], int]]:
-    """A ``getattr(lib, param)(...)`` dispatch inside ``func``.
-
-    Returns (index of the name parameter, inner arg shapes, line).
-    """
-    params = [a.arg for a in func.args.args]
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        inner = node.func
-        if not (isinstance(inner, ast.Call)
-                and isinstance(inner.func, ast.Name)
-                and inner.func.id == "getattr"
-                and len(inner.args) >= 2
-                and isinstance(inner.args[1], ast.Name)
-                and inner.args[1].id in params):
-            continue
-        index = params.index(inner.args[1].id)
-        shapes = [_arg_shape(a) for a in node.args]
-        return (index, shapes, node.lineno)
-    return None
-
-
-def _extract_call_sites(module: SourceModule) -> _CallSites:
-    out = _CallSites()
-    helpers: Dict[str, Tuple[int, List[_Shape], int]] = {}
-    for node in module.tree.body:
-        if isinstance(node, ast.FunctionDef):
-            dispatch = _find_dispatch(node)
-            if dispatch is not None:
-                helpers[node.name] = dispatch
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.startswith("k_"):
-            out.referenced.setdefault(node.value, node.lineno)
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr.startswith("k_"):
-            out.referenced.setdefault(func.attr, node.lineno)
-            out.sites.append((
-                func.attr, node.lineno,
-                [_arg_shape(a) for a in node.args], "direct",
-            ))
-        elif isinstance(func, ast.Name) and func.id in helpers:
-            index, shapes, _dispatch_line = helpers[func.id]
-            if index < len(node.args):
-                name_arg = node.args[index]
-                if isinstance(name_arg, ast.Constant) \
-                        and isinstance(name_arg.value, str) \
-                        and name_arg.value.startswith("k_"):
-                    out.sites.append((
-                        name_arg.value, node.lineno, shapes,
-                        f"via {func.id}()",
-                    ))
-    return out
-
-
-# ----------------------------------------------------------------------
-# constants.py: static evaluation of the C_PARITY registry
-# ----------------------------------------------------------------------
-
-_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.FloorDiv: lambda a, b: a // b,
-    ast.Mod: lambda a, b: a % b,
-    ast.LShift: lambda a, b: a << b,
-    ast.RShift: lambda a, b: a >> b,
-    ast.BitOr: lambda a, b: a | b,
-    ast.BitAnd: lambda a, b: a & b,
-    ast.BitXor: lambda a, b: a ^ b,
-    ast.Div: lambda a, b: a / b,
-}
-
-_MISSING = object()
-
-
-def _eval_static(node: ast.AST, env: Dict[str, object]) -> object:
-    """Evaluate module-level constant expressions (no names executed)."""
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        return env.get(node.id, _MISSING)
-    if isinstance(node, ast.Tuple):
-        elts = [_eval_static(e, env) for e in node.elts]
-        return _MISSING if _MISSING in elts else tuple(elts)
-    if isinstance(node, ast.Dict):
-        out = {}
-        for key, value in zip(node.keys, node.values):
-            if key is None:
-                return _MISSING
-            k = _eval_static(key, env)
-            v = _eval_static(value, env)
-            if k is _MISSING or v is _MISSING:
-                return _MISSING
-            out[k] = v
-        return out
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        left = _eval_static(node.left, env)
-        right = _eval_static(node.right, env)
-        if left is _MISSING or right is _MISSING:
-            return _MISSING
-        try:
-            return _BINOPS[type(node.op)](left, right)
-        except (TypeError, ValueError, ZeroDivisionError):
-            return _MISSING
-    if isinstance(node, ast.UnaryOp):
-        operand = _eval_static(node.operand, env)
-        if operand is _MISSING:
-            return _MISSING
-        if isinstance(node.op, ast.USub):
-            return -operand  # type: ignore[operator]
-        if isinstance(node.op, ast.Invert):
-            return ~operand  # type: ignore[operator]
-        return _MISSING
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) and node.func.id == "len" \
-                and len(node.args) == 1:
-            arg = _eval_static(node.args[0], env)
-            return _MISSING if arg is _MISSING else len(arg)  # type: ignore
-        if isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "index" and len(node.args) == 1:
-            obj = _eval_static(node.func.value, env)
-            arg = _eval_static(node.args[0], env)
-            if obj is _MISSING or arg is _MISSING:
-                return _MISSING
-            try:
-                return obj.index(arg)  # type: ignore[union-attr]
-            except (ValueError, AttributeError):
-                return _MISSING
-    return _MISSING
-
-
-def _constants_env(module: SourceModule) -> Dict[str, object]:
-    env: Dict[str, object] = {}
-    lines: Dict[str, int] = {}
-    for name, value, node in _module_assigns(module.tree):
-        result = _eval_static(value, env)
-        if result is not _MISSING:
-            env[name] = result
-            lines[name] = node.lineno
-    env["__lines__"] = lines
-    return env
-
-
-# ----------------------------------------------------------------------
-# The rules
-# ----------------------------------------------------------------------
-
-def _shape_str(shape: _Shape) -> str:
-    kind, pointer = shape
-    base = kind or "scalar"
-    return f"{base}*" if pointer else base
-
-
-def _c_shape(param) -> _Shape:
-    return (param.kind if param.kind != "other" else None, param.pointer)
-
-
-def _compare_shapes(
-    kernel: str,
-    shapes: Sequence[Optional[_Shape]],
-    expected: Sequence[_Shape],
-    expected_names: Sequence[str],
-    where: str,
-) -> List[str]:
-    """Human-readable mismatch descriptions (empty = agree)."""
-    problems: List[str] = []
-    if len(shapes) != len(expected):
-        problems.append(
-            f"{kernel}: {len(shapes)} argument(s) here vs "
-            f"{len(expected)} in {where}"
-        )
-        return problems
-    for pos, (got, want) in enumerate(zip(shapes, expected)):
-        if got is None:
-            continue  # unresolved alias reported separately
-        kind, pointer = got
-        want_kind, want_pointer = want
-        label = expected_names[pos] if pos < len(expected_names) else ""
-        label = f" ({label})" if label else ""
-        if pointer != want_pointer:
-            problems.append(
-                f"{kernel}: argument {pos}{label} is "
-                f"{_shape_str(got)} here but {_shape_str(want)} in {where}"
-            )
-        elif kind is not None and want_kind is not None \
-                and kind != want_kind:
-            problems.append(
-                f"{kernel}: argument {pos}{label} is "
-                f"{_shape_str(got)} here but {_shape_str(want)} in {where}"
-            )
-    return problems
 
 
 def _check_parse(csource: CSource, findings: List[Finding]) -> None:
@@ -380,247 +51,6 @@ def _check_parse(csource: CSource, findings: List[Finding]) -> None:
             path=csource.path,
             line=line,
             message=message,
-        ))
-
-
-def _check_signatures(
-    ckernels: SourceModule,
-    sigs: Dict[str, Tuple[int, List[Optional[_Shape]]]],
-    csource: CSource,
-    findings: List[Finding],
-) -> None:
-    for kernel in sorted(sigs):
-        line, shapes = sigs[kernel]
-        if pragma_allows(ckernels, "abi-signature", line):
-            continue
-        for pos, shape in enumerate(shapes):
-            if shape is None:
-                findings.append(Finding(
-                    rule="abi-signature",
-                    path=ckernels.display_path,
-                    line=line,
-                    message=f"{kernel}: argument {pos} uses a ctypes "
-                            f"expression the checker cannot resolve",
-                ))
-        fn = csource.function(kernel)
-        if fn is None:
-            continue  # abi-coverage reports the missing definition
-        expected = [_c_shape(p) for p in fn.params]
-        names = [p.name for p in fn.params]
-        for problem in _compare_shapes(
-            kernel, shapes, expected, names, "kernels.c"
-        ):
-            findings.append(Finding(
-                rule="abi-signature",
-                path=ckernels.display_path,
-                line=line,
-                message=f"_SIGNATURES[{problem}]",
-            ))
-
-
-def _check_call_sites(
-    kernels: SourceModule,
-    sites: _CallSites,
-    sigs: Dict[str, Tuple[int, List[Optional[_Shape]]]],
-    csource: CSource,
-    findings: List[Finding],
-) -> None:
-    for kernel, line, shapes, via in sites.sites:
-        if pragma_allows(kernels, "abi-callsite", line):
-            continue
-        suffix = "" if via == "direct" else f" [{via}]"
-        fn = csource.function(kernel)
-        problems: List[str] = []
-        if fn is not None:
-            expected = [_c_shape(p) for p in fn.params]
-            names = [p.name for p in fn.params]
-            problems.extend(_compare_shapes(
-                kernel, shapes, expected, names, "kernels.c"
-            ))
-        entry = sigs.get(kernel)
-        if entry is not None:
-            sig_shapes = [
-                s if s is not None else (None, False) for s in entry[1]
-            ]
-            problems.extend(_compare_shapes(
-                kernel, shapes, sig_shapes, (), "_SIGNATURES"
-            ))
-        for problem in problems:
-            findings.append(Finding(
-                rule="abi-callsite",
-                path=kernels.display_path,
-                line=line,
-                message=f"call shape mismatch: {problem}{suffix}",
-            ))
-
-
-def _check_coverage(
-    ckernels: SourceModule,
-    kernels: Optional[SourceModule],
-    sites: Optional[_CallSites],
-    sigs: Dict[str, Tuple[int, List[Optional[_Shape]]]],
-    csource: CSource,
-    findings: List[Finding],
-) -> None:
-    exported = {
-        fn.name: fn.line
-        for fn in csource.functions
-        if fn.definition and not fn.static and fn.name.startswith("k_")
-    }
-    for kernel in sorted(set(sigs) - set(exported)):
-        line = sigs[kernel][0]
-        if pragma_allows(ckernels, "abi-coverage", line):
-            continue
-        findings.append(Finding(
-            rule="abi-coverage",
-            path=ckernels.display_path,
-            line=line,
-            message=f"_SIGNATURES[{kernel!r}] has no exported "
-                    f"(non-static) definition in kernels.c",
-        ))
-    for kernel in sorted(set(exported) - set(sigs)):
-        line = exported[kernel]
-        if csource.allows(line, "abi-coverage"):
-            continue
-        findings.append(Finding(
-            rule="abi-coverage",
-            path=csource.path,
-            line=line,
-            message=f"{kernel} is exported from kernels.c but missing "
-                    f"from ckernels._SIGNATURES",
-        ))
-    if kernels is None or sites is None:
-        return
-    for kernel in sorted(set(sigs) - set(sites.referenced)):
-        line = sigs[kernel][0]
-        if pragma_allows(ckernels, "abi-coverage", line):
-            continue
-        findings.append(Finding(
-            rule="abi-coverage",
-            path=ckernels.display_path,
-            line=line,
-            message=f"_SIGNATURES[{kernel!r}] is never invoked from "
-                    f"kernels.py",
-        ))
-    for kernel in sorted(set(sites.referenced) - set(sigs)):
-        line = sites.referenced[kernel]
-        if pragma_allows(kernels, "abi-coverage", line):
-            continue
-        findings.append(Finding(
-            rule="abi-coverage",
-            path=kernels.display_path,
-            line=line,
-            message=f"kernels.py references {kernel} which has no "
-                    f"ckernels._SIGNATURES entry",
-        ))
-    _check_kernel_table(kernels, findings)
-
-
-def _check_kernel_table(
-    kernels: SourceModule, findings: List[Finding]
-) -> None:
-    functions = {
-        node.name: node.lineno
-        for node in kernels.tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("kernel_")
-    }
-    table_node: Optional[ast.Dict] = None
-    table_line = 1
-    for name, value, node in _module_assigns(kernels.tree):
-        if name == "KERNEL_TABLE" and isinstance(value, ast.Dict):
-            table_node = value
-            table_line = node.lineno
-    if table_node is None:
-        return
-    listed: Set[str] = set()
-    for key, value in zip(table_node.keys, table_node.values):
-        line = key.lineno if key is not None else table_line
-        if pragma_allows(kernels, "abi-coverage", line):
-            continue
-        if not isinstance(value, ast.Name):
-            findings.append(Finding(
-                rule="abi-coverage",
-                path=kernels.display_path,
-                line=line,
-                message="KERNEL_TABLE value is not a plain function "
-                        "reference",
-            ))
-            continue
-        listed.add(value.id)
-        if value.id not in functions:
-            findings.append(Finding(
-                rule="abi-coverage",
-                path=kernels.display_path,
-                line=line,
-                message=f"KERNEL_TABLE references {value.id} which is "
-                        f"not a module-level kernel_* function",
-            ))
-    for name in sorted(set(functions) - listed):
-        line = functions[name]
-        if pragma_allows(kernels, "abi-coverage", line):
-            continue
-        findings.append(Finding(
-            rule="abi-coverage",
-            path=kernels.display_path,
-            line=line,
-            message=f"{name} is not registered in KERNEL_TABLE",
-        ))
-
-
-def _check_constants(
-    constants: SourceModule,
-    csource: CSource,
-    findings: List[Finding],
-) -> None:
-    env = _constants_env(constants)
-    lines: Dict[str, int] = env.get("__lines__", {})  # type: ignore
-    parity = env.get("C_PARITY")
-    parity_line = lines.get("C_PARITY", 1)
-    if not isinstance(parity, dict):
-        if not pragma_allows(constants, "abi-constant", parity_line):
-            findings.append(Finding(
-                rule="abi-constant",
-                path=constants.display_path,
-                line=parity_line,
-                message="C_PARITY is missing or not statically "
-                        "evaluable",
-            ))
-        return
-    defines = csource.define_map()
-    for name in sorted(parity):
-        value = parity[name]
-        define = defines.get(name)
-        if define is None:
-            if pragma_allows(constants, "abi-constant", parity_line):
-                continue
-            findings.append(Finding(
-                rule="abi-constant",
-                path=constants.display_path,
-                line=parity_line,
-                message=f"C_PARITY[{name!r}] has no #define in "
-                        f"kernels.c",
-            ))
-        elif define.value != value:
-            if csource.allows(define.line, "abi-constant"):
-                continue
-            findings.append(Finding(
-                rule="abi-constant",
-                path=csource.path,
-                line=define.line,
-                message=f"#define {name} is {define.value} but "
-                        f"constants.C_PARITY says {value}",
-            ))
-    for name in sorted(set(defines) - set(parity)):
-        define = defines[name]
-        if csource.allows(define.line, "abi-constant"):
-            continue
-        findings.append(Finding(
-            rule="abi-constant",
-            path=csource.path,
-            line=define.line,
-            message=f"#define {name} is not registered in "
-                    f"constants.C_PARITY",
         ))
 
 
@@ -666,6 +96,15 @@ def _check_hygiene(csource: CSource, findings: List[Finding]) -> None:
             message=f"#include <{include}> is outside the kernel "
                     f"dialect (only stdint.h is allowed)",
         ))
+    for define in csource.defines:
+        if define.function_like or csource.allows(define.line, rule):
+            continue
+        findings.append(Finding(
+            rule=rule, path=csource.path, line=define.line,
+            message=f"#define {define.name} — kernel constants come "
+                    f"from constants.C_DEFINES as -D flags, so kernels.c "
+                    f"defines only macros",
+        ))
 
 
 def check_c_pragmas(
@@ -693,28 +132,16 @@ def check_abi(
 ) -> List[Finding]:
     """Run the ``abi`` family over the scanned modules.
 
-    The rules engage only when ``sim/ckernels.py`` is among the scanned
-    files; ``kernels.c`` is read from disk next to it, and
-    ``kernels.py`` / ``constants.py`` are matched from the same scan.
+    The rules engage only when ``sim/ckernels.py`` (the loader that
+    compiles ``kernels.c``) is among the scanned files; ``kernels.c``
+    is read from disk next to it.
     """
     findings: List[Finding] = []
-    ckernels = _sim_module(modules, "ckernels.py")
+    ckernels = sim_module(modules, "ckernels.py")
     if ckernels is None:
         return findings
     csource = parse_c_file(Path(ckernels.path).with_name("kernels.c"))
-    kernels = _sim_module(modules, "kernels.py")
-    constants = _sim_module(modules, "constants.py")
-
     _check_parse(csource, findings)
-    sigs = _extract_signatures(ckernels)
-    _check_signatures(ckernels, sigs, csource, findings)
-    sites = None
-    if kernels is not None:
-        sites = _extract_call_sites(kernels)
-        _check_call_sites(kernels, sites, sigs, csource, findings)
-    _check_coverage(ckernels, kernels, sites, sigs, csource, findings)
-    if constants is not None:
-        _check_constants(constants, csource, findings)
     _check_hygiene(csource, findings)
     if known_rules is not None:
         check_c_pragmas(csource, known_rules, findings)

@@ -1,20 +1,17 @@
-"""Minimal C declaration/constant extractor for the ``abi`` rules.
+"""Minimal C fact extractor for the ``abi`` hygiene rules.
 
-``kernels.c`` is deliberately trivial C — header-free signatures over
-``i64``/``u8``/``double`` scalars and pointers, object-like ``#define``
-constants, no structs, no function pointers — so a dependency-free
-tokenizer covers it completely. This module parses that dialect into a
-small IR (:class:`CFunction` / :class:`CParam` / :class:`CDefine`) plus
-the facts the hygiene rule needs (call sites, file-scope objects,
+``kernels.c`` is deliberately trivial C — header-free functions over
+``i64``/``u8``/``double`` scalars and pointers, no structs, no function
+pointers — so a dependency-free tokenizer covers it completely. This
+module parses that dialect into the facts the hygiene rule needs
+(defined functions and macros, call sites, file-scope objects,
 ``for``-loop bounds, includes), without ever invoking a compiler: the
-``abi`` family must run — and catch drift — on machines with no
-toolchain at all.
+``abi`` family must run on machines with no toolchain at all.
 
-Anything outside the dialect (an unrecognized construct, a ``#define``
-value that is not a constant integer expression) is reported as a parse
-error rather than guessed at, so extending ``kernels.c`` beyond what the
-checker understands is itself a lint finding (``abi-parse``), never a
-silent hole in coverage.
+Anything outside the dialect (an unrecognized character or file-scope
+construct) is reported as a parse error rather than guessed at, so
+extending ``kernels.c`` beyond what the checker understands is itself a
+lint finding (``abi-parse``), never a silent hole in coverage.
 
 Suppression mirrors the Python side: a C comment containing
 ``simlint: allow[rule]`` applies to the lines it spans, and a comment
@@ -26,10 +23,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 __all__ = [
-    "CParam",
     "CFunction",
     "CDefine",
     "CSource",
@@ -37,15 +33,10 @@ __all__ = [
     "parse_c_source",
 ]
 
-#: Base-type spellings -> the normalized kind the ctypes table uses.
-TYPE_KINDS = {
-    "i64": "i64",
-    "int64_t": "i64",
-    "u8": "u8",
-    "uint8_t": "u8",
-    "double": "f64",
-    "void": "void",
-}
+#: Base-type spellings of the dialect (never object or function names).
+_TYPE_NAMES = frozenset(
+    {"i64", "int64_t", "u8", "uint8_t", "double", "void"}
+)
 
 #: Tokens that may appear in a cast or declaration but are not names.
 _QUALIFIERS = frozenset({"const", "static", "signed", "unsigned"})
@@ -78,40 +69,25 @@ _INCLUDE = re.compile(r"#\s*include\s*[<\"]([^>\"]+)[>\"]")
 
 
 @dataclass(frozen=True)
-class CParam:
-    """One normalized parameter of a C function."""
-
-    name: str
-    kind: str          # "i64" | "u8" | "f64" | "void" | "other"
-    pointer: bool
-    const: bool
-
-
-@dataclass(frozen=True)
 class CFunction:
     """One file-scope function definition (or prototype)."""
 
     name: str
     line: int
-    static: bool
-    return_kind: str
-    params: Tuple[CParam, ...]
-    definition: bool
 
 
 @dataclass(frozen=True)
 class CDefine:
-    """One ``#define``; ``value`` is None for function-like macros."""
+    """One ``#define`` (object-like or function-like)."""
 
     name: str
     line: int
-    value: Optional[int]
     function_like: bool
 
 
 @dataclass
 class CSource:
-    """Everything the ``abi`` rules need to know about one C file."""
+    """Everything the ``abi`` hygiene rules need to know about one C file."""
 
     path: str
     functions: List[CFunction] = field(default_factory=list)
@@ -144,15 +120,6 @@ class CSource:
             if rule.startswith(token + "-"):
                 return True
         return False
-
-    def function(self, name: str) -> Optional[CFunction]:
-        for fn in self.functions:
-            if fn.name == name and fn.definition:
-                return fn
-        return None
-
-    def define_map(self) -> Dict[str, CDefine]:
-        return {d.name: d for d in self.defines if not d.function_like}
 
 
 class _Tok:
@@ -196,60 +163,6 @@ def _scan(text: str, first_line: int = 1) -> Tuple[
     return tokens, comments, directives, errors
 
 
-# ----------------------------------------------------------------------
-# #define value evaluation
-# ----------------------------------------------------------------------
-
-_INT_LITERAL = re.compile(r"(0[xX][0-9a-fA-F]+|\d+)[uUlL]*\Z")
-_VALUE_OPS = frozenset(
-    ["<<", ">>", "|", "&", "^", "+", "-", "*", "%", "(", ")", "~"]
-)
-
-
-def _eval_define(tokens: Sequence[_Tok]) -> Optional[int]:
-    """Evaluate a constant integer expression, or None.
-
-    Casts to known integer types are dropped (``((i64)1 << 40)``); the
-    surviving tokens must be integer literals, arithmetic/bit operators,
-    or parentheses — then the expression is evaluated after a strict
-    whitelist pass (so ``eval`` only ever sees integer arithmetic).
-    Division is excluded: C truncation and Python floor disagree on
-    negatives, and no shared constant needs it.
-    """
-    texts: List[str] = []
-    i = 0
-    while i < len(tokens):
-        if (
-            tokens[i].text == "("
-            and i + 2 < len(tokens)
-            and tokens[i + 1].kind == "id"
-            and tokens[i + 1].text in TYPE_KINDS
-            and tokens[i + 2].text == ")"
-        ):
-            i += 3
-            continue
-        texts.append(tokens[i].text)
-        i += 1
-    if not texts:
-        return None
-    cleaned: List[str] = []
-    for text in texts:
-        literal = _INT_LITERAL.match(text)
-        if literal:
-            cleaned.append(literal.group(1))
-        elif text in _VALUE_OPS:
-            cleaned.append(text)
-        else:
-            return None
-    try:
-        value = eval(  # noqa: S307 - whitelisted integer tokens only
-            " ".join(cleaned), {"__builtins__": {}}, {}
-        )
-    except (SyntaxError, ValueError, ZeroDivisionError, TypeError):
-        return None
-    return value if isinstance(value, int) else None
-
-
 def _parse_directives(
     directives: Sequence[_Tok], out: CSource
 ) -> List[_Tok]:
@@ -266,29 +179,19 @@ def _parse_directives(
         define = _DEFINE.match(tok.text)
         if define is None:
             continue
-        name = define.group("name")
-        if define.group("fnlike"):
-            out.defines.append(CDefine(name, tok.line, None, True))
+        function_like = bool(define.group("fnlike"))
+        out.defines.append(
+            CDefine(define.group("name"), tok.line, function_like)
+        )
+        body = tok.text[define.end():].replace("\\\n", " \n")
+        tokens, comments, _, errors = _scan(body, tok.line)
+        embedded.extend(comments)
+        out.errors.extend(errors)
+        if function_like:
             # The replacement text still gets the body fact collectors:
             # a banned call or literal loop bound hiding in a macro is
             # the same hygiene violation as one in a function body.
-            body = tok.text[define.end():].replace("\\\n", " \n")
-            tokens, comments, _, errors = _scan(body, tok.line)
-            embedded.extend(comments)
-            out.errors.extend(errors)
             _collect_body_facts(tokens, out)
-            continue
-        value_text = tok.text[define.end():].replace("\\\n", " \n")
-        value_tokens, comments, _, errors = _scan(value_text, tok.line)
-        embedded.extend(comments)
-        out.errors.extend(errors)
-        value = _eval_define(value_tokens)
-        if value is None:
-            out.errors.append((
-                tok.line,
-                f"#define {name}: not a constant integer expression",
-            ))
-        out.defines.append(CDefine(name, tok.line, value, False))
     return embedded
 
 
@@ -334,33 +237,7 @@ def _collect_pragmas(text: str, comments: Sequence[_Tok], out: CSource) -> None:
 # Declarations and body facts
 # ----------------------------------------------------------------------
 
-def _parse_param(tokens: Sequence[_Tok]) -> Optional[CParam]:
-    if not tokens:
-        return None
-    texts = [t.text for t in tokens]
-    if texts == ["void"]:
-        return None
-    kind = "other"
-    for text in texts:
-        if text in TYPE_KINDS:
-            kind = TYPE_KINDS[text]
-            break
-    name = ""
-    for tok in reversed(tokens):
-        if tok.kind == "id" and tok.text not in TYPE_KINDS \
-                and tok.text not in _QUALIFIERS:
-            name = tok.text
-            break
-    return CParam(
-        name=name,
-        kind=kind,
-        pointer="*" in texts,
-        const="const" in texts,
-    )
-
-
-def _parse_function(header: Sequence[_Tok], definition: bool,
-                    out: CSource) -> None:
+def _parse_function(header: Sequence[_Tok], out: CSource) -> None:
     open_idx = next(
         i for i, tok in enumerate(header) if tok.text == "("
     )
@@ -370,43 +247,7 @@ def _parse_function(header: Sequence[_Tok], definition: bool,
         )
         return
     name_tok = header[open_idx - 1]
-    head = [t.text for t in header[:open_idx - 1]]
-    return_kind = "other"
-    for text in head:
-        if text in TYPE_KINDS:
-            return_kind = TYPE_KINDS[text]
-            break
-    # Split the parameter list on top-level commas.
-    params: List[CParam] = []
-    depth = 0
-    current: List[_Tok] = []
-    for tok in header[open_idx:]:
-        if tok.text == "(":
-            depth += 1
-            if depth == 1:
-                continue
-        elif tok.text == ")":
-            depth -= 1
-            if depth == 0:
-                break
-        if depth == 1 and tok.text == ",":
-            param = _parse_param(current)
-            if param:
-                params.append(param)
-            current = []
-        else:
-            current.append(tok)
-    param = _parse_param(current)
-    if param:
-        params.append(param)
-    out.functions.append(CFunction(
-        name=name_tok.text,
-        line=name_tok.line,
-        static="static" in head,
-        return_kind=return_kind,
-        params=tuple(params),
-        definition=definition,
-    ))
+    out.functions.append(CFunction(name=name_tok.text, line=name_tok.line))
 
 
 def _handle_statement(stmt: Sequence[_Tok], out: CSource) -> None:
@@ -417,12 +258,12 @@ def _handle_statement(stmt: Sequence[_Tok], out: CSource) -> None:
     if texts[0] in ("typedef", "struct", "union", "enum"):
         return
     if "(" in texts:
-        _parse_function(stmt, definition=False, out=out)
+        _parse_function(stmt, out)
         return
     # File-scope object definition.
     name = ""
     for tok in stmt:
-        if tok.kind == "id" and tok.text not in TYPE_KINDS \
+        if tok.kind == "id" and tok.text not in _TYPE_NAMES \
                 and tok.text not in _QUALIFIERS:
             name = tok.text
             break
@@ -436,7 +277,7 @@ def _collect_body_facts(tokens: Sequence[_Tok], out: CSource) -> None:
         if (
             tok.kind == "id"
             and tok.text not in _KEYWORDS
-            and tok.text not in TYPE_KINDS
+            and tok.text not in _TYPE_NAMES
             and nxt is not None
             and nxt.text == "("
         ):
@@ -475,7 +316,7 @@ def _parse_top_level(tokens: Sequence[_Tok], out: CSource) -> None:
             i += 1
         elif tok.text == "{":
             if any(t.text == "(" for t in stmt):
-                _parse_function(stmt, definition=True, out=out)
+                _parse_function(stmt, out)
                 depth = 1
                 i += 1
                 body_start = i

@@ -3,16 +3,12 @@
 P-OPT's correctness is a bit-width story — 8/16-bit Rereference Matrix
 entries, epoch counters quantized to ``2^entry_bits``, ``int64`` next-use
 sentinels, ``int32`` CSR neighbor IDs — and every compiled-kernel call
-marshals numpy buffers across a ctypes boundary where a width mismatch
-is silent memory corruption, not an exception. These rules put the
-dtype story under the same static discipline the ``abi`` family applies
-to the C prototypes, using the :mod:`repro.analysis.dtypeflow`
-inference engine:
+marshals numpy buffers into C. The kernel boundary checks itself at
+runtime (:mod:`repro.sim.ckernels` types every pointer parameter as a
+C-contiguous ``ndpointer``, so a wrong-width array raises at the call);
+these rules cover the widths *inside* the Python pipeline, using the
+:mod:`repro.analysis.dtypeflow` inference engine:
 
-- ``dtype-c-boundary`` — the array handed to a pointer wrapper
-  (``_i64``/``_u8``/``_f64``) at a ``clib.k_*`` call site must have the
-  wrapper's dtype. The ``abi`` family proves the *table* consistent;
-  this rule proves the *arrays actually passed* match the table.
 - ``dtype-overflow`` — a store of a provably-wider unguarded integer
   into a narrower integer array (or into a field bound by
   :data:`repro.sim.constants.WIDTH_CONTRACTS`), and unguarded
@@ -29,13 +25,12 @@ inference engine:
   ``np.full`` with an integer fill, bare ``np.bincount``): 64-bit on
   the measurement hosts, 32-bit elsewhere, so goldens silently fork.
 
-Scope: ``dtype-c-boundary``, ``dtype-overflow`` and
-``dtype-narrowing-cast`` apply everywhere (they fire only on *proved*
-dtypes); the memory/portability rules (``dtype-implicit-upcast``,
-``dtype-unspecified``) are confined to replay/prepare code — functions
-that are worker-reachable (via the ``par`` family's call graph), on the
-configured replay path, or in the ``sim``/``popt``/``graph``
-subpackages.
+Scope: ``dtype-overflow`` and ``dtype-narrowing-cast`` apply everywhere
+(they fire only on *proved* dtypes); the memory/portability rules
+(``dtype-implicit-upcast``, ``dtype-unspecified``) are confined to
+replay/prepare code — functions that are worker-reachable (via the
+``par`` family's call graph), on the configured replay path, or in the
+``sim``/``popt``/``graph`` subpackages.
 
 Suppression is the standard ``# simlint: allow[dtype-...]`` pragma.
 """
@@ -45,8 +40,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .abi import _WRAPPER_KINDS, _constants_env, _sim_module
-from .astutil import SourceModule, dotted_name, pragma_allows
+from .astutil import SourceModule, dotted_name, pragma_allows, sim_module
 from .dtypeflow import (
     DtypeFlow,
     Value,
@@ -62,20 +56,11 @@ from .purity import CallGraph, FunctionInfo
 __all__ = ["DTYPE_RULES", "check_dtypes", "dtype_status_lines"]
 
 DTYPE_RULES = (
-    "dtype-c-boundary",
     "dtype-implicit-upcast",
     "dtype-narrowing-cast",
     "dtype-overflow",
     "dtype-unspecified",
 )
-
-#: Pointer-wrapper kind -> numpy dtypes allowed through it. ``u8``
-#: additionally admits ``bool`` (same 1-byte layout; C reads 0/1).
-_WRAPPER_DTYPES: Dict[str, Tuple[str, ...]] = {
-    "i64": ("int64",),
-    "u8": ("uint8", "bool"),
-    "f64": ("float64",),
-}
 
 #: Subpackages whose modules count as replay/prepare scope even without
 #: worker reachability (the simulator core).
@@ -88,12 +73,23 @@ _ACCUMULATING_OPS = (ast.Add, ast.Sub, ast.Mult, ast.LShift, ast.Pow)
 def _load_contracts(
     modules: Sequence[SourceModule],
 ) -> Dict[str, Dict[str, object]]:
-    """Statically evaluate ``sim/constants.py:WIDTH_CONTRACTS``."""
-    constants = _sim_module(modules, "constants.py")
+    """Read the ``sim/constants.py:WIDTH_CONTRACTS`` literal (no import)."""
+    constants = sim_module(modules, "constants.py")
     if constants is None:
         return {}
-    env = _constants_env(constants)
-    contracts = env.get("WIDTH_CONTRACTS")
+    contracts: object = None
+    for node in constants.tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                or node.value is None:
+            continue
+        targets: List[ast.expr] = node.targets \
+            if isinstance(node, ast.Assign) else [node.target]
+        if any(isinstance(t, ast.Name) and t.id == "WIDTH_CONTRACTS"
+               for t in targets):
+            try:
+                contracts = ast.literal_eval(node.value)
+            except (TypeError, ValueError):
+                return {}
     if not isinstance(contracts, dict):
         return {}
     return {
@@ -298,7 +294,6 @@ class _DtypeChecker:
             self._check_stores(module, qualname, stmt, env, infer)
             for node in _walk_expressions(stmt):
                 if isinstance(node, ast.Call):
-                    self._check_boundary(module, qualname, node, infer)
                     self._check_narrowing(module, qualname, node, infer)
                     if prepare:
                         self._check_unspecified(module, qualname, node)
@@ -306,28 +301,6 @@ class _DtypeChecker:
                     self._check_upcast(module, qualname, node, infer)
 
         self.flow.scan_function(module, func, callback, class_name)
-
-    # -- dtype-c-boundary ----------------------------------------------
-
-    def _check_boundary(
-        self, module: SourceModule, qualname: str, call: ast.Call, infer
-    ) -> None:
-        func = call.func
-        if not (isinstance(func, ast.Name)
-                and func.id in _WRAPPER_KINDS and len(call.args) == 1):
-            return
-        kind = _WRAPPER_KINDS[func.id]
-        allowed = _WRAPPER_DTYPES.get(kind, ())
-        value: Value = infer(call.args[0])
-        if value.dtype is None or value.dtype in allowed:
-            return
-        self._emit(
-            module, "dtype-c-boundary", call.lineno,
-            f"{qualname} passes a {value.dtype} array through "
-            f"{func.id}() (pointer kind {kind}); the kernel ABI "
-            f"expects {' or '.join(allowed)} — ctypes will marshal "
-            f"the wrong element width silently",
-        )
 
     # -- dtype-narrowing-cast ------------------------------------------
 

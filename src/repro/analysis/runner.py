@@ -179,8 +179,8 @@ def _stable_findings(findings: Sequence[Finding]) -> List[Finding]:
     so exact duplicates collapse through the set and the total sort
     makes multi-family output byte-stable regardless of family
     execution order — CI diffs never churn on ordering. Findings that
-    differ only in message (e.g. one ``abi-signature`` per mismatched
-    argument at one call line) all survive.
+    differ only in message (e.g. two ``abi-c-hygiene`` external calls
+    on one C line) all survive.
     """
     return sorted(
         set(findings), key=lambda f: (f.path, f.line, f.rule, f.message)
@@ -195,10 +195,12 @@ def _default_target() -> Path:
 def _ckernels_status() -> str:
     """One-line compiled-kernel availability report.
 
-    The ``abi`` rules prove the three ABI layers agree *statically*;
-    this line reports whether the compiled path actually engages at
-    runtime — and if not, why (the recorded compiler diagnostic), so a
-    broken toolchain is never a silent pure-Python fallback.
+    The ``abi`` rules check the C dialect *statically*; the loader
+    derives the ABI itself (signatures from ``kernels.c``, constants
+    from ``C_DEFINES``). This line reports whether that build and load
+    actually succeed — and if not, why (the recorded compiler or
+    signature diagnostic), so a broken toolchain or an untypeable
+    kernel is never a silent pure-Python fallback.
     """
     from ..sim import ckernels
 
@@ -254,7 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description="simlint: simulator-specific static analysis "
                     "(policy contracts, registry drift, determinism, "
-                    "hot-path hygiene, cross-language kernel ABI, "
+                    "hot-path hygiene, C kernel dialect, "
                     "worker purity, dtype/width contracts)",
     )
     parser.add_argument(

@@ -7,20 +7,28 @@ reports the library unavailable. Availability requires only a system C
 compiler (``cc``/``gcc``/``clang``, override with ``REPRO_CC``) — the
 shared object is built on first use with a plain ``cc -O2 -shared``
 invocation, cached under ``build/ckernels/`` keyed by a hash of the C
-source (so edits rebuild automatically, and concurrent workers racing
-the build land on the same file via an atomic rename), and loaded with
-:mod:`ctypes`. No third-party packaging or FFI dependency is involved.
+source and the ``-D`` flags (so edits to either rebuild automatically,
+and concurrent workers racing the build land on the same file via an
+atomic rename), and loaded with :mod:`ctypes`. No third-party packaging
+or FFI dependency is involved.
+
+The C boundary has one source of truth per side, so it cannot drift:
+
+- constants: every :data:`repro.sim.constants.C_DEFINES` entry is
+  passed as ``-DNAME=((int64_t)VALUE)``; ``kernels.c`` defines none of
+  them itself, so a name missing from the registry fails the build;
+- signatures: the argtypes of every non-``static`` ``k_*`` function are
+  derived from its definition in the source just compiled. Pointer
+  parameters become C-contiguous :func:`numpy.ctypeslib.ndpointer`
+  types, so a wrong-width, strided or missing argument raises
+  ``ctypes.ArgumentError`` or ``TypeError`` at the call instead of
+  marshalling garbage. A parameter outside ``[const] i64|u8|double [*]``
+  (or a non-``void`` kernel) refuses to load, naming the kernel.
 
 A failed build is *not* silent: the compiler diagnostic is kept in
 :func:`build_error`, surfaced once as a ``RuntimeWarning``, and
 reported by ``python -m repro.analysis`` alongside the lint summary —
 the pure-Python fallback still engages, but never invisibly.
-
-The ``_SIGNATURES`` table below is one half of the cross-language ABI;
-simlint's ``abi`` rule family parses ``kernels.c`` and cross-checks
-every entry argument-by-argument against the C prototypes and the
-``lib().k_*`` call sites in ``kernels.py``, so the three layers cannot
-drift apart without a lint error.
 
 Set ``REPRO_PURE_KERNELS=1`` to force the pure-Python kernels — the
 equivalence suite uses this to compare compiled vs. pure output, and
@@ -32,14 +40,19 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from . import worker_state
+from .constants import C_DEFINES
 
 __all__ = [
     "lib",
@@ -60,9 +73,9 @@ CC_ENV = "REPRO_CC"
 _SOURCE = Path(__file__).with_name("kernels.c")
 
 #: Tri-state cache: None = not tried yet, False = tried and unavailable,
-#: ctypes.CDLL = loaded. The PURE_ENV override is intentionally *not*
-#: cached so tests can flip it per-case.
-_LIB: Union[None, bool, ctypes.CDLL] = None
+#: SimpleNamespace of typed ``k_*`` functions = loaded. The PURE_ENV
+#: override is intentionally *not* cached so tests can flip it per-case.
+_LIB: Union[None, bool, SimpleNamespace] = None
 
 #: Human-readable reason the last build/load attempt failed (compiler
 #: diagnostic, missing toolchain, dlopen error), or None.
@@ -80,40 +93,61 @@ worker_state.register_worker_state(
     note="per-process build diagnostic paired with _LIB",
 )
 
-_I64P = ctypes.POINTER(ctypes.c_longlong)
-_U8P = ctypes.POINTER(ctypes.c_ubyte)
-_F64P = ctypes.POINTER(ctypes.c_double)
-_I64 = ctypes.c_longlong
-_F64 = ctypes.c_double
-
-_SIGNATURES: Dict[str, List[Any]] = {
-    "k_lru": [_I64P, _U8P, _I64P, _I64, _I64, _I64P, _I64P],
-    "k_lip": [_I64P, _U8P, _I64P, _I64, _I64, _I64P, _I64P],
-    "k_bit_plru": [_I64P, _U8P, _I64P, _I64, _I64, _I64P, _I64P],
-    "k_bit_plru_mask": [_I64P, _U8P, _I64P, _I64, _I64, _U8P, _I64P,
-                        _I64P],
-    "k_srrip": [_I64P, _U8P, _I64P, _I64, _I64, _I64, _I64P, _I64P],
-    "k_opt": [_I64P, _U8P, _I64P, _I64P, _I64, _I64, _I64P, _I64P],
-    "k_brrip": [_I64P, _U8P, _I64P, _I64, _I64, _I64, _I64, _F64,
-                _F64P, _I64P, _I64P],
-    "k_drrip": [_I64P, _U8P, _I64P, _I64, _I64, _I64, _I64, _F64,
-                _I64, _I64, _I64P, _F64P, _I64P, _I64P],
-    "k_topt": [_I64P, _U8P, _I64P, _I64P, _I64P, _I64P, _I64P, _I64,
-               _I64, _I64P, _I64P, _I64P],
-    "k_popt": [_I64P, _U8P, _I64P, _I64P, _I64P, _I64P, _I64, _I64,
-               _I64, _I64P, _I64P, _I64, _I64, _F64, _I64, _I64P,
-               _F64P, _I64P, _I64P, _I64P],
-    "k_private_filter": [_I64P, _U8P, _I64, _I64, _I64, _I64, _I64,
-                         _I64, _I64, _I64, _I64P, _I64P, _U8P, _I64P,
-                         _I64P],
-    "k_next_use": [_I64P, _I64, _I64, _I64P, _I64P],
-    "k_set_partition": [_I64P, _U8P, _I64P, _I64, _I64, _I64P, _I64P,
-                        _I64P, _U8P, _I64P],
-    "k_ship": [_I64P, _U8P, _U8P, _I64P, _I64, _I64, _I64, _I64,
-               _I64P, _I64P],
-    "k_hawkeye": [_I64P, _U8P, _U8P, _I64P, _I64, _I64, _I64, _I64,
-                  _I64, _I64, _I64P, _I64P],
+#: C parameter base type -> (numpy dtype for pointers, ctypes scalar).
+_PARAM_TYPES: Dict[str, Tuple[Any, Any]] = {
+    "i64": (np.int64, ctypes.c_int64),
+    "u8": (np.uint8, ctypes.c_uint8),
+    "double": (np.float64, ctypes.c_double),
 }
+
+#: A file-scope ``k_*`` definition: return/storage words, name, params.
+_KERNEL = re.compile(
+    r"^(?P<head>(?:[A-Za-z_]\w*[\s*]+)+?)(?P<name>k_\w+)\s*"
+    r"\((?P<params>[^)]*)\)",
+    re.MULTILINE,
+)
+
+_PARAM = re.compile(r"(?:const\s+)?(i64|u8|double)\s*(\*?)\s*[A-Za-z_]\w*")
+
+
+def _signatures(source: str) -> Dict[str, List[Any]]:
+    """Argtypes of every non-``static`` ``k_*`` function in ``source``.
+
+    Raises ValueError naming the kernel (and parameter) the pattern
+    cannot type, so an out-of-dialect kernel never loads half-typed.
+    """
+    sigs: Dict[str, List[Any]] = {}
+    for match in _KERNEL.finditer(source):
+        head, name = match.group("head").split(), match.group("name")
+        if "static" in head:
+            continue
+        if head != ["void"]:
+            raise ValueError(
+                f"kernel {name} must return void, not {' '.join(head)}"
+            )
+        argtypes: List[Any] = []
+        for param in match.group("params").split(","):
+            typed = _PARAM.fullmatch(param.strip())
+            if typed is None:
+                raise ValueError(
+                    f"kernel {name}: cannot type parameter "
+                    f"{' '.join(param.split())!r}"
+                )
+            dtype, scalar = _PARAM_TYPES[typed.group(1)]
+            argtypes.append(
+                np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+                if typed.group(2) else scalar
+            )
+        sigs[name] = argtypes
+    return sigs
+
+
+def _define_flags() -> List[str]:
+    """One ``-D`` flag per :data:`C_DEFINES` entry, in name order."""
+    return [
+        f"-D{name}=((int64_t){value})"
+        for name, value in sorted(C_DEFINES.items())
+    ]
 
 
 def build_dir() -> Path:
@@ -153,7 +187,30 @@ def _record_failure(reason: str) -> None:
     )
 
 
-def _build() -> Optional[ctypes.CDLL]:
+def _so_path(source: bytes, flags: List[str]) -> Path:
+    """Cache path of the shared object built from ``source`` + ``flags``."""
+    digest = hashlib.sha256(source + "\0".join(flags).encode())
+    return build_dir() / f"repro_kernels_{digest.hexdigest()[:16]}.so"
+
+
+def _first_error_line(stderr: str) -> str:
+    """The compiler's first ``error`` line (gcc leads with an
+    ``In function`` context line), else its first line."""
+    lines = stderr.splitlines()
+    for line in lines:
+        if "error" in line:
+            return line
+    return lines[0] if lines else "(no stderr)"
+
+
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _build() -> Optional[SimpleNamespace]:
     cc = _compiler()
     if cc is None:
         # Missing toolchain is the expected no-compiler configuration:
@@ -162,56 +219,60 @@ def _build() -> Optional[ctypes.CDLL]:
         _BUILD_ERROR = "no C compiler found (cc/gcc/clang)"
         return None
     source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    out_dir = build_dir()
-    so_path = out_dir / f"repro_kernels_{digest}.so"
+    try:
+        sigs = _signatures(source.decode("utf-8"))
+    except ValueError as exc:
+        _record_failure(str(exc))
+        return None
+    flags = _define_flags()
+    so_path = _so_path(source, flags)
+    out_dir = so_path.parent
     if not so_path.exists():
         out_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out_dir))
         os.close(fd)
         try:
             subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", str(_SOURCE), "-o", tmp],
+                [cc, "-O2", "-shared", "-fPIC", *flags, str(_SOURCE),
+                 "-o", tmp],
                 check=True,
                 capture_output=True,
             )
             os.replace(tmp, so_path)  # atomic: racing workers converge
         except subprocess.CalledProcessError as exc:
             stderr = (exc.stderr or b"").decode("utf-8", "replace").strip()
-            detail = stderr.splitlines()[0] if stderr else "(no stderr)"
             _record_failure(
-                f"{cc} exited with status {exc.returncode}: {detail}"
+                f"{cc} exited with status {exc.returncode}: "
+                f"{_first_error_line(stderr)}"
             )
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            _unlink_quietly(tmp)
             return None
         except OSError as exc:
             _record_failure(f"could not run {cc}: {exc}")
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            _unlink_quietly(tmp)
             return None
     try:
         cdll = ctypes.CDLL(str(so_path))
     except OSError as exc:
         _record_failure(f"could not load {so_path.name}: {exc}")
         return None
-    for name, argtypes in _SIGNATURES.items():
+    kernels = SimpleNamespace()
+    for name, argtypes in sigs.items():
         fn = getattr(cdll, name)
         fn.argtypes = argtypes
         fn.restype = None
-    return cdll
+        setattr(kernels, name, fn)
+    return kernels
 
 
-def lib() -> Optional[ctypes.CDLL]:
-    """The compiled kernel library, or None (pure-Python fallback).
+def lib() -> Optional[SimpleNamespace]:
+    """The typed ``k_*`` kernel functions, or None (pure-Python fallback).
 
-    Returns None without touching the build cache when ``PURE_ENV`` is
-    set; otherwise builds/loads once per process and memoizes the
-    outcome (including failure — a missing toolchain is not retried).
+    Only functions whose argtypes were derived from ``kernels.c`` are
+    handed out. Returns None without touching the build cache when
+    ``PURE_ENV`` is set; otherwise builds/loads once per process and
+    memoizes the outcome (including failure — a missing toolchain is
+    not retried).
     """
     global _LIB
     if os.environ.get(PURE_ENV):
@@ -219,7 +280,7 @@ def lib() -> Optional[ctypes.CDLL]:
     if _LIB is None:
         built = _build()
         _LIB = built if built is not None else False
-    return _LIB if isinstance(_LIB, ctypes.CDLL) else None
+    return _LIB if isinstance(_LIB, SimpleNamespace) else None
 
 
 def available() -> bool:
@@ -231,7 +292,8 @@ def build_error() -> Optional[str]:
     """Why the compiled kernels are unavailable, or None.
 
     Populated by the first failed :func:`lib` attempt (compiler exit
-    status + first stderr line, missing toolchain, or dlopen failure);
+    status + first stderr line mentioning ``error``, an untypeable
+    kernel signature, missing toolchain, or dlopen failure);
     stays None while the compiled path works or was never tried.
     """
     return _BUILD_ERROR

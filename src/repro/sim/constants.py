@@ -1,15 +1,13 @@
 """Shared bit-layout and policy constants (the cross-language registry).
 
 Algorithm 2's entry encodings (Fig. 5/6), the next-ref sentinels, and
-the RRIP insertion parameters exist in *three* places: the reference
-policies (``repro.popt``, ``repro.policies``), the pure-Python replay
-kernels (``repro.sim.kernels``), and the compiled transliterations
-(``kernels.c``). PR 4 caught one fork at runtime (a fixed 7-bit
-``inter_only`` sentinel mask applied to 8-bit raw entries); this module
-is the fix-forever: every Python site imports its numbers from here, and
-``kernels.c`` names the same numbers as ``#define`` constants that
-simlint's ``abi-constant`` rule cross-checks against :data:`C_PARITY`
-— so the literals cannot silently fork again.
+the RRIP insertion parameters are used by the reference policies
+(``repro.popt``, ``repro.policies``), the pure-Python replay kernels
+(``repro.sim.kernels``), and the compiled kernels (``kernels.c``). This
+module is their only definition: every Python site imports its numbers
+from here, and :mod:`repro.sim.ckernels` compiles ``kernels.c`` with one
+``-DNAME=((int64_t)VALUE)`` flag per :data:`C_DEFINES` entry, so the C
+side has no copy of its own to fork.
 
 Nothing here imports anything from the package (no cycles): it is a
 leaf module of plain integers, tuples, and arithmetic helpers.
@@ -45,7 +43,7 @@ __all__ = [
     "HAWKEYE_RRPV_MAX",
     "HAWKEYE_COUNTER_MAX",
     "HAWKEYE_COUNTER_INITIAL",
-    "C_PARITY",
+    "C_DEFINES",
     "WIDTH_CONTRACTS",
 ]
 
@@ -183,16 +181,6 @@ HAWKEYE_COUNTER_INITIAL = 4
 
 
 # ----------------------------------------------------------------------
-# C parity table (simlint ``abi-constant``)
-# ----------------------------------------------------------------------
-
-#: Every ``#define`` in ``kernels.c`` must appear here with the same
-#: value, and every entry here must be ``#define``d there — simlint's
-#: ``abi-constant`` rule enforces both directions, so a fork of any
-#: bit-layout constant across the language boundary is a lint error.
-#: (Float-valued constants like :data:`BRRIP_TRICKLE` are passed to C
-#: as arguments, never re-declared there, so they are not listed.)
-# ----------------------------------------------------------------------
 # Declared capacity contracts (simlint ``dtype`` + check_width_contracts)
 # ----------------------------------------------------------------------
 
@@ -266,7 +254,17 @@ WIDTH_CONTRACTS: Dict[str, Dict[str, object]] = {
 }
 
 
-C_PARITY: Dict[str, int] = {
+# ----------------------------------------------------------------------
+# Compile-time constants of kernels.c
+# ----------------------------------------------------------------------
+
+#: Every constant ``kernels.c`` names, passed to the compiler as
+#: ``-DNAME=((int64_t)VALUE)`` (and hashed into the ``.so`` cache key),
+#: so the C side cannot hold a different value. A name missing here is
+#: an undeclared identifier, which fails the build. (Float-valued
+#: constants like :data:`BRRIP_TRICKLE` are passed to C as arguments,
+#: so they are not listed.)
+C_DEFINES: Dict[str, int] = {
     "TOPT_NEVER": TOPT_NEVER,
     "POPT_STREAMING_NEXT_REF": POPT_STREAMING_NEXT_REF,
     "POPT_SPARAM_SLOTS": POPT_SPARAM_SLOTS,

@@ -10,19 +10,22 @@
  * Built on demand by repro.sim.ckernels via the system C compiler and
  * loaded with ctypes; when no compiler is available the Python kernels
  * run instead. No Python API is used here: every argument is a plain
- * C array (int64 lines/counts, uint8 write flags, float64 RNG draws),
- * so the only ABI surface is this header-free signature set — which
- * simlint's `abi` rule family parses and cross-checks against the
- * ctypes _SIGNATURES table and the kernels.py call sites.
+ * C array (int64 lines/counts, uint8 write flags, float64 RNG draws)
+ * or scalar. The loader derives each kernel's ctypes signature from
+ * the `void k_*(...)` definitions below, so parameters must be spelled
+ * `[const] i64|u8|double [*] name`; anything else refuses to load.
+ *
+ * Shared numeric constants (TOPT_NEVER, the POPT_SP_* parameter-block
+ * slots, the RM_VARIANT_* codes, the SHiP/Hawkeye bounds) are not
+ * defined in this file: the loader passes every
+ * repro.sim.constants.C_DEFINES entry as a -D flag, so the bit layouts
+ * have one definition, on the Python side.
  *
  * Determinism discipline (enforced by simlint `abi-c-hygiene`): no
  * heap allocation (every kernel's scratch is carved from a caller-
  * provided int64 workspace `ws` and fully initialized here), no
  * mutable file-scope state, no library calls beyond arithmetic, and
- * every loop bound derives from a parameter. Shared numeric constants
- * are `#define`d below and parity-checked against
- * repro.sim.constants.C_PARITY (simlint `abi-constant`), so the bit
- * layouts cannot fork from the Python side.
+ * every loop bound derives from a parameter.
  *
  * Randomness: BRRIP/DRRIP consume `random.Random` draws in fill order.
  * Reproducing the Mersenne Twister here would couple this file to
@@ -40,32 +43,6 @@
 
 typedef int64_t i64;
 typedef uint8_t u8;
-
-/* Shared constants — every #define here must match
- * repro.sim.constants.C_PARITY by name and value (simlint
- * abi-constant checks both directions). */
-
-/* T-OPT next-ref for lines never referenced again. */
-#define TOPT_NEVER ((i64)1 << 40)
-
-/* P-OPT's rank for streaming ways when they are not preferred
- * outright (matches POPT.choose_victim). */
-#define POPT_STREAMING_NEXT_REF ((i64)1 << 30)
-
-/* Rereference Matrix entry-encoding codes (constants.RM_VARIANT_CODES). */
-#define RM_VARIANT_INTER_ONLY 0
-#define RM_VARIANT_INTER_INTRA 1
-#define RM_VARIANT_SINGLE_EPOCH 2
-
-/* Per-stream parameter block layout (constants.POPT_SPARAM_LAYOUT). */
-#define POPT_SPARAM_SLOTS 7
-#define POPT_SP_VARIANT 0
-#define POPT_SP_MSB 1
-#define POPT_SP_LOW_MASK 2
-#define POPT_SP_NEXT_BIT 3
-#define POPT_SP_EPOCH_SIZE 4
-#define POPT_SP_SUB_EPOCH_SIZE 5
-#define POPT_SP_NUM_EPOCHS 6
 
 /* out[0..3] += hits, misses, evictions, writebacks */
 
@@ -700,20 +677,6 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
 /* ------------------------------------------------------------------ */
 
 typedef uint64_t u64;
-
-/* Signature space for PC-indexed predictor tables (SHiP's SHCT,
- * Hawkeye's OPTgen predictor): trace PCs are uint8 region tags. */
-#define KERNEL_SIG_SPACE 256
-
-/* SHiP signature-history counter bounds (policies/ship.py). */
-#define SHIP_SHCT_MAX 3
-#define SHIP_SHCT_INITIAL 1
-
-/* Hawkeye RRIP depth and predictor counter bounds
- * (policies/hawkeye.py). */
-#define HAWKEYE_RRPV_MAX 7
-#define HAWKEYE_COUNTER_MAX 7
-#define HAWKEYE_COUNTER_INITIAL 4
 
 /* One Bit-PLRU access against a single private-level set.  `resident`
  * `mru` and `dirty` point at the set's ways-sized state, `filled` at

@@ -104,7 +104,6 @@ that no boxing or per-access list growth creeps *into* the loops.
 from __future__ import annotations
 
 import bisect
-import ctypes
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -172,25 +171,9 @@ def _finish(
 
 
 # ----------------------------------------------------------------------
-# ctypes glue for the compiled fast path
+# Compiled fast path (ckernels types every pointer parameter, so arrays
+# are passed as-is and a wrong dtype or layout raises at the call)
 # ----------------------------------------------------------------------
-
-_I64P = ctypes.POINTER(ctypes.c_longlong)
-_U8P = ctypes.POINTER(ctypes.c_ubyte)
-_F64P = ctypes.POINTER(ctypes.c_double)
-
-
-def _i64(arr: np.ndarray):
-    return arr.ctypes.data_as(_I64P)
-
-
-def _u8(arr: np.ndarray):
-    return arr.ctypes.data_as(_U8P)
-
-
-def _f64(arr: np.ndarray):
-    return arr.ctypes.data_as(_F64P)
-
 
 def _ws(size: int) -> np.ndarray:
     """Scratch workspace for a compiled kernel (malloc-free C: every
@@ -206,9 +189,9 @@ def _c_partitioned(clib, name: str, req: KernelRequest) -> CacheStats:
     counts, slines, swrites, _ = req.filt.set_partition_arrays(config)
     out = np.zeros(4, dtype=np.int64)
     getattr(clib, name)(
-        _i64(slines), _u8(swrites), _i64(counts),
+        slines, swrites, counts,
         config.num_sets, config.num_ways,
-        _i64(_ws(3 * config.num_ways)), _i64(out),
+        _ws(3 * config.num_ways), out,
     )
     return _finish(config, *out.tolist())
 
@@ -279,9 +262,9 @@ def replay_bit_plru_stream(
         hit_sorted = np.zeros(n, dtype=np.uint8)
         out = np.zeros(4, dtype=np.int64)
         clib.k_bit_plru_mask(
-            _i64(sorted_lines_arr), _u8(sorted_writes_arr), _i64(counts64),
-            num_sets, num_ways, _u8(hit_sorted),
-            _i64(_ws(3 * num_ways)), _i64(out),
+            sorted_lines_arr, sorted_writes_arr, counts64,
+            num_sets, num_ways, hit_sorted,
+            _ws(3 * num_ways), out,
         )
         hit_mask[order] = hit_sorted.view(bool)
         hits, misses, evictions, writebacks = out.tolist()
@@ -396,10 +379,10 @@ def fused_private_filter(
     out = np.zeros(9, dtype=np.int64)
     scratch = 3 * l1_sets * l1_ways + l1_sets + 3 * l2_sets * l2_ways + l2_sets
     clib.k_private_filter(
-        _i64(addr_arr), _u8(writes_u8), n, line_shift,
+        addr_arr, writes_u8, n, line_shift,
         l1_sets, l1_ways, l1_pow2, l2_sets, l2_ways, l2_pow2,
-        _i64(visible_idx), _i64(vis_lines), _u8(vis_writes),
-        _i64(_ws(scratch)), _i64(out),
+        visible_idx, vis_lines, vis_writes,
+        _ws(scratch), out,
     )
     counters = out.tolist()
     m = counters[0]
@@ -434,7 +417,7 @@ def compiled_next_use(lines: np.ndarray) -> Optional[np.ndarray]:
     while cap < 2 * m:
         cap <<= 1
     lines_arr = np.ascontiguousarray(lines, dtype=np.int64)
-    clib.k_next_use(_i64(lines_arr), m, cap, _i64(_ws(2 * cap)), _i64(next_use))
+    clib.k_next_use(lines_arr, m, cap, _ws(2 * cap), next_use)
     return next_use
 
 
@@ -463,9 +446,9 @@ def compiled_set_partition(
     writes_arr = np.ascontiguousarray(writes, dtype=np.uint8)
     sidx_arr = np.ascontiguousarray(set_idx, dtype=np.int64)
     clib.k_set_partition(
-        _i64(lines_arr), _u8(writes_arr), _i64(sidx_arr), n, num_sets,
-        _i64(counts), _i64(order), _i64(sorted_lines), _u8(sorted_writes),
-        _i64(_ws(num_sets)),
+        lines_arr, writes_arr, sidx_arr, n, num_sets,
+        counts, order, sorted_lines, sorted_writes,
+        _ws(num_sets),
     )
     return counts, sorted_lines, sorted_writes, order
 
@@ -671,9 +654,9 @@ def kernel_srrip(req: KernelRequest) -> CacheStats:
         counts, slines, swrites, _ = req.filt.set_partition_arrays(config)
         out = np.zeros(4, dtype=np.int64)
         clib.k_srrip(
-            _i64(slines), _u8(swrites), _i64(counts),
+            slines, swrites, counts,
             config.num_sets, config.num_ways, req.policy.rrpv_max,
-            _i64(_ws(3 * config.num_ways)), _i64(out),
+            _ws(3 * config.num_ways), out,
         )
         return _finish(config, *out.tolist())
     config = req.config
@@ -746,9 +729,9 @@ def kernel_opt(req: KernelRequest) -> CacheStats:
         )
         out = np.zeros(4, dtype=np.int64)
         clib.k_opt(
-            _i64(slines), _u8(swrites), _i64(snext_arr), _i64(counts),
+            slines, swrites, snext_arr, counts,
             config.num_sets, config.num_ways,
-            _i64(_ws(3 * config.num_ways)), _i64(out),
+            _ws(3 * config.num_ways), out,
         )
         return _finish(config, *out.tolist())
     num_ways = config.num_ways
@@ -819,12 +802,10 @@ def kernel_brrip(req: KernelRequest) -> CacheStats:
         draws = _fill_draws(policy._seed, n)
         out = np.zeros(4, dtype=np.int64)
         clib.k_brrip(
-            _i64(lines_arr), _u8(writes_arr), _i64(sidx), n,
-            config.num_sets, config.num_ways, rmax, trickle,
-            _f64(draws),
-            _i64(_ws(3 * config.num_sets * config.num_ways
-                     + config.num_sets)),
-            _i64(out),
+            lines_arr, writes_arr, sidx, n,
+            config.num_sets, config.num_ways, rmax, trickle, draws,
+            _ws(3 * config.num_sets * config.num_ways + config.num_sets),
+            out,
         )
         return _finish(config, *out.tolist())
     num_sets = config.num_sets
@@ -913,11 +894,11 @@ def kernel_drrip(req: KernelRequest) -> CacheStats:
         leader_arr = np.asarray(leader, dtype=np.int64)
         out = np.zeros(4, dtype=np.int64)
         clib.k_drrip(
-            _i64(lines_arr), _u8(writes_arr), _i64(sidx), n,
+            lines_arr, writes_arr, sidx, n,
             num_sets, num_ways, rmax, trickle,
-            psel_max // 2, psel_max, _i64(leader_arr),
-            _f64(draws),
-            _i64(_ws(3 * num_sets * num_ways + num_sets)), _i64(out),
+            psel_max // 2, psel_max, leader_arr,
+            draws,
+            _ws(3 * num_sets * num_ways + num_sets), out,
         )
         return _finish(config, *out.tolist())
     lines, writes = req.filt.channel_lists("lines", "writes")
@@ -1009,10 +990,10 @@ def kernel_ship(req: KernelRequest) -> CacheStats:
         sidx = filt.set_index_array(config)
         out = np.zeros(4, dtype=np.int64)
         clib.k_ship(
-            _i64(lines_arr), _u8(writes_arr), _u8(pcs_arr), _i64(sidx), n,
+            lines_arr, writes_arr, pcs_arr, sidx, n,
             num_sets, num_ways, rmax,
-            _i64(_ws(5 * num_sets * num_ways + num_sets + KERNEL_SIG_SPACE)),
-            _i64(out),
+            _ws(5 * num_sets * num_ways + num_sets + KERNEL_SIG_SPACE),
+            out,
         )
         return _finish(config, *out.tolist())
     lines, pcs, writes = req.filt.channel_lists("lines", "pcs", "writes")
@@ -1124,9 +1105,9 @@ def kernel_hawkeye(req: KernelRequest) -> CacheStats:
         )
         out = np.zeros(4, dtype=np.int64)
         clib.k_hawkeye(
-            _i64(lines_arr), _u8(writes_arr), _u8(pcs_arr), _i64(sidx), n,
+            lines_arr, writes_arr, pcs_arr, sidx, n,
             num_sets, num_ways, sample_every, window, cap,
-            _i64(_ws(scratch)), _i64(out),
+            _ws(scratch), out,
         )
         return _finish(config, *out.tolist())
     lines, pcs, writes = req.filt.channel_lists("lines", "pcs", "writes")
@@ -1319,10 +1300,10 @@ def kernel_topt(req: KernelRequest) -> CacheStats:
         out = np.zeros(4, dtype=np.int64)
         cnt = np.zeros(2, dtype=np.int64)
         clib.k_topt(
-            _i64(slines), _u8(swrites), _i64(sverts_arr),
-            _i64(slo_arr), _i64(shi_arr), _i64(policy._refs_arr),
-            _i64(counts), config.num_sets, num_ways,
-            _i64(_ws(4 * num_ways)), _i64(out), _i64(cnt),
+            slines, swrites, sverts_arr,
+            slo_arr, shi_arr, policy._refs_arr,
+            counts, config.num_sets, num_ways,
+            _ws(4 * num_ways), out, cnt,
         )
         policy.replacements = int(cnt[0])
         policy.transpose_walk_elements = int(cnt[1])
@@ -1489,13 +1470,13 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
         out = np.zeros(4, dtype=np.int64)
         cnt = np.zeros(5, dtype=np.int64)
         clib.k_popt(
-            _i64(lines_arr), _u8(writes_arr), _i64(verts_c), _i64(sidx),
-            _i64(sid_c), _i64(row_base), n, num_sets, num_ways,
-            _i64(sparams), _i64(entries_flat),
+            lines_arr, writes_arr, verts_c, sidx,
+            sid_c, row_base, n, num_sets, num_ways,
+            sparams, entries_flat,
             1 if prefer_streaming else 0,
-            rmax, trickle, psel_max, _i64(leader_arr), _f64(draws),
-            _i64(_ws(5 * num_sets * num_ways + num_sets + num_ways)),
-            _i64(out), _i64(cnt),
+            rmax, trickle, psel_max, leader_arr, draws,
+            _ws(5 * num_sets * num_ways + num_sets + num_ways),
+            out, cnt,
         )
         hits, misses, evictions, writebacks = out.tolist()
         (replacements, streaming_evictions, rm_lookups,

@@ -47,75 +47,6 @@ def rules_of(findings):
 
 
 # ----------------------------------------------------------------------
-# dtype-c-boundary
-# ----------------------------------------------------------------------
-
-
-class TestCBoundary:
-    BUGGY = """
-        import numpy as np
-
-        def _i64(array):
-            return array
-
-        def run(clib, n):
-            lanes = np.zeros(n, dtype=np.int32)
-            clib.k_scan(_i64(lanes))
-    """
-
-    def test_wrong_width_through_wrapper_fires(self, tmp_path):
-        findings = lint_dtype(tmp_path, self.BUGGY)
-        assert "dtype-c-boundary" in rules_of(findings)
-        (finding,) = [f for f in findings if f.rule == "dtype-c-boundary"]
-        assert "int32" in finding.message and "i64" in finding.message
-
-    def test_pragma_silences(self, tmp_path):
-        silenced = self.BUGGY.replace(
-            "clib.k_scan(_i64(lanes))",
-            "clib.k_scan(_i64(lanes))  "
-            "# simlint: allow[dtype-c-boundary]",
-        )
-        assert lint_dtype(tmp_path, silenced) == []
-
-    def test_matching_width_is_clean(self, tmp_path):
-        assert lint_dtype(
-            tmp_path, self.BUGGY.replace("np.int32", "np.int64")
-        ) == []
-
-    def test_bool_through_u8_wrapper_is_clean(self, tmp_path):
-        """Frontier bit-vectors marshal bool through ``_u8`` — same
-        1-byte layout, deliberately admitted."""
-        assert lint_dtype(tmp_path, """
-            import numpy as np
-
-            def _u8(array):
-                return array
-
-            def run(clib, n):
-                frontier = np.zeros(n, dtype=bool)
-                clib.k_mark(_u8(frontier))
-        """) == []
-
-    def test_interprocedural_creation_site(self, tmp_path):
-        """The mismatched array is typed in a helper; the flow engine
-        resolves the call through the call graph."""
-        findings = lint_dtype(tmp_path, """
-            import numpy as np
-
-            def _f64(array):
-                return array
-
-            def _make_ranks(n):
-                return np.zeros(n, dtype=np.float32)
-
-            def run(clib, n):
-                ranks = _make_ranks(n)
-                clib.k_rank(_f64(ranks))
-        """)
-        assert "dtype-c-boundary" in rules_of(findings)
-
-
-# ----------------------------------------------------------------------
 # dtype-overflow
 # ----------------------------------------------------------------------
 

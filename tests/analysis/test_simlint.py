@@ -508,19 +508,20 @@ class TestRunner:
         assert main([str(module), "--skip", "determinism"]) == 0
 
     def test_main_disable_abi_round_trip(self, tmp_path, capsys):
-        # A sim/ directory whose ckernels.py names a kernel with no
-        # kernels.c at all: the abi family reports it, and
-        # ``--disable abi`` (the CI spelling, alias of --skip) makes
-        # the same tree lint clean.
+        # A sim/ directory whose kernels.c heap-allocates: the abi
+        # family reports it, and ``--disable abi`` (the CI spelling,
+        # alias of --skip) makes the same tree lint clean.
         sim = tmp_path / "sim"
         sim.mkdir()
-        (sim / "ckernels.py").write_text(
-            "import ctypes\n\n_I64P = ctypes.POINTER(ctypes.c_longlong)"
-            "\n\n_SIGNATURES = {\n    \"k_ghost\": [_I64P],\n}\n"
+        (sim / "ckernels.py").write_text("KERNELS = 'kernels.c'\n")
+        (sim / "kernels.c").write_text(
+            "#include <stdint.h>\n\n"
+            "void k_ghost(int64_t *ws)\n{\n"
+            "    ws[0] = (int64_t)malloc(8);\n}\n"
         )
         assert main([str(sim)]) == 1
         out = capsys.readouterr().out
-        assert "[abi-parse]" in out
+        assert "[abi-c-hygiene]" in out
         assert "ckernels:" in out
         assert main([str(sim), "--disable", "abi", "--quiet"]) == 0
         assert capsys.readouterr().out == ""
@@ -557,8 +558,7 @@ class TestRunner:
 
     def test_same_site_distinct_messages_survive(self):
         """Dedup is exact-identity: two findings differing only in
-        message (one abi-signature per mismatched argument) both
-        survive."""
+        message (two external calls on one C line) both survive."""
         from repro.analysis.runner import _stable_findings
 
         pair = [
