@@ -9,11 +9,14 @@ asserts the bit-identity contract: same miss counts from both paths and
 matching engine-cost counters (``rm_lookups``, ties, epoch transitions,
 ``bytes_streamed`` — the inputs to the timing model and Fig. 15).
 
-The always-on floor is conservative (it must hold on the pure-Python
-kernel fallback); when the compiled C kernels are live, every policy
-must clear the compiled floor.
+Every policy must clear both floors. The bench needs the compiled
+kernels: without them every policy replays through the generic loop,
+and a generic-vs-generic timing must neither pass nor fail a floor, so
+it skips, naming the build error, on a host without a working C
+toolchain.
 """
 
+import pytest
 from common import (
     get_scale,
     report,
@@ -21,13 +24,19 @@ from common import (
     write_popt_kernel_report,
 )
 
+from repro.sim import ckernels
 from repro.sim.experiments import (
     POPT_KERNEL_SWEEP_POLICIES,
     popt_kernel_throughput_sweep,
 )
 
-# Guaranteed-everywhere floor (pure-Python fallback) and the floor all
-# next-ref policies must clear when the compiled kernels are live.
+pytestmark = pytest.mark.skipif(
+    not ckernels.available(),
+    reason=f"compiled kernels unavailable: {ckernels.build_error()}",
+)
+
+# The conservative floor and the floor all next-ref policies must clear
+# with the compiled kernels.
 KERNEL_SPEEDUP_FLOOR = 1.3
 COMPILED_SPEEDUP_FLOOR = 5.0
 
@@ -41,10 +50,9 @@ def bench_popt_kernel_throughput(benchmark):
         "Next-ref kernel throughput (phase-3 replay, generic vs kernel)",
         rows,
         notes="generic = per-access SetAssociativeCache loop with "
-        "POPT/TOPT victim hooks; kernel = the t-opt/p-opt replay "
-        "kernels (compiled when a C toolchain is available). Identical "
-        "miss counts and engine-cost counters are asserted, caches "
-        "pre-warmed.",
+        "POPT/TOPT victim hooks; kernel = the compiled t-opt/p-opt "
+        "replay kernels. Identical miss counts and engine-cost counters "
+        "are asserted, caches pre-warmed.",
     )
     path = write_popt_kernel_report(rows)
     assert path.exists()
@@ -57,5 +65,4 @@ def bench_popt_kernel_throughput(benchmark):
         assert row["misses_generic"] == row["misses_kernel"], row
         assert row["counters_match"], row
         assert row["kernel_speedup"] >= KERNEL_SPEEDUP_FLOOR, row
-        if row["compiled"]:
-            assert row["kernel_speedup"] >= COMPILED_SPEEDUP_FLOOR, row
+        assert row["kernel_speedup"] >= COMPILED_SPEEDUP_FLOOR, row

@@ -30,7 +30,6 @@ from .findings import Finding
 __all__ = [
     "DEFAULT_REPLAY_PATH",
     "check_hot_paths",
-    "scan_replay_function",
 ]
 
 #: The per-access functions of the replay fast path. ``Class.method``
@@ -76,14 +75,8 @@ def scan_replay_function(
     qualname: str,
     func: ast.FunctionDef,
     findings: List[Finding],
-    loops_only: bool = False,
 ) -> None:
-    """Emit hot-path findings for one function.
-
-    With ``loops_only`` (the replay-kernel profile), ``.tolist()`` is
-    tolerated at loop depth zero — kernels legitimately unbox arrays once
-    in their preamble — and only flagged when it recurs per iteration.
-    """
+    """Emit hot-path findings for one function."""
     def emit(rule: str, lineno: int, message: str) -> None:
         if not pragma_allows(module, rule, lineno):
             findings.append(Finding(
@@ -101,17 +94,11 @@ def scan_replay_function(
             if isinstance(child, ast.Call):
                 name = dotted_name(child.func)
                 if isinstance(child.func, ast.Attribute):
-                    if child.func.attr == "tolist" and (
-                        loop_depth > 0 or not loops_only
-                    ):
+                    if child.func.attr == "tolist":
                         emit(
                             "hotpath-tolist", child.lineno,
-                            f"{qualname} calls .tolist() "
-                            + ("inside its replay loop; unbox once in "
-                               "the kernel preamble instead"
-                               if loops_only else
-                               "; the decoded trace already provides "
-                               "shared lists"),
+                            f"{qualname} calls .tolist(); the decoded "
+                            "trace already provides shared lists",
                         )
                     elif child.func.attr == "append" and loop_depth > 0:
                         emit(

@@ -1,4 +1,4 @@
-"""Replay-kernel coverage and hygiene (simlint rule family ``kernels``).
+"""Replay-kernel coverage (simlint rule family ``kernels``).
 
 The replay-kernel dispatch (PR 3) is string-keyed: policies advertise a
 kernel name via ``replay_kernel()`` and :mod:`repro.sim.kernels` maps
@@ -17,29 +17,16 @@ failing. These rules catch that statically:
   scanned set contains the real ``popt/topt.py`` or ``popt/policy.py``
   — dropping either entry would silently demote every headline sweep
   to the generic path.
-- hot-path hygiene — every top-level ``kernel_*`` function in a module
-  named ``kernels.py`` is scanned with the
-  :mod:`~repro.analysis.hotpath` rules in *loops-only* mode: kernels may
-  unbox arrays (``.tolist()``) once in their preamble, but
-  per-iteration boxing, list growth, or ``.tolist()`` inside the replay
-  loops gets flagged (suppress deliberate cases with
-  ``# simlint: allow[hotpath-...]``). The filename scope keeps
-  similarly-named helpers elsewhere (e.g. ``kernel_throughput_sweep``)
-  out of the kernel profile; test fixtures opt in by using the filename.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import List, Optional
 
 from .astutil import SourceModule
 from .findings import Finding
-from .hotpath import scan_replay_function
 
 __all__ = ["check_kernels", "kernels_module_scanned"]
-
-KERNEL_PREFIX = "kernel_"
 
 
 def kernels_module_scanned(modules: List[SourceModule]) -> Optional[
@@ -130,18 +117,6 @@ def _check_resolution(path: str) -> List[Finding]:
 
 def check_kernels(modules: List[SourceModule]) -> List[Finding]:
     findings: List[Finding] = []
-    # Hygiene: top-level kernel_* functions in any kernels.py (the real
-    # module or a fixture mirroring its name).
-    for module in modules:
-        if module.path.name != "kernels.py":
-            continue
-        for node in module.tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name.startswith(
-                KERNEL_PREFIX
-            ):
-                scan_replay_function(
-                    module, node.name, node, findings, loops_only=True
-                )
     kernels_mod = kernels_module_scanned(modules)
     if kernels_mod is not None:
         findings.extend(_check_resolution(kernels_mod.display_path))

@@ -75,8 +75,8 @@ _TAINT_SOURCE_CALLS = {
 #: Memoized accessor methods whose products are shared across replays.
 _TAINT_ACCESSOR_ATTRS = {
     "as_lists", "compact_next_use", "set_partition_arrays",
-    "set_partition", "set_index_array", "set_index_list",
-    "set_partition_vertices", "stream_membership", "decoded",
+    "set_index_array", "set_partition_vertices", "stream_membership",
+    "decoded",
 }
 
 #: ndarray methods that mutate in place.

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -200,15 +199,10 @@ def _ckernels_status() -> str:
     from ``C_DEFINES``). This line reports whether that build and load
     actually succeed — and if not, why (the recorded compiler or
     signature diagnostic), so a broken toolchain or an untypeable
-    kernel is never a silent pure-Python fallback.
+    kernel is never a silent generic-engine fallback.
     """
     from ..sim import ckernels
 
-    if os.environ.get(ckernels.PURE_ENV):
-        return (
-            f"ckernels: pure-Python kernels forced "
-            f"({ckernels.PURE_ENV} set)"
-        )
     if ckernels.available():
         return "ckernels: compiled kernels available"
     reason = ckernels.build_error() or "unknown failure"

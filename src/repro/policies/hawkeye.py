@@ -22,6 +22,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List
 
+from ..sim.constants import (
+    HAWKEYE_COUNTER_INITIAL,
+    HAWKEYE_COUNTER_MAX,
+    HAWKEYE_RRPV_MAX,
+)
 from .base import ReplacementPolicy
 
 __all__ = ["Hawkeye"]
@@ -74,9 +79,9 @@ class Hawkeye(ReplacementPolicy):
 
     name = "Hawkeye"
 
-    RRPV_MAX = 7          # 3-bit ranks as in the original design
-    COUNTER_MAX = 7       # 3-bit saturating predictor counters
-    COUNTER_INITIAL = 4
+    RRPV_MAX = HAWKEYE_RRPV_MAX        # 3-bit ranks (original design)
+    COUNTER_MAX = HAWKEYE_COUNTER_MAX  # 3-bit saturating counters
+    COUNTER_INITIAL = HAWKEYE_COUNTER_INITIAL
 
     def __init__(self, sample_every: int = 8, history_factor: int = 8) -> None:
         super().__init__()

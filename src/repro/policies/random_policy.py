@@ -19,9 +19,7 @@ class RandomReplacement(ReplacementPolicy):
 
     Each set draws from its own seeded RNG stream, so the victims chosen
     in one set do not depend on how accesses to *other* sets interleave
-    — sets stay independent, which is what lets the set-partitioned
-    replay kernel (:mod:`repro.sim.kernels`) reproduce this policy
-    bit for bit.
+    — sets stay independent of each other and of the replay order.
     """
 
     name = "Random"
@@ -32,7 +30,7 @@ class RandomReplacement(ReplacementPolicy):
 
     @staticmethod
     def rng_for_set(seed: int, set_idx: int) -> random.Random:
-        """The per-set RNG stream (shared with the replay kernel)."""
+        """The seeded RNG stream of one set."""
         return random.Random(seed * _SET_SEED_STRIDE + set_idx)
 
     def reset(self) -> None:

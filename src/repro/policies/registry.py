@@ -112,7 +112,9 @@ def replay_kernels() -> Dict[type, str]:
     looked up by ``type(policy)`` — **not** ``isinstance`` — so a
     subclass never silently inherits a kernel that does not model its
     behavior (BIP subclasses LIP but adds an RNG on fill;
-    GRASP/SDBP/Leeway/BIP all stay on the generic per-access path).
+    GRASP/SDBP/Leeway/BIP all stay on the generic per-access path, and
+    so does Random, whose per-set ``randrange`` streams have no compiled
+    form).
     Two policies additionally override ``replay_kernel`` to fall back
     to the generic path when a kernel precondition fails: P-OPT when
     its tie-break sub-policy is not exactly DRRIP (the kernel inlines
@@ -134,7 +136,6 @@ def replay_kernels() -> Dict[type, str]:
             LRU: "lru",
             LIP: "lip",
             BitPLRU: "bit-plru",
-            RandomReplacement: "random",
             SRRIP: "srrip",
             BRRIP: "brrip",
             DRRIP: "drrip",

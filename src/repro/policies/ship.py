@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from ..sim.constants import SHIP_SHCT_INITIAL, SHIP_SHCT_MAX
 from .base import ReplacementPolicy
 
 __all__ = ["SHiP", "ship_pc", "ship_mem"]
@@ -31,8 +32,8 @@ class SHiP(ReplacementPolicy):
 
     name = "SHiP"
 
-    SHCT_MAX = 3          # 2-bit saturating counters
-    SHCT_INITIAL = 1
+    SHCT_MAX = SHIP_SHCT_MAX  # 2-bit saturating counters
+    SHCT_INITIAL = SHIP_SHCT_INITIAL
 
     def __init__(
         self,

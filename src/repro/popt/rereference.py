@@ -97,16 +97,16 @@ class RereferenceMatrix:
         # a mask narrower than the stored sentinel would make past-the-end
         # epochs look *nearer* than known-far in-matrix lines. The shared
         # registry (repro.sim.constants) is the single source of truth for
-        # the per-variant widths, here and in both kernel engines.
+        # the per-variant widths, here and in the compiled kernel.
         self._msb = rm_msb(self.entry_bits)
         self._next_bit = rm_next_bit(self.entry_bits, self.variant)
         self._low_mask = rm_low_mask(self.entry_bits, self.variant)
 
     @cached_property
     def _rows(self):
-        """Row view for the per-access Python decode (generic engine and
-        pure kernel only; the compiled kernel reads ``entries``), built
-        on first use. Python nested lists beat numpy scalar extraction in
+        """Row view for the per-access Python decode (generic engine
+        only; the compiled kernel reads ``entries``), built on first
+        use. Python nested lists beat numpy scalar extraction in
         the hot path, but converting huge matrices (fine-grained
         quantization on big graphs) would explode memory — fall back to
         numpy rows there."""

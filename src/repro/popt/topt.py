@@ -145,8 +145,8 @@ class TOPT(ReplacementPolicy):
 
     @cached_property
     def _refs(self) -> List[int]:
-        """List view of ``_refs_arr`` for the generic path and the pure
-        kernel, built on first use (the compiled kernel never reads it)."""
+        """List view of ``_refs_arr`` for the generic path, built on
+        first use (the compiled kernel never reads it)."""
         return self._refs_arr.tolist()
 
     @cached_property

@@ -1,11 +1,13 @@
 """Build/load harness for the compiled replay kernels (``kernels.c``).
 
-The compiled kernels are an *optional* acceleration: the pure-Python
-kernels in :mod:`repro.sim.kernels` are the executable specification,
-and every call site falls back to them transparently when this module
-reports the library unavailable. Availability requires only a system C
-compiler (``cc``/``gcc``/``clang``, override with ``REPRO_CC``) — the
-shared object is built on first use with a plain ``cc -O2 -shared``
+The compiled kernels are an *optional* acceleration: the policy
+classes under the generic engine are the executable specification.
+When this module reports the library unavailable,
+:func:`repro.sim.kernels.resolve_kernel` returns None, so every policy
+replays through the generic engine, and the private-level filter takes
+its numpy/Python path. Availability requires only a system C compiler
+(``cc``/``gcc``/``clang``, override with ``REPRO_CC``) — the shared
+object is built on first use with a plain ``cc -O2 -shared``
 invocation, cached under ``build/ckernels/`` keyed by a hash of the C
 source and the ``-D`` flags (so edits to either rebuild automatically,
 and concurrent workers racing the build land on the same file via an
@@ -28,11 +30,10 @@ The C boundary has one source of truth per side, so it cannot drift:
 A failed build is *not* silent: the compiler diagnostic is kept in
 :func:`build_error`, surfaced once as a ``RuntimeWarning``, and
 reported by ``python -m repro.analysis`` alongside the lint summary —
-the pure-Python fallback still engages, but never invisibly.
-
-Set ``REPRO_PURE_KERNELS=1`` to force the pure-Python kernels — the
-equivalence suite uses this to compare compiled vs. pure output, and
-it is the escape hatch if a toolchain miscompiles.
+the generic-engine fallback still engages, but never invisibly. To run
+without the compiled kernels on purpose (the no-toolchain equivalence
+suite does), point ``REPRO_CC`` at a failing compiler such as
+``/bin/false`` and ``REPRO_CKERNELS_DIR`` at an empty directory.
 """
 
 from __future__ import annotations
@@ -60,12 +61,8 @@ __all__ = [
     "build_dir",
     "build_error",
     "reset",
-    "PURE_ENV",
     "CC_ENV",
 ]
-
-#: Environment variable forcing the pure-Python kernel paths.
-PURE_ENV = "REPRO_PURE_KERNELS"
 
 #: Environment variable overriding the compiler executable.
 CC_ENV = "REPRO_CC"
@@ -73,8 +70,7 @@ CC_ENV = "REPRO_CC"
 _SOURCE = Path(__file__).with_name("kernels.c")
 
 #: Tri-state cache: None = not tried yet, False = tried and unavailable,
-#: SimpleNamespace of typed ``k_*`` functions = loaded. The PURE_ENV
-#: override is intentionally *not* cached so tests can flip it per-case.
+#: SimpleNamespace of typed ``k_*`` functions = loaded.
 _LIB: Union[None, bool, SimpleNamespace] = None
 
 #: Human-readable reason the last build/load attempt failed (compiler
@@ -173,15 +169,15 @@ def _compiler() -> Optional[str]:
 def _record_failure(reason: str) -> None:
     """Remember *why* the compiled path is unavailable and say so once.
 
-    The pure-Python fallback still engages — the kernels are optional —
-    but a toolchain that exists and fails is a real diagnostic the user
-    (and CI) should see, not a silent 20-75x slowdown.
+    The generic-engine fallback still engages — the kernels are
+    optional — but a toolchain that exists and fails is a real
+    diagnostic the user (and CI) should see, not a silent slowdown.
     """
     global _BUILD_ERROR
     _BUILD_ERROR = reason
     warnings.warn(
         f"compiled replay kernels unavailable, falling back to "
-        f"pure-Python kernels: {reason}",
+        f"the generic engine: {reason}",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -266,17 +262,13 @@ def _build() -> Optional[SimpleNamespace]:
 
 
 def lib() -> Optional[SimpleNamespace]:
-    """The typed ``k_*`` kernel functions, or None (pure-Python fallback).
+    """The typed ``k_*`` kernel functions, or None (generic fallback).
 
     Only functions whose argtypes were derived from ``kernels.c`` are
-    handed out. Returns None without touching the build cache when
-    ``PURE_ENV`` is set; otherwise builds/loads once per process and
-    memoizes the outcome (including failure — a missing toolchain is
-    not retried).
+    handed out. Builds/loads once per process and memoizes the outcome
+    (including failure — a missing toolchain is not retried).
     """
     global _LIB
-    if os.environ.get(PURE_ENV):
-        return None
     if _LIB is None:
         built = _build()
         _LIB = built if built is not None else False

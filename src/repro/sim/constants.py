@@ -1,13 +1,14 @@
 """Shared bit-layout and policy constants (the cross-language registry).
 
-Algorithm 2's entry encodings (Fig. 5/6), the next-ref sentinels, and
-the RRIP insertion parameters are used by the reference policies
-(``repro.popt``, ``repro.policies``), the pure-Python replay kernels
-(``repro.sim.kernels``), and the compiled kernels (``kernels.c``). This
-module is their only definition: every Python site imports its numbers
-from here, and :mod:`repro.sim.ckernels` compiles ``kernels.c`` with one
-``-DNAME=((int64_t)VALUE)`` flag per :data:`C_DEFINES` entry, so the C
-side has no copy of its own to fork.
+Algorithm 2's entry encodings (Fig. 5/6), the next-ref sentinels, the
+RRIP insertion parameters and the SHiP/Hawkeye counter bounds are used
+by the reference policies (``repro.popt``, ``repro.policies``), the
+replay-kernel wrappers (``repro.sim.kernels``), and the compiled kernels
+(``kernels.c``). This module is their only definition: every Python
+site imports its numbers from here (the policy classes bind them as
+class attributes), and :mod:`repro.sim.ckernels` compiles ``kernels.c``
+with one ``-DNAME=((int64_t)VALUE)`` flag per :data:`C_DEFINES` entry,
+so the C side has no copy of its own to fork.
 
 Nothing here imports anything from the package (no cycles): it is a
 leaf module of plain integers, tuples, and arithmetic helpers.

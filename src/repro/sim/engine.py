@@ -20,14 +20,17 @@ only on the access stream it observes). The engine exploits that:
    subsequence.
 3. **Replay per policy** — policies that advertise a replay kernel
    (:meth:`~repro.policies.base.ReplacementPolicy.replay_kernel`)
-   dispatch to a set-partitioned tight loop in :mod:`repro.sim.kernels`;
-   everything else runs the generic per-access loop through a fresh
-   :class:`SetAssociativeCache`, with original trace indices/vertices/
-   PCs in the :class:`AccessContext` so oracle policies (OPT, T-OPT,
-   P-OPT) see exactly what they would have seen behind real private
-   levels. Sanitized replays always take the generic loop — the
-   sanitizer's invariants are phrased over a live cache object (tag
-   arrays, per-set policy state), which kernels never build.
+   dispatch to one compiled call in :mod:`repro.sim.kernels` when the
+   compiled library is available; everything else — including every
+   policy on a host without a C toolchain — runs the generic per-access
+   loop through a fresh :class:`SetAssociativeCache`, with original
+   trace indices/vertices/PCs in the :class:`AccessContext` so oracle
+   policies (OPT, T-OPT, P-OPT) see exactly what they would have seen
+   behind real private levels. The policy classes on that loop are the
+   executable specification the kernels are tested against. Sanitized
+   replays always take the generic loop — the sanitizer's invariants
+   are phrased over a live cache object (tag arrays, per-set policy
+   state), which kernels never build.
 
 The per-access reference path (full :class:`CacheHierarchy` walk) stays
 available via ``simulate_prepared(..., engine="reference")``, and the
@@ -95,9 +98,9 @@ class PrivateFilter:
 
     The LLC-visible subsequence is stored **once**, as numpy arrays; the
     plain-list views the generic per-access loop wants (and the per-set
-    partitions the replay kernels want) are derived lazily and memoized,
-    so a filter costs one copy of the stream regardless of how many
-    replay paths consume it.
+    partitions and set indices the replay kernels want) are derived
+    lazily and memoized, so a filter costs one copy of the stream
+    regardless of how many replay paths consume it.
     """
 
     key: tuple
@@ -127,12 +130,10 @@ class PrivateFilter:
             self.mask, self.lines, self.pcs, self.writes,
             self.vertices, self.indices,
         )
-        self._channel_lists: Dict[str, list] = {}
+        self._lists: Optional[tuple] = None
         self._compact_next_use: Optional[np.ndarray] = None
         self._partition_arrays: Dict[int, tuple] = {}
-        self._partitions: Dict[int, tuple] = {}
         self._set_index_arrays: Dict[int, np.ndarray] = {}
-        self._set_index_lists: Dict[int, list] = {}
         self._partition_vertices: Dict[int, np.ndarray] = {}
         self._memberships: Dict[tuple, tuple] = {}
 
@@ -148,24 +149,6 @@ class PrivateFilter:
             if stats is not None
         ]
 
-    def channel_lists(self, *channels: str) -> tuple:
-        """The named channels as plain lists, memoized per channel.
-
-        The per-access loops read Python scalars per element, so each
-        channel is boxed once and shared — but only for the channels a
-        caller actually names. The pure replay kernels read two or
-        three of the five channels; requesting just those keeps the
-        ``.tolist()`` cost off the ones nobody iterates.
-        """
-        out = []
-        for name in channels:
-            cached = self._channel_lists.get(name)
-            if cached is None:
-                cached = np.asarray(getattr(self, name)).tolist()
-                self._channel_lists[name] = cached
-            out.append(cached)
-        return tuple(out)
-
     def as_lists(self) -> tuple:
         """``(lines, pcs, writes, vertices, indices)`` as plain lists.
 
@@ -173,9 +156,12 @@ class PrivateFilter:
         element, so one boxing pass here is shared by every generic
         replay of this filter.
         """
-        return self.channel_lists(
-            "lines", "pcs", "writes", "vertices", "indices"
-        )
+        if self._lists is None:
+            self._lists = tuple(
+                np.asarray(getattr(self, name)).tolist()
+                for name in ("lines", "pcs", "writes", "vertices", "indices")
+            )
+        return self._lists
 
     def compact_next_use(self) -> np.ndarray:
         """Next-use chain in *compact* (LLC-visible-stream) coordinates.
@@ -235,31 +221,8 @@ class PrivateFilter:
             self._partition_arrays[num_sets] = cached
         return cached
 
-    def set_partition(self, config: CacheConfig) -> tuple:
-        """Like :meth:`set_partition_arrays`, but with plain-list channels.
-
-        ``(counts, sorted_lines, sorted_writes, order)`` where the first
-        three are Python lists ready for a pure-Python kernel's tight
-        loop (``order`` stays numpy for vectorized gathers). Memoized
-        separately so list boxing only happens when a pure kernel runs.
-        """
-        num_sets = config.num_sets
-        cached = self._partitions.get(num_sets)
-        if cached is None:
-            counts, slines, swrites, order = self.set_partition_arrays(
-                config
-            )
-            cached = (
-                counts.tolist(),
-                slines.tolist(),
-                swrites.tolist(),
-                order,
-            )
-            self._partitions[num_sets] = cached
-        return cached
-
     def set_index_array(self, config: CacheConfig) -> np.ndarray:
-        """Per-access set indices (int64; access-order compiled kernels)."""
+        """Per-access set indices (int64; access-order kernels)."""
         num_sets = config.num_sets
         cached = self._set_index_arrays.get(num_sets)
         if cached is None:
@@ -271,15 +234,6 @@ class PrivateFilter:
             cached = np.ascontiguousarray(set_idx, dtype=np.int64)
             _freeze(cached)
             self._set_index_arrays[num_sets] = cached
-        return cached
-
-    def set_index_list(self, config: CacheConfig) -> list:
-        """Per-access set indices as a plain list (pure access-order kernels)."""
-        num_sets = config.num_sets
-        cached = self._set_index_lists.get(num_sets)
-        if cached is None:
-            cached = self.set_index_array(config).tolist()
-            self._set_index_lists[num_sets] = cached
         return cached
 
     def set_partition_vertices(self, config: CacheConfig) -> np.ndarray:
@@ -340,9 +294,10 @@ def build_private_filter(
     Compiled path: one fused :func:`~repro.sim.kernels.fused_private_filter`
     call decodes each address and replays both private levels inline in
     access order — no decoded channel arrays, no per-level
-    argsort-partition / boolean-mask / fancy-index round-trips. Pure
-    path: :func:`decode_trace` plus one :func:`replay_bit_plru_stream`
-    pass per level, bit-identical by construction (the fused-front-end
+    argsort-partition / boolean-mask / fancy-index round-trips. Without
+    the compiled library: :func:`decode_trace` plus one
+    :func:`replay_bit_plru_stream` pass per level, bit-identical by
+    construction (the fused-front-end
     equivalence suite proves it). Phase timings land on the filter; the
     fused pass decodes inline, so its ``decode_seconds`` is 0.0.
     """
@@ -496,12 +451,13 @@ class ReplayEngine:
         bit-identical and pay zero overhead.
 
         Dispatch: when ``use_kernel`` is True (default), sanitizing is
-        off, and the policy advertises a replay kernel, the whole stream
-        runs through the kernel's tight loop and no cache object is
-        built (``EngineRun.llc`` is None, ``EngineRun.kernel`` names the
-        kernel). Any other combination — no kernel, ``use_kernel=False``
-        (the ``engine="generic"`` path), or an active sanitizer — falls
-        back to the per-access loop transparently.
+        off, the policy advertises a replay kernel and the compiled
+        library is available, the whole stream runs through the kernel
+        and no cache object is built (``EngineRun.llc`` is None,
+        ``EngineRun.kernel`` names the kernel). Any other combination —
+        no kernel, no compiled library, ``use_kernel=False`` (the
+        ``engine="generic"`` path), or an active sanitizer — falls back
+        to the per-access loop transparently.
         """
         start = time.perf_counter()  # simlint: allow[determinism-time]
         built_before = self.prepared.filter_counters["built"]

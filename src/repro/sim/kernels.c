@@ -1,19 +1,22 @@
 /* Compiled LLC replay kernels (optional fast path).
  *
- * Each function is a line-for-line transliteration of the pure-Python
- * kernel of the same policy in kernels.py — same probe order, same
- * victim tie-breaks, same dirty/writeback bookkeeping — so the two
- * paths are bit-identical and the Python kernels double as the
- * executable specification (the equivalence suite compares compiled vs
- * pure vs generic vs reference).
+ * Each k_<policy> replay kernel must be bit-identical to the policy
+ * class of the same name under the generic engine (repro.policies,
+ * repro.popt) — same probe order, same victim tie-breaks, same
+ * dirty/writeback bookkeeping. Those classes are the executable
+ * specification; the equivalence suite compares compiled vs generic vs
+ * reference. The front-end helpers (k_private_filter, k_bit_plru_mask,
+ * k_next_use, k_set_partition) match their numpy/Python constructions
+ * in repro.sim.engine and repro.sim.kernels the same way.
  *
  * Built on demand by repro.sim.ckernels via the system C compiler and
- * loaded with ctypes; when no compiler is available the Python kernels
- * run instead. No Python API is used here: every argument is a plain
- * C array (int64 lines/counts, uint8 write flags, float64 RNG draws)
- * or scalar. The loader derives each kernel's ctypes signature from
- * the `void k_*(...)` definitions below, so parameters must be spelled
- * `[const] i64|u8|double [*] name`; anything else refuses to load.
+ * loaded with ctypes; when no compiler is available every policy
+ * replays through the generic engine instead. No Python API is used
+ * here: every argument is a plain C array (int64 lines/counts, uint8
+ * write flags, float64 RNG draws) or scalar. The loader derives each
+ * kernel's ctypes signature from the `void k_*(...)` definitions
+ * below, so parameters must be spelled `[const] i64|u8|double [*]
+ * name`; anything else refuses to load.
  *
  * Shared numeric constants (TOPT_NEVER, the POPT_SP_* parameter-block
  * slots, the RM_VARIANT_* codes, the SHiP/Hawkeye bounds) are not
@@ -36,7 +39,7 @@
  *
  * Residency probes are linear tag scans: a set's ways hold distinct
  * lines, so "first way whose tag matches" answers exactly what the
- * Python kernels' line->way dict answers.
+ * reference cache's tags.index(line) answers.
  */
 
 #include <stdint.h>

@@ -1,32 +1,31 @@
 """Set-partitioned LLC replay kernels (phase-3 fast paths).
 
 The three-phase engine (:mod:`repro.sim.engine`) reduced a policy sweep
-to "replay the LLC-visible stream per policy", but that replay still
-walked ``SetAssociativeCache.access`` once per access: a tag probe, a
-stats update, two or three policy callbacks through ``AccessContext`` —
-and, at graph-workload LLC miss rates, one or two *raised exceptions*
-per miss from the ``list.index``/``ValueError`` residency idiom. For the
-simple policies that dominate sweeps, all of that is avoidable — each
-kernel here replays the whole stream in one tight loop and returns the
-final :class:`~repro.cache.stats.CacheStats`, bit-identical to the
-reference path (the equivalence suite in ``tests/sim/test_engine.py``
-proves it).
+to "replay the LLC-visible stream per policy". The generic replay walks
+``SetAssociativeCache.access`` once per access — a tag probe, a stats
+update, two or three policy callbacks through ``AccessContext``. For the
+policies that dominate sweeps, each kernel here replaces that walk with
+one call into the compiled ``kernels.c`` (built on demand and loaded via
+:mod:`repro.sim.ckernels`) and returns the final
+:class:`~repro.cache.stats.CacheStats`, bit-identical to the generic and
+reference paths (the equivalence suite in ``tests/sim/test_engine.py``
+proves it). The policy classes under the generic engine are the
+executable specification; a kernel is only a faster way to the same
+counts.
 
-Each kernel exists in two forms. The **pure-Python** loop below is the
-executable specification; a **compiled** transliteration of the same
-loop (``kernels.c``, built on demand and loaded via
-:mod:`repro.sim.ckernels`) runs instead whenever a system C compiler is
-available, and falls back transparently when it is not (or when
-``REPRO_PURE_KERNELS=1`` forces the pure path). Both forms consume the
-same cached numpy partitions off the
-:class:`~repro.sim.engine.PrivateFilter`.
+Each ``kernel_*`` is a thin wrapper: it gathers the cached numpy
+products of the :class:`~repro.sim.engine.PrivateFilter` (set
+partitions, set indices, next-use chain, region membership), makes one
+C call and wraps the counters. When no compiled library is available
+(no toolchain, or a build that failed and said why),
+:func:`resolve_kernel` returns None and every policy replays through
+the generic engine — slower, never different.
 
 Shared bit-identical transformations (vs. ``SetAssociativeCache``):
 
-- *Residency* is a per-set dict ``line -> way`` (a linear tag scan in
-  C) instead of an exception-raising list probe: a set's ways always
-  hold distinct lines, so both answer exactly what ``tags.index(line)``
-  answers, without raising on a miss.
+- *Residency* is a linear tag scan: a set's ways always hold distinct
+  lines, so "first way whose tag matches" answers exactly what
+  ``tags.index(line)`` answers, without raising on a miss.
 - *Invalid-way fills* use a monotone ``filled`` counter: the cache fills
   the lowest invalid way, ways are never invalidated, so invalid ways
   are exactly ``filled..num_ways-1``.
@@ -36,43 +35,38 @@ Shared bit-identical transformations (vs. ``SetAssociativeCache``):
 
 Two kernel shapes:
 
-**Set-partitioned** (LRU, LIP, Bit-PLRU, Random, SRRIP, OPT) — these
-policies keep no state that couples cache sets, so the accesses are
-grouped by set index with one vectorized stable sort (cached on the
-``PrivateFilter`` per LLC set count) and each set is simulated over its
-own compact subsequence. Correctness argument per policy:
+**Set-partitioned** (LRU, LIP, Bit-PLRU, SRRIP, OPT) — these policies
+keep no state that couples cache sets, so the accesses are grouped by
+set index with one stable sort (cached on the ``PrivateFilter`` per LLC
+set count) and each set is simulated over its own compact subsequence.
+Correctness argument per policy:
 
 - *LRU / LIP*: the reference's global clock is only ever **compared**
   within a set, so a per-set clock that preserves the relative order of
   touches yields identical victims. Hits always stamp a fresh per-set
   maximum; LIP fills stamp ``min - 1``, a fresh per-set minimum — the
-  order relations (and tie structure) match the reference exactly. The
-  pure LRU loop goes one step further: stamps are all distinct, so the
-  minimum is unique and recency order *is* dict insertion order — the
-  set's lines live in one dict ordered LRU-first (hit = pop +
-  re-insert at the MRU end, victim = first key), no stamp scan at all.
+  order relations (and tie structure) match the reference exactly.
 - *Bit-PLRU / SRRIP*: all metadata is per-set already.
-- *Random*: per-set RNG streams (see
-  :meth:`~repro.policies.random_policy.RandomReplacement.rng_for_set`),
-  so the draw sequence inside a set does not depend on interleaving.
-  (Pure-Python only: a compiled form would have to reproduce CPython's
-  Mersenne Twister ``randrange`` bit for bit — per-set draws cannot be
-  pre-generated without knowing each set's eviction count, which is the
-  kernel's own output.)
-- *OPT*: victims are chosen by ``argmax`` of stored next-use positions.
+- *OPT*: victims are chosen by first-max of stored next-use positions.
   The kernel stores **compact** (LLC-visible-stream) positions where the
   reference stores original-trace positions; the original->compact
   mapping is strictly increasing (with "no next use" mapping to the
   respective stream length), so every comparison — including first-max
   tie-breaks — is preserved.
 
-**Access-order** (BRRIP, DRRIP) — a single seeded RNG (and DRRIP's
-global PSEL set-dueling counter) couples the sets through the order of
-fills, so these kernels keep the original access order and inline the
-RRPV/PSEL updates. For the compiled form the fill draws are
-pre-generated in Python with the policy's own ``random.Random`` (one
-per access is a safe upper bound on fills) and handed over as a float64
-array — consumption order matches the reference's lazy draws exactly.
+**Access-order** (BRRIP, DRRIP, SHiP-PC, Hawkeye) — global state
+couples the sets through the order of accesses (the BRRIP-family fill
+RNG, DRRIP's PSEL set-dueling counter, SHiP's signature table,
+Hawkeye's predictor), so these kernels keep the original access order.
+The BRRIP-family fill draws are pre-generated in Python from the
+policy's own ``random.Random`` seed (one per access is a safe upper
+bound on fills) and handed over as a float64 array — consumption order
+matches the reference's lazy draws exactly.
+
+Random replacement has no kernel: its per-set streams come from
+CPython's ``randrange``, and per-set draws cannot be pre-generated
+without knowing each set's eviction count, which is the replay's own
+output. It replays on the generic engine, like GRASP and BIP.
 
 **Next-ref** (T-OPT, P-OPT) — the paper's own policies, with the
 region-membership scan hoisted out of the loop: every access's line is
@@ -87,6 +81,13 @@ because its DRRIP tie-break carries the same PSEL/RNG coupling as
 model and Fig. 15 consume back onto the policy instance, bit-identical
 to the generic path.
 
+The private-level front-end keeps a Python form: the per-set loop of
+:func:`replay_bit_plru_stream` and the numpy next-use and set-partition
+paths of :class:`~repro.sim.engine.PrivateFilter` run whenever the
+compiled helpers here return None. Every policy, kernel-covered or not,
+needs the private filter, and the generic engine has nothing to replace
+it.
+
 Dispatch: policies advertise a kernel name via
 :meth:`~repro.policies.base.ReplacementPolicy.replay_kernel` (backed by
 the exact-type table in :mod:`repro.policies.registry`);
@@ -95,15 +96,10 @@ only *constructor* products off the policy instance (seed, RRPV width,
 precomputed refs/matrices, ...) — the instance is never bound to a
 cache — and only the next-ref kernels write anything back (their
 replay counters).
-
-Hot-path hygiene: the ``.tolist()``/array preambles below run once per
-replay, outside the loops; simlint's ``kernels`` rule family checks
-that no boxing or per-access list growth creeps *into* the loops.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -114,22 +110,10 @@ from ..cache.cache import INVALID_TAG
 from ..cache.config import CacheConfig
 from ..cache.stats import CacheStats
 from ..errors import SimulationError
-from ..policies.random_policy import RandomReplacement
 from ..policies.rrip import BRRIP
 from ..popt.arch import PoptCounters
 from . import ckernels, worker_state
-from .constants import (
-    HAWKEYE_COUNTER_INITIAL,
-    HAWKEYE_COUNTER_MAX,
-    HAWKEYE_RRPV_MAX,
-    KERNEL_SIG_SPACE,
-    POPT_SPARAM_SLOTS,
-    POPT_STREAMING_NEXT_REF,
-    RM_VARIANT_CODES,
-    SHIP_SHCT_INITIAL,
-    SHIP_SHCT_MAX,
-    TOPT_NEVER,
-)
+from .constants import KERNEL_SIG_SPACE, POPT_SPARAM_SLOTS, RM_VARIANT_CODES
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import PrivateFilter
@@ -171,8 +155,8 @@ def _finish(
 
 
 # ----------------------------------------------------------------------
-# Compiled fast path (ckernels types every pointer parameter, so arrays
-# are passed as-is and a wrong dtype or layout raises at the call)
+# C call helpers (ckernels types every pointer parameter, so arrays are
+# passed as-is and a wrong dtype or layout raises at the call)
 # ----------------------------------------------------------------------
 
 def _ws(size: int) -> np.ndarray:
@@ -182,13 +166,13 @@ def _ws(size: int) -> np.ndarray:
     return np.empty(int(size), dtype=np.int64)
 
 
-def _c_partitioned(clib, name: str, req: KernelRequest) -> CacheStats:
+def _c_partitioned(name: str, req: KernelRequest) -> CacheStats:
     """Invoke a plain set-partitioned C kernel:
     ``fn(lines, writes, counts, num_sets, ways, ws, out)``."""
     config = req.config
     counts, slines, swrites, _ = req.filt.set_partition_arrays(config)
     out = np.zeros(4, dtype=np.int64)
-    getattr(clib, name)(
+    getattr(ckernels.lib(), name)(
         slines, swrites, counts,
         config.num_sets, config.num_ways,
         _ws(3 * config.num_ways), out,
@@ -235,8 +219,9 @@ def replay_bit_plru_stream(
     stream — same fill, eviction, dirty, and MRU-bit rules — but grouped
     by set: a stable argsort partitions the accesses into per-set
     subsequences (sets never interact), and each set is simulated with a
-    tight loop (compiled when available) using the kernels'
-    dict-residency scheme.
+    tight loop: ``k_bit_plru_mask`` when the compiled library is
+    available, else the Python loop below (a ``line -> way`` dict for
+    residency).
     """
     n = len(lines)
     stats = CacheStats(config.name)
@@ -353,13 +338,14 @@ def fused_private_filter(
     argsort partitions, no boolean-mask fancy-indexing round-trips.
     Access-order replay of independent sets is bit-identical to the
     set-partitioned replay :func:`replay_bit_plru_stream` performs, so
-    the emitted stream and per-level stats match the pure construction
-    exactly (the fused-front-end equivalence suite proves it).
+    the emitted stream and per-level stats match the decode+replay
+    construction exactly (the fused-front-end equivalence suite proves
+    it).
 
     Returns ``(visible_idx, lines, writes, l1_stats, l2_stats)`` with
     a level's stats ``None`` when its config is ``None``; returns
-    ``None`` when no compiled library is available (pure fallback runs
-    in ``engine.build_private_filter``).
+    ``None`` when no compiled library is available (the decode+replay
+    fallback runs in ``engine.build_private_filter``).
     """
     clib = ckernels.lib()
     if clib is None:
@@ -459,253 +445,31 @@ def compiled_set_partition(
 
 
 def kernel_lru(req: KernelRequest) -> CacheStats:
-    """Timestamp LRU, one tight loop per set (see module docstring for
-    the ordered-dict argument)."""
-    clib = ckernels.lib()
-    if clib is not None:
-        return _c_partitioned(clib, "k_lru", req)
-    config = req.config
-    num_ways = config.num_ways
-    counts, slines, swrites, _ = req.filt.set_partition(config)
-    hits = misses = evictions = writebacks = 0
-    start = 0
-    for count in counts:
-        if not count:
-            continue
-        stop = start + count
-        where: Dict[int, int] = {}   # line -> way; iteration order LRU-first
-        pop = where.pop
-        dirty = [False] * num_ways
-        filled = 0
-        for line, write in zip(slines[start:stop], swrites[start:stop]):
-            way = pop(line, None)
-            if way is not None:
-                hits += 1
-                if write:
-                    dirty[way] = True
-            else:
-                misses += 1
-                if filled < num_ways:
-                    way = filled
-                    filled += 1
-                else:
-                    victim_line = next(iter(where))
-                    way = pop(victim_line)
-                    evictions += 1
-                    if dirty[way]:
-                        writebacks += 1
-                dirty[way] = write
-            where[line] = way
-        start = stop
-    return _finish(config, hits, misses, evictions, writebacks)
+    """Timestamp LRU, one tight loop per set."""
+    return _c_partitioned("k_lru", req)
 
 
 def kernel_lip(req: KernelRequest) -> CacheStats:
     """LIP: hits promote to a fresh maximum, fills insert at min - 1."""
-    clib = ckernels.lib()
-    if clib is not None:
-        return _c_partitioned(clib, "k_lip", req)
-    config = req.config
-    num_ways = config.num_ways
-    counts, slines, swrites, _ = req.filt.set_partition(config)
-    hits = misses = evictions = writebacks = 0
-    start = 0
-    for count in counts:
-        if not count:
-            continue
-        stop = start + count
-        where: Dict[int, int] = {}
-        get = where.get
-        resident = [INVALID_TAG] * num_ways
-        stamps = [0] * num_ways
-        dirty = [False] * num_ways
-        filled = 0
-        clock = 0
-        for k in range(start, stop):
-            line = slines[k]
-            way = get(line)
-            if way is not None:
-                hits += 1
-                if swrites[k]:
-                    dirty[way] = True
-                clock += 1
-                stamps[way] = clock
-            else:
-                misses += 1
-                if filled < num_ways:
-                    way = filled
-                    filled += 1
-                else:
-                    way = stamps.index(min(stamps))
-                    evictions += 1
-                    if dirty[way]:
-                        writebacks += 1
-                    del where[resident[way]]
-                resident[way] = line
-                where[line] = way
-                dirty[way] = swrites[k]
-                # LRU-point insertion: strictly below the current minimum
-                # (computed over the victim's stale stamp, exactly like
-                # the reference's on_fill).
-                stamps[way] = min(stamps) - 1
-        start = stop
-    return _finish(config, hits, misses, evictions, writebacks)
+    return _c_partitioned("k_lip", req)
 
 
 def kernel_bit_plru(req: KernelRequest) -> CacheStats:
     """Bit-PLRU at the LLC (same rules as the private-level replay)."""
-    clib = ckernels.lib()
-    if clib is not None:
-        return _c_partitioned(clib, "k_bit_plru", req)
-    config = req.config
-    num_ways = config.num_ways
-    counts, slines, swrites, _ = req.filt.set_partition(config)
-    hits = misses = evictions = writebacks = 0
-    start = 0
-    for count in counts:
-        if not count:
-            continue
-        stop = start + count
-        where: Dict[int, int] = {}
-        get = where.get
-        resident = [INVALID_TAG] * num_ways
-        mru = [False] * num_ways
-        dirty = [False] * num_ways
-        filled = 0
-        for k in range(start, stop):
-            line = slines[k]
-            way = get(line)
-            if way is not None:
-                hits += 1
-                if swrites[k]:
-                    dirty[way] = True
-            else:
-                misses += 1
-                if filled < num_ways:
-                    way = filled
-                    filled += 1
-                else:
-                    way = mru.index(False) if False in mru else 0
-                    evictions += 1
-                    if dirty[way]:
-                        writebacks += 1
-                    del where[resident[way]]
-                resident[way] = line
-                where[line] = way
-                dirty[way] = swrites[k]
-            mru[way] = True
-            if all(mru):
-                mru = [False] * num_ways
-                mru[way] = True
-        start = stop
-    return _finish(config, hits, misses, evictions, writebacks)
-
-
-def kernel_random(req: KernelRequest) -> CacheStats:
-    """Random replacement with the policy's per-set RNG streams
-    (pure-Python only — see the module docstring)."""
-    config = req.config
-    num_ways = config.num_ways
-    counts, slines, swrites, _ = req.filt.set_partition(config)
-    seed = req.policy._seed
-    rng_for_set = RandomReplacement.rng_for_set
-    hits = misses = evictions = writebacks = 0
-    start = 0
-    for set_idx, count in enumerate(counts):
-        if not count:
-            continue
-        stop = start + count
-        where: Dict[int, int] = {}
-        get = where.get
-        resident = [INVALID_TAG] * num_ways
-        dirty = [False] * num_ways
-        filled = 0
-        draw = rng_for_set(seed, set_idx).randrange
-        for k in range(start, stop):
-            line = slines[k]
-            way = get(line)
-            if way is not None:
-                hits += 1
-                if swrites[k]:
-                    dirty[way] = True
-            else:
-                misses += 1
-                if filled < num_ways:
-                    way = filled
-                    filled += 1
-                else:
-                    way = draw(num_ways)
-                    evictions += 1
-                    if dirty[way]:
-                        writebacks += 1
-                    del where[resident[way]]
-                resident[way] = line
-                where[line] = way
-                dirty[way] = swrites[k]
-        start = stop
-    return _finish(config, hits, misses, evictions, writebacks)
+    return _c_partitioned("k_bit_plru", req)
 
 
 def kernel_srrip(req: KernelRequest) -> CacheStats:
     """SRRIP: pure per-set RRPV state, long-interval insertion."""
-    clib = ckernels.lib()
-    if clib is not None:
-        config = req.config
-        counts, slines, swrites, _ = req.filt.set_partition_arrays(config)
-        out = np.zeros(4, dtype=np.int64)
-        clib.k_srrip(
-            slines, swrites, counts,
-            config.num_sets, config.num_ways, req.policy.rrpv_max,
-            _ws(3 * config.num_ways), out,
-        )
-        return _finish(config, *out.tolist())
     config = req.config
-    num_ways = config.num_ways
-    counts, slines, swrites, _ = req.filt.set_partition(config)
-    rmax = req.policy.rrpv_max
-    insert = rmax - 1
-    hits = misses = evictions = writebacks = 0
-    start = 0
-    for count in counts:
-        if not count:
-            continue
-        stop = start + count
-        where: Dict[int, int] = {}
-        get = where.get
-        resident = [INVALID_TAG] * num_ways
-        rrpv = [rmax] * num_ways
-        dirty = [False] * num_ways
-        filled = 0
-        for k in range(start, stop):
-            line = slines[k]
-            way = get(line)
-            if way is not None:
-                hits += 1
-                if swrites[k]:
-                    dirty[way] = True
-                rrpv[way] = 0
-            else:
-                misses += 1
-                if filled < num_ways:
-                    way = filled
-                    filled += 1
-                else:
-                    top = max(rrpv)
-                    if top != rmax:
-                        bump = rmax - top
-                        for w in range(num_ways):
-                            rrpv[w] += bump
-                    way = rrpv.index(rmax)
-                    evictions += 1
-                    if dirty[way]:
-                        writebacks += 1
-                    del where[resident[way]]
-                resident[way] = line
-                where[line] = way
-                dirty[way] = swrites[k]
-                rrpv[way] = insert
-        start = stop
-    return _finish(config, hits, misses, evictions, writebacks)
+    counts, slines, swrites, _ = req.filt.set_partition_arrays(config)
+    out = np.zeros(4, dtype=np.int64)
+    ckernels.lib().k_srrip(
+        slines, swrites, counts,
+        config.num_sets, config.num_ways, req.policy.rrpv_max,
+        _ws(3 * config.num_ways), out,
+    )
+    return _finish(config, *out.tolist())
 
 
 def kernel_opt(req: KernelRequest) -> CacheStats:
@@ -716,63 +480,20 @@ def kernel_opt(req: KernelRequest) -> CacheStats:
     the position within the compacted LLC-visible stream instead (no
     ``AccessContext`` needed — the sorted positions index straight into
     the compact chain). The mapping between the two coordinate systems is
-    strictly increasing, so ``index(max(...))`` picks the same victim.
+    strictly increasing, so the first-max victim is the same.
     """
     config = req.config
-    clib = ckernels.lib()
-    if clib is not None:
-        counts, slines, swrites, order = req.filt.set_partition_arrays(
-            config
-        )
-        snext_arr = np.ascontiguousarray(
-            req.filt.compact_next_use()[order], dtype=np.int64
-        )
-        out = np.zeros(4, dtype=np.int64)
-        clib.k_opt(
-            slines, swrites, snext_arr, counts,
-            config.num_sets, config.num_ways,
-            _ws(3 * config.num_ways), out,
-        )
-        return _finish(config, *out.tolist())
-    num_ways = config.num_ways
-    counts, slines, swrites, order = req.filt.set_partition(config)
-    snext = req.filt.compact_next_use()[order].tolist()
-    hits = misses = evictions = writebacks = 0
-    start = 0
-    for count in counts:
-        if not count:
-            continue
-        stop = start + count
-        where: Dict[int, int] = {}
-        get = where.get
-        resident = [INVALID_TAG] * num_ways
-        line_next = [0] * num_ways
-        dirty = [False] * num_ways
-        filled = 0
-        for k in range(start, stop):
-            line = slines[k]
-            way = get(line)
-            if way is not None:
-                hits += 1
-                if swrites[k]:
-                    dirty[way] = True
-            else:
-                misses += 1
-                if filled < num_ways:
-                    way = filled
-                    filled += 1
-                else:
-                    way = line_next.index(max(line_next))
-                    evictions += 1
-                    if dirty[way]:
-                        writebacks += 1
-                    del where[resident[way]]
-                resident[way] = line
-                where[line] = way
-                dirty[way] = swrites[k]
-            line_next[way] = snext[k]
-        start = stop
-    return _finish(config, hits, misses, evictions, writebacks)
+    counts, slines, swrites, order = req.filt.set_partition_arrays(config)
+    snext = np.ascontiguousarray(
+        req.filt.compact_next_use()[order], dtype=np.int64
+    )
+    out = np.zeros(4, dtype=np.int64)
+    ckernels.lib().k_opt(
+        slines, swrites, snext, counts,
+        config.num_sets, config.num_ways,
+        _ws(3 * config.num_ways), out,
+    )
+    return _finish(config, *out.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -780,88 +501,44 @@ def kernel_opt(req: KernelRequest) -> CacheStats:
 # ----------------------------------------------------------------------
 
 
+def _access_order_arrays(req: KernelRequest) -> tuple:
+    """``(n, lines, writes, set_idx)`` in access order, C-ready."""
+    filt = req.filt
+    return (
+        len(filt.lines),
+        np.ascontiguousarray(filt.lines, dtype=np.int64),
+        np.ascontiguousarray(filt.writes, dtype=np.uint8),
+        filt.set_index_array(req.config),
+    )
+
+
 def kernel_brrip(req: KernelRequest) -> CacheStats:
     """BRRIP: one global fill RNG, so the original access order is kept.
 
     The trickle draw happens once per fill in global order — exactly the
     reference's RNG consumption — which rules out set partitioning; the
-    win comes from inlining the RRPV updates (and, compiled, from
-    pre-generating the draw sequence).
+    draw sequence is pre-generated (:func:`_fill_draws`).
     """
     config = req.config
     policy = req.policy
-    rmax = policy.rrpv_max
-    trickle = policy.TRICKLE
-    clib = ckernels.lib()
-    if clib is not None:
-        filt = req.filt
-        n = len(filt.lines)
-        lines_arr = np.ascontiguousarray(filt.lines, dtype=np.int64)
-        writes_arr = np.ascontiguousarray(filt.writes, dtype=np.uint8)
-        sidx = filt.set_index_array(config)
-        draws = _fill_draws(policy._seed, n)
-        out = np.zeros(4, dtype=np.int64)
-        clib.k_brrip(
-            lines_arr, writes_arr, sidx, n,
-            config.num_sets, config.num_ways, rmax, trickle, draws,
-            _ws(3 * config.num_sets * config.num_ways + config.num_sets),
-            out,
-        )
-        return _finish(config, *out.tolist())
-    num_sets = config.num_sets
-    num_ways = config.num_ways
-    lines, writes = req.filt.channel_lists("lines", "writes")
-    sidx = req.filt.set_index_list(config)
-    draw = random.Random(policy._seed).random
-    where: List[Dict[int, int]] = [{} for _ in range(num_sets)]
-    resident = [[INVALID_TAG] * num_ways for _ in range(num_sets)]
-    rrpv = [[rmax] * num_ways for _ in range(num_sets)]
-    dirty = [[False] * num_ways for _ in range(num_sets)]
-    filled = [0] * num_sets
-    hits = misses = evictions = writebacks = 0
-    for k in range(len(lines)):
-        line = lines[k]
-        s = sidx[k]
-        where_s = where[s]
-        way = where_s.get(line)
-        if way is not None:
-            hits += 1
-            if writes[k]:
-                dirty[s][way] = True
-            rrpv[s][way] = 0
-        else:
-            misses += 1
-            rrpv_s = rrpv[s]
-            if filled[s] < num_ways:
-                way = filled[s]
-                filled[s] = way + 1
-            else:
-                top = max(rrpv_s)
-                if top != rmax:
-                    bump = rmax - top
-                    for w in range(num_ways):
-                        rrpv_s[w] += bump
-                way = rrpv_s.index(rmax)
-                evictions += 1
-                if dirty[s][way]:
-                    writebacks += 1
-                del where_s[resident[s][way]]
-            resident[s][way] = line
-            where_s[line] = way
-            dirty[s][way] = writes[k]
-            rrpv_s[way] = rmax - 1 if draw() < trickle else rmax
-    return _finish(config, hits, misses, evictions, writebacks)
+    n, lines, writes, sidx = _access_order_arrays(req)
+    out = np.zeros(4, dtype=np.int64)
+    ckernels.lib().k_brrip(
+        lines, writes, sidx, n,
+        config.num_sets, config.num_ways, policy.rrpv_max, policy.TRICKLE,
+        _fill_draws(policy._seed, n),
+        _ws(3 * config.num_sets * config.num_ways + config.num_sets),
+        out,
+    )
+    return _finish(config, *out.tolist())
 
 
-def _drrip_leader_roles(num_sets: int, period: int) -> List[int]:
+def _drrip_leader_roles(num_sets: int, period: int) -> np.ndarray:
     """0 = follower, 1 = SRRIP leader, 2 = BRRIP leader (reference map)."""
-    leader = [0] * num_sets
-    for set_idx in range(num_sets):
-        phase = set_idx % period
-        if phase == 0:
-            leader[set_idx] = 1
-        elif phase == period // 2:
-            leader[set_idx] = 2
+    phase = np.arange(num_sets, dtype=np.int64) % period
+    leader = np.zeros(num_sets, dtype=np.int64)
+    leader[phase == period // 2] = 2
+    leader[phase == 0] = 1
     return leader
 
 
@@ -875,88 +552,20 @@ def kernel_drrip(req: KernelRequest) -> CacheStats:
     """
     config = req.config
     policy = req.policy
+    n, lines, writes, sidx = _access_order_arrays(req)
     num_sets = config.num_sets
     num_ways = config.num_ways
-    rmax = policy.rrpv_max
-    insert_long = rmax - 1
-    trickle = BRRIP.TRICKLE
     psel_max = policy.psel_max
-    psel_half = psel_max // 2
-    leader = _drrip_leader_roles(num_sets, policy.leader_period)
-    clib = ckernels.lib()
-    if clib is not None:
-        filt = req.filt
-        n = len(filt.lines)
-        lines_arr = np.ascontiguousarray(filt.lines, dtype=np.int64)
-        writes_arr = np.ascontiguousarray(filt.writes, dtype=np.uint8)
-        sidx = filt.set_index_array(config)
-        draws = _fill_draws(policy._seed, n)
-        leader_arr = np.asarray(leader, dtype=np.int64)
-        out = np.zeros(4, dtype=np.int64)
-        clib.k_drrip(
-            lines_arr, writes_arr, sidx, n,
-            num_sets, num_ways, rmax, trickle,
-            psel_max // 2, psel_max, leader_arr,
-            draws,
-            _ws(3 * num_sets * num_ways + num_sets), out,
-        )
-        return _finish(config, *out.tolist())
-    lines, writes = req.filt.channel_lists("lines", "writes")
-    sidx = req.filt.set_index_list(config)
-    draw = random.Random(policy._seed).random
-    psel = psel_max // 2
-    where: List[Dict[int, int]] = [{} for _ in range(num_sets)]
-    resident = [[INVALID_TAG] * num_ways for _ in range(num_sets)]
-    rrpv = [[rmax] * num_ways for _ in range(num_sets)]
-    dirty = [[False] * num_ways for _ in range(num_sets)]
-    filled = [0] * num_sets
-    hits = misses = evictions = writebacks = 0
-    for k in range(len(lines)):
-        line = lines[k]
-        s = sidx[k]
-        where_s = where[s]
-        way = where_s.get(line)
-        if way is not None:
-            hits += 1
-            if writes[k]:
-                dirty[s][way] = True
-            rrpv[s][way] = 0
-        else:
-            misses += 1
-            rrpv_s = rrpv[s]
-            if filled[s] < num_ways:
-                way = filled[s]
-                filled[s] = way + 1
-            else:
-                top = max(rrpv_s)
-                if top != rmax:
-                    bump = rmax - top
-                    for w in range(num_ways):
-                        rrpv_s[w] += bump
-                way = rrpv_s.index(rmax)
-                evictions += 1
-                if dirty[s][way]:
-                    writebacks += 1
-                del where_s[resident[s][way]]
-            resident[s][way] = line
-            where_s[line] = way
-            dirty[s][way] = writes[k]
-            role = leader[s]
-            if role == 1:
-                if psel < psel_max:
-                    psel += 1  # SRRIP leader missed -> lean BRRIP
-                use_brrip = False
-            elif role == 2:
-                if psel > 0:
-                    psel -= 1  # BRRIP leader missed -> lean SRRIP
-                use_brrip = True
-            else:
-                use_brrip = psel > psel_half
-            if not use_brrip:
-                rrpv_s[way] = insert_long
-            else:
-                rrpv_s[way] = insert_long if draw() < trickle else rmax
-    return _finish(config, hits, misses, evictions, writebacks)
+    out = np.zeros(4, dtype=np.int64)
+    ckernels.lib().k_drrip(
+        lines, writes, sidx, n,
+        num_sets, num_ways, policy.rrpv_max, BRRIP.TRICKLE,
+        psel_max // 2, psel_max,
+        _drrip_leader_roles(num_sets, policy.leader_period),
+        _fill_draws(policy._seed, n),
+        _ws(3 * num_sets * num_ways + num_sets), out,
+    )
+    return _finish(config, *out.tolist())
 
 
 def kernel_ship(req: KernelRequest) -> CacheStats:
@@ -966,91 +575,23 @@ def kernel_ship(req: KernelRequest) -> CacheStats:
     keeps access order. Trace PCs are uint8 region tags, so the
     reference's ``defaultdict`` SHCT becomes a dense
     ``KERNEL_SIG_SPACE``-entry counter array with identical semantics
-    (counters saturate in ``[0, SHCT_MAX]`` from ``SHCT_INITIAL``).
-    Only the PC-signature flavor dispatches here (``SHiP.replay_kernel``
-    gates on ``signature_kind``); SHiP-Mem stays on the generic path.
+    (counters saturate in ``[0, SHIP_SHCT_MAX]`` from
+    ``SHIP_SHCT_INITIAL``). Only the PC-signature flavor dispatches here
+    (``SHiP.replay_kernel`` gates on ``signature_kind``); SHiP-Mem stays
+    on the generic path.
     """
     config = req.config
-    policy = req.policy
+    n, lines, writes, sidx = _access_order_arrays(req)
     num_sets = config.num_sets
     num_ways = config.num_ways
-    rmax = policy.rrpv_max
-    shct_max = policy.SHCT_MAX
-    shct_init = policy.SHCT_INITIAL
-    clib = ckernels.lib()
-    if (
-        clib is not None
-        and (shct_max, shct_init) == (SHIP_SHCT_MAX, SHIP_SHCT_INITIAL)
-    ):
-        filt = req.filt
-        n = len(filt.lines)
-        lines_arr = np.ascontiguousarray(filt.lines, dtype=np.int64)
-        writes_arr = np.ascontiguousarray(filt.writes, dtype=np.uint8)
-        pcs_arr = np.ascontiguousarray(filt.pcs, dtype=np.uint8)
-        sidx = filt.set_index_array(config)
-        out = np.zeros(4, dtype=np.int64)
-        clib.k_ship(
-            lines_arr, writes_arr, pcs_arr, sidx, n,
-            num_sets, num_ways, rmax,
-            _ws(5 * num_sets * num_ways + num_sets + KERNEL_SIG_SPACE),
-            out,
-        )
-        return _finish(config, *out.tolist())
-    lines, pcs, writes = req.filt.channel_lists("lines", "pcs", "writes")
-    sidx = req.filt.set_index_list(config)
-    shct = [shct_init] * KERNEL_SIG_SPACE
-    where: List[Dict[int, int]] = [{} for _ in range(num_sets)]
-    resident = [[INVALID_TAG] * num_ways for _ in range(num_sets)]
-    rrpv = [[rmax] * num_ways for _ in range(num_sets)]
-    sig = [[0] * num_ways for _ in range(num_sets)]
-    reused = [[False] * num_ways for _ in range(num_sets)]
-    dirty = [[False] * num_ways for _ in range(num_sets)]
-    filled = [0] * num_sets
-    hits = misses = evictions = writebacks = 0
-    for k in range(len(lines)):
-        line = lines[k]
-        s = sidx[k]
-        where_s = where[s]
-        way = where_s.get(line)
-        if way is not None:
-            hits += 1
-            if writes[k]:
-                dirty[s][way] = True
-            rrpv[s][way] = 0
-            if not reused[s][way]:
-                reused[s][way] = True
-                sg = sig[s][way]
-                if shct[sg] < shct_max:
-                    shct[sg] += 1
-        else:
-            misses += 1
-            rrpv_s = rrpv[s]
-            if filled[s] < num_ways:
-                way = filled[s]
-                filled[s] = way + 1
-            else:
-                top = max(rrpv_s)
-                if top != rmax:
-                    bump = rmax - top
-                    for w in range(num_ways):
-                        rrpv_s[w] += bump
-                way = rrpv_s.index(rmax)
-                evictions += 1
-                if dirty[s][way]:
-                    writebacks += 1
-                if not reused[s][way]:
-                    sg = sig[s][way]
-                    if shct[sg] > 0:
-                        shct[sg] -= 1
-                del where_s[resident[s][way]]
-            resident[s][way] = line
-            where_s[line] = way
-            dirty[s][way] = writes[k]
-            pc = pcs[k]
-            sig[s][way] = pc
-            reused[s][way] = False
-            rrpv_s[way] = rmax if shct[pc] == 0 else rmax - 1
-    return _finish(config, hits, misses, evictions, writebacks)
+    out = np.zeros(4, dtype=np.int64)
+    ckernels.lib().k_ship(
+        lines, writes, np.ascontiguousarray(req.filt.pcs, dtype=np.uint8),
+        sidx, n, num_sets, num_ways, req.policy.rrpv_max,
+        _ws(5 * num_sets * num_ways + num_sets + KERNEL_SIG_SPACE),
+        out,
+    )
+    return _finish(config, *out.tolist())
 
 
 def kernel_hawkeye(req: KernelRequest) -> CacheStats:
@@ -1064,180 +605,42 @@ def kernel_hawkeye(req: KernelRequest) -> CacheStats:
     - The occupancy vector becomes a fixed ``window``-length circular
       buffer (append + head-trim never lets it grow past ``window``).
     - The per-set ``last_access`` dicts (which the reference prunes for
-      memory) become one unpruned map keyed by line: a line maps to
-      exactly one set, and a pruned entry would fail the
+      memory) become one unpruned open-addressing map keyed by line: a
+      line maps to exactly one set, and a pruned entry would fail the
       ``clock - previous <= window`` liveness test at any later lookup
       anyway, so verdicts are identical.
 
     PCs are uint8, so the predictor is a dense ``KERNEL_SIG_SPACE``
     counter array. Victim choice is Hawkeye's own (first way at
-    ``RRPV_MAX``, else first way at the maximum RRPV — no aging).
+    ``HAWKEYE_RRPV_MAX``, else first way at the maximum RRPV — no aging).
     """
     config = req.config
     policy = req.policy
+    n, lines, writes, sidx = _access_order_arrays(req)
     num_sets = config.num_sets
     num_ways = config.num_ways
-    rmax = policy.RRPV_MAX
-    cmax = policy.COUNTER_MAX
-    cinit = policy.COUNTER_INITIAL
     sample_every = policy.sample_every
     window = policy.history_factor * num_ways
-    clib = ckernels.lib()
-    if (
-        clib is not None
-        and (rmax, cmax, cinit)
-        == (HAWKEYE_RRPV_MAX, HAWKEYE_COUNTER_MAX, HAWKEYE_COUNTER_INITIAL)
-    ):
-        filt = req.filt
-        n = len(filt.lines)
-        lines_arr = np.ascontiguousarray(filt.lines, dtype=np.int64)
-        writes_arr = np.ascontiguousarray(filt.writes, dtype=np.uint8)
-        pcs_arr = np.ascontiguousarray(filt.pcs, dtype=np.uint8)
-        sidx = filt.set_index_array(config)
-        num_sampled = (num_sets + sample_every - 1) // sample_every
-        cap = 1
-        while cap < 2 * (n + 1):
-            cap <<= 1
-        total = num_sets * num_ways
-        scratch = (
-            4 * total + num_sets + KERNEL_SIG_SPACE
-            + num_sampled * (window + 3) + 3 * cap
-        )
-        out = np.zeros(4, dtype=np.int64)
-        clib.k_hawkeye(
-            lines_arr, writes_arr, pcs_arr, sidx, n,
-            num_sets, num_ways, sample_every, window, cap,
-            _ws(scratch), out,
-        )
-        return _finish(config, *out.tolist())
-    lines, pcs, writes = req.filt.channel_lists("lines", "pcs", "writes")
-    sidx = req.filt.set_index_list(config)
-    predictor = [cinit] * KERNEL_SIG_SPACE
-    occ: List[Optional[List[int]]] = [None] * num_sets
-    occ_start = [0] * num_sets
-    occ_len = [0] * num_sets
-    clocks = [0] * num_sets
-    last_time: List[Optional[Dict[int, int]]] = [None] * num_sets
-    last_pc: List[Optional[Dict[int, int]]] = [None] * num_sets
-    for s in range(0, num_sets, sample_every):
-        occ[s] = [0] * window
-        last_time[s] = {}
-        last_pc[s] = {}
-
-    def train(s: int, line: int, pc: int) -> None:
-        # One OPTgen training step (record + predictor update) for a
-        # sampled set -- inlined _SetHistory.record over the circular
-        # occupancy buffer.
-        oc = occ[s]
-        st = occ_start[s]
-        olen = occ_len[s]
-        ck = clocks[s]
-        lt = last_time[s]
-        prev = lt.get(line)
-        verdict = None
-        if prev is not None and ck - prev <= window:
-            start_off = prev - (ck - olen)
-            if start_off >= 0:
-                ok = True
-                for j in range(start_off, olen):
-                    if oc[(st + j) % window] >= num_ways:
-                        ok = False
-                        break
-                if ok:
-                    for j in range(start_off, olen):
-                        oc[(st + j) % window] += 1
-                    verdict = True
-                else:
-                    verdict = False
-        if olen < window:
-            oc[(st + olen) % window] = 0
-            occ_len[s] = olen + 1
-        else:
-            oc[st] = 0
-            occ_start[s] = (st + 1) % window
-        lt[line] = ck
-        clocks[s] = ck + 1
-        lp = last_pc[s]
-        tpc = lp.get(line)
-        if verdict is not None and tpc is not None:
-            c = predictor[tpc]
-            if verdict:
-                if c < cmax:
-                    predictor[tpc] = c + 1
-            elif c > 0:
-                predictor[tpc] = c - 1
-        lp[line] = pc
-
-    where: List[Dict[int, int]] = [{} for _ in range(num_sets)]
-    resident = [[INVALID_TAG] * num_ways for _ in range(num_sets)]
-    rrpv = [[rmax] * num_ways for _ in range(num_sets)]
-    line_pc = [[0] * num_ways for _ in range(num_sets)]
-    dirty = [[False] * num_ways for _ in range(num_sets)]
-    filled = [0] * num_sets
-    age_cap = rmax - 1
-    hits = misses = evictions = writebacks = 0
-    for k in range(len(lines)):
-        line = lines[k]
-        s = sidx[k]
-        pc = pcs[k]
-        where_s = where[s]
-        way = where_s.get(line)
-        if way is not None:
-            hits += 1
-            if writes[k]:
-                dirty[s][way] = True
-            if occ[s] is not None:
-                train(s, line, pc)
-            line_pc[s][way] = pc
-            if predictor[pc] >= cinit:
-                rrpv[s][way] = 0
-        else:
-            misses += 1
-            rrpv_s = rrpv[s]
-            if filled[s] < num_ways:
-                way = filled[s]
-                filled[s] = way + 1
-            else:
-                way = (
-                    rrpv_s.index(rmax) if rmax in rrpv_s
-                    else rrpv_s.index(max(rrpv_s))
-                )
-                evictions += 1
-                if dirty[s][way]:
-                    writebacks += 1
-                vpc = line_pc[s][way]
-                if predictor[vpc] >= cinit and predictor[vpc] > 0:
-                    predictor[vpc] -= 1
-                del where_s[resident[s][way]]
-            resident[s][way] = line
-            where_s[line] = way
-            dirty[s][way] = writes[k]
-            if occ[s] is not None:
-                train(s, line, pc)
-            line_pc[s][way] = pc
-            if predictor[pc] >= cinit:
-                for w in range(num_ways):
-                    if w != way and rrpv_s[w] < age_cap:
-                        rrpv_s[w] += 1
-                rrpv_s[way] = 0
-            else:
-                rrpv_s[way] = rmax
-    return _finish(config, hits, misses, evictions, writebacks)
+    num_sampled = (num_sets + sample_every - 1) // sample_every
+    cap = 1
+    while cap < 2 * (n + 1):
+        cap <<= 1
+    scratch = (
+        4 * num_sets * num_ways + num_sets + KERNEL_SIG_SPACE
+        + num_sampled * (window + 3) + 3 * cap
+    )
+    out = np.zeros(4, dtype=np.int64)
+    ckernels.lib().k_hawkeye(
+        lines, writes, np.ascontiguousarray(req.filt.pcs, dtype=np.uint8),
+        sidx, n, num_sets, num_ways, sample_every, window, cap,
+        _ws(scratch), out,
+    )
+    return _finish(config, *out.tolist())
 
 
 # ----------------------------------------------------------------------
 # Next-ref kernels (the paper's own policies: T-OPT and P-OPT)
 # ----------------------------------------------------------------------
-
-
-#: Streaming ways rank as "infinitely far" when P-OPT is configured not
-#: to prefer them outright (matches ``POPT.choose_victim``); shared with
-#: the reference policy via :mod:`repro.sim.constants`.
-_POPT_STREAMING_REF = POPT_STREAMING_NEXT_REF
-
-#: Rereference Matrix variant codes shared by the pure and C forms
-#: (the registry copy — ``kernels.c`` parity-checks its ``#define``s).
-_RM_VARIANT_CODES = RM_VARIANT_CODES
 
 
 def _region_bounds(policy) -> tuple:
@@ -1292,90 +695,18 @@ def kernel_topt(req: KernelRequest) -> CacheStats:
     """
     config = req.config
     policy = req.policy
-    num_ways = config.num_ways
-    slo_arr, shi_arr, sverts_arr = _topt_annotations(req)
-    clib = ckernels.lib()
-    if clib is not None:
-        counts, slines, swrites, _ = req.filt.set_partition_arrays(config)
-        out = np.zeros(4, dtype=np.int64)
-        cnt = np.zeros(2, dtype=np.int64)
-        clib.k_topt(
-            slines, swrites, sverts_arr,
-            slo_arr, shi_arr, policy._refs_arr,
-            counts, config.num_sets, num_ways,
-            _ws(4 * num_ways), out, cnt,
-        )
-        policy.replacements = int(cnt[0])
-        policy.transpose_walk_elements = int(cnt[1])
-        return _finish(config, *out.tolist())
-    counts, slines, swrites, _ = req.filt.set_partition(config)
-    slo = slo_arr.tolist()
-    shi = shi_arr.tolist()
-    sverts = sverts_arr.tolist()
-    refs = policy._refs
-    search = bisect.bisect_left
-    never = TOPT_NEVER
-    hits = misses = evictions = writebacks = 0
-    replacements = walk = 0
-    start = 0
-    for count in counts:
-        if not count:
-            continue
-        stop = start + count
-        where: Dict[int, int] = {}
-        get = where.get
-        resident = [INVALID_TAG] * num_ways
-        way_lo = [0] * num_ways
-        way_hi = [0] * num_ways
-        dirty = [False] * num_ways
-        filled = 0
-        for k in range(start, stop):
-            line = slines[k]
-            way = get(line)
-            if way is not None:
-                hits += 1
-                if swrites[k]:
-                    dirty[way] = True
-            else:
-                misses += 1
-                if filled < num_ways:
-                    way = filled
-                    filled += 1
-                else:
-                    replacements += 1
-                    vertex = sverts[k]
-                    victim = -1
-                    best_way = 0
-                    best_ref = -1
-                    for w in range(num_ways):
-                        lo = way_lo[w]
-                        if lo < 0:
-                            # Streaming way: evicted immediately, and the
-                            # remaining ways are never examined.
-                            victim = w
-                            break
-                        hi = way_hi[w]
-                        idx = search(refs, vertex, lo, hi)
-                        stepped = idx - lo
-                        walk += stepped if stepped > 1 else 1
-                        ref = never if idx >= hi else refs[idx]
-                        if ref > best_ref:
-                            best_ref = ref
-                            best_way = w
-                    way = victim if victim >= 0 else best_way
-                    evictions += 1
-                    if dirty[way]:
-                        writebacks += 1
-                    del where[resident[way]]
-                resident[way] = line
-                where[line] = way
-                dirty[way] = swrites[k]
-                way_lo[way] = slo[k]
-                way_hi[way] = shi[k]
-        start = stop
-    policy.replacements = replacements
-    policy.transpose_walk_elements = walk
-    return _finish(config, hits, misses, evictions, writebacks)
+    slo, shi, sverts = _topt_annotations(req)
+    counts, slines, swrites, _ = req.filt.set_partition_arrays(config)
+    out = np.zeros(4, dtype=np.int64)
+    cnt = np.zeros(2, dtype=np.int64)
+    ckernels.lib().k_topt(
+        slines, swrites, sverts, slo, shi, policy._refs_arr,
+        counts, config.num_sets, config.num_ways,
+        _ws(4 * config.num_ways), out, cnt,
+    )
+    policy.replacements = int(cnt[0])
+    policy.transpose_walk_elements = int(cnt[1])
+    return _finish(config, *out.tolist())
 
 
 def kernel_popt(req: KernelRequest) -> CacheStats:
@@ -1391,6 +722,11 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     examined, first-streaming-way short-circuit (when preferred), and
     first-max + DRRIP-RRPV resolution over tied ways.
 
+    Every stream's RM is flattened into one int64 array; each access
+    carries the flat base index of its line's row (-1 = streaming) and
+    a ``POPT_SPARAM_LAYOUT`` parameter block per stream drives the
+    decode.
+
     Epoch accounting is replay-independent — ``_note_epoch`` fires once
     per LLC-visible access (hit or fill), so ``epoch_transitions`` is
     the number of epoch changes along the vertex channel and
@@ -1401,237 +737,60 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     config = req.config
     policy = req.policy
     filt = req.filt
-    num_sets = config.num_sets
-    num_ways = config.num_ways
     tie = policy._tie_break
-    rmax = tie.rrpv_max
-    insert_long = rmax - 1
-    trickle = BRRIP.TRICKLE
-    psel_max = tie.psel_max
-    psel_half = psel_max // 2
-    leader = _drrip_leader_roles(num_sets, tie.leader_period)
-    prefer_streaming = policy.prefer_streaming_victims
-    regions = policy._regions
-    matrices = [matrix for _, _, matrix in regions]
-    sid_arr, off_arr = filt.stream_membership(_region_bounds(policy))
-    n = len(sid_arr)
+    matrices = [matrix for _, _, matrix in policy._regions]
+    sid, off = filt.stream_membership(_region_bounds(policy))
+    n = len(sid)
 
-    verts_arr = np.asarray(filt.vertices, dtype=np.int64)
-    epochs = verts_arr // policy._epoch_size
+    verts = np.ascontiguousarray(filt.vertices, dtype=np.int64)
+    epochs = verts // policy._epoch_size
     transitions = (
         int(np.count_nonzero(epochs[1:] != epochs[:-1])) if n else 0
     )
     column_bytes = sum(matrix.column_bytes() for matrix in matrices)
 
-    hits = misses = evictions = writebacks = 0
-    replacements = streaming_evictions = rm_lookups = 0
-    ties = tie_candidates = 0
-
-    clib = ckernels.lib()
-    if clib is not None:
-        # Flatten every stream's RM into one int64 array; each access
-        # carries the flat base index of its line's row (-1 = streaming)
-        # and a POPT_SPARAM_LAYOUT parameter block per stream drives
-        # the decode.
-        sparams = np.zeros(POPT_SPARAM_SLOTS * len(regions), dtype=np.int64)
-        entry_parts = [
-            np.ascontiguousarray(m.entries, dtype=np.int64).ravel()
-            for m in matrices
-        ]
-        entry_bases = [0] * len(entry_parts)
-        for index in range(1, len(entry_parts)):
-            entry_bases[index] = (
-                entry_bases[index - 1] + entry_parts[index - 1].size
-            )
-        row_base = np.full(n, -1, dtype=np.int64)
-        for index, matrix in enumerate(matrices):
-            block = POPT_SPARAM_SLOTS * index
-            sparams[block:block + POPT_SPARAM_SLOTS] = (
-                _RM_VARIANT_CODES[matrix.variant],
-                matrix._msb,
-                matrix._low_mask,
-                matrix._next_bit,
-                matrix.epoch_size,
-                matrix.sub_epoch_size,
-                matrix.num_epochs,
-            )
-            match = sid_arr == index
-            row_base[match] = (
-                entry_bases[index] + off_arr[match] * matrix.num_epochs
-            )
-        entries_flat = np.concatenate(entry_parts)
-        lines_arr = np.ascontiguousarray(filt.lines, dtype=np.int64)
-        writes_arr = np.ascontiguousarray(filt.writes, dtype=np.uint8)
-        sidx = filt.set_index_array(config)
-        verts_c = np.ascontiguousarray(verts_arr)
-        sid_c = np.ascontiguousarray(sid_arr)
-        draws = _fill_draws(tie._seed, n)
-        leader_arr = np.asarray(leader, dtype=np.int64)
-        out = np.zeros(4, dtype=np.int64)
-        cnt = np.zeros(5, dtype=np.int64)
-        clib.k_popt(
-            lines_arr, writes_arr, verts_c, sidx,
-            sid_c, row_base, n, num_sets, num_ways,
-            sparams, entries_flat,
-            1 if prefer_streaming else 0,
-            rmax, trickle, psel_max, leader_arr, draws,
-            _ws(5 * num_sets * num_ways + num_sets + num_ways),
-            out, cnt,
+    sparams = np.zeros(POPT_SPARAM_SLOTS * len(matrices), dtype=np.int64)
+    entry_parts = [
+        np.ascontiguousarray(m.entries, dtype=np.int64).ravel()
+        for m in matrices
+    ]
+    entry_base = 0
+    row_base = np.full(n, -1, dtype=np.int64)
+    for index, matrix in enumerate(matrices):
+        block = POPT_SPARAM_SLOTS * index
+        sparams[block:block + POPT_SPARAM_SLOTS] = (
+            RM_VARIANT_CODES[matrix.variant],
+            matrix._msb,
+            matrix._low_mask,
+            matrix._next_bit,
+            matrix.epoch_size,
+            matrix.sub_epoch_size,
+            matrix.num_epochs,
         )
-        hits, misses, evictions, writebacks = out.tolist()
-        (replacements, streaming_evictions, rm_lookups,
-         ties, tie_candidates) = cnt.tolist()
-    else:
-        lines, writes = filt.channel_lists("lines", "writes")
-        sidx = filt.set_index_list(config)
-        verts = verts_arr.tolist()
-        sid = sid_arr.tolist()
-        off = off_arr.tolist()
-        # Per-stream decode parameters + per-access RM row references
-        # (the matrices' cached Python rows), resolved in the preamble.
-        p_variant = [_RM_VARIANT_CODES[m.variant] for m in matrices]
-        p_msb = [m._msb for m in matrices]
-        p_low = [m._low_mask for m in matrices]
-        p_next = [m._next_bit for m in matrices]
-        p_esize = [m.epoch_size for m in matrices]
-        p_ssize = [m.sub_epoch_size for m in matrices]
-        p_nepochs = [m.num_epochs for m in matrices]
-        stream_rows = [m._rows for m in matrices]
-        acc_rows = [
-            stream_rows[s][o] if s >= 0 else None
-            for s, o in zip(sid, off)
-        ]
-        draw = random.Random(tie._seed).random
-        psel = psel_half
-        where: List[Dict[int, int]] = [{} for _ in range(num_sets)]
-        resident = [[INVALID_TAG] * num_ways for _ in range(num_sets)]
-        rrpv = [[rmax] * num_ways for _ in range(num_sets)]
-        dirty = [[False] * num_ways for _ in range(num_sets)]
-        way_sid = [[-1] * num_ways for _ in range(num_sets)]
-        way_row: List[List[object]] = [
-            [None] * num_ways for _ in range(num_sets)
-        ]
-        filled = [0] * num_sets
-        wref = [0] * num_ways
-        for k in range(len(lines)):
-            line = lines[k]
-            s = sidx[k]
-            where_s = where[s]
-            way = where_s.get(line)
-            if way is not None:
-                hits += 1
-                if writes[k]:
-                    dirty[s][way] = True
-                rrpv[s][way] = 0
-            else:
-                misses += 1
-                rrpv_s = rrpv[s]
-                if filled[s] < num_ways:
-                    way = filled[s]
-                    filled[s] = way + 1
-                else:
-                    replacements += 1
-                    vertex = verts[k]
-                    sid_s = way_sid[s]
-                    row_s = way_row[s]
-                    victim = -1
-                    best_ref = -1
-                    for w in range(num_ways):
-                        sw = sid_s[w]
-                        if sw < 0:
-                            if prefer_streaming:
-                                # First streaming way wins outright.
-                                streaming_evictions += 1
-                                victim = w
-                                break
-                            ref = _POPT_STREAMING_REF
-                        else:
-                            rm_lookups += 1
-                            # Algorithm 2, inlined (same branch order
-                            # as RereferenceMatrix.find_next_ref).
-                            esize = p_esize[sw]
-                            epoch = vertex // esize
-                            low = p_low[sw]
-                            if epoch >= p_nepochs[sw]:
-                                ref = low
-                            else:
-                                row = row_s[w]
-                                current = row[epoch]
-                                variant = p_variant[sw]
-                                if variant == 0:
-                                    ref = current
-                                elif current & p_msb[sw]:
-                                    ref = current & low
-                                else:
-                                    last_sub = current & low
-                                    curr_sub = (
-                                        (vertex - epoch * esize)
-                                        // p_ssize[sw]
-                                    )
-                                    if curr_sub <= last_sub:
-                                        ref = 0
-                                    elif variant == 2:
-                                        ref = (
-                                            1 if current & p_next[sw] else 2
-                                        )
-                                    elif epoch + 1 >= p_nepochs[sw]:
-                                        ref = low
-                                    else:
-                                        nxt = row[epoch + 1]
-                                        if nxt & p_msb[sw]:
-                                            ref = 1 + (nxt & low)
-                                        else:
-                                            ref = 1
-                        wref[w] = ref
-                        if ref > best_ref:
-                            best_ref = ref
-                    if victim < 0:
-                        tied = 0
-                        for w in range(num_ways):
-                            if wref[w] == best_ref:
-                                tied += 1
-                                if tied == 1:
-                                    victim = w
-                        if tied > 1:
-                            ties += 1
-                            tie_candidates += tied
-                            best_value = -1
-                            for w in range(num_ways):
-                                if (
-                                    wref[w] == best_ref
-                                    and rrpv_s[w] > best_value
-                                ):
-                                    best_value = rrpv_s[w]
-                                    victim = w
-                    way = victim
-                    evictions += 1
-                    if dirty[s][way]:
-                        writebacks += 1
-                    del where_s[resident[s][way]]
-                resident[s][way] = line
-                where_s[line] = way
-                dirty[s][way] = writes[k]
-                way_sid[s][way] = sid[k]
-                way_row[s][way] = acc_rows[k]
-                # DRRIP tie-break fill: feedback -> role -> insertion
-                # (identical to kernel_drrip's miss path).
-                role = leader[s]
-                if role == 1:
-                    if psel < psel_max:
-                        psel += 1
-                    use_brrip = False
-                elif role == 2:
-                    if psel > 0:
-                        psel -= 1
-                    use_brrip = True
-                else:
-                    use_brrip = psel > psel_half
-                if not use_brrip:
-                    rrpv_s[way] = insert_long
-                else:
-                    rrpv_s[way] = (
-                        insert_long if draw() < trickle else rmax
-                    )
+        match = sid == index
+        row_base[match] = entry_base + off[match] * matrix.num_epochs
+        entry_base += entry_parts[index].size
+    entries = np.concatenate(entry_parts)
+
+    _, lines, writes, sidx = _access_order_arrays(req)
+    num_sets = config.num_sets
+    num_ways = config.num_ways
+    leader = _drrip_leader_roles(num_sets, tie.leader_period)
+    draws = _fill_draws(tie._seed, n)
+    out = np.zeros(4, dtype=np.int64)
+    cnt = np.zeros(5, dtype=np.int64)
+    ckernels.lib().k_popt(
+        lines, writes, verts, sidx,
+        np.ascontiguousarray(sid), row_base, n, num_sets, num_ways,
+        sparams, entries,
+        1 if policy.prefer_streaming_victims else 0,
+        tie.rrpv_max, BRRIP.TRICKLE, tie.psel_max, leader, draws,
+        _ws(5 * num_sets * num_ways + num_sets + num_ways),
+        out, cnt,
+    )
+    replacements, streaming_evictions, rm_lookups, ties, tie_candidates = (
+        cnt.tolist()
+    )
     policy.counters = PoptCounters(
         replacements=replacements,
         streaming_evictions=streaming_evictions,
@@ -1641,7 +800,7 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
         epoch_transitions=transitions,
         bytes_streamed=transitions * column_bytes,
     )
-    return _finish(config, hits, misses, evictions, writebacks)
+    return _finish(config, *out.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -1655,7 +814,6 @@ KERNEL_TABLE: Dict[str, Callable[[KernelRequest], CacheStats]] = {
     "lru": kernel_lru,
     "lip": kernel_lip,
     "bit-plru": kernel_bit_plru,
-    "random": kernel_random,
     "srrip": kernel_srrip,
     "brrip": kernel_brrip,
     "drrip": kernel_drrip,
@@ -1679,10 +837,13 @@ def resolve_kernel(
 ) -> Optional[Tuple[str, Callable[[KernelRequest], CacheStats]]]:
     """``(name, fn)`` for the kernel ``policy`` advertises, else None.
 
-    A policy advertising a name this module does not implement is a wiring
-    bug (the dispatch would silently fall back and hide the lost speedup),
-    so it raises instead; simlint's ``kernel-resolve`` rule catches the
-    same drift statically.
+    None also when no compiled library is available: the policy then
+    replays through the generic engine (``EngineRun.kernel`` is None),
+    and :func:`~repro.sim.ckernels.build_error` says why. A policy
+    advertising a name this module does not implement is a wiring bug
+    (the dispatch would silently fall back and hide the lost speedup),
+    so it raises instead, toolchain or not; simlint's ``kernel-resolve``
+    rule catches the same drift statically.
     """
     name = policy.replay_kernel()
     if name is None:
@@ -1693,4 +854,6 @@ def resolve_kernel(
             f"policy {policy.name!r} advertises replay kernel {name!r}, "
             f"but sim.kernels implements {sorted(KERNEL_TABLE)}"
         )
+    if ckernels.lib() is None:
+        return None
     return name, fn

@@ -599,81 +599,11 @@ class TestRunner:
 
 
 # ----------------------------------------------------------------------
-# kernels: replay-kernel dispatch coverage and loop hygiene
+# kernels: replay-kernel dispatch coverage
 # ----------------------------------------------------------------------
 
 
-KERNEL_FIXTURE_LOOPY = """
-    def kernel_lru(req):
-        total = 0
-        for count in req.counts:
-            chunk = req.lines[:count].tolist()
-            total += len(chunk)
-        return total
-"""
-
-
 class TestKernelRules:
-    def write_kernels(self, tmp_path, source):
-        module = tmp_path / "kernels.py"
-        module.write_text(dedent(source))
-        return run_simlint([module], SimlintConfig(families=("kernels",)))
-
-    def test_tolist_inside_kernel_loop_fires(self, tmp_path):
-        findings = self.write_kernels(tmp_path, KERNEL_FIXTURE_LOOPY)
-        assert rules_of(findings) == {"hotpath-tolist"}
-
-    def test_preamble_tolist_is_allowed(self, tmp_path):
-        findings = self.write_kernels(tmp_path, """
-            def kernel_lru(req):
-                lines = req.lines.tolist()   # once, outside the loop
-                total = 0
-                for line in lines:
-                    total += line
-                return total
-        """)
-        assert findings == []
-
-    def test_append_inside_kernel_loop_fires(self, tmp_path):
-        findings = self.write_kernels(tmp_path, """
-            def kernel_opt(req):
-                out = []
-                for line in req.lines:
-                    out.append(line)
-                return out
-        """)
-        assert rules_of(findings) == {"hotpath-append"}
-
-    def test_pragma_suppresses(self, tmp_path):
-        findings = self.write_kernels(tmp_path, """
-            def kernel_srrip(req):
-                out = []
-                for line in req.lines:
-                    out.append(line)  # simlint: allow[hotpath-append]
-                return out
-        """)
-        assert findings == []
-
-    def test_scope_is_kernels_modules_only(self, tmp_path):
-        # The same defect in a module not named kernels.py is hotpath's
-        # (replay-path-configured) business, not the kernels family's.
-        module = tmp_path / "mod.py"
-        module.write_text(dedent(KERNEL_FIXTURE_LOOPY))
-        findings = run_simlint(
-            [module], SimlintConfig(families=("kernels",))
-        )
-        assert findings == []
-
-    def test_non_kernel_functions_not_scanned(self, tmp_path):
-        findings = self.write_kernels(tmp_path, """
-            def helper(req):
-                out = []
-                for line in req.lines:
-                    out.append(line)
-                return out
-        """)
-        assert findings == []
-
     def test_kernel_resolve_fires_on_drift(self, monkeypatch):
         # Dropping a KERNEL_TABLE entry a policy still advertises must
         # produce kernel-resolve findings on the real module.

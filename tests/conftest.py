@@ -39,3 +39,42 @@ def small_random_graph():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "needs_ckernels: asserts that a compiled replay kernel ran; "
+        "skipped when the compiled library is unavailable",
+    )
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("needs_ckernels") is None:
+        return
+    from repro.sim import ckernels
+
+    if ckernels.lib() is None:
+        pytest.skip(f"compiled kernels unavailable: {ckernels.build_error()}")
+
+
+@pytest.fixture
+def no_ckernels(tmp_path, monkeypatch):
+    """Call to lose the compiled library for the rest of the test.
+
+    Reproduces a host without a working toolchain: a failing compiler
+    and an empty build cache, so the next ``ckernels.lib()`` fails the
+    build (warning once) and every replay takes the generic engine.
+    The memoized outcome is dropped again at teardown.
+    """
+    from repro.sim import ckernels
+
+    def disable():
+        monkeypatch.setenv(ckernels.CC_ENV, "/bin/false")
+        monkeypatch.setenv("REPRO_CKERNELS_DIR", str(tmp_path / "no-cc"))
+        ckernels.reset()
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert ckernels.lib() is None
+
+    yield disable
+    ckernels.reset()

@@ -23,7 +23,7 @@ from repro.popt import rereference
 from repro.popt.policy import POPT, PoptStream
 from repro.popt.rereference import _encode_entries, build_rereference_matrix
 from repro.popt.topt import TOPT, build_line_reference_csr
-from repro.sim import ckernels, driver, parallel
+from repro.sim import driver, parallel
 from repro.sim.constants import rm_msb, rm_next_bit, rm_sentinel
 from repro.sim.driver import prepare_run, simulate_prepared
 from repro.sim.engine import ReplayEngine
@@ -315,22 +315,21 @@ def _popt_policy(prepared):
     return POPT(streams)
 
 
+@pytest.mark.needs_ckernels
 class TestLazyViews:
     def test_compiled_replay_builds_no_python_views(self):
         prepared = tiny_prepared()
         topt = TOPT(prepared.irregular_streams)
         popt = _popt_policy(prepared)
-        compiled = ckernels.lib() is not None
         assert _engine_run(prepared, topt, True).kernel == "t-opt"
         assert _engine_run(prepared, popt, True).kernel == "p-opt"
-        # The generic-path lookup tables are never needed by a kernel;
-        # the row/ref lists only by the pure-Python kernel.
+        # The generic-path lookup tables and row/ref lists are never
+        # needed by a kernel.
         assert "_line_table" not in vars(topt)
         assert "_line_table" not in vars(popt)
-        if compiled:
-            assert "_refs" not in vars(topt)
-            for matrix in prepared.matrices.values():
-                assert "_rows" not in vars(matrix)
+        assert "_refs" not in vars(topt)
+        for matrix in prepared.matrices.values():
+            assert "_rows" not in vars(matrix)
 
     def test_generic_replay_builds_views_and_matches(self):
         prepared = tiny_prepared()

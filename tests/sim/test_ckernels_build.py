@@ -1,9 +1,10 @@
 """Build diagnostics and the derived C boundary of the compiled kernels.
 
-The compiled path is allowed to be unavailable (pure-Python kernels are
-the reference), but a toolchain that exists and *fails* must surface:
-once as a RuntimeWarning at first use, and persistently through
-``build_error()`` so ``python -m repro.analysis`` can report it.
+The compiled path is allowed to be unavailable (every policy then
+replays through the generic engine), but a toolchain that exists and
+*fails* must surface: once as a RuntimeWarning at first use, and
+persistently through ``build_error()`` so ``python -m repro.analysis``
+can report it.
 
 The boundary itself is derived, not declared: argtypes come from the
 ``k_*`` definitions in ``kernels.c`` and constants from ``C_DEFINES``,
@@ -24,7 +25,6 @@ from repro.sim import ckernels
 def isolated_build(tmp_path, monkeypatch):
     """Point the build cache at a tmpdir and restore memoized state."""
     monkeypatch.setenv("REPRO_CKERNELS_DIR", str(tmp_path))
-    monkeypatch.delenv(ckernels.PURE_ENV, raising=False)
     ckernels.reset()
     yield tmp_path
     ckernels.reset()
@@ -104,34 +104,24 @@ class TestBuildFailure:
         ckernels.reset()
         assert ckernels.build_error() is None
 
-    def test_pure_env_is_not_a_failure(self, isolated_build, monkeypatch):
-        monkeypatch.setenv(ckernels.PURE_ENV, "1")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ckernels.lib() is None
-        assert ckernels.build_error() is None
-
-
-class TestWorkingToolchain:
-    def test_real_toolchain_builds_without_error(self, isolated_build):
-        if ckernels._compiler() is None:
-            pytest.skip("no C compiler on this machine")
-        try:
-            subprocess.run(
-                [ckernels._compiler() or "cc", "--version"],
-                check=True, capture_output=True,
-            )
-        except (OSError, subprocess.CalledProcessError):
-            pytest.skip("toolchain present but not runnable")
-        assert ckernels.available()
-        assert ckernels.build_error() is None
-
 
 @pytest.fixture
 def toolchain(isolated_build):
-    if ckernels._compiler() is None:
+    """An isolated build cache behind a compiler that actually runs."""
+    cc = ckernels._compiler()
+    if cc is None:
         pytest.skip("no C compiler on this machine")
+    try:
+        subprocess.run([cc, "--version"], check=True, capture_output=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("toolchain present but not runnable")
     return isolated_build
+
+
+class TestWorkingToolchain:
+    def test_real_toolchain_builds_without_error(self, toolchain):
+        assert ckernels.available()
+        assert ckernels.build_error() is None
 
 
 def _with_source(monkeypatch, tmp_path, old, new):

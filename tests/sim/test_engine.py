@@ -16,6 +16,7 @@ from repro.policies.registry import PolicyContext, policy_names
 from repro.sim import (
     ReplayEngine,
     build_private_filter,
+    ckernels,
     prepare_dbg_run,
     grasp_ranges_for,
     prepare_run,
@@ -57,6 +58,13 @@ def assert_results_match(fast, reference):
         assert a.evictions == b.evictions
         assert a.writebacks == b.writebacks
     assert fast.cycles == reference.cycles
+
+
+def assert_kernel_dispatch(fast):
+    """The fast engine ran a replay kernel iff the compiled library
+    loaded; without it the same rows come from the generic engine."""
+    ran = fast.details["engine"]["kernel"] is not None
+    assert ran == ckernels.available()
 
 
 class TestEngineEquivalence:
@@ -299,6 +307,7 @@ class TestFilteredNextUse:
 
 
 class TestEngineRunShape:
+    @pytest.mark.needs_ckernels
     def test_run_reports_throughput(self, prepared, hierarchy):
         engine = ReplayEngine(prepared, hierarchy)
         run = engine.run(LRU())
@@ -320,7 +329,7 @@ class TestEngineRunShape:
 
 # Policies whose replay has a dedicated kernel (KERNEL_TABLE coverage).
 KERNEL_POLICIES = (
-    "LRU", "LIP", "Bit-PLRU", "Random", "SRRIP", "BRRIP", "DRRIP", "OPT",
+    "LRU", "LIP", "Bit-PLRU", "SRRIP", "BRRIP", "DRRIP", "OPT",
     "SHiP-PC", "Hawkeye",
 )
 
@@ -360,20 +369,26 @@ class TestKernelEquivalence:
         )
         assert_results_match(fast, generic)
         assert_results_match(fast, ref)
-        assert fast.details["engine"]["kernel"] is not None
+        assert_kernel_dispatch(fast)
         assert generic.details["engine"]["kernel"] is None
 
-    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    @pytest.mark.needs_ckernels
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES + POPT_POLICIES)
     def test_pure_python_matches_compiled(
-        self, prepared, hierarchy, policy, monkeypatch
+        self, prepared, hierarchy, policy, no_ckernels
     ):
+        # Without a compiled library (a host with no C toolchain) the
+        # fast engine replays every policy through the pure-Python
+        # generic loop, with rows identical to the compiled kernel's.
         compiled = simulate_prepared(
             prepared, policy, hierarchy, engine="fast"
         )
-        monkeypatch.setenv("REPRO_PURE_KERNELS", "1")
+        no_ckernels()
         pure = simulate_prepared(prepared, policy, hierarchy, engine="fast")
-        assert pure.details["engine"]["kernel"] is not None
+        assert compiled.details["engine"]["kernel"] is not None
+        assert pure.details["engine"]["kernel"] is None
         assert_results_match(pure, compiled)
+        assert pure.popt_counters == compiled.popt_counters
 
     def test_bip_gets_no_kernel(self, prepared, hierarchy):
         # BIP subclasses LIP; the exact-type kernel table must not let it
@@ -395,7 +410,7 @@ class TestKernelEquivalence:
         llc_sets=st.sampled_from([1, 3, 8]),   # incl. non-power-of-two
         llc_ways=st.sampled_from([1, 2, 4]),   # incl. direct-mapped
         policy=st.sampled_from(
-            ["LRU", "LIP", "Bit-PLRU", "Random", "SRRIP", "DRRIP", "OPT"]
+            ["LRU", "LIP", "Bit-PLRU", "SRRIP", "DRRIP", "OPT"]
         ),
     )
     def test_odd_geometries(self, lines, llc_sets, llc_ways, policy):
@@ -412,7 +427,7 @@ class TestKernelEquivalence:
             prepared, policy, config, engine="generic"
         )
         ref = simulate_prepared(prepared, policy, config, engine="reference")
-        assert fast.details["engine"]["kernel"] is not None
+        assert_kernel_dispatch(fast)
         assert_results_match(fast, generic)
         assert_results_match(fast, ref)
 
@@ -425,8 +440,8 @@ def small_prepared():
 class TestPoptKernelEquivalence:
     """The next-ref kernels (T-OPT, P-OPT) are bit-identical to the
     generic and reference paths — in per-level stats AND the engine-cost
-    counters the timing model and Fig. 15 consume — in both compiled and
-    pure-Python form, across odd geometries and way reservation."""
+    counters the timing model and Fig. 15 consume — across odd geometries
+    and way reservation."""
 
     @pytest.mark.parametrize("policy", POPT_POLICIES)
     def test_three_engines_agree_with_counters(
@@ -441,24 +456,12 @@ class TestPoptKernelEquivalence:
         )
         assert_results_match(fast, generic)
         assert_results_match(fast, ref)
-        assert fast.details["engine"]["kernel"] is not None
+        assert_kernel_dispatch(fast)
         assert generic.details["engine"]["kernel"] is None
         assert fast.popt_counters == generic.popt_counters
         assert fast.popt_counters == ref.popt_counters
 
-    @pytest.mark.parametrize("policy", POPT_POLICIES)
-    def test_pure_python_matches_compiled(
-        self, prepared, hierarchy, policy, monkeypatch
-    ):
-        compiled = simulate_prepared(
-            prepared, policy, hierarchy, engine="fast"
-        )
-        monkeypatch.setenv("REPRO_PURE_KERNELS", "1")
-        pure = simulate_prepared(prepared, policy, hierarchy, engine="fast")
-        assert pure.details["engine"]["kernel"] is not None
-        assert_results_match(pure, compiled)
-        assert pure.popt_counters == compiled.popt_counters
-
+    @pytest.mark.needs_ckernels
     def test_topt_counters_across_engines(self, prepared, hierarchy):
         # T-OPT's walk-cost counters live on the policy instance
         # (SimResult only carries P-OPT's), so compare via the engine API.
@@ -501,6 +504,7 @@ class TestPoptKernelEquivalence:
         run = ReplayEngine(prepared, hierarchy).run(lru_tied)
         assert run.kernel is None
 
+    @pytest.mark.needs_ckernels
     def test_way_reservation_configs(self, prepared, hierarchy):
         # fig11's effective-LLC sweep points: kernel vs generic under
         # geometries shrunk by way reservation, down to a single way.
@@ -556,7 +560,7 @@ class TestPoptKernelEquivalence:
             small_prepared, policy, config,
             engine="reference", account_capacity=False,
         )
-        assert fast.details["engine"]["kernel"] is not None
+        assert_kernel_dispatch(fast)
         assert_results_match(fast, generic)
         assert_results_match(fast, ref)
         assert fast.popt_counters == generic.popt_counters

@@ -120,13 +120,13 @@ class TestFusedEquivalence:
         assert len(fused.mask) == 0
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-    def test_pure_env_leg(self, geometry, monkeypatch):
-        # REPRO_PURE_KERNELS must route to the same construction the
-        # fused-disabled monkeypatch exercises (identical filters).
+    def test_pure_env_leg(self, geometry, no_ckernels):
+        # A host without a toolchain must route to the same construction
+        # the fused-disabled monkeypatch exercises (identical filters).
         trace = make_trace(list(range(30)) * 3)
         config = hierarchy_for(geometry)
         compiled = build_private_filter(trace, config)
-        monkeypatch.setenv("REPRO_PURE_KERNELS", "1")
+        no_ckernels()
         pure = build_private_filter(trace, config)
         assert_filters_equal(compiled, pure)
 
@@ -160,6 +160,7 @@ class TestRehydratedFilter:
 
 
 class TestKernelPathSkipsDecodeLists:
+    @pytest.mark.needs_ckernels
     def test_sweep_never_boxes_decode_channels(self, monkeypatch):
         # A kernel-path sweep must never call ``.tolist()`` on the
         # decode: the fused front-end replaces the decoded channel
