@@ -93,7 +93,12 @@ COMPILED_FLOOR_POLICIES = ("LRU", "DRRIP", "OPT", "SHiP-PC", "Hawkeye")
 
 
 def bench_kernel_throughput(benchmark):
-    rows = run_once(benchmark, kernel_throughput_sweep, scale=get_scale())
+    rows = run_once(
+        benchmark,
+        kernel_throughput_sweep,
+        policies=KERNEL_SWEEP_POLICIES,
+        scale=get_scale(),
+    )
     report(
         "kernels",
         "Replay-kernel throughput (phase-3 replay, generic vs kernel)",

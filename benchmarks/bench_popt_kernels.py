@@ -27,7 +27,7 @@ from common import (
 from repro.sim import ckernels
 from repro.sim.experiments import (
     POPT_KERNEL_SWEEP_POLICIES,
-    popt_kernel_throughput_sweep,
+    kernel_throughput_sweep,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -43,7 +43,10 @@ COMPILED_SPEEDUP_FLOOR = 5.0
 
 def bench_popt_kernel_throughput(benchmark):
     rows = run_once(
-        benchmark, popt_kernel_throughput_sweep, scale=get_scale()
+        benchmark,
+        kernel_throughput_sweep,
+        policies=POPT_KERNEL_SWEEP_POLICIES,
+        scale=get_scale(),
     )
     report(
         "popt_kernels",

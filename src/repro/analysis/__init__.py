@@ -17,7 +17,6 @@ cover the broken combination. Rule families:
   the ABI itself needs no lint, because ``ckernels`` derives the ctypes
   signatures from ``kernels.c`` and passes ``constants.C_DEFINES`` as
   ``-D`` flags
-- ``spec-coverage`` — experiment specs vs the registries they name
 - ``par``          — worker purity for process-parallel sweep workers
 - ``dtype``        — flow-based numpy dtype/width inference against the
   declared capacity contracts (``sim/constants.py:WIDTH_CONTRACTS``)

@@ -31,7 +31,7 @@ apart from the documented per-process caches registered in
   protocol; racing workers would observe torn entries. Staging through
   a ``*tmp*``-named path is the sanctioned shape.
 
-Plus one registry-hygiene rule, mirroring ``spec-coverage``:
+Plus one registry-hygiene rule:
 
 - ``par-allowlist-stale`` — a registered cache name whose module is
   scanned but no longer defines the binding (the allowlist and the
@@ -94,8 +94,8 @@ _PATH_WRITERS = {"write_text", "write_bytes"}
 def _live_allowlist() -> FrozenSet[str]:
     """The registered cache names, with every registering module loaded.
 
-    Mirrors how ``registry`` and ``spec-coverage`` import the live
-    registries: the linter's allowlist is the runtime's, never a copy.
+    Mirrors how ``registry`` imports the live registry: the linter's
+    allowlist is the runtime's, never a copy.
     """
     try:
         from ..policies import registry as _registry  # noqa: F401

@@ -26,13 +26,12 @@ from .hotpath import DEFAULT_REPLAY_PATH, check_hot_paths
 from .kernelcov import check_kernels
 from .parsafety import PAR_RULES, check_parsafety, par_status_lines
 from .registry_drift import check_registry
-from .speccov import check_spec_coverage
 
 __all__ = ["SimlintConfig", "run_simlint", "main", "KNOWN_RULES"]
 
 RULE_FAMILIES = (
     "policy", "determinism", "hotpath", "registry", "kernels", "abi",
-    "spec-coverage", "par", "dtype",
+    "par", "dtype",
 )
 
 #: Every rule id a suppression pragma may legally name. Pragmas naming
@@ -59,8 +58,6 @@ KNOWN_RULES = frozenset(
         "registry-unreachable",
         "kernel-popt-coverage",
         "kernel-resolve",
-        "spec-coverage-unregistered",
-        "spec-coverage-registry",
     )
     + PAR_RULES
     + ABI_RULES
@@ -161,8 +158,6 @@ def run_simlint(
         findings.extend(check_kernels(modules))
     if "abi" in families:
         findings.extend(check_abi(modules, set(KNOWN_RULES)))
-    if "spec-coverage" in families:
-        findings.extend(check_spec_coverage(modules))
     if "par" in families:
         findings.extend(check_parsafety(modules))
     if "dtype" in families:
@@ -211,7 +206,6 @@ def _ckernels_status() -> str:
 
 #: Rule-id prefix -> family (longest prefix wins; core rules own none).
 _FAMILY_PREFIXES = (
-    ("spec-coverage-", "spec-coverage"),
     ("determinism-", "determinism"),
     ("registry-", "registry"),
     ("hotpath-", "hotpath"),

@@ -14,6 +14,10 @@ instead of a generator. ``file:`` specs are accepted everywhere a graph
 name is — :func:`load`, experiment specs, and the CLI — with scale and
 seed ignored (a file's topology is fixed).
 
+Synthetic-size specs ``NAME@N`` (e.g. ``URAND@65536``) build a named
+generator at exactly ``N`` vertices instead of a scale profile's count;
+``scale`` is ignored for them (Fig. 11 sweeps graph size this way).
+
 ==========  =======================  ==========================================
 Paper name  Structural class         Stand-in generator
 ==========  =======================  ==========================================
@@ -184,23 +188,31 @@ def graph_names() -> List[str]:
 
 
 def load(name: str, scale: str = "small", seed: int = 42) -> CSRGraph:
-    """Load the graph for a spec: a paper name or a ``file:<path>``.
+    """Load the graph for a spec: a name, ``NAME@N`` or ``file:<path>``.
 
     For ``file:`` specs the file's topology is what it is — ``scale``
-    and ``seed`` are ignored.
+    and ``seed`` are ignored. ``NAME@N`` builds ``NAME``'s generator at
+    ``N`` vertices with ``seed``, ignoring ``scale``.
     """
     if is_file_spec(name):
         from . import io
 
         return io.load_graph(file_spec_path(name))
+    base, sized, count = name.partition("@")
     try:
-        spec = _BY_NAME[name]
+        spec = _BY_NAME[base]
     except KeyError:
         raise GraphFormatError(
             f"unknown graph {name!r}; choose from {graph_names()} "
-            f"or a {FILE_PREFIX}<path> spec"
+            f"(optionally NAME@<vertices>) or a {FILE_PREFIX}<path> spec"
         ) from None
-    return spec.generate(scale=scale, seed=seed)
+    if not sized:
+        return spec.generate(scale=scale, seed=seed)
+    if not count.isdigit() or int(count) < 1:
+        raise GraphFormatError(
+            f"graph spec {name!r} needs a positive vertex count after '@'"
+        )
+    return spec.build(int(count), seed)
 
 
 def paper_table3() -> List[dict]:

@@ -38,8 +38,6 @@ _EXPORTS = {
     # .parallel
     "SweepTask": "parallel",
     "policy_chunks": "parallel",
-    "run_sweep": "parallel",
-    "sweep_rows": "parallel",
     # .plots
     "grouped_bars": "plots",
     "hbar_chart": "plots",
@@ -98,7 +96,7 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
         llc_compact_next_use,
     )
     from .kernels import KERNEL_TABLE, resolve_kernel
-    from .parallel import SweepTask, policy_chunks, run_sweep, sweep_rows
+    from .parallel import SweepTask, policy_chunks
     from .plots import grouped_bars, hbar_chart, sparkline
     from .tables import format_table, table1_rows, table2_rows, table3_rows
     from .timing import TimingModel

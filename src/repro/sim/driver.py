@@ -205,7 +205,6 @@ def simulate_prepared(
     entry_bits: int = 8,
     account_capacity: bool = True,
     timing: Optional[TimingModel] = None,
-    policy_context: Optional[PolicyContext] = None,
     engine: str = "fast",
     sanitize: bool = False,
     sanitizer: Optional[CacheSanitizer] = None,
@@ -215,6 +214,11 @@ def simulate_prepared(
     ``account_capacity=True`` applies P-OPT's way reservation (the
     Rereference Matrix columns consume LLC ways); ``False`` gives the
     limit-study configuration of Fig. 15.
+
+    GRASP derives its hot/warm ranges here (:func:`grasp_ranges_for`)
+    from the DBG group bounds that :func:`prepare_dbg_run` records in
+    ``prepared.details`` and this call's LLC geometry; on a run that was
+    not DBG-ordered it has no ranges and the registry refuses it.
 
     ``engine`` selects the replay path: ``"fast"`` (default) shares the
     decoded trace and the one-time private-level filter across policies,
@@ -270,10 +274,17 @@ def simulate_prepared(
             resident = int(resident * fraction)
             reserved = reserved_ways(resident, hierarchy_config.llc)
     else:
-        ctx = policy_context if policy_context is not None else PolicyContext()
-        ctx.trace = prepared.trace
-        ctx.layout = prepared.layout
-        if policy_name == "OPT" and ctx.next_use is None:
+        ctx = PolicyContext(trace=prepared.trace, layout=prepared.layout)
+        if policy_name == "GRASP" and DBG_BOUNDS in prepared.details:
+            ctx.hot_range, ctx.warm_range = grasp_ranges_for(
+                prepared,
+                llc_data_lines=(
+                    hierarchy_config.llc.num_sets
+                    * hierarchy_config.llc.num_ways
+                ),
+                line_size=line_size,
+            )
+        if policy_name == "OPT":
             # Belady at the LLC must rank lines by their next *LLC* access:
             # accesses absorbed by L1/L2 never reach it, so next-use is
             # computed over the LLC-visible subsequence (the engine's
@@ -431,11 +442,16 @@ def simulate(
 # ----------------------------------------------------------------------
 
 
+#: ``prepared.details`` key holding the DBG group bounds of a run made
+#: by :func:`prepare_dbg_run` (the start of each group in the new ID
+#: space, hottest first, then the vertex count).
+DBG_BOUNDS = "dbg_group_bounds"
+
+
 def grasp_ranges_for(
     prepared: PreparedRun,
-    layout_info: DbgLayout,
+    llc_data_lines: int,
     line_size: int = 64,
-    llc_data_lines: Optional[int] = None,
     hot_fraction: float = 0.75,
     warm_factor: float = 2.0,
 ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -444,14 +460,13 @@ def grasp_ranges_for(
     GRASP sizes its protected region relative to cache capacity: the hot
     range is the highest-degree prefix of the DBG-ordered vertex array
     that fits in ``hot_fraction`` of the LLC's data lines; the warm range
-    covers the next ``warm_factor`` x LLC lines. Group boundaries cap the
-    prefix so only genuinely above-average-degree vertices are protected.
+    covers the next ``warm_factor`` x LLC lines. Group boundaries (the
+    ``DBG_BOUNDS`` entry of a :func:`prepare_dbg_run` run) cap the prefix
+    so only genuinely above-average-degree vertices are protected.
     """
     span = prepared.irregular_streams[0].span
     base_line = span.base // line_size
-    bounds = layout_info.group_bounds
-    if llc_data_lines is None:
-        llc_data_lines = span.num_lines // 4 or 1
+    bounds = prepared.details[DBG_BOUNDS]
     # Hot prefix: capacity-sized, but never past the below-average group.
     above_average_vertices = bounds[-2] if len(bounds) > 2 else bounds[-1]
     above_average_lines = -(-above_average_vertices // span.elems_per_line)
@@ -474,9 +489,14 @@ def prepare_dbg_run(
     """Reorder the graph with DBG and prepare the run on it.
 
     Both GRASP and the policies it is compared against run on the
-    DBG-ordered graph, matching Fig. 12(a)'s methodology.
+    DBG-ordered graph, matching Fig. 12(a)'s methodology. The group
+    bounds are recorded as ``prepared.details[DBG_BOUNDS]`` so GRASP can
+    derive its ranges at replay time.
     """
     layout_info = dbg_order(graph, num_groups=num_groups)
     reordered = apply_order(graph, layout_info.new_ids)
     prepared = prepare_run(app, reordered, **params)
+    prepared.details[DBG_BOUNDS] = [
+        int(bound) for bound in layout_info.group_bounds
+    ]
     return prepared, layout_info

@@ -6,14 +6,12 @@ EXPERIMENTS.md all consume the same code path. Graph/cache scale defaults
 to the ``small`` profile; pass ``scale="medium"``/``"large"`` for
 higher-fidelity runs.
 
-The axis-sweep figures (fig02/04/10/13/14/16) are thin wrappers over
-declarative specs (:mod:`repro.sim.spec`) executed by the unified
-parallel runner — their rows are bit-identical to the pre-spec
-hand-rolled versions (``tests/sim/test_spec.py`` pins them to golden
-rows) and all accept ``jobs``. Harnesses that genuinely cannot be a
-policy sweep (per-policy contexts, wall-clock measurement, non-standard
-replay options) stay hand-rolled and carry a
-``simlint: allow[spec-coverage]`` pragma.
+Every figure is a thin wrapper over a declarative spec
+(:mod:`repro.sim.spec`) executed by the unified parallel runner — its
+rows are bit-identical to the pre-spec hand-rolled version
+(``tests/sim/test_spec.py`` pins them to golden rows) and it accepts
+``jobs``. Only Table IV, a wall-clock measurement rather than a sweep,
+and the replay-throughput sweeps call the driver directly.
 """
 
 from __future__ import annotations
@@ -22,36 +20,18 @@ import statistics
 import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..apps import PageRank, bdfs_order
+from ..apps import PageRank
 from ..apps.pagerank import pagerank_reference
 from ..cache.config import scaled_hierarchy
-from ..errors import ReservationError
 from ..graph import datasets
-from ..policies.registry import PolicyContext
 from ..popt.rereference import build_rereference_matrix
-from .driver import (
-    grasp_ranges_for,
-    prepare_dbg_run,
-    prepare_run,
-    simulate_prepared,
-)
+from .driver import prepare_run, simulate_prepared
 from . import spec as spec_module
-from .spec import (
-    PHI_CACHE_SCALE,
-    fig02_spec,
-    fig04_spec,
-    fig10_spec,
-    fig13_spec,
-    fig14_spec,
-    fig16_spec,
-    report_rows,
-    run_spec,
-)
+from .spec import report_rows, run_spec
 
 __all__ = [
     "engine_throughput_sweep",
     "kernel_throughput_sweep",
-    "popt_kernel_throughput_sweep",
     "fig02_sota_mpki",
     "fig04_topt_mpki",
     "fig07_rereference_designs",
@@ -80,8 +60,9 @@ def geomean(values: Iterable[float]) -> float:
     return statistics.geometric_mean(values)
 
 
-def _run_reported(spec, jobs: int = 1) -> List[Dict[str, object]]:
-    """Execute a spec and derive its figure rows (spec-backed figures)."""
+def _run_reported(factory, jobs: int, **kwargs) -> List[Dict[str, object]]:
+    """Build a figure's spec, execute it, and derive its figure rows."""
+    spec = factory(**kwargs)
     return report_rows(spec, run_spec(spec, jobs=jobs))
 
 
@@ -156,26 +137,34 @@ def engine_throughput_sweep(
     return rows
 
 
+#: Policy lists of the two kernel benches (registry kernels, next-ref
+#: kernels); both run :func:`kernel_throughput_sweep`.
 KERNEL_SWEEP_POLICIES = (
     "LRU", "SRRIP", "DRRIP", "OPT", "SHiP-PC", "Hawkeye"
 )
+POPT_KERNEL_SWEEP_POLICIES = ("T-OPT", "P-OPT", "P-OPT-Inter", "P-OPT-SE")
 
 
 def kernel_throughput_sweep(
+    policies: Sequence[str],
     scale: str = "small",
     graphs: Sequence[str] = ("DBP",),
-    policies: Sequence[str] = KERNEL_SWEEP_POLICIES,
     seed: int = 42,
 ) -> List[Dict[str, object]]:
     """Replay-kernel throughput: kernel vs generic replay per policy.
 
-    For every kernel-covered policy, replays the same LLC-visible stream
-    with the generic per-access engine and with the policy's replay
-    kernel (:mod:`repro.sim.kernels`), recording phase-3 replay seconds
-    and the kernel's speedup. A warm-up pass per engine builds the
-    private filter, next-use, and set-partition caches first, so the
-    measured numbers isolate the replay loop. The miss columns come from
-    both paths and let callers assert bit-identity.
+    For every policy, replays the same LLC-visible stream with the
+    generic per-access engine and with the policy's replay kernel
+    (:mod:`repro.sim.kernels`), recording phase-3 replay seconds and the
+    kernel's speedup. A warm-up pass per engine builds the private
+    filter, next-use, and set-partition caches first, so the measured
+    numbers isolate the replay loop. The miss columns come from both
+    paths and let callers assert bit-identity; ``kernel`` is the
+    dispatched kernel name (``None`` means the generic engine ran) and
+    ``counters_match`` says the P-OPT engine-cost counters the timing
+    model consumes agree between paths (trivially True for policies
+    without them; T-OPT's live on the policy and are checked by the
+    equivalence suite).
     """
     from . import ckernels  # local: report which kernel form ran
 
@@ -189,96 +178,30 @@ def kernel_throughput_sweep(
                 simulate_prepared(
                     prepared, policy, hierarchy, engine=engine
                 )  # warm caches
-            timings: Dict[str, float] = {}
-            misses: Dict[str, int] = {}
-            for engine in ("generic", "fast"):
-                result = simulate_prepared(
-                    prepared, policy, hierarchy, engine=engine
-                )
-                engine_details = result.details["engine"]
-                timings[engine] = engine_details["replay_seconds"]
-                misses[engine] = result.llc.misses
-            rows.append(
-                {
-                    "graph": graph_name,
-                    "policy": policy,
-                    "compiled": ckernels.available(),
-                    "generic_seconds": round(timings["generic"], 5),
-                    "kernel_seconds": round(timings["fast"], 5),
-                    "kernel_speedup": round(
-                        timings["generic"] / timings["fast"], 2
-                    )
-                    if timings["fast"] > 0
-                    else float("inf"),
-                    "misses_generic": misses["generic"],
-                    "misses_kernel": misses["fast"],
-                }
+            generic, fast = (
+                simulate_prepared(prepared, policy, hierarchy, engine=engine)
+                for engine in ("generic", "fast")
             )
-    return rows
-
-
-POPT_KERNEL_SWEEP_POLICIES = ("T-OPT", "P-OPT", "P-OPT-Inter", "P-OPT-SE")
-
-
-def popt_kernel_throughput_sweep(
-    scale: str = "small",
-    graphs: Sequence[str] = ("DBP",),
-    policies: Sequence[str] = POPT_KERNEL_SWEEP_POLICIES,
-    seed: int = 42,
-) -> List[Dict[str, object]]:
-    """Next-ref kernel throughput: T-OPT/P-OPT kernel vs generic replay.
-
-    Same measurement protocol as :func:`kernel_throughput_sweep` (warm-up
-    pass per engine, phase-3 replay seconds from the engine details), but
-    over the paper's own policies and with two extra columns: ``kernel``
-    (the dispatched kernel name — ``None`` would mean the registry lost
-    coverage) and ``counters_match`` (the engine-cost counters the timing
-    model consumes agree between paths; trivially True for T-OPT, whose
-    counters live on the policy and are checked by the equivalence
-    suite).
-    """
-    from . import ckernels  # local: report which kernel form ran
-
-    hierarchy = scaled_hierarchy(scale)
-    rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale=scale, seed=seed)
-        prepared = prepare_run(PageRank(), graph)
-        for policy in policies:
-            for engine in ("generic", "fast"):
-                simulate_prepared(
-                    prepared, policy, hierarchy, engine=engine
-                )  # warm caches
-            timings: Dict[str, float] = {}
-            misses: Dict[str, int] = {}
-            counters: Dict[str, object] = {}
-            kernel_name: Optional[str] = None
-            for engine in ("generic", "fast"):
-                result = simulate_prepared(
-                    prepared, policy, hierarchy, engine=engine
-                )
-                engine_details = result.details["engine"]
-                timings[engine] = engine_details["replay_seconds"]
-                misses[engine] = result.llc.misses
-                counters[engine] = result.popt_counters
-                if engine == "fast":
-                    kernel_name = engine_details["kernel"]
+            generic_seconds = generic.details["engine"]["replay_seconds"]
+            kernel_seconds = fast.details["engine"]["replay_seconds"]
             rows.append(
                 {
                     "graph": graph_name,
                     "policy": policy,
-                    "kernel": kernel_name,
+                    "kernel": fast.details["engine"]["kernel"],
                     "compiled": ckernels.available(),
-                    "generic_seconds": round(timings["generic"], 5),
-                    "kernel_seconds": round(timings["fast"], 5),
+                    "generic_seconds": round(generic_seconds, 5),
+                    "kernel_seconds": round(kernel_seconds, 5),
                     "kernel_speedup": round(
-                        timings["generic"] / timings["fast"], 2
+                        generic_seconds / kernel_seconds, 2
                     )
-                    if timings["fast"] > 0
+                    if kernel_seconds > 0
                     else float("inf"),
-                    "misses_generic": misses["generic"],
-                    "misses_kernel": misses["fast"],
-                    "counters_match": counters["generic"] == counters["fast"],
+                    "misses_generic": generic.llc.misses,
+                    "misses_kernel": fast.llc.misses,
+                    "counters_match": (
+                        generic.popt_counters == fast.popt_counters
+                    ),
                 }
             )
     return rows
@@ -298,7 +221,7 @@ def fig02_sota_mpki(
     for any value.
     """
     return _run_reported(
-        fig02_spec(scale=scale, graphs=graphs, seed=seed), jobs=jobs
+        spec_module.fig02_spec, jobs, scale=scale, graphs=graphs, seed=seed
     )
 
 
@@ -314,38 +237,24 @@ def fig04_topt_mpki(
     rate).
     """
     return _run_reported(
-        fig04_spec(scale=scale, graphs=graphs, seed=seed), jobs=jobs
+        spec_module.fig04_spec, jobs, scale=scale, graphs=graphs, seed=seed
     )
 
 
-# Hand-rolled on purpose: RM-variant comparison shares one baseline result per graph.
-# simlint: allow[spec-coverage]
 def fig07_rereference_designs(
     scale: str = "small",
     graphs: Sequence[str] = DEFAULT_GRAPHS,
     seed: int = 42,
+    jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """Fig. 7: Rereference Matrix designs, miss reduction vs DRRIP.
 
     Paper shape: INTER+INTRA ~= T-OPT > INTER-ONLY > DRRIP; both P-OPT
     designs pay their reserved-way cost and still win.
     """
-    hierarchy = scaled_hierarchy(scale)
-    rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale=scale, seed=seed)
-        prepared = prepare_run(PageRank(), graph)
-        baseline = simulate_prepared(prepared, "DRRIP", hierarchy)
-        row: Dict[str, object] = {"graph": graph_name}
-        for policy, label in (
-            ("P-OPT-Inter", "P-OPT-INTER-ONLY"),
-            ("P-OPT", "P-OPT-INTER+INTRA"),
-            ("T-OPT", "T-OPT"),
-        ):
-            result = simulate_prepared(prepared, policy, hierarchy)
-            row[label] = round(result.miss_reduction_over(baseline), 3)
-        rows.append(row)
-    return rows
+    return _run_reported(
+        spec_module.fig07_spec, jobs, scale=scale, graphs=graphs, seed=seed
+    )
 
 
 def fig10_main_result(
@@ -372,92 +281,53 @@ def fig10_main_result(
             app if isinstance(app, str) else app.info.name for app in apps
         )
     return _run_reported(
-        fig10_spec(scale=scale, graphs=graphs, seed=seed, apps=app_names),
-        jobs=jobs,
+        spec_module.fig10_spec, jobs,
+        scale=scale, graphs=graphs, seed=seed, apps=app_names,
     )
 
 
-# Hand-rolled on purpose: sweeps synthetic vertex counts, not a named-graph axis.
-# simlint: allow[spec-coverage]
 def fig11_popt_se_scaling(
     vertex_counts: Sequence[int] = (4096, 16384, 65536, 131072),
     scale: str = "small",
     seed: int = 42,
+    jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """Fig. 11: P-OPT vs P-OPT-SE as graph size grows, LLC fixed.
 
     Paper shape: below the capacity knee P-OPT (two resident columns)
     wins; for the largest graphs its doubled reservation costs more than
     the better metadata buys, and P-OPT-SE takes over. The row records the
-    reserved way counts (the boxes atop Fig. 11's bars).
+    reserved way counts (the boxes atop Fig. 11's bars); a reservation
+    that leaves no LLC way for data reports ``None`` and the start of
+    its error message instead.
     """
-    hierarchy = scaled_hierarchy(scale)
-    rows = []
-    for n in vertex_counts:
-        graph = datasets.PAPER_GRAPHS[3].build(n, seed)  # URAND class
-        prepared = prepare_run(PageRank(), graph)
-        baseline = simulate_prepared(prepared, "DRRIP", hierarchy)
-        row: Dict[str, object] = {"vertices": n}
-        for policy in ("P-OPT", "P-OPT-SE"):
-            try:
-                result = simulate_prepared(prepared, policy, hierarchy)
-                row[f"{policy}_missred"] = round(
-                    result.miss_reduction_over(baseline), 3
-                )
-                row[f"{policy}_ways"] = result.reserved_llc_ways
-            except ReservationError as error:  # no LLC way left for data
-                row[f"{policy}_missred"] = None
-                row[f"{policy}_ways"] = str(error)[:40]
-        rows.append(row)
-    return rows
+    return _run_reported(
+        spec_module.fig11_spec, jobs,
+        vertex_counts=vertex_counts, scale=scale, seed=seed,
+    )
 
 
-# Hand-rolled on purpose: GRASP needs per-run PolicyContext hot/warm ranges.
-# simlint: allow[spec-coverage]
 def fig12a_grasp(
     scale: str = "small",
     graphs: Sequence[str] = DEFAULT_GRAPHS + ("GPL",),
     seed: int = 42,
+    jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """Fig. 12(a): GRASP vs P-OPT on DBG-ordered graphs.
 
     Paper shape: GRASP helps only on skewed graphs; P-OPT wins everywhere
     and by more.
     """
-    hierarchy = scaled_hierarchy(scale)
-    rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale=scale, seed=seed)
-        prepared, dbg_layout = prepare_dbg_run(PageRank(), graph)
-        hot, warm = grasp_ranges_for(
-            prepared,
-            dbg_layout,
-            llc_data_lines=hierarchy.llc.num_sets * hierarchy.llc.num_ways,
-        )
-        baseline = simulate_prepared(prepared, "DRRIP", hierarchy)
-        grasp = simulate_prepared(
-            prepared,
-            "GRASP",
-            hierarchy,
-            policy_context=PolicyContext(hot_range=hot, warm_range=warm),
-        )
-        popt = simulate_prepared(prepared, "P-OPT", hierarchy)
-        rows.append(
-            {
-                "graph": graph_name,
-                "GRASP_missred": round(grasp.miss_reduction_over(baseline), 3),
-                "P-OPT_missred": round(popt.miss_reduction_over(baseline), 3),
-            }
-        )
-    return rows
+    return _run_reported(
+        spec_module.fig12a_spec, jobs, scale=scale, graphs=graphs, seed=seed
+    )
 
 
-# Hand-rolled on purpose: compares two prepared runs (BDFS order) per row.
-# simlint: allow[spec-coverage]
 def fig12b_hats(
     scale: str = "small",
     graphs: Sequence[str] = DEFAULT_GRAPHS + ("ARAB",),
     seed: int = 42,
+    jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """Fig. 12(b): HATS-BDFS vs P-OPT (vertex-ordered).
 
@@ -465,27 +335,9 @@ def fig12b_hats(
     even beat T-OPT) but *increases* misses on graphs without community
     structure; P-OPT is consistent.
     """
-    hierarchy = scaled_hierarchy(scale)
-    rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale=scale, seed=seed)
-        prepared = prepare_run(PageRank(), graph)
-        baseline = simulate_prepared(prepared, "DRRIP", hierarchy)
-        popt = simulate_prepared(prepared, "P-OPT", hierarchy)
-        # HATS: same kernel, BDFS outer-loop order, baseline replacement.
-        order = bdfs_order(graph.transpose())
-        prepared_bdfs = prepare_run(PageRank(), graph, order=order)
-        hats = simulate_prepared(prepared_bdfs, "DRRIP", hierarchy)
-        rows.append(
-            {
-                "graph": graph_name,
-                "HATS-BDFS_missred": round(
-                    hats.miss_reduction_over(baseline), 3
-                ),
-                "P-OPT_missred": round(popt.miss_reduction_over(baseline), 3),
-            }
-        )
-    return rows
+    return _run_reported(
+        spec_module.fig12b_spec, jobs, scale=scale, graphs=graphs, seed=seed
+    )
 
 
 def fig13_tiling(
@@ -505,10 +357,8 @@ def fig13_tiling(
     the spec carries tiling as the ``tiling:N`` software technique.
     """
     return _run_reported(
-        fig13_spec(
-            scale=scale, graphs=graphs, tile_counts=tile_counts, seed=seed
-        ),
-        jobs=jobs,
+        spec_module.fig13_spec, jobs,
+        scale=scale, graphs=graphs, tile_counts=tile_counts, seed=seed,
     )
 
 
@@ -533,50 +383,27 @@ def fig14_pb_phi(
     the accumulator dwarfs the cache.
     """
     return _run_reported(
-        fig14_spec(scale=scale, graphs=graphs, seed=seed), jobs=jobs
+        spec_module.fig14_spec, jobs, scale=scale, graphs=graphs, seed=seed
     )
 
 
-# Hand-rolled on purpose: per-policy entry_bits/account_capacity replay options.
-# simlint: allow[spec-coverage]
 def fig15_quantization(
     scale: str = "small",
     graphs: Sequence[str] = DEFAULT_GRAPHS,
     entry_bit_choices: Sequence[int] = (4, 8, 16),
     seed: int = 42,
+    jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """Fig. 15: quantization sensitivity (limit study, no capacity cost).
 
     Paper shape: 8-bit ~= 16-bit ~= T-OPT, 4-bit worse; tie rates fall
     from ~41% (4b) to ~12% (8b) to ~0% (16b).
     """
-    hierarchy = scaled_hierarchy(scale)
-    rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale=scale, seed=seed)
-        prepared = prepare_run(PageRank(), graph)
-        baseline = simulate_prepared(prepared, "DRRIP", hierarchy)
-        topt = simulate_prepared(prepared, "T-OPT", hierarchy)
-        row: Dict[str, object] = {
-            "graph": graph_name,
-            "T-OPT_missred": round(topt.miss_reduction_over(baseline), 3),
-        }
-        for bits in entry_bit_choices:
-            result = simulate_prepared(
-                prepared,
-                "P-OPT",
-                hierarchy,
-                entry_bits=bits,
-                account_capacity=False,
-            )
-            row[f"{bits}b_missred"] = round(
-                result.miss_reduction_over(baseline), 3
-            )
-            row[f"{bits}b_tie_rate"] = round(
-                result.popt_counters["tie_rate"], 3
-            )
-        rows.append(row)
-    return rows
+    return _run_reported(
+        spec_module.fig15_spec, jobs,
+        scale=scale, graphs=graphs, seed=seed,
+        entry_bit_choices=entry_bit_choices,
+    )
 
 
 def fig16_llc_sensitivity(
@@ -596,19 +423,12 @@ def fig16_llc_sensitivity(
     base hierarchy).
     """
     return _run_reported(
-        fig16_spec(
-            scale=scale,
-            graphs=graphs,
-            set_counts=set_counts,
-            way_counts=way_counts,
-            seed=seed,
-        ),
-        jobs=jobs,
+        spec_module.fig16_spec, jobs,
+        scale=scale, graphs=graphs, seed=seed,
+        set_counts=set_counts, way_counts=way_counts,
     )
 
 
-# Hand-rolled on purpose: wall-clock measurement, not a policy sweep.
-# simlint: allow[spec-coverage]
 def table4_preprocessing(
     scale: str = "small",
     graphs: Sequence[str] = DEFAULT_GRAPHS,

@@ -16,9 +16,9 @@ process boundary in either direction — results come back as plain
 per-policy stat dicts.
 
 Determinism: simulations are replay-exact regardless of which process
-runs them (policies draw from their own seeded RNGs), and
-:func:`run_sweep` returns rows in task-submission order, so
-``jobs=N`` output is bit-identical to ``jobs=1`` output
+runs them (policies draw from their own seeded RNGs), and the pool
+(:func:`repro.sim.spec.run_spec`) collects rows in task-submission
+order, so ``jobs=N`` output is bit-identical to ``jobs=1`` output
 (``tests/sim/test_parallel.py`` locks this in).
 
 Chunking: group a few policies per task (:func:`policy_chunks`) so the
@@ -32,12 +32,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import apps as apps_module
 from ..cache.config import CacheConfig, HierarchyConfig, scaled_hierarchy
+from ..errors import ReservationError
 from ..graph import datasets
 from . import artifacts, worker_state
 from .driver import prepare_dbg_run, prepare_run, simulate_prepared
@@ -49,8 +49,6 @@ __all__ = [
     "SweepTask",
     "policy_chunks",
     "pool_context",
-    "run_sweep",
-    "sweep_rows",
     "task_hierarchy",
     "validate_technique",
 ]
@@ -113,7 +111,8 @@ class SweepTask:
     (see :data:`TECHNIQUES`); ``llc`` overrides the LLC geometry as
     ``(num_sets, num_ways)`` on top of the hierarchy implied by
     ``cache_scale or scale``, with ``llc_label`` naming the point for
-    reporting.
+    reporting. ``replay`` (when set) is an ``(entry_bits,
+    account_capacity)`` pair passed to every replay of the task.
     """
 
     graph: str
@@ -127,6 +126,7 @@ class SweepTask:
     llc: Optional[Tuple[int, int]] = None
     llc_label: str = ""
     cache_scale: str = ""
+    replay: Optional[Tuple[int, bool]] = None
 
     def prepare_key(self) -> Tuple[object, ...]:
         return (
@@ -156,7 +156,11 @@ class SweepTask:
         return key
 
     def rows_key(self) -> Dict[str, object]:
-        """Full unit identity: prepared-run provenance + replay config."""
+        """Full unit identity: prepared-run provenance + replay config.
+
+        ``llc_label`` and ``replay`` join the key only when set, so
+        unlabeled default-replay tasks keep their original key shape.
+        """
         key = self.artifact_key()
         key.update(
             {
@@ -166,6 +170,10 @@ class SweepTask:
                 "cache_scale": self.cache_scale,
             }
         )
+        if self.llc_label:
+            key["llc_label"] = self.llc_label
+        if self.replay is not None:
+            key["replay"] = list(self.replay)
         return key
 
 
@@ -321,6 +329,12 @@ def run_task(task: SweepTask) -> List[Dict[str, object]]:
     store configured, finished rows are cached under the task's full
     identity — re-running an interrupted sweep replays only the tasks
     that never finished.
+
+    A unit whose way reservation leaves no LLC way for data
+    (:class:`~repro.errors.ReservationError`) becomes a row of its
+    identity columns plus ``error``; any other exception propagates.
+    Tasks with a ``replay`` point add ``entry_bits``/``account_capacity``
+    to the identity columns and P-OPT's ``tie_rate`` to the stats.
     """
     worker_state.guard_boundary("task-start")
     store = artifacts.get_store()
@@ -332,23 +346,34 @@ def run_task(task: SweepTask) -> List[Dict[str, object]]:
             return cached
     prepared = _prepared_for(task)
     hierarchy = task_hierarchy(task)
+    options: Dict[str, object] = {}
+    if task.replay is not None:
+        options["entry_bits"], options["account_capacity"] = task.replay
     rows: List[Dict[str, object]] = []
     for policy in task.policies:
-        result = simulate_prepared(
-            prepared, policy, hierarchy, engine=task.engine
-        )
+        row: Dict[str, object] = {
+            "graph": task.graph,
+            "app": task.app,
+            "policy": policy,
+            "scale": task.scale,
+            "seed": task.seed,
+            "technique": task.technique,
+            "llc_label": task.llc_label,
+            "llc_sets": hierarchy.llc.num_sets,
+            "llc_ways": hierarchy.llc.num_ways,
+        }
+        row.update(options)
+        try:
+            result = simulate_prepared(
+                prepared, policy, hierarchy, engine=task.engine, **options
+            )
+        except ReservationError as error:
+            row["error"] = str(error)
+            rows.append(row)
+            continue
         llc = result.llc
-        rows.append(
+        row.update(
             {
-                "graph": task.graph,
-                "app": task.app,
-                "policy": policy,
-                "scale": task.scale,
-                "seed": task.seed,
-                "technique": task.technique,
-                "llc_label": task.llc_label,
-                "llc_sets": hierarchy.llc.num_sets,
-                "llc_ways": hierarchy.llc.num_ways,
                 "llc_accesses": llc.accesses,
                 "llc_hits": llc.hits,
                 "llc_misses": llc.misses,
@@ -361,6 +386,10 @@ def run_task(task: SweepTask) -> List[Dict[str, object]]:
                 "reserved_ways": result.reserved_llc_ways,
             }
         )
+        if options:
+            counters = result.popt_counters or {}
+            row["tie_rate"] = counters.get("tie_rate")
+        rows.append(row)
     if use_rows:
         artifacts.store_rows(store, task.rows_key(), rows)
     worker_state.guard_boundary("task-end")
@@ -385,59 +414,3 @@ def pool_context():
     if not method:
         return None
     return multiprocessing.get_context(method)
-
-
-def run_sweep(
-    tasks: Sequence[SweepTask], jobs: int = 1
-) -> List[Dict[str, object]]:
-    """Run sweep tasks, optionally across ``jobs`` worker processes.
-
-    Results are the concatenation of each task's rows **in task order**
-    (policies in task-declared order within a task), independent of
-    which worker finished first — output is identical for any ``jobs``
-    and any start method (workers rebuild state deterministically from
-    task descriptors; nothing depends on fork-inherited snapshots).
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        out: List[Dict[str, object]] = []
-        for task in tasks:
-            out.extend(run_task(task))
-        return out
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=pool_context()
-    ) as pool:
-        # Executor.map preserves input order, so collation is trivial.
-        per_task = list(pool.map(run_task, tasks, chunksize=1))
-    return [row for rows in per_task for row in rows]
-
-
-def sweep_rows(
-    graphs: Sequence[str],
-    policies: Sequence[str],
-    apps: Sequence[str] = ("PR",),
-    scale: str = "small",
-    seed: int = 42,
-    jobs: int = 1,
-    chunk_size: int = 2,
-    engine: str = "fast",
-) -> List[Dict[str, object]]:
-    """Convenience matrix sweep: graphs x apps x policies -> stat rows.
-
-    Chunks the policy axis (policies sharing a chunk reuse one worker's
-    prepared run and filter caches) and fans the (graph, app, chunk)
-    items over :func:`run_sweep`.
-    """
-    tasks = [
-        SweepTask(
-            graph=graph,
-            app=app,
-            policies=chunk,
-            scale=scale,
-            seed=seed,
-            engine=engine,
-        )
-        for graph in graphs
-        for app in apps
-        for chunk in policy_chunks(policies, chunk_size)
-    ]
-    return run_sweep(tasks, jobs=jobs)

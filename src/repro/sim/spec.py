@@ -14,10 +14,10 @@ function. This module replaces the loops with data:
    policy) point each, with a stable content hash — and
    :meth:`ExperimentSpec.tasks` groups consecutive units sharing a
    prepared run into :class:`~repro.sim.parallel.SweepTask` chunks.
-3. **Execute** — :func:`run_spec` fans the tasks over
-   :func:`~repro.sim.parallel.run_sweep` (``jobs=N`` output is
-   bit-identical to serial) and can stream rows as they finish. With an
-   artifact store configured (:mod:`repro.sim.artifacts`), graphs,
+3. **Execute** — :func:`run_spec` fans the tasks over a process pool
+   (``jobs=N`` output is bit-identical to serial) and can stream rows
+   as they finish. With an artifact store configured
+   (:mod:`repro.sim.artifacts`), graphs,
    prepared runs, private filters, Rereference Matrices, and finished
    rows are all reused across invocations, making interrupted sweeps
    resumable.
@@ -33,10 +33,8 @@ canonical JSON, and nothing consults dict iteration order or process
 state — the same spec yields the same unit order and hashes in any
 process (``tests/sim/test_spec.py`` locks this in).
 
-The migrated figure harnesses in :mod:`repro.sim.experiments` are thin
-wrappers over specs registered in :data:`SPEC_HARNESSES`; the simlint
-``spec-coverage`` family keeps future harnesses from silently regressing
-to hand-rolled loops.
+Every figure harness in :mod:`repro.sim.experiments` is a thin wrapper
+over a spec factory registered in :data:`SPEC_HARNESSES`.
 """
 
 from __future__ import annotations
@@ -71,20 +69,29 @@ __all__ = [
     "report_rows",
     "fig02_spec",
     "fig04_spec",
+    "fig07_spec",
     "fig10_spec",
+    "fig11_spec",
+    "fig12a_spec",
+    "fig12b_spec",
     "fig13_spec",
     "fig14_spec",
+    "fig15_spec",
     "fig16_spec",
     "scenario_matrix",
 ]
 
 #: Axis names a spec's ``order`` may permute (policy is always the
 #: innermost loop so consecutive units share a prepared run).
-AXES = ("graph", "app", "technique", "llc")
+AXES = ("graph", "app", "technique", "llc", "replay")
 
 #: LLC geometry point: (label, num_sets, num_ways). ``None`` means the
 #: scale's default geometry.
 LLCPoint = Optional[Tuple[str, int, int]]
+
+#: Replay options point: (entry_bits, account_capacity). ``None`` means
+#: the defaults of :func:`~repro.sim.driver.simulate_prepared`.
+ReplayPoint = Optional[Tuple[int, bool]]
 
 
 @dataclass(frozen=True)
@@ -102,10 +109,15 @@ class SpecUnit:
     engine: str
     cache_scale: str
     params: Tuple[Tuple[str, object], ...]
+    replay: ReplayPoint = None
 
     def key(self) -> Dict[str, object]:
-        """JSON-able identity (what the content hash covers)."""
-        return {
+        """JSON-able identity (what the content hash covers).
+
+        ``replay`` joins the key only when set, so default-replay units
+        keep their original hashes.
+        """
+        key: Dict[str, object] = {
             "spec": self.spec,
             "graph": self.graph,
             "app": self.app,
@@ -118,6 +130,9 @@ class SpecUnit:
             "cache_scale": self.cache_scale,
             "params": [[name, value] for name, value in self.params],
         }
+        if self.replay is not None:
+            key["replay"] = list(self.replay)
+        return key
 
     def content_hash(self) -> str:
         return hashlib.sha256(
@@ -129,7 +144,7 @@ class SpecUnit:
         return (
             self.graph, self.app, self.technique, self.llc,
             self.scale, self.seed, self.engine, self.cache_scale,
-            self.params,
+            self.params, self.replay,
         )
 
 
@@ -138,12 +153,15 @@ class ExperimentSpec:
     """Axes and options of one experiment, ready to expand and run.
 
     ``exclude`` filters the cross product: each entry is a tuple of
-    ``(axis, value)`` pairs, and any unit matching *all* pairs of an
-    entry is dropped (e.g. Fig. 10 excludes ``(app=Radii, graph=HBUBL)``
-    like the paper). ``llc`` entries are ``(label, sets, ways)`` points
-    layered on the ``cache_scale or scale`` hierarchy; ``None`` keeps
-    the default geometry. ``report`` names a :data:`REPORTERS` entry
-    that derives the figure's presentation rows.
+    ``(axis, value)`` pairs over :data:`AXES` or ``policy``, and any
+    unit matching *all* pairs of an entry is dropped (e.g. Fig. 10
+    excludes ``(app=Radii, graph=HBUBL)`` like the paper); a value
+    matches when it equals ``str()`` of the unit's axis value. ``llc``
+    entries are ``(label, sets, ways)`` points layered on the
+    ``cache_scale or scale`` hierarchy; ``None`` keeps the default
+    geometry. ``replay`` entries are ``(entry_bits, account_capacity)``
+    replay options; ``None`` keeps the defaults. ``report`` names a
+    :data:`REPORTERS` entry that derives the figure's presentation rows.
     """
 
     name: str
@@ -152,6 +170,7 @@ class ExperimentSpec:
     apps: Tuple[str, ...] = ("PR",)
     techniques: Tuple[str, ...] = ("none",)
     llc: Tuple[LLCPoint, ...] = (None,)
+    replay: Tuple[ReplayPoint, ...] = (None,)
     scale: str = "small"
     seed: int = 42
     engine: str = "fast"
@@ -171,6 +190,19 @@ class ExperimentSpec:
             raise ValueError(
                 f"order must permute {AXES}, got {self.order}"
             )
+        for axis, values in self._axis_values().items():
+            if len(set(values)) != len(values):
+                raise ValueError(
+                    f"spec {self.name!r} repeats a value on the {axis} "
+                    f"axis: {values}"
+                )
+        for entry in self.exclude:
+            for axis, _ in entry:
+                if axis not in AXES + ("policy",):
+                    raise ValueError(
+                        f"spec {self.name!r} excludes on unknown axis "
+                        f"{axis!r}; expected one of {AXES + ('policy',)}"
+                    )
         for app in self.apps:
             if app not in APP_FACTORIES:
                 raise ValueError(
@@ -187,6 +219,16 @@ class ExperimentSpec:
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
 
+    def _axis_values(self) -> Dict[str, Sequence[object]]:
+        return {
+            "graph": self.graphs,
+            "app": self.apps,
+            "technique": self.techniques,
+            "llc": self.llc,
+            "replay": self.replay,
+            "policy": self.policies,
+        }
+
     def _excluded(self, bound: Dict[str, object]) -> bool:
         for entry in self.exclude:
             if all(str(bound[axis]) == value for axis, value in entry):
@@ -195,19 +237,15 @@ class ExperimentSpec:
 
     def expand(self) -> List[SpecUnit]:
         """Flatten the axes into ordered units (policy innermost)."""
-        axis_values: Dict[str, Sequence[object]] = {
-            "graph": self.graphs,
-            "app": self.apps,
-            "technique": self.techniques,
-            "llc": self.llc,
-        }
+        axis_values = self._axis_values()
         units: List[SpecUnit] = []
 
         def descend(depth: int, bound: Dict[str, object]) -> None:
             if depth == len(self.order):
-                if self._excluded(bound):
-                    return
                 for policy in self.policies:
+                    bound["policy"] = policy
+                    if self._excluded(bound):
+                        continue
                     units.append(
                         SpecUnit(
                             spec=self.name,
@@ -221,8 +259,10 @@ class ExperimentSpec:
                             engine=self.engine,
                             cache_scale=self.cache_scale,
                             params=self.params,
+                            replay=bound["replay"],
                         )
                     )
+                del bound["policy"]
                 return
             axis = self.order[depth]
             for value in axis_values[axis]:
@@ -267,6 +307,7 @@ class ExperimentSpec:
                         llc=geometry,
                         llc_label=llc_label,
                         cache_scale=current.cache_scale,
+                        replay=current.replay,
                     )
                 )
 
@@ -502,12 +543,98 @@ def _report_llc_sensitivity(spec, rows):
     return out
 
 
+#: Techniques whose units report under their own label: their DRRIP
+#: unit is a comparator (Fig. 12b's HATS-BDFS), never the baseline.
+_TECHNIQUE_LABELS = {"hats": "HATS-BDFS"}
+
+
+def _vs_drrip(head, columns):
+    """A reporter with one row per graph: ``head(graph)``, then
+    ``columns(item, baseline)`` for each other unit, against the graph's
+    DRRIP unit (Figs. 7, 11, 12a, 12b and 15)."""
+
+    def report(spec, rows):
+        out: List[Dict[str, object]] = []
+        for (graph_name,), group in _group_in_order(rows, ("graph",)):
+            baseline = next(
+                item for item in group
+                if item["policy"] == "DRRIP"
+                and item["technique"] not in _TECHNIQUE_LABELS
+            )
+            row = head(graph_name)
+            for item in group:
+                if item is not baseline:
+                    row.update(columns(item, baseline))
+            out.append(row)
+        return out
+
+    return report
+
+
+def _missred_vs(item, baseline) -> float:
+    return round(_missred(item["llc_misses"], baseline["llc_misses"]), 3)
+
+
+def _graph_head(graph_name):
+    return {"graph": graph_name}
+
+
+def _missred_columns(item, baseline):
+    """``<label>_missred`` (and ``<label>_tie_rate`` on replay points);
+    the label is the technique's, ``<entry_bits>b`` or the policy."""
+    if item["technique"] in _TECHNIQUE_LABELS:
+        label = _TECHNIQUE_LABELS[item["technique"]]
+    elif "entry_bits" in item:
+        label = f"{item['entry_bits']}b"
+    else:
+        label = item["policy"]
+    columns: Dict[str, object] = {
+        f"{label}_missred": _missred_vs(item, baseline)
+    }
+    if item.get("tie_rate") is not None:
+        columns[f"{label}_tie_rate"] = round(float(item["tie_rate"]), 3)
+    return columns
+
+
+#: Fig. 7 column per Rereference Matrix design.
+_RM_DESIGN_LABELS = {
+    "P-OPT-Inter": "P-OPT-INTER-ONLY",
+    "P-OPT": "P-OPT-INTER+INTRA",
+    "T-OPT": "T-OPT",
+}
+
+
+def _reservation_columns(item, baseline):
+    """Fig. 11: miss reduction and reserved ways, or the overflow."""
+    policy = item["policy"]
+    if "error" in item:  # the reservation left no LLC way for data
+        return {
+            f"{policy}_missred": None,
+            f"{policy}_ways": item["error"][:40],
+        }
+    return {
+        f"{policy}_missred": _missred_vs(item, baseline),
+        f"{policy}_ways": item["reserved_ways"],
+    }
+
+
 REPORTERS: Dict[str, Callable[..., List[Dict[str, object]]]] = {
     "mpki_pivot": _report_mpki_pivot,
     "main_result": _report_main_result,
     "tiling_norm": _report_tiling_norm,
     "pb_phi_norm": _report_pb_phi_norm,
     "llc_sensitivity": _report_llc_sensitivity,
+    "missred_vs_drrip": _vs_drrip(_graph_head, _missred_columns),
+    "rm_designs": _vs_drrip(
+        _graph_head,
+        lambda item, baseline: {
+            _RM_DESIGN_LABELS[item["policy"]]: _missred_vs(item, baseline)
+        },
+    ),
+    "reservation_knee": _vs_drrip(
+        lambda graph_name: {"vertices": int(graph_name.rpartition("@")[2])},
+        _reservation_columns,
+    ),
 }
 
 register_worker_state(
@@ -518,9 +645,8 @@ register_worker_state(
 
 
 # ----------------------------------------------------------------------
-# Spec factories for the migrated harnesses. SPEC_HARNESSES maps the
-# harness function name in sim/experiments.py to its factory; the
-# simlint ``spec-coverage`` family checks the mapping stays complete.
+# Spec factories for the figure harnesses. SPEC_HARNESSES maps the
+# harness function name in sim/experiments.py to its factory.
 # ----------------------------------------------------------------------
 
 SPEC_HARNESSES: Dict[str, Callable[..., ExperimentSpec]] = {}
@@ -566,6 +692,18 @@ def fig04_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
     )
 
 
+@spec_harness("fig07_rereference_designs")
+def fig07_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
+    return ExperimentSpec(
+        name="fig07",
+        graphs=tuple(graphs or datasets.graph_names()),
+        policies=("DRRIP", "P-OPT-Inter", "P-OPT", "T-OPT"),
+        scale=scale,
+        seed=seed,
+        report="rm_designs",
+    )
+
+
 @spec_harness("fig10_main_result")
 def fig10_spec(
     scale="small", graphs=None, seed=42, apps=None
@@ -577,9 +715,53 @@ def fig10_spec(
         policies=("LRU", "DRRIP", "P-OPT", "T-OPT"),
         scale=scale,
         seed=seed,
-        order=("app", "graph", "technique", "llc"),
+        order=("app", "graph", "technique", "llc", "replay"),
         exclude=((("app", "Radii"), ("graph", "HBUBL")),),
         report="main_result",
+    )
+
+
+@spec_harness("fig11_popt_se_scaling")
+def fig11_spec(
+    vertex_counts=(4096, 16384, 65536, 131072), scale="small", seed=42
+) -> ExperimentSpec:
+    """URAND at each vertex count (``URAND@N``), the LLC fixed by ``scale``."""
+    return ExperimentSpec(
+        name="fig11",
+        graphs=tuple(f"URAND@{n}" for n in vertex_counts),
+        policies=("DRRIP", "P-OPT", "P-OPT-SE"),
+        scale=scale,
+        seed=seed,
+        report="reservation_knee",
+    )
+
+
+@spec_harness("fig12a_grasp")
+def fig12a_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
+    """Every policy on the DBG-ordered graph; GRASP derives its ranges."""
+    return ExperimentSpec(
+        name="fig12a",
+        graphs=tuple(graphs or datasets.graph_names() + ["GPL"]),
+        techniques=("dbg",),
+        policies=("DRRIP", "GRASP", "P-OPT"),
+        scale=scale,
+        seed=seed,
+        report="missred_vs_drrip",
+    )
+
+
+@spec_harness("fig12b_hats")
+def fig12b_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
+    """DRRIP under BDFS order (HATS) and P-OPT, vs DRRIP as declared."""
+    return ExperimentSpec(
+        name="fig12b",
+        graphs=tuple(graphs or datasets.graph_names() + ["ARAB"]),
+        techniques=("hats", "none"),
+        policies=("DRRIP", "P-OPT"),
+        scale=scale,
+        seed=seed,
+        exclude=((("technique", "hats"), ("policy", "P-OPT")),),
+        report="missred_vs_drrip",
     )
 
 
@@ -622,6 +804,30 @@ def fig14_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
         seed=seed,
         cache_scale=PHI_CACHE_SCALE.get(scale, scale),
         report="pb_phi_norm",
+    )
+
+
+@spec_harness("fig15_quantization")
+def fig15_spec(
+    scale="small", graphs=None, entry_bit_choices=(4, 8, 16), seed=42
+) -> ExperimentSpec:
+    """DRRIP and T-OPT at default replay options; P-OPT at each entry
+    width with no way reservation (the limit study)."""
+    points = tuple((bits, False) for bits in entry_bit_choices)
+    exclude = ((("replay", "None"), ("policy", "P-OPT")),) + tuple(
+        (("replay", str(point)), ("policy", policy))
+        for point in points
+        for policy in ("DRRIP", "T-OPT")
+    )
+    return ExperimentSpec(
+        name="fig15",
+        graphs=tuple(graphs or datasets.graph_names()),
+        policies=("DRRIP", "T-OPT", "P-OPT"),
+        replay=(None,) + points,
+        scale=scale,
+        seed=seed,
+        exclude=exclude,
+        report="missred_vs_drrip",
     )
 
 
@@ -689,5 +895,5 @@ def scenario_matrix(
         llc=llc_points,
         scale=scale,
         seed=seed,
-        order=("graph", "technique", "app", "llc"),
+        order=("graph", "technique", "app", "llc", "replay"),
     )

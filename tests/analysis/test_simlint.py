@@ -622,67 +622,3 @@ class TestKernelRules:
             SimlintConfig(families=("kernels",)),
         )
         assert findings == []
-
-
-# ----------------------------------------------------------------------
-# spec-coverage: figure harnesses must be spec-backed or opted out
-# ----------------------------------------------------------------------
-
-
-class TestSpecCoverage:
-    SIM_DIR = SRC_REPRO / "sim"
-
-    def lint_speccov(self, paths):
-        return run_simlint(
-            paths, SimlintConfig(families=("spec-coverage",))
-        )
-
-    def lint_synthetic(self, tmp_path, source):
-        """Write ``source`` as a fake ``sim/experiments.py`` and lint."""
-        sim_dir = tmp_path / "sim"
-        sim_dir.mkdir()
-        module = sim_dir / "experiments.py"
-        module.write_text(dedent(source))
-        return self.lint_speccov([module])
-
-    def test_real_experiments_module_is_clean(self):
-        assert self.lint_speccov([self.SIM_DIR / "experiments.py"]) == []
-
-    def test_unregistered_harness_is_reported(self, tmp_path):
-        findings = self.lint_synthetic(tmp_path, """
-            def fig99_new_sweep(scale="small"):
-                return []
-        """)
-        assert "spec-coverage-unregistered" in rules_of(findings)
-        assert any("fig99_new_sweep" in f.message for f in findings)
-
-    def test_pragma_opts_harness_out(self, tmp_path):
-        findings = self.lint_synthetic(tmp_path, """
-            # Hand-rolled on purpose: wall-clock measurement.
-            # simlint: allow[spec-coverage]
-            def fig99_new_sweep(scale="small"):
-                return []
-        """)
-        assert "spec-coverage-unregistered" not in rules_of(findings)
-
-    def test_non_harness_functions_ignored(self, tmp_path):
-        findings = self.lint_synthetic(tmp_path, """
-            def helper_rows(scale="small"):
-                return []
-        """)
-        assert "spec-coverage-unregistered" not in rules_of(findings)
-
-    def test_stale_registration_is_reported(self, monkeypatch):
-        from repro.sim import spec
-
-        monkeypatch.setitem(
-            spec.SPEC_HARNESSES, "fig99_ghost", lambda: None
-        )
-        findings = self.lint_speccov([self.SIM_DIR / "experiments.py"])
-        assert "spec-coverage-registry" in rules_of(findings)
-        assert any("fig99_ghost" in f.message for f in findings)
-
-    def test_skipped_when_experiments_not_scanned(self, tmp_path):
-        module = tmp_path / "mod.py"
-        module.write_text("def fig99_new_sweep():\n    return []\n")
-        assert self.lint_speccov([module]) == []

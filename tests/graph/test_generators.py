@@ -139,6 +139,19 @@ class TestDatasets:
         with pytest.raises(GraphFormatError):
             PAPER_GRAPHS[0].generate(scale="galactic")
 
+    def test_sized_name_builds_exact_vertex_count(self):
+        sized = load("URAND@4096", scale="tiny", seed=7)
+        direct = PAPER_GRAPHS[3].build(4096, 7)  # URAND, scale ignored
+        assert sized.num_vertices == 4096
+        assert np.array_equal(sized.neighbors, direct.neighbors)
+
+    @pytest.mark.parametrize(
+        "name", ["URAND@", "URAND@0", "URAND@4k", "NOPE@4096"]
+    )
+    def test_bad_sized_name(self, name):
+        with pytest.raises(GraphFormatError):
+            load(name)
+
     def test_structural_classes(self):
         skewed = degree_skew(load("KRON", scale="tiny"))
         flat = degree_skew(load("HBUBL", scale="tiny"))

@@ -5,18 +5,20 @@ import pytest
 
 from repro.apps import PageRank
 from repro.cache import CacheConfig, HierarchyConfig, scaled_hierarchy
+from repro.cache.hierarchy import CacheHierarchy
 from repro.errors import SimulationError
 from repro.graph import uniform_random
-from repro.policies.registry import PolicyContext
+from repro.policies import GRASP
 from repro.sim import (
     SimResult,
     prepare_dbg_run,
     grasp_ranges_for,
     prepare_run,
+    replay,
     simulate,
     simulate_prepared,
 )
-from repro.sim.driver import llc_filtered_next_use
+from repro.sim.driver import DBG_BOUNDS, llc_filtered_next_use
 from repro.sim.timing import TimingModel
 
 
@@ -133,22 +135,29 @@ class TestPOPTCapacityAccounting:
 class TestGraspWiring:
     def test_ranges_cover_hot_group(self, graph):
         prepared, layout_info = prepare_dbg_run(PageRank(), graph)
-        hot, warm = grasp_ranges_for(prepared, layout_info)
+        assert prepared.details[DBG_BOUNDS] == list(layout_info.group_bounds)
+        hot, warm = grasp_ranges_for(prepared, llc_data_lines=128)
         assert hot[0] <= hot[1]
         assert warm[0] <= warm[1]
         span = prepared.irregular_streams[0].span
         assert hot[0] >= span.base // 64
 
     def test_grasp_simulation_runs(self, graph, hierarchy):
-        prepared, layout_info = prepare_dbg_run(PageRank(), graph)
-        hot, warm = grasp_ranges_for(prepared, layout_info)
-        result = simulate_prepared(
-            prepared,
-            "GRASP",
-            hierarchy,
-            policy_context=PolicyContext(hot_range=hot, warm_range=warm),
-        )
+        prepared, _ = prepare_dbg_run(PageRank(), graph)
+        result = simulate_prepared(prepared, "GRASP", hierarchy)
         assert result.llc.accesses > 0
+
+    def test_grasp_ranges_follow_llc_geometry(self, graph, hierarchy):
+        """simulate_prepared sizes GRASP's ranges by the replayed LLC."""
+        prepared, _ = prepare_dbg_run(PageRank(), graph)
+        llc_lines = hierarchy.llc.num_sets * hierarchy.llc.num_ways
+        hot, warm = grasp_ranges_for(prepared, llc_data_lines=llc_lines)
+        walk = CacheHierarchy(
+            hierarchy, GRASP(hot_range=hot, warm_range=warm)
+        )
+        replay(prepared.trace, walk)
+        derived = simulate_prepared(prepared, "GRASP", hierarchy)
+        assert derived.level_counts == list(walk.level_counts)
 
 
 class TestTimingModel:

@@ -12,13 +12,12 @@ from repro.cache.cache import AccessContext, SetAssociativeCache
 from repro.graph import power_law, uniform_random
 from repro.policies.lru import LRU
 from repro.policies.plru import BitPLRU
-from repro.policies.registry import PolicyContext, policy_names
+from repro.policies.registry import policy_names
 from repro.sim import (
     ReplayEngine,
     build_private_filter,
     ckernels,
     prepare_dbg_run,
-    grasp_ranges_for,
     prepare_run,
     simulate_prepared,
 )
@@ -90,16 +89,9 @@ class TestEngineEquivalence:
 
     def test_grasp(self, hierarchy):
         graph = uniform_random(512, avg_degree=6.0, seed=7)
-        prepared_dbg, layout_info = prepare_dbg_run(PageRank(), graph)
-        hot, warm = grasp_ranges_for(prepared_dbg, layout_info)
+        prepared_dbg, _ = prepare_dbg_run(PageRank(), graph)
         results = [
-            simulate_prepared(
-                prepared_dbg,
-                "GRASP",
-                hierarchy,
-                policy_context=PolicyContext(hot_range=hot, warm_range=warm),
-                engine=engine,
-            )
+            simulate_prepared(prepared_dbg, "GRASP", hierarchy, engine=engine)
             for engine in ("fast", "reference")
         ]
         assert_results_match(*results)

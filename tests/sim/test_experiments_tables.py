@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ReservationError, SimulationError
 from repro.sim import experiments as exp
+from repro.sim import parallel
 from repro.sim.tables import (
     format_table,
     table1_rows,
@@ -101,7 +102,10 @@ class TestHarnessSmoke:
         assert rows[0]["P-OPT_ways"] is not None
 
     def test_fig11_reservation_overflow_becomes_a_cell(self, monkeypatch):
-        real = exp.simulate_prepared
+        # The spec path replays in run_task; a ReservationError there
+        # becomes the unit's error row, which the reporter turns into
+        # Fig. 11's overflow cell.
+        real = parallel.simulate_prepared
 
         def overflowing(prepared, policy, hierarchy, **kwargs):
             if policy == "P-OPT":
@@ -110,7 +114,7 @@ class TestHarnessSmoke:
                 )
             return real(prepared, policy, hierarchy, **kwargs)
 
-        monkeypatch.setattr(exp, "simulate_prepared", overflowing)
+        monkeypatch.setattr(parallel, "simulate_prepared", overflowing)
         (row,) = exp.fig11_popt_se_scaling(vertex_counts=(1024,),
                                            scale="tiny")
         assert row["P-OPT_missred"] is None
@@ -121,14 +125,14 @@ class TestHarnessSmoke:
         "error", [ValueError("bug"), SimulationError("miswired driver")]
     )
     def test_fig11_other_errors_propagate(self, monkeypatch, error):
-        real = exp.simulate_prepared
+        real = parallel.simulate_prepared
 
         def broken(prepared, policy, hierarchy, **kwargs):
             if policy == "P-OPT":
                 raise error
             return real(prepared, policy, hierarchy, **kwargs)
 
-        monkeypatch.setattr(exp, "simulate_prepared", broken)
+        monkeypatch.setattr(parallel, "simulate_prepared", broken)
         with pytest.raises(type(error)):
             exp.fig11_popt_se_scaling(vertex_counts=(1024,), scale="tiny")
 

@@ -3,15 +3,16 @@ ordering is deterministic, and the CLI plumbs ``--jobs`` through."""
 
 import pytest
 
+from repro.errors import ReservationError
 from repro.sim import parallel
+from repro.sim import spec as spec_module
 from repro.sim.parallel import (
     APP_FACTORIES,
     SweepTask,
     policy_chunks,
-    run_sweep,
     run_task,
-    sweep_rows,
 )
+from repro.sim.spec import ExperimentSpec, run_spec
 
 POLICIES = ("LRU", "SRRIP", "DRRIP", "OPT")
 
@@ -39,6 +40,20 @@ class TestRunTask:
                 assert isinstance(value, (str, int, float, bool))
             assert row["llc_hits"] + row["llc_misses"] == row["llc_accesses"]
 
+    def test_reservation_error_becomes_an_error_row(self, monkeypatch):
+        def overflowing(prepared, policy, hierarchy, **kwargs):
+            raise ReservationError(f"{policy}: needs 17 of 16 LLC ways")
+
+        monkeypatch.setattr(parallel, "simulate_prepared", overflowing)
+        (row,) = run_task(
+            SweepTask(graph="URAND", policies=("P-OPT",), scale="tiny")
+        )
+        assert list(row) == [
+            "graph", "app", "policy", "scale", "seed", "technique",
+            "llc_label", "llc_sets", "llc_ways", "error",
+        ]
+        assert row["error"] == "P-OPT: needs 17 of 16 LLC ways"
+
     def test_prepared_run_cached_across_tasks(self):
         from repro.sim import parallel
 
@@ -53,16 +68,20 @@ class TestRunTask:
             parallel._PREPARED_CACHE.update(before)
 
 
+def sweep(graphs, policies, scale, chunk_size=2):
+    return ExperimentSpec(
+        name="sweep", graphs=tuple(graphs), policies=tuple(policies),
+        scale=scale, chunk_size=chunk_size,
+    )
+
+
 class TestSweepDeterminism:
     """jobs=N output must be byte-identical to jobs=1 output."""
 
     def test_jobs_parallel_matches_serial(self):
-        serial = sweep_rows(
-            ["URAND", "KRON"], POLICIES, scale="small", jobs=1
-        )
-        parallel = sweep_rows(
-            ["URAND", "KRON"], POLICIES, scale="small", jobs=4
-        )
+        spec = sweep(["URAND", "KRON"], POLICIES, scale="small")
+        serial = run_spec(spec, jobs=1)
+        parallel = run_spec(spec, jobs=4)
         assert serial == parallel
         # Ordering: graph-major, then policy order as declared.
         assert [r["policy"] for r in serial[: len(POLICIES)]] == list(
@@ -71,19 +90,26 @@ class TestSweepDeterminism:
         assert serial[0]["graph"] == "URAND"
         assert serial[len(POLICIES)]["graph"] == "KRON"
 
-    def test_single_task_stays_serial(self):
-        tasks = [SweepTask(graph="URAND", policies=("LRU",))]
-        assert run_sweep(tasks, jobs=8) == run_sweep(tasks, jobs=1)
+    def test_single_task_stays_serial(self, monkeypatch):
+        spec = sweep(["URAND"], ["LRU"], scale="small")
+        serial = run_spec(spec, jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single task must not start a pool")
+
+        monkeypatch.setattr(spec_module, "ProcessPoolExecutor", no_pool)
+        assert run_spec(spec, jobs=8) == serial
 
     def test_spawn_matches_serial(self, monkeypatch):
         # spawn workers rebuild state from imports rather than a forked
         # snapshot; identical rows prove nothing leans on fork-captured
         # module state (the property the simlint par family guards).
-        serial = sweep_rows(["URAND"], ("LRU", "DRRIP"), scale="tiny",
-                            jobs=1)
+        serial = run_spec(sweep(["URAND"], ("LRU", "DRRIP"), scale="tiny"))
         monkeypatch.setenv(parallel.START_METHOD_ENV, "spawn")
-        spawned = sweep_rows(["URAND"], ("LRU", "DRRIP"), scale="tiny",
-                             jobs=2, chunk_size=1)
+        spawned = run_spec(
+            sweep(["URAND"], ("LRU", "DRRIP"), scale="tiny", chunk_size=1),
+            jobs=2,
+        )
         assert spawned == serial
 
     def test_pool_context_invalid_method_raises(self, monkeypatch):
@@ -144,18 +170,6 @@ class TestChunkEdgeCases:
         assert policy_chunks(["LRU", "DRRIP"], chunk_size=8) == [
             ("LRU", "DRRIP")
         ]
-
-    def test_sweep_rows_empty_policies(self):
-        assert sweep_rows(["URAND"], [], scale="tiny") == []
-
-    def test_sweep_rows_single_task(self):
-        rows = sweep_rows(
-            ["URAND"], ["LRU"], scale="tiny", jobs=1, chunk_size=8
-        )
-        assert [row["policy"] for row in rows] == ["LRU"]
-        assert rows == sweep_rows(
-            ["URAND"], ["LRU"], scale="tiny", jobs=2, chunk_size=8
-        )
 
 
 class TestPreparedCacheBound:
