@@ -18,8 +18,6 @@ cover the broken combination. Rule families:
   signatures from ``kernels.c`` and passes ``constants.C_DEFINES`` as
   ``-D`` flags
 - ``par``          — worker purity for process-parallel sweep workers
-- ``dtype``        — flow-based numpy dtype/width inference against the
-  declared capacity contracts (``sim/constants.py:WIDTH_CONTRACTS``)
 
 See :mod:`repro.analysis.runner` for the CLI and
 ``# simlint: allow[rule]`` pragmas for intentional exceptions (the same

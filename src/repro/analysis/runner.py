@@ -20,7 +20,6 @@ from .abi import ABI_RULES, check_abi
 from .astutil import _PRAGMA, SourceModule, iter_python_files, load_module
 from .contract import check_policy_contracts
 from .determinism import check_determinism
-from .dtyperules import DTYPE_RULES, check_dtypes, dtype_status_lines
 from .findings import Finding, format_findings
 from .hotpath import DEFAULT_REPLAY_PATH, check_hot_paths
 from .kernelcov import check_kernels
@@ -31,7 +30,7 @@ __all__ = ["SimlintConfig", "run_simlint", "main", "KNOWN_RULES"]
 
 RULE_FAMILIES = (
     "policy", "determinism", "hotpath", "registry", "kernels", "abi",
-    "par", "dtype",
+    "par",
 )
 
 #: Every rule id a suppression pragma may legally name. Pragmas naming
@@ -61,7 +60,6 @@ KNOWN_RULES = frozenset(
     )
     + PAR_RULES
     + ABI_RULES
-    + DTYPE_RULES
     + RULE_FAMILIES
 )
 
@@ -160,8 +158,6 @@ def run_simlint(
         findings.extend(check_abi(modules, set(KNOWN_RULES)))
     if "par" in families:
         findings.extend(check_parsafety(modules))
-    if "dtype" in families:
-        findings.extend(check_dtypes(modules, config.replay_path))
     return _stable_findings(findings)
 
 
@@ -213,7 +209,6 @@ _FAMILY_PREFIXES = (
     ("kernel-", "kernels"),
     ("par-", "par"),
     ("abi-", "abi"),
-    ("dtype-", "dtype"),
 )
 
 
@@ -245,7 +240,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="simlint: simulator-specific static analysis "
                     "(policy contracts, registry drift, determinism, "
                     "hot-path hygiene, C kernel dialect, "
-                    "worker purity, dtype/width contracts)",
+                    "worker purity)",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
@@ -291,15 +286,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     def status_lines() -> List[str]:
         lines: List[str] = []
-        modules: Optional[List[SourceModule]] = None
-        if "par" in families or "dtype" in families:
+        if "par" in families:
             modules, _ = _load_modules([Path(p) for p in paths])
-        if "par" in families and modules is not None:
             lines.extend(par_status_lines(modules))
         if "abi" in families:
             lines.append(_ckernels_status())
-        if "dtype" in families and modules is not None:
-            lines.extend(dtype_status_lines(modules))
         return lines
 
     if args.json:

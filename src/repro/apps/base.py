@@ -19,11 +19,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import SimulationError, WidthContractError
 from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace, ArraySpan
 from ..memory.trace import AccessKind, MemoryTrace
 from ..popt.topt import IrregularStream
+from ..sim.constants import POPT_STREAMING_NEXT_REF, narrow
 
 __all__ = [
     "AppInfo",
@@ -108,6 +109,17 @@ class PreparedRun:
     sanitizer_records: Dict[object, Dict[str, int]] = field(
         default_factory=dict, repr=False
     )
+
+    def __post_init__(self) -> None:
+        # Next-use indices run up to the trace length; at the streaming
+        # sentinel a real distance would tie with a streaming way.
+        if len(self.trace) >= POPT_STREAMING_NEXT_REF:
+            raise WidthContractError(
+                "trace.next_use", len(self.trace),
+                f"PreparedRun({self.app_name})",
+                f"the trace length below POPT_STREAMING_NEXT_REF "
+                f"({POPT_STREAMING_NEXT_REF})",
+            )
 
     @property
     def num_accesses(self) -> int:
@@ -230,9 +242,9 @@ def traversal_trace(
     addresses = np.empty(total, dtype=np.int64)
     pcs = np.empty(total, dtype=np.uint8)
     writes = np.zeros(total, dtype=bool)
-    # Vertex IDs are bounded by num_vertices, which the csr.neighbors
-    # width contract keeps below 2^31 (checked at graph build time).
-    vertices = np.repeat(order, block_len).astype(np.int32)  # simlint: allow[dtype-narrowing-cast]
+    vertices = np.repeat(
+        narrow(order, "trace.vertex", "traversal_trace"), block_len
+    )
 
     # Offsets-array read at each block start.
     addresses[block_starts] = oa_span.addr_of(order)

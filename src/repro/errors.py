@@ -42,3 +42,28 @@ class SanitizerError(ReproError):
     sanitized replays (``simulate_prepared(..., sanitize=True)``): the
     simulator's internal state or statistics stopped satisfying an
     invariant that every correct replay maintains."""
+
+
+class WidthContractError(ReproError):
+    """A value does not fit the width its contract declares.
+
+    Raised by :func:`repro.sim.constants.narrow` and by the constructors
+    that carry a :data:`~repro.sim.constants.WIDTH_CONTRACTS` value
+    (:class:`~repro.graph.csr.CSRGraph`,
+    :class:`~repro.popt.rereference.RereferenceMatrix`,
+    :class:`~repro.apps.base.PreparedRun`). ``contract`` names the
+    contract, ``value`` the offending value, ``where`` the site or file
+    it came from and ``bound`` what it had to fit."""
+
+    def __init__(self, contract: str, value, where: str, bound: str):
+        super().__init__(contract, value, where, bound)
+        self.contract = contract
+        self.value = value
+        self.where = where
+        self.bound = bound
+
+    def __str__(self) -> str:
+        return (
+            f"{self.where}: {self.contract} value {self.value} does not "
+            f"fit {self.bound}"
+        )

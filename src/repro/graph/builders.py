@@ -20,6 +20,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import GraphFormatError
+from ..sim.constants import narrow
 from .csr import CSRGraph
 
 __all__ = [
@@ -77,9 +78,7 @@ def from_edges(
     np.cumsum(counts, out=offsets[1:])
     # Sort edges by (src, dst) so neighbor lists come out sorted.
     order = np.lexsort((destinations, sources))
-    # IDs were validated < num_vertices above, and num_vertices fits the
-    # WIDTH_CONTRACTS["csr.neighbors"] int32 range by construction.
-    neighbors = destinations[order].astype(np.int32)  # simlint: allow[dtype-narrowing-cast]
+    neighbors = narrow(destinations[order], "csr.neighbors", "from_edges")
     return CSRGraph(offsets=offsets, neighbors=neighbors)
 
 
@@ -118,6 +117,7 @@ def from_edges_chunked(
     *,
     resolve_num_vertices: Optional[Callable[[], Optional[int]]] = None,
     with_payload: bool = False,
+    where: str = "from_edges_chunked",
 ) -> Union[CSRGraph, Tuple[CSRGraph, np.ndarray]]:
     """Two-pass streamed CSR build from an iterable of edge chunks.
 
@@ -134,7 +134,9 @@ def from_edges_chunked(
     honor a ``# vertices N`` directive discovered mid-stream. With
     ``with_payload=True`` each chunk is an ``(edges, payload)`` pair and
     the return value is ``(graph, payload)`` with the payload permuted
-    into the graph's final edge order.
+    into the graph's final edge order. ``where`` (a loader passes its
+    file path) tags a neighbor ID that does not fit the int32
+    ``csr.neighbors`` contract.
     """
     # Pass 1: count edges per source, growing the histogram as larger
     # vertex IDs stream past.
@@ -199,9 +201,7 @@ def from_edges_chunked(
             group_start, group_count
         )
         positions = next_free[sources] + ranks
-        # Destination IDs were validated < num_vertices above (both
-        # passes), so they fit the int32 neighbors contract.
-        neighbors[positions] = edges[order, 1]  # simlint: allow[dtype-overflow]
+        neighbors[positions] = narrow(edges[order, 1], "csr.neighbors", where)
         if payload_out is not None and payload is not None:
             payload_out[positions] = payload[order]
         next_free[uniq] += group_count

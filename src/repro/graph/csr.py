@@ -17,7 +17,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..errors import GraphFormatError
+from ..errors import GraphFormatError, WidthContractError
+from ..sim.constants import TOPT_NEVER, narrow
 
 __all__ = ["CSRGraph"]
 
@@ -43,8 +44,8 @@ class CSRGraph:
     )
 
     def __post_init__(self) -> None:
-        offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
-        neighbors = np.ascontiguousarray(self.neighbors, dtype=np.int32)
+        offsets = narrow(self.offsets, "csr.offsets", "CSRGraph")
+        neighbors = narrow(self.neighbors, "csr.neighbors", "CSRGraph")
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "neighbors", neighbors)
         if self._transpose_cache is None:
@@ -56,6 +57,11 @@ class CSRGraph:
             raise GraphFormatError("offsets and neighbors must be 1-D arrays")
         if len(self.offsets) == 0:
             raise GraphFormatError("offsets must have at least one entry")
+        if self.num_vertices >= TOPT_NEVER:
+            raise WidthContractError(
+                "trace.vertex", self.num_vertices, "CSRGraph",
+                f"the vertex count below TOPT_NEVER ({TOPT_NEVER})",
+            )
         if self.offsets[0] != 0:
             raise GraphFormatError("offsets must start at 0")
         if self.offsets[-1] != len(self.neighbors):

@@ -43,6 +43,7 @@ from typing import (
 import numpy as np
 
 from ..errors import GraphFormatError
+from ..sim.constants import narrow
 from .builders import from_edges_chunked
 from .csr import CSRGraph
 
@@ -90,12 +91,13 @@ _SG_NEIGHBOR_DTYPE = np.dtype("<i4")
 
 
 def _coerce_integral(
-    array: np.ndarray, dtype: np.dtype, what: str, where: str
+    array: np.ndarray, contract: str, what: str, where: str
 ) -> np.ndarray:
-    """Coerce ``array`` to an integral dtype, rejecting lossy casts."""
+    """Narrow ``array`` to ``contract``'s integral dtype, rejecting
+    lossy casts: non-integral values raise :class:`GraphFormatError`,
+    values outside the contract's width
+    :class:`~repro.errors.WidthContractError`, both naming ``where``."""
     array = np.asarray(array)
-    if array.dtype == dtype:
-        return array
     if np.issubdtype(array.dtype, np.floating):
         if array.size and not np.all(np.isfinite(array)):
             raise GraphFormatError(f"{where}: non-finite {what}")
@@ -108,7 +110,7 @@ def _coerce_integral(
         raise GraphFormatError(
             f"{where}: {what} has non-numeric dtype {array.dtype}"
         )
-    return array.astype(dtype)
+    return narrow(array, contract, where)
 
 
 def validate_csr_arrays(
@@ -121,8 +123,10 @@ def validate_csr_arrays(
     ``len(neighbors)``, and neighbor IDs non-negative and in range —
     raising :class:`GraphFormatError` tagged with ``where`` (typically
     the file path) instead of letting a later traversal hit a raw
-    ``IndexError``. Returns ``(offsets, neighbors)`` coerced to the
-    library's canonical int64/int32 dtypes.
+    ``IndexError``. Returns ``(offsets, neighbors)`` narrowed to the
+    ``csr.offsets``/``csr.neighbors`` width contracts (int64/int32); a
+    value past either raises :class:`~repro.errors.WidthContractError`
+    tagged with ``where``.
     """
     offsets = np.asarray(offsets)
     neighbors = np.asarray(neighbors)
@@ -130,9 +134,9 @@ def validate_csr_arrays(
         raise GraphFormatError(
             f"{where}: offsets and neighbors must be 1-D arrays"
         )
-    offsets = _coerce_integral(offsets, np.dtype(np.int64), "offsets", where)
+    offsets = _coerce_integral(offsets, "csr.offsets", "offsets", where)
     neighbors = _coerce_integral(
-        neighbors, np.dtype(np.int32), "neighbor IDs", where
+        neighbors, "csr.neighbors", "neighbor IDs", where
     )
     if len(offsets) == 0:
         raise GraphFormatError(f"{where}: offsets array is empty")
@@ -357,6 +361,7 @@ def load_edge_list(
     graph = from_edges_chunked(
         chunks,
         resolve_num_vertices=_directive_resolver(directives, num_vertices),
+        where=str(path),
     )
     assert isinstance(graph, CSRGraph)
     return graph
@@ -412,6 +417,7 @@ def load_weighted_edge_list(
         chunks,
         resolve_num_vertices=_directive_resolver(directives, num_vertices),
         with_payload=True,
+        where=str(path),
     )
     assert isinstance(result, tuple)
     return result
@@ -553,7 +559,9 @@ def load_matrix_market(
                     pairs = np.vstack([pairs, mirrored[:, ::-1]])
                 yield pairs
 
-    graph = from_edges_chunked(chunks, num_vertices=num_vertices)
+    graph = from_edges_chunked(
+        chunks, num_vertices=num_vertices, where=str(path)
+    )
     if seen["entries"] != nnz:
         raise GraphFormatError(
             f"{path}: size line declares {nnz} entries but file holds "

@@ -20,6 +20,7 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
+from ..sim.constants import narrow
 
 __all__ = [
     "AccessKind",
@@ -80,7 +81,9 @@ class MemoryTrace:
             self, "writes", np.ascontiguousarray(self.writes, bool)
         )
         object.__setattr__(
-            self, "vertices", np.ascontiguousarray(self.vertices, np.int32)
+            self,
+            "vertices",
+            narrow(self.vertices, "trace.vertex", "MemoryTrace"),
         )
 
     def __len__(self) -> int:
@@ -272,9 +275,8 @@ class TraceBuilder:
         self._addresses.append(addresses)
         self._pcs.append(np.broadcast_to(np.asarray(pc, np.uint8), (n,)))
         self._writes.append(np.broadcast_to(np.asarray(write, bool), (n,)))
-        self._vertices.append(
-            np.broadcast_to(np.asarray(vertex, np.int32), (n,))
-        )
+        vertex = narrow(vertex, "trace.vertex", "TraceBuilder")
+        self._vertices.append(np.broadcast_to(vertex, (n,)))
 
     def append_access(
         self, address: int, pc: int, write: bool, vertex: int

@@ -31,10 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import PolicyError
+from ..errors import PolicyError, WidthContractError
 from ..graph.csr import CSRGraph
 from ..sim.constants import (
     RM_VARIANTS,
+    narrow,
     rm_field_bits,
     rm_low_mask,
     rm_msb,
@@ -101,6 +102,24 @@ class RereferenceMatrix:
         self._msb = rm_msb(self.entry_bits)
         self._next_bit = rm_next_bit(self.entry_bits, self.variant)
         self._low_mask = rm_low_mask(self.entry_bits, self.variant)
+        # The rm.* width contracts: every entry fits entry_bits, the
+        # storage is the dtype narrow() picks for that width, and an
+        # entry can address every epoch column.
+        where = "RereferenceMatrix"
+        stored = narrow(
+            self.entries, "rm.entries", where, bits=self.entry_bits
+        )
+        if stored.dtype != self.entries.dtype:
+            raise WidthContractError(
+                "rm.entries", f"storage dtype {self.entries.dtype}", where,
+                f"{stored.dtype} storage of {self.entry_bits}-bit entries",
+            )
+        if self.num_epochs > 1 << self.entry_bits:
+            raise WidthContractError(
+                "rm.epoch_index", self.num_epochs, where,
+                f"the {1 << self.entry_bits} epoch columns a "
+                f"{self.entry_bits}-bit entry addresses",
+            )
 
     @cached_property
     def _rows(self):
@@ -294,7 +313,6 @@ def build_rereference_matrix(
     )
     if num_lines is None:
         num_lines = max(1, -(-n // elems_per_line))
-    dtype = np.uint16 if entry_bits > 8 else np.uint8
 
     # Per-edge reference events: element v is touched at outer vertex d.
     degrees = reference_graph.degrees()
@@ -312,7 +330,10 @@ def build_rereference_matrix(
 
     entries = _encode_entries(referenced, last_sub, entry_bits, variant)
     return RereferenceMatrix(
-        entries=entries.astype(dtype),
+        entries=narrow(
+            entries, "rm.entries", "build_rereference_matrix",
+            bits=entry_bits,
+        ),
         variant=variant,
         entry_bits=entry_bits,
         epoch_size=epoch_size,
@@ -399,7 +420,10 @@ def update_rereference_matrix(
     # Store entries may be a read-only mmap from the artifact store;
     # always materialize a private copy before scattering rows.
     new_entries = np.array(matrix.entries, copy=True)
-    new_entries[lines] = encoded.astype(new_entries.dtype)
+    new_entries[lines] = narrow(
+        encoded, "rm.entries", "update_rereference_matrix",
+        bits=matrix.entry_bits,
+    )
     return RereferenceMatrix(
         entries=new_entries,
         variant=matrix.variant,

@@ -10,13 +10,20 @@ class attributes), and :mod:`repro.sim.ckernels` compiles ``kernels.c``
 with one ``-DNAME=((int64_t)VALUE)`` flag per :data:`C_DEFINES` entry,
 so the C side has no copy of its own to fork.
 
-Nothing here imports anything from the package (no cycles): it is a
-leaf module of plain integers, tuples, and arithmetic helpers.
+It also declares the width contracts of the narrow fields
+(:data:`WIDTH_CONTRACTS`) and the one helper that enforces them where a
+value is narrowed (:func:`narrow`). The only package import is
+:mod:`repro.errors` (no cycles): this is a leaf module of plain
+integers, tuples, and small helpers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple, cast
+
+import numpy as np
+
+from ..errors import WidthContractError
 
 __all__ = [
     "saturating_max",
@@ -46,6 +53,7 @@ __all__ = [
     "HAWKEYE_COUNTER_INITIAL",
     "C_DEFINES",
     "WIDTH_CONTRACTS",
+    "narrow",
 ]
 
 
@@ -182,43 +190,38 @@ HAWKEYE_COUNTER_INITIAL = 4
 
 
 # ----------------------------------------------------------------------
-# Declared capacity contracts (simlint ``dtype`` + check_width_contracts)
+# Width contracts (checked wherever a value is narrowed)
 # ----------------------------------------------------------------------
 
 #: Every quantized field the simulator stores in a deliberately narrow
-#: dtype, with its declared storage and the width its values must fit.
+#: dtype: ``dtype`` lists the admissible storage dtypes, narrowest
+#: first; ``max_bits`` is the value width (``[0, 2^bits)`` for unsigned
+#: storage, ``[-2^bits, 2^bits)`` for signed); ``holds`` says what the
+#: field carries. :func:`narrow` enforces a contract at every cast into
+#: its storage, and the constructor of the type that carries the value
+#: re-checks it, on every run:
 #:
-#: Schema (all values statically evaluable — simlint's ``dtype`` family
-#: reads this table without importing the package):
-#:
-#: - ``dtype``   — admissible numpy storage dtypes, narrowest first;
-#: - ``max_bits``— hard ceiling on the *value* width (``check_width_
-#:   contracts`` asserts actual maxima fit; for RM entries the live
-#:   bound is ``entry_bits``, this is its admissible range's top);
-#: - ``binds``   — ``Class.attr`` fields carrying the contract (the
-#:   static ``dtype-overflow`` rule flags unguarded wide stores into
-#:   them by name);
-#: - ``guard``   — where the clamp/validation documented for the field
-#:   lives (the "documented guard" the lint accepts).
-#:
-#: :func:`repro.sim.widthcontracts.check_width_contracts` gives this
-#: table runtime teeth on sanitized runs.
+#: - ``rm.entries``, ``rm.epoch_index`` — ``RereferenceMatrix``
+#:   (storage dtype, entries below ``2^entry_bits``, epoch count); the
+#:   RM encode narrows through :func:`narrow`;
+#: - ``csr.offsets``, ``csr.neighbors`` — ``CSRGraph`` (and the graph
+#:   builders and file loaders, which narrow first and name their input);
+#: - ``trace.vertex`` — ``traversal_trace`` and ``MemoryTrace``;
+#:   ``CSRGraph`` keeps the vertex count below ``TOPT_NEVER``;
+#: - ``trace.next_use`` — ``PreparedRun`` (trace length below
+#:   ``POPT_STREAMING_NEXT_REF``).
 WIDTH_CONTRACTS: Dict[str, Dict[str, object]] = {
     "rm.entries": {
         "dtype": ("uint8", "uint16"),
         "max_bits": 16,
-        "binds": ("RereferenceMatrix.entries",),
         "holds": "Algorithm 2 entries: MSB flag | distance/sub-epoch "
                  "field, entry_bits in [3, 16]",
-        "guard": "np.minimum clamp to rm_sentinel in "
-                 "rereference._encode_entries",
     },
     "rm.epoch_index": {
         "dtype": ("int64",),
         "max_bits": 16,
         "holds": "epoch column index: num_epochs <= 2^entry_bits by "
                  "epoch_geometry construction",
-        "guard": "ceil-division geometry in rereference.epoch_geometry",
     },
     "trace.next_use": {
         "dtype": ("int64",),
@@ -226,33 +229,76 @@ WIDTH_CONTRACTS: Dict[str, Dict[str, object]] = {
         "holds": "LLC-visible next-use index; must stay below "
                  "POPT_STREAMING_NEXT_REF so the streaming rank "
                  "outranks every real distance",
-        "guard": "trace length checked against the sentinel in "
-                 "widthcontracts.check_width_contracts",
     },
     "trace.vertex": {
-        "dtype": ("int64",),
-        "max_bits": 40,
-        "holds": "outer-loop vertex ids; must stay below TOPT_NEVER "
-                 "so the never-again sentinel outranks every vertex",
-        "guard": "vertex range checked at graph build "
-                 "(builders.from_edges) and in check_width_contracts",
+        "dtype": ("int32",),
+        "max_bits": 31,
+        "holds": "outer-loop vertex id per access; int32 keeps every id "
+                 "below TOPT_NEVER, so the never-again sentinel outranks "
+                 "every vertex",
     },
     "csr.offsets": {
         "dtype": ("int64",),
         "max_bits": 62,
-        "binds": ("CSRGraph.offsets",),
         "holds": "CSR row offsets (edge counts)",
-        "guard": "monotonicity asserted in CSRGraph validation",
     },
     "csr.neighbors": {
         "dtype": ("int32",),
         "max_bits": 31,
-        "binds": ("CSRGraph.neighbors",),
-        "holds": "neighbor vertex ids; vertex count must fit int32",
-        "guard": "vertex-range validation in builders.from_edges / "
-                 "from_edges_chunked before the int32 cast",
+        "holds": "neighbor vertex ids",
     },
 }
+
+
+def _dtype_within(dtype: np.dtype, low: int, high: int) -> bool:
+    """True if every value of ``dtype`` lies in ``[low, high]``."""
+    if dtype.kind == "b":
+        return low <= 0 and high >= 1
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        return low <= int(info.min) and int(info.max) <= high
+    return False
+
+
+def narrow(
+    values, contract: str, where: str, bits: Optional[int] = None
+) -> np.ndarray:
+    """Cast ``values`` to ``contract``'s storage dtype, refusing any
+    value that does not fit.
+
+    ``bits`` narrows the contract's ``max_bits`` to a live width (a
+    Rereference Matrix's ``entry_bits``); the storage dtype is the
+    narrowest declared one that holds it. Inputs whose dtype already
+    lies inside the bound are cast without a scan; any other input costs
+    one vectorized min/max. Raises
+    :class:`~repro.errors.WidthContractError` naming the contract, the
+    offending value and ``where`` (the file path, for loaders). Returns
+    a C-contiguous array (``values`` itself when nothing changes).
+    """
+    spec = WIDTH_CONTRACTS[contract]
+    max_bits = cast(int, spec["max_bits"])
+    bits = max_bits if bits is None else int(bits)
+    if bits > max_bits:
+        raise WidthContractError(
+            contract, f"width {bits}", where, f"{max_bits} bits"
+        )
+    dtype = next(
+        np.dtype(name) for name in cast(Tuple[str, ...], spec["dtype"])
+        if np.iinfo(name).bits >= bits + (np.dtype(name).kind == "i")
+    )
+    low = -(1 << bits) if dtype.kind == "i" else 0
+    high = (1 << bits) - 1
+    values = np.asarray(values)
+    if values.size and not _dtype_within(values.dtype, low, high):
+        smallest, largest = values.min().item(), values.max().item()
+        if smallest < low or largest > high:
+            raise WidthContractError(
+                contract,
+                smallest if smallest < low else largest,
+                where,
+                f"{bits}-bit {dtype.name} [{low}, {high}]",
+            )
+    return np.asarray(values, dtype=dtype, order="C")
 
 
 # ----------------------------------------------------------------------

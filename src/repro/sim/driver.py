@@ -36,7 +36,6 @@ from ..popt.topt import TOPT
 from . import artifacts
 from .engine import ReplayEngine, llc_visible_next_use
 from .timing import TimingModel
-from .widthcontracts import check_prepared_contracts, check_width_contracts
 
 __all__ = [
     "SimResult",
@@ -157,7 +156,6 @@ def _build_popt_policy(
     variant: str,
     entry_bits: int,
     line_size: int,
-    width_report: Optional[Dict[str, int]] = None,
 ) -> Tuple[POPT, float]:
     """Instantiate P-OPT with per-stream Rereference Matrices.
 
@@ -165,13 +163,6 @@ def _build_popt_policy(
     prepared run and kept in ``prepared.matrices``: it depends on the
     reference graph, the stream's span and the encoding, never on the
     cache geometry, so every LLC point of a sweep reuses it.
-
-    With ``width_report`` (sanitized runs), each matrix — fresh or
-    reused — is passed through
-    :func:`~repro.sim.widthcontracts.check_width_contracts` (validation
-    that stored entries, storage dtype, and epoch count fit the declared
-    ``entry_bits`` encoding) and the measured maxima are merged into the
-    report.
     """
     start = time.perf_counter()  # simlint: allow[determinism-time]
     streams = []
@@ -187,12 +178,6 @@ def _build_popt_policy(
                 num_lines=irregular.span.num_lines,
             )
             prepared.matrices[memo_key] = matrix
-        if width_report is not None:
-            for key, value in check_width_contracts(matrix=matrix).items():
-                width_report[key] = (
-                    width_report.get(key, 0) + value if key == "checks"
-                    else max(width_report.get(key, 0), value)
-                )
         streams.append(PoptStream(span=irregular.span, matrix=matrix))
     elapsed = time.perf_counter() - start  # simlint: allow[determinism-time]
     return POPT(streams, line_size=line_size), elapsed
@@ -246,14 +231,6 @@ def simulate_prepared(
     reserved = 0
     preprocessing = 0.0
     popt_policy: Optional[POPT] = None
-    # Sanitized runs cross-validate the declared width contracts at
-    # replay setup (trace/sentinel headroom, CSR storage) and again at
-    # RM build time below; the checks are read-only, so sanitized
-    # results stay bit-identical.
-    width_report: Optional[Dict[str, int]] = (
-        check_prepared_contracts(prepared) if sanitizer is not None
-        else None
-    )
 
     if policy_name == "T-OPT":
         llc_policy = TOPT(prepared.irregular_streams, line_size=line_size)
@@ -264,8 +241,7 @@ def simulate_prepared(
             "P-OPT-SE": "single_epoch",
         }[policy_name]
         popt_policy, preprocessing = _build_popt_policy(
-            prepared, variant, entry_bits, line_size,
-            width_report=width_report,
+            prepared, variant, entry_bits, line_size
         )
         llc_policy = popt_policy
         if account_capacity:
@@ -388,8 +364,6 @@ def simulate_prepared(
             "interval": sanitizer.interval,
             **sanitizer.report.as_dict(),
         }
-        if width_report is not None:
-            details["width_contracts"] = dict(width_report)
     details["engine"] = {
         "name": engine,
         "kernel": kernel_used,

@@ -373,7 +373,7 @@ void k_brrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
     i64 *rrpv = ws + total;
     i64 *dirty = ws + 2 * total;
     i64 *filled = ws + 3 * total;
-    i64 k, w, dc = 0;
+    i64 k, dc = 0;
     for (k = 0; k < total; k++) { resident[k] = -1; rrpv[k] = rmax; dirty[k] = 0; }
     for (k = 0; k < num_sets; k++) filled[k] = 0;
     for (k = 0; k < n; k++) {

@@ -507,6 +507,14 @@ class TestRunner:
         module.write_text("import time\n\ndef f():\n    return time.time()\n")
         assert main([str(module), "--skip", "determinism"]) == 0
 
+    def test_dtype_family_is_unknown(self, capsys):
+        """Width contracts are enforced at runtime where values are
+        narrowed; there is no static ``dtype`` family to select."""
+        with pytest.raises(SystemExit) as info:
+            main(["--family", "dtype"])
+        assert info.value.code == 2
+        assert "invalid choice: 'dtype'" in capsys.readouterr().err
+
     def test_main_disable_abi_round_trip(self, tmp_path, capsys):
         # A sim/ directory whose kernels.c heap-allocates: the abi
         # family reports it, and ``--disable abi`` (the CI spelling,

@@ -17,13 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import scaled_hierarchy
+from repro.errors import WidthContractError
 from repro.graph import datasets
 from repro.graph.csr import CSRGraph
 from repro.popt import rereference
 from repro.popt.policy import POPT, PoptStream
 from repro.popt.rereference import _encode_entries, build_rereference_matrix
 from repro.popt.topt import TOPT, build_line_reference_csr
-from repro.sim import driver, parallel
+from repro.sim import artifacts, parallel
 from repro.sim.constants import rm_msb, rm_next_bit, rm_sentinel
 from repro.sim.driver import prepare_run, simulate_prepared
 from repro.sim.engine import ReplayEngine
@@ -258,34 +259,29 @@ class TestMatrixMemo:
                 expected.append((result.llc.misses, result.cycles))
         assert [(r["llc_misses"], r["cycles"]) for r in rows] == expected
 
-    def test_sanitized_memo_hits_report_width_contracts(
-        self, monkeypatch, count_builds
+    def test_stored_matrix_past_its_width_raises(
+        self, tmp_path, monkeypatch
     ):
-        checked = []
-        original = driver.check_width_contracts
-
-        def counting(matrix=None, **kwargs):
-            checked.append(matrix)
-            return original(matrix=matrix, **kwargs)
-
-        monkeypatch.setattr(driver, "check_width_contracts", counting)
-        prepared = tiny_prepared()
-        base = scaled_hierarchy("tiny")
-        reports = []
-        for ways in (base.llc.num_ways, 2 * base.llc.num_ways):
-            result = simulate_prepared(
-                prepared, "P-OPT", with_llc(base, num_ways=ways),
-                sanitize=True,
+        """A stored matrix whose entry does not fit entry_bits fails its
+        constructor on load, on a plain (unsanitized) replay."""
+        monkeypatch.setenv(artifacts.DIR_ENV, str(tmp_path / "arts"))
+        monkeypatch.setattr(artifacts, "_STORES", {})
+        hierarchy = scaled_hierarchy("tiny")
+        simulate_prepared(tiny_prepared(), "P-OPT", hierarchy, entry_bits=4)
+        stored = sorted(
+            (tmp_path / "arts" / artifacts.KIND_MATRIX).rglob("entries.npy")
+        )
+        assert stored
+        for path in stored:
+            entries = np.load(path)
+            entries[0, 0] = 1 << 4
+            np.save(path, entries)
+        with pytest.raises(WidthContractError) as info:
+            simulate_prepared(
+                tiny_prepared(), "P-OPT", hierarchy, entry_bits=4
             )
-            reports.append(result.details["width_contracts"])
-        streams = len(prepared.irregular_streams)
-        assert len(count_builds) == streams
-        # The second replay reuses the matrices and still checks them.
-        assert len(checked) == 2 * streams
-        assert checked[:streams] == checked[streams:]
-        assert reports[0] == reports[1]
-        assert "rm_entries_max" in reports[1]
-        assert "rm_num_epochs" in reports[1]
+        assert info.value.contract == "rm.entries"
+        assert info.value.value == 1 << 4
 
     def test_entry_bits_and_variant_are_separate_entries(self, count_builds):
         prepared = tiny_prepared()

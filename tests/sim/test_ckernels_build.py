@@ -123,6 +123,19 @@ class TestWorkingToolchain:
         assert ckernels.available()
         assert ckernels.build_error() is None
 
+    def test_kernels_compile_warning_free(self, toolchain):
+        """The shipped build, plus ``-Wall -Werror``. The runtime build
+        keeps its own flags, so a new compiler's warning fails this test
+        and never disables the kernels."""
+        result = subprocess.run(
+            [ckernels._compiler(), "-O2", "-shared", "-fPIC", "-Wall",
+             "-Werror", *ckernels._define_flags(), str(ckernels._SOURCE),
+             "-o", str(toolchain / "warnings.so")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+
 
 def _with_source(monkeypatch, tmp_path, old, new):
     """Point the loader at a copy of kernels.c with one edit."""
