@@ -12,17 +12,19 @@ cover the broken combination. Rule families:
 - ``registry``     — policy registry drift (unreachable/broken names)
 - ``determinism``  — unseeded RNGs, wall-clock reads, set-order
 - ``hotpath``      — per-access work creeping back into replay loops
-- ``kernels``      — replay-kernel dispatch coverage and loop hygiene
-- ``abi``          — the C dialect of ``kernels.c`` (parse + hygiene);
-  the ABI itself needs no lint, because ``ckernels`` derives the ctypes
-  signatures from ``kernels.c`` and passes ``constants.C_DEFINES`` as
-  ``-D`` flags
+- ``kernels``      — replay-kernel dispatch coverage and loop hygiene;
+  a ``kernels`` run also reports whether the compiled kernels build
+  and load
 - ``par``          — worker purity for process-parallel sweep workers
 
+``kernels.c`` itself is not linted: :mod:`repro.sim.ckernels` derives
+its ctypes signatures and passes ``constants.C_DEFINES`` as ``-D``
+flags, the freestanding link refuses external calls, and the loader
+refuses a ``.so`` with writable sections.
+
 See :mod:`repro.analysis.runner` for the CLI and
-``# simlint: allow[rule]`` pragmas for intentional exceptions (the same
-pragma works in C comments for ``kernels.c`` findings; pragmas naming
-unknown rules are themselves flagged).
+``# simlint: allow[rule]`` pragmas for intentional exceptions (pragmas
+naming unknown rules are themselves flagged).
 """
 
 from .findings import Finding, format_findings

@@ -23,7 +23,6 @@ __all__ = [
     "iter_python_files",
     "dotted_name",
     "pragma_allows",
-    "sim_module",
 ]
 
 #: A ``simlint: allow`` comment (rule names in square brackets,
@@ -107,18 +106,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return None
-
-
-def sim_module(
-    modules: Iterable[SourceModule], name: str
-) -> Optional[SourceModule]:
-    """The scanned module ``sim/<name>``, or None."""
-    for module in modules:
-        parts = module.path.parts
-        if module.path.name == name and len(parts) >= 2 \
-                and parts[-2] == "sim":
-            return module
     return None
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import FrozenSet, List, Optional, Sequence
 
-from .abi import ABI_RULES, check_abi
 from .astutil import _PRAGMA, SourceModule, iter_python_files, load_module
 from .contract import check_policy_contracts
 from .determinism import check_determinism
@@ -29,8 +28,7 @@ from .registry_drift import check_registry
 __all__ = ["SimlintConfig", "run_simlint", "main", "KNOWN_RULES"]
 
 RULE_FAMILIES = (
-    "policy", "determinism", "hotpath", "registry", "kernels", "abi",
-    "par",
+    "policy", "determinism", "hotpath", "registry", "kernels", "par",
 )
 
 #: Every rule id a suppression pragma may legally name. Pragmas naming
@@ -59,7 +57,6 @@ KNOWN_RULES = frozenset(
         "kernel-resolve",
     )
     + PAR_RULES
-    + ABI_RULES
     + RULE_FAMILIES
 )
 
@@ -154,8 +151,6 @@ def run_simlint(
         findings.extend(check_registry(modules))
     if "kernels" in families:
         findings.extend(check_kernels(modules))
-    if "abi" in families:
-        findings.extend(check_abi(modules, set(KNOWN_RULES)))
     if "par" in families:
         findings.extend(check_parsafety(modules))
     return _stable_findings(findings)
@@ -169,8 +164,8 @@ def _stable_findings(findings: Sequence[Finding]) -> List[Finding]:
     so exact duplicates collapse through the set and the total sort
     makes multi-family output byte-stable regardless of family
     execution order — CI diffs never churn on ordering. Findings that
-    differ only in message (e.g. two ``abi-c-hygiene`` external calls
-    on one C line) all survive.
+    differ only in message (e.g. ``time.time()`` and
+    ``time.perf_counter()`` on one line) all survive.
     """
     return sorted(
         set(findings), key=lambda f: (f.path, f.line, f.rule, f.message)
@@ -185,12 +180,13 @@ def _default_target() -> Path:
 def _ckernels_status() -> str:
     """One-line compiled-kernel availability report.
 
-    The ``abi`` rules check the C dialect *statically*; the loader
-    derives the ABI itself (signatures from ``kernels.c``, constants
-    from ``C_DEFINES``). This line reports whether that build and load
-    actually succeed — and if not, why (the recorded compiler or
-    signature diagnostic), so a broken toolchain or an untypeable
-    kernel is never a silent generic-engine fallback.
+    No lint checks ``kernels.c``: the loader derives the ABI
+    (signatures from ``kernels.c``, constants from ``C_DEFINES``), the
+    freestanding link refuses external calls and the section check
+    refuses mutable state. This line reports whether that build and
+    load actually succeed — and if not, why (the recorded compiler,
+    linker, section or signature diagnostic), so a broken toolchain or
+    an out-of-dialect kernel is never a silent generic-engine fallback.
     """
     from ..sim import ckernels
 
@@ -208,7 +204,6 @@ _FAMILY_PREFIXES = (
     ("policy-", "policy"),
     ("kernel-", "kernels"),
     ("par-", "par"),
-    ("abi-", "abi"),
 )
 
 
@@ -239,7 +234,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description="simlint: simulator-specific static analysis "
                     "(policy contracts, registry drift, determinism, "
-                    "hot-path hygiene, C kernel dialect, "
+                    "hot-path hygiene, kernel dispatch, "
                     "worker purity)",
     )
     parser.add_argument(
@@ -289,7 +284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "par" in families:
             modules, _ = _load_modules([Path(p) for p in paths])
             lines.extend(par_status_lines(modules))
-        if "abi" in families:
+        if "kernels" in families:
             lines.append(_ckernels_status())
         return lines
 

@@ -7,18 +7,32 @@ When this module reports the library unavailable,
 replays through the generic engine, and the private-level filter takes
 its numpy/Python path. Availability requires only a system C compiler
 (``cc``/``gcc``/``clang``, override with ``REPRO_CC``) — the shared
-object is built on first use with a plain ``cc -O2 -shared``
-invocation, cached under ``build/ckernels/`` keyed by a hash of the C
-source and the ``-D`` flags (so edits to either rebuild automatically,
-and concurrent workers racing the build land on the same file via an
-atomic rename), and loaded with :mod:`ctypes`. No third-party packaging
-or FFI dependency is involved.
+object is built on first use with one compile command (:data:`_CFLAGS`
+plus the ``-D`` flags), cached under ``build/ckernels/`` keyed by a
+hash of the C source and that whole command (so edits to the source,
+the flags or the compiler rebuild automatically, and concurrent workers
+racing the build land on the same file via an atomic rename), and
+loaded with :mod:`ctypes`. No third-party packaging or FFI dependency
+is involved.
+
+The kernel dialect (no heap, no external calls, no state kept between
+calls) is enforced by construction rather than by a linter:
+
+- calls: the object is freestanding and links against nothing
+  (``-ffreestanding -nostdlib -Wl,-z,defs``), so a libc, heap or any
+  other external call fails the link, naming the symbol and kernel;
+- state: before any ``.so`` is loaded — freshly built or a cache hit —
+  its ELF64 section headers are read, and an object with a writable
+  section other than ``.dynamic`` (a ``static`` counter's ``.bss`` or
+  ``.data``) is refused.
 
 The C boundary has one source of truth per side, so it cannot drift:
 
 - constants: every :data:`repro.sim.constants.C_DEFINES` entry is
   passed as ``-DNAME=((int64_t)VALUE)``; ``kernels.c`` defines none of
-  them itself, so a name missing from the registry fails the build;
+  them itself, so a name missing from the registry fails the build (and
+  a local ``#define`` of one is a "redefined" warning, which the
+  ``-Werror`` build in the test suite makes fatal);
 - signatures: the argtypes of every non-``static`` ``k_*`` function are
   derived from its definition in the source just compiled. Pointer
   parameters become C-contiguous :func:`numpy.ctypeslib.ndpointer`
@@ -27,8 +41,8 @@ The C boundary has one source of truth per side, so it cannot drift:
   marshalling garbage. A parameter outside ``[const] i64|u8|double [*]``
   (or a non-``void`` kernel) refuses to load, naming the kernel.
 
-A failed build is *not* silent: the compiler diagnostic is kept in
-:func:`build_error`, surfaced once as a ``RuntimeWarning``, and
+A failed build or refused load is *not* silent: the diagnostic is kept
+in :func:`build_error`, surfaced once as a ``RuntimeWarning``, and
 reported by ``python -m repro.analysis`` alongside the lint summary —
 the generic-engine fallback still engages, but never invisibly. To run
 without the compiled kernels on purpose (the no-toolchain equivalence
@@ -43,6 +57,7 @@ import hashlib
 import os
 import re
 import shutil
+import struct
 import subprocess
 import tempfile
 import warnings
@@ -68,6 +83,14 @@ __all__ = [
 CC_ENV = "REPRO_CC"
 
 _SOURCE = Path(__file__).with_name("kernels.c")
+
+#: Every flag of the kernel build except the ``-D`` flags: a
+#: freestanding C99 shared object that links against nothing, so any
+#: call the file does not define itself fails the link.
+_CFLAGS = (
+    "-O2", "-shared", "-fPIC", "-std=c99", "-ffreestanding", "-nostdlib",
+    "-Wl,-z,defs",
+)
 
 #: Tri-state cache: None = not tried yet, False = tried and unavailable,
 #: SimpleNamespace of typed ``k_*`` functions = loaded.
@@ -146,6 +169,11 @@ def _define_flags() -> List[str]:
     ]
 
 
+def _compile_args(cc: str) -> List[str]:
+    """The kernel build command without its input and output files."""
+    return [cc, *_CFLAGS, *_define_flags()]
+
+
 def build_dir() -> Path:
     """Where compiled kernels are cached (override: REPRO_CKERNELS_DIR)."""
     override = os.environ.get("REPRO_CKERNELS_DIR")
@@ -183,20 +211,76 @@ def _record_failure(reason: str) -> None:
     )
 
 
-def _so_path(source: bytes, flags: List[str]) -> Path:
-    """Cache path of the shared object built from ``source`` + ``flags``."""
-    digest = hashlib.sha256(source + "\0".join(flags).encode())
+def _so_path(source: bytes, args: List[str]) -> Path:
+    """Cache path of the shared object built from ``source`` by the
+    compile command ``args`` (compiler and every flag)."""
+    digest = hashlib.sha256(source + "\0".join(args).encode())
     return build_dir() / f"repro_kernels_{digest.hexdigest()[:16]}.so"
 
 
+#: The linker's context line before an undefined reference.
+_LINK_CONTEXT = re.compile(r"in function [`'](\w+)'")
+
+
 def _first_error_line(stderr: str) -> str:
-    """The compiler's first ``error`` line (gcc leads with an
-    ``In function`` context line), else its first line."""
+    """The diagnostic line that names the failure.
+
+    A link failure reports its first ``undefined reference`` line plus
+    the function the linker names before it (the ``collect2`` summary
+    names neither); otherwise the compiler's first ``error`` line (gcc
+    leads with an ``In function`` context line), else its first line.
+    """
     lines = stderr.splitlines()
+    function = None
+    for line in lines:
+        context = _LINK_CONTEXT.search(line)
+        if context is not None:
+            function = context.group(1)
+        elif "undefined reference" in line:
+            return line if function is None else \
+                f"{line} in function {function}"
     for line in lines:
         if "error" in line:
             return line
     return lines[0] if lines else "(no stderr)"
+
+
+#: ELF section-header flag: the section is writable at run time.
+_SHF_WRITE = 0x1
+
+
+def _writable_sections(image: bytes) -> List[str]:
+    """Names of the writable sections of an ELF64 object, bar ``.dynamic``.
+
+    ``.dynamic`` is the loader's own table; any other writable section
+    (``.data``, ``.bss``) is state a kernel could keep between calls.
+    Raises ValueError when ``image`` is not an ELF64 object.
+    """
+    if image[:5] != b"\x7fELF\x02" or image[5] not in (1, 2):
+        raise ValueError("not an ELF64 object")
+    order = "<" if image[5] == 1 else ">"
+    try:
+        (shoff,) = struct.unpack_from(order + "Q", image, 0x28)
+        entsize, count, names_index = struct.unpack_from(
+            order + "HHH", image, 0x3A
+        )
+        # sh_name, sh_type, sh_flags, sh_addr, sh_offset
+        headers = [
+            struct.unpack_from(order + "IIQQQ", image, shoff + i * entsize)
+            for i in range(count)
+        ]
+        names_at = headers[names_index][4]
+        writable = []
+        for name_off, _, flags, _, _ in headers:
+            start = names_at + name_off
+            name = image[start:image.index(b"\0", start)].decode(
+                "ascii", "replace"
+            )
+            if flags & _SHF_WRITE and name != ".dynamic":
+                writable.append(name)
+    except (struct.error, IndexError, ValueError) as exc:
+        raise ValueError(f"malformed ELF64 section table ({exc})") from exc
+    return writable
 
 
 def _unlink_quietly(path: str) -> None:
@@ -220,8 +304,8 @@ def _build() -> Optional[SimpleNamespace]:
     except ValueError as exc:
         _record_failure(str(exc))
         return None
-    flags = _define_flags()
-    so_path = _so_path(source, flags)
+    args = _compile_args(cc)
+    so_path = _so_path(source, args)
     out_dir = so_path.parent
     if not so_path.exists():
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,8 +313,7 @@ def _build() -> Optional[SimpleNamespace]:
         os.close(fd)
         try:
             subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", *flags, str(_SOURCE),
-                 "-o", tmp],
+                [*args, str(_SOURCE), "-o", tmp],
                 check=True,
                 capture_output=True,
             )
@@ -247,6 +330,17 @@ def _build() -> Optional[SimpleNamespace]:
             _record_failure(f"could not run {cc}: {exc}")
             _unlink_quietly(tmp)
             return None
+    try:
+        writable = _writable_sections(so_path.read_bytes())
+    except (OSError, ValueError) as exc:
+        _record_failure(f"could not check {so_path.name}: {exc}")
+        return None
+    if writable:
+        _record_failure(
+            f"{so_path.name} has writable sections {', '.join(writable)}: "
+            f"kernels may keep no state between calls"
+        )
+        return None
     try:
         cdll = ctypes.CDLL(str(so_path))
     except OSError as exc:
@@ -284,8 +378,9 @@ def build_error() -> Optional[str]:
     """Why the compiled kernels are unavailable, or None.
 
     Populated by the first failed :func:`lib` attempt (compiler exit
-    status + first stderr line mentioning ``error``, an untypeable
-    kernel signature, missing toolchain, or dlopen failure);
+    status + the undefined reference or first stderr line mentioning
+    ``error``, an untypeable kernel signature, a ``.so`` with writable
+    sections, missing toolchain, or dlopen failure);
     stays None while the compiled path works or was never tried.
     """
     return _BUILD_ERROR

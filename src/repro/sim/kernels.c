@@ -24,11 +24,13 @@
  * repro.sim.constants.C_DEFINES entry as a -D flag, so the bit layouts
  * have one definition, on the Python side.
  *
- * Determinism discipline (enforced by simlint `abi-c-hygiene`): no
- * heap allocation (every kernel's scratch is carved from a caller-
- * provided int64 workspace `ws` and fully initialized here), no
- * mutable file-scope state, no library calls beyond arithmetic, and
- * every loop bound derives from a parameter.
+ * Determinism discipline, enforced by how the file is built and
+ * loaded: no heap allocation or other external calls (the object is
+ * freestanding and linked with -nostdlib -Wl,-z,defs, so any call this
+ * file does not define fails the link), and no mutable state, at file
+ * or function scope (the loader refuses a .so with a writable section
+ * such as .data or .bss). Every kernel's scratch is carved from a
+ * caller-provided int64 workspace `ws` and fully initialized here.
  *
  * Randomness: BRRIP/DRRIP consume `random.Random` draws in fill order.
  * Reproducing the Mersenne Twister here would couple this file to

@@ -515,24 +515,19 @@ class TestRunner:
         assert info.value.code == 2
         assert "invalid choice: 'dtype'" in capsys.readouterr().err
 
-    def test_main_disable_abi_round_trip(self, tmp_path, capsys):
-        # A sim/ directory whose kernels.c heap-allocates: the abi
-        # family reports it, and ``--disable abi`` (the CI spelling,
-        # alias of --skip) makes the same tree lint clean.
-        sim = tmp_path / "sim"
-        sim.mkdir()
-        (sim / "ckernels.py").write_text("KERNELS = 'kernels.c'\n")
-        (sim / "kernels.c").write_text(
-            "#include <stdint.h>\n\n"
-            "void k_ghost(int64_t *ws)\n{\n"
-            "    ws[0] = (int64_t)malloc(8);\n}\n"
-        )
-        assert main([str(sim)]) == 1
-        out = capsys.readouterr().out
-        assert "[abi-c-hygiene]" in out
-        assert "ckernels:" in out
-        assert main([str(sim), "--disable", "abi", "--quiet"]) == 0
-        assert capsys.readouterr().out == ""
+    def test_abi_family_is_unknown(self, capsys):
+        """The kernel dialect is enforced by the compiler, the linker
+        and the loader; there is no static ``abi`` family to select."""
+        with pytest.raises(SystemExit) as info:
+            main(["--family", "abi"])
+        assert info.value.code == 2
+        assert "invalid choice: 'abi'" in capsys.readouterr().err
+
+    def test_kernels_family_reports_ckernels(self, capsys):
+        assert main([str(SRC_REPRO / "sim"), "--family", "kernels"]) == 0
+        assert "ckernels:" in capsys.readouterr().out
+        assert main([str(SRC_REPRO / "sim"), "--skip", "kernels"]) == 0
+        assert "ckernels:" not in capsys.readouterr().out
 
     def test_main_exit_zero_on_clean_tree(self, capsys):
         """The shipped package lints clean — the CI lint job's contract."""
@@ -566,7 +561,7 @@ class TestRunner:
 
     def test_same_site_distinct_messages_survive(self):
         """Dedup is exact-identity: two findings differing only in
-        message (two external calls on one C line) both survive."""
+        message (two wall-clock reads on one line) both survive."""
         from repro.analysis.runner import _stable_findings
 
         pair = [

@@ -9,6 +9,9 @@ can report it.
 The boundary itself is derived, not declared: argtypes come from the
 ``k_*`` definitions in ``kernels.c`` and constants from ``C_DEFINES``,
 so a bad call raises at the call and a bad definition refuses to load.
+The kernel dialect is enforced the same way: an external call fails the
+freestanding link, and a ``.so`` with mutable state is refused before
+it loads.
 """
 
 import ctypes
@@ -125,16 +128,20 @@ class TestWorkingToolchain:
 
     def test_kernels_compile_warning_free(self, toolchain):
         """The shipped build, plus ``-Wall -Werror``. The runtime build
-        keeps its own flags, so a new compiler's warning fails this test
+        has no ``-Werror``, so a new compiler's warning fails this test
         and never disables the kernels."""
-        result = subprocess.run(
-            [ckernels._compiler(), "-O2", "-shared", "-fPIC", "-Wall",
-             "-Werror", *ckernels._define_flags(), str(ckernels._SOURCE),
-             "-o", str(toolchain / "warnings.so")],
-            capture_output=True,
-            text=True,
-        )
+        result = _compile_werror(ckernels._SOURCE, toolchain)
         assert result.returncode == 0, result.stderr
+
+
+def _compile_werror(source, out_dir):
+    """The loader's compile command plus ``-Wall -Werror``."""
+    return subprocess.run(
+        [*ckernels._compile_args(ckernels._compiler()), "-Wall", "-Werror",
+         str(source), "-o", str(out_dir / "werror.so")],
+        capture_output=True,
+        text=True,
+    )
 
 
 def _with_source(monkeypatch, tmp_path, old, new):
@@ -224,13 +231,145 @@ class TestDerivedBoundary:
         assert "TOPT_NEVER" in (ckernels.build_error() or "")
 
 
+#: Seeded kernels go right after the typedefs they use.
+_TYPEDEFS = "typedef uint8_t u8;\n"
+
+
+class TestDialect:
+    """Each dialect rule has one enforcer: the link, the section check
+    on load, or the ``-Werror`` build."""
+
+    def test_shipped_build_is_freestanding(self, toolchain):
+        """The shipped kernels link against nothing: the build command
+        carries the dialect flags and still succeeds."""
+        args = ckernels._compile_args(ckernels._compiler())
+        for flag in ("-std=c99", "-ffreestanding", "-nostdlib",
+                     "-Wl,-z,defs"):
+            assert flag in args
+        assert ckernels.lib() is not None, ckernels.build_error()
+
+    def test_shipped_kernels_have_no_writable_section(self, toolchain):
+        """The object built from the shipped source is the baseline of
+        the section check: no writable section but ``.dynamic``."""
+        assert ckernels.lib() is not None, ckernels.build_error()
+        so = ckernels._so_path(
+            ckernels._SOURCE.read_bytes(),
+            ckernels._compile_args(ckernels._compiler()),
+        )
+        assert so.is_file()
+        assert ckernels._writable_sections(so.read_bytes()) == []
+
+    @pytest.mark.parametrize("seed, symbol", [
+        ("void *malloc(unsigned long);\n"
+         "void k_leak(i64 *ws) { ws[0] = (i64)malloc(8); }\n", "malloc"),
+        ("i64 helper(i64 x);\n"
+         "void k_leak(i64 *ws) { ws[0] = helper(ws[0]); }\n", "helper"),
+        ("#include <string.h>\n"
+         "void k_leak(i64 *ws) { memset(ws, 0, 8); }\n", "memset"),
+    ], ids=["malloc", "external", "include"])
+    def test_external_call_fails_the_link(
+        self, toolchain, tmp_path, monkeypatch, seed, symbol
+    ):
+        _with_source(monkeypatch, tmp_path, _TYPEDEFS, _TYPEDEFS + seed)
+        with pytest.warns(RuntimeWarning, match=symbol):
+            assert ckernels.lib() is None
+        error = ckernels.build_error() or ""
+        assert f"undefined reference to `{symbol}'" in error
+        assert "k_leak" in error
+
+    @pytest.mark.parametrize("seed, section", [
+        ("static i64 calls;\n"
+         "void k_count(i64 *ws) { ws[0] = ++calls; }\n", ".bss"),
+        ("static i64 calls = 3;\n"
+         "void k_count(i64 *ws) { ws[0] = ++calls; }\n", ".data"),
+        ("void k_count(i64 *ws) { static i64 calls; ws[0] = ++calls; }\n",
+         ".bss"),
+    ], ids=["file-scope", "initialized", "function-scope"])
+    def test_mutable_state_is_refused(
+        self, toolchain, tmp_path, monkeypatch, seed, section
+    ):
+        _with_source(monkeypatch, tmp_path, _TYPEDEFS, _TYPEDEFS + seed)
+        with pytest.warns(RuntimeWarning, match="writable sections"):
+            assert ckernels.lib() is None
+        error = ckernels.build_error() or ""
+        assert section in error
+        assert error.startswith("repro_kernels_")
+
+    def test_static_const_table_loads(
+        self, toolchain, tmp_path, monkeypatch
+    ):
+        _with_source(
+            monkeypatch, tmp_path, _TYPEDEFS,
+            _TYPEDEFS + "static const i64 lut[2] = {5, 7};\n"
+            "void k_lut(i64 *ws) { ws[0] = lut[ws[0] & 1]; }\n",
+        )
+        clib = ckernels.lib()
+        assert clib is not None, ckernels.build_error()
+        ws = np.array([1], dtype=np.int64)
+        clib.k_lut(ws)
+        assert ws[0] == 7
+
+    def test_redefined_constant_fails_werror_build(
+        self, toolchain, tmp_path
+    ):
+        source = ckernels._SOURCE.read_text(encoding="utf-8")
+        seeded = tmp_path / "kernels.c"
+        seeded.write_text(
+            source.replace(_TYPEDEFS, _TYPEDEFS + "#define TOPT_NEVER 5\n", 1),
+            encoding="utf-8",
+        )
+        result = _compile_werror(seeded, tmp_path)
+        assert result.returncode != 0
+        assert "TOPT_NEVER" in result.stderr
+        assert "redefined" in result.stderr
+
+    @pytest.mark.parametrize("image", [
+        b"#!/bin/sh\n", b"\x7fELF\x02\x01" + bytes(10),
+    ], ids=["not-elf", "truncated"])
+    def test_unreadable_section_table_raises(self, image):
+        with pytest.raises(ValueError, match="ELF64"):
+            ckernels._writable_sections(image)
+
+    def test_stale_hosted_object_is_refused(self, toolchain):
+        """A ``.so`` with libc's writable sections never loads, even as
+        a cache hit under the current name."""
+        cc = ckernels._compiler()
+        so = ckernels._so_path(
+            ckernels._SOURCE.read_bytes(), ckernels._compile_args(cc)
+        )
+        subprocess.run(
+            [cc, "-O2", "-shared", "-fPIC", *ckernels._define_flags(),
+             str(ckernels._SOURCE), "-o", str(so)],
+            check=True, capture_output=True,
+        )
+        with pytest.warns(RuntimeWarning, match="writable sections"):
+            assert ckernels.lib() is None
+        assert so.name in (ckernels.build_error() or "")
+
+
 class TestSoDigest:
+    def _path(self):
+        return ckernels._so_path(
+            ckernels._SOURCE.read_bytes(), ckernels._compile_args("cc")
+        )
+
     def test_define_value_changes_the_digest(self, monkeypatch):
-        source = ckernels._SOURCE.read_bytes()
-        before = ckernels._so_path(source, ckernels._define_flags())
+        before = self._path()
         monkeypatch.setitem(
             ckernels.C_DEFINES, "SHIP_SHCT_MAX",
             ckernels.C_DEFINES["SHIP_SHCT_MAX"] + 1,
         )
-        after = ckernels._so_path(source, ckernels._define_flags())
-        assert before != after
+        assert self._path() != before
+
+    def test_compile_command_changes_the_digest(self, monkeypatch):
+        """The whole command is hashed, so an object built with other
+        flags or another compiler is never picked up as a cache hit."""
+        before = self._path()
+        source = ckernels._SOURCE.read_bytes()
+        assert ckernels._so_path(source, ckernels._compile_args("clang")) \
+            != before
+        monkeypatch.setattr(
+            ckernels, "_CFLAGS",
+            tuple(f for f in ckernels._CFLAGS if f != "-ffreestanding"),
+        )
+        assert self._path() != before
