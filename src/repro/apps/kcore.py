@@ -10,7 +10,7 @@ the frontier of vertices being peeled.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,11 +25,13 @@ __all__ = ["KCore", "kcore_reference"]
 
 
 def kcore_reference(
-    graph: CSRGraph,
+    graph: CSRGraph, *, undirected: Optional[CSRGraph] = None
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """(coreness vector, per-round peel masks) over the undirected
-    closure."""
-    undirected = symmetrize(graph)
+    closure; a caller that already holds ``symmetrize(graph)`` passes it
+    as ``undirected``."""
+    if undirected is None:
+        undirected = symmetrize(graph)
     n = undirected.num_vertices
     degree = undirected.degrees().astype(np.int64).copy()
     edge_src = np.repeat(
@@ -74,8 +76,8 @@ class KCore(GraphApp):
     def prepare(
         self, graph: CSRGraph, line_size: int = 64, **params
     ) -> PreparedRun:
-        coreness, peel_masks = kcore_reference(graph)
         undirected = symmetrize(graph)
+        coreness, peel_masks = kcore_reference(graph, undirected=undirected)
         n = undirected.num_vertices
 
         layout = AddressSpace(line_size=line_size)

@@ -10,7 +10,7 @@ stream — gated by the undecided-frontier bit-vector (Table II: 4 B &
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -27,13 +27,20 @@ UNDECIDED, IN_SET, OUT_OF_SET = 0, 1, 2
 
 
 def mis_reference(
-    graph: CSRGraph, seed: int = 11, max_rounds: int = 64
+    graph: CSRGraph,
+    seed: int = 11,
+    max_rounds: int = 64,
+    *,
+    undirected: Optional[CSRGraph] = None,
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """(status vector, per-round undecided masks) for Luby's algorithm.
 
-    Independence is evaluated on the undirected closure, as MIS requires.
+    Independence is evaluated on the undirected closure, as MIS requires;
+    a caller that already holds ``symmetrize(graph)`` passes it as
+    ``undirected``.
     """
-    undirected = symmetrize(graph)
+    if undirected is None:
+        undirected = symmetrize(graph)
     n = undirected.num_vertices
     rng = np.random.default_rng(seed)
     priority = rng.permutation(n)
@@ -80,8 +87,8 @@ class MaximalIndependentSet(GraphApp):
     def prepare(
         self, graph: CSRGraph, line_size: int = 64, **params
     ) -> PreparedRun:
-        status, round_masks = mis_reference(graph)
         undirected = symmetrize(graph)
+        status, round_masks = mis_reference(graph, undirected=undirected)
         n = undirected.num_vertices
         csc = undirected.transpose()  # symmetric: same shape either way
 

@@ -43,6 +43,17 @@ def _as_edge_array(edges) -> np.ndarray:
     return array
 
 
+def _check_packable(num_vertices: int, where: str) -> None:
+    """Refuse a vertex count whose IDs overflow ``csr.neighbors``.
+
+    The builders sort edges on the packed key ``src * num_vertices +
+    dst``; with every ID inside the 31-bit contract the key stays below
+    ``2**62`` and never wraps int64. Checked before anything is sized
+    by ``num_vertices``.
+    """
+    narrow(np.int64(num_vertices - 1), "csr.neighbors", where)
+
+
 def from_edges(
     edges,
     num_vertices: Optional[int] = None,
@@ -67,18 +78,22 @@ def from_edges(
             raise GraphFormatError(
                 f"vertex ID {int(array.max())} exceeds num_vertices={num_vertices}"
             )
-    if dedup and len(array):
-        array = np.unique(array, axis=0)
-    sources = array[:, 0]
-    destinations = array[:, 1]
+    _check_packable(num_vertices, "from_edges")
+    # One int64 key per edge, ordered by (src, dst): sorting it sorts the
+    # edges and puts repeats side by side. (Sort plus a mask dedups
+    # ~20x faster than np.unique, which hashes first on numpy 2.4.)
+    key = np.sort(array[:, 0] * num_vertices + array[:, 1])
+    if dedup and len(key):
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    sources = key // num_vertices
     counts = np.bincount(sources, minlength=num_vertices).astype(
         np.int64, copy=False
     )
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    # Sort edges by (src, dst) so neighbor lists come out sorted.
-    order = np.lexsort((destinations, sources))
-    neighbors = narrow(destinations[order], "csr.neighbors", "from_edges")
+    neighbors = narrow(
+        key - sources * num_vertices, "csr.neighbors", "from_edges"
+    )
     return CSRGraph(offsets=offsets, neighbors=neighbors)
 
 
@@ -169,6 +184,7 @@ def from_edges_chunked(
         raise GraphFormatError(
             f"vertex ID {max_id} exceeds num_vertices={num_vertices}"
         )
+    _check_packable(num_vertices, where)
 
     full_counts = np.zeros(num_vertices, dtype=np.int64)
     full_counts[: min(len(counts), num_vertices)] = counts[:num_vertices]
@@ -192,11 +208,18 @@ def from_edges_chunked(
                 "edge stream changed between the counting and placement "
                 "passes"
             )
-        order = np.argsort(edges[:, 0], kind="stable")
-        sources = edges[order, 0]
-        uniq, group_start, group_count = np.unique(
-            sources, return_index=True, return_counts=True
+        # Stable grouping by source: the key source * count + position
+        # is unique, so a plain sort orders by source, then stream
+        # position (several times faster than a stable argsort).
+        count = len(edges)
+        sources, order = np.divmod(
+            np.sort(edges[:, 0] * count + np.arange(count)), count
         )
+        group_start = np.flatnonzero(
+            np.concatenate(([True], sources[1:] != sources[:-1]))
+        )
+        group_count = np.diff(group_start, append=len(sources))
+        uniq = sources[group_start]
         ranks = np.arange(len(sources), dtype=np.int64) - np.repeat(
             group_start, group_count
         )
@@ -210,18 +233,24 @@ def from_edges_chunked(
             "edge stream changed between the counting and placement passes"
         )
 
-    # Final in-segment sort: sources are already non-decreasing, so a
-    # stable lexsort keyed (source, neighbor) only reorders within each
-    # neighbor list — parallel edges keep stream order, matching
-    # ``from_edges``'s global lexsort exactly.
+    # Final in-segment sort on the packed (source, neighbor) key. Sources
+    # are already non-decreasing, so sorting the key only reorders within
+    # each neighbor list. A payload needs a stable argsort, so parallel
+    # edges keep stream order (and each weight its edge), matching
+    # ``from_edges`` exactly.
     if total:
-        sources_all = np.repeat(
-            np.arange(num_vertices, dtype=np.int32), full_counts
+        row_base = np.repeat(
+            np.arange(num_vertices, dtype=np.int64) * num_vertices,
+            full_counts,
         )
-        order_all = np.lexsort((neighbors, sources_all))
-        neighbors = neighbors[order_all]
-        if payload_out is not None:
+        key = row_base + neighbors
+        if payload_out is None:
+            key.sort()
+        else:
+            order_all = np.argsort(key, kind="stable")
+            key = key[order_all]
             payload_out = payload_out[order_all]
+        neighbors = narrow(key - row_base, "csr.neighbors", where)
     graph = CSRGraph(offsets=offsets, neighbors=neighbors)
     if with_payload:
         assert payload_out is not None

@@ -142,12 +142,13 @@ class CSRGraph:
         )
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        # Stable sort of edges by destination groups reversed edges in
-        # offset order; stability keeps each group's sources ascending, so
-        # the transpose's neighbor lists come out sorted without extra work.
-        sources = np.repeat(np.arange(n, dtype=np.int32), self.degrees())
-        order = np.argsort(self.neighbors, kind="stable")
-        neighbors = sources[order]
+        # Sorting the packed key neighbor * n + source groups reversed
+        # edges in offset order with each group's sources ascending, so
+        # the transpose's neighbor lists come out sorted. (A plain sort of
+        # the key runs several times faster than a stable argsort.)
+        sources = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
+        key = np.sort(self.neighbors.astype(np.int64) * n + sources)
+        neighbors = narrow(key % n, "csr.neighbors", "CSRGraph.transpose")
         transposed = CSRGraph(offsets=offsets, neighbors=neighbors)
         transposed._transpose_cache.append(self)
         return transposed

@@ -18,6 +18,11 @@ Synthetic-size specs ``NAME@N`` (e.g. ``URAND@65536``) build a named
 generator at exactly ``N`` vertices instead of a scale profile's count;
 ``scale`` is ignored for them (Fig. 11 sweeps graph size this way).
 
+:func:`load` keeps the last :data:`GRAPH_MEMO_SIZE` graphs per process,
+with read-only arrays, so a sweep that crosses every app with every
+graph builds each graph once. A ``file:`` entry is keyed on the file's
+``(abspath, mtime_ns, size)`` signature, so an edited file reloads.
+
 ==========  =======================  ==========================================
 Paper name  Structural class         Stand-in generator
 ==========  =======================  ==========================================
@@ -35,10 +40,13 @@ HBUBL       bounded degree, high     :func:`repro.graph.generators.bounded_degre
 
 from __future__ import annotations
 
+import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..errors import GraphFormatError
+from ..sim import worker_state
 from . import generators
 from .csr import CSRGraph
 
@@ -48,6 +56,7 @@ __all__ = [
     "PAPER_GRAPHS",
     "EXTENDED_GRAPHS",
     "FILE_PREFIX",
+    "GRAPH_MEMO_SIZE",
     "is_file_spec",
     "file_spec_path",
     "graph_names",
@@ -187,13 +196,58 @@ def graph_names() -> List[str]:
     return [spec.name for spec in PAPER_GRAPHS]
 
 
+#: Graphs :func:`load` keeps per process. Sweeps expand units app-major,
+#: so an LRU with fewer slots than a spec has graphs would miss on every
+#: access; the largest figure spec (Figs. 12a/12b) crosses 6 graphs.
+GRAPH_MEMO_SIZE = 8
+
+_GRAPH_MEMO: "OrderedDict[Tuple[object, ...], CSRGraph]" = OrderedDict()
+
+worker_state.register_worker_state(
+    "repro.graph.datasets._GRAPH_MEMO",
+    kind="cache",
+    note="per-process graph LRU keyed by (name, scale, seed) or a file's "
+         "(abspath, mtime_ns, size); graphs are seed-deterministic and "
+         "their arrays read-only, so sharing one across tasks is safe",
+)
+
+
 def load(name: str, scale: str = "small", seed: int = 42) -> CSRGraph:
     """Load the graph for a spec: a name, ``NAME@N`` or ``file:<path>``.
 
     For ``file:`` specs the file's topology is what it is — ``scale``
     and ``seed`` are ignored. ``NAME@N`` builds ``NAME``'s generator at
-    ``N`` vertices with ``seed``, ignoring ``scale``.
+    ``N`` vertices with ``seed``, ignoring ``scale``. The result may be
+    shared with earlier and later callers, so its arrays are read-only.
     """
+    if is_file_spec(name):
+        path = file_spec_path(name)
+        try:
+            stat = os.stat(path)
+        except OSError:
+            raise GraphFormatError(
+                f"{path}: graph file does not exist"
+            ) from None
+        key: Tuple[object, ...] = (
+            FILE_PREFIX, os.path.abspath(path), stat.st_mtime_ns,
+            stat.st_size,
+        )
+    else:
+        key = (name, scale, seed)
+    graph = _GRAPH_MEMO.get(key)
+    if graph is None:
+        graph = _build(name, scale, seed)
+        graph.offsets.setflags(write=False)
+        graph.neighbors.setflags(write=False)
+        _GRAPH_MEMO[key] = graph
+        while len(_GRAPH_MEMO) > GRAPH_MEMO_SIZE:
+            _GRAPH_MEMO.popitem(last=False)
+    else:
+        _GRAPH_MEMO.move_to_end(key)
+    return graph
+
+
+def _build(name: str, scale: str, seed: int) -> CSRGraph:
     if is_file_spec(name):
         from . import io
 

@@ -196,7 +196,12 @@ def random_delta(
             "cannot insert non-self-loop edges into a <2-vertex graph"
         )
     rng = np.random.default_rng(seed)
-    distinct = np.unique(graph.edge_array().astype(np.int64), axis=0)
+    # Distinct edges in (src, dst) order, deduplicated on the packed key.
+    n = graph.num_vertices
+    edges = graph.edge_array().astype(np.int64)
+    distinct = np.column_stack(
+        np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n)
+    )
     take = min(num_deletions, len(distinct))
     chosen = rng.choice(len(distinct), size=take, replace=False)
     deletions = distinct[chosen]

@@ -11,7 +11,8 @@ Formats:
 
 Text loaders parse in fixed-size byte blocks: each block is normalized
 (CRLF and lone ``\\r`` endings, tab or space separators), comment lines
-are filtered, and the surviving tokens are converted with one vectorized
+are cut out (found with ``bytes.find``, so only they are visited), and
+the surviving tokens are converted with one vectorized
 ``np.array(block.split(), dtype=...)`` call — no per-line Python loop.
 The trailing partial line of every block carries into the next, so
 blocks always cover whole lines. CSR construction streams the chunks
@@ -35,6 +36,7 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
+    NoReturn,
     Optional,
     Tuple,
     Union,
@@ -207,46 +209,55 @@ def _scan_directive(comment: bytes, directives: Dict[str, int]) -> None:
             pass
 
 
+def _strip_comments(block: bytes, directives: Dict[str, int]) -> bytes:
+    """Cut the lines whose first non-blank byte is a comment prefix.
+
+    Only comment lines are visited: ``bytes.find`` jumps to each prefix
+    byte and ``rfind`` checks that nothing but blanks precedes it on its
+    line, so a block of plain edge lines costs one ``find`` per prefix.
+    ``# vertices N`` directives are scanned on the cut lines, in file
+    order.
+    """
+    cuts = []
+    for prefix in _COMMENT_PREFIXES:
+        at = block.find(prefix)
+        while at >= 0:
+            start = block.rfind(b"\n", 0, at) + 1
+            end = block.find(b"\n", at)
+            end = len(block) if end < 0 else end
+            if not block[start:at].strip():
+                cuts.append((start, at, end))
+            at = block.find(prefix, end)
+    if not cuts:
+        return block
+    kept = []
+    done = 0
+    for start, at, end in sorted(cuts):
+        _scan_directive(block[at:end], directives)
+        kept.append(block[done:start])
+        done = end
+    kept.append(block[done:])
+    return b"".join(kept)
+
+
 def _block_tokens(
-    block: bytes,
-    path: PathLike,
-    directives: Dict[str, int],
-    dtype: np.dtype,
+    block: bytes, directives: Dict[str, int], dtype: np.dtype
 ) -> Optional[np.ndarray]:
-    """Tokenize one block of whole lines into a flat numeric array."""
+    """Tokenize one block of whole lines into a flat numeric array.
+
+    A token that does not parse as ``dtype`` raises ``ValueError`` or
+    ``OverflowError``; the caller re-scans the file for its line.
+    """
     block = block.replace(b"\r", b"\n")  # CRLF / bare-CR dumps
-    if any(prefix in block for prefix in _COMMENT_PREFIXES):
-        kept = []
-        for line in block.split(b"\n"):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped[:1] in _COMMENT_PREFIXES:
-                _scan_directive(stripped, directives)
-                continue
-            kept.append(line)
-        if not kept:
-            return None
-        block = b"\n".join(kept)
-    tokens = block.split()
+    tokens = _strip_comments(block, directives).split()
     if not tokens:
         return None
-    try:
-        return np.array(tokens, dtype=dtype)
-    except (ValueError, OverflowError):
-        raise GraphFormatError(
-            f"{path}: non-numeric token in edge data"
-        ) from None
+    return np.array(tokens, dtype=dtype)
 
 
-def _iter_token_blocks(
-    handle: BinaryIO,
-    path: PathLike,
-    directives: Dict[str, int],
-    chunk_bytes: int,
-    dtype: np.dtype,
-) -> Iterator[np.ndarray]:
-    """Yield token arrays from fixed-size blocks covering whole lines."""
+def _line_blocks(handle: BinaryIO, chunk_bytes: int) -> Iterator[bytes]:
+    """Fixed-size blocks of ``handle`` cut back to whole lines; the
+    trailing partial line carries into the next block."""
     carry = b""
     while True:
         block = handle.read(chunk_bytes)
@@ -258,32 +269,72 @@ def _iter_token_blocks(
             carry = block
             continue
         carry = block[cut + 1:]
-        tokens = _block_tokens(block[:cut + 1], path, directives, dtype)
-        if tokens is not None:
-            yield tokens
+        yield block[:cut + 1]
     if carry:
-        tokens = _block_tokens(carry, path, directives, dtype)
+        yield carry
+
+
+def _iter_token_blocks(
+    handle: BinaryIO,
+    path: PathLike,
+    directives: Dict[str, int],
+    chunk_bytes: int,
+    dtype: np.dtype,
+) -> Iterator[np.ndarray]:
+    """Yield token arrays from fixed-size blocks covering whole lines."""
+    start = handle.tell()
+    for block in _line_blocks(handle, chunk_bytes):
+        try:
+            tokens = _block_tokens(block, directives, dtype)
+        except (ValueError, OverflowError):
+            _raise_bad_token(path, start, dtype)
         if tokens is not None:
             yield tokens
 
 
-def _raise_misaligned(path: PathLike, columns: int, label: str) -> None:
+def _data_lines(path: PathLike, start: int) -> Iterator[Tuple[int, bytes]]:
+    """``(line_number, stripped_line)`` for every non-blank, non-comment
+    line from byte ``start`` on, numbered from the top of the file."""
+    with open(path, "rb") as handle:
+        first = handle.read(start).count(b"\n") + 1
+        for line_number, raw in enumerate(handle, start=first):
+            stripped = raw.strip()
+            if stripped and stripped[:1] not in _COMMENT_PREFIXES:
+                yield line_number, stripped
+
+
+def _raise_bad_token(
+    path: PathLike, start: int, dtype: np.dtype
+) -> NoReturn:
+    """Re-read ``path`` line-by-line to name the first token that does
+    not parse as ``dtype``. Only runs on the error path."""
+    for line_number, line in _data_lines(path, start):
+        for token in line.split():
+            try:
+                np.array([token], dtype=dtype)
+            except (ValueError, OverflowError):
+                raise GraphFormatError(
+                    f"{path}:{line_number}: non-numeric token "
+                    f"{token.decode('ascii', 'replace')!r} in edge data"
+                ) from None
+    raise GraphFormatError(f"{path}: non-numeric token in edge data")
+
+
+def _raise_misaligned(
+    path: PathLike, columns: int, label: str, start: int = 0
+) -> NoReturn:
     """Re-read ``path`` line-by-line to pinpoint the malformed line.
 
     Only runs on the error path: the fast block tokenizer detects a
     column-count mismatch without line numbers, then this slow pass
     recovers the diagnostic the block parse gave up.
     """
-    with open(path, "rb") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped[:1] in _COMMENT_PREFIXES:
-                continue
-            if len(stripped.split()) != columns:
-                raise GraphFormatError(
-                    f"{path}:{line_number}: expected {label!r}, got "
-                    f"{stripped.decode('ascii', 'replace')!r}"
-                )
+    for line_number, stripped in _data_lines(path, start):
+        if len(stripped.split()) != columns:
+            raise GraphFormatError(
+                f"{path}:{line_number}: expected {label!r}, got "
+                f"{stripped.decode('ascii', 'replace')!r}"
+            )
     raise GraphFormatError(f"{path}: token count is not a multiple of "
                            f"{columns} ({label!r} lines expected)")
 
@@ -550,6 +601,7 @@ def load_matrix_market(
                     _raise_misaligned(
                         path, columns,
                         "i j" if columns == 2 else "i j value",
+                        data_offset,
                     )
                 pairs = tokens.reshape(-1, columns)[:, :2]
                 pairs = pairs.astype(np.int64) - 1  # 1-indexed entries

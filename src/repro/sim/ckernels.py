@@ -218,27 +218,40 @@ def _so_path(source: bytes, args: List[str]) -> Path:
     return build_dir() / f"repro_kernels_{digest.hexdigest()[:16]}.so"
 
 
-#: The linker's context line before an undefined reference.
+#: GNU ld's context line before an undefined reference.
 _LINK_CONTEXT = re.compile(r"in function [`'](\w+)'")
+
+#: ld.lld's ``>>> object:(function)`` line after an undefined symbol.
+_LLD_CONTEXT = re.compile(r"^>>> .*:\((\w+)\)$")
 
 
 def _first_error_line(stderr: str) -> str:
     """The diagnostic line that names the failure.
 
-    A link failure reports its first ``undefined reference`` line plus
-    the function the linker names before it (the ``collect2`` summary
-    names neither); otherwise the compiler's first ``error`` line (gcc
+    A link failure reports its first undefined-symbol line plus the
+    function that references it: GNU ld names the function on the line
+    before its ``undefined reference`` line, ld.lld on a ``>>>`` line
+    after its ``undefined symbol`` line (the ``collect2``/``clang`` summary
+    names neither). Otherwise the compiler's first ``error`` line (gcc
     leads with an ``In function`` context line), else its first line.
     """
     lines = stderr.splitlines()
     function = None
-    for line in lines:
+    for index, line in enumerate(lines):
         context = _LINK_CONTEXT.search(line)
         if context is not None:
             function = context.group(1)
         elif "undefined reference" in line:
             return line if function is None else \
                 f"{line} in function {function}"
+        elif "undefined symbol" in line:
+            for after in lines[index + 1:]:
+                if not after.startswith(">>>"):
+                    break
+                referrer = _LLD_CONTEXT.match(after.strip())
+                if referrer is not None:
+                    return f"{line} in function {referrer.group(1)}"
+            return line
     for line in lines:
         if "error" in line:
             return line

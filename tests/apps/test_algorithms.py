@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from repro.graph import from_edges, symmetrize, uniform_random
+from repro.apps import kcore as kcore_module
+from repro.apps import mis as mis_module
 from repro.apps import (
+    KCore,
+    MaximalIndependentSet,
     binning_reference,
     bdfs_order,
     mis_reference,
@@ -152,6 +156,23 @@ class TestMIS:
         __, masks = mis_reference(graph)
         sizes = [int(m.sum()) for m in masks]
         assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("module, app", [
+    (mis_module, MaximalIndependentSet), (kcore_module, KCore),
+], ids=["MIS", "kCore"])
+def test_prepare_symmetrizes_once(graph, monkeypatch, module, app):
+    """The reference rounds and the traced topology share one
+    undirected closure."""
+    calls = []
+
+    def counting(target):
+        calls.append(target)
+        return symmetrize(target)
+
+    monkeypatch.setattr(module, "symmetrize", counting)
+    app().prepare(graph)
+    assert len(calls) == 1
 
 
 class TestBDFS:

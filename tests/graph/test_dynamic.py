@@ -122,6 +122,17 @@ class TestDynamicGraph:
         other = random_delta(graph, 10, 10, seed=10)
         assert not np.array_equal(other.insertions, first.insertions)
 
+    def test_random_delta_rows_pinned(self):
+        # Deletions index the distinct edges in (src, dst) order, so
+        # the packed-key dedup must reproduce the row-wise one exactly.
+        delta = random_delta(small_graph(), 3, 4, seed=9)
+        assert delta.insertions.tolist() == [
+            [398, 329], [366, 468], [468, 474],
+        ]
+        assert delta.deletions.tolist() == [
+            [147, 233], [490, 294], [443, 52], [216, 35],
+        ]
+
     def test_random_delta_strictly_applicable(self):
         graph = small_graph()
         delta = random_delta(graph, 0, 40, seed=5)

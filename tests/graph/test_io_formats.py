@@ -192,6 +192,51 @@ class TestSeparatorTolerance:
         path.write_text("% converter noise\n0 1\n")
         assert io.load_edge_list(str(path)).num_edges == 1
 
+    @pytest.mark.parametrize("chunk_bytes", [5, 64, io.DEFAULT_CHUNK_BYTES])
+    def test_only_whole_comment_lines_cut(self, tmp_path, chunk_bytes):
+        # Indented comments, comments between edges, a '%' inside a
+        # '#' comment, and a directive on a '%' line after the edges.
+        path = tmp_path / "g.el"
+        path.write_bytes(
+            b"# SNAP dump, 50% sample\n0 1\n  \t# indented\n1 2\r\n"
+            b"%\n2 0\n% vertices 6\n\n3 4"
+        )
+        graph = io.load_edge_list(str(path), chunk_bytes=chunk_bytes)
+        assert graph.num_vertices == 6
+        assert graph.edge_array().tolist() == [[0, 1], [1, 2], [2, 0], [3, 4]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([
+            b"0 1", b"5\t6", b"", b"  ", b"#", b"#%", b"  # c",
+            b"\t% x", b"% vertices 7", b"# vertices 3", b"1 2 # t",
+            b"50% 1", b"3 #4",
+        ]), max_size=12),
+        st.sampled_from([b"\n", b"\r\n", b"\r"]),
+    )
+    def test_comment_strip_matches_per_line_filter(self, lines, newline):
+        block = newline.join(lines).replace(b"\r", b"\n")
+        want_directives = {}
+        kept = []
+        for line in block.split(b"\n"):  # the per-line reference
+            stripped = line.strip()
+            if stripped[:1] in (b"#", b"%"):
+                io._scan_directive(stripped, want_directives)
+            elif stripped:
+                kept.append(line)
+        directives = {}
+        assert io._strip_comments(block, directives).split() == \
+            b"\n".join(kept).split()
+        assert directives == want_directives
+
+    def test_trailing_comment_is_not_cut(self, tmp_path):
+        # Only a line whose first non-blank byte is a prefix is a
+        # comment; a '#' after an edge is a malformed token.
+        path = tmp_path / "g.el"
+        path.write_text("0 1\n1 2 # note\n")
+        with pytest.raises(GraphFormatError, match=r"g\.el:2"):
+            io.load_edge_list(str(path))
+
 
 class TestMalformedText:
     def test_odd_tokens_points_at_line(self, tmp_path):
@@ -205,6 +250,32 @@ class TestMalformedText:
         path.write_text("0 x\n")
         with pytest.raises(GraphFormatError, match="non-numeric"):
             io.load_edge_list(str(path))
+        path.write_text("# vertices 3\n0 1\n2 x\n")
+        with pytest.raises(GraphFormatError, match=r"g\.el:3: .*'x'"):
+            io.load_edge_list(str(path))
+        path.write_text("0 1\n2 x\n")
+        with pytest.raises(GraphFormatError, match=r"g\.el:2"):
+            io.load_edge_list(str(path))
+
+    def test_non_numeric_mtx_entry(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "% a comment\n3 3 2\n1 2\n2 x\n"
+        )
+        with pytest.raises(GraphFormatError, match=r"m\.mtx:5: .*'x'"):
+            io.load_matrix_market(str(path))
+
+    def test_misaligned_mtx_entry_points_past_size_line(self, tmp_path):
+        # The 3-token size line of a 2-column pattern file is header,
+        # not a malformed entry.
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "3 3 2\n1 2\n2\n"
+        )
+        with pytest.raises(GraphFormatError, match=r"m\.mtx:4"):
+            io.load_matrix_market(str(path))
 
     def test_wel_wrong_arity(self, tmp_path):
         path = tmp_path / "g.wel"

@@ -46,6 +46,27 @@ class TestBuildFailure:
         assert "/bin/false" in error
         assert "status 1" in error
 
+    @pytest.mark.parametrize("stderr, want", [
+        ("/usr/bin/ld: /tmp/ccA1.o: in function `k_leak':\n"
+         "kernels.c:(.text+0x9): undefined reference to `malloc'\n"
+         "collect2: error: ld returned 1 exit status\n",
+         "kernels.c:(.text+0x9): undefined reference to `malloc' "
+         "in function k_leak"),
+        ("ld.lld: error: undefined symbol: malloc\n"
+         ">>> referenced by kernels.c\n"
+         ">>>               /tmp/kernels-1a2b.o:(k_leak)\n"
+         "clang: error: linker command failed with exit code 1\n",
+         "ld.lld: error: undefined symbol: malloc in function k_leak"),
+        ("ld.lld: error: undefined symbol: malloc\n"
+         "clang: error: linker command failed with exit code 1\n",
+         "ld.lld: error: undefined symbol: malloc"),
+        ("kernels.c: In function 'k_x':\n"
+         "kernels.c:3:5: error: expected ';'\n",
+         "kernels.c:3:5: error: expected ';'"),
+    ], ids=["gnu-ld", "lld", "lld-no-referrer", "compile-error"])
+    def test_first_error_line_names_the_kernel(self, stderr, want):
+        assert ckernels._first_error_line(stderr) == want
+
     def test_failure_is_memoized_and_warned_once(
         self, isolated_build, monkeypatch
     ):
