@@ -15,7 +15,6 @@ cover the broken combination. Rule families:
 - ``kernels``      — replay-kernel dispatch coverage and loop hygiene;
   a ``kernels`` run also reports whether the compiled kernels build
   and load
-- ``par``          — worker purity for process-parallel sweep workers
 
 ``kernels.c`` itself is not linted: :mod:`repro.sim.ckernels` derives
 its ctypes signatures and passes ``constants.C_DEFINES`` as ``-D``

@@ -22,13 +22,12 @@ from .determinism import check_determinism
 from .findings import Finding, format_findings
 from .hotpath import DEFAULT_REPLAY_PATH, check_hot_paths
 from .kernelcov import check_kernels
-from .parsafety import PAR_RULES, check_parsafety, par_status_lines
 from .registry_drift import check_registry
 
 __all__ = ["SimlintConfig", "run_simlint", "main", "KNOWN_RULES"]
 
 RULE_FAMILIES = (
-    "policy", "determinism", "hotpath", "registry", "kernels", "par",
+    "policy", "determinism", "hotpath", "registry", "kernels",
 )
 
 #: Every rule id a suppression pragma may legally name. Pragmas naming
@@ -56,7 +55,6 @@ KNOWN_RULES = frozenset(
         "kernel-popt-coverage",
         "kernel-resolve",
     )
-    + PAR_RULES
     + RULE_FAMILIES
 )
 
@@ -151,8 +149,6 @@ def run_simlint(
         findings.extend(check_registry(modules))
     if "kernels" in families:
         findings.extend(check_kernels(modules))
-    if "par" in families:
-        findings.extend(check_parsafety(modules))
     return _stable_findings(findings)
 
 
@@ -203,7 +199,6 @@ _FAMILY_PREFIXES = (
     ("hotpath-", "hotpath"),
     ("policy-", "policy"),
     ("kernel-", "kernels"),
-    ("par-", "par"),
 )
 
 
@@ -234,8 +229,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description="simlint: simulator-specific static analysis "
                     "(policy contracts, registry drift, determinism, "
-                    "hot-path hygiene, kernel dispatch, "
-                    "worker purity)",
+                    "hot-path hygiene, kernel dispatch)",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,
@@ -246,11 +240,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="FAMILY",
         help="disable a rule family (repeatable); families: "
              + ", ".join(RULE_FAMILIES),
-    )
-    parser.add_argument(
-        "--disable", action="append", dest="skip", default=[],
-        choices=RULE_FAMILIES, metavar="FAMILY",
-        help="alias for --skip",
     )
     parser.add_argument(
         "--family", action="append", default=[], choices=RULE_FAMILIES,
@@ -280,13 +269,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     findings = run_simlint(paths, SimlintConfig(families=families))
 
     def status_lines() -> List[str]:
-        lines: List[str] = []
-        if "par" in families:
-            modules, _ = _load_modules([Path(p) for p in paths])
-            lines.extend(par_status_lines(modules))
-        if "kernels" in families:
-            lines.append(_ckernels_status())
-        return lines
+        return [_ckernels_status()] if "kernels" in families else []
 
     if args.json:
         scanned = len(iter_python_files([Path(p) for p in paths]))

@@ -151,7 +151,22 @@ class CSRGraph:
         neighbors = narrow(key % n, "csr.neighbors", "CSRGraph.transpose")
         transposed = CSRGraph(offsets=offsets, neighbors=neighbors)
         transposed._transpose_cache.append(self)
+        if not self.neighbors.flags.writeable:
+            transposed.freeze()
         return transposed
+
+    def freeze(self) -> "CSRGraph":
+        """Mark the arrays of both directions read-only; returns self.
+
+        A shared graph (see :func:`repro.graph.datasets.load`) is read
+        by every later caller in the process, so an in-place write
+        raises ``ValueError`` instead of corrupting them. A transpose
+        built later inherits the flag.
+        """
+        for graph in (self, *self._transpose_cache):
+            graph.offsets.setflags(write=False)
+            graph.neighbors.setflags(write=False)
+        return self
 
     def with_sorted_neighbors(self) -> "CSRGraph":
         """Return an equivalent graph whose neighbor lists are sorted."""

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..errors import GraphFormatError
-from ..sim import worker_state
 from . import generators
 from .csr import CSRGraph
 
@@ -201,15 +200,9 @@ def graph_names() -> List[str]:
 #: access; the largest figure spec (Figs. 12a/12b) crosses 6 graphs.
 GRAPH_MEMO_SIZE = 8
 
+# Per-process graph LRU: graphs are seed-deterministic and read-only in
+# both directions, so every task in a process may share one.
 _GRAPH_MEMO: "OrderedDict[Tuple[object, ...], CSRGraph]" = OrderedDict()
-
-worker_state.register_worker_state(
-    "repro.graph.datasets._GRAPH_MEMO",
-    kind="cache",
-    note="per-process graph LRU keyed by (name, scale, seed) or a file's "
-         "(abspath, mtime_ns, size); graphs are seed-deterministic and "
-         "their arrays read-only, so sharing one across tasks is safe",
-)
 
 
 def load(name: str, scale: str = "small", seed: int = 42) -> CSRGraph:
@@ -236,9 +229,7 @@ def load(name: str, scale: str = "small", seed: int = 42) -> CSRGraph:
         key = (name, scale, seed)
     graph = _GRAPH_MEMO.get(key)
     if graph is None:
-        graph = _build(name, scale, seed)
-        graph.offsets.setflags(write=False)
-        graph.neighbors.setflags(write=False)
+        graph = _build(name, scale, seed).freeze()
         _GRAPH_MEMO[key] = graph
         while len(_GRAPH_MEMO) > GRAPH_MEMO_SIZE:
             _GRAPH_MEMO.popitem(last=False)

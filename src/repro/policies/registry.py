@@ -9,12 +9,12 @@ the graph and layout), so the registry stores *factories* taking a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
 from ..errors import PolicyError
-from ..sim.worker_state import register_worker_state
 from .base import ReplacementPolicy
 from .hawkeye import Hawkeye
 from .lru import LRU
@@ -46,30 +46,20 @@ class PolicyContext:
     extras: Dict[str, object] = field(default_factory=dict)
 
 
+# Filled by import-time decorators only.
 _FACTORIES: Dict[str, Callable[[PolicyContext], ReplacementPolicy]] = {}
 
-register_worker_state(
-    "repro.policies.registry._FACTORIES",
-    kind="frozen",
-    note="policy registry, populated by import-time decorators; "
-         "worker-executed code must not register policies",
-)
 
-
-def register_policy(name: str, *, replace: bool = False):
+def register_policy(name: str):
     """Decorator registering a factory under ``name``.
 
-    Duplicate names are rejected (a silent overwrite would make replay
-    results depend on import order); pass ``replace=True`` to swap in a
-    variant deliberately.
+    Duplicate names are rejected: a silent overwrite would make replay
+    results depend on import order.
     """
 
     def decorate(factory):
-        if not replace and name in _FACTORIES:
-            raise PolicyError(
-                f"policy {name!r} is already registered; "
-                "pass replace=True to override it"
-            )
+        if name in _FACTORIES:
+            raise PolicyError(f"policy {name!r} is already registered")
         _FACTORIES[name] = factory
         return factory
 
@@ -95,17 +85,11 @@ def policy_names() -> List[str]:
 # Replay-kernel dispatch table
 # ----------------------------------------------------------------------
 
-_REPLAY_KERNELS: Optional[Dict[type, str]] = None
-
-register_worker_state(
-    "repro.policies.registry._REPLAY_KERNELS",
-    kind="cache",
-    note="lazily-built exact-type kernel dispatch table; identical in "
-         "every process by construction",
-)
+# Built on first use; identical in every process by construction.
+_REPLAY_KERNELS: Optional[Mapping[type, str]] = None
 
 
-def replay_kernels() -> Dict[type, str]:
+def replay_kernels() -> Mapping[type, str]:
     """Exact policy type -> replay-kernel name in :mod:`repro.sim.kernels`.
 
     Consulted by :meth:`ReplacementPolicy.replay_kernel`. Keys are
@@ -132,7 +116,7 @@ def replay_kernels() -> Dict[type, str]:
         from .opt import BeladyOPT
         from .ship import SHiP
 
-        _REPLAY_KERNELS = {
+        _REPLAY_KERNELS = MappingProxyType({
             LRU: "lru",
             LIP: "lip",
             BitPLRU: "bit-plru",
@@ -144,7 +128,7 @@ def replay_kernels() -> Dict[type, str]:
             BeladyOPT: "opt",
             TOPT: "t-opt",
             POPT: "p-opt",
-        }
+        })
     return _REPLAY_KERNELS
 
 

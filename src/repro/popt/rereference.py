@@ -120,6 +120,8 @@ class RereferenceMatrix:
                 f"the {1 << self.entry_bits} epoch columns a "
                 f"{self.entry_bits}-bit entry addresses",
             )
+        # Every replay of the run shares one matrix: read-only from here.
+        self.entries.setflags(write=False)
 
     @cached_property
     def _rows(self):
@@ -417,8 +419,7 @@ def update_rereference_matrix(
     encoded = _encode_entries(
         referenced, last_sub, matrix.entry_bits, matrix.variant
     )
-    # Store entries may be a read-only mmap from the artifact store;
-    # always materialize a private copy before scattering rows.
+    # Matrix entries are read-only; scatter rows into a private copy.
     new_entries = np.array(matrix.entries, copy=True)
     new_entries[lines] = narrow(
         encoded, "rm.entries", "update_rereference_matrix",

@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import PolicyError
-from . import worker_state
 
 __all__ = [
     "ArtifactStore",
@@ -248,15 +247,9 @@ class ArtifactStore:
         }
 
 
-#: Per-process store cache so counters accumulate across call sites.
+#: Per-process store cache so counters accumulate across call sites
+#: (counters are process-local; the on-disk state is content-addressed).
 _STORES: Dict[str, ArtifactStore] = {}
-
-worker_state.register_worker_state(
-    "repro.sim.artifacts._STORES",
-    kind="cache",
-    note="per-process store handles; counters are process-local by "
-         "design and the on-disk state is content-addressed",
-)
 
 
 def get_store() -> Optional[ArtifactStore]:
@@ -289,15 +282,9 @@ def configure(root) -> Optional[ArtifactStore]:
 # ----------------------------------------------------------------------
 
 #: ``(abspath, mtime_ns, size)`` -> sha256, so repeated sweep tasks over
-#: the same graph file hash it once per process, not once per task.
+#: the same graph file hash it once per process, not once per task. An
+#: edited file changes its stat signature, so stale entries never hit.
 _FILE_SHA_CACHE: Dict[Tuple[str, int, int], str] = {}
-
-worker_state.register_worker_state(
-    "repro.sim.artifacts._FILE_SHA_CACHE",
-    kind="cache",
-    note="per-process file-content sha memo keyed by (path, mtime, "
-         "size); stale entries self-invalidate via the stat signature",
-)
 
 
 def file_content_sha(path) -> str:

@@ -67,7 +67,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import worker_state
 from .constants import C_DEFINES
 
 __all__ = [
@@ -93,24 +92,13 @@ _CFLAGS = (
 )
 
 #: Tri-state cache: None = not tried yet, False = tried and unavailable,
-#: SimpleNamespace of typed ``k_*`` functions = loaded.
+#: SimpleNamespace of typed ``k_*`` functions = loaded. Per process: the
+#: .so itself is content-hash-cached on disk with an atomic rename.
 _LIB: Union[None, bool, SimpleNamespace] = None
 
 #: Human-readable reason the last build/load attempt failed (compiler
 #: diagnostic, missing toolchain, dlopen error), or None.
 _BUILD_ERROR: Optional[str] = None
-
-worker_state.register_worker_state(
-    "repro.sim.ckernels._LIB",
-    kind="cache",
-    note="per-process memoized dlopen handle; the .so itself is "
-         "content-hash-cached on disk with atomic rename",
-)
-worker_state.register_worker_state(
-    "repro.sim.ckernels._BUILD_ERROR",
-    kind="cache",
-    note="per-process build diagnostic paired with _LIB",
-)
 
 #: C parameter base type -> (numpy dtype for pointers, ctypes scalar).
 _PARAM_TYPES: Dict[str, Tuple[Any, Any]] = {

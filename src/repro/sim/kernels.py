@@ -102,7 +102,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -112,7 +115,7 @@ from ..cache.stats import CacheStats
 from ..errors import SimulationError
 from ..policies.rrip import BRRIP
 from ..popt.arch import PoptCounters
-from . import ckernels, worker_state
+from . import ckernels
 from .constants import KERNEL_SIG_SPACE, POPT_SPARAM_SLOTS, RM_VARIANT_CODES
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -809,8 +812,10 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
 
 #: Kernel name -> implementation. Names are what
 #: ``ReplacementPolicy.replay_kernel()`` returns (see the exact-type
-#: table in :mod:`repro.policies.registry`).
-KERNEL_TABLE: Dict[str, Callable[[KernelRequest], CacheStats]] = {
+#: table in :mod:`repro.policies.registry`). Read-only: a write raises
+#: ``TypeError`` where it is made.
+KERNEL_TABLE: Mapping[str, Callable[[KernelRequest], CacheStats]]
+KERNEL_TABLE = MappingProxyType({
     "lru": kernel_lru,
     "lip": kernel_lip,
     "bit-plru": kernel_bit_plru,
@@ -822,14 +827,7 @@ KERNEL_TABLE: Dict[str, Callable[[KernelRequest], CacheStats]] = {
     "opt": kernel_opt,
     "t-opt": kernel_topt,
     "p-opt": kernel_popt,
-}
-
-worker_state.register_worker_state(
-    "repro.sim.kernels.KERNEL_TABLE",
-    kind="frozen",
-    note="kernel dispatch table, fixed at import; worker-executed code "
-         "must not add or swap kernels",
-)
+})
 
 
 def resolve_kernel(

@@ -33,13 +33,14 @@ import multiprocessing
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import apps as apps_module
 from ..cache.config import CacheConfig, HierarchyConfig, scaled_hierarchy
 from ..errors import ReservationError
 from ..graph import datasets
-from . import artifacts, worker_state
+from . import artifacts
 from .driver import prepare_dbg_run, prepare_run, simulate_prepared
 
 __all__ = [
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 #: App name -> zero-argument factory (shared with the CLI).
-APP_FACTORIES = {
+APP_FACTORIES = MappingProxyType({
     "PR": apps_module.PageRank,
     "CC": apps_module.ConnectedComponents,
     "PR-Delta": apps_module.PageRankDelta,
@@ -63,14 +64,7 @@ APP_FACTORIES = {
     "BFS": apps_module.BFS,
     "SSSP": apps_module.SSSP,
     "kCore": apps_module.KCore,
-}
-
-worker_state.register_worker_state(
-    "repro.sim.parallel.APP_FACTORIES",
-    kind="frozen",
-    note="app dispatch table; must be an import-time constant in "
-         "every worker",
-)
+})
 
 
 #: Software locality techniques a task can apply before tracing.
@@ -195,15 +189,9 @@ def policy_chunks(
 # plays the same role. PreparedRun hosts the decoded-trace/filter/
 # partition caches, so reusing one across tasks is what makes chunked
 # sweeps fast — the bound only matters once a sweep touches more
-# (app, graph, technique) combinations than fit.
+# (app, graph, technique) combinations than fit. Entries rebuild
+# deterministically from task descriptors, so workers never diverge.
 _PREPARED_CACHE: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
-
-worker_state.register_worker_state(
-    "repro.sim.parallel._PREPARED_CACHE",
-    kind="cache",
-    note="per-process prepared-run LRU; rebuilt deterministically from "
-         "task descriptors, so divergence across workers is invisible",
-)
 
 #: Override the per-process prepared-run cache bound (entries).
 PREPARED_CACHE_ENV = "REPRO_PREPARED_CACHE"
@@ -336,13 +324,11 @@ def run_task(task: SweepTask) -> List[Dict[str, object]]:
     Tasks with a ``replay`` point add ``entry_bits``/``account_capacity``
     to the identity columns and P-OPT's ``tie_rate`` to the stats.
     """
-    worker_state.guard_boundary("task-start")
     store = artifacts.get_store()
     use_rows = store is not None and _rows_cache_enabled()
     if use_rows:
         cached = artifacts.cached_rows(store, task.rows_key())
         if cached is not None:
-            worker_state.guard_boundary("task-end")
             return cached
     prepared = _prepared_for(task)
     hierarchy = task_hierarchy(task)
@@ -392,7 +378,6 @@ def run_task(task: SweepTask) -> List[Dict[str, object]]:
         rows.append(row)
     if use_rows:
         artifacts.store_rows(store, task.rows_key(), rows)
-    worker_state.guard_boundary("task-end")
     return rows
 
 

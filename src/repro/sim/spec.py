@@ -42,7 +42,8 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cache.config import scaled_hierarchy
 from ..graph import datasets
@@ -56,7 +57,6 @@ from .parallel import (
     run_task,
     validate_technique,
 )
-from .worker_state import register_worker_state
 
 __all__ = [
     "AXES",
@@ -618,7 +618,8 @@ def _reservation_columns(item, baseline):
     }
 
 
-REPORTERS: Dict[str, Callable[..., List[Dict[str, object]]]] = {
+REPORTERS: Mapping[str, Callable[..., List[Dict[str, object]]]]
+REPORTERS = MappingProxyType({
     "mpki_pivot": _report_mpki_pivot,
     "main_result": _report_main_result,
     "tiling_norm": _report_tiling_norm,
@@ -635,13 +636,7 @@ REPORTERS: Dict[str, Callable[..., List[Dict[str, object]]]] = {
         lambda graph_name: {"vertices": int(graph_name.rpartition("@")[2])},
         _reservation_columns,
     ),
-}
-
-register_worker_state(
-    "repro.sim.spec.REPORTERS",
-    kind="frozen",
-    note="reporter dispatch table; import-time constant",
-)
+})
 
 
 # ----------------------------------------------------------------------
@@ -649,20 +644,27 @@ register_worker_state(
 # harness function name in sim/experiments.py to its factory.
 # ----------------------------------------------------------------------
 
-SPEC_HARNESSES: Dict[str, Callable[..., ExperimentSpec]] = {}
-
-register_worker_state(
-    "repro.sim.spec.SPEC_HARNESSES",
-    kind="frozen",
-    note="harness registry, populated by import-time decorators only",
+# Filled by import-time decorators only; SPEC_HARNESSES is its
+# read-only view.
+_SPEC_HARNESSES: Dict[str, Callable[..., ExperimentSpec]] = {}
+SPEC_HARNESSES: Mapping[str, Callable[..., ExperimentSpec]] = (
+    MappingProxyType(_SPEC_HARNESSES)
 )
 
 
 def spec_harness(harness_name: str):
-    """Register a spec factory as the declarative form of a harness."""
+    """Register a spec factory as the declarative form of a harness.
+
+    Duplicate names are rejected, as
+    :func:`~repro.policies.registry.register_policy` does.
+    """
 
     def decorate(fn):
-        SPEC_HARNESSES[harness_name] = fn
+        if harness_name in _SPEC_HARNESSES:
+            raise ValueError(
+                f"spec harness {harness_name!r} is already registered"
+            )
+        _SPEC_HARNESSES[harness_name] = fn
         return fn
 
     return decorate

@@ -523,6 +523,15 @@ class TestRunner:
         assert info.value.code == 2
         assert "invalid choice: 'abi'" in capsys.readouterr().err
 
+    def test_par_family_is_unknown(self, capsys):
+        """Worker state is read-only by construction (frozen shared
+        arrays, read-only dispatch tables); there is no static ``par``
+        family to select."""
+        with pytest.raises(SystemExit) as info:
+            main(["--family", "par"])
+        assert info.value.code == 2
+        assert "invalid choice: 'par'" in capsys.readouterr().err
+
     def test_kernels_family_reports_ckernels(self, capsys):
         assert main([str(SRC_REPRO / "sim"), "--family", "kernels"]) == 0
         assert "ckernels:" in capsys.readouterr().out
@@ -612,7 +621,9 @@ class TestKernelRules:
         # produce kernel-resolve findings on the real module.
         from repro.sim import kernels as kernels_module
 
-        monkeypatch.delitem(kernels_module.KERNEL_TABLE, "lru")
+        table = dict(kernels_module.KERNEL_TABLE)
+        del table["lru"]
+        monkeypatch.setattr(kernels_module, "KERNEL_TABLE", table)
         findings = run_simlint(
             [SRC_REPRO / "sim" / "kernels.py"],
             SimlintConfig(families=("kernels",)),

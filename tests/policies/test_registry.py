@@ -20,14 +20,6 @@ class TestRegisterPolicy:
         # The original factory survives the failed registration.
         assert isinstance(make_policy("LRU", PolicyContext()), LRU)
 
-    def test_replace_opt_in(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.policies.registry._FACTORIES", dict(_FACTORIES)
-        )
-        sentinel = LRU()
-        register_policy("LRU", replace=True)(lambda ctx: sentinel)
-        assert make_policy("LRU", PolicyContext()) is sentinel
-
     def test_new_name_registers(self, monkeypatch):
         monkeypatch.setattr(
             "repro.policies.registry._FACTORIES", dict(_FACTORIES)

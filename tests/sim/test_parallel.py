@@ -103,7 +103,7 @@ class TestSweepDeterminism:
     def test_spawn_matches_serial(self, monkeypatch):
         # spawn workers rebuild state from imports rather than a forked
         # snapshot; identical rows prove nothing leans on fork-captured
-        # module state (the property the simlint par family guards).
+        # module state.
         serial = run_spec(sweep(["URAND"], ("LRU", "DRRIP"), scale="tiny"))
         monkeypatch.setenv(parallel.START_METHOD_ENV, "spawn")
         spawned = run_spec(

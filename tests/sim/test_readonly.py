@@ -1,22 +1,26 @@
-"""Read-only contract for shared arrays (filter/decode/store buffers).
+"""Read-only contract for shared worker state.
 
-Everything memoized across policy replays or rehydrated from the
-artifact store is frozen (``writeable=False``) at creation: in-place
-mutation — the race the simlint ``par`` family flags statically — must
-raise immediately at runtime too. ``.copy()`` is the documented escape
-hatch and must stay writeable.
+Everything memoized across policy replays or worker tasks (filters,
+decoded traces, store loads, memoized graphs and their transposes,
+Rereference Matrices) is frozen (``writeable=False``) at creation, and
+the dispatch tables are read-only mappings: an in-place write raises on
+the line that makes it. ``.copy()`` is the documented escape hatch and
+must stay writeable.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps import PageRank
-from repro.cache import CacheConfig, HierarchyConfig
-from repro.graph import uniform_random
+from repro.cache import CacheConfig, HierarchyConfig, scaled_hierarchy
+from repro.graph import datasets, uniform_random
 from repro.memory.trace import decode_trace
-from repro.sim import build_private_filter, prepare_run
+from repro.sim import build_private_filter, prepare_run, simulate_prepared
 from repro.sim.artifacts import ArtifactStore
 from repro.sim.engine import get_private_filter
+from repro.sim.kernels import KERNEL_TABLE
+from repro.sim.parallel import APP_FACTORIES
+from repro.sim.spec import REPORTERS, SPEC_HARNESSES
 
 
 def small_hierarchy():
@@ -104,3 +108,38 @@ class TestStoreLoads:
             assert not channel.flags.writeable
             with pytest.raises(ValueError):
                 channel[0] = 0
+
+
+class TestSharedGraphs:
+    def test_memoized_transpose_read_only(self):
+        transpose = datasets.load("URAND", scale="tiny").transpose()
+        for array in (transpose.offsets, transpose.neighbors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+class TestRereferenceMatrices:
+    def test_prepared_matrix_entries_read_only(self):
+        prepared = prepare_run(
+            PageRank(), datasets.load("URAND", scale="tiny")
+        )
+        simulate_prepared(prepared, "P-OPT", scaled_hierarchy("tiny"))
+        assert prepared.matrices
+        for matrix in prepared.matrices.values():
+            assert not matrix.entries.flags.writeable
+            with pytest.raises(ValueError):
+                matrix.entries[0, 0] = 0
+
+
+class TestDispatchTables:
+    @pytest.mark.parametrize(
+        "table", [APP_FACTORIES, KERNEL_TABLE, REPORTERS, SPEC_HARNESSES],
+        ids=["APP_FACTORIES", "KERNEL_TABLE", "REPORTERS", "SPEC_HARNESSES"],
+    )
+    def test_write_raises_type_error(self, table):
+        name = next(iter(table))
+        with pytest.raises(TypeError):
+            table[name] = None
+        with pytest.raises(TypeError):
+            del table[name]

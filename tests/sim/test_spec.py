@@ -28,6 +28,7 @@ from repro.sim.spec import (
     report_rows,
     run_spec,
     scenario_matrix,
+    spec_harness,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -282,6 +283,12 @@ class TestScenarioMatrix:
         assert "scenario_matrix" in SPEC_HARNESSES
         for figure in GOLDEN_CASES:
             assert any(name.startswith(figure) for name in SPEC_HARNESSES)
+
+    def test_duplicate_harness_name_rejected(self):
+        original = SPEC_HARNESSES["scenario_matrix"]
+        with pytest.raises(ValueError, match="already registered"):
+            spec_harness("scenario_matrix")(lambda **kwargs: None)
+        assert SPEC_HARNESSES["scenario_matrix"] is original
 
 
 class TestSpecBackedHarnessEquivalence:
