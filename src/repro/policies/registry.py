@@ -9,8 +9,7 @@ the graph and layout), so the registry stores *factories* taking a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "make_policy",
     "register_policy",
     "policy_names",
-    "replay_kernels",
 ]
 
 
@@ -67,69 +65,28 @@ def register_policy(name: str):
 
 
 def make_policy(name: str, ctx: Optional[PolicyContext] = None):
-    """Instantiate the named policy for the given run context."""
+    """Instantiate the named policy for the given run context.
+
+    The built policy must report ``name`` as its ``.name``: rows and
+    reports key on it, so registry keys being unique makes policy names
+    unique.
+    """
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise PolicyError(
             f"unknown policy {name!r}; choose from {policy_names()}"
         ) from None
-    return factory(ctx if ctx is not None else PolicyContext())
+    policy = factory(ctx if ctx is not None else PolicyContext())
+    if policy.name != name:
+        raise PolicyError(
+            f"policy registered as {name!r} reports name {policy.name!r}"
+        )
+    return policy
 
 
 def policy_names() -> List[str]:
     return sorted(_FACTORIES)
-
-
-# ----------------------------------------------------------------------
-# Replay-kernel dispatch table
-# ----------------------------------------------------------------------
-
-# Built on first use; identical in every process by construction.
-_REPLAY_KERNELS: Optional[Mapping[type, str]] = None
-
-
-def replay_kernels() -> Mapping[type, str]:
-    """Exact policy type -> replay-kernel name in :mod:`repro.sim.kernels`.
-
-    Consulted by :meth:`ReplacementPolicy.replay_kernel`. Keys are
-    looked up by ``type(policy)`` — **not** ``isinstance`` — so a
-    subclass never silently inherits a kernel that does not model its
-    behavior (BIP subclasses LIP but adds an RNG on fill;
-    GRASP/SDBP/Leeway/BIP all stay on the generic per-access path, and
-    so does Random, whose per-set ``randrange`` streams have no compiled
-    form).
-    Two policies additionally override ``replay_kernel`` to fall back
-    to the generic path when a kernel precondition fails: P-OPT when
-    its tie-break sub-policy is not exactly DRRIP (the kernel inlines
-    DRRIP's RRPV/PSEL evolution), and SHiP when its signature flavor is
-    not ``pc`` (the kernel's dense SHCT indexes uint8 PC tags, not
-    SHiP-Mem's region signatures). Built lazily so registering the
-    table does not force-import every policy module at package import.
-    """
-    global _REPLAY_KERNELS
-    if _REPLAY_KERNELS is None:
-        from ..popt.policy import POPT
-        from ..popt.topt import TOPT
-        from .hawkeye import Hawkeye
-        from .lip import LIP
-        from .opt import BeladyOPT
-        from .ship import SHiP
-
-        _REPLAY_KERNELS = MappingProxyType({
-            LRU: "lru",
-            LIP: "lip",
-            BitPLRU: "bit-plru",
-            SRRIP: "srrip",
-            BRRIP: "brrip",
-            DRRIP: "drrip",
-            SHiP: "ship",
-            Hawkeye: "hawkeye",
-            BeladyOPT: "opt",
-            TOPT: "t-opt",
-            POPT: "p-opt",
-        })
-    return _REPLAY_KERNELS
 
 
 # ----------------------------------------------------------------------

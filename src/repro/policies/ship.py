@@ -104,13 +104,11 @@ class SHiP(ReplacementPolicy):
                 for way in range(self.num_ways):
                     rrpv[way] += bump
 
-    def replay_kernel(self):
+    def fits_replay_kernel(self) -> bool:
         # The replay kernel's dense SHCT indexes uint8 PC tags;
         # SHiP-Mem's region signatures (unbounded dict) must take the
         # generic per-access path.
-        if self.signature_kind != "pc":
-            return None
-        return super().replay_kernel()
+        return self.signature_kind == "pc"
 
 
 def ship_pc() -> SHiP:

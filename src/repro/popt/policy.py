@@ -128,13 +128,11 @@ class POPT(ReplacementPolicy):
         if self._tie_break.cache is not None:
             self._tie_break.reset()
 
-    def replay_kernel(self):
+    def fits_replay_kernel(self) -> bool:
         # The replay kernel inlines the tie-break sub-policy's RRPV/PSEL
         # evolution and models DRRIP exactly; any other tie-break (or a
         # DRRIP subclass) must take the generic per-access path.
-        if type(self._tie_break) is not DRRIP:
-            return None
-        return super().replay_kernel()
+        return type(self._tie_break) is DRRIP
 
     def resident_bytes(self) -> int:
         """LLC bytes pinned for RM columns across all streams."""

@@ -41,10 +41,10 @@ The C boundary has one source of truth per side, so it cannot drift:
   marshalling garbage. A parameter outside ``[const] i64|u8|double [*]``
   (or a non-``void`` kernel) refuses to load, naming the kernel.
 
-A failed build or refused load is *not* silent: the diagnostic is kept
-in :func:`build_error`, surfaced once as a ``RuntimeWarning``, and
-reported by ``python -m repro.analysis`` alongside the lint summary —
-the generic-engine fallback still engages, but never invisibly. To run
+A missing toolchain, a failed build or a refused load is *not* silent:
+the diagnostic is kept in :func:`build_error` and surfaced once per
+process as a ``RuntimeWarning`` — the generic-engine fallback still
+engages, but never invisibly. To run
 without the compiled kernels on purpose (the no-toolchain equivalence
 suite does), point ``REPRO_CC`` at a failing compiler such as
 ``/bin/false`` and ``REPRO_CKERNELS_DIR`` at an empty directory.
@@ -186,8 +186,8 @@ def _record_failure(reason: str) -> None:
     """Remember *why* the compiled path is unavailable and say so once.
 
     The generic-engine fallback still engages — the kernels are
-    optional — but a toolchain that exists and fails is a real
-    diagnostic the user (and CI) should see, not a silent slowdown.
+    optional — but a missing or failing toolchain is a diagnostic the
+    user (and CI) should see, not a silent slowdown.
     """
     global _BUILD_ERROR
     _BUILD_ERROR = reason
@@ -294,10 +294,7 @@ def _unlink_quietly(path: str) -> None:
 def _build() -> Optional[SimpleNamespace]:
     cc = _compiler()
     if cc is None:
-        # Missing toolchain is the expected no-compiler configuration:
-        # recorded for `repro.analysis` reporting, but not warned about.
-        global _BUILD_ERROR
-        _BUILD_ERROR = "no C compiler found (cc/gcc/clang)"
+        _record_failure("no C compiler found (cc/gcc/clang)")
         return None
     source = _SOURCE.read_bytes()
     try:

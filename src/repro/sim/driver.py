@@ -53,7 +53,7 @@ __all__ = [
 #: three-phase engine (decode once, filter the private levels once per
 #: hierarchy, replay only the LLC-visible stream per policy), which
 #: additionally dispatches to a set-partitioned replay kernel
-#: (:mod:`repro.sim.kernels`) when the policy advertises one;
+#: (:mod:`repro.sim.kernels`) when the policy has one;
 #: ``generic`` is the same engine with kernel dispatch disabled (the
 #: per-access LLC loop, kept addressable for equivalence testing);
 #: ``reference`` is the original per-access full-hierarchy walk, kept as
@@ -164,7 +164,7 @@ def _build_popt_policy(
     reference graph, the stream's span and the encoding, never on the
     cache geometry, so every LLC point of a sweep reuses it.
     """
-    start = time.perf_counter()  # simlint: allow[determinism-time]
+    start = time.perf_counter()
     streams = []
     for index, irregular in enumerate(prepared.irregular_streams):
         memo_key = (index, entry_bits, variant)
@@ -179,7 +179,7 @@ def _build_popt_policy(
             )
             prepared.matrices[memo_key] = matrix
         streams.append(PoptStream(span=irregular.span, matrix=matrix))
-    elapsed = time.perf_counter() - start  # simlint: allow[determinism-time]
+    elapsed = time.perf_counter() - start
     return POPT(streams, line_size=line_size), elapsed
 
 
@@ -208,7 +208,7 @@ def simulate_prepared(
     ``engine`` selects the replay path: ``"fast"`` (default) shares the
     decoded trace and the one-time private-level filter across policies,
     replays only the LLC-visible stream, and dispatches to a replay
-    kernel when the policy advertises one; ``"generic"`` is the fast
+    kernel when the policy has one; ``"generic"`` is the fast
     engine with kernels disabled; ``"reference"`` walks the full
     hierarchy per access. All three produce bit-identical stats
     (``details["engine"]["kernel"]`` records which kernel, if any, ran).
@@ -280,7 +280,7 @@ def simulate_prepared(
             )
         llc_config = llc_config.with_ways(remaining)
 
-    replay_start = time.perf_counter()  # simlint: allow[determinism-time]
+    replay_start = time.perf_counter()
     kernel_used: Optional[str] = None
     decode_seconds = 0.0
     filter_seconds = 0.0
@@ -321,7 +321,7 @@ def simulate_prepared(
                     sanitizer.check_cache(level, where=level.config.name)
             sanitizer.check_policy_state(hierarchy.llc)
             sanitizer.check_level_chain(levels, len(prepared.trace))
-    total_seconds = time.perf_counter() - replay_start  # simlint: allow[determinism-time]
+    total_seconds = time.perf_counter() - replay_start
     # The reference engine has no phase split: its whole walk is replay.
     replay_seconds = phase_replay if phase_replay is not None else total_seconds
 

@@ -18,8 +18,8 @@ only on the access stream it observes). The engine exploits that:
    cache are independent, so accesses are grouped by set index with one
    vectorized stable sort and each set is simulated over its own compact
    subsequence.
-3. **Replay per policy** — policies that advertise a replay kernel
-   (:meth:`~repro.policies.base.ReplacementPolicy.replay_kernel`)
+3. **Replay per policy** — policies with a replay kernel
+   (:data:`~repro.sim.kernels.KERNEL_TABLE`, keyed by exact type)
    dispatch to one compiled call in :mod:`repro.sim.kernels` when the
    compiled library is available; everything else — including every
    policy on a host without a C toolchain — runs the generic per-access
@@ -302,7 +302,7 @@ def build_private_filter(
     fused pass decodes inline, so its ``decode_seconds`` is 0.0.
     """
     line_shift = config.line_size.bit_length() - 1
-    start = time.perf_counter()  # simlint: allow[determinism-time]
+    start = time.perf_counter()
     fused = fused_private_filter(
         trace.addresses, trace.writes, line_shift, config.l1, config.l2
     )
@@ -311,7 +311,7 @@ def build_private_filter(
         n = len(trace.addresses)
         mask = np.zeros(n, dtype=bool)
         mask[visible_idx] = True
-        elapsed = time.perf_counter() - start  # simlint: allow[determinism-time]
+        elapsed = time.perf_counter() - start
         return PrivateFilter(
             key=filter_key(config),
             num_accesses=n,
@@ -329,7 +329,7 @@ def build_private_filter(
             filter_seconds=elapsed,
         )
     decoded = decode_trace(trace, line_shift)
-    decode_seconds = time.perf_counter() - start  # simlint: allow[determinism-time]
+    decode_seconds = time.perf_counter() - start
     n = len(decoded)
     visible_idx = np.arange(n, dtype=np.int64)
     vis_lines = decoded.lines
@@ -358,7 +358,7 @@ def build_private_filter(
 
     mask = np.zeros(n, dtype=bool)
     mask[visible_idx] = True
-    elapsed = time.perf_counter() - start  # simlint: allow[determinism-time]
+    elapsed = time.perf_counter() - start
     return PrivateFilter(
         key=filter_key(config),
         num_accesses=n,
@@ -451,7 +451,7 @@ class ReplayEngine:
         bit-identical and pay zero overhead.
 
         Dispatch: when ``use_kernel`` is True (default), sanitizing is
-        off, the policy advertises a replay kernel and the compiled
+        off, the policy has a replay kernel and the compiled
         library is available, the whole stream runs through the kernel
         and no cache object is built (``EngineRun.llc`` is None,
         ``EngineRun.kernel`` names the kernel). Any other combination —
@@ -459,13 +459,13 @@ class ReplayEngine:
         ``engine="generic"`` path), or an active sanitizer — falls back
         to the per-access loop transparently.
         """
-        start = time.perf_counter()  # simlint: allow[determinism-time]
+        start = time.perf_counter()
         built_before = self.prepared.filter_counters["built"]
         filt = get_private_filter(self.prepared, self.hierarchy_config)
         fresh_build = self.prepared.filter_counters["built"] > built_before
         if llc_config is None:
             llc_config = self.hierarchy_config.llc
-        replay_start = time.perf_counter()  # simlint: allow[determinism-time]
+        replay_start = time.perf_counter()
 
         kernel_name: Optional[str] = None
         kernel_fn = None
@@ -509,7 +509,7 @@ class ReplayEngine:
                         sanitizer.check_stats(llc.stats)
             llc_stats = llc.stats
 
-        end = time.perf_counter()  # simlint: allow[determinism-time]
+        end = time.perf_counter()
         replay_seconds = end - replay_start
         seconds = end - start
         levels = filt.level_stats() + [llc_stats.copy()]

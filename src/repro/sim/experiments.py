@@ -92,7 +92,7 @@ def engine_throughput_sweep(
         reference_seconds: Optional[float] = None
         for engine in engines:
             prepared = prepare_run(PageRank(), graph)
-            start = time.perf_counter()  # simlint: allow[determinism-time]
+            start = time.perf_counter()
             misses: Dict[str, int] = {}
             decode_total = filter_total = replay_total = 0.0
             for policy in policies:
@@ -104,7 +104,7 @@ def engine_throughput_sweep(
                 decode_total += engine_details["decode_seconds"]
                 filter_total += engine_details["filter_seconds"]
                 replay_total += engine_details["replay_seconds"]
-            seconds = time.perf_counter() - start  # simlint: allow[determinism-time]
+            seconds = time.perf_counter() - start
             if engine == "reference":
                 reference_seconds = seconds
             replayed = len(prepared.trace) * len(policies)
@@ -445,14 +445,14 @@ def table4_preprocessing(
     for graph_name in graphs:
         graph = datasets.load(graph_name, scale=scale, seed=seed)
         elems_per_line = 16  # 4 B srcData elements
-        start = time.perf_counter()  # simlint: allow[determinism-time]
+        start = time.perf_counter()
         build_rereference_matrix(
             graph, elems_per_line=elems_per_line, entry_bits=entry_bits
         )
-        rm_seconds = time.perf_counter() - start  # simlint: allow[determinism-time]
-        start = time.perf_counter()  # simlint: allow[determinism-time]
+        rm_seconds = time.perf_counter() - start
+        start = time.perf_counter()
         pagerank_reference(graph)
-        pr_seconds = time.perf_counter() - start  # simlint: allow[determinism-time]
+        pr_seconds = time.perf_counter() - start
         rows.append(
             {
                 "graph": graph_name,

@@ -88,13 +88,12 @@ compiled helpers here return None. Every policy, kernel-covered or not,
 needs the private filter, and the generic engine has nothing to replace
 it.
 
-Dispatch: policies advertise a kernel name via
-:meth:`~repro.policies.base.ReplacementPolicy.replay_kernel` (backed by
-the exact-type table in :mod:`repro.policies.registry`);
-:func:`resolve_kernel` maps the name to a callable here. Kernels read
-only *constructor* products off the policy instance (seed, RRPV width,
-precomputed refs/matrices, ...) — the instance is never bound to a
-cache — and only the next-ref kernels write anything back (their
+Dispatch: :data:`KERNEL_TABLE` maps a policy's exact type to its kernel
+name and implementation, and :func:`resolve_kernel` looks a policy up
+there, so no policy can name a kernel that is not implemented. Kernels
+read only *constructor* products off the policy instance (seed, RRPV
+width, precomputed refs/matrices, ...) — the instance is never bound to
+a cache — and only the next-ref kernels write anything back (their
 replay counters).
 """
 
@@ -112,9 +111,16 @@ import numpy as np
 from ..cache.cache import INVALID_TAG
 from ..cache.config import CacheConfig
 from ..cache.stats import CacheStats
-from ..errors import SimulationError
-from ..policies.rrip import BRRIP
+from ..policies.hawkeye import Hawkeye
+from ..policies.lip import LIP
+from ..policies.lru import LRU
+from ..policies.opt import BeladyOPT
+from ..policies.plru import BitPLRU
+from ..policies.rrip import BRRIP, DRRIP, SRRIP
+from ..policies.ship import SHiP
 from ..popt.arch import PoptCounters
+from ..popt.policy import POPT
+from ..popt.topt import TOPT
 from . import ckernels
 from .constants import KERNEL_SIG_SPACE, POPT_SPARAM_SLOTS, RM_VARIANT_CODES
 
@@ -580,8 +586,8 @@ def kernel_ship(req: KernelRequest) -> CacheStats:
     ``KERNEL_SIG_SPACE``-entry counter array with identical semantics
     (counters saturate in ``[0, SHIP_SHCT_MAX]`` from
     ``SHIP_SHCT_INITIAL``). Only the PC-signature flavor dispatches here
-    (``SHiP.replay_kernel`` gates on ``signature_kind``); SHiP-Mem stays
-    on the generic path.
+    (``SHiP.fits_replay_kernel`` gates on ``signature_kind``); SHiP-Mem
+    stays on the generic path.
     """
     config = req.config
     n, lines, writes, sidx = _access_order_arrays(req)
@@ -717,7 +723,7 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
 
     The DRRIP tie-break's set-dueling PSEL and global fill RNG couple
     the sets exactly as in :func:`kernel_drrip`, so the access order is
-    kept (``POPT.replay_kernel`` only advertises this kernel when the
+    kept (``POPT.fits_replay_kernel`` admits this kernel only when the
     tie-break is exactly DRRIP). Region membership is resolved once in
     the preamble; each way remembers its resident line's (stream, RM
     row) so a victim scan is pure Algorithm 2 arithmetic per way, with
@@ -810,48 +816,42 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
 # Dispatch
 # ----------------------------------------------------------------------
 
-#: Kernel name -> implementation. Names are what
-#: ``ReplacementPolicy.replay_kernel()`` returns (see the exact-type
-#: table in :mod:`repro.policies.registry`). Read-only: a write raises
+#: Exact policy type -> (kernel name, implementation). Looked up by
+#: ``type(policy)``, not ``isinstance``, so a subclass never inherits a
+#: kernel that does not model it: BIP refines LIP's insertion, and
+#: GRASP, SDBP, Leeway, BIP and Random stay on the generic per-access
+#: path (Random's per-set ``randrange`` streams have no compiled form).
+#: The name is what ``EngineRun.kernel`` and
+#: ``details["engine"]["kernel"]`` report. Read-only: a write raises
 #: ``TypeError`` where it is made.
-KERNEL_TABLE: Mapping[str, Callable[[KernelRequest], CacheStats]]
-KERNEL_TABLE = MappingProxyType({
-    "lru": kernel_lru,
-    "lip": kernel_lip,
-    "bit-plru": kernel_bit_plru,
-    "srrip": kernel_srrip,
-    "brrip": kernel_brrip,
-    "drrip": kernel_drrip,
-    "ship": kernel_ship,
-    "hawkeye": kernel_hawkeye,
-    "opt": kernel_opt,
-    "t-opt": kernel_topt,
-    "p-opt": kernel_popt,
+Kernel = Tuple[str, Callable[[KernelRequest], CacheStats]]
+KERNEL_TABLE: Mapping[type, Kernel] = MappingProxyType({
+    LRU: ("lru", kernel_lru),
+    LIP: ("lip", kernel_lip),
+    BitPLRU: ("bit-plru", kernel_bit_plru),
+    SRRIP: ("srrip", kernel_srrip),
+    BRRIP: ("brrip", kernel_brrip),
+    DRRIP: ("drrip", kernel_drrip),
+    SHiP: ("ship", kernel_ship),
+    Hawkeye: ("hawkeye", kernel_hawkeye),
+    BeladyOPT: ("opt", kernel_opt),
+    TOPT: ("t-opt", kernel_topt),
+    POPT: ("p-opt", kernel_popt),
 })
 
 
-def resolve_kernel(
-    policy,
-) -> Optional[Tuple[str, Callable[[KernelRequest], CacheStats]]]:
-    """``(name, fn)`` for the kernel ``policy`` advertises, else None.
+def resolve_kernel(policy) -> Optional[Kernel]:
+    """``(name, fn)`` for ``policy``'s replay kernel, else None.
 
-    None also when no compiled library is available: the policy then
-    replays through the generic engine (``EngineRun.kernel`` is None),
-    and :func:`~repro.sim.ckernels.build_error` says why. A policy
-    advertising a name this module does not implement is a wiring bug
-    (the dispatch would silently fall back and hide the lost speedup),
-    so it raises instead, toolchain or not; simlint's ``kernel-resolve``
-    rule catches the same drift statically.
+    None when the policy's exact type has no kernel, when the instance
+    declines it (``fits_replay_kernel()`` is False: SHiP-Mem, or P-OPT
+    with a non-DRRIP tie-break), or when no compiled library is
+    available. The policy then replays through the generic engine
+    (``EngineRun.kernel`` is None), and
+    :func:`~repro.sim.ckernels.build_error` says why the library is
+    missing.
     """
-    name = policy.replay_kernel()
-    if name is None:
+    kernel = KERNEL_TABLE.get(type(policy))
+    if kernel is None or not policy.fits_replay_kernel():
         return None
-    fn = KERNEL_TABLE.get(name)
-    if fn is None:
-        raise SimulationError(
-            f"policy {policy.name!r} advertises replay kernel {name!r}, "
-            f"but sim.kernels implements {sorted(KERNEL_TABLE)}"
-        )
-    if ckernels.lib() is None:
-        return None
-    return name, fn
+    return kernel if ckernels.lib() is not None else None

@@ -1,10 +1,9 @@
 """Build diagnostics and the derived C boundary of the compiled kernels.
 
 The compiled path is allowed to be unavailable (every policy then
-replays through the generic engine), but a toolchain that exists and
-*fails* must surface: once as a RuntimeWarning at first use, and
-persistently through ``build_error()`` so ``python -m repro.analysis``
-can report it.
+replays through the generic engine), but a missing or failing toolchain
+must surface: once as a RuntimeWarning at first use, and persistently
+through ``build_error()``.
 
 The boundary itself is derived, not declared: argtypes come from the
 ``k_*`` definitions in ``kernels.c`` and constants from ``C_DEFINES``,
@@ -76,6 +75,15 @@ class TestBuildFailure:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ckernels.lib() is None
+
+    def test_missing_compiler_warns_and_records(
+        self, isolated_build, monkeypatch
+    ):
+        monkeypatch.delenv(ckernels.CC_ENV, raising=False)
+        monkeypatch.setenv("PATH", str(isolated_build))
+        with pytest.warns(RuntimeWarning, match="no C compiler found"):
+            assert ckernels.lib() is None
+        assert ckernels.build_error() == "no C compiler found (cc/gcc/clang)"
 
     def test_unrunnable_compiler_is_reported(
         self, isolated_build, monkeypatch

@@ -22,6 +22,7 @@ from repro.sim import (
     simulate_prepared,
 )
 from repro.sim.driver import POPT_POLICIES, llc_filtered_next_use
+from repro.sim.kernels import KERNEL_TABLE, resolve_kernel
 
 
 def small_hierarchy():
@@ -488,11 +489,13 @@ class TestPoptKernelEquivalence:
         policy, _ = _build_popt_policy(
             prepared, "inter_intra", 8, hierarchy.line_size
         )
-        assert policy.replay_kernel() == "p-opt"
+        assert KERNEL_TABLE[POPT][0] == "p-opt"
+        assert policy.fits_replay_kernel()
         lru_tied = POPT(
             policy.streams, line_size=hierarchy.line_size, tie_break=LRU()
         )
-        assert lru_tied.replay_kernel() is None
+        assert not lru_tied.fits_replay_kernel()
+        assert resolve_kernel(lru_tied) is None
         run = ReplayEngine(prepared, hierarchy).run(lru_tied)
         assert run.kernel is None
 

@@ -4,7 +4,9 @@ Three pillars:
 
 - **Golden regression** — every figure harness must emit rows
   bit-identical (values *and* key order) to fixtures captured from the
-  hand-rolled pre-spec implementations (``tests/sim/golden/``).
+  hand-rolled pre-spec implementations (``tests/sim/golden/``), also in
+  a fresh process with jumping clocks, reseeded global RNGs and another
+  ``PYTHONHASHSEED``.
 - **Plan determinism** — ``expand()`` and the per-unit content hashes
   must be stable across processes (and across ``PYTHONHASHSEED``), since
   artifact keys derive from them.
@@ -13,6 +15,7 @@ Three pillars:
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +35,7 @@ from repro.sim.spec import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 #: harness callable + kwargs matching how each golden fixture was
 #: captured from the pre-spec implementation (all at tiny scale).
@@ -70,6 +74,41 @@ GOLDEN_CASES = {
 POOLED_CASES = ("fig07", "fig11", "fig12a", "fig12b", "fig15")
 
 
+#: Runs every golden case in a fresh interpreter whose clocks jump and
+#: whose global RNGs are seeded away from their defaults, then writes
+#: the rows as JSON. A fresh process, because the in-process graph memo
+#: and row caches would serve a repeated run.
+PERTURBED_GOLDEN_SCRIPT = """
+import ast, itertools, json, random, sys, time
+
+import numpy as np
+
+jumps = itertools.cycle((0.25, 1e4, 3.5e-7, 86400.0, 0.0, 42.125))
+now = [1.7e9]
+
+
+def jumping_clock():
+    now[0] += next(jumps)
+    return now[0]
+
+
+time.perf_counter = time.time = time.monotonic = jumping_clock
+seed = int(sys.argv[1])
+random.seed(seed)
+np.random.seed(seed)
+
+from repro.sim import experiments
+
+cases = ast.literal_eval(sys.stdin.read())
+rows = {
+    figure: getattr(experiments, fn)(**kwargs)
+    for figure, (fn, kwargs) in cases.items()
+}
+with open(sys.argv[2], "w") as handle:
+    json.dump(rows, handle)
+"""
+
+
 def assert_golden(figure, jobs=1):
     fn, kwargs = GOLDEN_CASES[figure]
     golden = json.loads((GOLDEN_DIR / f"{figure}_tiny.json").read_text())
@@ -89,6 +128,44 @@ class TestGoldenRegression:
     @pytest.mark.parametrize("figure", POOLED_CASES)
     def test_jobs_2_rows_equal_serial_rows(self, figure):
         assert_golden(figure, jobs=2)
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_rows_ignore_clocks_rngs_and_hash_seed(
+        self, hash_seed, tmp_path
+    ):
+        """Every replay is a pure function of trace, configuration and
+        policy: jumping clocks, reseeded global RNGs and a different
+        ``PYTHONHASHSEED`` leave all golden rows bit-identical."""
+        cases = {
+            figure: (fn.__name__, kwargs)
+            for figure, (fn, kwargs) in GOLDEN_CASES.items()
+        }
+        env = {
+            key: value for key, value in os.environ.items()
+            if key != artifacts.DIR_ENV
+        }
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
+        )
+        env["PYTHONHASHSEED"] = hash_seed
+        out = tmp_path / "rows.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", PERTURBED_GOLDEN_SCRIPT,
+             str(1000 + int(hash_seed)), str(out)],
+            input=repr(cases), capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(out.read_text())
+        # items() lists compare values and key order together.
+        mismatched = [
+            figure for figure in sorted(GOLDEN_CASES)
+            if [list(row.items()) for row in rows[figure]] != [
+                list(row.items()) for row in json.loads(
+                    (GOLDEN_DIR / f"{figure}_tiny.json").read_text()
+                )
+            ]
+        ]
+        assert not mismatched, f"rows changed: {mismatched}"
 
 
 class TestSpecValidation:
