@@ -81,8 +81,9 @@ class PreparedRun:
     (the LLC-visible subsequence per L1/L2 geometry, phase 2), keyed by
     hierarchy configuration. ``filter_counters`` records how often a
     filter was built vs reused (throughput instrumentation). P-OPT's
-    Rereference Matrices depend only on the run, never on the cache
-    geometry, so ``matrices`` keeps them too.
+    Rereference Matrices and T-OPT's line references depend only on the
+    run, never on the cache geometry, so ``matrices``,
+    ``kernel_matrices`` and ``line_references`` keep them too.
     """
 
     app_name: str
@@ -102,6 +103,18 @@ class PreparedRun:
     #: (one per LLC geometry) shares them instead of rebuilding.
     matrices: Dict[Tuple[int, int, str], object] = field(
         default_factory=dict, repr=False
+    )
+    #: Those matrices in the P-OPT kernel's form, one
+    #: :class:`~repro.popt.policy.KernelMatrices` per (entry_bits,
+    #: variant), shared by every P-OPT replay of the run.
+    kernel_matrices: Dict[Tuple[int, str], object] = field(
+        default_factory=dict, repr=False
+    )
+    #: T-OPT's flat, read-only ``(offsets, refs)`` pair over every
+    #: irregular stream (:func:`~repro.popt.topt.build_stream_references`),
+    #: built by the run's first T-OPT replay and shared by the rest.
+    line_references: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False
     )
     #: Per-(private geometry, LLC geometry) LLC miss counts observed by
     #: sanitized replays; the sanitizer enforces the Belady lower bound

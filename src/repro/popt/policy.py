@@ -27,15 +27,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import PolicyError
 from ..memory.layout import ArraySpan
 from ..policies.base import ReplacementPolicy
 from ..policies.rrip import DRRIP
-from ..sim.constants import POPT_STREAMING_NEXT_REF
+from ..sim.constants import (
+    POPT_SPARAM_LAYOUT,
+    POPT_STREAMING_NEXT_REF,
+    RM_VARIANT_CODES,
+)
 from .arch import PoptCounters
 from .rereference import RereferenceMatrix
 
-__all__ = ["PoptStream", "POPT"]
+__all__ = ["PoptStream", "KernelMatrices", "POPT"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,69 @@ class PoptStream:
 
     span: ArraySpan
     matrix: RereferenceMatrix
+
+
+class KernelMatrices:
+    """One policy's Rereference Matrices in the form ``k_popt`` reads.
+
+    Each matrix is laid out epoch-major, so one epoch column is
+    contiguous (the reserved LLC ways of Section V-A hold whole
+    columns), at 16 bits, which fits every entry width. The streams sit
+    back to back in one read-only ``entries`` array: stream ``i`` starts
+    at ``bases[i]`` and its ``sparams`` block (one
+    :data:`~repro.sim.constants.POPT_SPARAM_LAYOUT` block per stream)
+    gives its line count as the column ``stride``. The line-major
+    ``RereferenceMatrix.entries`` stay the matrices' own form.
+
+    The arrays are built on first use, so a replay on the generic
+    engine never builds them. The driver keeps one instance per
+    ``(entry_bits, variant)`` in ``PreparedRun.kernel_matrices``, so
+    every LLC point of a sweep reads the same arrays.
+    """
+
+    def __init__(self, matrices: Sequence[RereferenceMatrix]) -> None:
+        self.matrices = tuple(matrices)
+
+    @cached_property
+    def bases(self) -> Tuple[int, ...]:
+        """Start of each stream's entries in :attr:`entries`."""
+        sizes = [matrix.entries.size for matrix in self.matrices]
+        return tuple(int(base) for base in np.cumsum([0] + sizes[:-1]))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Every stream's entries, epoch-major, as one uint16 array."""
+        entries = np.empty(
+            sum(matrix.entries.size for matrix in self.matrices),
+            dtype=np.uint16,
+        )
+        for base, matrix in zip(self.bases, self.matrices):
+            columns = entries[base:base + matrix.entries.size].reshape(
+                matrix.num_epochs, matrix.num_lines
+            )
+            columns[...] = matrix.entries.T
+        entries.setflags(write=False)
+        return entries
+
+    @cached_property
+    def sparams(self) -> np.ndarray:
+        """The streams' ``POPT_SPARAM_LAYOUT`` blocks, back to back."""
+        blocks: List[int] = []
+        for matrix in self.matrices:
+            fields = {
+                "variant": RM_VARIANT_CODES[matrix.variant],
+                "msb": matrix._msb,
+                "low_mask": matrix._low_mask,
+                "next_bit": matrix._next_bit,
+                "epoch_size": matrix.epoch_size,
+                "sub_epoch_size": matrix.sub_epoch_size,
+                "num_epochs": matrix.num_epochs,
+                "stride": matrix.num_lines,
+            }
+            blocks.extend(fields[name] for name in POPT_SPARAM_LAYOUT)
+        sparams = np.array(blocks, dtype=np.int64)
+        sparams.setflags(write=False)
+        return sparams
 
 
 class POPT(ReplacementPolicy):
@@ -57,12 +126,26 @@ class POPT(ReplacementPolicy):
         line_size: int = 64,
         tie_break: Optional[ReplacementPolicy] = None,
         prefer_streaming_victims: bool = True,
+        kernel_matrices: Optional[KernelMatrices] = None,
     ) -> None:
         super().__init__()
         if not streams:
             raise PolicyError("P-OPT needs at least one irregular stream")
         self.line_size = line_size
         self.streams = tuple(streams)
+        matrices = tuple(stream.matrix for stream in self.streams)
+        if kernel_matrices is None:
+            kernel_matrices = KernelMatrices(matrices)
+        elif len(kernel_matrices.matrices) != len(matrices) or any(
+            built is not own
+            for built, own in zip(kernel_matrices.matrices, matrices)
+        ):
+            raise PolicyError(
+                "kernel_matrices were built from other Rereference "
+                "Matrices than the streams'"
+            )
+        #: The kernel form of the streams' matrices (shared, lazy).
+        self.kernel_matrices = kernel_matrices
         self.prefer_streaming_victims = prefer_streaming_victims
         # (line_base, line_bound, matrix) per stream for the base/bound scan.
         self._regions: List[Tuple[int, int, RereferenceMatrix]] = []

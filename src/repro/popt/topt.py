@@ -29,13 +29,14 @@ from ..errors import PolicyError
 from ..graph.csr import CSRGraph
 from ..memory.layout import ArraySpan
 from ..policies.base import ReplacementPolicy
-from ..sim.constants import TOPT_NEVER, TOPT_STREAMING
+from ..sim.constants import TOPT_NEVER, TOPT_STREAMING, narrow
 
 __all__ = [
     "IrregularStream",
     "TOPT",
     "build_line_references",
     "build_line_reference_csr",
+    "build_stream_references",
 ]
 
 #: Next-ref value assigned to lines never referenced again.
@@ -93,6 +94,38 @@ def build_line_reference_csr(
     return offsets, np.ascontiguousarray(outer_sorted, dtype=np.int64)
 
 
+def build_stream_references(
+    streams: Sequence[IrregularStream],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every stream's line references as one read-only (offsets, refs).
+
+    Stream ``i``'s ``num_lines + 1`` offsets follow stream ``i - 1``'s
+    in ``offsets`` and index the one flat ``refs`` array. Neither
+    depends on the cache geometry, so a prepared run builds the pair
+    once (``PreparedRun.line_references``) and every T-OPT replay of
+    the run shares it. The refs are outer-loop vertex ids, so they are
+    stored at the ``trace.vertex`` width (int32), half what int64
+    would keep alive.
+    """
+    offset_parts = [np.empty(0, dtype=np.int64)]
+    ref_parts = [np.empty(0, dtype=np.int32)]
+    total_refs = 0
+    for stream in streams:
+        offsets, refs = build_line_reference_csr(
+            stream.reference_graph, stream.span.elems_per_line,
+            stream.span.num_lines,
+        )
+        offset_parts.append(offsets + total_refs)
+        ref_parts.append(
+            narrow(refs, "trace.vertex", "build_stream_references")
+        )
+        total_refs += refs.size
+    pair = (np.concatenate(offset_parts), np.concatenate(ref_parts))
+    for array in pair:
+        array.setflags(write=False)
+    return pair
+
+
 def build_line_references(
     reference_graph: CSRGraph, elems_per_line: int, num_lines: int
 ) -> List[List[int]]:
@@ -111,34 +144,38 @@ class TOPT(ReplacementPolicy):
 
     name = "T-OPT"
 
-    def __init__(self, streams: Sequence[IrregularStream],
-                 line_size: int = 64) -> None:
+    def __init__(
+        self,
+        streams: Sequence[IrregularStream],
+        line_size: int = 64,
+        references: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
         super().__init__()
         if not streams:
             raise PolicyError("T-OPT needs at least one irregular stream")
         self.line_size = line_size
-        # All streams' reference lists flattened into ONE (offsets, refs)
-        # CSR pair; per stream we keep (line_base, line_bound, offsets)
-        # with the offsets pre-shifted into the flat refs array.
+        # All streams' reference lists as ONE (offsets, refs) CSR pair
+        # (built here unless a prepared run's shared pair is passed in);
+        # per stream we keep (line_base, line_bound, offsets), its view
+        # of the flat offsets.
+        if references is None:
+            references = build_stream_references(streams)
+        offsets, self._refs_arr = references
+        if len(offsets) != sum(s.span.num_lines + 1 for s in streams):
+            raise PolicyError(
+                f"T-OPT references hold {len(offsets)} offsets, not the "
+                "num_lines + 1 per stream of the streams given"
+            )
         self._regions: List[Tuple[int, int, np.ndarray]] = []
-        ref_parts: List[np.ndarray] = []
-        total_refs = 0
+        start = 0
         for stream in streams:
-            span = stream.span
-            line_base = span.base // line_size
-            num_lines = span.num_lines
-            offsets, refs = build_line_reference_csr(
-                stream.reference_graph, span.elems_per_line, num_lines
-            )
-            self._regions.append(
-                (line_base, line_base + num_lines, offsets + total_refs)
-            )
-            ref_parts.append(refs)
-            total_refs += refs.size
-        self._refs_arr = (
-            np.concatenate(ref_parts) if ref_parts
-            else np.empty(0, dtype=np.int64)
-        )
+            line_base = stream.span.base // line_size
+            num_lines = stream.span.num_lines
+            self._regions.append((
+                line_base, line_base + num_lines,
+                offsets[start:start + num_lines + 1],
+            ))
+            start += num_lines + 1
         # Counters quantifying the overhead an actual T-OPT would pay.
         self.replacements = 0
         self.transpose_walk_elements = 0

@@ -38,8 +38,9 @@ The C boundary has one source of truth per side, so it cannot drift:
   parameters become C-contiguous :func:`numpy.ctypeslib.ndpointer`
   types, so a wrong-width, strided or missing argument raises
   ``ctypes.ArgumentError`` or ``TypeError`` at the call instead of
-  marshalling garbage. A parameter outside ``[const] i64|u8|double [*]``
-  (or a non-``void`` kernel) refuses to load, naming the kernel.
+  marshalling garbage. A parameter outside
+  ``[const] i64|i32|u8|u16|double [*]`` (or a non-``void`` kernel)
+  refuses to load, naming the kernel.
 
 A missing toolchain, a failed build or a refused load is *not* silent:
 the diagnostic is kept in :func:`build_error` and surfaced once per
@@ -103,7 +104,9 @@ _BUILD_ERROR: Optional[str] = None
 #: C parameter base type -> (numpy dtype for pointers, ctypes scalar).
 _PARAM_TYPES: Dict[str, Tuple[Any, Any]] = {
     "i64": (np.int64, ctypes.c_int64),
+    "i32": (np.int32, ctypes.c_int32),
     "u8": (np.uint8, ctypes.c_uint8),
+    "u16": (np.uint16, ctypes.c_uint16),
     "double": (np.float64, ctypes.c_double),
 }
 
@@ -114,7 +117,9 @@ _KERNEL = re.compile(
     re.MULTILINE,
 )
 
-_PARAM = re.compile(r"(?:const\s+)?(i64|u8|double)\s*(\*?)\s*[A-Za-z_]\w*")
+_PARAM = re.compile(
+    r"(?:const\s+)?(i64|i32|u8|u16|double)\s*(\*?)\s*[A-Za-z_]\w*"
+)
 
 
 def _signatures(source: str) -> Dict[str, List[Any]]:

@@ -154,7 +154,9 @@ TOPT_STREAMING = 1 << 41
 POPT_STREAMING_NEXT_REF = 1 << 30
 
 #: Layout of the per-stream parameter block ``k_popt`` decodes with
-#: (one 7-slot block per irregular stream, flattened int64).
+#: (one ``POPT_SPARAM_SLOTS``-slot int64 block per irregular stream, the
+#: blocks back to back). ``stride`` is the stream's line count: its
+#: epoch-major entries put column ``e`` at ``e * stride``.
 POPT_SPARAM_LAYOUT: Tuple[str, ...] = (
     "variant",
     "msb",
@@ -163,6 +165,7 @@ POPT_SPARAM_LAYOUT: Tuple[str, ...] = (
     "epoch_size",
     "sub_epoch_size",
     "num_epochs",
+    "stride",
 )
 
 POPT_SPARAM_SLOTS = len(POPT_SPARAM_LAYOUT)
@@ -322,6 +325,7 @@ C_DEFINES: Dict[str, int] = {
     "POPT_SP_EPOCH_SIZE": POPT_SPARAM_LAYOUT.index("epoch_size"),
     "POPT_SP_SUB_EPOCH_SIZE": POPT_SPARAM_LAYOUT.index("sub_epoch_size"),
     "POPT_SP_NUM_EPOCHS": POPT_SPARAM_LAYOUT.index("num_epochs"),
+    "POPT_SP_STRIDE": POPT_SPARAM_LAYOUT.index("stride"),
     "RM_VARIANT_INTER_ONLY": RM_VARIANT_INTER_ONLY,
     "RM_VARIANT_INTER_INTRA": RM_VARIANT_INTER_INTRA,
     "RM_VARIANT_SINGLE_EPOCH": RM_VARIANT_SINGLE_EPOCH,

@@ -31,8 +31,8 @@ from ..graph.reorder import DbgLayout, apply_order, dbg_order
 from ..memory.trace import decode_trace
 from ..policies.registry import PolicyContext, make_policy
 from ..popt.arch import reserved_ways
-from ..popt.policy import POPT, PoptStream
-from ..popt.topt import TOPT
+from ..popt.policy import POPT, KernelMatrices, PoptStream
+from ..popt.topt import TOPT, build_stream_references
 from . import artifacts
 from .engine import ReplayEngine, llc_visible_next_use
 from .timing import TimingModel
@@ -162,7 +162,9 @@ def _build_popt_policy(
     Each matrix is built (or loaded from the artifact store) once per
     prepared run and kept in ``prepared.matrices``: it depends on the
     reference graph, the stream's span and the encoding, never on the
-    cache geometry, so every LLC point of a sweep reuses it.
+    cache geometry, so every LLC point of a sweep reuses it. The same
+    holds for the matrices' kernel form, kept in
+    ``prepared.kernel_matrices``.
     """
     start = time.perf_counter()
     streams = []
@@ -179,8 +181,15 @@ def _build_popt_policy(
             )
             prepared.matrices[memo_key] = matrix
         streams.append(PoptStream(span=irregular.span, matrix=matrix))
+    kernel_matrices = prepared.kernel_matrices.get((entry_bits, variant))
+    if kernel_matrices is None:
+        kernel_matrices = KernelMatrices([s.matrix for s in streams])
+        prepared.kernel_matrices[(entry_bits, variant)] = kernel_matrices
     elapsed = time.perf_counter() - start
-    return POPT(streams, line_size=line_size), elapsed
+    policy = POPT(
+        streams, line_size=line_size, kernel_matrices=kernel_matrices
+    )
+    return policy, elapsed
 
 
 def simulate_prepared(
@@ -233,7 +242,14 @@ def simulate_prepared(
     popt_policy: Optional[POPT] = None
 
     if policy_name == "T-OPT":
-        llc_policy = TOPT(prepared.irregular_streams, line_size=line_size)
+        if prepared.line_references is None:
+            prepared.line_references = build_stream_references(
+                prepared.irregular_streams
+            )
+        llc_policy = TOPT(
+            prepared.irregular_streams, line_size=line_size,
+            references=prepared.line_references,
+        )
     elif policy_name in ("P-OPT", "P-OPT-Inter", "P-OPT-SE"):
         variant = {
             "P-OPT": "inter_intra",

@@ -134,7 +134,6 @@ class PrivateFilter:
         self._compact_next_use: Optional[np.ndarray] = None
         self._partition_arrays: Dict[int, tuple] = {}
         self._set_index_arrays: Dict[int, np.ndarray] = {}
-        self._partition_vertices: Dict[int, np.ndarray] = {}
         self._memberships: Dict[tuple, tuple] = {}
 
     @property
@@ -234,25 +233,6 @@ class PrivateFilter:
             cached = np.ascontiguousarray(set_idx, dtype=np.int64)
             _freeze(cached)
             self._set_index_arrays[num_sets] = cached
-        return cached
-
-    def set_partition_vertices(self, config: CacheConfig) -> np.ndarray:
-        """The ``vertices`` channel gathered into set-partition order.
-
-        The next-ref kernels are set-partitioned like the baseline ones
-        but rank victims by the current outer vertex, so they need the
-        vertex channel in the same order as :meth:`set_partition_arrays`
-        (int64, contiguous). Memoized per set count.
-        """
-        num_sets = config.num_sets
-        cached = self._partition_vertices.get(num_sets)
-        if cached is None:
-            order = self.set_partition_arrays(config)[3]
-            cached = np.ascontiguousarray(
-                np.asarray(self.vertices)[order], dtype=np.int64
-            )
-            _freeze(cached)
-            self._partition_vertices[num_sets] = cached
         return cached
 
     def stream_membership(self, bounds: tuple) -> tuple:

@@ -25,7 +25,9 @@ from ..apps.pagerank import pagerank_reference
 from ..cache.config import scaled_hierarchy
 from ..graph import datasets
 from ..popt.rereference import build_rereference_matrix
+from ..popt.topt import TOPT
 from .driver import prepare_run, simulate_prepared
+from .engine import ReplayEngine
 from . import spec as spec_module
 from .spec import report_rows, run_spec
 
@@ -161,10 +163,10 @@ def kernel_throughput_sweep(
     numbers isolate the replay loop. The miss columns come from both
     paths and let callers assert bit-identity; ``kernel`` is the
     dispatched kernel name (``None`` means the generic engine ran) and
-    ``counters_match`` says the P-OPT engine-cost counters the timing
-    model consumes agree between paths (trivially True for policies
-    without them; T-OPT's live on the policy and are checked by the
-    equivalence suite).
+    ``counters_match`` says the engine-cost counters agree between
+    paths: P-OPT's ``PoptCounters``, and T-OPT's ``replacements`` and
+    ``transpose_walk_elements`` (trivially True for policies without
+    counters).
     """
     from . import ckernels  # local: report which kernel form ran
 
@@ -200,11 +202,27 @@ def kernel_throughput_sweep(
                     "misses_generic": generic.llc.misses,
                     "misses_kernel": fast.llc.misses,
                     "counters_match": (
-                        generic.popt_counters == fast.popt_counters
+                        _topt_counters(prepared, hierarchy, False)
+                        == _topt_counters(prepared, hierarchy, True)
+                        if policy == "T-OPT"
+                        else generic.popt_counters == fast.popt_counters
                     ),
                 }
             )
     return rows
+
+
+def _topt_counters(prepared, hierarchy, use_kernel: bool) -> tuple:
+    """T-OPT's ``(replacements, transpose_walk_elements)`` after one
+    replay. They live on the policy instance, which
+    :func:`simulate_prepared` does not return, so replay through the
+    engine API instead."""
+    policy = TOPT(
+        prepared.irregular_streams, line_size=hierarchy.line_size,
+        references=prepared.line_references,
+    )
+    ReplayEngine(prepared, hierarchy).run(policy, use_kernel=use_kernel)
+    return policy.replacements, policy.transpose_walk_elements
 
 
 def fig02_sota_mpki(

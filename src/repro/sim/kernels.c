@@ -12,11 +12,12 @@
  * Built on demand by repro.sim.ckernels via the system C compiler and
  * loaded with ctypes; when no compiler is available every policy
  * replays through the generic engine instead. No Python API is used
- * here: every argument is a plain C array (int64 lines/counts, uint8
- * write flags, float64 RNG draws) or scalar. The loader derives each
+ * here: every argument is a plain C array (int64 lines/counts, int32
+ * T-OPT references, uint8 write flags, uint16 Rereference Matrix
+ * entries, float64 RNG draws) or scalar. The loader derives each
  * kernel's ctypes signature from the `void k_*(...)` definitions
- * below, so parameters must be spelled `[const] i64|u8|double [*]
- * name`; anything else refuses to load.
+ * below, so parameters must be spelled `[const] i64|i32|u8|u16|double
+ * [*] name`; anything else refuses to load.
  *
  * Shared numeric constants (TOPT_NEVER, the POPT_SP_* parameter-block
  * slots, the RM_VARIANT_* codes, the SHiP/Hawkeye bounds) are not
@@ -48,6 +49,8 @@
 
 typedef int64_t i64;
 typedef uint8_t u8;
+typedef uint16_t u16;
+typedef int32_t i32;
 
 /* out[0..3] += hits, misses, evictions, writebacks */
 
@@ -471,7 +474,7 @@ void k_drrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
  * Counters beyond the hit/miss quartet go into a separate cnt[] array
  * so the Python wrapper can write them back onto the policy instance. */
 
-static i64 lower_bound(const i64 *a, i64 lo, i64 hi, i64 key)
+static i64 lower_bound(const i32 *a, i64 lo, i64 hi, i64 key)
 {
     while (lo < hi) {
         i64 mid = lo + (hi - lo) / 2;
@@ -480,9 +483,17 @@ static i64 lower_bound(const i64 *a, i64 lo, i64 hi, i64 key)
     return lo;
 }
 
-/* cnt[0..1] += replacements, transpose_walk_elements */
+/* cnt[0..1] += replacements, transpose_walk_elements
+ *
+ * Each way memoizes its last lower_bound: the vertex interval
+ * (refs[idx-1], refs[idx]] it answered for (open below at -1 when idx
+ * is the slice start, closed above at TOPT_NEVER when idx is past its
+ * end), that answer's next-ref and that search's walk cost. Any vertex
+ * inside the interval has the same lower_bound, so the memo returns
+ * exactly what a fresh search would, walk cost included. A fill clears
+ * it (an empty interval). */
 void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
-            const i64 *lo, const i64 *hi, const i64 *refs,
+            const i64 *lo, const i64 *hi, const i32 *refs,
             const i64 *counts, i64 num_sets, i64 ways, i64 *ws,
             i64 *out, i64 *cnt)
 {
@@ -493,13 +504,19 @@ void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
     i64 *wlo = ws + ways;
     i64 *whi = ws + 2 * ways;
     i64 *dirty = ws + 3 * ways;
+    i64 *mlow = ws + 4 * ways;   /* memo interval (mlow, mref] */
+    i64 *mref = ws + 5 * ways;   /* memo next-ref = interval top */
+    i64 *mcost = ws + 6 * ways;  /* memo walk cost */
     i64 start = 0, s, k, w;
     for (s = 0; s < num_sets; s++) {
         i64 count = counts[s];
         i64 stop = start + count;
         i64 filled = 0;
         if (!count) continue;
-        for (w = 0; w < ways; w++) { resident[w] = -1; wlo[w] = 0; whi[w] = 0; dirty[w] = 0; }
+        for (w = 0; w < ways; w++) {
+            resident[w] = -1; wlo[w] = 0; whi[w] = 0; dirty[w] = 0;
+            mlow[w] = never; mref[w] = -1; mcost[w] = 0;
+        }
         for (k = start; k < stop; k++) {
             i64 line = lines[k], way;
             PROBE(way, resident, filled, line);
@@ -517,11 +534,19 @@ void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
                     for (w = 0; w < ways; w++) {
                         i64 l = wlo[w], h, idx, stepped, r;
                         if (l < 0) { victim = w; break; } /* streaming */
-                        h = whi[w];
-                        idx = lower_bound(refs, l, h, vertex);
-                        stepped = idx - l;
-                        walk += stepped > 1 ? stepped : 1;
-                        r = idx >= h ? never : refs[idx];
+                        if (mlow[w] < vertex && vertex <= mref[w]) {
+                            walk += mcost[w];
+                            r = mref[w];
+                        } else {
+                            h = whi[w];
+                            idx = lower_bound(refs, l, h, vertex);
+                            stepped = idx - l;
+                            r = idx >= h ? never : refs[idx];
+                            mlow[w] = idx > l ? refs[idx - 1] : -1;
+                            mref[w] = r;
+                            mcost[w] = stepped > 1 ? stepped : 1;
+                            walk += mcost[w];
+                        }
                         if (r > best) { best = r; best_way = w; }
                     }
                     way = victim >= 0 ? victim : best_way;
@@ -532,6 +557,8 @@ void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
                 dirty[way] = writes[k];
                 wlo[way] = lo[k];
                 whi[way] = hi[k];
+                mlow[way] = never;
+                mref[way] = -1;
             }
         }
         start = stop;
@@ -540,30 +567,29 @@ void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
     cnt[0] += repl; cnt[1] += walk;
 }
 
-/* Algorithm 2 over one flattened Rereference Matrix row; sp is the
- * stream's POPT_SPARAM_SLOTS-slot parameter block (layout
- * POPT_SP_*, mirroring constants.POPT_SPARAM_LAYOUT). All operands
- * are non-negative, so C integer division is the floor division the
- * Python decode uses. */
-static i64 popt_next_ref(const i64 *sp, const i64 *entries, i64 row_base,
-                         i64 vertex)
+/* Algorithm 2 for one line of an epoch-major Rereference Matrix: the
+ * stream's entries hold column e at e * stride, so this epoch's column
+ * starts at `column` and the line's entry is entries[row + column]; sp
+ * is the stream's POPT_SPARAM_SLOTS-slot parameter block (layout
+ * POPT_SP_*, mirroring constants.POPT_SPARAM_LAYOUT). k_popt decodes
+ * the vertex into (epoch, column, curr_sub) once per stream and victim
+ * scan, so no division happens per way; all operands are non-negative,
+ * so its C integer division is the floor division the Python decode
+ * uses. */
+static i64 popt_next_ref(const i64 *sp, const u16 *entries, i64 row,
+                         i64 epoch, i64 column, i64 curr_sub)
 {
     i64 variant = sp[POPT_SP_VARIANT], msb = sp[POPT_SP_MSB];
     i64 low = sp[POPT_SP_LOW_MASK], nbit = sp[POPT_SP_NEXT_BIT];
-    i64 esize = sp[POPT_SP_EPOCH_SIZE], ssize = sp[POPT_SP_SUB_EPOCH_SIZE];
-    i64 nepochs = sp[POPT_SP_NUM_EPOCHS];
-    i64 epoch = vertex / esize;
-    i64 current, last_sub, curr_sub, next;
-    if (epoch >= nepochs) return low;
-    current = entries[row_base + epoch];
+    i64 current, next;
+    if (epoch >= sp[POPT_SP_NUM_EPOCHS]) return low;
+    current = entries[row + column];
     if (variant == RM_VARIANT_INTER_ONLY) return current;
     if (current & msb) return current & low;
-    last_sub = current & low;
-    curr_sub = (vertex - epoch * esize) / ssize;
-    if (curr_sub <= last_sub) return 0;
+    if (curr_sub <= (current & low)) return 0;
     if (variant == RM_VARIANT_SINGLE_EPOCH) return (current & nbit) ? 1 : 2;
-    if (epoch + 1 >= nepochs) return low;
-    next = entries[row_base + epoch + 1];
+    if (epoch + 1 >= sp[POPT_SP_NUM_EPOCHS]) return low;
+    next = entries[row + column + sp[POPT_SP_STRIDE]];
     if (next & msb) return 1 + (next & low);
     return 1;
 }
@@ -572,8 +598,8 @@ static i64 popt_next_ref(const i64 *sp, const i64 *entries, i64 row_base,
  * tie_candidates (epoch accounting is vectorized on the Python side) */
 void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
             const i64 *sidx, const i64 *sid, const i64 *row_base, i64 n,
-            i64 num_sets, i64 ways,
-            const i64 *sparams, const i64 *entries, i64 prefer_streaming,
+            i64 num_sets, i64 ways, i64 num_streams,
+            const i64 *sparams, const u16 *entries, i64 prefer_streaming,
             i64 rmax, double trickle, i64 psel_max, const i64 *leader,
             const double *draws, i64 *ws, i64 *out, i64 *cnt)
 {
@@ -588,6 +614,8 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
     i64 *dirty = ws + 4 * total;
     i64 *filled = ws + 5 * total;
     i64 *wref = ws + 5 * total + num_sets;
+    /* per stream: epoch, column start, sub-epoch of the scan's vertex */
+    i64 *decode = wref + ways;
     i64 k, w, dc = 0;
     for (k = 0; k < total; k++) {
         resident[k] = -1; rrpv[k] = rmax; wsid[k] = -1; wrb[k] = -1;
@@ -613,8 +641,17 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
                 way = filled[s]++;
             } else {
                 i64 vertex = vertices[k];
-                i64 victim = -1, best = -1;
+                i64 victim = -1, best = -1, t;
                 repl++;
+                for (t = 0; t < num_streams; t++) {
+                    const i64 *sp = sparams + POPT_SPARAM_SLOTS * t;
+                    i64 esize = sp[POPT_SP_EPOCH_SIZE];
+                    i64 epoch = vertex / esize;
+                    decode[3 * t] = epoch;
+                    decode[3 * t + 1] = epoch * sp[POPT_SP_STRIDE];
+                    decode[3 * t + 2] =
+                        (vertex - epoch * esize) / sp[POPT_SP_SUB_EPOCH_SIZE];
+                }
                 for (w = 0; w < ways; w++) {
                     i64 sw = wsid[base + w], r;
                     if (sw < 0) {
@@ -624,9 +661,11 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
                         }
                         r = POPT_STREAMING_NEXT_REF;
                     } else {
+                        const i64 *d = decode + 3 * sw;
                         rml++;
                         r = popt_next_ref(sparams + POPT_SPARAM_SLOTS * sw,
-                                          entries, wrb[base + w], vertex);
+                                          entries, wrb[base + w],
+                                          d[0], d[1], d[2]);
                     }
                     wref[w] = r;
                     if (r > best) best = r;

@@ -74,7 +74,8 @@ resolved against the irregular base/bound regions once per prepared
 run (:meth:`~repro.sim.engine.PrivateFilter.stream_membership`), each
 way remembers its resident line's annotation, and the victim scan is a
 binary search over T-OPT's flat refs CSR / inlined Algorithm 2
-arithmetic over the Rereference Matrix rows. T-OPT is set-partitioned
+arithmetic over the epoch-major Rereference Matrix columns (both inputs
+built once per prepared run). T-OPT is set-partitioned
 (no cross-set state, additive counters); P-OPT runs in access order
 because its DRRIP tie-break carries the same PSEL/RNG coupling as
 :func:`kernel_drrip`. Both write the engine-cost counters the timing
@@ -122,7 +123,7 @@ from ..popt.arch import PoptCounters
 from ..popt.policy import POPT
 from ..popt.topt import TOPT
 from . import ckernels
-from .constants import KERNEL_SIG_SPACE, POPT_SPARAM_SLOTS, RM_VARIANT_CODES
+from .constants import KERNEL_SIG_SPACE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import PrivateFilter
@@ -661,13 +662,16 @@ def _region_bounds(policy) -> tuple:
 
 
 def _topt_annotations(req: KernelRequest) -> tuple:
-    """Per-access refs-slice bounds, in set-partition order.
+    """Per-access refs-slice bounds and vertices, in set-partition order.
 
     Resolves every access's line against the irregular regions ONCE
     (vectorized, via the filter's cached membership) into ``(lo, hi)``
     slices of T-OPT's flat refs array — ``lo = -1`` marks streaming
-    lines — then gathers them (and the vertex channel) into the same
-    per-set order as :meth:`PrivateFilter.set_partition_arrays`.
+    lines — then gathers them and the vertex channel into the same
+    per-set order as :meth:`PrivateFilter.set_partition_arrays`. The
+    gathers are per replay, not memoized: each is one pass over the
+    LLC-visible stream, while a memo would keep 8 bytes per access
+    alive for the prepared run's lifetime.
     """
     policy = req.policy
     filt = req.filt
@@ -684,7 +688,7 @@ def _topt_annotations(req: KernelRequest) -> tuple:
     return (
         np.ascontiguousarray(lo[order]),
         np.ascontiguousarray(hi[order]),
-        filt.set_partition_vertices(req.config),
+        filt.vertices[order].astype(np.int64),
     )
 
 
@@ -699,8 +703,11 @@ def kernel_topt(req: KernelRequest) -> CacheStats:
     scan binary-searches each slice for the current outer vertex,
     accounting the same walk elements as ``TOPT._next_ref``, and the
     first streaming way (``lo < 0``) short-circuits exactly like the
-    reference. Counters are written back onto the policy instance so
-    the timing model reads identical values from every engine.
+    reference. Each way also keeps its last search's vertex interval,
+    answer and walk cost, and reuses them while the outer vertex stays
+    inside the interval (the same answer a fresh search gives). Counters
+    are written back onto the policy instance so the timing model reads
+    identical values from every engine.
     """
     config = req.config
     policy = req.policy
@@ -711,7 +718,7 @@ def kernel_topt(req: KernelRequest) -> CacheStats:
     ckernels.lib().k_topt(
         slines, swrites, sverts, slo, shi, policy._refs_arr,
         counts, config.num_sets, config.num_ways,
-        _ws(4 * config.num_ways), out, cnt,
+        _ws(7 * config.num_ways), out, cnt,
     )
     policy.replacements = int(cnt[0])
     policy.transpose_walk_elements = int(cnt[1])
@@ -731,10 +738,14 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     examined, first-streaming-way short-circuit (when preferred), and
     first-max + DRRIP-RRPV resolution over tied ways.
 
-    Every stream's RM is flattened into one int64 array; each access
-    carries the flat base index of its line's row (-1 = streaming) and
-    a ``POPT_SPARAM_LAYOUT`` parameter block per stream drives the
-    decode.
+    The matrices come in the policy's
+    :class:`~repro.popt.policy.KernelMatrices` form: epoch-major uint16
+    entries and a ``POPT_SPARAM_LAYOUT`` parameter block per stream,
+    built once per prepared run and shared by every replay. Each access
+    carries its line's index into its stream's first column (the
+    stream's base plus the line offset; -1 = streaming), and a victim
+    scan decodes the vertex into each stream's epoch column and
+    sub-epoch once, not once per way.
 
     Epoch accounting is replay-independent — ``_note_epoch`` fires once
     per LLC-visible access (hit or fill), so ``epoch_transitions`` is
@@ -758,28 +769,9 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     )
     column_bytes = sum(matrix.column_bytes() for matrix in matrices)
 
-    sparams = np.zeros(POPT_SPARAM_SLOTS * len(matrices), dtype=np.int64)
-    entry_parts = [
-        np.ascontiguousarray(m.entries, dtype=np.int64).ravel()
-        for m in matrices
-    ]
-    entry_base = 0
-    row_base = np.full(n, -1, dtype=np.int64)
-    for index, matrix in enumerate(matrices):
-        block = POPT_SPARAM_SLOTS * index
-        sparams[block:block + POPT_SPARAM_SLOTS] = (
-            RM_VARIANT_CODES[matrix.variant],
-            matrix._msb,
-            matrix._low_mask,
-            matrix._next_bit,
-            matrix.epoch_size,
-            matrix.sub_epoch_size,
-            matrix.num_epochs,
-        )
-        match = sid == index
-        row_base[match] = entry_base + off[match] * matrix.num_epochs
-        entry_base += entry_parts[index].size
-    entries = np.concatenate(entry_parts)
+    kernel_matrices = policy.kernel_matrices
+    bases = np.array(kernel_matrices.bases, dtype=np.int64)
+    row_base = np.where(sid >= 0, bases[sid] + off, -1)
 
     _, lines, writes, sidx = _access_order_arrays(req)
     num_sets = config.num_sets
@@ -791,10 +783,11 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     ckernels.lib().k_popt(
         lines, writes, verts, sidx,
         np.ascontiguousarray(sid), row_base, n, num_sets, num_ways,
-        sparams, entries,
+        len(matrices), kernel_matrices.sparams, kernel_matrices.entries,
         1 if policy.prefer_streaming_victims else 0,
         tie.rrpv_max, BRRIP.TRICKLE, tie.psel_max, leader, draws,
-        _ws(5 * num_sets * num_ways + num_sets + num_ways),
+        _ws(5 * num_sets * num_ways + num_sets + num_ways
+            + 3 * len(matrices)),
         out, cnt,
     )
     replacements, streaming_evictions, rm_lookups, ties, tie_candidates = (

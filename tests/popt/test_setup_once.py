@@ -10,6 +10,7 @@ Python views are checked through the driver.
 import dataclasses
 import random
 from collections import OrderedDict
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -17,15 +18,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import scaled_hierarchy
-from repro.errors import WidthContractError
+from repro.errors import PolicyError, WidthContractError
 from repro.graph import datasets
 from repro.graph.csr import CSRGraph
 from repro.popt import rereference
-from repro.popt.policy import POPT, PoptStream
+from repro.popt import topt
+from repro.popt.policy import POPT, KernelMatrices, PoptStream
 from repro.popt.rereference import _encode_entries, build_rereference_matrix
 from repro.popt.topt import TOPT, build_line_reference_csr
-from repro.sim import artifacts, parallel
-from repro.sim.constants import rm_msb, rm_next_bit, rm_sentinel
+from repro.sim import artifacts, kernels, parallel
+from repro.sim.constants import (
+    POPT_SPARAM_LAYOUT,
+    rm_msb,
+    rm_next_bit,
+    rm_sentinel,
+)
 from repro.sim.driver import prepare_run, simulate_prepared
 from repro.sim.engine import ReplayEngine
 from repro.sim.kernels import _fill_draws
@@ -292,6 +299,113 @@ class TestMatrixMemo:
         streams = len(prepared.irregular_streams)
         assert len(count_builds) == 3 * streams
         assert len(prepared.matrices) == 3 * streams
+
+
+def _recording_kernel(monkeypatch, policy_type, record):
+    """Swap ``policy_type``'s kernel for one that calls ``record(req)``
+    after each replay."""
+    name, kernel = kernels.KERNEL_TABLE[policy_type]
+
+    def recording(req):
+        stats = kernel(req)
+        record(req)
+        return stats
+
+    table = dict(kernels.KERNEL_TABLE)
+    table[policy_type] = (name, recording)
+    monkeypatch.setattr(kernels, "KERNEL_TABLE", MappingProxyType(table))
+
+
+class TestKernelInputMemo:
+    """The next-ref kernels' inputs are built once per prepared run and
+    shared, read-only, by every LLC point."""
+
+    @pytest.mark.needs_ckernels
+    def test_llc_points_share_one_kernel_form(self, monkeypatch):
+        seen = []
+        _recording_kernel(monkeypatch, POPT, lambda req: seen.append(
+            (req.policy.kernel_matrices, req.policy.kernel_matrices.entries)
+        ))
+        prepared = tiny_prepared()
+        hierarchy = scaled_hierarchy("tiny")
+        for factor in (1, 2):
+            result = simulate_prepared(prepared, "P-OPT", with_llc(
+                hierarchy, num_sets=factor * hierarchy.llc.num_sets
+            ))
+            assert result.details["engine"]["kernel"] == "p-opt"
+        (first, first_entries), (second, second_entries) = seen
+        assert first is second
+        assert first is prepared.kernel_matrices[(8, "inter_intra")]
+        assert first_entries is second_entries
+        for array in (first.entries, first.sparams):
+            assert not array.flags.writeable
+
+    @pytest.mark.needs_ckernels
+    def test_llc_points_share_one_reference_pair(self, monkeypatch):
+        seen = []
+        _recording_kernel(
+            monkeypatch, TOPT, lambda req: seen.append(req.policy._refs_arr)
+        )
+        calls = []
+        original = topt.build_line_reference_csr
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(topt, "build_line_reference_csr", counting)
+        prepared = tiny_prepared()
+        hierarchy = scaled_hierarchy("tiny")
+        for factor in (1, 2, 4):
+            result = simulate_prepared(prepared, "T-OPT", with_llc(
+                hierarchy, num_sets=factor * hierarchy.llc.num_sets
+            ))
+            assert result.details["engine"]["kernel"] == "t-opt"
+        assert len(calls) == len(prepared.irregular_streams)
+        assert len(seen) == 3
+        assert all(refs is prepared.line_references[1] for refs in seen)
+        assert prepared.line_references[1].dtype == np.int32
+        for array in prepared.line_references:
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("entry_bits", [4, 16])
+    def test_kernel_form_is_the_epoch_major_matrices(self, entry_bits):
+        prepared = tiny_prepared()
+        simulate_prepared(
+            prepared, "P-OPT-SE", scaled_hierarchy("tiny"),
+            entry_bits=entry_bits,
+        )
+        form = prepared.kernel_matrices[(entry_bits, "single_epoch")]
+        assert form.entries.dtype == np.uint16
+        for base, matrix in zip(form.bases, form.matrices):
+            lines, epochs = matrix.entries.shape
+            block = form.entries[base:base + matrix.entries.size]
+            assert np.array_equal(
+                block.reshape(epochs, lines), matrix.entries.T
+            )
+        slots = len(POPT_SPARAM_LAYOUT)
+        for index, matrix in enumerate(form.matrices):
+            block = dict(zip(
+                POPT_SPARAM_LAYOUT,
+                form.sparams[index * slots:(index + 1) * slots].tolist(),
+            ))
+            assert block["stride"] == matrix.num_lines
+            assert block["num_epochs"] == matrix.num_epochs
+            assert block["epoch_size"] == matrix.epoch_size
+
+    def test_mismatched_inputs_are_refused(self):
+        prepared = tiny_prepared()
+        policy = _popt_policy(prepared)
+        other = KernelMatrices([
+            dataclasses.replace(stream.matrix) for stream in policy.streams
+        ])
+        with pytest.raises(PolicyError, match="kernel_matrices"):
+            POPT(policy.streams, kernel_matrices=other)
+        offsets, refs = topt.build_stream_references(
+            prepared.irregular_streams
+        )
+        with pytest.raises(PolicyError, match="offsets"):
+            TOPT(prepared.irregular_streams, references=(offsets[1:], refs))
 
 
 def _engine_run(prepared, policy, use_kernel):

@@ -229,6 +229,36 @@ class TestDerivedBoundary:
         assert all(name.startswith("k_") for name in names)
         assert not hasattr(clib, "rrip_victim")  # static helper
 
+    def test_u16_and_i32_parameters_are_typed(self):
+        (argtypes,) = ckernels._signatures(
+            "void k_x(const u16 *entries, u16 n, const i32 *refs, i32 m)"
+            "\n{\n}\n"
+        ).values()
+        entries, n, refs, m = argtypes
+        assert entries is np.ctypeslib.ndpointer(
+            np.uint16, flags="C_CONTIGUOUS"
+        )
+        assert n is ctypes.c_uint16
+        assert refs is np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+        assert m is ctypes.c_int32
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_wrong_width_popt_entries_raise_at_call(self, toolchain, dtype):
+        clib = ckernels.lib()
+        assert clib is not None
+        i64 = np.zeros(1, dtype=np.int64)
+        args = [
+            i64, np.zeros(1, dtype=np.uint8), i64, i64, i64, i64,  # streams
+            0, 1, 1, 1,                      # n, num_sets, ways, streams
+            np.zeros(8, dtype=np.int64),     # sparams
+            np.zeros(4, dtype=dtype),        # entries: must be uint16
+            1, 3, 1 / 32, 1023, i64, np.zeros(1, dtype=np.float64),
+            np.zeros(16, dtype=np.int64), np.zeros(4, dtype=np.int64),
+            np.zeros(5, dtype=np.int64),
+        ]
+        with pytest.raises(ctypes.ArgumentError, match="uint16"):
+            clib.k_popt(*args)
+
     def test_int_parameter_refuses_to_load(
         self, toolchain, tmp_path, monkeypatch
     ):

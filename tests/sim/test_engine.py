@@ -562,6 +562,91 @@ class TestPoptKernelEquivalence:
         assert fast.popt_counters == ref.popt_counters
 
 
+def _multi_stream_apps():
+    from repro.apps import BFS, PageRankDelta
+
+    graph = uniform_random(1024, avg_degree=6.0, seed=7)
+    source = int(np.argmax(graph.degrees()))
+    return graph, {"BFS": BFS(source=source), "PR-Delta": PageRankDelta()}
+
+
+@pytest.fixture(scope="module", params=["BFS", "PR-Delta"])
+def multi_stream_prepared(request):
+    graph, apps = _multi_stream_apps()
+    return prepare_run(apps[request.param], graph)
+
+
+def tiny_llc_hierarchy():
+    """An LLC smaller than the irregular data, so victim scans reach
+    Algorithm 2 and the T-OPT search instead of only streaming ways."""
+    return HierarchyConfig(
+        l1=CacheConfig("L1", num_sets=1, num_ways=2),
+        llc=CacheConfig("LLC", num_sets=4, num_ways=4),
+    )
+
+
+class TestMultiStreamKernelEquivalence:
+    """The next-ref kernels match the generic engine on apps with two
+    irregular streams (data plus frontier) whose outer vertices are not
+    in increasing order (BFS rounds, PR-Delta iterations), at every
+    Rereference Matrix storage width (4 and 8 bits in uint8, 16 bits in
+    uint16)."""
+
+    def test_premise_two_streams_vertices_out_of_order(
+        self, multi_stream_prepared
+    ):
+        assert len(multi_stream_prepared.irregular_streams) == 2
+        vertices = multi_stream_prepared.trace.vertices.astype(np.int64)
+        assert np.any(np.diff(vertices) < 0)
+
+    @pytest.mark.parametrize("entry_bits", [4, 8, 16])
+    @pytest.mark.parametrize("policy", ["P-OPT", "P-OPT-Inter", "P-OPT-SE"])
+    def test_popt_variants_match_generic(
+        self, multi_stream_prepared, policy, entry_bits
+    ):
+        hierarchy = tiny_llc_hierarchy()
+        fast, generic = (
+            simulate_prepared(
+                multi_stream_prepared, policy, hierarchy,
+                entry_bits=entry_bits, engine=engine,
+            )
+            for engine in ("fast", "generic")
+        )
+        assert_kernel_dispatch(fast)
+        assert generic.details["engine"]["kernel"] is None
+        assert_results_match(fast, generic)
+        assert fast.popt_counters == generic.popt_counters
+        assert fast.popt_counters["rm_lookups"] > 0
+        dtype = np.uint16 if entry_bits == 16 else np.uint8
+        for (_, bits, _), matrix in multi_stream_prepared.matrices.items():
+            if bits == entry_bits:
+                assert matrix.entries.dtype == dtype
+
+    def test_topt_matches_generic(self, multi_stream_prepared):
+        # T-OPT reads no Rereference Matrix, so entry_bits does not
+        # apply; its counters live on the policy (engine API).
+        from repro.popt.topt import TOPT
+
+        hierarchy = tiny_llc_hierarchy()
+        engine = ReplayEngine(multi_stream_prepared, hierarchy)
+        runs = {}
+        for use_kernel in (True, False):
+            policy = TOPT(
+                multi_stream_prepared.irregular_streams,
+                line_size=hierarchy.line_size,
+            )
+            run = engine.run(policy, use_kernel=use_kernel)
+            compiled = use_kernel and ckernels.available()
+            assert run.kernel == ("t-opt" if compiled else None)
+            runs[use_kernel] = (
+                [vars(level) for level in run.levels],
+                policy.replacements,
+                policy.transpose_walk_elements,
+            )
+        assert runs[True] == runs[False]
+        assert runs[True][1] > 0
+
+
 class TestCompactNextUse:
     """llc_compact_next_use maps the original-coordinate chain onto the
     LLC-visible stream, preserving order (the OPT kernel's invariant)."""

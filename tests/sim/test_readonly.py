@@ -55,7 +55,6 @@ class TestFilterChannels:
         products = [
             filt.compact_next_use(),
             filt.set_index_array(config),
-            filt.set_partition_vertices(config),
             *[
                 arr for arr in filt.set_partition_arrays(config)
                 if isinstance(arr, np.ndarray)
