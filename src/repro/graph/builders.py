@@ -1,21 +1,16 @@
 """Construct :class:`~repro.graph.csr.CSRGraph` instances from edge data.
 
-Two build paths exist:
-
-- :func:`from_edges` materializes the whole ``(E, 2)`` edge array and
-  sorts it once — the right call for in-memory edges.
-- :func:`from_edges_chunked` is a two-pass streamed build over an
-  *iterable of edge chunks*: pass 1 accumulates per-source degree
-  counts, pass 2 scatters each chunk's neighbors directly into its
-  final CSR segment. Peak memory is one chunk plus the output arrays,
-  never the full ``(E, 2)`` int64 edge list — which is what lets the
-  chunked text/binary loaders in :mod:`repro.graph.io` ingest edge
-  files ~10x larger than the resident trace working set.
+Every build goes through :func:`from_edges`: it sorts one packed int64
+key per edge, so memory is O(E). The text loaders in
+:mod:`repro.graph.io` tokenize their file once and hand the whole edge
+array here; a ``payload`` (the ``.wel`` weights) follows its edge
+through the sort, and ``where`` (the loader's path) names the input in
+every range error.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, overload
 
 import numpy as np
 
@@ -25,7 +20,6 @@ from .csr import CSRGraph
 
 __all__ = [
     "from_edges",
-    "from_edges_chunked",
     "from_adjacency",
     "empty_graph",
     "symmetrize",
@@ -54,208 +48,100 @@ def _check_packable(num_vertices: int, where: str) -> None:
     narrow(np.int64(num_vertices - 1), "csr.neighbors", where)
 
 
+@overload
+def from_edges(
+    edges,
+    num_vertices: Optional[int] = ...,
+    *,
+    dedup: bool = ...,
+    drop_self_loops: bool = ...,
+    payload: None = ...,
+    where: str = ...,
+) -> CSRGraph: ...
+
+
+@overload
+def from_edges(
+    edges,
+    num_vertices: Optional[int] = ...,
+    *,
+    dedup: bool = ...,
+    drop_self_loops: bool = ...,
+    payload: np.ndarray,
+    where: str = ...,
+) -> Tuple[CSRGraph, np.ndarray]: ...
+
+
 def from_edges(
     edges,
     num_vertices: Optional[int] = None,
     *,
     dedup: bool = False,
     drop_self_loops: bool = False,
-) -> CSRGraph:
+    payload: Optional[np.ndarray] = None,
+    where: str = "from_edges",
+):
     """Build a directed graph from ``(src, dst)`` pairs.
 
     Neighbor lists in the result are sorted, as the rest of the library
     (notably T-OPT's binary-searched transpose walks) requires.
+
+    ``payload`` holds one value per input edge. When given, the result
+    is ``(graph, payload)`` with the payload permuted into the graph's
+    edge order: parallel edges keep their input order, and each value
+    stays with its edge (``dedup`` keeps the first). ``where`` names the
+    input (a loader passes its file path) in range and width errors.
     """
     array = _as_edge_array(edges)
+    if payload is not None:
+        payload = np.asarray(payload)
+        if len(payload) != len(array):
+            raise GraphFormatError(
+                f"{where}: payload has {len(payload)} entries for "
+                f"{len(array)} edges"
+            )
     if drop_self_loops and len(array):
-        array = array[array[:, 0] != array[:, 1]]
+        keep = array[:, 0] != array[:, 1]
+        array = array[keep]
+        if payload is not None:
+            payload = payload[keep]
     if num_vertices is None:
         num_vertices = int(array.max()) + 1 if len(array) else 0
     if len(array):
         if array.min() < 0:
-            raise GraphFormatError("negative vertex ID in edge list")
+            raise GraphFormatError(f"{where}: negative vertex ID in edge list")
         if array.max() >= num_vertices:
             raise GraphFormatError(
-                f"vertex ID {int(array.max())} exceeds num_vertices={num_vertices}"
+                f"{where}: vertex ID {int(array.max())} exceeds "
+                f"num_vertices={num_vertices}"
             )
-    _check_packable(num_vertices, "from_edges")
+    _check_packable(num_vertices, where)
     # One int64 key per edge, ordered by (src, dst): sorting it sorts the
     # edges and puts repeats side by side. (Sort plus a mask dedups
-    # ~20x faster than np.unique, which hashes first on numpy 2.4.)
-    key = np.sort(array[:, 0] * num_vertices + array[:, 1])
+    # ~20x faster than np.unique, which hashes first on numpy 2.4.) A
+    # payload needs the stable argsort, so parallel edges keep their
+    # order and each value its edge.
+    key = array[:, 0] * num_vertices + array[:, 1]
+    if payload is None:
+        key = np.sort(key)
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        payload = payload[order]
     if dedup and len(key):
-        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        first = np.concatenate(([True], key[1:] != key[:-1]))
+        key = key[first]
+        if payload is not None:
+            payload = payload[first]
     sources = key // num_vertices
     counts = np.bincount(sources, minlength=num_vertices).astype(
         np.int64, copy=False
     )
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    neighbors = narrow(
-        key - sources * num_vertices, "csr.neighbors", "from_edges"
-    )
-    return CSRGraph(offsets=offsets, neighbors=neighbors)
-
-
-#: A chunk source is a zero-argument callable returning a fresh iterator
-#: of ``(E_i, 2)`` int64 edge arrays — or ``(edges, payload)`` pairs when
-#: ``with_payload`` is set. It is called twice (counting pass + placement
-#: pass), so generators must be wrapped in a factory, not passed raw.
-ChunkSource = Callable[[], Iterable[Any]]
-
-
-def _chunk_parts(
-    item: Any, with_payload: bool
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    if with_payload:
-        edges, payload = item
-        edges = np.asarray(edges, dtype=np.int64)
-        payload = np.asarray(payload, dtype=np.int64)
-        if len(payload) != len(edges):
-            raise GraphFormatError(
-                f"payload chunk has {len(payload)} entries for "
-                f"{len(edges)} edges"
-            )
-    else:
-        edges = np.asarray(item, dtype=np.int64)
-        payload = None
-    if edges.size == 0:
-        return edges.reshape(0, 2), payload
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise GraphFormatError("edges must be an (E, 2) array of (src, dst)")
-    return edges, payload
-
-
-def from_edges_chunked(
-    chunks: ChunkSource,
-    num_vertices: Optional[int] = None,
-    *,
-    resolve_num_vertices: Optional[Callable[[], Optional[int]]] = None,
-    with_payload: bool = False,
-    where: str = "from_edges_chunked",
-) -> Union[CSRGraph, Tuple[CSRGraph, np.ndarray]]:
-    """Two-pass streamed CSR build from an iterable of edge chunks.
-
-    ``chunks()`` is invoked twice and must yield the same edge stream
-    both times (loaders re-read the file). Pass 1 accumulates degree
-    counts; pass 2 scatters each chunk's destinations straight into the
-    output neighbor array, so only one chunk is resident at a time.
-    The result is bit-identical to ``from_edges`` over the concatenated
-    stream: neighbor lists come out sorted, and parallel edges keep
-    their input order (which is what preserves weight attachment).
-
-    ``resolve_num_vertices`` is consulted after the counting pass when
-    ``num_vertices`` is ``None`` — the hook that lets a text loader
-    honor a ``# vertices N`` directive discovered mid-stream. With
-    ``with_payload=True`` each chunk is an ``(edges, payload)`` pair and
-    the return value is ``(graph, payload)`` with the payload permuted
-    into the graph's final edge order. ``where`` (a loader passes its
-    file path) tags a neighbor ID that does not fit the int32
-    ``csr.neighbors`` contract.
-    """
-    # Pass 1: count edges per source, growing the histogram as larger
-    # vertex IDs stream past.
-    counts = np.zeros(0, dtype=np.int64)
-    max_id = -1
-    total = 0
-    for item in chunks():
-        edges, _ = _chunk_parts(item, with_payload)
-        if not len(edges):
-            continue
-        if int(edges.min()) < 0:
-            raise GraphFormatError("negative vertex ID in edge list")
-        max_id = max(max_id, int(edges.max()))
-        sources = edges[:, 0]
-        top = int(sources.max())
-        if top >= len(counts):
-            grown = np.zeros(max(top + 1, 2 * len(counts)), dtype=np.int64)
-            grown[: len(counts)] = counts
-            counts = grown
-        counts += np.bincount(sources, minlength=len(counts)).astype(
-            np.int64, copy=False
-        )
-        total += len(edges)
-
-    if num_vertices is None and resolve_num_vertices is not None:
-        num_vertices = resolve_num_vertices()
-    if num_vertices is None:
-        num_vertices = max_id + 1 if max_id >= 0 else 0
-    if max_id >= num_vertices:
-        raise GraphFormatError(
-            f"vertex ID {max_id} exceeds num_vertices={num_vertices}"
-        )
-    _check_packable(num_vertices, where)
-
-    full_counts = np.zeros(num_vertices, dtype=np.int64)
-    full_counts[: min(len(counts), num_vertices)] = counts[:num_vertices]
-    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(full_counts, out=offsets[1:])
-
-    # Pass 2: stable scatter. Within a chunk, edges are stably grouped
-    # by source so same-source edges land in consecutive slots; across
-    # chunks the per-source cursor preserves stream order.
-    neighbors = np.empty(total, dtype=np.int32)
-    payload_out = np.empty(total, dtype=np.int64) if with_payload else None
-    next_free = offsets[:-1].copy()
-    placed = 0
-    for item in chunks():
-        edges, payload = _chunk_parts(item, with_payload)
-        if not len(edges):
-            continue
-        placed += len(edges)
-        if placed > total or int(edges.max()) >= num_vertices:
-            raise GraphFormatError(
-                "edge stream changed between the counting and placement "
-                "passes"
-            )
-        # Stable grouping by source: the key source * count + position
-        # is unique, so a plain sort orders by source, then stream
-        # position (several times faster than a stable argsort).
-        count = len(edges)
-        sources, order = np.divmod(
-            np.sort(edges[:, 0] * count + np.arange(count)), count
-        )
-        group_start = np.flatnonzero(
-            np.concatenate(([True], sources[1:] != sources[:-1]))
-        )
-        group_count = np.diff(group_start, append=len(sources))
-        uniq = sources[group_start]
-        ranks = np.arange(len(sources), dtype=np.int64) - np.repeat(
-            group_start, group_count
-        )
-        positions = next_free[sources] + ranks
-        neighbors[positions] = narrow(edges[order, 1], "csr.neighbors", where)
-        if payload_out is not None and payload is not None:
-            payload_out[positions] = payload[order]
-        next_free[uniq] += group_count
-    if placed != total or not np.array_equal(next_free, offsets[1:]):
-        raise GraphFormatError(
-            "edge stream changed between the counting and placement passes"
-        )
-
-    # Final in-segment sort on the packed (source, neighbor) key. Sources
-    # are already non-decreasing, so sorting the key only reorders within
-    # each neighbor list. A payload needs a stable argsort, so parallel
-    # edges keep stream order (and each weight its edge), matching
-    # ``from_edges`` exactly.
-    if total:
-        row_base = np.repeat(
-            np.arange(num_vertices, dtype=np.int64) * num_vertices,
-            full_counts,
-        )
-        key = row_base + neighbors
-        if payload_out is None:
-            key.sort()
-        else:
-            order_all = np.argsort(key, kind="stable")
-            key = key[order_all]
-            payload_out = payload_out[order_all]
-        neighbors = narrow(key - row_base, "csr.neighbors", where)
+    neighbors = narrow(key - sources * num_vertices, "csr.neighbors", where)
     graph = CSRGraph(offsets=offsets, neighbors=neighbors)
-    if with_payload:
-        assert payload_out is not None
-        return graph, payload_out
-    return graph
+    return graph if payload is None else (graph, payload)
 
 
 def from_adjacency(adjacency: Sequence[Iterable[int]]) -> CSRGraph:

@@ -15,10 +15,10 @@ are cut out (found with ``bytes.find``, so only they are visited), and
 the surviving tokens are converted with one vectorized
 ``np.array(block.split(), dtype=...)`` call — no per-line Python loop.
 The trailing partial line of every block carries into the next, so
-blocks always cover whole lines. CSR construction streams the chunks
-through :func:`repro.graph.builders.from_edges_chunked` (two passes over
-the file), so edge files much larger than the resident trace working
-set ingest without ever materializing a full ``(E, 2)`` edge array.
+blocks always cover whole lines. Each file is read once and never held
+as raw text: the blocks' token arrays are concatenated (O(E) memory,
+like the build itself) and handed to
+:func:`repro.graph.builders.from_edges`, the one CSR build path.
 
 All loaders funnel malformed input into :class:`GraphFormatError` with
 the offending path (and line, where known) — never a downstream
@@ -46,7 +46,7 @@ import numpy as np
 
 from ..errors import GraphFormatError
 from ..sim.constants import narrow
-from .builders import from_edges_chunked
+from .builders import from_edges
 from .csr import CSRGraph
 
 __all__ = [
@@ -67,7 +67,7 @@ __all__ = [
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-#: Bytes of text parsed per block by the chunked loaders. Small enough
+#: Bytes of text parsed per block by the text loaders. Small enough
 #: to keep one block cache-resident, large enough to amortize the numpy
 #: conversion call.
 DEFAULT_CHUNK_BYTES = 1 << 22
@@ -195,7 +195,7 @@ def _csr_from_validated(
 
 
 # ----------------------------------------------------------------------
-# Chunked text tokenization
+# Block-wise text tokenization
 # ----------------------------------------------------------------------
 
 
@@ -274,24 +274,6 @@ def _line_blocks(handle: BinaryIO, chunk_bytes: int) -> Iterator[bytes]:
         yield carry
 
 
-def _iter_token_blocks(
-    handle: BinaryIO,
-    path: PathLike,
-    directives: Dict[str, int],
-    chunk_bytes: int,
-    dtype: np.dtype,
-) -> Iterator[np.ndarray]:
-    """Yield token arrays from fixed-size blocks covering whole lines."""
-    start = handle.tell()
-    for block in _line_blocks(handle, chunk_bytes):
-        try:
-            tokens = _block_tokens(block, directives, dtype)
-        except (ValueError, OverflowError):
-            _raise_bad_token(path, start, dtype)
-        if tokens is not None:
-            yield tokens
-
-
 def _data_lines(path: PathLike, start: int) -> Iterator[Tuple[int, bytes]]:
     """``(line_number, stripped_line)`` for every non-blank, non-comment
     line from byte ``start`` on, numbered from the top of the file."""
@@ -339,33 +321,34 @@ def _raise_misaligned(
                            f"{columns} ({label!r} lines expected)")
 
 
-def _edge_token_chunks(
+def _token_rows(
+    handle: BinaryIO,
     path: PathLike,
     directives: Dict[str, int],
     chunk_bytes: int,
-    columns: int,
+    dtype: np.dtype,
     label: str,
-) -> Iterator[np.ndarray]:
-    """Yield ``(E_i, columns)`` int64 arrays from a text edge file."""
-    with open(path, "rb") as handle:
-        for tokens in _iter_token_blocks(
-            handle, path, directives, chunk_bytes, np.dtype(np.int64)
-        ):
-            if tokens.size % columns:
-                _raise_misaligned(path, columns, label)
-            yield tokens.reshape(-1, columns)
-
-
-def _directive_resolver(
-    directives: Dict[str, int], fallback: Optional[int]
-) -> Callable[[], Optional[int]]:
-    """A ``# vertices N`` directive wins over the caller's argument,
-    matching the historical loader semantics."""
-
-    def resolve() -> Optional[int]:
-        return directives.get("vertices", fallback)
-
-    return resolve
+) -> np.ndarray:
+    """Tokenize the rest of ``handle`` in one pass into an
+    ``(E, columns)`` array, ``columns`` being the word count of
+    ``label``. Blocks cover whole lines, so a block whose token count is
+    not a multiple of ``columns`` holds a malformed line."""
+    columns = len(label.split())
+    start = handle.tell()
+    rows = []
+    for block in _line_blocks(handle, chunk_bytes):
+        try:
+            tokens = _block_tokens(block, directives, dtype)
+        except (ValueError, OverflowError):
+            _raise_bad_token(path, start, dtype)
+        if tokens is None:
+            continue
+        if tokens.size % columns:
+            _raise_misaligned(path, columns, label, start)
+        rows.append(tokens.reshape(-1, columns))
+    if not rows:
+        return np.empty((0, columns), dtype=dtype)
+    return np.concatenate(rows)
 
 
 # ----------------------------------------------------------------------
@@ -399,23 +382,19 @@ def load_edge_list(
     A ``# vertices N`` comment pins the vertex count; otherwise it is
     inferred from the maximum ID. Blank lines and ``#``/``%`` comments
     are skipped; tabs and CRLF line endings (both appear in real SNAP
-    dumps) are tolerated. Parsing is block-wise — see the module
-    docstring — so multi-gigabyte edge lists stream.
+    dumps) are tolerated. The file is read once, in ``chunk_bytes``
+    blocks (see the module docstring); memory is O(E), never the raw
+    text.
     """
     directives: Dict[str, int] = {}
-
-    def chunks() -> Iterator[np.ndarray]:
-        return _edge_token_chunks(
-            path, directives, chunk_bytes, 2, "src dst"
+    with open(path, "rb") as handle:
+        edges = _token_rows(
+            handle, path, directives, chunk_bytes, np.dtype(np.int64),
+            "src dst",
         )
-
-    graph = from_edges_chunked(
-        chunks,
-        resolve_num_vertices=_directive_resolver(directives, num_vertices),
-        where=str(path),
+    return from_edges(
+        edges, directives.get("vertices", num_vertices), where=str(path)
     )
-    assert isinstance(graph, CSRGraph)
-    return graph
 
 
 def save_weighted_edge_list(
@@ -457,21 +436,17 @@ def load_weighted_edge_list(
     tolerance matches :func:`load_edge_list`.
     """
     directives: Dict[str, int] = {}
-
-    def chunks() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        for block in _edge_token_chunks(
-            path, directives, chunk_bytes, 3, "src dst weight"
-        ):
-            yield block[:, :2], block[:, 2]
-
-    result = from_edges_chunked(
-        chunks,
-        resolve_num_vertices=_directive_resolver(directives, num_vertices),
-        with_payload=True,
+    with open(path, "rb") as handle:
+        rows = _token_rows(
+            handle, path, directives, chunk_bytes, np.dtype(np.int64),
+            "src dst weight",
+        )
+    return from_edges(
+        rows[:, :2],
+        directives.get("vertices", num_vertices),
+        payload=rows[:, 2],
         where=str(path),
     )
-    assert isinstance(result, tuple)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -566,6 +541,29 @@ def _read_mtx_header(
         return field, symmetry, rows, cols, nnz, handle.tell()
 
 
+def _int64_indices(values: np.ndarray) -> np.ndarray:
+    """Mask of the float values that cast exactly to int64."""
+    return np.isfinite(values) & (values == np.trunc(values)) & (
+        np.abs(values) < 2.0 ** 63
+    )
+
+
+def _raise_bad_index(path: PathLike, start: int) -> NoReturn:
+    """Re-read ``path`` line-by-line to name the first row or column
+    index that is not an int64 integer. Only runs on the error path."""
+    for line_number, line in _data_lines(path, start):
+        indices = line.split()[:2]
+        bad = ~_int64_indices(np.array(indices, dtype=np.float64))
+        if bad.any():
+            token = indices[int(np.argmax(bad))]
+            raise GraphFormatError(
+                f"{path}:{line_number}: row/column index "
+                f"{token.decode('ascii', 'replace')!r} is not an int64 "
+                f"integer"
+            )
+    raise GraphFormatError(f"{path}: row/column index is not an integer")
+
+
 def load_matrix_market(
     path: PathLike, chunk_bytes: int = DEFAULT_CHUNK_BYTES
 ) -> CSRGraph:
@@ -573,54 +571,35 @@ def load_matrix_market(
 
     Entry ``i j [value]`` becomes edge ``i-1 -> j-1`` (values are
     dropped; ``real`` and ``integer`` fields are accepted so weighted
-    matrices ingest as topology). ``symmetric`` files mirror every
+    matrices ingest as topology, but a ``real`` file's row and column
+    indices must still be integers). ``symmetric`` files mirror every
     off-diagonal entry, matching the usual adjacency interpretation.
-    Entries stream through the same chunked tokenizer as the edge-list
-    loaders.
+    Entries go through the same one-pass block tokenizer as the
+    edge-list loaders.
     """
     with open(path, "rb") as handle:
         field, symmetry, rows, cols, nnz, data_offset = _read_mtx_header(
             handle, path
         )
-    columns = 2 if field == "pattern" else 3
-    token_dtype = np.dtype(
-        np.float64 if field == "real" else np.int64
-    )
-    num_vertices = max(rows, cols)
-    seen = {"entries": 0}
-
-    def chunks() -> Iterator[np.ndarray]:
-        seen["entries"] = 0
-        directives: Dict[str, int] = {}
-        with open(path, "rb") as handle:
-            handle.seek(data_offset)
-            for tokens in _iter_token_blocks(
-                handle, path, directives, chunk_bytes, token_dtype
-            ):
-                if tokens.size % columns:
-                    _raise_misaligned(
-                        path, columns,
-                        "i j" if columns == 2 else "i j value",
-                        data_offset,
-                    )
-                pairs = tokens.reshape(-1, columns)[:, :2]
-                pairs = pairs.astype(np.int64) - 1  # 1-indexed entries
-                seen["entries"] += len(pairs)
-                if symmetry == "symmetric":
-                    mirrored = pairs[pairs[:, 0] != pairs[:, 1]]
-                    pairs = np.vstack([pairs, mirrored[:, ::-1]])
-                yield pairs
-
-    graph = from_edges_chunked(
-        chunks, num_vertices=num_vertices, where=str(path)
-    )
-    if seen["entries"] != nnz:
+        entries = _token_rows(
+            handle, path, {}, chunk_bytes,
+            np.dtype(np.float64 if field == "real" else np.int64),
+            "i j" if field == "pattern" else "i j value",
+        )[:, :2]
+    if len(entries) != nnz:
         raise GraphFormatError(
             f"{path}: size line declares {nnz} entries but file holds "
-            f"{seen['entries']}"
+            f"{len(entries)}"
         )
-    assert isinstance(graph, CSRGraph)
-    return graph
+    if field == "real":
+        if not _int64_indices(entries).all():
+            _raise_bad_index(path, data_offset)
+        entries = entries.astype(np.int64)
+    pairs = entries - 1  # 1-indexed entries
+    if symmetry == "symmetric":
+        mirrored = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = np.vstack([pairs, mirrored[:, ::-1]])
+    return from_edges(pairs, max(rows, cols), where=str(path))
 
 
 def save_matrix_market(

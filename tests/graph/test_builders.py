@@ -1,11 +1,10 @@
-"""The packed-key CSR builders against a row-wise reference.
+"""The packed-key CSR builder against a row-wise reference.
 
-`from_edges` and `from_edges_chunked` sort and deduplicate edges on one
-int64 key ``src * num_vertices + dst``. These tests pin that the result
-equals the row-wise ``np.unique(axis=0)`` + ``np.lexsort`` build it
-replaced, that a payload keeps its edge attachment, and that a vertex
-count whose key could wrap int64 is refused before anything is sized by
-it.
+`from_edges` sorts and deduplicates edges on one int64 key
+``src * num_vertices + dst``. These tests pin that the result equals the
+row-wise ``np.unique(axis=0)`` + ``np.lexsort`` build it replaced, that
+a payload keeps its edge attachment, and that a vertex count whose key
+could wrap int64 is refused before anything is sized by it.
 """
 
 import numpy as np
@@ -13,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import WidthContractError
-from repro.graph import from_edges, from_edges_chunked
+from repro.errors import GraphFormatError, WidthContractError
+from repro.graph import from_edges
 from repro.graph.builders import _check_packable
 
 
@@ -71,16 +70,13 @@ class TestFromEdges:
             _check_packable((1 << 31) + 1, "here")
 
 
-class TestFromEdgesChunked:
+class TestFromEdgesPayload:
     def test_payload_keeps_parallel_edge_order(self):
-        # Three parallel 0->1 edges split across chunks, with weights
-        # in stream order; a 0->0 edge sorts before them.
-        chunks = [
-            (np.array([[0, 1], [1, 0], [0, 1]]), np.array([10, 20, 30])),
-            (np.array([[0, 0], [0, 1]]), np.array([40, 50])),
-        ]
-        graph, weights = from_edges_chunked(
-            lambda: iter(chunks), with_payload=True
+        # Three parallel 0->1 edges with weights in input order; a 0->0
+        # edge sorts before them.
+        edges = np.array([[0, 1], [1, 0], [0, 1], [0, 0], [0, 1]])
+        graph, weights = from_edges(
+            edges, payload=np.array([10, 20, 30, 40, 50])
         )
         assert graph.edge_array().tolist() == [
             [0, 0], [0, 1], [0, 1], [0, 1], [1, 0],
@@ -88,28 +84,44 @@ class TestFromEdgesChunked:
         assert weights.tolist() == [40, 10, 30, 50, 20]
 
     @settings(max_examples=80, deadline=None)
-    @given(multigraphs(), st.integers(min_value=1, max_value=7))
-    def test_matches_from_edges(self, graph, chunk):
+    @given(multigraphs(), st.booleans(), st.booleans())
+    def test_matches_from_edges(self, graph, dedup, drop_self_loops):
         num_vertices, pairs = graph
         edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        weights = np.arange(len(edges), dtype=np.int64)
-
-        def chunks():
-            for start in range(0, len(edges), chunk):
-                yield edges[start:start + chunk], weights[start:start + chunk]
-
-        built, payload = from_edges_chunked(
-            chunks, num_vertices=num_vertices, with_payload=True
+        built, payload = from_edges(
+            edges, num_vertices=num_vertices, dedup=dedup,
+            drop_self_loops=drop_self_loops,
+            payload=np.arange(len(edges)),
         )
-        expected = from_edges(edges, num_vertices=num_vertices)
+        expected = from_edges(edges, num_vertices=num_vertices, dedup=dedup,
+                              drop_self_loops=drop_self_loops)
         assert np.array_equal(built.offsets, expected.offsets)
         assert np.array_equal(built.neighbors, expected.neighbors)
-        # Each weight still names its own edge.
+        # Each value still names its own edge, and parallel edges keep
+        # input order (dedup keeps the first).
         assert np.array_equal(edges[payload], built.edge_array())
+        key = edges[payload, 0] * num_vertices + edges[payload, 1]
+        assert np.all((key[1:] > key[:-1])
+                      | ((key[1:] == key[:-1]) & (payload[1:] > payload[:-1])))
 
     def test_vertex_count_past_neighbor_width_refused(self):
         with pytest.raises(WidthContractError, match="g.el"):
-            from_edges_chunked(
-                lambda: iter([np.array([[0, 1]])]),
-                num_vertices=(1 << 31) + 1, where="g.el",
-            )
+            from_edges([[0, 1]], num_vertices=(1 << 31) + 1,
+                       payload=np.array([7]), where="g.el")
+
+    def test_payload_length_checked(self):
+        with pytest.raises(GraphFormatError, match="g.wel: payload has 1"):
+            from_edges([[0, 1], [1, 0]], payload=np.array([7]),
+                       where="g.wel")
+
+
+class TestRangeErrorsNameTheInput:
+    def test_negative_id(self):
+        with pytest.raises(GraphFormatError,
+                           match="^g.el: negative vertex ID"):
+            from_edges([[-1, 2]], where="g.el")
+
+    def test_id_past_vertex_count(self):
+        with pytest.raises(GraphFormatError,
+                           match="^g.el: vertex ID 7 exceeds num_vertices=3"):
+            from_edges([[1, 7]], num_vertices=3, where="g.el")

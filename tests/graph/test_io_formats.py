@@ -16,12 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
-from repro.graph import (
-    CSRGraph,
-    from_edges,
-    from_edges_chunked,
-    io,
-)
+from repro.graph import CSRGraph, from_edges, io
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -125,16 +120,28 @@ def test_csr_archive_roundtrip(tmp_path_factory, data):
     assert_same_graph(io.load_csr(path), graph)
 
 
-@settings(max_examples=30, deadline=None)
-@given(edge_sets(), st.integers(1, 6))
-def test_chunked_builder_matches_from_edges(data, num_chunks):
-    num_vertices, edges = data
-    expected = from_edges(edges, num_vertices=num_vertices)
-    splits = np.array_split(edges, num_chunks)
-    built = from_edges_chunked(
-        lambda: iter(splits), num_vertices=num_vertices
-    )
-    assert_same_graph(built, expected)
+@pytest.mark.parametrize("name, save", [
+    ("g.el", io.save_edge_list),
+    ("g.wel", lambda graph, path: io.save_weighted_edge_list(
+        graph, np.arange(graph.num_edges), path)),
+    ("g.mtx", io.save_matrix_market),
+], ids=["g.el", "g.wel", "g.mtx"])
+def test_each_text_format_reads_its_file_once(
+    tmp_path, monkeypatch, name, save
+):
+    graph = from_edges([[0, 1], [1, 2], [2, 0], [2, 1]], num_vertices=4)
+    path = str(tmp_path / name)
+    save(graph, path)
+    reads = []
+    line_blocks = io._line_blocks
+
+    def counted(handle, chunk_bytes):
+        reads.append(chunk_bytes)
+        return line_blocks(handle, chunk_bytes)
+
+    monkeypatch.setattr(io, "_line_blocks", counted)
+    assert_same_graph(io.load_graph(path), graph)
+    assert len(reads) == 1
 
 
 class TestLoadGraphDispatch:
@@ -275,6 +282,32 @@ class TestMalformedText:
             "3 3 2\n1 2\n2\n"
         )
         with pytest.raises(GraphFormatError, match=r"m\.mtx:4"):
+            io.load_matrix_market(str(path))
+
+    def test_negative_id_names_the_file(self, tmp_path):
+        path = tmp_path / "neg.el"
+        path.write_text("-1 2\n")
+        with pytest.raises(GraphFormatError,
+                           match=r"neg\.el: negative vertex ID"):
+            io.load_edge_list(str(path))
+
+    def test_id_past_directive_names_the_file(self, tmp_path):
+        path = tmp_path / "big.el"
+        path.write_text("# vertices 3\n1 7\n")
+        with pytest.raises(GraphFormatError,
+                           match=r"big\.el: vertex ID 7 exceeds"):
+            io.load_edge_list(str(path))
+
+    def test_mtx_range_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        header = "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n"
+        path.write_text(header + "5 1\n")
+        with pytest.raises(GraphFormatError,
+                           match=r"m\.mtx: vertex ID 4 exceeds"):
+            io.load_matrix_market(str(path))
+        path.write_text(header + "0 1\n")
+        with pytest.raises(GraphFormatError,
+                           match=r"m\.mtx: negative vertex ID"):
             io.load_matrix_market(str(path))
 
     def test_wel_wrong_arity(self, tmp_path):
@@ -443,6 +476,30 @@ class TestMatrixMarketEdgeCases:
         assert sorted(map(tuple, graph.edge_array().tolist())) == [
             (0, 1), (2, 0),
         ]
+
+    @pytest.mark.parametrize("index", ["1.5", "1e300", "inf", "nan"])
+    def test_real_non_integral_index_rejected(self, tmp_path, index):
+        # The value column may be fractional; row and column indices
+        # may not, nor may they overflow int64.
+        path = tmp_path / "r.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"% note\n3 3 2\n1 2 0.5\n3 {index} 2.5\n"
+        )
+        with pytest.raises(
+            GraphFormatError, match=rf"r\.mtx:5: .*'{index}' is not"
+        ):
+            io.load_matrix_market(str(path))
+
+    def test_nnz_mismatch_checked_before_build(self, tmp_path):
+        # The entry is out of range too, but the count is reported.
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "3 3 2\n9 9\n"
+        )
+        with pytest.raises(GraphFormatError, match="declares 2"):
+            io.load_matrix_market(str(path))
 
     def test_nnz_mismatch(self, tmp_path):
         path = tmp_path / "m.mtx"
