@@ -14,8 +14,9 @@ giving O(edges) numpy work instead of a Python loop per access.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "PerEdgeAccess",
     "PreparedRun",
     "GraphApp",
+    "known_result",
     "traversal_trace",
 ]
 
@@ -71,6 +73,20 @@ class PerEdgeAccess:
     mask: Optional[np.ndarray] = None
 
 
+#: ``PreparedRun._reference_value`` before ``reference_result`` is read.
+_UNREAD = object()
+
+
+def _identity(value: object) -> object:
+    return value
+
+
+def known_result(value: object) -> Callable[[], object]:
+    """A ``PreparedRun.reference`` for a result the kernel already
+    computed while tracing (the frontier apps)."""
+    return functools.partial(_identity, value)
+
+
 @dataclass
 class PreparedRun:
     """Everything the simulation driver needs for one kernel run.
@@ -84,13 +100,21 @@ class PreparedRun:
     Rereference Matrices and T-OPT's line references depend only on the
     run, never on the cache geometry, so ``matrices``,
     ``kernel_matrices`` and ``line_references`` keep them too.
+
+    ``reference_result`` (the kernel's algorithmic answer, which the
+    app tests check) is computed on first read, by calling
+    ``reference`` once: no replay reads it, so a sweep never pays for
+    it. A run rebuilt from the artifact store has no ``reference`` and
+    reads ``None``.
     """
 
     app_name: str
     layout: AddressSpace
     trace: MemoryTrace
     irregular_streams: List[IrregularStream]
-    reference_result: object = None
+    reference: Optional[Callable[[], object]] = field(
+        default=None, repr=False
+    )
     details: Dict[str, object] = field(default_factory=dict)
     private_filters: Dict[object, object] = field(
         default_factory=dict, repr=False
@@ -122,6 +146,9 @@ class PreparedRun:
     sanitizer_records: Dict[object, Dict[str, int]] = field(
         default_factory=dict, repr=False
     )
+    _reference_value: object = field(
+        default=_UNREAD, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         # Next-use indices run up to the trace length; at the streaming
@@ -133,6 +160,15 @@ class PreparedRun:
                 f"the trace length below POPT_STREAMING_NEXT_REF "
                 f"({POPT_STREAMING_NEXT_REF})",
             )
+
+    @property
+    def reference_result(self) -> object:
+        """The kernel's result: ``reference()`` on first read, cached."""
+        if self._reference_value is _UNREAD:
+            self._reference_value = (
+                None if self.reference is None else self.reference()
+            )
+        return self._reference_value
 
     @property
     def num_accesses(self) -> int:
@@ -161,26 +197,21 @@ class GraphApp:
 
 def _segmented_edge_ids(
     topology: CSRGraph, order: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Edge indices grouped by outer vertex in iteration order.
-
-    Returns (edge_ids, outer_per_edge): ``edge_ids`` indexes
-    ``topology.neighbors`` and is ordered by the traversal.
-    """
+) -> np.ndarray:
+    """Edge indices grouped by outer vertex in iteration order: they
+    index ``topology.neighbors`` and are ordered by the traversal."""
     degrees = topology.degrees()
     ordered_degrees = degrees[order]
     total = int(ordered_degrees.sum())
     if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        return np.empty(0, np.int64)
     seg_starts = topology.offsets[:-1][order]
     block_starts = np.zeros(len(order), dtype=np.int64)
     np.cumsum(ordered_degrees[:-1], out=block_starts[1:])
     position = np.arange(total, dtype=np.int64) - np.repeat(
         block_starts, ordered_degrees
     )
-    edge_ids = np.repeat(seg_starts, ordered_degrees) + position
-    outer_per_edge = np.repeat(order.astype(np.int64), ordered_degrees)
-    return edge_ids, outer_per_edge
+    return np.repeat(seg_starts, ordered_degrees) + position
 
 
 def traversal_trace(
@@ -216,7 +247,7 @@ def traversal_trace(
         if len(np.unique(order)) != len(order):
             raise SimulationError("order visits a vertex twice")
 
-    edge_ids, outer_per_edge = _segmented_edge_ids(topology, order)
+    edge_ids = _segmented_edge_ids(topology, order)
     neighbors = topology.neighbors[edge_ids].astype(np.int64)
     num_edges = len(edge_ids)
 

@@ -22,7 +22,14 @@ from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
 from ..memory.trace import AccessKind, concat_traces
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo,
+    GraphApp,
+    PerEdgeAccess,
+    PreparedRun,
+    known_result,
+    traversal_trace,
+)
 from .frontier import PULL_DENSITY_THRESHOLD
 
 __all__ = ["BFS", "bfs_reference"]
@@ -140,7 +147,7 @@ class BFS(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=parent,
+            reference=known_result(parent),
             details={
                 "rounds": len(rounds),
                 "pull_rounds": [i for i, __ in pull_rounds],

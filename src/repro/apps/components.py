@@ -12,6 +12,8 @@ phases (iteration sampling, Section VI).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..graph.csr import CSRGraph
@@ -99,6 +101,6 @@ class ConnectedComponents(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=shiloach_vishkin_reference(graph),
+            reference=functools.partial(shiloach_vishkin_reference, graph),
             details={"iterations_traced": self.num_trace_iterations},
         )

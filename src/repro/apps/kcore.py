@@ -19,7 +19,14 @@ from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
 from ..memory.trace import AccessKind, concat_traces
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo,
+    GraphApp,
+    PerEdgeAccess,
+    PreparedRun,
+    known_result,
+    traversal_trace,
+)
 
 __all__ = ["KCore", "kcore_reference"]
 
@@ -127,7 +134,7 @@ class KCore(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=coreness,
+            reference=known_result(coreness),
             details={
                 "peel_rounds": len(peel_masks),
                 "rounds_traced": chosen,

@@ -19,7 +19,14 @@ from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
 from ..memory.trace import AccessKind, concat_traces
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo,
+    GraphApp,
+    PerEdgeAccess,
+    PreparedRun,
+    known_result,
+    traversal_trace,
+)
 
 __all__ = ["MaximalIndependentSet", "mis_reference"]
 
@@ -129,6 +136,6 @@ class MaximalIndependentSet(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=status,
+            reference=known_result(status),
             details={"rounds": len(round_masks)},
         )

@@ -9,6 +9,7 @@ irregData, no frontier; next references come from the CSR).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -105,6 +106,6 @@ class PageRank(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=pagerank_reference(graph),
+            reference=functools.partial(pagerank_reference, graph),
             details={"iterations_traced": self.num_trace_iterations},
         )

@@ -20,7 +20,14 @@ from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
 from ..memory.trace import AccessKind, concat_traces
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo,
+    GraphApp,
+    PerEdgeAccess,
+    PreparedRun,
+    known_result,
+    traversal_trace,
+)
 
 __all__ = ["PageRankDelta", "pagerank_delta_reference"]
 
@@ -122,7 +129,7 @@ class PageRankDelta(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=ranks,
+            reference=known_result(ranks),
             details={
                 "frontier_densities": [
                     float(m.mean()) for m in frontier_history

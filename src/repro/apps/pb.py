@@ -23,6 +23,8 @@ the source contribution and neighbor arrays as streams.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..graph.csr import CSRGraph
@@ -114,7 +116,9 @@ class PropagationBlockingBinning(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=binning_reference(graph, self.num_bins),
+            reference=functools.partial(
+                binning_reference, graph, self.num_bins
+            ),
             details={"phi": self.phi, "num_bins": self.num_bins},
         )
 

@@ -21,7 +21,14 @@ from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
 from ..memory.trace import AccessKind, concat_traces
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo,
+    GraphApp,
+    PerEdgeAccess,
+    PreparedRun,
+    known_result,
+    traversal_trace,
+)
 
 __all__ = ["Radii", "radii_reference"]
 
@@ -139,7 +146,7 @@ class Radii(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=radius,
+            reference=known_result(radius),
             details={
                 "rounds_traced": chosen,
                 "num_rounds": len(frontier_history),

@@ -19,7 +19,14 @@ from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
 from ..memory.trace import AccessKind, concat_traces
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo,
+    GraphApp,
+    PerEdgeAccess,
+    PreparedRun,
+    known_result,
+    traversal_trace,
+)
 
 __all__ = ["SSSP", "sssp_reference", "synthetic_weights"]
 
@@ -140,7 +147,7 @@ class SSSP(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=dist,
+            reference=known_result(dist),
             details={
                 "rounds": len(rounds),
                 "rounds_traced": chosen,

@@ -19,6 +19,7 @@ that index space.
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 import numpy as np
@@ -119,7 +120,7 @@ class TiledPageRank(GraphApp):
             layout=layout,
             trace=trace,
             irregular_streams=streams,
-            reference_result=pagerank_reference(graph),
+            reference=functools.partial(pagerank_reference, graph),
             details={
                 "num_tiles": self.num_tiles,
                 # Only the active tile's RM slice must stay resident.

@@ -12,8 +12,9 @@ Formats:
 Text loaders parse in fixed-size byte blocks: each block is normalized
 (CRLF and lone ``\\r`` endings, tab or space separators), comment lines
 are cut out (found with ``bytes.find``, so only they are visited), and
-the surviving tokens are converted with one vectorized
-``np.array(block.split(), dtype=...)`` call — no per-line Python loop.
+the surviving text is parsed with one ``np.fromstring(block, dtype,
+sep=" ")`` call — no per-line Python loop — guarded against the inputs
+it would read silently (see :func:`_parse_tokens`).
 The trailing partial line of every block carries into the next, so
 blocks always cover whole lines. Each file is read once and never held
 as raw text: the blocks' token arrays are concatenated (O(E) memory,
@@ -78,6 +79,10 @@ _WRITE_BLOCK_EDGES = 1 << 16
 #: Comment prefixes tolerated in text edge lists (SNAP uses ``#``,
 #: MatrixMarket and some converters use ``%``).
 _COMMENT_PREFIXES = (b"#", b"%")
+
+#: An int64 token parsed to either bound is refused: ``np.fromstring``
+#: saturates over-long digit runs there instead of raising.
+_INT64 = np.iinfo(np.int64)
 
 # GAP .sg serialization: <flag:u8> <num_edges:i64> <num_vertices:i64>
 # <offsets:i64[n+1]> <neighbors:i32[m]> and, when the flag marks the
@@ -240,19 +245,54 @@ def _strip_comments(block: bytes, directives: Dict[str, int]) -> bytes:
     return b"".join(kept)
 
 
+def _parse_tokens(text: bytes, dtype: np.dtype) -> np.ndarray:
+    """Parse whitespace-separated numbers with one ``np.fromstring``.
+
+    ``np.fromstring(..., sep=" ")`` raises ``ValueError`` on junk
+    (``x``, ``1_0``, ``5-3``, NUL, ``1e3`` as an int) but reads four
+    inputs silently, so each is guarded here:
+
+    - whitespace-only text, read as ``[0]`` (``[-1.]`` for float64),
+      yields no tokens;
+    - an int64 ``-`` or ``+`` not followed by a digit (``-`` alone reads
+      as ``0``, ``1 - 2`` as ``[1, -2]``) raises ``ValueError``;
+    - an int64 value at INT64_MAX or INT64_MIN, where over-long digit
+      runs saturate, raises ``OverflowError``;
+    - float64 text needs no further guard: it parses as
+      ``np.array(text.split(), np.float64)`` would.
+
+    The error path judges single tokens with this same function, so a
+    refused block always names its bad token.
+    """
+    if text.isspace():
+        return np.empty(0, dtype)
+    values = np.fromstring(text, dtype=dtype, sep=" ")
+    if dtype != np.int64 or not values.size:
+        return values
+    if b"-" in text or b"+" in text:
+        raw = np.frombuffer(text, dtype=np.uint8)
+        signs = np.flatnonzero((raw == ord("-")) | (raw == ord("+")))
+        # A sign in the last byte is checked against itself: no digit.
+        after = raw[np.minimum(signs + 1, len(raw) - 1)]
+        if np.any((after < ord("0")) | (after > ord("9"))):
+            raise ValueError("sign without digits")
+    if values.max() == _INT64.max or values.min() == _INT64.min:
+        raise OverflowError("integer out of the int64 range")
+    return values
+
+
 def _block_tokens(
     block: bytes, directives: Dict[str, int], dtype: np.dtype
 ) -> Optional[np.ndarray]:
     """Tokenize one block of whole lines into a flat numeric array.
 
     A token that does not parse as ``dtype`` raises ``ValueError`` or
-    ``OverflowError``; the caller re-scans the file for its line.
+    ``OverflowError`` (see :func:`_parse_tokens`); the caller re-scans
+    the file for its line.
     """
     block = block.replace(b"\r", b"\n")  # CRLF / bare-CR dumps
-    tokens = _strip_comments(block, directives).split()
-    if not tokens:
-        return None
-    return np.array(tokens, dtype=dtype)
+    tokens = _parse_tokens(_strip_comments(block, directives), dtype)
+    return tokens if tokens.size else None
 
 
 def _line_blocks(handle: BinaryIO, chunk_bytes: int) -> Iterator[bytes]:
@@ -289,15 +329,22 @@ def _raise_bad_token(
     path: PathLike, start: int, dtype: np.dtype
 ) -> NoReturn:
     """Re-read ``path`` line-by-line to name the first token that does
-    not parse as ``dtype``. Only runs on the error path."""
+    not parse as ``dtype``, judged by the block parse's own rule
+    (:func:`_parse_tokens`). Only runs on the error path."""
     for line_number, line in _data_lines(path, start):
         for token in line.split():
+            text = token.decode("ascii", "replace")
             try:
-                np.array([token], dtype=dtype)
-            except (ValueError, OverflowError):
+                _parse_tokens(token, dtype)
+            except OverflowError:
                 raise GraphFormatError(
-                    f"{path}:{line_number}: non-numeric token "
-                    f"{token.decode('ascii', 'replace')!r} in edge data"
+                    f"{path}:{line_number}: token {text!r} is out of the "
+                    f"int64 range"
+                ) from None
+            except ValueError:
+                raise GraphFormatError(
+                    f"{path}:{line_number}: non-numeric token {text!r} "
+                    f"in edge data"
                 ) from None
     raise GraphFormatError(f"{path}: non-numeric token in edge data")
 

@@ -397,7 +397,8 @@ def cached_prepared(store: ArtifactStore, key: Dict[str, object]):
     """Rebuild a :class:`PreparedRun` from a stored entry, or None.
 
     ``reference_result`` is not serialized (nothing on the replay path
-    consumes it); the engine-side caches (filters, decode) start empty
+    consumes it): the rebuilt run has no ``reference`` and reads
+    ``None``. The engine-side caches (filters, decode) start empty
     and re-fill from their own store kinds.
     """
     entry = store.get(KIND_PREPARED, key)

@@ -317,6 +317,128 @@ class TestMalformedText:
             io.load_weighted_edge_list(str(path))
 
 
+#: Separators, filler lines and token spellings a real text dump may
+#: mix; every spelling parses to the same int64 value.
+_SEPARATORS = [" ", "\t", "  ", " \t "]
+_FILLER_LINES = ["", "   ", "\t", "# c", "% 1 2", "  # x 3", "%%", "\t%"]
+_SPELLINGS = {
+    "plain": str,
+    "plus": lambda value: f"+{value}" if value >= 0 else str(value),
+    "zeros": lambda value: ("-" if value < 0 else "") + f"00{abs(value)}",
+}
+_INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def laid_out_rows(draw, columns):
+    """``(rows, text)``: int64 token rows (small vertex IDs, any
+    in-range int64 weight) laid out with random separators, CRLF or LF
+    endings, blank lines and ``#``/``%`` comments."""
+    ids = st.integers(0, 30)
+    weights = st.integers(_INT64.min + 1, _INT64.max - 1)
+    rows = draw(st.lists(
+        st.tuples(*([ids, ids, weights][:columns])), max_size=12
+    ))
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(_FILLER_LINES), max_size=2))
+        tokens = [
+            _SPELLINGS[draw(st.sampled_from(sorted(_SPELLINGS)))](value)
+            for value in row
+        ]
+        line = draw(st.sampled_from(["", " ", "\t"])) + tokens[0]
+        for token in tokens[1:]:
+            line += draw(st.sampled_from(_SEPARATORS)) + token
+        lines.append(line + draw(st.sampled_from(["", " ", "\t"])))
+    text = "".join(
+        line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines
+    )
+    array = np.array(rows, dtype=np.int64).reshape(-1, columns)
+    return array, text.encode("ascii")
+
+
+class TestTokenizer:
+    """The one-call block parse reads exactly what the rows say, and
+    refuses by ``path:line`` every input ``np.fromstring`` would
+    otherwise read silently."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        laid_out_rows(columns=2),
+        st.sampled_from([1, 3, 7, 16, 64, io.DEFAULT_CHUNK_BYTES]),
+    )
+    def test_edge_list_matches_from_edges(
+        self, tmp_path_factory, laid_out, chunk_bytes
+    ):
+        rows, text = laid_out
+        path = tmp_path_factory.mktemp("tok") / "g.el"
+        path.write_bytes(text)
+        assert_same_graph(
+            io.load_edge_list(str(path), chunk_bytes=chunk_bytes),
+            from_edges(rows),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        laid_out_rows(columns=3),
+        st.sampled_from([1, 5, 32, io.DEFAULT_CHUNK_BYTES]),
+    )
+    def test_weighted_edge_list_matches_from_edges(
+        self, tmp_path_factory, laid_out, chunk_bytes
+    ):
+        rows, text = laid_out
+        path = tmp_path_factory.mktemp("tok") / "g.wel"
+        path.write_bytes(text)
+        graph, weights = io.load_weighted_edge_list(
+            str(path), chunk_bytes=chunk_bytes
+        )
+        want_graph, want_weights = from_edges(rows[:, :2], payload=rows[:, 2])
+        assert_same_graph(graph, want_graph)
+        assert np.array_equal(weights, want_weights)
+
+    @pytest.mark.parametrize("chunk_bytes", [4, io.DEFAULT_CHUNK_BYTES])
+    @pytest.mark.parametrize("line, message", [
+        (b"-", r"non-numeric token '-'"),
+        (b"- 4", r"non-numeric token '-'"),
+        (b"3 -", r"non-numeric token '-'"),
+        (b"3 99999999999999999999",
+         r"token '99999999999999999999' is out of the int64 range"),
+        (b"-9223372036854775809 2",
+         r"token '-9223372036854775809' is out of the int64 range"),
+        (b"5 1_0", r"non-numeric token '1_0'"),
+        (b"1\x002 3", r"non-numeric token"),
+    ], ids=[
+        "lone-sign", "sign-then-blank", "trailing-sign", "20-digit-id",
+        "below-int64-min", "underscore", "nul",
+    ])
+    def test_hazard_names_file_and_line(
+        self, tmp_path, line, message, chunk_bytes
+    ):
+        path = tmp_path / "hazard.el"
+        path.write_bytes(b"# vertices 9\n0 1\n" + line + b"\n4 5\n")
+        with pytest.raises(GraphFormatError,
+                           match=r"hazard\.el:3: " + message):
+            io.load_edge_list(str(path), chunk_bytes=chunk_bytes)
+
+    def test_whitespace_only_block_loads(self, tmp_path):
+        # At 8-byte chunks the blank run is a block of its own, which
+        # np.fromstring alone reads as [0].
+        path = tmp_path / "blank.el"
+        path.write_bytes(b"0 1\n" + b" " * 40 + b"\n\t\t\n\n2 3\n")
+        graph = io.load_edge_list(str(path), chunk_bytes=8)
+        assert graph.edge_array().tolist() == [[0, 1], [2, 3]]
+
+    def test_whitespace_only_block_loads_real_mtx(self, tmp_path):
+        # float64 reads a blank block as [-1.] without the guard.
+        path = tmp_path / "blank.mtx"
+        path.write_bytes(
+            b"%%MatrixMarket matrix coordinate real general\n3 3 2\n"
+            b"1 2 0.5\n" + b" " * 40 + b"\n\n2 3 -1e3\n"
+        )
+        graph = io.load_matrix_market(str(path), chunk_bytes=8)
+        assert graph.edge_array().tolist() == [[0, 1], [1, 2]]
+
+
 class TestCorruptArchives:
     """One seeded violation per load_csr validation rule."""
 
