@@ -204,17 +204,35 @@ def _csr_from_validated(
 # ----------------------------------------------------------------------
 
 
-def _scan_directive(comment: bytes, directives: Dict[str, int]) -> None:
-    """Record ``# vertices N`` style metadata found in a comment line."""
+def _scan_directive(comment: bytes, directives: Dict[str, bytes]) -> None:
+    """Record the value token of a ``# vertices N`` comment line; the
+    loader judges it (:func:`_directive_vertices`)."""
     parts = comment.lstrip(b"#%").split()
     if len(parts) == 2 and parts[0] == b"vertices":
-        try:
-            directives["vertices"] = int(parts[1])
-        except ValueError:
-            pass
+        directives["vertices"] = parts[1]
 
 
-def _strip_comments(block: bytes, directives: Dict[str, int]) -> bytes:
+def _directive_vertices(
+    directives: Dict[str, bytes], default: Optional[int], path: PathLike
+) -> Optional[int]:
+    """The vertex count the last ``# vertices N`` directive pins, else
+    ``default``. The value is judged by the data lines' rule
+    (:func:`_parse_tokens`), so ``1_0`` or an out-of-range count is
+    refused by path rather than read or ignored."""
+    token = directives.get("vertices")
+    if token is None:
+        return default
+    try:
+        (value,) = _parse_tokens(token, np.dtype(np.int64)).tolist()
+    except (ValueError, OverflowError):
+        raise GraphFormatError(
+            f"{path}: '# vertices' directive value "
+            f"{token.decode('ascii', 'replace')!r} is not an int64 integer"
+        ) from None
+    return value
+
+
+def _strip_comments(block: bytes, directives: Dict[str, bytes]) -> bytes:
     """Cut the lines whose first non-blank byte is a comment prefix.
 
     Only comment lines are visited: ``bytes.find`` jumps to each prefix
@@ -282,7 +300,7 @@ def _parse_tokens(text: bytes, dtype: np.dtype) -> np.ndarray:
 
 
 def _block_tokens(
-    block: bytes, directives: Dict[str, int], dtype: np.dtype
+    block: bytes, directives: Dict[str, bytes], dtype: np.dtype
 ) -> Optional[np.ndarray]:
     """Tokenize one block of whole lines into a flat numeric array.
 
@@ -316,13 +334,19 @@ def _line_blocks(handle: BinaryIO, chunk_bytes: int) -> Iterator[bytes]:
 
 def _data_lines(path: PathLike, start: int) -> Iterator[Tuple[int, bytes]]:
     """``(line_number, stripped_line)`` for every non-blank, non-comment
-    line from byte ``start`` on, numbered from the top of the file."""
+    line from byte ``start`` on, numbered from the top of the file.
+
+    Lines end at LF, CRLF or a bare CR (``bytes.splitlines``), the
+    terminators the block parse honours, so a bare-CR file is numbered
+    line by line rather than read as one line."""
     with open(path, "rb") as handle:
-        first = handle.read(start).count(b"\n") + 1
-        for line_number, raw in enumerate(handle, start=first):
-            stripped = raw.strip()
-            if stripped and stripped[:1] not in _COMMENT_PREFIXES:
-                yield line_number, stripped
+        line_number = len(handle.read(start).splitlines())
+        for raw in handle:
+            for line in raw.splitlines():
+                line_number += 1
+                stripped = line.strip()
+                if stripped and stripped[:1] not in _COMMENT_PREFIXES:
+                    yield line_number, stripped
 
 
 def _raise_bad_token(
@@ -371,7 +395,7 @@ def _raise_misaligned(
 def _token_rows(
     handle: BinaryIO,
     path: PathLike,
-    directives: Dict[str, int],
+    directives: Dict[str, bytes],
     chunk_bytes: int,
     dtype: np.dtype,
     label: str,
@@ -433,14 +457,15 @@ def load_edge_list(
     blocks (see the module docstring); memory is O(E), never the raw
     text.
     """
-    directives: Dict[str, int] = {}
+    directives: Dict[str, bytes] = {}
     with open(path, "rb") as handle:
         edges = _token_rows(
             handle, path, directives, chunk_bytes, np.dtype(np.int64),
             "src dst",
         )
     return from_edges(
-        edges, directives.get("vertices", num_vertices), where=str(path)
+        edges, _directive_vertices(directives, num_vertices, path),
+        where=str(path),
     )
 
 
@@ -482,7 +507,7 @@ def load_weighted_edge_list(
     edge (parallel edges keep file order). Separator/comment/line-ending
     tolerance matches :func:`load_edge_list`.
     """
-    directives: Dict[str, int] = {}
+    directives: Dict[str, bytes] = {}
     with open(path, "rb") as handle:
         rows = _token_rows(
             handle, path, directives, chunk_bytes, np.dtype(np.int64),
@@ -490,7 +515,7 @@ def load_weighted_edge_list(
         )
     return from_edges(
         rows[:, :2],
-        directives.get("vertices", num_vertices),
+        _directive_vertices(directives, num_vertices, path),
         payload=rows[:, 2],
         where=str(path),
     )
@@ -578,10 +603,13 @@ def _read_mtx_header(
                 f"{stripped.decode('ascii', 'replace')!r}"
             )
         try:
-            rows, cols, nnz = (int(part) for part in parts)
-        except ValueError:
+            rows, cols, nnz = _parse_tokens(
+                stripped, np.dtype(np.int64)
+            ).tolist()
+        except (ValueError, OverflowError):
             raise GraphFormatError(
-                f"{path}: non-integer MatrixMarket size line"
+                f"{path}: non-integer MatrixMarket size line "
+                f"{stripped.decode('ascii', 'replace')!r}"
             ) from None
         if rows < 0 or cols < 0 or nnz < 0:
             raise GraphFormatError(f"{path}: negative MatrixMarket sizes")

@@ -275,9 +275,10 @@ def build_private_filter(
     call decodes each address and replays both private levels inline in
     access order — no decoded channel arrays, no per-level
     argsort-partition / boolean-mask / fancy-index round-trips. Without
-    the compiled library: :func:`decode_trace` plus one
-    :func:`replay_bit_plru_stream` pass per level, bit-identical by
-    construction (the fused-front-end
+    the compiled library, or when a private level is wider than the
+    fused pass replays (it declines with a warning): :func:`decode_trace`
+    plus one :func:`replay_bit_plru_stream` pass per level, bit-identical
+    by construction (the fused-front-end
     equivalence suite proves it). Phase timings land on the filter; the
     fused pass decodes inline, so its ``decode_seconds`` is 0.0.
     """

@@ -5,9 +5,9 @@
  * repro.popt) — same probe order, same victim tie-breaks, same
  * dirty/writeback bookkeeping. Those classes are the executable
  * specification; the equivalence suite compares compiled vs generic vs
- * reference. The front-end helpers (k_private_filter, k_bit_plru_mask,
- * k_next_use, k_set_partition) match their numpy/Python constructions
- * in repro.sim.engine and repro.sim.kernels the same way.
+ * reference. The front-end helpers (k_private_filter, k_next_use,
+ * k_set_partition) match their numpy/Python constructions in
+ * repro.sim.engine and repro.sim.kernels the same way.
  *
  * Built on demand by repro.sim.ckernels via the system C compiler and
  * loaded with ctypes; when no compiler is available every policy
@@ -63,9 +63,23 @@ typedef int32_t i32;
     } while (0)
 
 /* Set-partitioned kernels carve 3-4 way-sized arrays from ws (the
- * caller sizes it; see _ws_partitioned in kernels.py) and re-initialize
+ * Python wrapper in kernels.py sizes it) and re-initialize
  * them at every set boundary, so the workspace contents never leak
  * between sets or calls. */
+
+/* Index of the first minimum of stamps[0..ways): one pass of selects
+ * (no data-dependent branch), keeping the earliest way on a tie. */
+static i64 first_min(const i64 *stamps, i64 ways)
+{
+    i64 lo = stamps[0], way = 0, w;
+    for (w = 1; w < ways; w++) {
+        i64 sw = stamps[w];
+        i64 lt = sw < lo;
+        lo = lt ? sw : lo;
+        way = lt ? w : way;
+    }
+    return way;
+}
 
 void k_lru(const i64 *lines, const u8 *writes, const i64 *counts,
            i64 num_sets, i64 ways, i64 *ws, i64 *out)
@@ -92,10 +106,7 @@ void k_lru(const i64 *lines, const u8 *writes, const i64 *counts,
                 if (filled < ways) {
                     way = filled++;
                 } else {
-                    i64 lo = stamps[0];
-                    way = 0;
-                    for (w = 1; w < ways; w++)
-                        if (stamps[w] < lo) { lo = stamps[w]; way = w; }
+                    way = first_min(stamps, ways);
                     evics++;
                     if (dirty[way]) wbs++;
                 }
@@ -131,15 +142,11 @@ void k_lip(const i64 *lines, const u8 *writes, const i64 *counts,
                 if (writes[k]) dirty[way] = 1;
                 stamps[way] = ++clock;        /* promote to MRU */
             } else {
-                i64 lo;
                 misses++;
                 if (filled < ways) {
                     way = filled++;
                 } else {
-                    lo = stamps[0];
-                    way = 0;
-                    for (w = 1; w < ways; w++)
-                        if (stamps[w] < lo) { lo = stamps[w]; way = w; }
+                    way = first_min(stamps, ways);
                     evics++;
                     if (dirty[way]) wbs++;
                 }
@@ -148,10 +155,7 @@ void k_lip(const i64 *lines, const u8 *writes, const i64 *counts,
                 /* LRU-point insertion: strictly below the current min,
                  * computed over the victim's stale stamp (reference
                  * order). */
-                lo = stamps[0];
-                for (w = 1; w < ways; w++)
-                    if (stamps[w] < lo) lo = stamps[w];
-                stamps[way] = lo - 1;
+                stamps[way] = stamps[first_min(stamps, ways)] - 1;
             }
         }
         start = stop;
@@ -208,6 +212,24 @@ void k_bit_plru(const i64 *lines, const u8 *writes, const i64 *counts,
     out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
 }
 
+/* RRIP victim: age every way by rmax - top so the oldest reaches rmax,
+ * and evict the first way at rmax. After ageing, the ways at rmax are
+ * exactly those that held the maximum RRPV `top`, so one select pass
+ * finds the victim and the ageing pass follows it. */
+static i64 rrip_victim(i64 *rrpv, i64 ways, i64 rmax)
+{
+    i64 top = rrpv[0], way = 0, w;
+    for (w = 1; w < ways; w++) {
+        i64 r = rrpv[w];
+        i64 gt = r > top;
+        top = gt ? r : top;
+        way = gt ? w : way;
+    }
+    if (top != rmax)
+        for (w = 0; w < ways; w++) rrpv[w] += rmax - top;
+    return way;
+}
+
 void k_srrip(const i64 *lines, const u8 *writes, const i64 *counts,
              i64 num_sets, i64 ways, i64 rmax, i64 *ws, i64 *out)
 {
@@ -234,14 +256,7 @@ void k_srrip(const i64 *lines, const u8 *writes, const i64 *counts,
                 if (filled < ways) {
                     way = filled++;
                 } else {
-                    i64 top = rrpv[0];
-                    for (w = 1; w < ways; w++)
-                        if (rrpv[w] > top) top = rrpv[w];
-                    if (top != rmax)
-                        for (w = 0; w < ways; w++) rrpv[w] += rmax - top;
-                    way = 0;
-                    for (w = 0; w < ways; w++)
-                        if (rrpv[w] == rmax) { way = w; break; }
+                    way = rrip_victim(rrpv, ways, rmax);
                     evics++;
                     if (dirty[way]) wbs++;
                 }
@@ -297,76 +312,9 @@ void k_opt(const i64 *lines, const u8 *writes, const i64 *snext,
     out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
 }
 
-/* Bit-PLRU with a per-access hit mask (private-level filtering needs to
- * know *which* accesses hit, not just how many). hit_out[k] is written
- * at the set-sorted position k; the caller scatters it back through its
- * argsort order. */
-void k_bit_plru_mask(const i64 *lines, const u8 *writes, const i64 *counts,
-                     i64 num_sets, i64 ways, u8 *hit_out, i64 *ws, i64 *out)
-{
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 *resident = ws;
-    i64 *mru = ws + ways;
-    i64 *dirty = ws + 2 * ways;
-    i64 start = 0, s, k, w;
-    for (s = 0; s < num_sets; s++) {
-        i64 count = counts[s];
-        i64 stop = start + count;
-        i64 filled = 0;
-        if (!count) continue;
-        for (w = 0; w < ways; w++) { resident[w] = -1; mru[w] = 0; dirty[w] = 0; }
-        for (k = start; k < stop; k++) {
-            i64 line = lines[k], way;
-            i64 nset;
-            PROBE(way, resident, filled, line);
-            if (way >= 0) {
-                hits++;
-                hit_out[k] = 1;
-                if (writes[k]) dirty[way] = 1;
-            } else {
-                misses++;
-                hit_out[k] = 0;
-                if (filled < ways) {
-                    way = filled++;
-                } else {
-                    way = 0;
-                    for (w = 0; w < ways; w++)
-                        if (!mru[w]) { way = w; break; }
-                    evics++;
-                    if (dirty[way]) wbs++;
-                }
-                resident[way] = line;
-                dirty[way] = writes[k];
-            }
-            mru[way] = 1;
-            nset = 0;
-            for (w = 0; w < ways; w++) nset += mru[w];
-            if (nset == ways) {
-                for (w = 0; w < ways; w++) mru[w] = 0;
-                mru[way] = 1;
-            }
-        }
-        start = stop;
-    }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
-}
-
 /* Access-order kernels: a global fill RNG (and DRRIP's PSEL) couples
  * the sets, so these walk the stream in original order with flat
  * (set, way) state arrays carved from the caller's workspace. */
-
-static i64 rrip_victim(i64 *rrpv, i64 ways, i64 rmax)
-{
-    i64 top = rrpv[0], w, way;
-    for (w = 1; w < ways; w++)
-        if (rrpv[w] > top) top = rrpv[w];
-    if (top != rmax)
-        for (w = 0; w < ways; w++) rrpv[w] += rmax - top;
-    way = 0;
-    for (w = 0; w < ways; w++)
-        if (rrpv[w] == rmax) { way = w; break; }
-    return way;
-}
 
 void k_brrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
              i64 num_sets, i64 ways, i64 rmax, double trickle,
@@ -722,93 +670,100 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
 
 typedef uint64_t u64;
 
-/* One Bit-PLRU access against a single private-level set.  `resident`
- * `mru` and `dirty` point at the set's ways-sized state, `filled` at
- * its monotone fill counter, and `stats` accumulates {hits, misses,
- * evictions, writebacks}.  Returns 1 on hit, 0 on miss — the same
- * per-access transitions k_bit_plru_mask applies to a set-partitioned
- * stream (sets are independent, so replaying them interleaved in
- * access order is bit-identical). */
-static i64 plru_access(i64 *resident, i64 *mru, i64 *dirty, i64 *filled,
-                       i64 ways, i64 line, i64 write, i64 *stats)
+/* Private-level Bit-PLRU state: each set is `ways + 3` words of ws, its
+ * resident lines followed by three u64 bit words (PLRU_MRU and
+ * PLRU_DIRTY hold bit w for way w, PLRU_FILLED counts filled ways).
+ * The caller declines a level wider than 64 ways, so one word always
+ * holds a set's bits. */
+enum { PLRU_MRU, PLRU_DIRTY, PLRU_FILLED, PLRU_WORDS };
+
+/* One Bit-PLRU access against a single private-level set.  `set`
+ * points at the set's state (layout above), `full` is the all-ways
+ * mask, and `stats` accumulates {hits, misses, evictions, writebacks}.
+ * Returns 1 on hit, 0 on miss, with the transitions of the reference
+ * BitPLRU policy and the Python loop in replay_bit_plru_stream: fill
+ * the next free way in order, else evict the lowest way whose MRU bit
+ * is clear (way 0 when none is, the 1-way case); every touch sets the
+ * way's MRU bit, and a touch that would set the last one clears the
+ * others.  Sets are independent, so replaying them interleaved in
+ * access order is bit-identical to the set-partitioned replay. */
+static i64 plru_access(i64 *set, i64 ways, u64 full, i64 line, i64 write,
+                       i64 *stats)
 {
-    i64 way, w, nset, hit;
-    PROBE(way, resident, *filled, line);
+    u64 *bits = (u64 *)(set + ways);
+    u64 mask;
+    i64 way, hit;
+    PROBE(way, set, (i64)bits[PLRU_FILLED], line);
     hit = way >= 0;
     if (hit) {
         stats[0]++;
-        if (write) dirty[way] = 1;
+        bits[PLRU_DIRTY] |= (u64)write << way;
     } else {
         stats[1]++;
-        if (*filled < ways) {
-            way = (*filled)++;
+        if ((i64)bits[PLRU_FILLED] < ways) {
+            way = (i64)bits[PLRU_FILLED]++;
         } else {
-            way = 0;
-            for (w = 0; w < ways; w++)
-                if (!mru[w]) { way = w; break; }
+            u64 clear = ~bits[PLRU_MRU] & full;
+            way = clear ? __builtin_ctzll(clear) : 0;
             stats[2]++;
-            if (dirty[way]) stats[3]++;
+            stats[3] += (i64)((bits[PLRU_DIRTY] >> way) & 1);
         }
-        resident[way] = line;
-        dirty[way] = write;
+        set[way] = line;
+        bits[PLRU_DIRTY] = (bits[PLRU_DIRTY] & ~((u64)1 << way)) |
+                           ((u64)write << way);
     }
-    mru[way] = 1;
-    nset = 0;
-    for (w = 0; w < ways; w++) nset += mru[w];
-    if (nset == ways) {
-        for (w = 0; w < ways; w++) mru[w] = 0;
-        mru[way] = 1;
-    }
+    mask = (u64)1 << way;
+    bits[PLRU_MRU] |= mask;
+    if (bits[PLRU_MRU] == full) bits[PLRU_MRU] = mask;
     return hit;
+}
+
+/* Reset `sets` private-level sets laid out as above. */
+static void plru_reset(i64 *state, i64 sets, i64 ways)
+{
+    i64 s, w;
+    for (s = 0; s < sets; s++, state += ways + PLRU_WORDS) {
+        for (w = 0; w < ways; w++) state[w] = -1;
+        for (w = 0; w < PLRU_WORDS; w++) state[ways + w] = 0;
+    }
 }
 
 /* Fused phase-1/2 pass: decode each address to a line, replay the L1
  * and (on L1 miss) L2 Bit-PLRU filters inline in access order, and
  * emit the compact LLC-visible stream.  A level with zero sets is
- * skipped (config None on the Python side).  Outputs: visible_idx /
- * vis_lines / vis_writes hold the first out[0] surviving accesses;
- * out[1..4] are L1 {hits, misses, evictions, writebacks} and
- * out[5..8] the same for L2.  ws carves 3*total+sets per level. */
+ * skipped (config None on the Python side); a level has at most 64
+ * ways.  Outputs: visible_idx / vis_lines / vis_writes hold the first
+ * out[0] surviving accesses; out[1..4] are L1 {hits, misses,
+ * evictions, writebacks} and out[5..8] the same for L2.  ws carves
+ * sets * (ways + 3) words per level. */
 void k_private_filter(const i64 *addrs, const u8 *writes, i64 n,
                       i64 line_shift, i64 l1_sets, i64 l1_ways, i64 l1_pow2,
                       i64 l2_sets, i64 l2_ways, i64 l2_pow2,
                       i64 *visible_idx, i64 *vis_lines, u8 *vis_writes,
                       i64 *ws, i64 *out)
 {
-    i64 l1_total = l1_sets * l1_ways;
-    i64 l2_total = l2_sets * l2_ways;
-    i64 *l1_res = ws;
-    i64 *l1_mru = ws + l1_total;
-    i64 *l1_dirty = ws + 2 * l1_total;
-    i64 *l1_filled = ws + 3 * l1_total;
-    i64 *l2_res = l1_filled + l1_sets;
-    i64 *l2_mru = l2_res + l2_total;
-    i64 *l2_dirty = l2_mru + l2_total;
-    i64 *l2_filled = l2_dirty + l2_total;
+    i64 l1_stride = l1_ways + PLRU_WORDS;
+    i64 l2_stride = l2_ways + PLRU_WORDS;
+    i64 *l1 = ws;
+    i64 *l2 = ws + l1_sets * l1_stride;
+    u64 l1_full = l1_ways >= 64 ? ~(u64)0 : ((u64)1 << l1_ways) - 1;
+    u64 l2_full = l2_ways >= 64 ? ~(u64)0 : ((u64)1 << l2_ways) - 1;
     i64 k, m = 0;
-    for (k = 0; k < l1_total; k++) {
-        l1_res[k] = -1; l1_mru[k] = 0; l1_dirty[k] = 0;
-    }
-    for (k = 0; k < l1_sets; k++) l1_filled[k] = 0;
-    for (k = 0; k < l2_total; k++) {
-        l2_res[k] = -1; l2_mru[k] = 0; l2_dirty[k] = 0;
-    }
-    for (k = 0; k < l2_sets; k++) l2_filled[k] = 0;
+    plru_reset(l1, l1_sets, l1_ways);
+    plru_reset(l2, l2_sets, l2_ways);
     for (k = 0; k < n; k++) {
         i64 line = addrs[k] >> line_shift;
-        i64 write = writes[k];
+        i64 write = writes[k] != 0;
         i64 hit = 0;
         if (l1_sets) {
             i64 s = l1_pow2 ? (line & (l1_sets - 1)) : (line % l1_sets);
-            hit = plru_access(l1_res + s * l1_ways, l1_mru + s * l1_ways,
-                              l1_dirty + s * l1_ways, l1_filled + s,
-                              l1_ways, line, write, out + 1);
+            hit = plru_access(l1 + s * l1_stride, l1_ways, l1_full,
+                              line, write, out + 1);
         }
         if (!hit && l2_sets) {
             i64 s = l2_pow2 ? (line & (l2_sets - 1)) : (line % l2_sets);
-            hit = plru_access(l2_res + s * l2_ways, l2_mru + s * l2_ways,
-                              l2_dirty + s * l2_ways, l2_filled + s,
-                              l2_ways, line, write, out + 5);
+            hit = plru_access(l2 + s * l2_stride, l2_ways, l2_full,
+                              line, write, out + 5);
         }
         if (!hit) {
             visible_idx[m] = k;

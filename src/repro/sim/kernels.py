@@ -101,6 +101,7 @@ replay counters).
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
@@ -229,9 +230,9 @@ def replay_bit_plru_stream(
     stream — same fill, eviction, dirty, and MRU-bit rules — but grouped
     by set: a stable argsort partitions the accesses into per-set
     subsequences (sets never interact), and each set is simulated with a
-    tight loop: ``k_bit_plru_mask`` when the compiled library is
-    available, else the Python loop below (a ``line -> way`` dict for
-    residency).
+    tight Python loop (a ``line -> way`` dict for residency). This loop
+    is the front-end's executable reference: the compiled
+    ``k_private_filter`` pass is checked against it.
     """
     n = len(lines)
     stats = CacheStats(config.name)
@@ -245,33 +246,9 @@ def replay_bit_plru_stream(
     else:
         set_idx = lines % num_sets
     order = np.argsort(set_idx, kind="stable")
-    counts = np.bincount(set_idx, minlength=num_sets).astype(
-        np.int64, copy=False
-    )
-    sorted_lines_arr = np.ascontiguousarray(lines[order], dtype=np.int64)
-    sorted_writes_arr = np.ascontiguousarray(writes[order], dtype=np.uint8)
-
-    clib = ckernels.lib()
-    if clib is not None:
-        counts64 = counts.astype(np.int64)
-        hit_sorted = np.zeros(n, dtype=np.uint8)
-        out = np.zeros(4, dtype=np.int64)
-        clib.k_bit_plru_mask(
-            sorted_lines_arr, sorted_writes_arr, counts64,
-            num_sets, num_ways, hit_sorted,
-            _ws(3 * num_ways), out,
-        )
-        hit_mask[order] = hit_sorted.view(bool)
-        hits, misses, evictions, writebacks = out.tolist()
-        stats.accesses = n
-        stats.hits = hits
-        stats.misses = misses
-        stats.evictions = evictions
-        stats.writebacks = writebacks
-        return hit_mask, stats
-
-    sorted_lines = sorted_lines_arr.tolist()
-    sorted_writes = sorted_writes_arr.tolist()
+    counts = np.bincount(set_idx, minlength=num_sets)
+    sorted_lines = lines[order].tolist()
+    sorted_writes = writes[order].tolist()
     hits = misses = evictions = writebacks = 0
     hit_flags: List[bool] = []
     append_flag = hit_flags.append
@@ -333,6 +310,11 @@ def replay_bit_plru_stream(
 # ----------------------------------------------------------------------
 
 
+#: Widest private level ``k_private_filter`` replays: a set's MRU and
+#: dirty bits are one 64-bit word each.
+PLRU_MAX_WAYS = 64
+
+
 def fused_private_filter(
     addresses: np.ndarray,
     writes: np.ndarray,
@@ -352,13 +334,33 @@ def fused_private_filter(
     construction exactly (the fused-front-end equivalence suite proves
     it).
 
+    Each set's replacement state is its resident lines plus three
+    64-bit words (MRU bits, dirty bits, fill count), so a level wider
+    than :data:`PLRU_MAX_WAYS` ways has no compiled form: the call
+    warns, naming the level and its way count, and declines.
+
     Returns ``(visible_idx, lines, writes, l1_stats, l2_stats)`` with
     a level's stats ``None`` when its config is ``None``; returns
-    ``None`` when no compiled library is available (the decode+replay
-    fallback runs in ``engine.build_private_filter``).
+    ``None`` when no compiled library is available or a level is too
+    wide (the decode+replay fallback runs in
+    ``engine.build_private_filter``).
     """
     clib = ckernels.lib()
     if clib is None:
+        return None
+    wide = [
+        f"{level.name} has {level.num_ways} ways"
+        for level in (l1, l2)
+        if level is not None and level.num_ways > PLRU_MAX_WAYS
+    ]
+    if wide:
+        warnings.warn(
+            f"compiled private filter declined ({'; '.join(wide)}, over "
+            f"the {PLRU_MAX_WAYS}-way limit): replaying the private "
+            f"levels in Python",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return None
     n = len(addresses)
     addr_arr = np.ascontiguousarray(addresses, dtype=np.int64)
@@ -373,7 +375,7 @@ def fused_private_filter(
     vis_lines = np.empty(n, dtype=np.int64)
     vis_writes = np.empty(n, dtype=np.uint8)
     out = np.zeros(9, dtype=np.int64)
-    scratch = 3 * l1_sets * l1_ways + l1_sets + 3 * l2_sets * l2_ways + l2_sets
+    scratch = l1_sets * (l1_ways + 3) + l2_sets * (l2_ways + 3)
     clib.k_private_filter(
         addr_arr, writes_u8, n, line_shift,
         l1_sets, l1_ways, l1_pow2, l2_sets, l2_ways, l2_pow2,

@@ -316,6 +316,63 @@ class TestMalformedText:
         with pytest.raises(GraphFormatError, match="src dst weight"):
             io.load_weighted_edge_list(str(path))
 
+    @pytest.mark.parametrize("value", ["1_0", "99999999999999999999", "x"])
+    @pytest.mark.parametrize("loader, suffix", [
+        (io.load_edge_list, "el"),
+        (lambda path: io.load_weighted_edge_list(path)[0], "wel"),
+    ], ids=["el", "wel"])
+    def test_directive_value_judged_like_data(
+        self, tmp_path, value, loader, suffix
+    ):
+        # The data lines refuse these tokens; the directive must too,
+        # not read `1_0` as 10 or skip a count it cannot parse.
+        path = tmp_path / f"d.{suffix}"
+        row = "0 1 2" if suffix == "wel" else "0 1"
+        path.write_text(f"# vertices {value}\n{row}\n")
+        with pytest.raises(
+            GraphFormatError,
+            match=rf"d\.{suffix}: '# vertices' directive value '{value}' "
+                  rf"is not an int64 integer",
+        ):
+            loader(str(path))
+
+    @pytest.mark.parametrize("size", ["1_0 1_0 1", "3 3 99999999999999999999",
+                                      "3 3 1.0"])
+    def test_mtx_size_line_judged_like_data(self, tmp_path, size):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            f"{size}\n1 2\n"
+        )
+        with pytest.raises(
+            GraphFormatError,
+            match=rf"m\.mtx: non-integer MatrixMarket size line '{size}'",
+        ):
+            io.load_matrix_market(str(path))
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n", b"\n"],
+                             ids=["cr", "crlf", "lf"])
+    def test_line_numbers_follow_every_terminator(self, tmp_path, newline):
+        # A comment on a later bare-CR line is a comment, not the bad
+        # token, and the bad token's line counts each terminator once.
+        path = tmp_path / "g.el"
+        path.write_bytes(newline.join([b"0 1", b"# c x", b"2 y", b""]))
+        with pytest.raises(GraphFormatError,
+                           match=r"g\.el:3: non-numeric token 'y'"):
+            io.load_edge_list(str(path))
+        path.write_bytes(newline.join([b"0 1", b"", b"% c", b"2", b""]))
+        with pytest.raises(GraphFormatError, match=r"g\.el:4: expected"):
+            io.load_edge_list(str(path))
+
+    def test_crlf_mtx_line_numbers_unchanged(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(
+            b"%%MatrixMarket matrix coordinate pattern general\r\n"
+            b"% a comment\r\n3 3 2\r\n1 2\r\n2 x\r\n"
+        )
+        with pytest.raises(GraphFormatError, match=r"m\.mtx:5: .*'x'"):
+            io.load_matrix_market(str(path))
+
 
 #: Separators, filler lines and token spellings a real text dump may
 #: mix; every spelling parses to the same int64 value.

@@ -425,6 +425,35 @@ class TestKernelEquivalence:
         assert_results_match(fast, ref)
 
 
+    @pytest.mark.parametrize("llc_ways", [1, 64])
+    @pytest.mark.parametrize(
+        "policy", ["LRU", "LIP", "SRRIP", "BRRIP", "DRRIP"]
+    )
+    def test_way_count_extremes(self, llc_ways, policy):
+        # Direct-mapped and 64-way LLCs under a stream that evicts from
+        # every set: the victim scans' first-minimum / first-maximum
+        # selects see one way and a full word of ways.
+        rng = np.random.default_rng(llc_ways)
+        lines = np.concatenate([
+            rng.integers(0, 400, 2500), rng.integers(0, 40, 1500)
+        ])
+        rng.shuffle(lines)
+        prepared = synthetic_prepared(lines.tolist(), rng.random(4000) < 0.3)
+        config = HierarchyConfig(
+            l1=CacheConfig("L1", num_sets=1, num_ways=1),
+            llc=CacheConfig("LLC", num_sets=2, num_ways=llc_ways),
+        )
+        fast = simulate_prepared(prepared, policy, config, engine="fast")
+        generic = simulate_prepared(
+            prepared, policy, config, engine="generic"
+        )
+        ref = simulate_prepared(prepared, policy, config, engine="reference")
+        assert_kernel_dispatch(fast)
+        assert_results_match(fast, generic)
+        assert_results_match(fast, ref)
+        assert fast.llc.evictions > 0 and fast.llc.hits > 0
+
+
 @pytest.fixture(scope="module")
 def small_prepared():
     return prepare_run(PageRank(), uniform_random(128, avg_degree=4.0, seed=3))

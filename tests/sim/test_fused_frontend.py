@@ -38,7 +38,8 @@ def make_trace(lines, writes=None, pcs=None, vertices=None):
 
 # Geometry corners: direct-mapped, single-set, non-power-of-two sets
 # (the paper's footnote-3 modulo indexing), each private level alone,
-# and no private levels at all.
+# no private levels at all, and the widest levels the compiled pass
+# replays (at 64 ways a set's all-ways MRU mask is every bit of a word).
 GEOMETRIES = {
     "pow2": ((2, 8), (4, 8)),
     "one_way": ((4, 1), (8, 1)),
@@ -47,6 +48,8 @@ GEOMETRIES = {
     "l1_only": ((2, 4), None),
     "l2_only": (None, (4, 4)),
     "no_private": (None, None),
+    "ways_63": ((1, 63), (2, 63)),
+    "ways_64": ((2, 64), (1, 64)),
 }
 
 
@@ -129,6 +132,43 @@ class TestFusedEquivalence:
         no_ckernels()
         pure = build_private_filter(trace, config)
         assert_filters_equal(compiled, pure)
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_evicting_trace(self, geometry):
+        # 400 distinct lines overflow every set of every geometry, so
+        # victim choice, writebacks and the MRU reset all run, at 63
+        # and 64 ways too.
+        rng = np.random.default_rng(5)
+        lines = np.concatenate([
+            rng.integers(0, 400, 3000), rng.integers(0, 24, 1000)
+        ])
+        rng.shuffle(lines)
+        trace = make_trace(lines.tolist())
+        config = hierarchy_for(geometry)
+        fused = build_private_filter(trace, config)
+        assert_filters_equal(fused, pure_filter(trace, config))
+        for stats in (fused.l1_stats, fused.l2_stats):
+            assert stats is None or stats.evictions > 0
+
+    @pytest.mark.needs_ckernels
+    def test_level_over_64_ways_declines_with_one_warning(self):
+        # A set's MRU and dirty bits are one 64-bit word each, so a
+        # 65-way level is replayed in Python, and says so.
+        rng = np.random.default_rng(6)
+        trace = make_trace(rng.integers(0, 300, 2000).tolist())
+        config = HierarchyConfig(
+            l1=CacheConfig("L1", num_sets=2, num_ways=65),
+            l2=CacheConfig("L2", num_sets=4, num_ways=8),
+            llc=CacheConfig("LLC", num_sets=8, num_ways=4),
+        )
+        with pytest.warns(RuntimeWarning) as record:
+            filt = build_private_filter(trace, config)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert "L1 has 65 ways" in message
+        assert "L2" not in message
+        assert filt.l1_stats.evictions > 0
+        assert_filters_equal(filt, pure_filter(trace, config))
 
     def test_phase_seconds_populated(self):
         trace = make_trace(list(range(50)) * 4)
