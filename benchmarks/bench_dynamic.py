@@ -21,7 +21,7 @@ reference graph); each path takes the best of three runs.
 import time
 
 import numpy as np
-from common import get_scale, report, run_once, write_dynamic_report
+from common import get_scale, report, run_once, write_json_report
 
 from repro.graph import apply_delta, generators, random_delta
 from repro.graph.datasets import SCALES
@@ -110,7 +110,8 @@ def bench_dynamic_update(benchmark):
         rows,
         notes=f"crossover batch (incremental stops winning): {crossover}",
     )
-    path = write_dynamic_report(
+    path = write_json_report(
+        "dynamic",
         {
             "scale": scale,
             "elems_per_line": ELEMS_PER_LINE,

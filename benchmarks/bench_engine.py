@@ -23,13 +23,7 @@ build error, on a host without a working C toolchain.
 """
 
 import pytest
-from common import (
-    get_scale,
-    report,
-    run_once,
-    write_engine_report,
-    write_kernel_report,
-)
+from common import get_scale, report, run_once, write_json_report
 
 from repro.sim import ckernels
 from repro.sim.experiments import (
@@ -55,7 +49,7 @@ def bench_engine_throughput(benchmark):
         "LLC-visible replay per policy; reference = full per-access "
         "hierarchy walk per policy.",
     )
-    path = write_engine_report(rows)
+    path = write_json_report("engine", {"scale": get_scale(), "rows": rows})
     assert path.exists()
 
     by_engine = {}
@@ -108,7 +102,7 @@ def bench_kernel_throughput(benchmark):
         "kernel. Identical miss counts are asserted, caches "
         "pre-warmed.",
     )
-    path = write_kernel_report(rows)
+    path = write_json_report("kernels", {"scale": get_scale(), "rows": rows})
     assert path.exists()
 
     assert {row["policy"] for row in rows} >= set(KERNEL_SWEEP_POLICIES)

@@ -17,12 +17,7 @@ toolchain.
 """
 
 import pytest
-from common import (
-    get_scale,
-    report,
-    run_once,
-    write_popt_kernel_report,
-)
+from common import get_scale, report, run_once, write_json_report
 
 from repro.sim import ckernels
 from repro.sim.experiments import (
@@ -57,7 +52,9 @@ def bench_popt_kernel_throughput(benchmark):
         "replay kernels. Identical miss counts and engine-cost counters "
         "are asserted, caches pre-warmed.",
     )
-    path = write_popt_kernel_report(rows)
+    path = write_json_report(
+        "popt_kernels", {"scale": get_scale(), "rows": rows}
+    )
     assert path.exists()
 
     assert {row["policy"] for row in rows} >= set(

@@ -1,24 +1,27 @@
 """Shared plumbing for the benchmark harnesses.
 
-Each ``bench_figNN_*.py`` regenerates one figure or table of the paper:
-it runs the corresponding harness from :mod:`repro.sim.experiments` once
-under pytest-benchmark (wall-clock of the whole experiment), prints the
-rows the paper reports, and writes them to ``benchmarks/results/`` so
-EXPERIMENTS.md can cite a concrete run.
+``bench_figures.py`` regenerates every paper figure and the other
+``bench_*.py`` files the tables, ablations and throughput reports: each
+runs its experiment once under pytest-benchmark (wall-clock of the whole
+experiment), prints the rows the paper reports, and writes them to
+``benchmarks/results/``, stamped with the scale and the source commit,
+so EXPERIMENTS.md can cite a concrete run.
 
 Environment knobs:
 
 - ``REPRO_SCALE``  — graph/cache scale profile (default ``small``).
 - ``REPRO_GRAPHS`` — comma-separated subset of Table III graph names.
 - ``REPRO_ARTIFACTS_DIR`` — artifact-store directory; when set, the
-  harnesses that run through the declarative spec layer reuse cached
+  figures (which run through the declarative spec layer) reuse cached
   traces/filters/rows across benchmark invocations.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import subprocess
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -27,10 +30,6 @@ from repro.sim.artifacts import get_store
 from repro.sim.tables import format_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
-ENGINE_REPORT = RESULTS_DIR / "BENCH_engine.json"
-KERNEL_REPORT = RESULTS_DIR / "BENCH_kernels.json"
-POPT_KERNEL_REPORT = RESULTS_DIR / "BENCH_popt_kernels.json"
-DYNAMIC_REPORT = RESULTS_DIR / "BENCH_dynamic.json"
 
 
 def get_scale() -> str:
@@ -62,6 +61,18 @@ def get_graphs() -> Sequence[str]:
     return names
 
 
+@functools.lru_cache(maxsize=None)
+def source_commit() -> str:
+    """Short hash of the checked-out commit ("unknown" outside git)."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=RESULTS_DIR.parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
 def report(experiment_id: str, title: str,
            rows: List[Dict[str, object]],
            notes: str = "") -> None:
@@ -79,73 +90,24 @@ def report(experiment_id: str, title: str,
             f"{stats['misses']} misses / {stats['writes']} writes "
             f"({stats['root']})"
         )
-    table = format_table(rows, f"{experiment_id}: {title} "
-                               f"[scale={get_scale()}]")
+    table = format_table(
+        rows,
+        f"{experiment_id}: {title} "
+        f"[scale={get_scale()}, commit={source_commit()}]",
+    )
     text = table + ("\n\n" + notes if notes else "") + "\n"
     print("\n" + text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{experiment_id}.txt").write_text(text)
 
 
-def write_engine_report(rows: List[Dict[str, object]]) -> Path:
-    """Persist replay-engine throughput rows as ``BENCH_engine.json``.
-
-    The report carries the three-phase engine's instrumentation (wall
-    time, accesses/sec, filter build/reuse counters, speedup over the
-    reference path) so CI can smoke-check that the engine is live and
-    actually faster than replaying the private levels per policy.
-    """
+def write_json_report(name: str, payload: Dict[str, object]) -> Path:
+    """Persist a throughput report as ``results/BENCH_<name>.json`` (CI
+    reads it back and checks its floors)."""
+    path = RESULTS_DIR / f"BENCH_{name}.json"
     RESULTS_DIR.mkdir(exist_ok=True)
-    ENGINE_REPORT.write_text(
-        json.dumps({"scale": get_scale(), "rows": rows}, indent=2) + "\n"
-    )
-    return ENGINE_REPORT
-
-
-def write_kernel_report(rows: List[Dict[str, object]]) -> Path:
-    """Persist replay-kernel throughput rows as ``BENCH_kernels.json``.
-
-    Per kernel-covered policy: phase-3 replay seconds under the generic
-    per-access loop vs the policy's replay kernel, the speedup, whether
-    the compiled (C) kernel form was in use, and the miss counts from
-    both paths (CI asserts they are identical and that the speedup
-    clears a conservative floor).
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    KERNEL_REPORT.write_text(
-        json.dumps({"scale": get_scale(), "rows": rows}, indent=2) + "\n"
-    )
-    return KERNEL_REPORT
-
-
-def write_popt_kernel_report(rows: List[Dict[str, object]]) -> Path:
-    """Persist next-ref kernel rows as ``BENCH_popt_kernels.json``.
-
-    Per T-OPT/P-OPT policy: phase-3 replay seconds under the generic
-    per-access loop vs the next-ref replay kernel, the speedup, the
-    dispatched kernel name, whether the compiled (C) form was in use,
-    miss counts from both paths, and whether the engine-cost counters
-    matched (CI asserts identity and a speedup floor).
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    POPT_KERNEL_REPORT.write_text(
-        json.dumps({"scale": get_scale(), "rows": rows}, indent=2) + "\n"
-    )
-    return POPT_KERNEL_REPORT
-
-
-def write_dynamic_report(payload: Dict[str, object]) -> Path:
-    """Persist dynamic-graph RM update timings as ``BENCH_dynamic.json``.
-
-    Per delta batch size: full-rebuild vs incremental-update seconds,
-    the speedup, and bit-identity of the resulting matrices; plus the
-    crossover batch size where the incremental path stops winning. CI
-    asserts identity everywhere and a >=2x incremental speedup for
-    small batches.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    DYNAMIC_REPORT.write_text(json.dumps(payload, indent=2) + "\n")
-    return DYNAMIC_REPORT
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return path
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -1,135 +1,27 @@
 """Assemble EXPERIMENTS.md from benchmarks/results/*.txt.
 
 Run the benchmark suite first (``pytest benchmarks/ --benchmark-only``),
-then ``python benchmarks/make_experiments_md.py``. Each experiment's
-measured rows are embedded next to the paper's reported result so the
-paper-vs-measured comparison is auditable.
+then ``PYTHONPATH=src python benchmarks/make_experiments_md.py``. Each
+figure's section takes its title and the paper's result from
+:data:`repro.sim.spec.FIGURES` and embeds the recorded results file:
+the measured rows, then the measured-vs-paper claims table. The other
+sections pair the paper's result with a written verdict.
 """
 
 from __future__ import annotations
 
+import datetime
+import platform
 from pathlib import Path
+
+from repro.sim.spec import FIGURES
 
 RESULTS = Path(__file__).parent / "results"
 OUTPUT = Path(__file__).parent.parent / "EXPERIMENTS.md"
 
-#: (result-file id, paper's reported result, verdict template)
+#: Tables, ablations and extensions: (result-file id, title, paper's
+#: reported result, verdict).
 SECTIONS = [
-    (
-        "fig02",
-        "Fig. 2 — LLC MPKI across state-of-the-art policies",
-        "All of LRU/DRRIP/SHiP-PC/SHiP-Mem/Hawkeye sit in a 60-70% "
-        "miss-rate band on PageRank; none substantially beats LRU.",
-        "Reproduced: the five policies cluster (DRRIP/SHiP-PC best by a "
-        "small margin, SHiP-Mem and Hawkeye at or slightly above LRU); "
-        "no policy approaches T-OPT's level.",
-    ),
-    (
-        "fig04",
-        "Fig. 4 — T-OPT vs LRU and the heuristics",
-        "T-OPT reduces misses 1.67x on average vs LRU (41% vs 60-70% "
-        "miss rates).",
-        "Reproduced in shape: T-OPT separates cleanly from every "
-        "heuristic on every graph (measured geomean ratio in the notes "
-        "line of the table).",
-    ),
-    (
-        "fig07",
-        "Fig. 7 — Rereference Matrix designs",
-        "P-OPT-INTER+INTRA approaches idealized T-OPT; INTER-ONLY "
-        "clearly worse; both beat DRRIP despite reserved ways.",
-        "Reproduced: INTER+INTRA recovers most of T-OPT's miss "
-        "reduction on every graph; INTER-ONLY trails badly (even "
-        "negative on KRON).",
-    ),
-    (
-        "fig10",
-        "Fig. 10 — Main result: speedups and miss reductions",
-        "P-OPT: mean +22% speedup / -24% misses vs DRRIP (+33%/-35% vs "
-        "LRU), within ~12% of T-OPT; works for pull and push, dense and "
-        "sparse frontiers; smallest gain on KRON.",
-        "Reproduced in shape and magnitude class: geomean speedups and "
-        "mean miss reductions are printed under the table; ordering "
-        "LRU < DRRIP < P-OPT < T-OPT holds per app-graph cell, with "
-        "KRON the weakest input exactly as the paper reports. Frontier "
-        "apps gain less than PR/CC (two Rereference Matrices), also "
-        "matching the paper.",
-    ),
-    (
-        "fig11",
-        "Fig. 11 — P-OPT vs P-OPT-SE as graphs grow",
-        "P-OPT (two resident columns) wins below ~32M vertices; "
-        "P-OPT-SE wins beyond as reserved ways eat the LLC; reserved "
-        "way counts grow with graph size.",
-        "Reproduced, including the crossover: at our scaled sizes P-OPT "
-        "wins while its reservation is <= 2 of 16 ways, P-OPT-SE wins at "
-        "the next size up, and P-OPT becomes infeasible (reservation = "
-        "all 16 ways) at the largest size while SE still runs.",
-    ),
-    (
-        "fig12a",
-        "Fig. 12(a) — vs GRASP on DBG-ordered graphs",
-        "GRASP helps only skewed degree distributions; P-OPT beats it "
-        "everywhere.",
-        "Reproduced: GRASP's gains are confined to the skewed graphs "
-        "(DBP/KRON/UK-02 classes) and are small; P-OPT wins on every "
-        "input by a wide margin.",
-    ),
-    (
-        "fig12b",
-        "Fig. 12(b) — vs HATS-BDFS",
-        "BDFS helps community-structured graphs (UK-02/ARAB) but "
-        "increases misses on DBP/KRON/URAND; P-OPT is consistent.",
-        "Reproduced directionally: BDFS *hurts* every input whose "
-        "ID order already encodes its locality (DBP/KRON/URAND, and our "
-        "UK-02 stand-in whose communities are crawl-ordered, i.e. "
-        "ID-contiguous — BDFS can only scramble them), and *helps* "
-        "exactly the inputs whose community structure is invisible to "
-        "ID order (ARAB: scrambled IDs over strong communities; also "
-        "HBUBL's scrambled mesh). The paper's larger BDFS wins on "
-        "UK-02/ARAB include L1/L2 gains our LLC-centric comparison "
-        "understates. P-OPT improves every input.",
-    ),
-    (
-        "fig13",
-        "Fig. 13 — interaction with CSR-segmenting (tiling)",
-        "Tiling improves both policies; P-OPT needs ~5x fewer tiles for "
-        "the same miss level (P-OPT@2 tiles ~ DRRIP@10 on URAND).",
-        "Reproduced: P-OPT at 2 tiles matches or beats DRRIP's best "
-        "tiling; on our scaled graphs the per-tile offsets-rescan "
-        "overhead turns tiling counterproductive past the sweet spot "
-        "sooner than at paper scale.",
-    ),
-    (
-        "fig14",
-        "Fig. 14 — PB and PHI",
-        "PHI beats software PB and improves with better replacement; "
-        "PHI is weak on non-power-law graphs (URAND/HBUBL) where P-OPT "
-        "still helps.",
-        "Reproduced: PB's binning phase is replacement-insensitive, PHI "
-        "cuts its traffic substantially, and PHI+P-OPT <= PHI+DRRIP; "
-        "PHI's edge is largest on the power-law inputs.",
-    ),
-    (
-        "fig15",
-        "Fig. 15 — quantization sensitivity",
-        "8-bit ~= 16-bit ~= T-OPT; 4-bit clearly worse. Tie rates: 41% "
-        "(4b), 12% (8b), 0% (16b).",
-        "Reproduced: 4-bit collapses, 8-bit lands within a few percent "
-        "of 16-bit and T-OPT, and tie rates fall monotonically with "
-        "precision (absolute tie rates are higher than the paper's "
-        "because our scaled graphs have fewer vertices per epoch).",
-    ),
-    (
-        "fig16",
-        "Fig. 16 — LLC size and associativity sensitivity",
-        "P-OPT's advantage over DRRIP grows with LLC capacity (RM "
-        "reservation amortizes) and with associativity (more candidates "
-        "per eviction).",
-        "Reproduced: both sweeps trend upward (capacity sweep saturates "
-        "once the irregular working set approaches LLC size, an "
-        "artifact of scaled graphs).",
-    ),
     (
         "table1",
         "Table I — simulation parameters",
@@ -224,14 +116,12 @@ SECTIONS = [
     ),
 ]
 
-import datetime
-import platform
-
 HEADER = f"""# EXPERIMENTS — paper vs. measured
 
-Recorded run: {datetime.date.today().isoformat()}, Python \
-{platform.python_version()}, scale profile `small` (16 K-vertex graph \
-stand-ins, 16 KiB 16-way LLC), 464-test suite green.
+Assembled {datetime.date.today().isoformat()} with Python \
+{platform.python_version()}; each results file names the scale and the \
+commit it was recorded at (scale profile `small`: 16 K-vertex graph \
+stand-ins, 16 KiB 16-way LLC).
 """ + """
 
 Every figure and table of the paper's evaluation, regenerated by
@@ -240,19 +130,33 @@ in DESIGN.md (synthetic stand-in graphs of the paper's five structural
 classes; LLC scaled so the irregular working set exceeds it by the same
 factor as in the paper). Absolute numbers differ by design — the shapes
 (who wins, by roughly what factor, where crossovers fall) are the
-reproduction targets. Tables below are verbatim from
-`benchmarks/results/` as produced by the recorded run.
+reproduction targets. Each figure ends with its claims table: the
+paper's value, the measured one, and whether the shape check holds
+(`benchmarks/bench_figures.py` fails when one does not). Tables below
+are verbatim from `benchmarks/results/`.
 
 """
 
 
+def figure_label(figure_id: str) -> str:
+    """``fig12a`` -> ``Fig. 12(a)``."""
+    number, panel = figure_id[3:5], figure_id[5:]
+    return f"Fig. {int(number)}" + (f"({panel})" if panel else "")
+
+
 def main() -> None:
+    figures = [
+        (figure_id, f"{figure_label(figure_id)} — {figure.title}",
+         figure.paper, "")
+        for figure_id, figure in FIGURES.items()
+    ]
     parts = [HEADER]
     missing = []
-    for file_id, title, paper, verdict in SECTIONS:
+    for file_id, title, paper, verdict in figures + SECTIONS:
         parts.append(f"## {title}\n")
         parts.append(f"**Paper:** {paper}\n")
-        parts.append(f"**Measured:** {verdict}\n")
+        if verdict:
+            parts.append(f"**Measured:** {verdict}\n")
         path = RESULTS / f"{file_id}.txt"
         if path.exists():
             parts.append("```\n" + path.read_text().strip() + "\n```\n")

@@ -4,7 +4,8 @@ Commands:
 
 - ``run``        simulate one (app, graph, policy) combination
 - ``compare``    sweep several policies over one prepared run
-- ``experiment`` regenerate a paper figure/table by ID
+- ``experiment`` regenerate a paper figure/table by ID; a figure also
+  prints its measured-vs-paper claims table
 - ``matrix``     run the scenario-matrix spec (techniques x policies
   x graphs x LLC sizes), streaming rows; resumable via the artifact
   store
@@ -29,7 +30,6 @@ accepted; see ``repro.graph.io``.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -37,28 +37,17 @@ from typing import Dict, List
 
 from .cache import scaled_hierarchy
 from .graph import datasets, degree_stats
-from .sim import experiments, prepare_run, simulate_prepared
+from .sim import prepare_run, simulate_prepared
 from .sim import artifacts as artifacts_module
+from .sim.experiments import table4_preprocessing
 from .sim.parallel import APP_FACTORIES, START_METHOD_ENV
-from .sim.spec import ExperimentSpec, run_spec, scenario_matrix
+from .sim.spec import FIGURES, ExperimentSpec, run_spec, scenario_matrix
 from .sim.tables import format_table, table1_rows, table2_rows, table3_rows
 
 __all__ = ["main", "APP_FACTORIES"]
 
-EXPERIMENTS = {
-    "fig02": experiments.fig02_sota_mpki,
-    "fig04": experiments.fig04_topt_mpki,
-    "fig07": experiments.fig07_rereference_designs,
-    "fig10": experiments.fig10_main_result,
-    "fig11": experiments.fig11_popt_se_scaling,
-    "fig12a": experiments.fig12a_grasp,
-    "fig12b": experiments.fig12b_hats,
-    "fig13": experiments.fig13_tiling,
-    "fig14": experiments.fig14_pb_phi,
-    "fig15": experiments.fig15_quantization,
-    "fig16": experiments.fig16_llc_sensitivity,
-    "table4": experiments.table4_preprocessing,
-}
+#: Experiment ids: every paper figure, plus Table IV.
+EXPERIMENTS = (*FIGURES, "table4")
 
 
 def _graph_choices():
@@ -277,15 +266,18 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    fn = EXPERIMENTS[args.id]
-    kwargs = {"scale": args.scale}
-    if "jobs" in inspect.signature(fn).parameters:
-        kwargs["jobs"] = max(1, args.jobs)
-    elif args.jobs > 1:
-        print(f"note: {args.id} does not sweep in parallel; "
-              f"running serially")
-    rows = fn(**kwargs)
-    print(format_table(rows, f"{args.id} [scale={args.scale}]"))
+    title = f"{args.id} [scale={args.scale}]"
+    if args.id not in FIGURES:
+        if args.jobs > 1:
+            print(f"note: {args.id} does not sweep in parallel; "
+                  f"running serially")
+        print(format_table(table4_preprocessing(scale=args.scale), title))
+        return 0
+    figure = FIGURES[args.id]
+    rows = figure.run(jobs=max(1, args.jobs), scale=args.scale)
+    print(format_table(rows, title))
+    print()
+    print(format_table(figure.check(rows), f"{args.id}: paper claims"))
     return 0
 
 

@@ -315,7 +315,11 @@ def _block_tokens(
 
 def _line_blocks(handle: BinaryIO, chunk_bytes: int) -> Iterator[bytes]:
     """Fixed-size blocks of ``handle`` cut back to whole lines; the
-    trailing partial line carries into the next block."""
+    trailing partial line carries into the next block.
+
+    A block ends at its last LF or CR, so a bare-CR file is cut like an
+    LF one. A CRLF pair split between two blocks leaves a lone LF at the
+    head of the next block: an empty line, which the parse skips."""
     carry = b""
     while True:
         block = handle.read(chunk_bytes)
@@ -323,6 +327,7 @@ def _line_blocks(handle: BinaryIO, chunk_bytes: int) -> Iterator[bytes]:
             break
         block = carry + block
         cut = block.rfind(b"\n")
+        cut = max(cut, block.rfind(b"\r", cut + 1))
         if cut < 0:
             carry = block
             continue
@@ -563,12 +568,40 @@ _MTX_FIELDS = ("pattern", "integer", "real")
 _MTX_SYMMETRIES = ("general", "symmetric")
 
 
+#: Bytes the header reader asks for per read.
+_HEADER_READ = 1 << 16
+
+
+def _header_lines(handle: BinaryIO) -> Iterator[Tuple[bytes, int]]:
+    """``(line, offset past its terminator)`` for each line from the
+    handle's position on. Lines end at LF, CRLF or a bare CR, as in the
+    data blocks, and each read is bounded, so a bare-CR file is never
+    read whole to find its header."""
+    offset = handle.tell()
+    carry = b""
+    while True:
+        raw = handle.readline(_HEADER_READ)
+        if raw.endswith(b"\r"):
+            raw += handle.read(1)  # keep a CRLF pair in one read
+        lines = (carry + raw).splitlines(keepends=True)
+        carry = b""
+        if raw and lines and not lines[-1].endswith((b"\n", b"\r")):
+            carry = lines.pop()
+        for line in lines:
+            offset += len(line)
+            yield line, offset
+        if not raw:
+            return
+
+
 def _read_mtx_header(
     handle: BinaryIO, path: PathLike
 ) -> Tuple[str, str, int, int, int, int]:
     """Parse the banner + size line; returns
-    ``(field, symmetry, rows, cols, nnz, data_offset)``."""
-    banner = handle.readline().split()
+    ``(field, symmetry, rows, cols, nnz, data_offset)``, the offset
+    being that of the first byte after the size line."""
+    lines = _header_lines(handle)
+    banner = next(lines, (b"", 0))[0].split()
     if len(banner) != 5 or banner[0].lower() != b"%%matrixmarket":
         raise GraphFormatError(f"{path}: missing MatrixMarket banner")
     kind, layout, field, symmetry = (
@@ -589,10 +622,7 @@ def _read_mtx_header(
             f"{path}: unsupported MatrixMarket symmetry {symmetry!r} "
             f"(supported: {', '.join(_MTX_SYMMETRIES)})"
         )
-    while True:
-        line = handle.readline()
-        if not line:
-            raise GraphFormatError(f"{path}: missing MatrixMarket size line")
+    for line, data_offset in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith(b"%"):
             continue
@@ -613,7 +643,8 @@ def _read_mtx_header(
             ) from None
         if rows < 0 or cols < 0 or nnz < 0:
             raise GraphFormatError(f"{path}: negative MatrixMarket sizes")
-        return field, symmetry, rows, cols, nnz, handle.tell()
+        return field, symmetry, rows, cols, nnz, data_offset
+    raise GraphFormatError(f"{path}: missing MatrixMarket size line")
 
 
 def _int64_indices(values: np.ndarray) -> np.ndarray:
@@ -656,6 +687,7 @@ def load_matrix_market(
         field, symmetry, rows, cols, nnz, data_offset = _read_mtx_header(
             handle, path
         )
+        handle.seek(data_offset)
         entries = _token_rows(
             handle, path, {}, chunk_bytes,
             np.dtype(np.float64 if field == "real" else np.int64),

@@ -1,24 +1,15 @@
-"""Canned experiment harnesses: one function per paper figure/table.
+"""Wall-clock experiments: Table IV and the replay throughput sweeps.
 
-Every function returns a list of plain-dict rows (printable with
-:func:`repro.sim.tables.format_table`) so that benchmarks, examples, and
-EXPERIMENTS.md all consume the same code path. Graph/cache scale defaults
-to the ``small`` profile; pass ``scale="medium"``/``"large"`` for
-higher-fidelity runs.
-
-Every figure is a thin wrapper over a declarative spec
-(:mod:`repro.sim.spec`) executed by the unified parallel runner — its
-rows are bit-identical to the pre-spec hand-rolled version
-(``tests/sim/test_spec.py`` pins them to golden rows) and it accepts
-``jobs``. Only Table IV, a wall-clock measurement rather than a sweep,
-and the replay-throughput sweeps call the driver directly.
+They time the driver directly instead of running a spec sweep (every
+paper figure is a :class:`~repro.sim.spec.Figure` in
+:data:`~repro.sim.spec.FIGURES`). Each returns plain-dict rows for
+:func:`repro.sim.tables.format_table`, at the ``small`` scale by default.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..apps import PageRank
 from ..apps.pagerank import pagerank_reference
@@ -28,44 +19,14 @@ from ..popt.rereference import build_rereference_matrix
 from ..popt.topt import TOPT
 from .driver import prepare_run, simulate_prepared
 from .engine import ReplayEngine
-from . import spec as spec_module
-from .spec import report_rows, run_spec
 
 __all__ = [
     "engine_throughput_sweep",
     "kernel_throughput_sweep",
-    "fig02_sota_mpki",
-    "fig04_topt_mpki",
-    "fig07_rereference_designs",
-    "fig10_main_result",
-    "fig11_popt_se_scaling",
-    "fig12a_grasp",
-    "fig12b_hats",
-    "fig13_tiling",
-    "fig14_pb_phi",
-    "fig15_quantization",
-    "fig16_llc_sensitivity",
     "table4_preprocessing",
-    "geomean",
 ]
 
 DEFAULT_GRAPHS = tuple(datasets.graph_names())
-
-FIG2_POLICIES = spec_module.FIG2_POLICIES
-
-
-def geomean(values: Iterable[float]) -> float:
-    """Geometric mean (the paper's aggregation for speedups/ratios)."""
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return statistics.geometric_mean(values)
-
-
-def _run_reported(factory, jobs: int, **kwargs) -> List[Dict[str, object]]:
-    """Build a figure's spec, execute it, and derive its figure rows."""
-    spec = factory(**kwargs)
-    return report_rows(spec, run_spec(spec, jobs=jobs))
 
 
 ENGINE_SWEEP_POLICIES = ("LRU", "DRRIP", "SHiP-PC", "Hawkeye")
@@ -223,228 +184,6 @@ def _topt_counters(prepared, hierarchy, use_kernel: bool) -> tuple:
     )
     ReplayEngine(prepared, hierarchy).run(policy, use_kernel=use_kernel)
     return policy.replacements, policy.transpose_walk_elements
-
-
-def fig02_sota_mpki(
-    scale: str = "small",
-    graphs: Sequence[str] = DEFAULT_GRAPHS,
-    seed: int = 42,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 2: PageRank LLC MPKI under state-of-the-art policies.
-
-    Paper shape: all five policies land within a narrow band (60-70% miss
-    rates); none substantially beats LRU. ``jobs`` fans the sweep over a
-    process pool (see :mod:`repro.sim.parallel`); output is identical
-    for any value.
-    """
-    return _run_reported(
-        spec_module.fig02_spec, jobs, scale=scale, graphs=graphs, seed=seed
-    )
-
-
-def fig04_topt_mpki(
-    scale: str = "small",
-    graphs: Sequence[str] = DEFAULT_GRAPHS,
-    seed: int = 42,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 4: T-OPT against the Fig. 2 policies.
-
-    Paper shape: T-OPT reduces misses ~1.67x vs LRU (41% vs 60-70% miss
-    rate).
-    """
-    return _run_reported(
-        spec_module.fig04_spec, jobs, scale=scale, graphs=graphs, seed=seed
-    )
-
-
-def fig07_rereference_designs(
-    scale: str = "small",
-    graphs: Sequence[str] = DEFAULT_GRAPHS,
-    seed: int = 42,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 7: Rereference Matrix designs, miss reduction vs DRRIP.
-
-    Paper shape: INTER+INTRA ~= T-OPT > INTER-ONLY > DRRIP; both P-OPT
-    designs pay their reserved-way cost and still win.
-    """
-    return _run_reported(
-        spec_module.fig07_spec, jobs, scale=scale, graphs=graphs, seed=seed
-    )
-
-
-def fig10_main_result(
-    scale: str = "small",
-    graphs: Sequence[str] = DEFAULT_GRAPHS,
-    seed: int = 42,
-    apps: Optional[Sequence[object]] = None,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 10: speedups and LLC miss reductions for P-OPT and T-OPT.
-
-    Rows hold speedups over both LRU and DRRIP plus miss reductions vs
-    DRRIP, one row per (app, graph). Radii skips HBUBL like the paper
-    (its diameter keeps Radii push-only there), and (app, graph) pairs
-    whose trace is empty are dropped. Paper shape: P-OPT ~22% mean
-    speedup and ~24% miss cut vs DRRIP, within ~12% of T-OPT; gains
-    smallest on KRON.
-
-    ``apps`` accepts app names or app instances (``app.info.name``).
-    """
-    app_names = None
-    if apps is not None:
-        app_names = tuple(
-            app if isinstance(app, str) else app.info.name for app in apps
-        )
-    return _run_reported(
-        spec_module.fig10_spec, jobs,
-        scale=scale, graphs=graphs, seed=seed, apps=app_names,
-    )
-
-
-def fig11_popt_se_scaling(
-    vertex_counts: Sequence[int] = (4096, 16384, 65536, 131072),
-    scale: str = "small",
-    seed: int = 42,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 11: P-OPT vs P-OPT-SE as graph size grows, LLC fixed.
-
-    Paper shape: below the capacity knee P-OPT (two resident columns)
-    wins; for the largest graphs its doubled reservation costs more than
-    the better metadata buys, and P-OPT-SE takes over. The row records the
-    reserved way counts (the boxes atop Fig. 11's bars); a reservation
-    that leaves no LLC way for data reports ``None`` and the start of
-    its error message instead.
-    """
-    return _run_reported(
-        spec_module.fig11_spec, jobs,
-        vertex_counts=vertex_counts, scale=scale, seed=seed,
-    )
-
-
-def fig12a_grasp(
-    scale: str = "small",
-    graphs: Sequence[str] = DEFAULT_GRAPHS + ("GPL",),
-    seed: int = 42,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 12(a): GRASP vs P-OPT on DBG-ordered graphs.
-
-    Paper shape: GRASP helps only on skewed graphs; P-OPT wins everywhere
-    and by more.
-    """
-    return _run_reported(
-        spec_module.fig12a_spec, jobs, scale=scale, graphs=graphs, seed=seed
-    )
-
-
-def fig12b_hats(
-    scale: str = "small",
-    graphs: Sequence[str] = DEFAULT_GRAPHS + ("ARAB",),
-    seed: int = 42,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 12(b): HATS-BDFS vs P-OPT (vertex-ordered).
-
-    Paper shape: BDFS helps community graphs (UK-02 class, where it can
-    even beat T-OPT) but *increases* misses on graphs without community
-    structure; P-OPT is consistent.
-    """
-    return _run_reported(
-        spec_module.fig12b_spec, jobs, scale=scale, graphs=graphs, seed=seed
-    )
-
-
-def fig13_tiling(
-    scale: str = "small",
-    graphs: Sequence[str] = ("URAND64", "KRON"),
-    tile_counts: Sequence[int] = (1, 2, 4, 8),
-    seed: int = 42,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 13: CSR-segmenting x {DRRIP, P-OPT}, misses normalized to
-    untiled DRRIP.
-
-    Paper shape: tiling improves both; P-OPT reaches a given miss level
-    with ~5x fewer tiles (P-OPT at 2 tiles ~= DRRIP at 10 on URAND).
-
-    The untiled (``tiles=1``) DRRIP point is the normalization baseline;
-    the spec carries tiling as the ``tiling:N`` software technique.
-    """
-    return _run_reported(
-        spec_module.fig13_spec, jobs,
-        scale=scale, graphs=graphs, tile_counts=tile_counts, seed=seed,
-    )
-
-
-def fig14_pb_phi(
-    scale: str = "small",
-    graphs: Sequence[str] = DEFAULT_GRAPHS,
-    seed: int = 42,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 14: PB and PHI under DRRIP and P-OPT (binning phase).
-
-    DRAM traffic (LLC misses) normalized to PB+DRRIP. Paper shape: PHI
-    beats PB on power-law graphs and improves further with better
-    replacement; on URAND/HBUBL PHI's aggregation finds little reuse while
-    P-OPT still helps.
-
-    PHI's regime requires the destination accumulators to be comparable
-    to the LLC (the paper holds ~8 MB of accumulators against a 24 MiB
-    LLC), so this experiment pairs the graphs with the cache profile that
-    restores that ratio (:data:`repro.sim.spec.PHI_CACHE_SCALE`, the
-    spec's ``cache_scale``): in-cache aggregation is meaningless when
-    the accumulator dwarfs the cache.
-    """
-    return _run_reported(
-        spec_module.fig14_spec, jobs, scale=scale, graphs=graphs, seed=seed
-    )
-
-
-def fig15_quantization(
-    scale: str = "small",
-    graphs: Sequence[str] = DEFAULT_GRAPHS,
-    entry_bit_choices: Sequence[int] = (4, 8, 16),
-    seed: int = 42,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 15: quantization sensitivity (limit study, no capacity cost).
-
-    Paper shape: 8-bit ~= 16-bit ~= T-OPT, 4-bit worse; tie rates fall
-    from ~41% (4b) to ~12% (8b) to ~0% (16b).
-    """
-    return _run_reported(
-        spec_module.fig15_spec, jobs,
-        scale=scale, graphs=graphs, seed=seed,
-        entry_bit_choices=entry_bit_choices,
-    )
-
-
-def fig16_llc_sensitivity(
-    graphs: Sequence[str] = DEFAULT_GRAPHS,
-    scale: str = "small",
-    set_counts: Sequence[int] = (8, 16, 32, 64),
-    way_counts: Sequence[int] = (8, 16, 32),
-    seed: int = 42,
-    jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Fig. 16: sensitivity to LLC capacity and associativity.
-
-    Paper shape: P-OPT's miss reduction over DRRIP grows with capacity
-    (the RM reservation amortizes) and with associativity (more eviction
-    candidates to choose among). The capacity and associativity sweeps
-    are the spec's LLC-geometry axis (labeled points over the scale's
-    base hierarchy).
-    """
-    return _run_reported(
-        spec_module.fig16_spec, jobs,
-        scale=scale, graphs=graphs, seed=seed,
-        set_counts=set_counts, way_counts=way_counts,
-    )
 
 
 def table4_preprocessing(

@@ -21,25 +21,25 @@ function. This module replaces the loops with data:
    prepared runs, private filters, Rereference Matrices, and finished
    rows are all reused across invocations, making interrupted sweeps
    resumable.
-4. **Report** — a spec optionally names a reporter (:data:`REPORTERS`)
-   that derives the figure's presentation rows (pivots, baselines,
-   normalizations) from the flat stat rows. Reporters are pure functions
-   of the row list, so the replay work stays policy-chunked and
-   parallel regardless of the figure's final shape.
+4. **Report** — each paper figure is one :class:`Figure` in
+   :data:`FIGURES`: its spec factory, a reporter that derives the
+   figure's presentation rows (pivots, baselines, normalizations) from
+   the flat stat rows, and the paper's claims checked on those rows.
+   Reporters are pure functions of the row list, so the replay work
+   stays policy-chunked and parallel regardless of the figure's final
+   shape.
 
 Expansion is deterministic by construction: axis order is declared data
 (``order``, policy always innermost), unit hashes are sha256 of
 canonical JSON, and nothing consults dict iteration order or process
 state — the same spec yields the same unit order and hashes in any
 process (``tests/sim/test_spec.py`` locks this in).
-
-Every figure harness in :mod:`repro.sim.experiments` is a thin wrapper
-over a spec factory registered in :data:`SPEC_HARNESSES`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -60,13 +60,13 @@ from .parallel import (
 
 __all__ = [
     "AXES",
+    "Claim",
     "ExperimentSpec",
+    "FIGURES",
+    "Figure",
     "SpecUnit",
-    "REPORTERS",
-    "SPEC_HARNESSES",
-    "spec_harness",
+    "geomean",
     "run_spec",
-    "report_rows",
     "fig02_spec",
     "fig04_spec",
     "fig07_spec",
@@ -92,6 +92,9 @@ LLCPoint = Optional[Tuple[str, int, int]]
 #: Replay options point: (entry_bits, account_capacity). ``None`` means
 #: the defaults of :func:`~repro.sim.driver.simulate_prepared`.
 ReplayPoint = Optional[Tuple[int, bool]]
+
+#: Flat stat rows (from :func:`run_spec`) or a figure's reported rows.
+Rows = List[Dict[str, object]]
 
 
 @dataclass(frozen=True)
@@ -160,8 +163,7 @@ class ExperimentSpec:
     entries are ``(label, sets, ways)`` points layered on the
     ``cache_scale or scale`` hierarchy; ``None`` keeps the default
     geometry. ``replay`` entries are ``(entry_bits, account_capacity)``
-    replay options; ``None`` keeps the defaults. ``report`` names a
-    :data:`REPORTERS` entry that derives the figure's presentation rows.
+    replay options; ``None`` keeps the defaults.
     """
 
     name: str
@@ -179,7 +181,6 @@ class ExperimentSpec:
     order: Tuple[str, ...] = AXES
     chunk_size: int = 2
     exclude: Tuple[Tuple[Tuple[str, str], ...], ...] = ()
-    report: str = ""
 
     def __post_init__(self) -> None:
         if not self.graphs or not self.policies:
@@ -211,11 +212,6 @@ class ExperimentSpec:
                 )
         for technique in self.techniques:
             validate_technique(technique)
-        if self.report and self.report not in REPORTERS:
-            raise ValueError(
-                f"unknown reporter {self.report!r}; expected one of "
-                f"{sorted(REPORTERS)}"
-            )
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
 
@@ -381,15 +377,6 @@ def run_spec(
         for index in range(len(tasks)):
             emit(done[index] if index in done else next(results))
     return rows
-
-
-def report_rows(
-    spec: ExperimentSpec, rows: List[Dict[str, object]]
-) -> List[Dict[str, object]]:
-    """Apply the spec's reporter (identity when none declared)."""
-    if not spec.report:
-        return rows
-    return REPORTERS[spec.report](spec, rows)
 
 
 # ----------------------------------------------------------------------
@@ -618,62 +605,26 @@ def _reservation_columns(item, baseline):
     }
 
 
-REPORTERS: Mapping[str, Callable[..., List[Dict[str, object]]]]
-REPORTERS = MappingProxyType({
-    "mpki_pivot": _report_mpki_pivot,
-    "main_result": _report_main_result,
-    "tiling_norm": _report_tiling_norm,
-    "pb_phi_norm": _report_pb_phi_norm,
-    "llc_sensitivity": _report_llc_sensitivity,
-    "missred_vs_drrip": _vs_drrip(_graph_head, _missred_columns),
-    "rm_designs": _vs_drrip(
-        _graph_head,
-        lambda item, baseline: {
-            _RM_DESIGN_LABELS[item["policy"]]: _missred_vs(item, baseline)
-        },
-    ),
-    "reservation_knee": _vs_drrip(
-        lambda graph_name: {"vertices": int(graph_name.rpartition("@")[2])},
-        _reservation_columns,
-    ),
-})
-
-
-# ----------------------------------------------------------------------
-# Spec factories for the figure harnesses. SPEC_HARNESSES maps the
-# harness function name in sim/experiments.py to its factory.
-# ----------------------------------------------------------------------
-
-# Filled by import-time decorators only; SPEC_HARNESSES is its
-# read-only view.
-_SPEC_HARNESSES: Dict[str, Callable[..., ExperimentSpec]] = {}
-SPEC_HARNESSES: Mapping[str, Callable[..., ExperimentSpec]] = (
-    MappingProxyType(_SPEC_HARNESSES)
+_report_missred_vs_drrip = _vs_drrip(_graph_head, _missred_columns)
+_report_rm_designs = _vs_drrip(
+    _graph_head,
+    lambda item, baseline: {
+        _RM_DESIGN_LABELS[item["policy"]]: _missred_vs(item, baseline)
+    },
+)
+_report_reservation_knee = _vs_drrip(
+    lambda graph_name: {"vertices": int(graph_name.rpartition("@")[2])},
+    _reservation_columns,
 )
 
 
-def spec_harness(harness_name: str):
-    """Register a spec factory as the declarative form of a harness.
-
-    Duplicate names are rejected, as
-    :func:`~repro.policies.registry.register_policy` does.
-    """
-
-    def decorate(fn):
-        if harness_name in _SPEC_HARNESSES:
-            raise ValueError(
-                f"spec harness {harness_name!r} is already registered"
-            )
-        _SPEC_HARNESSES[harness_name] = fn
-        return fn
-
-    return decorate
-
+# ----------------------------------------------------------------------
+# Spec factories: one per figure, plus the scenario matrix.
+# ----------------------------------------------------------------------
 
 FIG2_POLICIES = ("LRU", "DRRIP", "SHiP-PC", "SHiP-Mem", "Hawkeye")
 
 
-@spec_harness("fig02_sota_mpki")
 def fig02_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
     return ExperimentSpec(
         name="fig02",
@@ -681,11 +632,9 @@ def fig02_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
         policies=FIG2_POLICIES,
         scale=scale,
         seed=seed,
-        report="mpki_pivot",
     )
 
 
-@spec_harness("fig04_topt_mpki")
 def fig04_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
     return replace(
         fig02_spec(scale=scale, graphs=graphs, seed=seed),
@@ -694,7 +643,6 @@ def fig04_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
     )
 
 
-@spec_harness("fig07_rereference_designs")
 def fig07_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
     return ExperimentSpec(
         name="fig07",
@@ -702,14 +650,14 @@ def fig07_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
         policies=("DRRIP", "P-OPT-Inter", "P-OPT", "T-OPT"),
         scale=scale,
         seed=seed,
-        report="rm_designs",
     )
 
 
-@spec_harness("fig10_main_result")
 def fig10_spec(
     scale="small", graphs=None, seed=42, apps=None
 ) -> ExperimentSpec:
+    """Radii skips HBUBL like the paper (its diameter keeps Radii
+    push-only there)."""
     return ExperimentSpec(
         name="fig10",
         graphs=tuple(graphs or datasets.graph_names()),
@@ -719,26 +667,34 @@ def fig10_spec(
         seed=seed,
         order=("app", "graph", "technique", "llc", "replay"),
         exclude=((("app", "Radii"), ("graph", "HBUBL")),),
-        report="main_result",
     )
 
 
-@spec_harness("fig11_popt_se_scaling")
-def fig11_spec(
-    vertex_counts=(4096, 16384, 65536, 131072), scale="small", seed=42
-) -> ExperimentSpec:
-    """URAND at each vertex count (``URAND@N``), the LLC fixed by ``scale``."""
+#: Fig. 11's URAND sizes per scale: from well below the scale's LLC
+#: capacity knee to past it.
+FIG11_VERTEX_COUNTS = {
+    "tiny": (1024, 2048, 4096),
+    "small": (4096, 16384, 65536, 131072),
+    "medium": (16384, 65536, 262144, 524288),
+    "large": (65536, 262144, 1048576),
+}
+
+
+def fig11_spec(vertex_counts=None, scale="small", seed=42) -> ExperimentSpec:
+    """URAND at each vertex count (``URAND@N``), the LLC fixed by ``scale``;
+    the counts default to :data:`FIG11_VERTEX_COUNTS` of the scale."""
     return ExperimentSpec(
         name="fig11",
-        graphs=tuple(f"URAND@{n}" for n in vertex_counts),
+        graphs=tuple(
+            f"URAND@{n}"
+            for n in vertex_counts or FIG11_VERTEX_COUNTS[scale]
+        ),
         policies=("DRRIP", "P-OPT", "P-OPT-SE"),
         scale=scale,
         seed=seed,
-        report="reservation_knee",
     )
 
 
-@spec_harness("fig12a_grasp")
 def fig12a_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
     """Every policy on the DBG-ordered graph; GRASP derives its ranges."""
     return ExperimentSpec(
@@ -748,11 +704,9 @@ def fig12a_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
         policies=("DRRIP", "GRASP", "P-OPT"),
         scale=scale,
         seed=seed,
-        report="missred_vs_drrip",
     )
 
 
-@spec_harness("fig12b_hats")
 def fig12b_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
     """DRRIP under BDFS order (HATS) and P-OPT, vs DRRIP as declared."""
     return ExperimentSpec(
@@ -763,17 +717,17 @@ def fig12b_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
         scale=scale,
         seed=seed,
         exclude=((("technique", "hats"), ("policy", "P-OPT")),),
-        report="missred_vs_drrip",
     )
 
 
-@spec_harness("fig13_tiling")
 def fig13_spec(
     scale="small",
     graphs=("URAND64", "KRON"),
     tile_counts=(1, 2, 4, 8),
     seed=42,
 ) -> ExperimentSpec:
+    """CSR-segmenting as the ``tiling:N`` technique; the untiled DRRIP
+    point is the reporter's normalization baseline."""
     return ExperimentSpec(
         name="fig13",
         graphs=tuple(graphs),
@@ -781,12 +735,11 @@ def fig13_spec(
         policies=("DRRIP", "P-OPT"),
         scale=scale,
         seed=seed,
-        report="tiling_norm",
     )
 
 
 #: Fig. 14 pairs each graph scale with the cache profile that keeps the
-#: PHI accumulators comparable to the LLC (see fig14_pb_phi's docstring).
+#: PHI accumulators comparable to the LLC (see fig14_spec's docstring).
 PHI_CACHE_SCALE = {
     "tiny": "small",
     "small": "medium",
@@ -795,8 +748,12 @@ PHI_CACHE_SCALE = {
 }
 
 
-@spec_harness("fig14_pb_phi")
 def fig14_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
+    """PHI's regime requires the destination accumulators to be
+    comparable to the LLC (the paper holds ~8 MB of accumulators against
+    a 24 MiB LLC), so the graphs run on the cache profile that restores
+    that ratio (:data:`PHI_CACHE_SCALE`): in-cache aggregation is
+    meaningless when the accumulator dwarfs the cache."""
     return ExperimentSpec(
         name="fig14",
         graphs=tuple(graphs or datasets.graph_names()),
@@ -805,11 +762,9 @@ def fig14_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
         scale=scale,
         seed=seed,
         cache_scale=PHI_CACHE_SCALE.get(scale, scale),
-        report="pb_phi_norm",
     )
 
 
-@spec_harness("fig15_quantization")
 def fig15_spec(
     scale="small", graphs=None, entry_bit_choices=(4, 8, 16), seed=42
 ) -> ExperimentSpec:
@@ -829,11 +784,9 @@ def fig15_spec(
         scale=scale,
         seed=seed,
         exclude=exclude,
-        report="missred_vs_drrip",
     )
 
 
-@spec_harness("fig16_llc_sensitivity")
 def fig16_spec(
     scale="small",
     graphs=None,
@@ -857,11 +810,9 @@ def fig16_spec(
         llc=tuple(llc_points),
         scale=scale,
         seed=seed,
-        report="llc_sensitivity",
     )
 
 
-@spec_harness("scenario_matrix")
 def scenario_matrix(
     scale: str = "small",
     graphs: Optional[Sequence[str]] = None,
@@ -899,3 +850,409 @@ def scenario_matrix(
         seed=seed,
         order=("graph", "technique", "app", "llc", "replay"),
     )
+
+
+# ----------------------------------------------------------------------
+# Figures: spec factory, reporter and the paper's claims in one place.
+# Each claim's threshold is the one its figure's shape check has always
+# used. A measure reads only the graphs, tile counts and bit widths
+# present in the rows and returns None when what it compares is absent.
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One of the paper's claims about a figure: ``measure(rows)`` reads
+    the reported rows, ``holds(value)`` is the pass condition and
+    ``paper`` the paper's value."""
+
+    label: str
+    paper: str
+    measure: Callable[[Rows], object]
+    holds: Callable[[object], bool]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One paper figure: how to run it, report it and check it."""
+
+    id: str
+    title: str
+    paper: str  # the paper's result, in one sentence
+    spec: Callable[..., ExperimentSpec]
+    report: Callable[[ExperimentSpec, Rows], Rows]
+    claims: Tuple[Claim, ...]
+
+    def run(self, jobs: int = 1, **kwargs) -> Rows:
+        """Build the spec from ``kwargs``, run it and report its rows."""
+        spec = self.spec(**kwargs)
+        return self.report(spec, run_spec(spec, jobs=jobs))
+
+    def check(self, rows: Rows) -> Rows:
+        """One ``{claim, paper, measured, holds}`` row per claim, with
+        ``measured`` and ``holds`` None where the claim does not apply."""
+        values = [claim.measure(rows) for claim in self.claims]
+        return [
+            {"claim": claim.label, "paper": claim.paper,
+             "measured": _shown(value),
+             "holds": None if value is None else claim.holds(value)}
+            for claim, value in zip(self.claims, values)
+        ]
+
+
+def _shown(value: object) -> object:
+    if isinstance(value, float):
+        return round(value, 3)
+    if isinstance(value, tuple):
+        return tuple(_shown(item) for item in value)
+    return value
+
+
+def geomean(values: Sequence[float]) -> float:
+    """Geometric mean (the paper's aggregation for speedups/ratios)."""
+    values = [v for v in values if v > 0]
+    if not values:
+        return 0.0
+    return statistics.geometric_mean(values)
+
+
+def _mean(rows: Rows, column: str) -> float:
+    return statistics.mean(row[column] for row in rows)
+
+
+def _mean_gap(high: str, low: str) -> Callable[[Rows], float]:
+    return lambda rows: _mean(rows, high) - _mean(rows, low)
+
+
+def _geomean_of(rows: Rows, column: str) -> float:
+    return geomean([row[column] for row in rows])
+
+
+def _ratio(num: float, den: float) -> float:
+    """``num / den``; a zero ``den`` reads as ``num <= c * den`` does."""
+    if den:
+        return num / den
+    return float("inf") if num else 0.0
+
+
+def _over_rows(pick, value, where=lambda row: True, items=lambda rows: rows):
+    """Measure: ``pick`` (min or max) of ``value`` over the rows (or
+    ``items(rows)``) that ``where`` selects; None when it selects none."""
+    return lambda rows: pick(
+        (value(item) for item in items(rows) if where(item)), default=None
+    )
+
+
+def _fig02_spread(rows: Rows) -> float:
+    """Mean, over graphs, of the policies' miss-rate spread."""
+    return statistics.mean(
+        max(row[f"{p}_missrate"] for p in FIG2_POLICIES)
+        - min(row[f"{p}_missrate"] for p in FIG2_POLICIES)
+        for row in rows
+    )
+
+
+def _fits(row) -> bool:
+    """Fig. 11: P-OPT's reservation left LLC ways for data."""
+    return isinstance(row["P-OPT_ways"], int)
+
+
+def _fig11_gap_growth(rows: Rows) -> Optional[float]:
+    """P-OPT's lead over P-OPT-SE at the largest fitting graph minus its
+    lead at the smallest."""
+    gaps = [
+        row["P-OPT_missred"] - row["P-OPT-SE_missred"]
+        for row in rows if _fits(row)
+    ]
+    return gaps[-1] - gaps[0] if gaps else None
+
+
+def _fig13_graphs(rows: Rows) -> List[Dict[int, Dict[str, object]]]:
+    """``{tiles: row}`` per graph holding its untiled point and a 2-, 4-
+    or 8-tile point."""
+    by_graph: Dict[object, Dict[int, Dict[str, object]]] = {}
+    for row in rows:
+        by_graph.setdefault(row["graph"], {})[row["tiles"]] = row
+    return [
+        tiles for tiles in by_graph.values()
+        if 1 in tiles and not tiles.keys().isdisjoint((2, 4, 8))
+    ]
+
+
+def _best_tiled(tiles, column: str) -> float:
+    return min(tiles[t][column] for t in (2, 4, 8) if t in tiles)
+
+
+def _fig13_gain(column: str):
+    """Best tiled minus untiled ``column``, worst graph."""
+    return _over_rows(
+        max, lambda tiles: _best_tiled(tiles, column) - tiles[1][column],
+        items=_fig13_graphs,
+    )
+
+
+def _fig14_phi_gain_dbp_vs_hbubl(rows: Rows) -> Optional[float]:
+    """PHI's traffic cut from PB on DBP minus its cut on HBUBL."""
+    gain = {row["graph"]: row["PB+DRRIP"] - row["PHI+DRRIP"] for row in rows}
+    if "DBP" in gain and "HBUBL" in gain:
+        return gain["DBP"] - gain["HBUBL"]
+    return None
+
+
+def _fig15_means(rows: Rows, suffix: str) -> Tuple[float, ...]:
+    """Mean ``<bits>b_<suffix>`` per entry width (4, 8, 16) in the rows."""
+    return tuple(
+        _mean(rows, f"{bits}b_{suffix}")
+        for bits in (4, 8, 16)
+        if rows and f"{bits}b_{suffix}" in rows[0]
+    )
+
+
+def _fig15_gap(low: int, high: int):
+    """Mean miss reduction at ``high`` bits minus at ``low`` bits."""
+    columns = (f"{low}b_missred", f"{high}b_missred")
+    return lambda rows: (
+        _mean(rows, columns[1]) - _mean(rows, columns[0])
+        if rows and all(column in rows[0] for column in columns) else None
+    )
+
+
+def _fig15_tie_rates(rows: Rows) -> Optional[Tuple[float, ...]]:
+    ties = _fig15_means(rows, "tie_rate")
+    return ties if len(ties) > 1 else None
+
+
+def _fig16_growth(sweep: str, key: str):
+    """Mean P-OPT miss reduction at the sweep's largest point minus at
+    its smallest."""
+
+    def measure(rows: Rows) -> Optional[float]:
+        by_point: Dict[object, List[float]] = {}
+        for row in rows:
+            if row["sweep"] == sweep:
+                by_point.setdefault(row[key], []).append(row["P-OPT_missred"])
+        if not by_point:
+            return None
+        low, high = min(by_point), max(by_point)
+        return statistics.mean(by_point[high]) - statistics.mean(by_point[low])
+
+    return measure
+
+
+def _figure_table(*figures: Figure) -> Mapping[str, Figure]:
+    """The figures keyed by id, read-only; an id given twice is refused."""
+    table: Dict[str, Figure] = {}
+    for figure in figures:
+        if figure.id in table:
+            raise ValueError(f"figure {figure.id!r} is defined twice")
+        table[figure.id] = figure
+    return MappingProxyType(table)
+
+
+FIGURES = _figure_table(
+    Figure(
+        "fig02", "PageRank LLC MPKI under state-of-the-art policies",
+        "LRU, DRRIP, SHiP-PC, SHiP-Mem and Hawkeye all sit in a 60-70% "
+        "miss-rate band on PageRank; none substantially beats LRU.",
+        fig02_spec, _report_mpki_pivot, (
+            Claim("best policy / LRU MPKI, lowest graph", "~1",
+                  _over_rows(min, lambda row: min(
+                      row[p] for p in FIG2_POLICIES) / row["LRU"],
+                      where=lambda row: row["LRU"] > 0),
+                  lambda v: v > 0.4),
+            Claim("mean miss-rate spread across policies", "~0.10",
+                  _fig02_spread, lambda v: v < 0.30),
+        ),
+    ),
+    Figure(
+        "fig04", "T-OPT vs state-of-the-art policies (PageRank LLC MPKI)",
+        "T-OPT reduces LLC misses 1.67x on average vs LRU (41% vs 60-70% "
+        "miss rates).",
+        fig04_spec, _report_mpki_pivot, (
+            Claim("geomean LRU / T-OPT MPKI", "1.67",
+                  lambda rows: geomean([
+                      row["LRU"] / row["T-OPT"]
+                      for row in rows if row["T-OPT"] > 0
+                  ]),
+                  lambda v: v > 1.15),
+            Claim("T-OPT / min(LRU, DRRIP) MPKI, highest graph", "< 1",
+                  _over_rows(max, lambda row: _ratio(
+                      row["T-OPT"], min(row["LRU"], row["DRRIP"]))),
+                  lambda v: v <= 1.02),
+        ),
+    ),
+    Figure(
+        "fig07", "Rereference Matrix designs: miss reduction vs DRRIP",
+        "P-OPT-INTER+INTRA approaches idealized T-OPT and INTER-ONLY is "
+        "clearly worse; both beat DRRIP despite their reserved ways.",
+        fig07_spec, _report_rm_designs, (
+            Claim("mean INTER+INTRA - INTER-ONLY", "> 0",
+                  _mean_gap("P-OPT-INTER+INTRA", "P-OPT-INTER-ONLY"),
+                  lambda v: v > 0),
+            Claim("mean T-OPT - INTER+INTRA", "~0",
+                  _mean_gap("T-OPT", "P-OPT-INTER+INTRA"),
+                  lambda v: v >= -0.02),
+            Claim("mean INTER+INTRA - half of T-OPT", "> 0",
+                  lambda rows: _mean(rows, "P-OPT-INTER+INTRA")
+                  - 0.5 * _mean(rows, "T-OPT"),
+                  lambda v: v > 0),
+        ),
+    ),
+    Figure(
+        "fig10", "Main result: speedups and LLC miss reductions",
+        "P-OPT speeds graph apps up by 22% and cuts LLC misses by 24% on "
+        "average vs DRRIP (33% and 35% vs LRU), within ~12% of T-OPT, "
+        "with the smallest gain on KRON.",
+        fig10_spec, _report_main_result, (
+            Claim("geomean P-OPT speedup vs DRRIP", "~1.22",
+                  lambda rows: _geomean_of(rows, "P-OPT_speedup_vs_DRRIP"),
+                  lambda v: v > 1.05),
+            Claim("geomean P-OPT speedup vs LRU / vs DRRIP", "~1.09",
+                  lambda rows: _ratio(
+                      _geomean_of(rows, "P-OPT_speedup_vs_LRU"),
+                      _geomean_of(rows, "P-OPT_speedup_vs_DRRIP")),
+                  lambda v: v > 0.9),
+            Claim("mean P-OPT miss reduction vs DRRIP", "~0.24",
+                  lambda rows: sum(
+                      row["P-OPT_missred_vs_DRRIP"] for row in rows
+                  ) / len(rows),
+                  lambda v: v > 0.10),
+            Claim("geomean speedup vs DRRIP, P-OPT / T-OPT", "~0.89",
+                  lambda rows: _ratio(
+                      _geomean_of(rows, "P-OPT_speedup_vs_DRRIP"),
+                      _geomean_of(rows, "T-OPT_speedup_vs_DRRIP")),
+                  lambda v: v > 0.80),
+            Claim("lowest P-OPT speedup vs DRRIP", "> 1",
+                  _over_rows(min, lambda row: row["P-OPT_speedup_vs_DRRIP"]),
+                  lambda v: v > 0.85),
+        ),
+    ),
+    Figure(
+        "fig11", "P-OPT vs P-OPT-SE across graph sizes (fixed LLC)",
+        "P-OPT (two resident RM columns) wins on smaller graphs; past the "
+        "capacity knee its reserved ways eat the LLC and P-OPT-SE wins. "
+        "Reserved way counts grow with graph size.",
+        fig11_spec, _report_reservation_knee, (
+            Claim("P-OPT reserved ways by graph size", "growing",
+                  lambda rows: [
+                      row["P-OPT_ways"] for row in rows if _fits(row)
+                  ] or None,
+                  lambda v: v == sorted(v)),
+            Claim("P-OPT-SE - P-OPT reserved ways, most", "< 0",
+                  _over_rows(
+                      max,
+                      lambda row: row["P-OPT-SE_ways"] - row["P-OPT_ways"],
+                      where=lambda row: _fits(row)
+                      and isinstance(row["P-OPT-SE_ways"], int)),
+                  lambda v: v <= 0),
+            Claim("P-OPT lead over SE, largest - smallest graph", "< 0",
+                  _fig11_gap_growth, lambda v: v <= 0.05),
+        ),
+    ),
+    Figure(
+        "fig12a",
+        "GRASP vs P-OPT on DBG-ordered graphs (miss reduction vs DRRIP)",
+        "GRASP helps only graphs with skewed degree distributions; P-OPT "
+        "beats it on every input.",
+        fig12a_spec, _report_missred_vs_drrip, (
+            Claim("mean P-OPT - GRASP", "> 0",
+                  _mean_gap("P-OPT_missred", "GRASP_missred"),
+                  lambda v: v > 0),
+            Claim("P-OPT - GRASP, lowest graph", "> 0",
+                  _over_rows(min, lambda row: row["P-OPT_missred"]
+                             - row["GRASP_missred"]),
+                  lambda v: v >= -0.05),
+        ),
+    ),
+    Figure(
+        "fig12b", "HATS-BDFS vs P-OPT (miss reduction vs DRRIP)",
+        "BDFS helps community-structured graphs (UK-02, ARAB) but adds "
+        "misses on DBP, KRON and URAND; P-OPT improves every input.",
+        fig12b_spec, _report_missred_vs_drrip, (
+            Claim("mean P-OPT - HATS-BDFS", "> 0",
+                  _mean_gap("P-OPT_missred", "HATS-BDFS_missred"),
+                  lambda v: v > 0),
+            Claim("HATS-BDFS on DBP/KRON/URAND, lowest", "< 0",
+                  _over_rows(min, lambda row: row["HATS-BDFS_missred"],
+                             where=lambda row: row["graph"]
+                             in ("URAND", "KRON", "DBP")),
+                  lambda v: v < 0),
+            Claim("HATS-BDFS on ARAB", "> 0",
+                  _over_rows(min, lambda row: row["HATS-BDFS_missred"],
+                             where=lambda row: row["graph"] == "ARAB"),
+                  lambda v: v > 0),
+            Claim("lowest P-OPT miss reduction", "> 0",
+                  _over_rows(min, lambda row: row["P-OPT_missred"]),
+                  lambda v: v > -0.05),
+        ),
+    ),
+    Figure(
+        "fig13",
+        "CSR-segmenting x replacement policy (misses vs untiled DRRIP)",
+        "Tiling improves both policies, and P-OPT needs ~5x fewer tiles "
+        "for the same miss level (P-OPT at 2 tiles ~ DRRIP at 10 on "
+        "URAND).",
+        fig13_spec, _report_tiling_norm, (
+            Claim("DRRIP best tiled - untiled, worst graph", "< 0",
+                  _fig13_gain("DRRIP_norm_misses"), lambda v: v < 0),
+            Claim("P-OPT best tiled - untiled, worst graph", "< 0",
+                  _fig13_gain("P-OPT_norm_misses"), lambda v: v < 0),
+            Claim("P-OPT@2 tiles / DRRIP best tiling, worst graph", "~1",
+                  _over_rows(max, lambda tiles: _ratio(
+                      tiles[2]["P-OPT_norm_misses"],
+                      _best_tiled(tiles, "DRRIP_norm_misses"),
+                  ), where=lambda tiles: 2 in tiles, items=_fig13_graphs),
+                  lambda v: v <= 1.05),
+        ),
+    ),
+    Figure(
+        "fig14", "PB / PHI binning-phase traffic (normalized to PB+DRRIP)",
+        "PHI beats software PB and improves further with better "
+        "replacement; on non-power-law graphs (URAND, HBUBL) PHI finds "
+        "little to coalesce while P-OPT still helps.",
+        fig14_spec, _report_pb_phi_norm, (
+            Claim("|PB+P-OPT - PB+DRRIP|, largest", "~0",
+                  _over_rows(max, lambda row: abs(
+                      row["PB+P-OPT"] - row["PB+DRRIP"])),
+                  lambda v: v < 0.25),
+            Claim("PHI+DRRIP - PB+DRRIP, highest graph", "< 0",
+                  _over_rows(max, lambda row: row["PHI+DRRIP"]
+                             - row["PB+DRRIP"]),
+                  lambda v: v < 0),
+            Claim("PHI+P-OPT / PHI+DRRIP, highest graph", "< 1",
+                  _over_rows(max, lambda row: _ratio(
+                      row["PHI+P-OPT"], row["PHI+DRRIP"])),
+                  lambda v: v <= 1.05),
+            Claim("PHI gain over PB, DBP - HBUBL", "> 0",
+                  _fig14_phi_gain_dbp_vs_hbubl, lambda v: v >= -0.10),
+        ),
+    ),
+    Figure(
+        "fig15", "Quantization sensitivity (limit study, no capacity cost)",
+        "8-bit entries ~ 16-bit ~ T-OPT and 4-bit is clearly worse; "
+        "41%, 12% and 0% of replacements tie at 4, 8 and 16 bits.",
+        fig15_spec, _report_missred_vs_drrip, (
+            Claim("mean 8b - 4b miss reduction", "> 0",
+                  _fig15_gap(4, 8), lambda v: v > 0),
+            Claim("mean 16b - 8b miss reduction", "~0",
+                  _fig15_gap(8, 16), lambda v: abs(v) < 0.08),
+            Claim("mean tie rate at 4/8/16 bits", "(0.41, 0.12, 0.0)",
+                  _fig15_tie_rates,
+                  lambda v: all(a > b for a, b in zip(v, v[1:]))),
+        ),
+    ),
+    Figure(
+        "fig16", "Sensitivity to LLC capacity and associativity",
+        "P-OPT's advantage over DRRIP grows with LLC capacity (the RM "
+        "reservation amortizes) and with associativity (more candidates "
+        "per eviction).",
+        fig16_spec, _report_llc_sensitivity, (
+            Claim("P-OPT miss reduction, largest - smallest LLC", "> 0",
+                  _fig16_growth("capacity", "llc_kib"),
+                  lambda v: v > -0.03),
+            Claim("P-OPT miss reduction, most - fewest ways", "> 0",
+                  _fig16_growth("associativity", "ways"),
+                  lambda v: v > -0.03),
+        ),
+    ),
+)

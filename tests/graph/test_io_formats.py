@@ -374,6 +374,57 @@ class TestMalformedText:
             io.load_matrix_market(str(path))
 
 
+    def test_bare_cr_mtx_line_numbers(self, tmp_path):
+        # The CRLF twin above: the header ends at bare CRs too, so the
+        # data offset and the error line agree.
+        path = tmp_path / "m.mtx"
+        path.write_bytes(
+            b"%%MatrixMarket matrix coordinate pattern general\r"
+            b"% a comment\r3 3 2\r1 2\r2 x\r"
+        )
+        with pytest.raises(GraphFormatError, match=r"m\.mtx:5: .*'x'"):
+            io.load_matrix_market(str(path))
+
+
+class TestLineBlocks:
+    """Blocks end at the last LF or CR, so every terminator keeps the
+    O(E) block bound."""
+
+    LINES = [b"%d %d" % (i, (7 * i) % 800) for i in range(800)]
+
+    def test_bare_cr_file_is_cut_into_bounded_blocks(self, tmp_path):
+        path = tmp_path / "cr.el"
+        path.write_bytes(b"\r".join(self.LINES) + b"\r")
+        with open(path, "rb") as handle:
+            blocks = list(io._line_blocks(handle, 64))
+        longest_line = max(len(line) + 1 for line in self.LINES)
+        assert len(blocks) > 1
+        assert max(map(len, blocks)) <= 64 + longest_line
+
+    @pytest.mark.parametrize("chunk_bytes", [64, io.DEFAULT_CHUNK_BYTES])
+    def test_bare_cr_file_loads_like_its_lf_twin(self, tmp_path, chunk_bytes):
+        cr, lf = tmp_path / "cr.el", tmp_path / "lf.el"
+        cr.write_bytes(b"\r".join(self.LINES) + b"\r")
+        lf.write_bytes(b"\n".join(self.LINES) + b"\n")
+        assert_same_graph(
+            io.load_edge_list(str(cr), chunk_bytes=chunk_bytes),
+            io.load_edge_list(str(lf)),
+        )
+
+    def test_crlf_pair_split_between_blocks(self, tmp_path):
+        # At 4-byte blocks the first read is "0 1\r": the block ends at
+        # the CR and its LF heads the next block.
+        crlf, lf = tmp_path / "crlf.el", tmp_path / "lf.el"
+        crlf.write_bytes(b"0 1\r\n2 3\r\n# c\r\n4 5\r\n")
+        lf.write_bytes(b"0 1\n2 3\n# c\n4 5\n")
+        with open(crlf, "rb") as handle:
+            assert next(io._line_blocks(handle, 4)) == b"0 1\r"
+        assert_same_graph(
+            io.load_edge_list(str(crlf), chunk_bytes=4),
+            io.load_edge_list(str(lf)),
+        )
+
+
 #: Separators, filler lines and token spellings a real text dump may
 #: mix; every spelling parses to the same int64 value.
 _SEPARATORS = [" ", "\t", "  ", " \t "]
@@ -688,6 +739,19 @@ class TestMatrixMarketEdgeCases:
         )
         with pytest.raises(GraphFormatError, match="declares 5"):
             io.load_matrix_market(str(path))
+
+    @pytest.mark.parametrize("text", [
+        b"%%MatrixMarket matrix coordinate pattern general\r3 3 2\r"
+        b"1 2\r2 3\r",
+        b"%%MatrixMarket matrix coordinate pattern general\n% note\r"
+        b"3 3 2\n1 2\n2 3\n",
+    ], ids=["bare-cr", "size-line-after-cr-comment"])
+    def test_header_lines_end_at_every_terminator(self, tmp_path, text):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text)
+        graph = io.load_matrix_market(str(path))
+        assert (graph.num_vertices, graph.num_edges) == (3, 2)
+        assert graph.edge_array().tolist() == [[0, 1], [1, 2]]
 
     def test_missing_banner(self, tmp_path):
         path = tmp_path / "m.mtx"

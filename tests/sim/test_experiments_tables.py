@@ -1,7 +1,8 @@
-"""Smoke + shape tests for the experiment harnesses and paper tables.
+"""Smoke + shape tests for the figures, Table IV and the paper tables.
 
-Full-shape validation happens at the ``small`` scale in the benchmarks;
-here the harnesses run at ``tiny`` scale to verify wiring, row schemas,
+``benchmarks/bench_figures.py`` checks the paper's claims at ``small``;
+here figures run at ``tiny`` scale on calls the golden cases
+(``tests/sim/test_spec.py``) do not make, to verify wiring, row schemas,
 and the invariants that hold at any scale.
 """
 
@@ -10,6 +11,7 @@ import pytest
 from repro.errors import ReservationError, SimulationError
 from repro.sim import experiments as exp
 from repro.sim import parallel
+from repro.sim.spec import FIGURES, geomean
 from repro.sim.tables import (
     format_table,
     table1_rows,
@@ -53,51 +55,41 @@ class TestTables:
 
 class TestGeomean:
     def test_values(self):
-        assert exp.geomean([1.0, 4.0]) == pytest.approx(2.0)
-        assert exp.geomean([]) == 0.0
-        assert exp.geomean([0.0, 2.0]) == pytest.approx(2.0)
+        assert geomean([1.0, 4.0]) == pytest.approx(2.0)
+        assert geomean([]) == 0.0
+        assert geomean([0.0, 2.0]) == pytest.approx(2.0)
 
 
 @pytest.mark.slow
 class TestHarnessSmoke:
-    """Each harness runs end-to-end at tiny scale with one or two graphs."""
+    """Each figure runs end-to-end at tiny scale with one or two graphs."""
 
     def test_fig02(self):
-        rows = exp.fig02_sota_mpki(scale="tiny", graphs=("URAND",))
+        rows = FIGURES["fig02"].run(scale="tiny", graphs=("URAND",))
         assert len(rows) == 1
         assert {"LRU", "DRRIP", "SHiP-PC", "SHiP-Mem", "Hawkeye"} <= set(
             rows[0]
         )
 
-    def test_fig04(self):
-        rows = exp.fig04_topt_mpki(scale="tiny", graphs=("URAND",))
-        assert "T-OPT" in rows[0]
-
     def test_fig07(self):
-        rows = exp.fig07_rereference_designs(scale="tiny", graphs=("DBP",))
+        rows = FIGURES["fig07"].run(scale="tiny", graphs=("DBP",))
         assert "P-OPT-INTER+INTRA" in rows[0]
 
     def test_fig10(self):
-        from repro.apps import PageRank
-
-        rows = exp.fig10_main_result(
-            scale="tiny", graphs=("URAND",), apps=[PageRank()]
+        rows = FIGURES["fig10"].run(
+            scale="tiny", graphs=("URAND",), apps=("PR",)
         )
         assert rows[0]["app"] == "PR"
         assert "P-OPT_speedup_vs_DRRIP" in rows[0]
 
     def test_fig10_radii_skips_hbubl(self):
-        from repro.apps import Radii
-
-        rows = exp.fig10_main_result(
-            scale="tiny", graphs=("HBUBL",), apps=[Radii()]
+        rows = FIGURES["fig10"].run(
+            scale="tiny", graphs=("HBUBL",), apps=("Radii",)
         )
         assert rows == []
 
     def test_fig11(self):
-        rows = exp.fig11_popt_se_scaling(
-            vertex_counts=(1024, 2048), scale="tiny"
-        )
+        rows = FIGURES["fig11"].run(vertex_counts=(1024, 2048), scale="tiny")
         assert len(rows) == 2
         assert rows[0]["P-OPT_ways"] is not None
 
@@ -115,8 +107,7 @@ class TestHarnessSmoke:
             return real(prepared, policy, hierarchy, **kwargs)
 
         monkeypatch.setattr(parallel, "simulate_prepared", overflowing)
-        (row,) = exp.fig11_popt_se_scaling(vertex_counts=(1024,),
-                                           scale="tiny")
+        (row,) = FIGURES["fig11"].run(vertex_counts=(1024,), scale="tiny")
         assert row["P-OPT_missred"] is None
         assert row["P-OPT_ways"].startswith("P-OPT: Rereference Matrix")
         assert row["P-OPT-SE_missred"] is not None
@@ -134,44 +125,21 @@ class TestHarnessSmoke:
 
         monkeypatch.setattr(parallel, "simulate_prepared", broken)
         with pytest.raises(type(error)):
-            exp.fig11_popt_se_scaling(vertex_counts=(1024,), scale="tiny")
+            FIGURES["fig11"].run(vertex_counts=(1024,), scale="tiny")
 
     def test_fig12a(self):
-        rows = exp.fig12a_grasp(scale="tiny", graphs=("DBP",))
+        rows = FIGURES["fig12a"].run(scale="tiny", graphs=("DBP",))
         assert "GRASP_missred" in rows[0]
 
     def test_fig12b(self):
-        rows = exp.fig12b_hats(scale="tiny", graphs=("UK-02",))
+        rows = FIGURES["fig12b"].run(scale="tiny", graphs=("UK-02",))
         assert "HATS-BDFS_missred" in rows[0]
 
-    def test_fig13(self):
-        rows = exp.fig13_tiling(
-            scale="tiny", graphs=("URAND",), tile_counts=(1, 2)
-        )
-        assert len(rows) == 2
-        untiled = rows[0]
-        assert untiled["DRRIP_norm_misses"] == pytest.approx(1.0)
-
-    def test_fig14(self):
-        rows = exp.fig14_pb_phi(scale="tiny", graphs=("DBP",))
-        assert rows[0]["PB+DRRIP"] == pytest.approx(1.0)
-        assert "PHI+P-OPT" in rows[0]
-
     def test_fig15(self):
-        rows = exp.fig15_quantization(
+        rows = FIGURES["fig15"].run(
             scale="tiny", graphs=("URAND",), entry_bit_choices=(4, 8)
         )
         assert "4b_tie_rate" in rows[0]
-
-    def test_fig16(self):
-        rows = exp.fig16_llc_sensitivity(
-            scale="tiny",
-            graphs=("URAND",),
-            set_counts=(8, 16),
-            way_counts=(8,),
-        )
-        sweeps = {row["sweep"] for row in rows}
-        assert sweeps == {"capacity", "associativity"}
 
     def test_table4(self):
         rows = exp.table4_preprocessing(scale="tiny", graphs=("URAND",))

@@ -124,10 +124,10 @@ class TestSweepDeterminism:
 
 class TestExperimentsJobs:
     def test_mpki_rows_jobs_identical(self):
-        from repro.sim.experiments import fig02_sota_mpki
+        from repro.sim.spec import FIGURES
 
-        serial = fig02_sota_mpki(graphs=("URAND",), jobs=1)
-        fanned = fig02_sota_mpki(graphs=("URAND",), jobs=2)
+        serial = FIGURES["fig02"].run(jobs=1, graphs=("URAND",))
+        fanned = FIGURES["fig02"].run(jobs=2, graphs=("URAND",))
         assert serial == fanned
 
 

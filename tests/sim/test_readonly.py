@@ -20,7 +20,7 @@ from repro.sim.artifacts import ArtifactStore
 from repro.sim.engine import get_private_filter
 from repro.sim.kernels import KERNEL_TABLE
 from repro.sim.parallel import APP_FACTORIES
-from repro.sim.spec import REPORTERS, SPEC_HARNESSES
+from repro.sim.spec import FIGURES
 
 
 def small_hierarchy():
@@ -133,8 +133,8 @@ class TestRereferenceMatrices:
 
 class TestDispatchTables:
     @pytest.mark.parametrize(
-        "table", [APP_FACTORIES, KERNEL_TABLE, REPORTERS, SPEC_HARNESSES],
-        ids=["APP_FACTORIES", "KERNEL_TABLE", "REPORTERS", "SPEC_HARNESSES"],
+        "table", [APP_FACTORIES, KERNEL_TABLE, FIGURES],
+        ids=["APP_FACTORIES", "KERNEL_TABLE", "FIGURES"],
     )
     def test_write_raises_type_error(self, table):
         name = next(iter(table))

@@ -2,11 +2,11 @@
 
 Three pillars:
 
-- **Golden regression** — every figure harness must emit rows
+- **Golden regression** — every :data:`FIGURES` entry must emit rows
   bit-identical (values *and* key order) to fixtures captured from the
   hand-rolled pre-spec implementations (``tests/sim/golden/``), also in
   a fresh process with jumping clocks, reseeded global RNGs and another
-  ``PYTHONHASHSEED``.
+  ``PYTHONHASHSEED``; every claim of a figure measures its golden rows.
 - **Plan determinism** — ``expand()`` and the per-unit content hashes
   must be stable across processes (and across ``PYTHONHASHSEED``), since
   artifact keys derive from them.
@@ -22,50 +22,37 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import artifacts, experiments
+from repro.sim import artifacts
+from repro.sim import spec as spec_module
 from repro.sim.spec import (
+    FIGURES,
     ExperimentSpec,
-    SPEC_HARNESSES,
     fig02_spec,
     fig10_spec,
-    report_rows,
     run_spec,
     scenario_matrix,
-    spec_harness,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
-#: harness callable + kwargs matching how each golden fixture was
+#: ``FIGURES[id].run`` kwargs matching how each golden fixture was
 #: captured from the pre-spec implementation (all at tiny scale).
 GOLDEN_CASES = {
-    "fig02": (experiments.fig02_sota_mpki,
-              {"scale": "tiny", "graphs": ("URAND", "DBP")}),
-    "fig04": (experiments.fig04_topt_mpki,
-              {"scale": "tiny", "graphs": ("URAND",)}),
-    "fig07": (experiments.fig07_rereference_designs,
-              {"scale": "tiny", "graphs": ("URAND", "DBP")}),
-    "fig10": (experiments.fig10_main_result,
-              {"scale": "tiny", "graphs": ("URAND", "KRON"),
-               "apps": ("PR", "CC")}),
-    "fig11": (experiments.fig11_popt_se_scaling,
-              {"scale": "tiny", "vertex_counts": (4096, 65536)}),
-    "fig12a": (experiments.fig12a_grasp,
-               {"scale": "tiny", "graphs": ("DBP", "URAND")}),
-    "fig12b": (experiments.fig12b_hats,
-               {"scale": "tiny", "graphs": ("UK-02", "URAND")}),
-    "fig13": (experiments.fig13_tiling,
-              {"scale": "tiny", "graphs": ("URAND",),
-               "tile_counts": (1, 2)}),
-    "fig14": (experiments.fig14_pb_phi,
-              {"scale": "tiny", "graphs": ("DBP",)}),
-    "fig15": (experiments.fig15_quantization,
-              {"scale": "tiny", "graphs": ("URAND", "DBP"),
-               "entry_bit_choices": (4, 8, 16)}),
-    "fig16": (experiments.fig16_llc_sensitivity,
-              {"scale": "tiny", "graphs": ("URAND",),
-               "set_counts": (8, 16), "way_counts": (8,)}),
+    "fig02": {"scale": "tiny", "graphs": ("URAND", "DBP")},
+    "fig04": {"scale": "tiny", "graphs": ("URAND",)},
+    "fig07": {"scale": "tiny", "graphs": ("URAND", "DBP")},
+    "fig10": {"scale": "tiny", "graphs": ("URAND", "KRON"),
+              "apps": ("PR", "CC")},
+    "fig11": {"scale": "tiny", "vertex_counts": (4096, 65536)},
+    "fig12a": {"scale": "tiny", "graphs": ("DBP", "URAND")},
+    "fig12b": {"scale": "tiny", "graphs": ("UK-02", "URAND")},
+    "fig13": {"scale": "tiny", "graphs": ("URAND",), "tile_counts": (1, 2)},
+    "fig14": {"scale": "tiny", "graphs": ("DBP",)},
+    "fig15": {"scale": "tiny", "graphs": ("URAND", "DBP"),
+              "entry_bit_choices": (4, 8, 16)},
+    "fig16": {"scale": "tiny", "graphs": ("URAND",),
+              "set_counts": (8, 16), "way_counts": (8,)},
 }
 
 
@@ -97,22 +84,23 @@ seed = int(sys.argv[1])
 random.seed(seed)
 np.random.seed(seed)
 
-from repro.sim import experiments
+from repro.sim.spec import FIGURES
 
 cases = ast.literal_eval(sys.stdin.read())
-rows = {
-    figure: getattr(experiments, fn)(**kwargs)
-    for figure, (fn, kwargs) in cases.items()
-}
+rows = {figure: FIGURES[figure].run(**kwargs)
+        for figure, kwargs in cases.items()}
 with open(sys.argv[2], "w") as handle:
     json.dump(rows, handle)
 """
 
 
+def golden_rows(figure):
+    return json.loads((GOLDEN_DIR / f"{figure}_tiny.json").read_text())
+
+
 def assert_golden(figure, jobs=1):
-    fn, kwargs = GOLDEN_CASES[figure]
-    golden = json.loads((GOLDEN_DIR / f"{figure}_tiny.json").read_text())
-    rows = fn(jobs=jobs, **kwargs)
+    golden = golden_rows(figure)
+    rows = FIGURES[figure].run(jobs=jobs, **GOLDEN_CASES[figure])
     assert rows == golden
     # Key *order* matters too: format_table derives its columns
     # from insertion order, so a reordered dict is a changed table.
@@ -136,10 +124,6 @@ class TestGoldenRegression:
         """Every replay is a pure function of trace, configuration and
         policy: jumping clocks, reseeded global RNGs and a different
         ``PYTHONHASHSEED`` leave all golden rows bit-identical."""
-        cases = {
-            figure: (fn.__name__, kwargs)
-            for figure, (fn, kwargs) in GOLDEN_CASES.items()
-        }
         env = {
             key: value for key, value in os.environ.items()
             if key != artifacts.DIR_ENV
@@ -152,7 +136,8 @@ class TestGoldenRegression:
         proc = subprocess.run(
             [sys.executable, "-c", PERTURBED_GOLDEN_SCRIPT,
              str(1000 + int(hash_seed)), str(out)],
-            input=repr(cases), capture_output=True, text=True, env=env,
+            input=repr(GOLDEN_CASES), capture_output=True, text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(out.read_text())
@@ -160,9 +145,7 @@ class TestGoldenRegression:
         mismatched = [
             figure for figure in sorted(GOLDEN_CASES)
             if [list(row.items()) for row in rows[figure]] != [
-                list(row.items()) for row in json.loads(
-                    (GOLDEN_DIR / f"{figure}_tiny.json").read_text()
-                )
+                list(row.items()) for row in golden_rows(figure)
             ]
         ]
         assert not mismatched, f"rows changed: {mismatched}"
@@ -316,7 +299,8 @@ class TestRunSpec:
     def test_report_rows_is_pure(self):
         spec = fig02_spec(scale="tiny", graphs=("URAND",))
         rows = run_spec(spec)
-        assert report_rows(spec, rows) == report_rows(spec, list(rows))
+        report = FIGURES["fig02"].report
+        assert report(spec, rows) == report(spec, list(rows))
 
 
 class TestRowsCache:
@@ -326,10 +310,10 @@ class TestRowsCache:
         must not share cached rows."""
         kwargs = {"scale": "tiny", "graphs": ("URAND",),
                   "set_counts": (8, 16), "way_counts": (16,)}
-        plain = experiments.fig16_llc_sensitivity(**kwargs)
+        plain = FIGURES["fig16"].run(**kwargs)
         artifacts.configure(tmp_path / "store")
         try:
-            stored = experiments.fig16_llc_sensitivity(**kwargs)
+            stored = FIGURES["fig16"].run(**kwargs)
         finally:
             artifacts.configure(None)
         assert len(plain) == 3
@@ -356,24 +340,34 @@ class TestScenarioMatrix:
         hashes = [u.content_hash() for u in spec.expand()]
         assert len(hashes) == len(set(hashes))
 
-    def test_registered_in_spec_harnesses(self):
-        assert "scenario_matrix" in SPEC_HARNESSES
-        for figure in GOLDEN_CASES:
-            assert any(name.startswith(figure) for name in SPEC_HARNESSES)
 
-    def test_duplicate_harness_name_rejected(self):
-        original = SPEC_HARNESSES["scenario_matrix"]
-        with pytest.raises(ValueError, match="already registered"):
-            spec_harness("scenario_matrix")(lambda **kwargs: None)
-        assert SPEC_HARNESSES["scenario_matrix"] is original
+class TestFigures:
+    def test_exactly_the_paper_figures(self):
+        assert list(FIGURES) == list(GOLDEN_CASES)
+        for figure_id, figure in FIGURES.items():
+            assert figure.id == figure_id
+            assert figure.spec().name == figure_id
 
+    def test_duplicate_id_rejected(self):
+        figure = FIGURES["fig02"]
+        with pytest.raises(ValueError, match="'fig02' is defined twice"):
+            spec_module._figure_table(figure, FIGURES["fig04"], figure)
 
-class TestSpecBackedHarnessEquivalence:
-    def test_fig10_harness_equals_spec_pipeline(self):
-        spec = fig10_spec(scale="tiny", graphs=("URAND",),
-                          apps=("PR",))
-        via_spec = report_rows(spec, run_spec(spec))
-        via_harness = experiments.fig10_main_result(
-            scale="tiny", graphs=("URAND",), apps=("PR",)
-        )
-        assert via_spec == via_harness
+    @pytest.mark.parametrize("figure", sorted(GOLDEN_CASES))
+    def test_claims_measure_golden_rows(self, figure):
+        """Every claim reads the reported columns it names, and only the
+        graphs, tile counts and bit widths the rows hold (Fig. 13's hold
+        tiles 1 and 2 only). A claim whose graphs are absent does not
+        apply; at tiny scale the others may fail."""
+        not_applicable = {
+            "fig12b": ["HATS-BDFS on ARAB"],
+            "fig14": ["PHI gain over PB, DBP - HBUBL"],
+        }.get(figure, [])
+        checked = FIGURES[figure].check(golden_rows(figure))
+        assert len(checked) == len(FIGURES[figure].claims)
+        for row in checked:
+            assert list(row) == ["claim", "paper", "measured", "holds"]
+            assert row["holds"] in (True, False, None)
+            absent = row["claim"] in not_applicable
+            assert (row["measured"] is None) == absent
+            assert (row["holds"] is None) == absent

@@ -48,6 +48,27 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "popt_preprocessing_s" in out
 
+    def test_figure_prints_rows_then_claims(self, capsys, monkeypatch):
+        import dataclasses
+
+        from repro import cli
+        from repro.sim.spec import fig13_spec
+
+        figure = dataclasses.replace(
+            cli.FIGURES["fig13"],
+            spec=lambda scale: fig13_spec(
+                scale=scale, graphs=("URAND",), tile_counts=(1, 2)
+            ),
+        )
+        monkeypatch.setattr(cli, "FIGURES", {"fig13": figure})
+        assert main(["experiment", "fig13", "--scale", "tiny"]) == 0
+        out = capsys.readouterr().out
+        rows, claims = out.split("fig13: paper claims\n")
+        assert "DRRIP_norm_misses" in rows
+        assert claims.split()[:7] == ["claim", "|", "paper", "|",
+                                      "measured", "|", "holds"]
+        assert len(claims.splitlines()) == 2 + len(figure.claims)
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["bogus"])

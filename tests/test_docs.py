@@ -69,12 +69,12 @@ class TestInventory:
             assert (ROOT / path).exists(), path
 
     def test_bench_per_figure(self):
+        from repro.sim.spec import FIGURES
+
         benches = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
-        for figure in ("fig02", "fig04", "fig07", "fig10", "fig11",
-                       "fig13", "fig14", "fig15", "fig16"):
-            assert any(figure in name for name in benches), figure
-        assert "bench_fig12_prior_work.py" in benches
-        assert "bench_tables.py" in benches
+        assert {"bench_figures.py", "bench_tables.py"} <= benches
+        for figure_id, figure in FIGURES.items():
+            assert figure.claims, f"{figure_id} checks no paper claim"
 
     def test_at_least_three_examples(self):
         examples = list((ROOT / "examples").glob("*.py"))
