@@ -71,6 +71,10 @@ class TestHarnessSmoke:
             rows[0]
         )
 
+    def test_fig04(self):
+        rows = FIGURES["fig04"].run(scale="tiny", graphs=("URAND",))
+        assert "T-OPT" in rows[0]
+
     def test_fig07(self):
         rows = FIGURES["fig07"].run(scale="tiny", graphs=("DBP",))
         assert "P-OPT-INTER+INTRA" in rows[0]
@@ -135,11 +139,34 @@ class TestHarnessSmoke:
         rows = FIGURES["fig12b"].run(scale="tiny", graphs=("UK-02",))
         assert "HATS-BDFS_missred" in rows[0]
 
+    def test_fig13(self):
+        rows = FIGURES["fig13"].run(
+            scale="tiny", graphs=("URAND",), tile_counts=(1, 2)
+        )
+        assert len(rows) == 2
+        untiled = rows[0]
+        assert untiled["DRRIP_norm_misses"] == pytest.approx(1.0)
+
+    def test_fig14(self):
+        rows = FIGURES["fig14"].run(scale="tiny", graphs=("DBP",))
+        assert rows[0]["PB+DRRIP"] == pytest.approx(1.0)
+        assert "PHI+P-OPT" in rows[0]
+
     def test_fig15(self):
         rows = FIGURES["fig15"].run(
             scale="tiny", graphs=("URAND",), entry_bit_choices=(4, 8)
         )
         assert "4b_tie_rate" in rows[0]
+
+    def test_fig16(self):
+        rows = FIGURES["fig16"].run(
+            scale="tiny",
+            graphs=("URAND",),
+            set_counts=(8, 16),
+            way_counts=(8,),
+        )
+        sweeps = {row["sweep"] for row in rows}
+        assert sweeps == {"capacity", "associativity"}
 
     def test_table4(self):
         rows = exp.table4_preprocessing(scale="tiny", graphs=("URAND",))
