@@ -167,11 +167,21 @@ class POPT(ReplacementPolicy):
                     "Rereference Matrices with the same entry_bits/vertex "
                     "range or use separate policies"
                 )
+        variant = streams[0].matrix.variant
+        mixed = sorted({s.matrix.variant for s in streams} - {variant})
+        if mixed:
+            # One Algorithm 2 encoding per policy: the variant names it
+            # (and its resident columns), and the replay kernel runs the
+            # one scan compiled for it.
+            raise PolicyError(
+                "P-OPT streams disagree on Rereference Matrix variant: "
+                f"{mixed[0]} vs {variant}; build all Rereference "
+                "Matrices with the same variant or use separate policies"
+            )
         self._epoch_size = epoch_size
         self._tie_break = tie_break if tie_break is not None else DRRIP()
         self._current_epoch = -1
         self.counters = PoptCounters()
-        variant = streams[0].matrix.variant
         if variant == "single_epoch":
             self.name = "P-OPT-SE"
         elif variant == "inter_only":

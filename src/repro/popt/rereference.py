@@ -41,6 +41,7 @@ from ..sim.constants import (
     rm_msb,
     rm_next_bit,
     rm_sentinel,
+    storage_dtype,
 )
 
 __all__ = [
@@ -209,39 +210,13 @@ class RereferenceMatrix:
             return 1 + (next_entry & low_mask)
         return 1
 
-    def find_next_ref_vector(
-        self, line_ids: np.ndarray, curr_vertex: int
-    ) -> np.ndarray:
-        """Vectorized :meth:`find_next_ref`: Algorithm 2 decoded for a
-        whole batch of lines (e.g. every way of an eviction set) with
-        masked arithmetic directly on the ``entries`` rows."""
-        line_ids = np.asarray(line_ids, dtype=np.int64)
-        epoch_id = curr_vertex // self.epoch_size
-        low_mask = self._low_mask
-        if epoch_id >= self.num_epochs:
-            return np.full(line_ids.shape, low_mask, dtype=np.int64)
-        current = self.entries[line_ids, epoch_id].astype(np.int64)
-        if self.variant == "inter_only":
-            return current
-        msb = self._msb
-        out = current & low_mask  # inter-epoch distance where MSB is set
-        intra = (current & msb) == 0
-        # Referenced this epoch: 0 until execution passes the final-access
-        # sub-epoch, then the minimum distance consistent with the encoding.
-        epoch_offset = curr_vertex - epoch_id * self.epoch_size
-        curr_sub_epoch = epoch_offset // self.sub_epoch_size
-        passed = intra & (curr_sub_epoch > out)
-        out[intra] = 0
-        if self.variant == "single_epoch":
-            out[passed] = np.where(current[passed] & self._next_bit, 1, 2)
-        elif epoch_id + 1 >= self.num_epochs:
-            out[passed] = low_mask
-        else:
-            next_entry = self.entries[line_ids, epoch_id + 1].astype(np.int64)
-            out[passed] = np.where(
-                next_entry[passed] & msb, 1 + (next_entry[passed] & low_mask), 1
-            )
-        return out
+
+#: Bytes one Rereference Matrix encode block may hold in each int32
+#: working array: rows are encoded ``ENCODE_BLOCK_BYTES // (4 *
+#: num_epochs)`` at a time (at least one), so a build's temporaries stay
+#: this size however large the matrix (a 16-bit matrix over 65,536
+#: vertices has 65,536 epoch columns per row).
+ENCODE_BLOCK_BYTES = 1 << 22
 
 
 def _encode_entries(
@@ -250,14 +225,16 @@ def _encode_entries(
     entry_bits: int,
     variant: str,
 ) -> np.ndarray:
-    """Encode per-line reference events into matrix entries (int64).
+    """Encode per-line reference events into matrix entries (int32).
 
     ``referenced``/``last_sub`` are ``(rows, num_epochs)`` arrays for
     any subset of lines. The right-to-left distance scan and the field
-    packing are independent per row — the property that makes the
-    incremental path in :func:`update_rereference_matrix` bit-identical
-    to a full rebuild: re-encoding only the changed rows reproduces
-    exactly the rows the rebuild would produce.
+    packing are independent per row — the property that lets
+    :func:`_encode_rows` encode a matrix a block of rows at a time, and
+    makes the incremental path in :func:`update_rereference_matrix`
+    bit-identical to a full rebuild: re-encoding only the changed rows
+    reproduces exactly the rows the rebuild would produce. Every value
+    is below ``2^16`` epochs, so int32 holds the whole computation.
     """
     num_epochs = referenced.shape[1]
     sentinel = rm_sentinel(entry_bits, variant)
@@ -265,9 +242,11 @@ def _encode_entries(
     # Distance (in epochs) from each epoch to the next referencing epoch
     # (0 when the epoch itself references): a running minimum, taken
     # right to left, of each referencing epoch's index. Every step runs
-    # in place on the one int64 array that becomes the result.
-    epochs = np.arange(num_epochs, dtype=np.int64)
-    entries = np.where(referenced, epochs, np.iinfo(np.int64).max // 2)
+    # in place on the one int32 array that becomes the result.
+    epochs = np.arange(num_epochs, dtype=np.int32)
+    entries = np.where(
+        referenced, epochs, np.int32(np.iinfo(np.int32).max // 2)
+    )
     backwards = entries[:, ::-1]
     np.minimum.accumulate(backwards, axis=1, out=backwards)
     entries -= epochs
@@ -287,6 +266,55 @@ def _encode_entries(
                 out=entries[:, :-1],
                 where=referenced[:, :-1] & referenced[:, 1:],
             )
+    return entries
+
+
+def _encode_rows(
+    event_starts: np.ndarray,
+    outer: np.ndarray,
+    num_epochs: int,
+    epoch_size: int,
+    sub_epoch_size: int,
+    entry_bits: int,
+    variant: str,
+    where: str,
+) -> np.ndarray:
+    """Matrix rows from their reference events, a block at a time.
+
+    Row ``r``'s events are ``outer[event_starts[r]:event_starts[r + 1]]``:
+    the outer-loop vertices whose processing touches the row's line.
+    Each block of rows (:data:`ENCODE_BLOCK_BYTES`) gets its own bool
+    ``referenced`` and int32 ``last_sub`` arrays and one
+    :func:`_encode_entries` pass, and is narrowed straight into the
+    storage dtype (``where`` names the caller in a width error). Rows
+    are encoded independently, so the blocks give exactly the rows one
+    pass over the whole matrix would.
+    """
+    num_rows = len(event_starts) - 1
+    entries = np.empty(
+        (num_rows, num_epochs),
+        dtype=storage_dtype("rm.entries", where, bits=entry_bits),
+    )
+    block_rows = max(1, ENCODE_BLOCK_BYTES // (4 * max(num_epochs, 1)))
+    for start in range(0, num_rows, block_rows):
+        stop = min(start + block_rows, num_rows)
+        events = outer[event_starts[start]:event_starts[stop]]
+        epochs = events // epoch_size
+        subs = (events - epochs * epoch_size) // sub_epoch_size
+        flat = np.repeat(
+            np.arange(0, (stop - start) * num_epochs, num_epochs,
+                      dtype=np.int32),
+            np.diff(event_starts[start:stop + 1]),
+        )
+        flat += epochs
+        referenced = np.zeros((stop - start, num_epochs), dtype=bool)
+        last_sub = np.zeros((stop - start, num_epochs), dtype=np.int32)
+        referenced.ravel()[flat] = True
+        np.maximum.at(last_sub.ravel(), flat, subs)
+        entries[start:stop] = narrow(
+            _encode_entries(referenced, last_sub, entry_bits, variant),
+            "rm.entries", where, bits=entry_bits,
+        )
     return entries
 
 
@@ -316,26 +344,21 @@ def build_rereference_matrix(
     if num_lines is None:
         num_lines = max(1, -(-n // elems_per_line))
 
-    # Per-edge reference events: element v is touched at outer vertex d.
-    degrees = reference_graph.degrees()
-    elems = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    outer = reference_graph.neighbors.astype(np.int64)
-    lines = elems // elems_per_line
-    epochs = outer // epoch_size
-    subs = (outer - epochs * epoch_size) // sub_epoch_size
-
-    referenced = np.zeros((num_lines, num_epochs), dtype=bool)
-    last_sub = np.zeros((num_lines, num_epochs), dtype=np.int64)
-    flat = lines * num_epochs + epochs
-    referenced.ravel()[flat] = True
-    np.maximum.at(last_sub.ravel(), flat, subs)
-
-    entries = _encode_entries(referenced, last_sub, entry_bits, variant)
+    # Row r's reference events are the edges of elements [r * epl,
+    # (r + 1) * epl): one contiguous run of the neighbor array.
+    bounds = np.arange(num_lines + 1, dtype=np.int64) * elems_per_line
+    event_starts = reference_graph.offsets[np.minimum(bounds, n)]
+    if event_starts[-1] != reference_graph.offsets[n]:
+        raise PolicyError(
+            f"elements past line {num_lines} have references; num_lines "
+            f"must cover all {n} elements at {elems_per_line} per line"
+        )
+    entries = _encode_rows(
+        event_starts, reference_graph.neighbors, num_epochs, epoch_size,
+        sub_epoch_size, entry_bits, variant, "build_rereference_matrix",
+    )
     return RereferenceMatrix(
-        entries=narrow(
-            entries, "rm.entries", "build_rereference_matrix",
-            bits=entry_bits,
-        ),
+        entries=entries,
         variant=variant,
         entry_bits=entry_bits,
         epoch_size=epoch_size,
@@ -384,52 +407,31 @@ def update_rereference_matrix(
         return matrix
 
     # Every element sharing a line with a changed element contributes
-    # reference events to that line's row, changed or not.
-    elems = (
-        lines[:, None] * elems_per_line
-        + np.arange(elems_per_line, dtype=np.int64)[None, :]
-    ).ravel()
-    elems = elems[elems < n]
-
-    # Gather the covered elements' adjacency segments in one shot.
-    starts = reference_graph.offsets[elems]
-    degrees = reference_graph.offsets[elems + 1] - starts
-    total = int(degrees.sum())
-    prefix = np.cumsum(degrees) - degrees
-    within = np.arange(total, dtype=np.int64) - np.repeat(prefix, degrees)
+    # reference events to that line's row, changed or not: a line's
+    # events are one contiguous run of the neighbor array, gathered here
+    # for all recomputed lines in one shot.
+    offsets = reference_graph.offsets
+    first = offsets[lines * elems_per_line]
+    counts = offsets[np.minimum((lines + 1) * elems_per_line, n)] - first
+    event_starts = np.zeros(len(lines) + 1, dtype=np.int64)
+    np.cumsum(counts, out=event_starts[1:])
     outer = reference_graph.neighbors[
-        np.repeat(starts, degrees) + within
-    ].astype(np.int64)
-
-    num_epochs = matrix.num_epochs
-    epoch_size = matrix.epoch_size
-    epochs = outer // epoch_size
-    subs = (outer - epochs * epoch_size) // matrix.sub_epoch_size
-    # Row index (within the recomputed submatrix) of each event.
-    event_rows = np.searchsorted(
-        lines, np.repeat(elems // elems_per_line, degrees)
-    )
-
-    referenced = np.zeros((len(lines), num_epochs), dtype=bool)
-    last_sub = np.zeros((len(lines), num_epochs), dtype=np.int64)
-    flat = event_rows * num_epochs + epochs
-    referenced.ravel()[flat] = True
-    np.maximum.at(last_sub.ravel(), flat, subs)
-
-    encoded = _encode_entries(
-        referenced, last_sub, matrix.entry_bits, matrix.variant
+        np.repeat(first - event_starts[:-1], counts)
+        + np.arange(event_starts[-1], dtype=np.int64)
+    ]
+    encoded = _encode_rows(
+        event_starts, outer, matrix.num_epochs, matrix.epoch_size,
+        matrix.sub_epoch_size, matrix.entry_bits, matrix.variant,
+        "update_rereference_matrix",
     )
     # Matrix entries are read-only; scatter rows into a private copy.
     new_entries = np.array(matrix.entries, copy=True)
-    new_entries[lines] = narrow(
-        encoded, "rm.entries", "update_rereference_matrix",
-        bits=matrix.entry_bits,
-    )
+    new_entries[lines] = encoded
     return RereferenceMatrix(
         entries=new_entries,
         variant=matrix.variant,
         entry_bits=matrix.entry_bits,
-        epoch_size=epoch_size,
+        epoch_size=matrix.epoch_size,
         sub_epoch_size=matrix.sub_epoch_size,
         elems_per_line=elems_per_line,
         num_vertices=matrix.num_vertices,

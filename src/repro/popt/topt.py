@@ -166,7 +166,11 @@ class TOPT(ReplacementPolicy):
                 f"T-OPT references hold {len(offsets)} offsets, not the "
                 "num_lines + 1 per stream of the streams given"
             )
+        #: The flat offsets and each stream's first slot in them (what
+        #: the replay kernel indexes with a fill's stream and offset).
+        self._offsets_arr = offsets
         self._regions: List[Tuple[int, int, np.ndarray]] = []
+        starts = []
         start = 0
         for stream in streams:
             line_base = stream.span.base // line_size
@@ -175,7 +179,9 @@ class TOPT(ReplacementPolicy):
                 line_base, line_base + num_lines,
                 offsets[start:start + num_lines + 1],
             ))
+            starts.append(start)
             start += num_lines + 1
+        self._offset_bases = np.array(starts, dtype=np.int64)
         # Counters quantifying the overhead an actual T-OPT would pay.
         self.replacements = 0
         self.transpose_walk_elements = 0

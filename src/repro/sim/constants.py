@@ -45,6 +45,7 @@ __all__ = [
     "POPT_STREAMING_NEXT_REF",
     "POPT_SPARAM_LAYOUT",
     "POPT_SPARAM_SLOTS",
+    "POPT_DECODE_SLOTS",
     "KERNEL_SIG_SPACE",
     "SHIP_SHCT_MAX",
     "SHIP_SHCT_INITIAL",
@@ -53,6 +54,7 @@ __all__ = [
     "HAWKEYE_COUNTER_INITIAL",
     "C_DEFINES",
     "WIDTH_CONTRACTS",
+    "storage_dtype",
     "narrow",
 ]
 
@@ -170,6 +172,11 @@ POPT_SPARAM_LAYOUT: Tuple[str, ...] = (
 
 POPT_SPARAM_SLOTS = len(POPT_SPARAM_LAYOUT)
 
+#: Workspace words ``k_popt`` keeps per stream for its hoisted Algorithm
+#: 2 parameters and the current victim scan's decode (the C side lays
+#: them out and fails to compile if they outgrow this).
+POPT_DECODE_SLOTS = 8
+
 
 # ----------------------------------------------------------------------
 # PC-predictor policies (SHiP / Hawkeye replay kernels)
@@ -263,6 +270,33 @@ def _dtype_within(dtype: np.dtype, low: int, high: int) -> bool:
     return False
 
 
+def _storage(
+    contract: str, where: str, bits: Optional[int]
+) -> Tuple[int, np.dtype]:
+    """``(bits, dtype)``: the live width (``max_bits`` when None) and
+    the narrowest declared dtype of ``contract`` that holds it."""
+    spec = WIDTH_CONTRACTS[contract]
+    max_bits = cast(int, spec["max_bits"])
+    bits = max_bits if bits is None else int(bits)
+    if bits > max_bits:
+        raise WidthContractError(
+            contract, f"width {bits}", where, f"{max_bits} bits"
+        )
+    dtype = next(
+        np.dtype(name) for name in cast(Tuple[str, ...], spec["dtype"])
+        if np.iinfo(name).bits >= bits + (np.dtype(name).kind == "i")
+    )
+    return bits, dtype
+
+
+def storage_dtype(
+    contract: str, where: str, bits: Optional[int] = None
+) -> np.dtype:
+    """The dtype :func:`narrow` casts ``contract`` values of width
+    ``bits`` to, for a caller that fills a result block by block."""
+    return _storage(contract, where, bits)[1]
+
+
 def narrow(
     values, contract: str, where: str, bits: Optional[int] = None
 ) -> np.ndarray:
@@ -278,17 +312,7 @@ def narrow(
     offending value and ``where`` (the file path, for loaders). Returns
     a C-contiguous array (``values`` itself when nothing changes).
     """
-    spec = WIDTH_CONTRACTS[contract]
-    max_bits = cast(int, spec["max_bits"])
-    bits = max_bits if bits is None else int(bits)
-    if bits > max_bits:
-        raise WidthContractError(
-            contract, f"width {bits}", where, f"{max_bits} bits"
-        )
-    dtype = next(
-        np.dtype(name) for name in cast(Tuple[str, ...], spec["dtype"])
-        if np.iinfo(name).bits >= bits + (np.dtype(name).kind == "i")
-    )
+    bits, dtype = _storage(contract, where, bits)
     low = -(1 << bits) if dtype.kind == "i" else 0
     high = (1 << bits) - 1
     values = np.asarray(values)
@@ -311,13 +335,14 @@ def narrow(
 #: Every constant ``kernels.c`` names, passed to the compiler as
 #: ``-DNAME=((int64_t)VALUE)`` (and hashed into the ``.so`` cache key),
 #: so the C side cannot hold a different value. A name missing here is
-#: an undeclared identifier, which fails the build. (Float-valued
-#: constants like :data:`BRRIP_TRICKLE` are passed to C as arguments,
-#: so they are not listed.)
+#: an undeclared identifier, which fails the build. (The one
+#: float-valued constant, :data:`BRRIP_TRICKLE`, never reaches C: the
+#: kernels read fill outcomes computed with it on the Python side.)
 C_DEFINES: Dict[str, int] = {
     "TOPT_NEVER": TOPT_NEVER,
     "POPT_STREAMING_NEXT_REF": POPT_STREAMING_NEXT_REF,
     "POPT_SPARAM_SLOTS": POPT_SPARAM_SLOTS,
+    "POPT_DECODE_SLOTS": POPT_DECODE_SLOTS,
     "POPT_SP_VARIANT": POPT_SPARAM_LAYOUT.index("variant"),
     "POPT_SP_MSB": POPT_SPARAM_LAYOUT.index("msb"),
     "POPT_SP_LOW_MASK": POPT_SPARAM_LAYOUT.index("low_mask"),

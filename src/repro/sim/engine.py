@@ -57,6 +57,7 @@ from ..memory.trace import MemoryTrace, decode_trace
 from . import artifacts
 from .kernels import (
     KernelRequest,
+    brrip_fill_outcomes,
     compiled_next_use,
     compiled_set_partition,
     fused_private_filter,
@@ -135,6 +136,7 @@ class PrivateFilter:
         self._partition_arrays: Dict[int, tuple] = {}
         self._set_index_arrays: Dict[int, np.ndarray] = {}
         self._memberships: Dict[tuple, tuple] = {}
+        self._fill_outcomes: Dict[int, np.ndarray] = {}
 
     @property
     def llc_visible(self) -> int:
@@ -258,6 +260,23 @@ class PrivateFilter:
             _freeze(sid, off)
             cached = (sid, off)
             self._memberships[bounds] = cached
+        return cached
+
+    def fill_outcomes(self, seed: int) -> np.ndarray:
+        """The BRRIP-family fill outcomes for an RNG seeded ``seed``.
+
+        One uint8 per LLC-visible access, 1 where that fill's draw falls
+        under the trickle probability
+        (:func:`~repro.sim.kernels.brrip_fill_outcomes`): what the
+        BRRIP, DRRIP and P-OPT kernels read. It depends only on the seed
+        and the stream length, so it is generated once per seed and
+        shared by every replay of this filter.
+        """
+        cached = self._fill_outcomes.get(seed)
+        if cached is None:
+            cached = brrip_fill_outcomes(seed, len(self.lines))
+            _freeze(cached)
+            self._fill_outcomes[seed] = cached
         return cached
 
 

@@ -13,8 +13,8 @@
  * loaded with ctypes; when no compiler is available every policy
  * replays through the generic engine instead. No Python API is used
  * here: every argument is a plain C array (int64 lines/counts, int32
- * T-OPT references, uint8 write flags, uint16 Rereference Matrix
- * entries, float64 RNG draws) or scalar. The loader derives each
+ * outer-loop vertices and T-OPT references, uint8 write flags and fill
+ * outcomes, uint16 Rereference Matrix entries) or scalar. The loader derives each
  * kernel's ctypes signature from the `void k_*(...)` definitions
  * below, so parameters must be spelled `[const] i64|i32|u8|u16|double
  * [*] name`; anything else refuses to load.
@@ -33,12 +33,14 @@
  * such as .data or .bss). Every kernel's scratch is carved from a
  * caller-provided int64 workspace `ws` and fully initialized here.
  *
- * Randomness: BRRIP/DRRIP consume `random.Random` draws in fill order.
- * Reproducing the Mersenne Twister here would couple this file to
- * CPython internals, so the caller pre-generates one draw per access
- * (an upper bound on fills) with the *same* RNG the reference policy
- * owns and passes the array in; consumption order matches the
- * reference's lazy draws exactly.
+ * Randomness: BRRIP/DRRIP/P-OPT consume `random.Random` draws in fill
+ * order, and only ever test `draw < trickle`. Reproducing the Mersenne
+ * Twister here would couple this file to CPython internals, so the
+ * caller passes that test's outcome instead: one u8 per LLC-visible
+ * access (an upper bound on fills), 1 where the draw falls under the
+ * trickle probability, generated with the *same* RNG the reference
+ * policy owns and memoized per private filter and seed. Consumption
+ * order matches the reference's lazy draws exactly.
  *
  * Residency probes are linear tag scans: a set's ways hold distinct
  * lines, so "first way whose tag matches" answers exactly what the
@@ -317,8 +319,8 @@ void k_opt(const i64 *lines, const u8 *writes, const i64 *snext,
  * (set, way) state arrays carved from the caller's workspace. */
 
 void k_brrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
-             i64 num_sets, i64 ways, i64 rmax, double trickle,
-             const double *draws, i64 *ws, i64 *out)
+             i64 num_sets, i64 ways, i64 rmax, const u8 *trickled,
+             i64 *ws, i64 *out)
 {
     i64 hits = 0, misses = 0, evics = 0, wbs = 0;
     i64 total = num_sets * ways;
@@ -351,16 +353,15 @@ void k_brrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
             }
             res_s[way] = line;
             dirty[base + way] = writes[k];
-            rrpv_s[way] = draws[dc++] < trickle ? rmax - 1 : rmax;
+            rrpv_s[way] = trickled[dc++] ? rmax - 1 : rmax;
         }
     }
     out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
 }
 
 void k_drrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
-             i64 num_sets, i64 ways, i64 rmax, double trickle,
-             i64 psel, i64 psel_max, const i64 *leader,
-             const double *draws, i64 *ws, i64 *out)
+             i64 num_sets, i64 ways, i64 rmax, i64 psel, i64 psel_max,
+             const i64 *leader, const u8 *trickled, i64 *ws, i64 *out)
 {
     i64 hits = 0, misses = 0, evics = 0, wbs = 0;
     i64 total = num_sets * ways;
@@ -412,15 +413,20 @@ void k_drrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
             if (!use_brrip)
                 rrpv_s[way] = rmax - 1;
             else
-                rrpv_s[way] = draws[dc++] < trickle ? rmax - 1 : rmax;
+                rrpv_s[way] = trickled[dc++] ? rmax - 1 : rmax;
         }
     }
     out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
 }
 
-/* Next-ref kernels: the paper's own policies (T-OPT and P-OPT).
- * Counters beyond the hit/miss quartet go into a separate cnt[] array
- * so the Python wrapper can write them back onto the policy instance. */
+/* Next-ref kernels: the paper's own policies (T-OPT and P-OPT). Both
+ * walk the LLC-visible stream in access order over flat (set, way)
+ * state arrays, and resolve a filled line's annotation when it is
+ * filled, from the access's stream membership: sid[k] is the irregular
+ * stream holding lines[k] (-1 for streaming data) and off[k] the
+ * line's offset in that stream. Counters beyond the hit/miss quartet
+ * go into a separate cnt[] array so the Python wrapper can write them
+ * back onto the policy instance. */
 
 static i64 lower_bound(const i32 *a, i64 lo, i64 hi, i64 key)
 {
@@ -431,7 +437,24 @@ static i64 lower_bound(const i32 *a, i64 lo, i64 hi, i64 key)
     return lo;
 }
 
+/* T-OPT state: TOPT_WORDS arrays of num_sets * ways words in ws, in
+ * this order (set s's ways at s * ways in each), then the per-set fill
+ * counts. A hit touches only the resident lines, so keeping them
+ * contiguous across sets keeps probes compact. */
+enum {
+    TOPT_RESIDENT, TOPT_LO, TOPT_HI, TOPT_DIRTY,
+    TOPT_MLOW, TOPT_MREF, TOPT_MCOST, TOPT_WORDS
+};
+
 /* cnt[0..1] += replacements, transpose_walk_elements
+ *
+ * T-OPT keeps no cross-set state and both counters are sums over
+ * evictions, so the access-order walk gives exactly what a replay set
+ * by set gives. ws carves TOPT_WORDS * num_sets * ways + num_sets
+ * words. A fill of stream t's line at offset o takes the refs slice
+ * [offsets[obase[t] + o], offsets[obase[t] + o + 1]) of the flat CSR
+ * (obase[t] is stream t's first slot in `offsets`); a streaming line
+ * gets lo = -1.
  *
  * Each way memoizes its last lower_bound: the vertex interval
  * (refs[idx-1], refs[idx]] it answered for (open below at -1 when idx
@@ -440,168 +463,220 @@ static i64 lower_bound(const i32 *a, i64 lo, i64 hi, i64 key)
  * inside the interval has the same lower_bound, so the memo returns
  * exactly what a fresh search would, walk cost included. A fill clears
  * it (an empty interval). */
-void k_topt(const i64 *lines, const u8 *writes, const i64 *vertices,
-            const i64 *lo, const i64 *hi, const i32 *refs,
-            const i64 *counts, i64 num_sets, i64 ways, i64 *ws,
-            i64 *out, i64 *cnt)
+void k_topt(const i64 *lines, const u8 *writes, const i32 *vertices,
+            const i64 *sidx, const i64 *sid, const i64 *off,
+            const i64 *obase, const i64 *offsets, const i32 *refs,
+            i64 n, i64 num_sets, i64 ways, i64 *ws, i64 *out, i64 *cnt)
 {
     i64 hits = 0, misses = 0, evics = 0, wbs = 0;
     i64 repl = 0, walk = 0;
     const i64 never = TOPT_NEVER;
-    i64 *resident = ws;
-    i64 *wlo = ws + ways;
-    i64 *whi = ws + 2 * ways;
-    i64 *dirty = ws + 3 * ways;
-    i64 *mlow = ws + 4 * ways;   /* memo interval (mlow, mref] */
-    i64 *mref = ws + 5 * ways;   /* memo next-ref = interval top */
-    i64 *mcost = ws + 6 * ways;  /* memo walk cost */
-    i64 start = 0, s, k, w;
-    for (s = 0; s < num_sets; s++) {
-        i64 count = counts[s];
-        i64 stop = start + count;
-        i64 filled = 0;
-        if (!count) continue;
-        for (w = 0; w < ways; w++) {
-            resident[w] = -1; wlo[w] = 0; whi[w] = 0; dirty[w] = 0;
-            mlow[w] = never; mref[w] = -1; mcost[w] = 0;
-        }
-        for (k = start; k < stop; k++) {
-            i64 line = lines[k], way;
-            PROBE(way, resident, filled, line);
-            if (way >= 0) {
-                hits++;
-                if (writes[k]) dirty[way] = 1;
-            } else {
-                misses++;
-                if (filled < ways) {
-                    way = filled++;
-                } else {
-                    i64 vertex = vertices[k];
-                    i64 victim = -1, best_way = 0, best = -1;
-                    repl++;
-                    for (w = 0; w < ways; w++) {
-                        i64 l = wlo[w], h, idx, stepped, r;
-                        if (l < 0) { victim = w; break; } /* streaming */
-                        if (mlow[w] < vertex && vertex <= mref[w]) {
-                            walk += mcost[w];
-                            r = mref[w];
-                        } else {
-                            h = whi[w];
-                            idx = lower_bound(refs, l, h, vertex);
-                            stepped = idx - l;
-                            r = idx >= h ? never : refs[idx];
-                            mlow[w] = idx > l ? refs[idx - 1] : -1;
-                            mref[w] = r;
-                            mcost[w] = stepped > 1 ? stepped : 1;
-                            walk += mcost[w];
-                        }
-                        if (r > best) { best = r; best_way = w; }
-                    }
-                    way = victim >= 0 ? victim : best_way;
-                    evics++;
-                    if (dirty[way]) wbs++;
-                }
-                resident[way] = line;
-                dirty[way] = writes[k];
-                wlo[way] = lo[k];
-                whi[way] = hi[k];
-                mlow[way] = never;
-                mref[way] = -1;
-            }
-        }
-        start = stop;
-    }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
-    cnt[0] += repl; cnt[1] += walk;
-}
-
-/* Algorithm 2 for one line of an epoch-major Rereference Matrix: the
- * stream's entries hold column e at e * stride, so this epoch's column
- * starts at `column` and the line's entry is entries[row + column]; sp
- * is the stream's POPT_SPARAM_SLOTS-slot parameter block (layout
- * POPT_SP_*, mirroring constants.POPT_SPARAM_LAYOUT). k_popt decodes
- * the vertex into (epoch, column, curr_sub) once per stream and victim
- * scan, so no division happens per way; all operands are non-negative,
- * so its C integer division is the floor division the Python decode
- * uses. */
-static i64 popt_next_ref(const i64 *sp, const u16 *entries, i64 row,
-                         i64 epoch, i64 column, i64 curr_sub)
-{
-    i64 variant = sp[POPT_SP_VARIANT], msb = sp[POPT_SP_MSB];
-    i64 low = sp[POPT_SP_LOW_MASK], nbit = sp[POPT_SP_NEXT_BIT];
-    i64 current, next;
-    if (epoch >= sp[POPT_SP_NUM_EPOCHS]) return low;
-    current = entries[row + column];
-    if (variant == RM_VARIANT_INTER_ONLY) return current;
-    if (current & msb) return current & low;
-    if (curr_sub <= (current & low)) return 0;
-    if (variant == RM_VARIANT_SINGLE_EPOCH) return (current & nbit) ? 1 : 2;
-    if (epoch + 1 >= sp[POPT_SP_NUM_EPOCHS]) return low;
-    next = entries[row + column + sp[POPT_SP_STRIDE]];
-    if (next & msb) return 1 + (next & low);
-    return 1;
-}
-
-/* cnt[0..4] += replacements, streaming_evictions, rm_lookups, ties,
- * tie_candidates (epoch accounting is vectorized on the Python side) */
-void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
-            const i64 *sidx, const i64 *sid, const i64 *row_base, i64 n,
-            i64 num_sets, i64 ways, i64 num_streams,
-            const i64 *sparams, const u16 *entries, i64 prefer_streaming,
-            i64 rmax, double trickle, i64 psel_max, const i64 *leader,
-            const double *draws, i64 *ws, i64 *out, i64 *cnt)
-{
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 repl = 0, sevic = 0, rml = 0, ties = 0, tiec = 0;
     i64 total = num_sets * ways;
-    i64 psel = psel_max / 2, psel_half = psel_max / 2;
-    i64 *resident = ws;
-    i64 *rrpv = ws + total;
-    i64 *wsid = ws + 2 * total;
-    i64 *wrb = ws + 3 * total;
-    i64 *dirty = ws + 4 * total;
-    i64 *filled = ws + 5 * total;
-    i64 *wref = ws + 5 * total + num_sets;
-    /* per stream: epoch, column start, sub-epoch of the scan's vertex */
-    i64 *decode = wref + ways;
-    i64 k, w, dc = 0;
+    i64 *filled = ws + TOPT_WORDS * total;
+    i64 k, w;
     for (k = 0; k < total; k++) {
-        resident[k] = -1; rrpv[k] = rmax; wsid[k] = -1; wrb[k] = -1;
-        dirty[k] = 0;
+        ws[TOPT_RESIDENT * total + k] = -1;
+        ws[TOPT_LO * total + k] = 0;
+        ws[TOPT_HI * total + k] = 0;
+        ws[TOPT_DIRTY * total + k] = 0;
+        ws[TOPT_MLOW * total + k] = never;
+        ws[TOPT_MREF * total + k] = -1;
+        ws[TOPT_MCOST * total + k] = 0;
     }
     for (k = 0; k < num_sets; k++) filled[k] = 0;
     for (k = 0; k < n; k++) {
-        i64 line = lines[k];
-        i64 s = sidx[k];
-        i64 base = s * ways;
-        i64 *res_s = resident + base;
-        i64 *rrpv_s = rrpv + base;
-        i64 way;
-        PROBE(way, res_s, filled[s], line);
+        i64 line = lines[k], s = sidx[k], way;
+        i64 *resident = ws + s * ways;
+        i64 *wlo = resident + TOPT_LO * total;
+        i64 *whi = resident + TOPT_HI * total;
+        i64 *dirty = resident + TOPT_DIRTY * total;
+        i64 *mlow = resident + TOPT_MLOW * total;  /* memo interval */
+        i64 *mref = resident + TOPT_MREF * total;  /* (mlow, mref] */
+        i64 *mcost = resident + TOPT_MCOST * total;
+        PROBE(way, resident, filled[s], line);
         if (way >= 0) {
             hits++;
-            if (writes[k]) dirty[base + way] = 1;
-            rrpv_s[way] = 0;
+            if (writes[k]) dirty[way] = 1;
         } else {
-            i64 role, use_brrip;
+            i64 stream = sid[k];
             misses++;
             if (filled[s] < ways) {
                 way = filled[s]++;
             } else {
                 i64 vertex = vertices[k];
-                i64 victim = -1, best = -1, t;
+                i64 victim = -1, best_way = 0, best = -1;
+                repl++;
+                for (w = 0; w < ways; w++) {
+                    i64 l = wlo[w], h, idx, stepped, r;
+                    if (l < 0) { victim = w; break; } /* streaming */
+                    if (mlow[w] < vertex && vertex <= mref[w]) {
+                        walk += mcost[w];
+                        r = mref[w];
+                    } else {
+                        h = whi[w];
+                        idx = lower_bound(refs, l, h, vertex);
+                        stepped = idx - l;
+                        r = idx >= h ? never : refs[idx];
+                        mlow[w] = idx > l ? refs[idx - 1] : -1;
+                        mref[w] = r;
+                        mcost[w] = stepped > 1 ? stepped : 1;
+                        walk += mcost[w];
+                    }
+                    if (r > best) { best = r; best_way = w; }
+                }
+                way = victim >= 0 ? victim : best_way;
+                evics++;
+                if (dirty[way]) wbs++;
+            }
+            resident[way] = line;
+            dirty[way] = writes[k];
+            if (stream >= 0) {
+                i64 at = obase[stream] + off[k];
+                wlo[way] = offsets[at];
+                whi[way] = offsets[at + 1];
+            } else {
+                wlo[way] = -1;
+                whi[way] = -1;
+            }
+            mlow[way] = never;
+            mref[way] = -1;
+        }
+    }
+    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
+    cnt[0] += repl; cnt[1] += walk;
+}
+
+/* P-OPT keeps, per stream, one POPT_DECODE_SLOTS-word block of ws laid
+ * out as below: the stream's Algorithm 2 parameters, hoisted out of
+ * its POPT_SP_* block once per call, then the decode of the current
+ * victim scan's vertex (refreshed once per stream and scan, so no
+ * division happens per way). */
+enum {
+    PD_MSB, PD_LOW, PD_NBIT,
+    PD_COLUMN,    /* entries offset of the scan epoch's column */
+    PD_NEXT,      /* offset from it to the next column, 0 if none */
+    PD_SUB,       /* sub-epoch of the scan's vertex */
+    PD_PAST_END,  /* the vertex lies past the matrix's last epoch */
+    PD_LAST,      /* the scan epoch is the matrix's last */
+    PD_WORDS
+};
+typedef char popt_decode_fits[PD_WORDS <= POPT_DECODE_SLOTS ? 1 : -1];
+
+/* Algorithm 2 for the line whose entry in the stream's first column is
+ * entries[row], decoded against block d. The stream's entries are
+ * epoch-major (column e at e * stride), so the scan epoch's entry is
+ * entries[row + d[PD_COLUMN]]. `variant` is a compile-time constant at
+ * every call, so each variant compiles to its own decode: inter_only
+ * is one load; inter_intra and single_epoch compute every candidate
+ * result and pick one with all-ones/zero masks, so no branch depends
+ * on the entries' values (a plain ?: here compiles to branches, which
+ * mispredict on these data). inter_intra always loads the next
+ * column's entry; PD_NEXT = 0 points that load back at the current
+ * column when there is no next one. A vertex past the last epoch gets
+ * the sentinel; its PD_COLUMN is 0, so the loads stay inside the
+ * matrix. */
+static inline __attribute__((always_inline)) i64
+popt_next_ref(const i64 *d, const u16 *entries, i64 row, i64 variant)
+{
+    const u16 *at = entries + row + d[PD_COLUMN];
+    i64 msb = d[PD_MSB], low = d[PD_LOW];
+    i64 past = -d[PD_PAST_END];      /* all ones past the last epoch */
+    i64 current = at[0], last_sub, inter, passed, after, r;
+    if (variant == RM_VARIANT_INTER_ONLY)
+        return (low & past) | (current & ~past);
+    last_sub = current & low;
+    inter = -(i64)((current & msb) != 0);
+    passed = -(i64)(d[PD_SUB] > last_sub);
+    if (variant == RM_VARIANT_SINGLE_EPOCH) {
+        after = 2 - (i64)((current & d[PD_NBIT]) != 0);
+    } else {
+        i64 next = at[d[PD_NEXT]];
+        i64 far = -(i64)((next & msb) != 0);
+        i64 last = -d[PD_LAST];
+        after = (low & last) | ((1 + (next & low & far)) & ~last);
+    }
+    r = (last_sub & inter) | (after & passed & ~inter);
+    return (low & past) | (r & ~past);
+}
+
+/* P-OPT state: POPT_WORDS arrays of num_sets * ways words in ws, laid
+ * out like T-OPT's, then the per-set fill counts, one scan's per-way
+ * next-refs and the per-stream decode blocks. */
+enum { POPT_RESIDENT, POPT_RRPV, POPT_SID, POPT_ROW, POPT_DIRTY, POPT_WORDS };
+
+/* The whole P-OPT replay for one Rereference Matrix variant; k_popt
+ * calls it with a constant `variant`, so the scan is compiled once per
+ * variant. */
+static inline __attribute__((always_inline)) void
+popt_replay(const i64 *lines, const u8 *writes, const i32 *vertices,
+            const i64 *sidx, const i64 *sid, const i64 *off,
+            const i64 *bases, i64 n, i64 num_sets, i64 ways,
+            i64 num_streams, const i64 *sparams, const u16 *entries,
+            i64 prefer_streaming, i64 rmax, i64 psel_max,
+            const i64 *leader, const u8 *trickled, i64 *ws, i64 *out,
+            i64 *cnt, i64 variant)
+{
+    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
+    i64 repl = 0, sevic = 0, rml = 0, ties = 0, tiec = 0;
+    i64 psel = psel_max / 2, psel_half = psel_max / 2;
+    i64 total = num_sets * ways;
+    i64 *filled = ws + POPT_WORDS * total;
+    i64 *wref = filled + num_sets;
+    i64 *decode = wref + ways;
+    i64 k, w, t, dc = 0;
+    for (k = 0; k < total; k++) {
+        ws[POPT_RESIDENT * total + k] = -1;
+        ws[POPT_RRPV * total + k] = rmax;
+        ws[POPT_SID * total + k] = -1;
+        ws[POPT_ROW * total + k] = -1;
+        ws[POPT_DIRTY * total + k] = 0;
+    }
+    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    for (t = 0; t < num_streams; t++) {
+        const i64 *sp = sparams + POPT_SPARAM_SLOTS * t;
+        i64 *d = decode + POPT_DECODE_SLOTS * t;
+        d[PD_MSB] = sp[POPT_SP_MSB];
+        d[PD_LOW] = sp[POPT_SP_LOW_MASK];
+        d[PD_NBIT] = sp[POPT_SP_NEXT_BIT];
+    }
+    for (k = 0; k < n; k++) {
+        i64 line = lines[k], s = sidx[k], way;
+        i64 *resident = ws + s * ways;
+        i64 *rrpv = resident + POPT_RRPV * total;
+        i64 *wsid = resident + POPT_SID * total;
+        i64 *wrow = resident + POPT_ROW * total;
+        i64 *dirty = resident + POPT_DIRTY * total;
+        PROBE(way, resident, filled[s], line);
+        if (way >= 0) {
+            hits++;
+            if (writes[k]) dirty[way] = 1;
+            rrpv[way] = 0;
+        } else {
+            i64 role, use_brrip, stream = sid[k];
+            misses++;
+            if (filled[s] < ways) {
+                way = filled[s]++;
+            } else {
+                i64 vertex = vertices[k];
+                i64 victim = -1, best = -1;
                 repl++;
                 for (t = 0; t < num_streams; t++) {
                     const i64 *sp = sparams + POPT_SPARAM_SLOTS * t;
+                    i64 *d = decode + POPT_DECODE_SLOTS * t;
                     i64 esize = sp[POPT_SP_EPOCH_SIZE];
+                    i64 epochs = sp[POPT_SP_NUM_EPOCHS];
                     i64 epoch = vertex / esize;
-                    decode[3 * t] = epoch;
-                    decode[3 * t + 1] = epoch * sp[POPT_SP_STRIDE];
-                    decode[3 * t + 2] =
-                        (vertex - epoch * esize) / sp[POPT_SP_SUB_EPOCH_SIZE];
+                    i64 past = epoch >= epochs;
+                    i64 last = epoch + 1 >= epochs;
+                    d[PD_PAST_END] = past;
+                    d[PD_LAST] = last;
+                    d[PD_COLUMN] = past ? 0 : epoch * sp[POPT_SP_STRIDE];
+                    d[PD_NEXT] = last ? 0 : sp[POPT_SP_STRIDE];
+                    d[PD_SUB] = (vertex - epoch * esize)
+                                / sp[POPT_SP_SUB_EPOCH_SIZE];
                 }
                 for (w = 0; w < ways; w++) {
-                    i64 sw = wsid[base + w], r;
+                    i64 sw = wsid[w], r;
                     if (sw < 0) {
                         if (prefer_streaming) {
                             /* First streaming way wins outright. */
@@ -609,11 +684,9 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
                         }
                         r = POPT_STREAMING_NEXT_REF;
                     } else {
-                        const i64 *d = decode + 3 * sw;
                         rml++;
-                        r = popt_next_ref(sparams + POPT_SPARAM_SLOTS * sw,
-                                          entries, wrb[base + w],
-                                          d[0], d[1], d[2]);
+                        r = popt_next_ref(decode + POPT_DECODE_SLOTS * sw,
+                                          entries, wrow[w], variant);
                     }
                     wref[w] = r;
                     if (r > best) best = r;
@@ -629,20 +702,20 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
                         i64 best_value = -1;
                         ties++; tiec += tied;
                         for (w = 0; w < ways; w++)
-                            if (wref[w] == best && rrpv_s[w] > best_value) {
-                                best_value = rrpv_s[w];
+                            if (wref[w] == best && rrpv[w] > best_value) {
+                                best_value = rrpv[w];
                                 victim = w;
                             }
                     }
                 }
                 way = victim;
                 evics++;
-                if (dirty[base + way]) wbs++;
+                if (dirty[way]) wbs++;
             }
-            res_s[way] = line;
-            dirty[base + way] = writes[k];
-            wsid[base + way] = sid[k];
-            wrb[base + way] = row_base[k];
+            resident[way] = line;
+            dirty[way] = writes[k];
+            wsid[way] = stream;
+            wrow[way] = stream >= 0 ? bases[stream] + off[k] : -1;
             /* DRRIP tie-break fill (same sequence as k_drrip). */
             role = leader[s];
             if (role == 1) {
@@ -655,13 +728,50 @@ void k_popt(const i64 *lines, const u8 *writes, const i64 *vertices,
                 use_brrip = psel > psel_half;
             }
             if (!use_brrip)
-                rrpv_s[way] = rmax - 1;
+                rrpv[way] = rmax - 1;
             else
-                rrpv_s[way] = draws[dc++] < trickle ? rmax - 1 : rmax;
+                rrpv[way] = trickled[dc++] ? rmax - 1 : rmax;
         }
     }
     out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
     cnt[0] += repl; cnt[1] += sevic; cnt[2] += rml; cnt[3] += ties; cnt[4] += tiec;
+}
+
+/* cnt[0..4] += replacements, streaming_evictions, rm_lookups, ties,
+ * tie_candidates (epoch accounting is vectorized on the Python side).
+ * Every stream's matrix has the same variant (the POPT policy refuses
+ * a mix), so stream 0's block picks the one compiled scan. A matrix
+ * row is bases[sid[k]] + off[k]: the stream's start in `entries` plus
+ * the line offset. ws carves POPT_WORDS * num_sets * ways + num_sets +
+ * ways words, then POPT_DECODE_SLOTS words per stream. */
+void k_popt(const i64 *lines, const u8 *writes, const i32 *vertices,
+            const i64 *sidx, const i64 *sid, const i64 *off,
+            const i64 *bases, i64 n, i64 num_sets, i64 ways,
+            i64 num_streams, const i64 *sparams, const u16 *entries,
+            i64 prefer_streaming, i64 rmax, i64 psel_max,
+            const i64 *leader, const u8 *trickled, i64 *ws, i64 *out,
+            i64 *cnt)
+{
+    switch (sparams[POPT_SP_VARIANT]) {
+    case RM_VARIANT_INTER_ONLY:
+        popt_replay(lines, writes, vertices, sidx, sid, off, bases, n,
+                    num_sets, ways, num_streams, sparams, entries,
+                    prefer_streaming, rmax, psel_max, leader, trickled,
+                    ws, out, cnt, RM_VARIANT_INTER_ONLY);
+        break;
+    case RM_VARIANT_SINGLE_EPOCH:
+        popt_replay(lines, writes, vertices, sidx, sid, off, bases, n,
+                    num_sets, ways, num_streams, sparams, entries,
+                    prefer_streaming, rmax, psel_max, leader, trickled,
+                    ws, out, cnt, RM_VARIANT_SINGLE_EPOCH);
+        break;
+    default:
+        popt_replay(lines, writes, vertices, sidx, sid, off, bases, n,
+                    num_sets, ways, num_streams, sparams, entries,
+                    prefer_streaming, rmax, psel_max, leader, trickled,
+                    ws, out, cnt, RM_VARIANT_INTER_INTRA);
+        break;
+    }
 }
 
 /* ------------------------------------------------------------------ */

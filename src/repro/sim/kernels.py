@@ -15,8 +15,8 @@ counts.
 
 Each ``kernel_*`` is a thin wrapper: it gathers the cached numpy
 products of the :class:`~repro.sim.engine.PrivateFilter` (set
-partitions, set indices, next-use chain, region membership), makes one
-C call and wraps the counters. When no compiled library is available
+partitions, set indices, next-use chain, region membership, fill
+outcomes), makes one C call and wraps the counters. When no compiled library is available
 (no toolchain, or a build that failed and said why),
 :func:`resolve_kernel` returns None and every policy replays through
 the generic engine — slower, never different.
@@ -58,10 +58,12 @@ Correctness argument per policy:
 couples the sets through the order of accesses (the BRRIP-family fill
 RNG, DRRIP's PSEL set-dueling counter, SHiP's signature table,
 Hawkeye's predictor), so these kernels keep the original access order.
-The BRRIP-family fill draws are pre-generated in Python from the
-policy's own ``random.Random`` seed (one per access is a safe upper
-bound on fills) and handed over as a float64 array — consumption order
-matches the reference's lazy draws exactly.
+The BRRIP-family kernels only ever test a fill draw against the trickle
+probability, so they read that test's outcome: one uint8 per
+LLC-visible access (a safe upper bound on fills), generated from the
+policy's own ``random.Random`` seed and memoized on the filter per seed
+(:meth:`~repro.sim.engine.PrivateFilter.fill_outcomes`) — consumption
+order matches the reference's lazy draws exactly.
 
 Random replacement has no kernel: its per-set streams come from
 CPython's ``randrange``, and per-set draws cannot be pre-generated
@@ -70,17 +72,21 @@ output. It replays on the generic engine, like GRASP and BIP.
 
 **Next-ref** (T-OPT, P-OPT) — the paper's own policies, with the
 region-membership scan hoisted out of the loop: every access's line is
-resolved against the irregular base/bound regions once per prepared
-run (:meth:`~repro.sim.engine.PrivateFilter.stream_membership`), each
-way remembers its resident line's annotation, and the victim scan is a
-binary search over T-OPT's flat refs CSR / inlined Algorithm 2
-arithmetic over the epoch-major Rereference Matrix columns (both inputs
-built once per prepared run). T-OPT is set-partitioned
-(no cross-set state, additive counters); P-OPT runs in access order
+resolved against the irregular base/bound regions once per filter
+(:meth:`~repro.sim.engine.PrivateFilter.stream_membership`), each way
+remembers its resident line's annotation, resolved in C when the line
+is filled, and the victim scan is a binary search over T-OPT's flat
+refs CSR / inlined Algorithm 2 arithmetic over the epoch-major
+Rereference Matrix columns (both inputs built once per prepared run).
+Both run in access order over flat (set, way) state arrays: P-OPT
 because its DRRIP tie-break carries the same PSEL/RNG coupling as
-:func:`kernel_drrip`. Both write the engine-cost counters the timing
-model and Fig. 15 consume back onto the policy instance, bit-identical
-to the generic path.
+:func:`kernel_drrip`, T-OPT because the same per-access arrays then
+serve both and no set partition is needed (it keeps no cross-set state
+and its counters are sums, so the order changes nothing). ``k_popt`` compiles its victim
+scan once per Rereference Matrix variant and picks one per call. Both
+write the engine-cost counters the timing model and Fig. 15 consume
+back onto the policy instance, bit-identical to the generic path. No
+per-replay Python work remains beyond gathering those memoized arrays.
 
 The private-level front-end keeps a Python form: the per-set loop of
 :func:`replay_bit_plru_stream` and the numpy next-use and set-partition
@@ -124,7 +130,7 @@ from ..popt.arch import PoptCounters
 from ..popt.policy import POPT
 from ..popt.topt import TOPT
 from . import ckernels
-from .constants import KERNEL_SIG_SPACE
+from .constants import BRRIP_TRICKLE, KERNEL_SIG_SPACE, POPT_DECODE_SLOTS
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import PrivateFilter
@@ -132,6 +138,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "KernelRequest",
     "KERNEL_TABLE",
+    "brrip_fill_outcomes",
     "resolve_kernel",
     "replay_bit_plru_stream",
     "fused_private_filter",
@@ -212,6 +219,13 @@ def _fill_draws(seed: int, n: int) -> np.ndarray:
         },
     }
     return np.random.Generator(bits).random(n)
+
+
+def brrip_fill_outcomes(seed: int, n: int) -> np.ndarray:
+    """What the BRRIP-family kernels read of :func:`_fill_draws`: the
+    kernels only ever test ``draw < BRRIP_TRICKLE``, so this is that
+    test's outcome per draw, as uint8 (1 = insert at ``rmax - 1``)."""
+    return (_fill_draws(seed, n) < BRRIP_TRICKLE).view(np.uint8)
 
 
 # ----------------------------------------------------------------------
@@ -529,7 +543,8 @@ def kernel_brrip(req: KernelRequest) -> CacheStats:
 
     The trickle draw happens once per fill in global order — exactly the
     reference's RNG consumption — which rules out set partitioning; the
-    draw sequence is pre-generated (:func:`_fill_draws`).
+    kernel reads the filter's memoized fill outcomes for the policy's
+    seed (:meth:`~repro.sim.engine.PrivateFilter.fill_outcomes`).
     """
     config = req.config
     policy = req.policy
@@ -537,8 +552,8 @@ def kernel_brrip(req: KernelRequest) -> CacheStats:
     out = np.zeros(4, dtype=np.int64)
     ckernels.lib().k_brrip(
         lines, writes, sidx, n,
-        config.num_sets, config.num_ways, policy.rrpv_max, policy.TRICKLE,
-        _fill_draws(policy._seed, n),
+        config.num_sets, config.num_ways, policy.rrpv_max,
+        req.filt.fill_outcomes(policy._seed),
         _ws(3 * config.num_sets * config.num_ways + config.num_sets),
         out,
     )
@@ -571,10 +586,9 @@ def kernel_drrip(req: KernelRequest) -> CacheStats:
     out = np.zeros(4, dtype=np.int64)
     ckernels.lib().k_drrip(
         lines, writes, sidx, n,
-        num_sets, num_ways, policy.rrpv_max, BRRIP.TRICKLE,
-        psel_max // 2, psel_max,
+        num_sets, num_ways, policy.rrpv_max, psel_max // 2, psel_max,
         _drrip_leader_roles(num_sets, policy.leader_period),
-        _fill_draws(policy._seed, n),
+        req.filt.fill_outcomes(policy._seed),
         _ws(3 * num_sets * num_ways + num_sets), out,
     )
     return _finish(config, *out.tolist())
@@ -663,64 +677,49 @@ def _region_bounds(policy) -> tuple:
     )
 
 
-def _topt_annotations(req: KernelRequest) -> tuple:
-    """Per-access refs-slice bounds and vertices, in set-partition order.
-
-    Resolves every access's line against the irregular regions ONCE
-    (vectorized, via the filter's cached membership) into ``(lo, hi)``
-    slices of T-OPT's flat refs array — ``lo = -1`` marks streaming
-    lines — then gathers them and the vertex channel into the same
-    per-set order as :meth:`PrivateFilter.set_partition_arrays`. The
-    gathers are per replay, not memoized: each is one pass over the
-    LLC-visible stream, while a memo would keep 8 bytes per access
-    alive for the prepared run's lifetime.
-    """
-    policy = req.policy
+def _next_ref_arrays(req: KernelRequest) -> tuple:
+    """``(n, lines, writes, set_idx, vertices, sid, off)`` in access
+    order: the access-order channels, the int32 vertex channel as the
+    filter holds it, and the filter's memoized stream membership."""
     filt = req.filt
-    sid, off = filt.stream_membership(_region_bounds(policy))
-    lo = np.full(len(sid), -1, dtype=np.int64)
-    hi = np.full(len(sid), -1, dtype=np.int64)
-    for index, (_, _, offsets) in enumerate(policy._regions):
-        match = sid == index
-        if match.any():
-            offs = off[match]
-            lo[match] = offsets[offs]
-            hi[match] = offsets[offs + 1]
-    order = filt.set_partition_arrays(req.config)[3]
-    return (
-        np.ascontiguousarray(lo[order]),
-        np.ascontiguousarray(hi[order]),
-        filt.vertices[order].astype(np.int64),
+    sid, off = filt.stream_membership(_region_bounds(req.policy))
+    return _access_order_arrays(req) + (
+        np.ascontiguousarray(filt.vertices, dtype=np.int32), sid, off,
     )
 
 
 def kernel_topt(req: KernelRequest) -> CacheStats:
-    """T-OPT: set-partitioned Belady emulation over the flat refs CSR.
+    """T-OPT: access-order Belady emulation over the flat refs CSR.
 
     T-OPT keeps no cross-set state and both of its counters
     (``replacements``, ``transpose_walk_elements``) are sums over
-    per-eviction work, so the set-partitioned shape applies. Each way
-    remembers the (lo, hi) refs slice of its resident line (annotated
-    per access in the preamble — no region scan in the loop); a victim
-    scan binary-searches each slice for the current outer vertex,
-    accounting the same walk elements as ``TOPT._next_ref``, and the
-    first streaming way (``lo < 0``) short-circuits exactly like the
-    reference. Each way also keeps its last search's vertex interval,
-    answer and walk cost, and reuses them while the outer vertex stays
-    inside the interval (the same answer a fresh search gives). Counters
-    are written back onto the policy instance so the timing model reads
-    identical values from every engine.
+    per-eviction work, so walking the stream in access order over
+    flat (set, way) state gives the set-by-set result. Each fill resolves its
+    line's (lo, hi) refs slice in C from the filter's memoized stream
+    membership (stream, line offset) and each stream's base in the one
+    concatenated offsets array — no per-replay annotation and no set
+    partition. A victim scan binary-searches each way's slice for the
+    current outer vertex, accounting the same walk elements as
+    ``TOPT._next_ref``, and the first streaming way (``lo < 0``)
+    short-circuits exactly like the reference. Each way also keeps its
+    last search's vertex interval, answer and walk cost, and reuses them
+    while the outer vertex stays inside the interval (the same answer a
+    fresh search gives). Counters are written back onto the policy
+    instance so the timing model reads identical values from every
+    engine.
     """
     config = req.config
     policy = req.policy
-    slo, shi, sverts = _topt_annotations(req)
-    counts, slines, swrites, _ = req.filt.set_partition_arrays(config)
+    n, lines, writes, sidx, verts, sid, off = _next_ref_arrays(req)
+    num_sets = config.num_sets
+    num_ways = config.num_ways
     out = np.zeros(4, dtype=np.int64)
     cnt = np.zeros(2, dtype=np.int64)
     ckernels.lib().k_topt(
-        slines, swrites, sverts, slo, shi, policy._refs_arr,
-        counts, config.num_sets, config.num_ways,
-        _ws(7 * config.num_ways), out, cnt,
+        lines, writes, verts, sidx, sid, off,
+        policy._offset_bases, policy._offsets_arr, policy._refs_arr,
+        n, num_sets, num_ways,
+        _ws(7 * num_sets * num_ways + num_sets), out, cnt,
     )
     policy.replacements = int(cnt[0])
     policy.transpose_walk_elements = int(cnt[1])
@@ -733,21 +732,23 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     The DRRIP tie-break's set-dueling PSEL and global fill RNG couple
     the sets exactly as in :func:`kernel_drrip`, so the access order is
     kept (``POPT.fits_replay_kernel`` admits this kernel only when the
-    tie-break is exactly DRRIP). Region membership is resolved once in
-    the preamble; each way remembers its resident line's (stream, RM
-    row) so a victim scan is pure Algorithm 2 arithmetic per way, with
-    the reference's counter semantics: ``rm_lookups`` per irregular way
-    examined, first-streaming-way short-circuit (when preferred), and
-    first-max + DRRIP-RRPV resolution over tied ways.
+    tie-break is exactly DRRIP). Region membership is the filter's
+    memoized (stream, line offset) pair; each way remembers its resident
+    line's (stream, RM row), resolved in C at fill time as the stream's
+    base plus the line offset, so a victim scan is pure Algorithm 2
+    arithmetic per way, with the reference's counter semantics:
+    ``rm_lookups`` per irregular way examined, first-streaming-way
+    short-circuit (when preferred), and first-max + DRRIP-RRPV
+    resolution over tied ways.
 
     The matrices come in the policy's
     :class:`~repro.popt.policy.KernelMatrices` form: epoch-major uint16
     entries and a ``POPT_SPARAM_LAYOUT`` parameter block per stream,
-    built once per prepared run and shared by every replay. Each access
-    carries its line's index into its stream's first column (the
-    stream's base plus the line offset; -1 = streaming), and a victim
-    scan decodes the vertex into each stream's epoch column and
-    sub-epoch once, not once per way.
+    built once per prepared run and shared by every replay. All streams
+    share one variant (``POPT`` refuses a mix), and the kernel runs the
+    scan compiled for it; a victim scan decodes the vertex into each
+    stream's epoch column and sub-epoch once, not once per way. The
+    DRRIP fill outcomes are the filter's memo for the tie-break's seed.
 
     Epoch accounting is replay-independent — ``_note_epoch`` fires once
     per LLC-visible access (hit or fill), so ``epoch_transitions`` is
@@ -758,13 +759,10 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     """
     config = req.config
     policy = req.policy
-    filt = req.filt
     tie = policy._tie_break
     matrices = [matrix for _, _, matrix in policy._regions]
-    sid, off = filt.stream_membership(_region_bounds(policy))
-    n = len(sid)
+    n, lines, writes, sidx, verts, sid, off = _next_ref_arrays(req)
 
-    verts = np.ascontiguousarray(filt.vertices, dtype=np.int64)
     epochs = verts // policy._epoch_size
     transitions = (
         int(np.count_nonzero(epochs[1:] != epochs[:-1])) if n else 0
@@ -772,24 +770,21 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     column_bytes = sum(matrix.column_bytes() for matrix in matrices)
 
     kernel_matrices = policy.kernel_matrices
-    bases = np.array(kernel_matrices.bases, dtype=np.int64)
-    row_base = np.where(sid >= 0, bases[sid] + off, -1)
-
-    _, lines, writes, sidx = _access_order_arrays(req)
     num_sets = config.num_sets
     num_ways = config.num_ways
-    leader = _drrip_leader_roles(num_sets, tie.leader_period)
-    draws = _fill_draws(tie._seed, n)
     out = np.zeros(4, dtype=np.int64)
     cnt = np.zeros(5, dtype=np.int64)
     ckernels.lib().k_popt(
-        lines, writes, verts, sidx,
-        np.ascontiguousarray(sid), row_base, n, num_sets, num_ways,
+        lines, writes, verts, sidx, sid, off,
+        np.array(kernel_matrices.bases, dtype=np.int64),
+        n, num_sets, num_ways,
         len(matrices), kernel_matrices.sparams, kernel_matrices.entries,
         1 if policy.prefer_streaming_victims else 0,
-        tie.rrpv_max, BRRIP.TRICKLE, tie.psel_max, leader, draws,
-        _ws(5 * num_sets * num_ways + num_sets + num_ways
-            + 3 * len(matrices)),
+        tie.rrpv_max, tie.psel_max,
+        _drrip_leader_roles(num_sets, tie.leader_period),
+        req.filt.fill_outcomes(tie._seed),
+        _ws(num_sets * (5 * num_ways + 1) + num_ways
+            + POPT_DECODE_SLOTS * len(matrices)),
         out, cnt,
     )
     replacements, streaming_evictions, rm_lookups, ties, tie_candidates = (

@@ -1,7 +1,8 @@
 """Regression tests for the next-ref engine fixes that rode along with
 the replay kernels: variant-correct past-end sentinels, the true
 vectorized Algorithm 2, policy state surviving ``reset()``, the
-epoch-geometry contract, and the CSR line-reference flattening."""
+epoch-geometry and one-variant contracts, the compiled per-variant
+decodes at their edge cases, and the CSR line-reference flattening."""
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from repro.popt import (
     build_line_references,
     build_rereference_matrix,
 )
+from repro.graph import datasets
 from repro.sim import ReplayEngine, prepare_run
+from repro.sim.driver import _build_popt_policy
+from repro.sim.parallel import APP_FACTORIES
+
+from .oracles import find_next_ref_vector
 
 VARIANTS = ("inter_only", "inter_intra", "single_epoch")
 
@@ -110,7 +116,7 @@ class TestVectorDecode:
         for vertex in probes:
             if vertex < 0:
                 continue
-            got = matrix.find_next_ref_vector(lines, vertex)
+            got = find_next_ref_vector(matrix, lines, vertex)
             expected = [
                 matrix.find_next_ref(int(line), vertex) for line in lines
             ]
@@ -119,7 +125,7 @@ class TestVectorDecode:
     def test_returns_int64_array(self):
         graph = uniform_random(64, avg_degree=4.0, seed=0)
         matrix = build_rereference_matrix(graph, elems_per_line=4)
-        out = matrix.find_next_ref_vector([0, 1, 2], 0)
+        out = find_next_ref_vector(matrix, [0, 1, 2], 0)
         assert out.dtype == np.int64
         assert out.shape == (3,)
 
@@ -238,6 +244,76 @@ class TestEpochGeometryContract:
             streams.append(PoptStream(span=span, matrix=matrix))
         policy = POPT(streams)
         assert policy._epoch_size == streams[0].matrix.epoch_size
+
+
+    def test_mixed_variants_raise(self):
+        # Same entry_bits, so the epoch geometry agrees; only the
+        # encodings differ.
+        graph = uniform_random(512, avg_degree=4.0, seed=1)
+        space = AddressSpace()
+        streams = []
+        for name, variant in (("a", "inter_intra"), ("b", "single_epoch")):
+            span = space.alloc(name, 512, 512, irregular=True)
+            matrix = build_rereference_matrix(
+                graph, elems_per_line=span.elems_per_line, entry_bits=8,
+                variant=variant, num_lines=span.num_lines,
+            )
+            streams.append(PoptStream(span=span, matrix=matrix))
+        assert streams[0].matrix.epoch_size == streams[1].matrix.epoch_size
+        with pytest.raises(PolicyError, match="variant"):
+            POPT(streams)
+
+
+@pytest.mark.needs_ckernels
+class TestCompiledDecodeEdges:
+    """``k_popt`` compiles one Algorithm 2 decode per variant; each must
+    match the generic engine where its selects matter most: 3-bit
+    entries (8 epochs, so many scans fall in the last epoch, where
+    inter_intra has no next column to read) and streaming ways ranked
+    rather than evicted outright (``prefer_streaming_victims=False``),
+    on one-stream (PR) and two-stream (Radii) runs."""
+
+    @pytest.fixture(scope="class", params=["PR", "Radii"])
+    def prepared(self, request):
+        graph = datasets.load("KRON", scale="tiny", seed=42)
+        return prepare_run(APP_FACTORIES[request.param](), graph)
+
+    @pytest.mark.parametrize("prefer_streaming", [True, False])
+    @pytest.mark.parametrize("entry_bits", [3, 8])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_compiled_matches_generic(
+        self, prepared, variant, entry_bits, prefer_streaming
+    ):
+        hierarchy = HierarchyConfig(
+            l1=CacheConfig("L1", num_sets=2, num_ways=4),
+            llc=CacheConfig("LLC", num_sets=8, num_ways=8),
+        )
+        built, _ = _build_popt_policy(
+            prepared, variant, entry_bits, hierarchy.line_size
+        )
+        runs = []
+        for use_kernel in (True, False):
+            policy = POPT(
+                built.streams, line_size=hierarchy.line_size,
+                prefer_streaming_victims=prefer_streaming,
+                kernel_matrices=built.kernel_matrices,
+            )
+            run = ReplayEngine(prepared, hierarchy).run(
+                policy, use_kernel=use_kernel
+            )
+            llc = run.levels[-1]
+            runs.append((
+                run.kernel,
+                (llc.hits, llc.misses, llc.evictions, llc.writebacks),
+                policy.counters,
+            ))
+        (kernel, compiled, counters), (none, generic, expected) = runs
+        assert (kernel, none) == ("p-opt", None)
+        assert compiled == generic
+        assert counters == expected
+        assert counters.replacements > 0
+        if not prefer_streaming:
+            assert counters.streaming_evictions == 0
 
 
 class TestLineReferenceCSR:

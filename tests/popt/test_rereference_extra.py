@@ -8,6 +8,8 @@ from repro.graph import from_edges, uniform_random
 from repro.popt import build_rereference_matrix
 from repro.popt.rereference import RereferenceMatrix
 
+from .oracles import find_next_ref_vector
+
 
 class TestStorageFallback:
     def test_large_matrix_uses_numpy_rows(self):
@@ -44,7 +46,7 @@ class TestVectorizedDecode:
         matrix = build_rereference_matrix(graph, elems_per_line=4)
         lines = np.arange(matrix.num_lines)
         for vertex in (0, 31, 127):
-            vector = matrix.find_next_ref_vector(lines, vertex)
+            vector = find_next_ref_vector(matrix, lines, vertex)
             scalar = [
                 matrix.find_next_ref(int(line), vertex) for line in lines
             ]

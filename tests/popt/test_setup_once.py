@@ -3,7 +3,8 @@
 The numeric routines behind the setup are checked against copies of the
 straightforward loops they replaced (kept below as the specification):
 the DRRIP fill draws, the Rereference Matrix entry encoding and the
-per-line reference CSR. The per-run matrix memo and the lazily built
+per-line reference CSR. The blocked matrix builder is checked against
+the dense int64 construction in ``oracles``. The per-run matrix memo and the lazily built
 Python views are checked through the driver.
 """
 
@@ -20,11 +21,17 @@ from hypothesis import strategies as st
 from repro.cache import scaled_hierarchy
 from repro.errors import PolicyError, WidthContractError
 from repro.graph import datasets
+from repro.graph import from_edges, uniform_random
 from repro.graph.csr import CSRGraph
 from repro.popt import rereference
 from repro.popt import topt
 from repro.popt.policy import POPT, KernelMatrices, PoptStream
-from repro.popt.rereference import _encode_entries, build_rereference_matrix
+from repro.popt.rereference import (
+    _encode_entries,
+    build_rereference_matrix,
+    epoch_geometry,
+    update_rereference_matrix,
+)
 from repro.popt.topt import TOPT, build_line_reference_csr
 from repro.sim import artifacts, kernels, parallel
 from repro.sim.constants import (
@@ -38,6 +45,8 @@ from repro.sim.engine import ReplayEngine
 from repro.sim.kernels import _fill_draws
 from repro.sim.parallel import APP_FACTORIES
 from repro.sim.spec import ExperimentSpec, run_spec
+
+from .oracles import build_rereference_matrix_dense, encode_entries_int64
 
 # ----------------------------------------------------------------------
 # Specifications: the replaced loops, verbatim in behaviour.
@@ -150,8 +159,11 @@ class TestEncodeEntries:
         referenced, last_sub = events
         got = _encode_entries(referenced, last_sub, entry_bits, variant)
         want = encode_entries_spec(referenced, last_sub, entry_bits, variant)
-        assert got.dtype == np.int64
+        oracle = encode_entries_int64(referenced, last_sub, entry_bits, variant)
+        assert got.dtype == np.int32
+        assert oracle.dtype == np.int64
         assert np.array_equal(got, want)
+        assert np.array_equal(oracle, want)
 
     @pytest.mark.parametrize("variant", rereference.VARIANTS)
     def test_one_epoch_and_unreferenced(self, variant):
@@ -160,6 +172,81 @@ class TestEncodeEntries:
         got = _encode_entries(referenced, last_sub, 8, variant)
         want = encode_entries_spec(referenced, last_sub, 8, variant)
         assert np.array_equal(got, want)
+
+
+def hub_graph(n, seed):
+    """A reference graph over ``n`` elements where element 0 is touched
+    by every outer vertex and the rest uniformly (skewed row events)."""
+    rng = np.random.default_rng(seed)
+    edges = [(0, outer) for outer in range(n)]
+    edges += zip(rng.integers(0, n, 4 * n).tolist(),
+                 rng.integers(0, n, 4 * n).tolist())
+    return from_edges(edges, num_vertices=n)
+
+
+class TestBlockedEncode:
+    """The builder encodes a block of rows at a time, in int32, straight
+    into the storage dtype: it must give the dense int64 construction's
+    entries, wherever the block boundaries fall."""
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, None])
+    @pytest.mark.parametrize("entry_bits", [3, 8, 16])
+    @pytest.mark.parametrize("variant", rereference.VARIANTS)
+    def test_build_matches_dense_oracle(
+        self, monkeypatch, variant, entry_bits, block_rows
+    ):
+        for graph in (uniform_random(100, avg_degree=4.0, seed=3),
+                      hub_graph(100, seed=4)):
+            # 25 lines: blocks of 3 or 7 rows leave a short last block.
+            num_epochs = epoch_geometry(100, entry_bits, variant)[0]
+            if block_rows is not None:
+                monkeypatch.setattr(
+                    rereference, "ENCODE_BLOCK_BYTES",
+                    4 * num_epochs * block_rows,
+                )
+            got = build_rereference_matrix(
+                graph, elems_per_line=4, entry_bits=entry_bits,
+                variant=variant,
+            )
+            want = build_rereference_matrix_dense(
+                graph, 4, entry_bits, variant
+            )
+            assert got.entries.dtype == want.dtype
+            assert np.array_equal(got.entries, want)
+
+    def test_padding_lines_and_uncovered_elements(self):
+        graph = uniform_random(100, avg_degree=4.0, seed=5)
+        got = build_rereference_matrix(graph, elems_per_line=4, num_lines=30)
+        want = build_rereference_matrix_dense(
+            graph, 4, 8, "inter_intra", num_lines=30
+        )
+        assert np.array_equal(got.entries, want)
+        with pytest.raises(PolicyError, match="num_lines"):
+            build_rereference_matrix(graph, elems_per_line=4, num_lines=20)
+
+    @pytest.mark.parametrize("entry_bits", [3, 8, 16])
+    @pytest.mark.parametrize("variant", rereference.VARIANTS)
+    def test_update_matches_dense_oracle(
+        self, monkeypatch, variant, entry_bits
+    ):
+        before = hub_graph(100, seed=6)
+        changed = np.array([5, 6, 41, 99])
+        sources = np.repeat(np.arange(100), before.degrees())
+        edges = list(zip(sources.tolist(), before.neighbors.tolist()))
+        edges += [(int(elem), outer) for elem in changed
+                  for outer in (2, 57, 98)]
+        after = from_edges(edges, num_vertices=100)
+        matrix = build_rereference_matrix(
+            before, elems_per_line=4, entry_bits=entry_bits, variant=variant
+        )
+        num_epochs = matrix.num_epochs
+        monkeypatch.setattr(
+            rereference, "ENCODE_BLOCK_BYTES", 4 * num_epochs * 3
+        )
+        updated = update_rereference_matrix(matrix, after, changed)
+        want = build_rereference_matrix_dense(after, 4, entry_bits, variant)
+        assert np.array_equal(updated.entries, want)
+        assert not np.array_equal(matrix.entries, want)
 
 
 @st.composite

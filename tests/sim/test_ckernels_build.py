@@ -246,16 +246,7 @@ class TestDerivedBoundary:
     def test_wrong_width_popt_entries_raise_at_call(self, toolchain, dtype):
         clib = ckernels.lib()
         assert clib is not None
-        i64 = np.zeros(1, dtype=np.int64)
-        args = [
-            i64, np.zeros(1, dtype=np.uint8), i64, i64, i64, i64,  # streams
-            0, 1, 1, 1,                      # n, num_sets, ways, streams
-            np.zeros(8, dtype=np.int64),     # sparams
-            np.zeros(4, dtype=dtype),        # entries: must be uint16
-            1, 3, 1 / 32, 1023, i64, np.zeros(1, dtype=np.float64),
-            np.zeros(16, dtype=np.int64), np.zeros(4, dtype=np.int64),
-            np.zeros(5, dtype=np.int64),
-        ]
+        args = _next_ref_args("k_popt", entries=np.zeros(4, dtype=dtype))
         with pytest.raises(ctypes.ArgumentError, match="uint16"):
             clib.k_popt(*args)
 
@@ -292,6 +283,73 @@ class TestDerivedBoundary:
 
 #: Seeded kernels go right after the typedefs they use.
 _TYPEDEFS = "typedef uint8_t u8;\n"
+
+
+def _next_ref_args(name, **override):
+    """Well-typed arguments for an empty (n = 0) call of ``name``, one
+    set of one way and one stream, with ``override`` swapped in."""
+    i64 = np.zeros(1, dtype=np.int64)
+    u8 = np.zeros(1, dtype=np.uint8)
+    i32 = np.zeros(1, dtype=np.int32)
+    tail = {
+        "ws": np.zeros(64, dtype=np.int64),
+        "out": np.zeros(4, dtype=np.int64),
+    }
+    args = {
+        "k_drrip": dict(
+            lines=i64, writes=u8, sidx=i64, n=0, num_sets=1, ways=1,
+            rmax=3, psel=511, psel_max=1023, leader=i64, trickled=u8,
+            **tail,
+        ),
+        "k_topt": dict(
+            lines=i64, writes=u8, vertices=i32, sidx=i64, sid=i64,
+            off=i64, obase=i64, offsets=np.zeros(2, dtype=np.int64),
+            refs=i32, n=0, num_sets=1, ways=1, **tail,
+            cnt=np.zeros(2, dtype=np.int64),
+        ),
+        "k_popt": dict(
+            lines=i64, writes=u8, vertices=i32, sidx=i64, sid=i64,
+            off=i64, bases=i64, n=0, num_sets=1, ways=1, num_streams=1,
+            sparams=np.zeros(8, dtype=np.int64),
+            entries=np.zeros(4, dtype=np.uint16), prefer_streaming=1,
+            rmax=3, psel_max=1023, leader=i64, trickled=u8, **tail,
+            cnt=np.zeros(5, dtype=np.int64),
+        ),
+    }[name]
+    assert set(override) <= set(args)
+    args.update(override)
+    return list(args.values())
+
+
+class TestNextRefBoundary:
+    """The fill outcomes are uint8 and the vertex channel int32 at every
+    kernel that reads them: the float64 draws and int64 vertices these
+    parameters once took raise at the call instead of being misread."""
+
+    def _lib(self):
+        clib = ckernels.lib()
+        if clib is None:
+            pytest.skip(f"compiled kernels unavailable: "
+                        f"{ckernels.build_error()}")
+        return clib
+
+    @pytest.mark.parametrize("name", ["k_drrip", "k_topt", "k_popt"])
+    def test_well_typed_empty_call_runs(self, name):
+        out = np.zeros(4, dtype=np.int64)
+        getattr(self._lib(), name)(*_next_ref_args(name, out=out))
+        assert not out.any()
+
+    @pytest.mark.parametrize("name", ["k_drrip", "k_popt"])
+    def test_float64_fill_outcomes_raise_at_call(self, name):
+        args = _next_ref_args(name, trickled=np.zeros(1, dtype=np.float64))
+        with pytest.raises(ctypes.ArgumentError, match="uint8"):
+            getattr(self._lib(), name)(*args)
+
+    @pytest.mark.parametrize("name", ["k_topt", "k_popt"])
+    def test_int64_vertices_raise_at_call(self, name):
+        args = _next_ref_args(name, vertices=np.zeros(1, dtype=np.int64))
+        with pytest.raises(ctypes.ArgumentError, match="int32"):
+            getattr(self._lib(), name)(*args)
 
 
 class TestDialect:
