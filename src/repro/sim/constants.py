@@ -270,11 +270,13 @@ def _dtype_within(dtype: np.dtype, low: int, high: int) -> bool:
     return False
 
 
-def _storage(
-    contract: str, where: str, bits: Optional[int]
-) -> Tuple[int, np.dtype]:
-    """``(bits, dtype)``: the live width (``max_bits`` when None) and
-    the narrowest declared dtype of ``contract`` that holds it."""
+def storage_dtype(
+    contract: str, where: str, bits: Optional[int] = None
+) -> np.dtype:
+    """The dtype :func:`narrow` casts ``contract`` values of live width
+    ``bits`` (its ``max_bits`` when None) to: the narrowest declared one
+    that holds the width. A caller that fills a result block by block
+    allocates it with this dtype."""
     spec = WIDTH_CONTRACTS[contract]
     max_bits = cast(int, spec["max_bits"])
     bits = max_bits if bits is None else int(bits)
@@ -282,19 +284,10 @@ def _storage(
         raise WidthContractError(
             contract, f"width {bits}", where, f"{max_bits} bits"
         )
-    dtype = next(
+    return next(
         np.dtype(name) for name in cast(Tuple[str, ...], spec["dtype"])
         if np.iinfo(name).bits >= bits + (np.dtype(name).kind == "i")
     )
-    return bits, dtype
-
-
-def storage_dtype(
-    contract: str, where: str, bits: Optional[int] = None
-) -> np.dtype:
-    """The dtype :func:`narrow` casts ``contract`` values of width
-    ``bits`` to, for a caller that fills a result block by block."""
-    return _storage(contract, where, bits)[1]
 
 
 def narrow(
@@ -312,7 +305,10 @@ def narrow(
     offending value and ``where`` (the file path, for loaders). Returns
     a C-contiguous array (``values`` itself when nothing changes).
     """
-    bits, dtype = _storage(contract, where, bits)
+    dtype = storage_dtype(contract, where, bits)
+    if bits is None:
+        bits = cast(int, WIDTH_CONTRACTS[contract]["max_bits"])
+    bits = int(bits)
     low = -(1 << bits) if dtype.kind == "i" else 0
     high = (1 << bits) - 1
     values = np.asarray(values)

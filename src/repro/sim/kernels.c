@@ -14,10 +14,10 @@
  * replays through the generic engine instead. No Python API is used
  * here: every argument is a plain C array (int64 lines/counts, int32
  * outer-loop vertices and T-OPT references, uint8 write flags and fill
- * outcomes, uint16 Rereference Matrix entries) or scalar. The loader derives each
- * kernel's ctypes signature from the `void k_*(...)` definitions
- * below, so parameters must be spelled `[const] i64|i32|u8|u16|double
- * [*] name`; anything else refuses to load.
+ * outcomes, uint16 Rereference Matrix entries) or scalar. The loader
+ * derives each kernel's ctypes signature from the `void k_*(...)`
+ * definitions below, so parameters must be spelled `[const]
+ * i64|i32|u8|u16|double [*] name`; anything else refuses to load.
  *
  * Shared numeric constants (TOPT_NEVER, the POPT_SP_* parameter-block
  * slots, the RM_VARIANT_* codes, the SHiP/Hawkeye bounds) are not

@@ -16,10 +16,10 @@ counts.
 Each ``kernel_*`` is a thin wrapper: it gathers the cached numpy
 products of the :class:`~repro.sim.engine.PrivateFilter` (set
 partitions, set indices, next-use chain, region membership, fill
-outcomes), makes one C call and wraps the counters. When no compiled library is available
-(no toolchain, or a build that failed and said why),
-:func:`resolve_kernel` returns None and every policy replays through
-the generic engine — slower, never different.
+outcomes), makes one C call and wraps the counters. When no compiled
+library is available (no toolchain, or a build that failed and said
+why), :func:`resolve_kernel` returns None and every policy replays
+through the generic engine — slower, never different.
 
 Shared bit-identical transformations (vs. ``SetAssociativeCache``):
 
@@ -82,11 +82,12 @@ Both run in access order over flat (set, way) state arrays: P-OPT
 because its DRRIP tie-break carries the same PSEL/RNG coupling as
 :func:`kernel_drrip`, T-OPT because the same per-access arrays then
 serve both and no set partition is needed (it keeps no cross-set state
-and its counters are sums, so the order changes nothing). ``k_popt`` compiles its victim
-scan once per Rereference Matrix variant and picks one per call. Both
-write the engine-cost counters the timing model and Fig. 15 consume
-back onto the policy instance, bit-identical to the generic path. No
-per-replay Python work remains beyond gathering those memoized arrays.
+and its counters are sums, so the order changes nothing). ``k_popt``
+compiles its victim scan once per Rereference Matrix variant and picks
+one per call. Both write the engine-cost counters the timing model and
+Fig. 15 consume back onto the policy instance, bit-identical to the
+generic path. No per-replay Python work remains beyond gathering those
+memoized arrays.
 
 The private-level front-end keeps a Python form: the per-set loop of
 :func:`replay_bit_plru_stream` and the numpy next-use and set-partition
@@ -693,12 +694,12 @@ def kernel_topt(req: KernelRequest) -> CacheStats:
 
     T-OPT keeps no cross-set state and both of its counters
     (``replacements``, ``transpose_walk_elements``) are sums over
-    per-eviction work, so walking the stream in access order over
-    flat (set, way) state gives the set-by-set result. Each fill resolves its
-    line's (lo, hi) refs slice in C from the filter's memoized stream
-    membership (stream, line offset) and each stream's base in the one
-    concatenated offsets array — no per-replay annotation and no set
-    partition. A victim scan binary-searches each way's slice for the
+    per-eviction work, so walking the stream in access order over flat
+    (set, way) state gives the set-by-set result. Each fill resolves
+    its line's (lo, hi) refs slice in C from the filter's memoized
+    stream membership (stream, line offset) and each stream's base in
+    the one concatenated offsets array — no per-replay annotation and
+    no set partition. A victim scan binary-searches each way's slice for the
     current outer vertex, accounting the same walk elements as
     ``TOPT._next_ref``, and the first streaming way (``lo < 0``)
     short-circuits exactly like the reference. Each way also keeps its

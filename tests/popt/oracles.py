@@ -75,13 +75,20 @@ def encode_entries_int64(referenced, last_sub, entry_bits, variant):
     return entries
 
 
-def dense_reference_events(
-    reference_graph: CSRGraph, elems_per_line: int, num_lines: int,
-    num_epochs: int, epoch_size: int, sub_epoch_size: int,
-):
-    """Whole-matrix ``(referenced, last_sub)``: bool and int64
-    ``(num_lines, num_epochs)`` arrays scattered from every edge."""
+def build_rereference_matrix_dense(
+    reference_graph: CSRGraph, elems_per_line: int, entry_bits: int,
+    variant: str, num_lines=None,
+) -> np.ndarray:
+    """The entries ``build_rereference_matrix`` must produce: every
+    edge scattered into whole-matrix bool/int64 ``(referenced,
+    last_sub)`` arrays, encoded by :func:`encode_entries_int64` and
+    narrowed at the end."""
     n = reference_graph.num_vertices
+    num_epochs, epoch_size, sub_epoch_size = epoch_geometry(
+        n, entry_bits, variant
+    )
+    if num_lines is None:
+        num_lines = max(1, -(-n // elems_per_line))
     degrees = reference_graph.degrees()
     elems = np.repeat(np.arange(n, dtype=np.int64), degrees)
     outer = reference_graph.neighbors.astype(np.int64)
@@ -93,24 +100,5 @@ def dense_reference_events(
     flat = lines * num_epochs + epochs
     referenced.ravel()[flat] = True
     np.maximum.at(last_sub.ravel(), flat, subs)
-    return referenced, last_sub
-
-
-def build_rereference_matrix_dense(
-    reference_graph: CSRGraph, elems_per_line: int, entry_bits: int,
-    variant: str, num_lines=None,
-) -> np.ndarray:
-    """The entries ``build_rereference_matrix`` must produce, built
-    densely with :func:`encode_entries_int64` and narrowed at the end."""
-    n = reference_graph.num_vertices
-    num_epochs, epoch_size, sub_epoch_size = epoch_geometry(
-        n, entry_bits, variant
-    )
-    if num_lines is None:
-        num_lines = max(1, -(-n // elems_per_line))
-    referenced, last_sub = dense_reference_events(
-        reference_graph, elems_per_line, num_lines, num_epochs,
-        epoch_size, sub_epoch_size,
-    )
     entries = encode_entries_int64(referenced, last_sub, entry_bits, variant)
     return narrow(entries, "rm.entries", "oracle", bits=entry_bits)

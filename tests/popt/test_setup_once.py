@@ -4,8 +4,8 @@ The numeric routines behind the setup are checked against copies of the
 straightforward loops they replaced (kept below as the specification):
 the DRRIP fill draws, the Rereference Matrix entry encoding and the
 per-line reference CSR. The blocked matrix builder is checked against
-the dense int64 construction in ``oracles``. The per-run matrix memo and the lazily built
-Python views are checked through the driver.
+the dense int64 construction in ``oracles``. The per-run matrix memo
+and the lazily built Python views are checked through the driver.
 """
 
 import dataclasses
@@ -159,7 +159,9 @@ class TestEncodeEntries:
         referenced, last_sub = events
         got = _encode_entries(referenced, last_sub, entry_bits, variant)
         want = encode_entries_spec(referenced, last_sub, entry_bits, variant)
-        oracle = encode_entries_int64(referenced, last_sub, entry_bits, variant)
+        oracle = encode_entries_int64(
+            referenced, last_sub, entry_bits, variant
+        )
         assert got.dtype == np.int32
         assert oracle.dtype == np.int64
         assert np.array_equal(got, want)
