@@ -10,7 +10,7 @@ import statistics
 
 from common import get_graphs, get_scale, report, run_once
 
-from repro.sim.experiments import table4_preprocessing
+from repro.sim.experiments import TABLE4_REPEATS, table4_preprocessing
 from repro.sim.tables import table1_rows, table2_rows, table3_rows
 
 
@@ -50,7 +50,8 @@ def bench_table4_preprocessing(benchmark):
         rows,
         notes=f"Mean RM-build / PageRank ratio: "
         f"{statistics.mean(ratios):.2f} (paper: ~0.20; both sides here "
-        "are vectorized numpy on one host).",
+        "are vectorized numpy on one host, each the median of "
+        f"{TABLE4_REPEATS} runs).",
     )
     # Preprocessing must be a fraction of a full PageRank run, not a
     # multiple of it. At "tiny" scale fixed numpy overheads dominate both

@@ -63,14 +63,25 @@ def get_graphs() -> Sequence[str]:
 
 @functools.lru_cache(maxsize=None)
 def source_commit() -> str:
-    """Short hash of the checked-out commit ("unknown" outside git)."""
-    try:
+    """Short hash of the checked-out commit ("unknown" outside git).
+
+    The hash gains ``+dirty`` when the code that produces the results
+    (``src/`` or a ``benchmarks/*.py`` script) differs from that commit.
+    Files under ``results/`` do not count, so regenerating several
+    reports in a row stamps them all alike.
+    """
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=RESULTS_DIR.parent,
+            ["git", *args], cwd=RESULTS_DIR.parent.parent,
             capture_output=True, text=True, check=True,
         ).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "--short", "HEAD")
+        changed = git("status", "--porcelain", "--", "src", "benchmarks/*.py")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    return f"{commit}+dirty" if changed else commit
 
 
 def report(experiment_id: str, title: str,

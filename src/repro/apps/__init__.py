@@ -9,7 +9,6 @@ from .base import (
     traversal_trace,
 )
 from .components import ConnectedComponents, shiloach_vishkin_reference
-from .frontier import Frontier, should_pull
 from .hats import bdfs_order
 from .mis import MaximalIndependentSet, mis_reference
 from .pagerank import PageRank, pagerank_reference
@@ -39,8 +38,6 @@ __all__ = [
     "mis_reference",
     "PropagationBlockingBinning",
     "binning_reference",
-    "Frontier",
-    "should_pull",
     "bdfs_order",
     "epoch_serial_parallel_order",
     "main_thread_vertex_channel",

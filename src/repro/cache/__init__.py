@@ -17,7 +17,6 @@ from .hierarchy import (
     LEVEL_LLC,
     CacheHierarchy,
 )
-from .multicore import MultiCoreHierarchy, replay_multicore
 from .nuca import BankMapper
 from .sanitizer import DEFAULT_INTERVAL, CacheSanitizer, SanitizerReport
 from .stats import MPKI_INSTRUCTIONS_PER_ACCESS, CacheStats
@@ -38,8 +37,6 @@ __all__ = [
     "LEVEL_DRAM",
     "BankMapper",
     "BankedLLC",
-    "MultiCoreHierarchy",
-    "replay_multicore",
     "CacheStats",
     "MPKI_INSTRUCTIONS_PER_ACCESS",
     "CacheSanitizer",

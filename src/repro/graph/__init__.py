@@ -1,13 +1,6 @@
 """Graph substrate: CSR/CSC graphs, generators, reordering, tiling, I/O."""
 
-from .builders import (
-    deduplicate_edges,
-    empty_graph,
-    from_adjacency,
-    from_edges,
-    remove_self_loops,
-    symmetrize,
-)
+from .builders import from_edges, symmetrize
 from .csr import CSRGraph
 from .datasets import (
     EXTENDED_GRAPHS,
@@ -20,13 +13,7 @@ from .datasets import (
     is_file_spec,
     load,
 )
-from .dynamic import (
-    DynamicEpoch,
-    DynamicGraph,
-    EdgeDelta,
-    apply_delta,
-    random_delta,
-)
+from .dynamic import EdgeDelta, apply_delta, random_delta
 from .generators import (
     bounded_degree_mesh,
     community,
@@ -49,24 +36,13 @@ from .io import (
     save_weighted_edge_list,
 )
 from .properties import DegreeStats, degree_skew, degree_stats
-from .reorder import (
-    DbgLayout,
-    apply_order,
-    dbg_order,
-    identity_order,
-    random_order,
-    sort_by_degree,
-)
+from .reorder import DbgLayout, apply_order, dbg_order
 from .tiling import GraphTile, segment_csr
 
 __all__ = [
     "CSRGraph",
     "from_edges",
-    "from_adjacency",
-    "empty_graph",
     "symmetrize",
-    "remove_self_loops",
-    "deduplicate_edges",
     "uniform_random",
     "rmat",
     "kronecker",
@@ -84,9 +60,6 @@ __all__ = [
     "degree_skew",
     "DbgLayout",
     "dbg_order",
-    "sort_by_degree",
-    "random_order",
-    "identity_order",
     "apply_order",
     "GraphTile",
     "segment_csr",
@@ -105,8 +78,6 @@ __all__ = [
     "is_file_spec",
     "file_spec_path",
     "EdgeDelta",
-    "DynamicEpoch",
-    "DynamicGraph",
     "apply_delta",
     "random_delta",
 ]

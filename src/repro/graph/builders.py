@@ -10,7 +10,7 @@ every range error.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple, overload
+from typing import Optional, Tuple, overload
 
 import numpy as np
 
@@ -18,14 +18,7 @@ from ..errors import GraphFormatError
 from ..sim.constants import narrow
 from .csr import CSRGraph
 
-__all__ = [
-    "from_edges",
-    "from_adjacency",
-    "empty_graph",
-    "symmetrize",
-    "remove_self_loops",
-    "deduplicate_edges",
-]
+__all__ = ["from_edges", "symmetrize"]
 
 
 def _as_edge_array(edges) -> np.ndarray:
@@ -144,41 +137,9 @@ def from_edges(
     return graph if payload is None else (graph, payload)
 
 
-def from_adjacency(adjacency: Sequence[Iterable[int]]) -> CSRGraph:
-    """Build a graph from a per-vertex adjacency list (list of iterables)."""
-    edges = [
-        (src, dst) for src, neighbors in enumerate(adjacency) for dst in neighbors
-    ]
-    return from_edges(edges, num_vertices=len(adjacency))
-
-
-def empty_graph(num_vertices: int) -> CSRGraph:
-    """A graph with ``num_vertices`` vertices and no edges."""
-    if num_vertices < 0:
-        raise GraphFormatError("num_vertices must be non-negative")
-    return CSRGraph(
-        offsets=np.zeros(num_vertices + 1, dtype=np.int64),
-        neighbors=np.empty(0, dtype=np.int32),
-    )
-
-
 def symmetrize(graph: CSRGraph) -> CSRGraph:
     """Return the undirected closure: every edge gains its reverse."""
     edges = graph.edge_array()
     both = np.vstack([edges, edges[:, ::-1]])
     return from_edges(both, num_vertices=graph.num_vertices, dedup=True)
 
-
-def remove_self_loops(graph: CSRGraph) -> CSRGraph:
-    """Return a copy of ``graph`` without self-loop edges."""
-    edges = graph.edge_array()
-    return from_edges(
-        edges, num_vertices=graph.num_vertices, drop_self_loops=True
-    )
-
-
-def deduplicate_edges(graph: CSRGraph) -> CSRGraph:
-    """Return a copy of ``graph`` with duplicate edges removed."""
-    return from_edges(
-        graph.edge_array(), num_vertices=graph.num_vertices, dedup=True
-    )

@@ -13,7 +13,6 @@ produces the other direction; graph frameworks (and P-OPT) keep both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -89,10 +88,6 @@ class CSRGraph:
         """Number of directed edges."""
         return len(self.neighbors)
 
-    def degree(self, v: int) -> int:
-        """Number of neighbors of vertex ``v`` in this direction."""
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def degrees(self) -> np.ndarray:
         """Vector of per-vertex degrees in this direction."""
         return np.diff(self.offsets)
@@ -103,16 +98,6 @@ class CSRGraph:
 
     # Alias matching CSC terminology used by pull kernels.
     in_neighbors = out_neighbors
-
-    def iter_vertices(self) -> Iterator[int]:
-        """Iterate vertex IDs in ascending order."""
-        return iter(range(self.num_vertices))
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """Yield ``(vertex, neighbor)`` pairs in traversal order."""
-        for v in range(self.num_vertices):
-            for u in self.out_neighbors(v):
-                yield v, int(u)
 
     def edge_array(self) -> np.ndarray:
         """All edges as an ``(num_edges, 2)`` array of (vertex, neighbor)."""
@@ -168,24 +153,6 @@ class CSRGraph:
             graph.neighbors.setflags(write=False)
         return self
 
-    def with_sorted_neighbors(self) -> "CSRGraph":
-        """Return an equivalent graph whose neighbor lists are sorted."""
-        if self.has_sorted_neighbors():
-            return self
-        neighbors = self.neighbors.copy()
-        for v in range(self.num_vertices):
-            lo, hi = self.offsets[v], self.offsets[v + 1]
-            neighbors[lo:hi] = np.sort(neighbors[lo:hi])
-        return CSRGraph(offsets=self.offsets, neighbors=neighbors)
-
-    def has_sorted_neighbors(self) -> bool:
-        """True if every neighbor list is in ascending order."""
-        for v in range(self.num_vertices):
-            segment = self.out_neighbors(v)
-            if len(segment) > 1 and np.any(np.diff(segment) < 0):
-                return False
-        return True
-
     def relabel(self, new_ids: np.ndarray) -> "CSRGraph":
         """Renumber vertices: old vertex ``v`` becomes ``new_ids[v]``.
 
@@ -207,26 +174,6 @@ class CSRGraph:
         return from_edges(
             np.column_stack([new_src, new_dst]), num_vertices=self.num_vertices
         )
-
-    # ------------------------------------------------------------------
-    # T-OPT support
-    # ------------------------------------------------------------------
-
-    def next_reference_after(self, vertex: int, current: int) -> Optional[int]:
-        """Smallest neighbor of ``vertex`` strictly greater than ``current``.
-
-        This is the transpose-walk primitive at the heart of T-OPT
-        (Section III-A): in a pull execution over destinations, the
-        out-neighbor list of source ``vertex`` (read from the transpose)
-        lists exactly the destination iterations that will touch
-        ``srcData[vertex]``. Returns ``None`` when the vertex is never
-        referenced again.
-        """
-        neighbors = self.out_neighbors(vertex)
-        idx = int(np.searchsorted(neighbors, current, side="right"))
-        if idx >= len(neighbors):
-            return None
-        return int(neighbors[idx])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -6,11 +6,12 @@ the whole run; on a *mutating* graph it recurs every time the topology
 changes. This module supplies the mutation driver: an
 :class:`EdgeDelta` (a batch of insertions and deletions), a vectorized
 :func:`apply_delta` that produces the post-delta :class:`CSRGraph`, and
-a :class:`DynamicGraph` iterator yielding one :class:`DynamicEpoch` per
-applied batch. Each epoch records which sources and destinations the
-delta touched — exactly the rows an incremental Rereference-Matrix
-update (:func:`repro.popt.rereference.update_rereference_matrix`) needs
-to avoid the full rebuild; ``benchmarks/bench_dynamic.py`` measures the
+:func:`random_delta` for seeded batches. A delta's
+:meth:`~EdgeDelta.touched_sources` and
+:meth:`~EdgeDelta.touched_destinations` name exactly the rows an
+incremental Rereference-Matrix update
+(:func:`repro.popt.rereference.update_rereference_matrix`) needs to
+avoid the full rebuild; ``benchmarks/bench_dynamic.py`` measures the
 batch size where incremental stops winning.
 
 Deltas are *multiset-undirected-agnostic*: the graph is directed, an
@@ -22,7 +23,6 @@ self loops — real update streams contain both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,13 +30,7 @@ from ..errors import GraphFormatError
 from .builders import from_edges
 from .csr import CSRGraph
 
-__all__ = [
-    "EdgeDelta",
-    "DynamicEpoch",
-    "DynamicGraph",
-    "apply_delta",
-    "random_delta",
-]
+__all__ = ["EdgeDelta", "apply_delta", "random_delta"]
 
 
 def _delta_edges(edges, what: str) -> np.ndarray:
@@ -131,50 +125,6 @@ def apply_delta(
     if len(delta.insertions):
         survivors = np.vstack([survivors, delta.insertions])
     return from_edges(survivors, num_vertices=num_vertices)
-
-
-@dataclass(frozen=True)
-class DynamicEpoch:
-    """The state of a dynamic graph after one applied delta.
-
-    ``changed_sources`` / ``changed_destinations`` name the vertices
-    whose out- / in-neighbor lists may differ from the previous epoch —
-    the row sets an incremental Rereference-Matrix update recomputes
-    (sources when the RM was built over the graph itself, destinations
-    when it was built over the transpose).
-    """
-
-    index: int
-    graph: CSRGraph
-    delta: EdgeDelta
-    changed_sources: np.ndarray
-    changed_destinations: np.ndarray
-
-
-class DynamicGraph:
-    """An epoch driver: a graph plus a sequence of applied deltas."""
-
-    def __init__(self, graph: CSRGraph, strict: bool = True) -> None:
-        self.graph = graph
-        self.strict = strict
-        self.epoch_index = 0
-
-    def apply(self, delta: EdgeDelta) -> DynamicEpoch:
-        """Apply one delta, advancing to (and returning) the next epoch."""
-        self.graph = apply_delta(self.graph, delta, strict=self.strict)
-        self.epoch_index += 1
-        return DynamicEpoch(
-            index=self.epoch_index,
-            graph=self.graph,
-            delta=delta,
-            changed_sources=delta.touched_sources(),
-            changed_destinations=delta.touched_destinations(),
-        )
-
-    def epochs(self, deltas: Iterable[EdgeDelta]) -> Iterator[DynamicEpoch]:
-        """Apply each delta in turn, yielding the epoch after each."""
-        for delta in deltas:
-            yield self.apply(delta)
 
 
 def random_delta(

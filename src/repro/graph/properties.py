@@ -1,4 +1,4 @@
-"""Structural measurements over graphs (degree statistics, skew, components).
+"""Structural measurements over graphs (degree statistics, skew).
 
 Used by dataset registration (Table III reporting) and by tests that assert
 each synthetic generator lands in its intended structural class.
@@ -12,7 +12,7 @@ import numpy as np
 
 from .csr import CSRGraph
 
-__all__ = ["DegreeStats", "degree_stats", "degree_skew", "num_weakly_connected"]
+__all__ = ["DegreeStats", "degree_stats", "degree_skew"]
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,3 @@ def degree_stats(graph: CSRGraph) -> DegreeStats:
         skew=degree_skew(graph),
     )
 
-
-def num_weakly_connected(graph: CSRGraph) -> int:
-    """Number of weakly connected components (union-find over edges)."""
-    parent = np.arange(graph.num_vertices, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for src, dst in graph.edges():
-        root_src, root_dst = find(src), find(dst)
-        if root_src != root_dst:
-            parent[root_src] = root_dst
-    roots = {find(v) for v in range(graph.num_vertices)}
-    return len(roots)

@@ -17,14 +17,7 @@ import numpy as np
 from ..errors import GraphFormatError
 from .csr import CSRGraph
 
-__all__ = [
-    "DbgLayout",
-    "dbg_order",
-    "sort_by_degree",
-    "random_order",
-    "identity_order",
-    "apply_order",
-]
+__all__ = ["DbgLayout", "dbg_order", "apply_order"]
 
 
 @dataclass(frozen=True)
@@ -77,27 +70,6 @@ def dbg_order(graph: CSRGraph, num_groups: int = 8) -> DbgLayout:
     bounds = np.zeros(num_groups + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
     return DbgLayout(new_ids=new_ids, group_bounds=tuple(int(b) for b in bounds))
-
-
-def sort_by_degree(graph: CSRGraph, descending: bool = True) -> np.ndarray:
-    """Full sort by total degree; returns a ``new_ids`` permutation."""
-    degrees = graph.transpose().degrees() + graph.degrees()
-    key = -degrees if descending else degrees
-    order = np.argsort(key, kind="stable")
-    new_ids = np.empty(graph.num_vertices, dtype=np.int32)
-    new_ids[order] = np.arange(graph.num_vertices, dtype=np.int32)
-    return new_ids
-
-
-def random_order(graph: CSRGraph, seed: int = 0) -> np.ndarray:
-    """Uniform random permutation (destroys any incidental locality)."""
-    rng = np.random.default_rng(seed)
-    return rng.permutation(graph.num_vertices).astype(np.int32)
-
-
-def identity_order(graph: CSRGraph) -> np.ndarray:
-    """The do-nothing permutation."""
-    return np.arange(graph.num_vertices, dtype=np.int32)
 
 
 def apply_order(graph: CSRGraph, new_ids: np.ndarray) -> CSRGraph:

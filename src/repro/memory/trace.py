@@ -15,7 +15,7 @@ access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "MemoryTrace",
     "DecodedTrace",
     "decode_trace",
-    "TraceBuilder",
     "concat_traces",
 ]
 
@@ -112,15 +111,6 @@ class MemoryTrace:
                 int(self.vertices[i]),
             )
 
-    def slice(self, start: int, stop: int) -> "MemoryTrace":
-        """A sub-trace covering accesses [start, stop)."""
-        return MemoryTrace(
-            addresses=self.addresses[start:stop],
-            pcs=self.pcs[start:stop],
-            writes=self.writes[start:stop],
-            vertices=self.vertices[start:stop],
-        )
-
     def line_addresses(self, line_size: int = 64) -> np.ndarray:
         """Cache-line-granular addresses (address // line_size)."""
         return self.addresses // line_size
@@ -142,34 +132,6 @@ class MemoryTrace:
                 next_use[i] = last_seen[line]
             last_seen[line] = i
         return next_use
-
-    def save(self, path) -> None:
-        """Serialize to a numpy ``.npz`` archive (see :meth:`load`)."""
-        np.savez_compressed(
-            path,
-            addresses=self.addresses,
-            pcs=self.pcs,
-            writes=self.writes,
-            vertices=self.vertices,
-        )
-
-    @classmethod
-    def load(cls, path) -> "MemoryTrace":
-        """Read a trace written by :meth:`save`."""
-        with np.load(path) as data:
-            missing = {
-                "addresses", "pcs", "writes", "vertices"
-            } - set(data.files)
-            if missing:
-                raise SimulationError(
-                    f"{path}: not a trace archive (missing {missing})"
-                )
-            return cls(
-                addresses=data["addresses"],
-                pcs=data["pcs"],
-                writes=data["writes"],
-                vertices=data["vertices"],
-            )
 
     def stats(self) -> dict:
         """Per-access-kind counts (useful for tests and reports)."""
@@ -229,7 +191,7 @@ class DecodedTrace:
 def decode_trace(trace: MemoryTrace, line_shift: int) -> DecodedTrace:
     """Decode ``trace`` to line granularity, memoized per (trace, shift).
 
-    Every replay loop (driver, prefetch, multicore, engine) shares this
+    Every replay loop (driver, prefetch, engine) shares this
     decode, so one prepared run pays the address-shift and ``.tolist()``
     conversions once per line size rather than once per policy replay.
     """
@@ -249,63 +211,15 @@ def decode_trace(trace: MemoryTrace, line_shift: int) -> DecodedTrace:
     return decoded
 
 
-class TraceBuilder:
-    """Accumulates trace chunks (vectorized) and finalizes a MemoryTrace.
-
-    Kernels append whole numpy chunks (one per loop nest) rather than one
-    access at a time, keeping trace generation O(edges) in numpy.
-    """
-
-    def __init__(self) -> None:
-        self._addresses: List[np.ndarray] = []
-        self._pcs: List[np.ndarray] = []
-        self._writes: List[np.ndarray] = []
-        self._vertices: List[np.ndarray] = []
-
-    def append_chunk(
-        self,
-        addresses: np.ndarray,
-        pc: "int | np.ndarray",
-        write: "bool | np.ndarray",
-        vertex: "int | np.ndarray",
-    ) -> None:
-        """Append a chunk of accesses in program order."""
-        addresses = np.asarray(addresses, dtype=np.int64).ravel()
-        n = len(addresses)
-        self._addresses.append(addresses)
-        self._pcs.append(np.broadcast_to(np.asarray(pc, np.uint8), (n,)))
-        self._writes.append(np.broadcast_to(np.asarray(write, bool), (n,)))
-        vertex = narrow(vertex, "trace.vertex", "TraceBuilder")
-        self._vertices.append(np.broadcast_to(vertex, (n,)))
-
-    def append_access(
-        self, address: int, pc: int, write: bool, vertex: int
-    ) -> None:
-        """Append a single access (convenience for scalar emission)."""
-        self.append_chunk(np.array([address]), pc, write, vertex)
-
-    def build(self) -> MemoryTrace:
-        """Finalize into an immutable trace."""
-        if not self._addresses:
-            empty = np.empty(0)
-            return MemoryTrace(
-                addresses=empty.astype(np.int64),
-                pcs=empty.astype(np.uint8),
-                writes=empty.astype(bool),
-                vertices=empty.astype(np.int32),
-            )
-        return MemoryTrace(
-            addresses=np.concatenate(self._addresses),
-            pcs=np.concatenate(self._pcs),
-            writes=np.concatenate(self._writes),
-            vertices=np.concatenate(self._vertices),
-        )
-
-
 def concat_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
     """Concatenate traces in order (e.g., successive kernel iterations)."""
     if not traces:
-        return TraceBuilder().build()
+        return MemoryTrace(
+            addresses=np.empty(0, np.int64),
+            pcs=np.empty(0, np.uint8),
+            writes=np.empty(0, bool),
+            vertices=np.empty(0, np.int32),
+        )
     return MemoryTrace(
         addresses=np.concatenate([t.addresses for t in traces]),
         pcs=np.concatenate([t.pcs for t in traces]),

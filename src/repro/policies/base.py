@@ -35,7 +35,7 @@ _MUTABLE_CLASS_VALUES = (list, dict, set, deque)
 class ReplacementPolicy:
     """Base class; subclasses override the hooks they need."""
 
-    #: Human-readable policy name (used in reports and plots).
+    #: Human-readable policy name (used in reports).
     name = "base"
 
     #: Set by :meth:`bind`; reading either before then raises.

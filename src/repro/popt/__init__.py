@@ -5,17 +5,11 @@
 - :mod:`repro.popt.rereference` — the quantized Rereference Matrix and
   Algorithm 2 (Section IV).
 - :mod:`repro.popt.policy` — the P-OPT replacement policy (Section V-C).
-- :mod:`repro.popt.arch` — way reservation, registers, engine cost
+- :mod:`repro.popt.arch` — way reservation, engine cost
   accounting, NUCA locality (Sections V-A..V-E).
 """
 
-from .arch import (
-    PoptCounters,
-    PoptRegisters,
-    effective_llc,
-    nuca_locality_report,
-    reserved_ways,
-)
+from .arch import PoptCounters, nuca_locality_report, reserved_ways
 from .engine import NextRefEngineModel
 from .policy import POPT, PoptStream
 from .rereference import (
@@ -41,9 +35,7 @@ __all__ = [
     "POPT",
     "PoptStream",
     "PoptCounters",
-    "PoptRegisters",
     "NextRefEngineModel",
     "reserved_ways",
-    "effective_llc",
     "nuca_locality_report",
 ]

@@ -6,12 +6,8 @@ itself:
 - **Way reservation** (Section V-A): the Rereference Matrix columns are
   pinned in reserved LLC ways; the application sees a smaller effective
   associativity/capacity. :func:`reserved_ways` computes the minimum
-  reservation, and :func:`effective_llc` derives the app-visible config.
-- **Register file** (Sections V-B/V-C): ``irreg_base``/``irreg_bound`` per
-  irregular stream, ``currVertex``, per-epoch ``set-base``/``way-base``
-  pointers. In simulation the register values come from the layout and the
-  trace's ``vertex`` channel; :class:`PoptRegisters` packages them and
-  checks the paper's constraints (irregData contiguity).
+  reservation; :func:`repro.sim.driver.simulate_prepared` shrinks the
+  LLC by it.
 - **Next-ref engine and streaming engine cost accounting**
   (Sections V-C/V-D): counters for RM lookups, replacement events, ties,
   epoch transitions and bytes streamed, which the timing model converts
@@ -24,17 +20,15 @@ itself:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 from ..cache.config import CacheConfig
 from ..cache.nuca import BankMapper
-from ..errors import CacheConfigError, LayoutError
+from ..errors import CacheConfigError
 from ..memory.layout import ArraySpan
 
 __all__ = [
     "reserved_ways",
-    "effective_llc",
-    "PoptRegisters",
     "PoptCounters",
     "nuca_locality_report",
 ]
@@ -50,60 +44,6 @@ def reserved_ways(resident_bytes: int, llc: CacheConfig) -> int:
         raise CacheConfigError("resident_bytes must be non-negative")
     ways = -(-resident_bytes // llc.way_bytes)  # ceil division
     return int(ways)
-
-
-def effective_llc(llc: CacheConfig, resident_bytes: int) -> CacheConfig:
-    """The app-visible LLC after reserving ways for RM columns.
-
-    Raises when the RM does not leave at least one way for data — the
-    regime where P-OPT stops being applicable (Fig. 11's right edge).
-    """
-    reservation = reserved_ways(resident_bytes, llc)
-    remaining = llc.num_ways - reservation
-    if remaining < 1:
-        raise CacheConfigError(
-            f"Rereference Matrix needs {reservation} of {llc.num_ways} "
-            "LLC ways; no capacity left for application data"
-        )
-    return llc.with_ways(remaining)
-
-
-@dataclass(frozen=True)
-class PoptRegisters:
-    """Software-configured register state (memory-mapped, set once).
-
-    ``irreg_spans`` mirrors the per-stream ``irreg_base``/``irreg_bound``
-    register pairs; the paper supports "two irregular data structures —
-    frontier and srcData/dstData" which "covers many important graph
-    applications" (Section V-F).
-    """
-
-    irreg_spans: Sequence[ArraySpan]
-    epoch_size: int
-    sub_epoch_size: int
-    line_size: int = 64
-
-    def __post_init__(self) -> None:
-        if not self.irreg_spans:
-            raise LayoutError("P-OPT needs at least one irregular span")
-        for span in self.irreg_spans:
-            if span.base % self.line_size:
-                raise LayoutError(
-                    f"{span.name}: irregData must be line-aligned "
-                    "(the paper allocates it in one huge page)"
-                )
-
-    def stream_of(self, line_addr: int) -> int:
-        """Index of the irregular span containing a line address, or -1.
-
-        This is the base/bound comparison the next-ref engine performs for
-        every way in the eviction set (Section V-B).
-        """
-        for index, span in enumerate(self.irreg_spans):
-            base_line = span.base // self.line_size
-            if base_line <= line_addr < base_line + span.num_lines:
-                return index
-        return -1
 
 
 @dataclass

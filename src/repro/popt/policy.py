@@ -231,25 +231,6 @@ class POPT(ReplacementPolicy):
         """LLC bytes pinned for RM columns across all streams."""
         return sum(stream.matrix.resident_bytes() for stream in self.streams)
 
-    def save_context(self) -> dict:
-        """Capture P-OPT's register state at a context switch.
-
-        Section V-F: the set-base/way-base, irreg base/bound, and
-        currVertex registers are saved with the process context; the
-        Rereference Matrix columns themselves are NOT saved (they are
-        refetched on resume).
-        """
-        return {"epoch": self._current_epoch}
-
-    def restore_context(self, saved: dict) -> None:
-        """Resume after a context switch: registers come back from the
-        saved context and the streaming engine refetches the resident
-        Rereference Matrix columns into the reserved ways (billed like an
-        epoch-boundary transfer)."""
-        self._current_epoch = saved["epoch"]
-        for __, __, matrix in self._regions:
-            self.counters.bytes_streamed += matrix.resident_bytes()
-
     # ------------------------------------------------------------------
     # Hooks: keep the tie-break policy's metadata up to date.
     # ------------------------------------------------------------------

@@ -380,7 +380,7 @@ def update_rereference_matrix(
     irregular elements whose reference lists may have changed — for a
     matrix built over the graph's transpose, the *destinations* the
     delta touched; for one built over the graph itself, the sources
-    (:class:`repro.graph.dynamic.DynamicEpoch` records both).
+    (:class:`repro.graph.dynamic.EdgeDelta` names both).
 
     Only the cache lines covering those elements are recomputed; every
     recomputed row is gathered fresh from the post-delta graph, so the

@@ -5,7 +5,7 @@ and :mod:`repro.policies` import the leaf constants registry
 :mod:`repro.sim.constants`, so this package's ``__init__`` must not
 eagerly pull in :mod:`repro.sim.driver` (which imports ``popt`` right
 back). Attribute access resolves each name to its submodule on first
-use; ``from repro.sim.driver import simulate``-style direct imports
+use; ``from repro.sim.driver import simulate_prepared``-style direct imports
 are unaffected.
 """
 
@@ -25,23 +25,17 @@ _EXPORTS = {
     "prepare_dbg_run": "driver",
     "prepare_run": "driver",
     "replay": "driver",
-    "simulate": "driver",
     "simulate_prepared": "driver",
     # .engine
     "ReplayEngine": "engine",
     "build_private_filter": "engine",
     "get_private_filter": "engine",
-    "llc_compact_next_use": "engine",
     # .kernels
     "KERNEL_TABLE": "kernels",
     "resolve_kernel": "kernels",
     # .parallel
     "SweepTask": "parallel",
     "policy_chunks": "parallel",
-    # .plots
-    "grouped_bars": "plots",
-    "hbar_chart": "plots",
-    "sparkline": "plots",
     # .tables
     "format_table": "tables",
     "table1_rows": "tables",
@@ -86,17 +80,14 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
         prepare_dbg_run,
         prepare_run,
         replay,
-        simulate,
         simulate_prepared,
     )
     from .engine import (
         ReplayEngine,
         build_private_filter,
         get_private_filter,
-        llc_compact_next_use,
     )
     from .kernels import KERNEL_TABLE, resolve_kernel
     from .parallel import SweepTask, policy_chunks
-    from .plots import grouped_bars, hbar_chart, sparkline
     from .tables import format_table, table1_rows, table2_rows, table3_rows
     from .timing import TimingModel

@@ -41,7 +41,6 @@ __all__ = [
     "SimResult",
     "prepare_run",
     "simulate_prepared",
-    "simulate",
     "replay",
     "grasp_ranges_for",
     "prepare_dbg_run",
@@ -410,20 +409,6 @@ def simulate_prepared(
         popt_counters=counters,
         preprocessing_seconds=preprocessing,
         details=details,
-    )
-
-
-def simulate(
-    app: GraphApp,
-    graph: CSRGraph,
-    policy_name: str,
-    hierarchy_config: HierarchyConfig,
-    **kwargs,
-) -> SimResult:
-    """Convenience: prepare and simulate in one call."""
-    prepared = prepare_run(app, graph)
-    return simulate_prepared(
-        prepared, policy_name, hierarchy_config, **kwargs
     )
 
 

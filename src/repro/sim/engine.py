@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -72,7 +72,6 @@ __all__ = [
     "build_private_filter",
     "get_private_filter",
     "llc_visible_next_use",
-    "llc_compact_next_use",
 ]
 
 
@@ -555,10 +554,6 @@ def llc_visible_next_use(
     and the result is element-identical to the former lexsort over
     decoded visible positions. Accesses with no later LLC-visible
     reference — including all private-level hits — get ``len(trace)``.
-
-    See :func:`llc_compact_next_use` for the same chain expressed in
-    compacted LLC-visible-stream positions (what the replay kernels
-    consume).
     """
     if prepared is not None and prepared.trace is not trace:
         raise SimulationError("prepared.trace does not match trace")
@@ -577,33 +572,3 @@ def llc_visible_next_use(
     next_use[indices[chained]] = indices[compact[chained]]
     return next_use
 
-
-def llc_compact_next_use(
-    trace: MemoryTrace,
-    config: HierarchyConfig,
-    prepared: Optional[PreparedRun] = None,
-) -> np.ndarray:
-    """Next-use chain over the LLC-visible stream, in **compact**
-    (filtered-stream-position) coordinates.
-
-    ``out[k]`` refers to access ``k`` *of the filtered stream* (length
-    ``M``): the compact position of the line's next LLC-visible access,
-    or ``M`` when there is none. Relation to
-    :func:`llc_visible_next_use` (original coordinates, length ``n``):
-    for visible original position ``p = filt.indices[k]``,
-
-    - ``orig[p] == len(trace)``  iff  ``compact[k] == M``, and
-    - otherwise ``filt.indices[compact[k]] == orig[p]``.
-
-    Both systems order next-uses identically (the original->compact
-    position mapping is strictly increasing), which is what lets the OPT
-    kernel rank victims by compact positions and still match the
-    reference policy bit for bit.
-    """
-    if prepared is not None and prepared.trace is not trace:
-        raise SimulationError("prepared.trace does not match trace")
-    if prepared is not None:
-        filt = get_private_filter(prepared, config)
-    else:
-        filt = build_private_filter(trace, config)
-    return filt.compact_next_use()

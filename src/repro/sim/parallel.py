@@ -193,17 +193,8 @@ def policy_chunks(
 # deterministically from task descriptors, so workers never diverge.
 _PREPARED_CACHE: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
 
-#: Override the per-process prepared-run cache bound (entries).
-PREPARED_CACHE_ENV = "REPRO_PREPARED_CACHE"
+#: The per-process prepared-run cache bound (entries).
 DEFAULT_PREPARED_CACHE_SIZE = 8
-
-
-def _prepared_cache_cap() -> int:
-    raw = os.environ.get(PREPARED_CACHE_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_PREPARED_CACHE_SIZE
 
 
 def _load_graph(task: SweepTask):
@@ -268,7 +259,7 @@ def _prepared_for(task: SweepTask):
         if store is not None:
             artifacts.store_prepared(store, task.artifact_key(), prepared)
     _PREPARED_CACHE[key] = prepared
-    while len(_PREPARED_CACHE) > _prepared_cache_cap():
+    while len(_PREPARED_CACHE) > DEFAULT_PREPARED_CACHE_SIZE:
         _PREPARED_CACHE.popitem(last=False)
     return prepared
 

@@ -133,7 +133,7 @@ class TestMIS:
         status, __ = mis_reference(graph)
         undirected = symmetrize(graph)
         in_set = status == 1
-        for u, v in undirected.edges():
+        for u, v in undirected.edge_array().tolist():
             if u != v:
                 assert not (in_set[u] and in_set[v])
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
-from repro.graph import CSRGraph, from_adjacency, from_edges, empty_graph
+from repro.graph import CSRGraph, from_edges
 
 
 def edges_strategy(max_vertices=24, max_edges=80):
@@ -23,6 +23,13 @@ def edges_strategy(max_vertices=24, max_edges=80):
     )
 
 
+def neighbor_lists_sorted(graph):
+    return all(
+        np.all(np.diff(graph.out_neighbors(v)) >= 0)
+        for v in range(graph.num_vertices)
+    )
+
+
 class TestConstruction:
     def test_basic_counts(self, paper_example_graph):
         g = paper_example_graph
@@ -30,7 +37,7 @@ class TestConstruction:
         assert g.num_edges == 10
 
     def test_neighbor_lists_sorted(self, paper_example_graph):
-        assert paper_example_graph.has_sorted_neighbors()
+        assert neighbor_lists_sorted(paper_example_graph)
 
     def test_out_neighbors(self, paper_example_graph):
         assert paper_example_graph.out_neighbors(2).tolist() == [0, 1, 3]
@@ -39,15 +46,10 @@ class TestConstruction:
         assert paper_example_graph.degrees().tolist() == [1, 2, 3, 2, 2]
 
     def test_empty_graph(self):
-        g = empty_graph(4)
+        g = from_edges([], num_vertices=4)
         assert g.num_vertices == 4
         assert g.num_edges == 0
         assert g.out_neighbors(0).size == 0
-
-    def test_from_adjacency(self):
-        g = from_adjacency([[1, 2], [2], []])
-        assert g.num_vertices == 3
-        assert g.out_neighbors(0).tolist() == [1, 2]
 
     def test_edge_array_round_trip(self, paper_example_graph):
         edges = paper_example_graph.edge_array()
@@ -114,7 +116,7 @@ class TestTranspose:
         assert fwd == rev
 
     def test_transpose_sorted(self, small_random_graph):
-        assert small_random_graph.transpose().has_sorted_neighbors()
+        assert neighbor_lists_sorted(small_random_graph.transpose())
 
     @given(edges_strategy())
     @settings(max_examples=40, deadline=None)
@@ -133,35 +135,6 @@ class TestTranspose:
         t = g.transpose()
         assert g.num_edges == t.num_edges
         assert int(g.degrees().sum()) == int(t.degrees().sum())
-
-
-class TestNextReference:
-    def test_paper_walkthrough(self, paper_example_graph):
-        # Section III-A: srcData[S1] first touched at D0; its next
-        # reference is D4 (S1's out-neighbors are {0, 4}).
-        g = paper_example_graph
-        assert g.next_reference_after(1, 0) == 4
-
-    def test_none_when_exhausted(self, paper_example_graph):
-        assert paper_example_graph.next_reference_after(1, 4) is None
-
-    def test_strictly_greater(self, paper_example_graph):
-        # current == a neighbor: the *next* one is returned.
-        assert paper_example_graph.next_reference_after(2, 0) == 1
-        assert paper_example_graph.next_reference_after(2, 1) == 3
-
-    @given(edges_strategy(), st.integers(0, 23))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_linear_scan(self, data, current):
-        n, edges = data
-        g = from_edges(edges, num_vertices=n, dedup=True)
-        for v in range(n):
-            expected = None
-            for u in g.out_neighbors(v):
-                if u > current:
-                    expected = int(u)
-                    break
-            assert g.next_reference_after(v, current) == expected
 
 
 class TestRelabel:

@@ -1,4 +1,4 @@
-"""Dynamic-graph epochs and the incremental Rereference-Matrix update.
+"""Dynamic-graph deltas and the incremental Rereference-Matrix update.
 
 The load-bearing property: `update_rereference_matrix` over only the
 delta-touched rows must be bit-identical to a full
@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import GraphFormatError, PolicyError
 from repro.graph import (
-    DynamicGraph,
     EdgeDelta,
     apply_delta,
     from_edges,
@@ -97,22 +96,6 @@ class TestApplyDelta:
 
 
 class TestDynamicGraph:
-    def test_epoch_sequence(self):
-        graph = small_graph()
-        dynamic = DynamicGraph(graph)
-        deltas = [random_delta(dynamic.graph, 5, 5, seed=s) for s in (1, 2)]
-        epochs = list(dynamic.epochs(deltas))
-        assert [epoch.index for epoch in epochs] == [1, 2]
-        assert dynamic.epoch_index == 2
-        assert epochs[-1].graph is dynamic.graph
-        for epoch, delta in zip(epochs, deltas):
-            assert np.array_equal(
-                epoch.changed_sources, delta.touched_sources()
-            )
-            assert np.array_equal(
-                epoch.changed_destinations, delta.touched_destinations()
-            )
-
     def test_random_delta_deterministic(self):
         graph = small_graph()
         first = random_delta(graph, 10, 10, seed=9)
@@ -223,19 +206,18 @@ class TestIncrementalRereference:
 class TestDynamicSimulationSmoke:
     def test_epochs_drive_simulation(self):
         # One full dynamic-mode loop: simulate, mutate, re-simulate —
-        # proving the epoch driver's graphs plug into the normal path.
+        # proving post-delta graphs plug into the normal path.
         from repro.apps import PageRank
         from repro.cache import scaled_hierarchy
         from repro.sim import prepare_run, simulate_prepared
 
         graph = generators.uniform_random(1024, avg_degree=4.0, seed=4)
         hierarchy = scaled_hierarchy("tiny")
-        dynamic = DynamicGraph(graph)
         miss_rates = []
         for seed in (1, 2):
-            prepared = prepare_run(PageRank(), dynamic.graph)
+            prepared = prepare_run(PageRank(), graph)
             result = simulate_prepared(prepared, "LRU", hierarchy)
             miss_rates.append(result.llc_miss_rate)
-            dynamic.apply(random_delta(dynamic.graph, 50, 50, seed=seed))
+            graph = apply_delta(graph, random_delta(graph, 50, 50, seed=seed))
         assert len(miss_rates) == 2
         assert all(0.0 <= rate <= 1.0 for rate in miss_rates)

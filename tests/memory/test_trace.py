@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.memory import MemoryTrace, TraceBuilder, concat_traces
+from repro.memory import MemoryTrace, concat_traces
 
 
 def make_trace(addresses, pcs=None, writes=None, vertices=None):
@@ -37,11 +37,6 @@ class TestMemoryTrace:
                 vertices=np.array([0, 0], np.int32),
             )
 
-    def test_slice(self):
-        t = make_trace([0, 64, 128, 192])
-        s = t.slice(1, 3)
-        assert s.addresses.tolist() == [64, 128]
-
     def test_line_addresses(self):
         t = make_trace([0, 63, 64, 130])
         assert t.line_addresses().tolist() == [0, 0, 1, 2]
@@ -51,7 +46,7 @@ class TestMemoryTrace:
         assert t.stats() == {1: 1, 2: 2}
 
     def test_empty(self):
-        t = TraceBuilder().build()
+        t = concat_traces([])
         assert len(t) == 0
         assert t.next_use_indices().size == 0
 
@@ -82,37 +77,6 @@ class TestNextUse:
             assert next_use[i] == expected
 
 
-class TestTraceBuilder:
-    def test_chunks_in_order(self):
-        builder = TraceBuilder()
-        builder.append_chunk(np.array([0, 64]), pc=1, write=False, vertex=0)
-        builder.append_chunk(np.array([128]), pc=2, write=True, vertex=5)
-        t = builder.build()
-        assert t.addresses.tolist() == [0, 64, 128]
-        assert t.pcs.tolist() == [1, 1, 2]
-        assert bool(t.writes[2])
-        assert t.vertices.tolist() == [0, 0, 5]
-
-    def test_scalar_append(self):
-        builder = TraceBuilder()
-        builder.append_access(4096, pc=3, write=False, vertex=7)
-        t = builder.build()
-        assert len(t) == 1
-        assert t.vertices[0] == 7
-
-    def test_broadcast_arrays(self):
-        builder = TraceBuilder()
-        builder.append_chunk(
-            np.array([0, 64, 128]),
-            pc=np.uint8(2),
-            write=np.array([True, False, True]),
-            vertex=np.array([1, 2, 3], np.int32),
-        )
-        t = builder.build()
-        assert t.writes.tolist() == [True, False, True]
-        assert t.vertices.tolist() == [1, 2, 3]
-
-
 class TestConcat:
     def test_concat(self):
         a = make_trace([0], vertices=[1])
@@ -122,26 +86,12 @@ class TestConcat:
         assert t.vertices.tolist() == [1, 2]
 
     def test_concat_empty_list(self):
-        assert len(concat_traces([])) == 0
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        t = make_trace([0, 64, 128], pcs=[1, 2, 3], writes=[True, False, True],
-                       vertices=[7, 8, 9])
-        path = tmp_path / "trace.npz"
-        t.save(path)
-        loaded = MemoryTrace.load(path)
-        assert np.array_equal(loaded.addresses, t.addresses)
-        assert np.array_equal(loaded.pcs, t.pcs)
-        assert np.array_equal(loaded.writes, t.writes)
-        assert np.array_equal(loaded.vertices, t.vertices)
-
-    def test_rejects_foreign_archive(self, tmp_path):
-        path = tmp_path / "x.npz"
-        np.savez(path, foo=np.arange(3))
-        with pytest.raises(SimulationError):
-            MemoryTrace.load(path)
+        t = concat_traces([])
+        assert len(t) == 0
+        assert t.addresses.dtype == np.int64
+        assert t.pcs.dtype == np.uint8
+        assert t.writes.dtype == bool
+        assert t.vertices.dtype == np.int32
 
 
 class TestPickle:

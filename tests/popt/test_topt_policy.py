@@ -9,7 +9,7 @@ from repro.cache import (
     HierarchyConfig,
     SetAssociativeCache,
 )
-from repro.errors import CacheConfigError, LayoutError, PolicyError
+from repro.errors import CacheConfigError, PolicyError
 from repro.graph import from_edges, uniform_random
 from repro.memory import AddressSpace
 from repro.memory.trace import AccessKind, MemoryTrace
@@ -17,11 +17,9 @@ from repro.popt import (
     POPT,
     TOPT,
     IrregularStream,
-    PoptRegisters,
     PoptStream,
     build_line_references,
     build_rereference_matrix,
-    effective_llc,
     reserved_ways,
 )
 from repro.popt.policy import PoptStream
@@ -263,54 +261,3 @@ class TestArch:
         assert reserved_ways(0, llc) == 0
         with pytest.raises(CacheConfigError):
             reserved_ways(-1, llc)
-
-    def test_effective_llc(self):
-        llc = CacheConfig("LLC", num_sets=16, num_ways=16)
-        shrunk = effective_llc(llc, 2 * llc.way_bytes)
-        assert shrunk.num_ways == 14
-
-    def test_effective_llc_exhausted(self):
-        llc = CacheConfig("LLC", num_sets=16, num_ways=4)
-        with pytest.raises(CacheConfigError):
-            effective_llc(llc, 4 * llc.way_bytes)
-
-    def test_registers_stream_of(self):
-        space = AddressSpace()
-        a = space.alloc("a", 64, 32, irregular=True)
-        b = space.alloc("b", 64, 32, irregular=True)
-        registers = PoptRegisters(
-            irreg_spans=[a, b], epoch_size=4, sub_epoch_size=1
-        )
-        assert registers.stream_of(a.base // 64) == 0
-        assert registers.stream_of(b.base // 64) == 1
-        assert registers.stream_of((b.bound // 64) + 10) == -1
-
-    def test_registers_require_spans(self):
-        with pytest.raises(LayoutError):
-            PoptRegisters(irreg_spans=[], epoch_size=1, sub_epoch_size=1)
-
-
-class TestContextSwitch:
-    def test_save_restore_refetches_columns(self, paper_example_graph):
-        """Section V-F: on resume the streaming engine refetches the
-        resident RM columns; register state survives the switch."""
-        space = AddressSpace()
-        span = space.alloc("srcData", 5, 512, irregular=True)
-        matrix = build_rereference_matrix(
-            paper_example_graph, elems_per_line=1, entry_bits=3,
-            num_lines=span.num_lines,
-        )
-        policy = POPT([PoptStream(span=span, matrix=matrix)])
-        cache = SetAssociativeCache(
-            CacheConfig("LLC", num_sets=1, num_ways=2), policy
-        )
-        ctx = AccessContext(vertex=2)
-        cache.access(span.base >> 6, ctx)
-        saved = policy.save_context()
-        before = policy.counters.bytes_streamed
-        policy.restore_context(saved)
-        assert policy._current_epoch == saved["epoch"]
-        assert (
-            policy.counters.bytes_streamed
-            == before + matrix.resident_bytes()
-        )

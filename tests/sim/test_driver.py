@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from repro.apps import PageRank
-from repro.cache import CacheConfig, HierarchyConfig, scaled_hierarchy
+from repro.cache import CacheConfig, HierarchyConfig
 from repro.cache.hierarchy import CacheHierarchy
 from repro.errors import SimulationError
 from repro.graph import uniform_random
 from repro.policies import GRASP
 from repro.sim import (
-    SimResult,
     prepare_dbg_run,
     grasp_ranges_for,
     prepare_run,
     replay,
-    simulate,
     simulate_prepared,
 )
 from repro.sim.driver import DBG_BOUNDS, llc_filtered_next_use
@@ -56,10 +54,6 @@ class TestSimulate:
         b = simulate_prepared(prepared, "DRRIP", hierarchy)
         assert a.llc.misses == b.llc.misses
         assert a.cycles == b.cycles
-
-    def test_one_call_convenience(self, graph, hierarchy):
-        result = simulate(PageRank(), graph, "LRU", hierarchy)
-        assert isinstance(result, SimResult)
 
     def test_speedup_and_missred_identities(self, prepared, hierarchy):
         lru = simulate_prepared(prepared, "LRU", hierarchy)

@@ -532,14 +532,11 @@ class TestPoptKernelEquivalence:
     def test_way_reservation_configs(self, prepared, hierarchy):
         # fig11's effective-LLC sweep points: kernel vs generic under
         # geometries shrunk by way reservation, down to a single way.
-        from repro.popt.arch import effective_llc
         from repro.sim.driver import _build_popt_policy
 
-        way_bytes = hierarchy.llc.num_sets * hierarchy.line_size
         engine = ReplayEngine(prepared, hierarchy)
         for reserve in (1, 4, hierarchy.llc.num_ways - 1):
-            llc = effective_llc(hierarchy.llc, reserve * way_bytes)
-            assert llc.num_ways == hierarchy.llc.num_ways - reserve
+            llc = hierarchy.llc.with_ways(hierarchy.llc.num_ways - reserve)
             outcome = {}
             for use_kernel in (True, False):
                 policy, _ = _build_popt_policy(
@@ -677,16 +674,15 @@ class TestMultiStreamKernelEquivalence:
 
 
 class TestCompactNextUse:
-    """llc_compact_next_use maps the original-coordinate chain onto the
-    LLC-visible stream, preserving order (the OPT kernel's invariant)."""
+    """PrivateFilter.compact_next_use maps the original-coordinate chain
+    onto the LLC-visible stream, preserving order (the OPT kernel's
+    invariant)."""
 
     def test_compact_matches_original_chain(self, prepared, hierarchy):
-        from repro.sim import get_private_filter, llc_compact_next_use
+        from repro.sim import get_private_filter
 
         filt = get_private_filter(prepared, hierarchy)
-        compact = llc_compact_next_use(
-            prepared.trace, hierarchy, prepared=prepared
-        )
+        compact = filt.compact_next_use()
         # Reference: forward scan over the compacted stream itself.
         lines = filt.lines.tolist()
         m = len(lines)
@@ -703,15 +699,13 @@ class TestCompactNextUse:
         # The original->compact mapping must preserve comparisons: sorting
         # the visible accesses by original next-use and by compact
         # next-use must give the same order (ties broken identically).
-        from repro.sim import get_private_filter, llc_compact_next_use
+        from repro.sim import get_private_filter
 
         filt = get_private_filter(prepared, hierarchy)
         original = llc_filtered_next_use(
             prepared.trace, hierarchy, prepared=prepared
         )[filt.mask]
-        compact = llc_compact_next_use(
-            prepared.trace, hierarchy, prepared=prepared
-        )
+        compact = filt.compact_next_use()
         assert np.array_equal(
             np.argsort(original, kind="stable"),
             np.argsort(compact, kind="stable"),

@@ -172,3 +172,17 @@ class TestHarnessSmoke:
         rows = exp.table4_preprocessing(scale="tiny", graphs=("URAND",))
         assert rows[0]["popt_preprocessing_s"] >= 0
         assert rows[0]["pagerank_execution_s"] > 0
+
+    def test_table4_times_each_side_repeatedly(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            exp, "build_rereference_matrix",
+            lambda graph, **kwargs: calls.append("rm"),
+        )
+        monkeypatch.setattr(
+            exp, "pagerank_reference", lambda graph: calls.append("pr")
+        )
+        exp.table4_preprocessing(scale="tiny", graphs=("URAND",))
+        repeats = exp.TABLE4_REPEATS
+        assert repeats > 1
+        assert calls == ["rm"] * repeats + ["pr"] * repeats

@@ -1,6 +1,8 @@
 """Parallel sweep tests: worker results are bit-identical to serial,
 ordering is deterministic, and the CLI plumbs ``--jobs`` through."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.errors import ReservationError
@@ -173,68 +175,31 @@ class TestChunkEdgeCases:
 
 
 class TestPreparedCacheBound:
-    """The per-process prepared-run cache is a bounded LRU (satellite:
-    long multi-geometry sweeps must not grow worker RSS without limit)."""
+    """The per-process prepared-run cache is a bounded LRU, so long
+    multi-geometry sweeps do not grow worker RSS without limit."""
 
-    def test_cache_evicts_oldest_beyond_cap(self, monkeypatch):
-        from repro.sim import parallel
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        cache = OrderedDict()
+        monkeypatch.setattr(parallel, "_PREPARED_CACHE", cache)
+        monkeypatch.setattr(parallel, "DEFAULT_PREPARED_CACHE_SIZE", 2)
+        return cache
 
-        before = dict(parallel._PREPARED_CACHE)
-        monkeypatch.setenv(parallel.PREPARED_CACHE_ENV, "2")
-        try:
-            parallel._PREPARED_CACHE.clear()
-            for graph in ("URAND", "KRON", "DBP"):
-                run_task(
-                    SweepTask(graph=graph, policies=("LRU",), scale="tiny")
-                )
-            assert len(parallel._PREPARED_CACHE) == 2
-            cached_graphs = {
-                key[1] for key in parallel._PREPARED_CACHE
-            }
-            # Oldest entry (URAND) evicted, most recent two retained.
-            assert cached_graphs == {"KRON", "DBP"}
-        finally:
-            parallel._PREPARED_CACHE.clear()
-            parallel._PREPARED_CACHE.update(before)
+    def test_cache_evicts_oldest_beyond_cap(self, cache):
+        for graph in ("URAND", "KRON", "DBP"):
+            run_task(SweepTask(graph=graph, policies=("LRU",), scale="tiny"))
+        assert len(cache) == 2
+        # Oldest entry (URAND) evicted, most recent two retained.
+        assert {key[1] for key in cache} == {"KRON", "DBP"}
 
-    def test_lru_order_refreshed_on_hit(self, monkeypatch):
-        from repro.sim import parallel
-
-        before = dict(parallel._PREPARED_CACHE)
-        monkeypatch.setenv(parallel.PREPARED_CACHE_ENV, "2")
-        try:
-            parallel._PREPARED_CACHE.clear()
-            run_task(SweepTask(graph="URAND", policies=("LRU",),
-                               scale="tiny"))
-            run_task(SweepTask(graph="KRON", policies=("LRU",),
-                               scale="tiny"))
-            # Touch URAND again: it becomes most-recent, so adding DBP
-            # must evict KRON, not URAND.
-            run_task(SweepTask(graph="URAND", policies=("DRRIP",),
-                               scale="tiny"))
-            run_task(SweepTask(graph="DBP", policies=("LRU",),
-                               scale="tiny"))
-            cached_graphs = {
-                key[1] for key in parallel._PREPARED_CACHE
-            }
-            assert cached_graphs == {"URAND", "DBP"}
-        finally:
-            parallel._PREPARED_CACHE.clear()
-            parallel._PREPARED_CACHE.update(before)
-
-    def test_default_cap_when_env_unset(self, monkeypatch):
-        from repro.sim import parallel
-
-        monkeypatch.delenv(parallel.PREPARED_CACHE_ENV, raising=False)
-        assert parallel._prepared_cache_cap() == (
-            parallel.DEFAULT_PREPARED_CACHE_SIZE
-        )
-        monkeypatch.setenv(parallel.PREPARED_CACHE_ENV, "junk")
-        assert parallel._prepared_cache_cap() == (
-            parallel.DEFAULT_PREPARED_CACHE_SIZE
-        )
-        monkeypatch.setenv(parallel.PREPARED_CACHE_ENV, "0")
-        assert parallel._prepared_cache_cap() == 1
+    def test_lru_order_refreshed_on_hit(self, cache):
+        run_task(SweepTask(graph="URAND", policies=("LRU",), scale="tiny"))
+        run_task(SweepTask(graph="KRON", policies=("LRU",), scale="tiny"))
+        # Touch URAND again: it becomes most-recent, so adding DBP
+        # must evict KRON, not URAND.
+        run_task(SweepTask(graph="URAND", policies=("DRRIP",), scale="tiny"))
+        run_task(SweepTask(graph="DBP", policies=("LRU",), scale="tiny"))
+        assert {key[1] for key in cache} == {"URAND", "DBP"}
 
 
 class TestTechniqueValidation:
