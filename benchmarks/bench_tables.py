@@ -41,11 +41,11 @@ def bench_table4_preprocessing(benchmark):
         scale=get_scale(), graphs=get_graphs(),
     )
     ratios = [row["ratio"] for row in rows]
-    # Recorded per scale (small in table4.txt), so EXPERIMENTS.md can
-    # state how the ratio moves with scale from measured files.
-    scale = get_scale()
+    # Recorded per scale (table4.txt at small, table4_medium.txt at
+    # medium), so EXPERIMENTS.md can state how the ratio moves with
+    # scale from measured files.
     report(
-        "table4" if scale == "small" else f"table4_{scale}",
+        "table4",
         "P-OPT preprocessing cost vs PageRank runtime",
         rows,
         notes=f"Mean RM-build / PageRank ratio: "
@@ -56,5 +56,5 @@ def bench_table4_preprocessing(benchmark):
     # Preprocessing must be a fraction of a full PageRank run, not a
     # multiple of it. At "tiny" scale fixed numpy overheads dominate both
     # sides, so the ratio is only meaningful from "small" up.
-    if scale != "tiny":
+    if get_scale() != "tiny":
         assert statistics.mean(ratios) < 1.0

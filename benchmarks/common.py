@@ -5,7 +5,11 @@
 runs its experiment once under pytest-benchmark (wall-clock of the whole
 experiment), prints the rows the paper reports, and writes them to
 ``benchmarks/results/``, stamped with the scale and the source commit,
-so EXPERIMENTS.md can cite a concrete run.
+so EXPERIMENTS.md can cite a concrete run. Results at the default
+``small`` scale keep the plain name (``fig10.txt``,
+``BENCH_kernels.json``); any other scale adds it as a suffix
+(``fig10_tiny.txt``, ``BENCH_kernels_tiny.json``), so a smoke run at
+``tiny`` never overwrites the recorded ``small`` results.
 
 Environment knobs:
 
@@ -84,10 +88,18 @@ def source_commit() -> str:
     return f"{commit}+dirty" if changed else commit
 
 
+def scaled_name(name: str) -> str:
+    """``name`` at the default ``small`` scale, else ``name_<scale>``."""
+    scale = get_scale()
+    return name if scale == "small" else f"{name}_{scale}"
+
+
 def report(experiment_id: str, title: str,
            rows: List[Dict[str, object]],
            notes: str = "") -> None:
-    """Print the experiment's rows and persist them under results/.
+    """Print the experiment's rows and persist them as
+    ``results/<experiment_id>.txt`` (named by scale, see
+    :func:`scaled_name`).
 
     When an artifact store is active (``REPRO_ARTIFACTS_DIR``), the
     saved report records its hit/miss counters so a reader can tell a
@@ -101,21 +113,23 @@ def report(experiment_id: str, title: str,
             f"{stats['misses']} misses / {stats['writes']} writes "
             f"({stats['root']})"
         )
+    name = scaled_name(experiment_id)
     table = format_table(
         rows,
-        f"{experiment_id}: {title} "
+        f"{name}: {title} "
         f"[scale={get_scale()}, commit={source_commit()}]",
     )
     text = table + ("\n\n" + notes if notes else "") + "\n"
     print("\n" + text)
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{experiment_id}.txt").write_text(text)
+    (RESULTS_DIR / f"{name}.txt").write_text(text)
 
 
 def write_json_report(name: str, payload: Dict[str, object]) -> Path:
-    """Persist a throughput report as ``results/BENCH_<name>.json`` (CI
-    reads it back and checks its floors)."""
-    path = RESULTS_DIR / f"BENCH_{name}.json"
+    """Persist a throughput report as ``results/BENCH_<name>.json``,
+    named by scale like :func:`report` (CI reads the ``small`` file back
+    and checks its floors)."""
+    path = RESULTS_DIR / f"BENCH_{scaled_name(name)}.json"
     RESULTS_DIR.mkdir(exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path

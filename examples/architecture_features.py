@@ -23,7 +23,7 @@ from repro.apps import (
     main_thread_vertex_channel,
 )
 from repro.cache import BankMapper, scaled_hierarchy
-from repro.popt.arch import nuca_locality_report, reserved_ways
+from repro.popt.arch import nuca_locality_report
 from repro.popt.rereference import epoch_geometry
 from repro.sim.timing import TimingModel
 

@@ -35,8 +35,8 @@ asserts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..errors import SanitizerError
 from .cache import INVALID_TAG, SetAssociativeCache

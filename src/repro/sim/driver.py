@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..apps.base import GraphApp, PreparedRun
 from ..cache.cache import AccessContext
 from ..cache.config import HierarchyConfig
@@ -51,7 +49,7 @@ __all__ = [
 #: Replay engines accepted by :func:`simulate_prepared`. ``fast`` is the
 #: three-phase engine (decode once, filter the private levels once per
 #: hierarchy, replay only the LLC-visible stream per policy), which
-#: additionally dispatches to a set-partitioned replay kernel
+#: additionally dispatches to a compiled replay kernel
 #: (:mod:`repro.sim.kernels`) when the policy has one;
 #: ``generic`` is the same engine with kernel dispatch disabled (the
 #: per-access LLC loop, kept addressable for equivalence testing);
@@ -130,24 +128,6 @@ def replay(trace, hierarchy: CacheHierarchy) -> None:
         ctx.vertex = vertices[index]
         ctx.write = writes[index]
         access_line(lines[index], ctx)
-
-
-def llc_filtered_next_use(
-    trace,
-    hierarchy_config: HierarchyConfig,
-    prepared: Optional[PreparedRun] = None,
-) -> np.ndarray:
-    """Next-use indices over the accesses that actually reach the LLC.
-
-    L1/L2 run deterministic, policy-independent Bit-PLRU, so the set of
-    accesses that miss both private levels is the same in every measured
-    run. The mask comes from the replay engine's shared private-level
-    filter — cached on ``prepared`` when given, so Belady's oracle does
-    not replay the private levels a second time — and every access's
-    stored value is the index of the line's next *LLC-visible* access
-    (``len(trace)`` when there is none).
-    """
-    return llc_visible_next_use(trace, hierarchy_config, prepared=prepared)
 
 
 def _build_popt_policy(
@@ -280,7 +260,7 @@ def simulate_prepared(
             # accesses absorbed by L1/L2 never reach it, so next-use is
             # computed over the LLC-visible subsequence (the engine's
             # cached private-level filter, shared with the replay below).
-            ctx.next_use = llc_filtered_next_use(
+            ctx.next_use = llc_visible_next_use(
                 prepared.trace, hierarchy_config, prepared=prepared
             )
         llc_policy = make_policy(policy_name, ctx)

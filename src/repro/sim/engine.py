@@ -59,7 +59,6 @@ from .kernels import (
     KernelRequest,
     brrip_fill_outcomes,
     compiled_next_use,
-    compiled_set_partition,
     fused_private_filter,
     replay_bit_plru_stream,
     resolve_kernel,
@@ -97,9 +96,9 @@ class PrivateFilter:
     """Cached result of replaying the private levels once (phase 2).
 
     The LLC-visible subsequence is stored **once**, as numpy arrays; the
-    plain-list views the generic per-access loop wants (and the per-set
-    partitions and set indices the replay kernels want) are derived
-    lazily and memoized, so a filter costs one copy of the stream
+    plain-list views the generic per-access loop wants (and the set
+    indices, next-use chain and other products the replay kernels want)
+    are derived lazily and memoized, so a filter costs one copy of the stream
     regardless of how many replay paths consume it.
     """
 
@@ -132,7 +131,6 @@ class PrivateFilter:
         )
         self._lists: Optional[tuple] = None
         self._compact_next_use: Optional[np.ndarray] = None
-        self._partition_arrays: Dict[int, tuple] = {}
         self._set_index_arrays: Dict[int, np.ndarray] = {}
         self._memberships: Dict[tuple, tuple] = {}
         self._fill_outcomes: Dict[int, np.ndarray] = {}
@@ -189,40 +187,9 @@ class PrivateFilter:
             self._compact_next_use = next_use
         return self._compact_next_use
 
-    def set_partition_arrays(self, config: CacheConfig) -> tuple:
-        """Per-set grouping of the stream, as contiguous numpy arrays.
-
-        Returns ``(counts, sorted_lines, sorted_writes, order)``:
-        ``order`` is the stable argsort by set index, ``counts`` the
-        per-set access counts (int64), ``sorted_lines`` int64 and
-        ``sorted_writes`` uint8 — the exact layouts the compiled kernels
-        take by pointer. Memoized per set count, so a whole policy sweep
-        pays for one sort.
-        """
-        num_sets = config.num_sets
-        cached = self._partition_arrays.get(num_sets)
-        if cached is None:
-            lines = np.asarray(self.lines)
-            set_idx = self.set_index_array(config)
-            cached = compiled_set_partition(
-                lines, np.asarray(self.writes), set_idx, num_sets
-            )
-            if cached is None:
-                order = np.argsort(set_idx, kind="stable")
-                cached = (
-                    np.bincount(set_idx, minlength=num_sets).astype(np.int64),
-                    np.ascontiguousarray(lines[order], dtype=np.int64),
-                    np.ascontiguousarray(
-                        np.asarray(self.writes)[order], dtype=np.uint8
-                    ),
-                    order,
-                )
-            _freeze(*cached)
-            self._partition_arrays[num_sets] = cached
-        return cached
-
     def set_index_array(self, config: CacheConfig) -> np.ndarray:
-        """Per-access set indices (int64; access-order kernels)."""
+        """Per-access set indices (int64), memoized per LLC set count:
+        what every LLC replay kernel reads to find an access's set."""
         num_sets = config.num_sets
         cached = self._set_index_arrays.get(num_sets)
         if cached is None:

@@ -104,7 +104,8 @@ def engine_throughput_sweep(
 #: Policy lists of the two kernel benches (registry kernels, next-ref
 #: kernels); both run :func:`kernel_throughput_sweep`.
 KERNEL_SWEEP_POLICIES = (
-    "LRU", "SRRIP", "DRRIP", "OPT", "SHiP-PC", "Hawkeye"
+    "LRU", "LIP", "Bit-PLRU", "SRRIP", "BRRIP", "DRRIP", "OPT",
+    "SHiP-PC", "Hawkeye",
 )
 POPT_KERNEL_SWEEP_POLICIES = ("T-OPT", "P-OPT", "P-OPT-Inter", "P-OPT-SE")
 
@@ -121,7 +122,8 @@ def kernel_throughput_sweep(
     generic per-access engine and with the policy's replay kernel
     (:mod:`repro.sim.kernels`), recording phase-3 replay seconds and the
     kernel's speedup. A warm-up pass per engine builds the private
-    filter, next-use, and set-partition caches first, so the measured
+    filter and its memoized products (set indices, next-use chain, fill
+    outcomes) first, so the measured
     numbers isolate the replay loop. The miss columns come from both
     paths and let callers assert bit-identity; ``kernel`` is the
     dispatched kernel name (``None`` means the generic engine ran) and

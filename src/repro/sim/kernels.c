@@ -5,9 +5,9 @@
  * repro.popt) — same probe order, same victim tie-breaks, same
  * dirty/writeback bookkeeping. Those classes are the executable
  * specification; the equivalence suite compares compiled vs generic vs
- * reference. The front-end helpers (k_private_filter, k_next_use,
- * k_set_partition) match their numpy/Python constructions in
- * repro.sim.engine and repro.sim.kernels the same way.
+ * reference. The front-end helpers (k_private_filter, k_next_use)
+ * match their numpy/Python constructions in repro.sim.engine and
+ * repro.sim.kernels the same way.
  *
  * Built on demand by repro.sim.ckernels via the system C compiler and
  * loaded with ctypes; when no compiler is available every policy
@@ -45,6 +45,14 @@
  * Residency probes are linear tag scans: a set's ways hold distinct
  * lines, so "first way whose tag matches" answers exactly what the
  * reference cache's tags.index(line) answers.
+ *
+ * Every LLC replay kernel walks the LLC-visible stream in access order:
+ * sidx[k] is access k's set, and the per-way state lives in flat
+ * (set, way) arrays carved from ws, one array per field with set s's
+ * ways at s * ways, followed by the per-set fill counts. A policy that
+ * keeps no cross-set state gets the same result in any interleaving of
+ * its sets; the others (a global fill RNG, DRRIP's PSEL, a predictor
+ * table) need exactly this order.
  */
 
 #include <stdint.h>
@@ -64,11 +72,6 @@ typedef int32_t i32;
             if ((resident)[_w] == (line)) { (way) = _w; break; }             \
     } while (0)
 
-/* Set-partitioned kernels carve 3-4 way-sized arrays from ws (the
- * Python wrapper in kernels.py sizes it) and re-initialize
- * them at every set boundary, so the workspace contents never leak
- * between sets or calls. */
-
 /* Index of the first minimum of stamps[0..ways): one pass of selects
  * (no data-dependent branch), keeping the earliest way on a tie. */
 static i64 first_min(const i64 *stamps, i64 ways)
@@ -83,133 +86,140 @@ static i64 first_min(const i64 *stamps, i64 ways)
     return way;
 }
 
-void k_lru(const i64 *lines, const u8 *writes, const i64 *counts,
-           i64 num_sets, i64 ways, i64 *ws, i64 *out)
+/* LRU, and LIP when `lip` is set. The reference's global clock is only
+ * ever compared within a set, so the access index serves as the clock:
+ * a hit (and an LRU fill) stamps a fresh maximum of its set. A LIP fill
+ * inserts at the LRU point instead, one below the set's current
+ * minimum, computed over the victim's stale stamp (reference order).
+ * ws carves 3 * num_sets * ways + num_sets words. */
+void k_lru(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
+           i64 num_sets, i64 ways, i64 lip, i64 *ws, i64 *out)
 {
     i64 hits = 0, misses = 0, evics = 0, wbs = 0;
+    i64 total = num_sets * ways;
     i64 *resident = ws;
-    i64 *stamps = ws + ways;
-    i64 *dirty = ws + 2 * ways;
-    i64 start = 0, s, k, w;
-    for (s = 0; s < num_sets; s++) {
-        i64 count = counts[s];
-        i64 stop = start + count;
-        i64 filled = 0, clock = 0;
-        if (!count) continue;
-        for (w = 0; w < ways; w++) { resident[w] = -1; stamps[w] = 0; dirty[w] = 0; }
-        for (k = start; k < stop; k++) {
-            i64 line = lines[k], way;
-            PROBE(way, resident, filled, line);
-            if (way >= 0) {
-                hits++;
-                if (writes[k]) dirty[way] = 1;
+    i64 *stamps = ws + total;
+    i64 *dirty = ws + 2 * total;
+    i64 *filled = ws + 3 * total;
+    i64 k;
+    for (k = 0; k < total; k++) { resident[k] = -1; stamps[k] = 0; dirty[k] = 0; }
+    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    for (k = 0; k < n; k++) {
+        i64 line = lines[k], s = sidx[k], base = s * ways, way;
+        i64 *res_s = resident + base;
+        i64 *stamp_s = stamps + base;
+        PROBE(way, res_s, filled[s], line);
+        if (way >= 0) {
+            hits++;
+            if (writes[k]) dirty[base + way] = 1;
+            stamp_s[way] = k + 1;
+        } else {
+            misses++;
+            if (filled[s] < ways) {
+                way = filled[s]++;
             } else {
-                misses++;
-                if (filled < ways) {
-                    way = filled++;
-                } else {
-                    way = first_min(stamps, ways);
-                    evics++;
-                    if (dirty[way]) wbs++;
-                }
-                resident[way] = line;
-                dirty[way] = writes[k];
+                way = first_min(stamp_s, ways);
+                evics++;
+                if (dirty[base + way]) wbs++;
             }
-            stamps[way] = ++clock;
+            res_s[way] = line;
+            dirty[base + way] = writes[k];
+            stamp_s[way] = lip ? stamp_s[first_min(stamp_s, ways)] - 1
+                               : k + 1;
         }
-        start = stop;
     }
     out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
 }
 
-void k_lip(const i64 *lines, const u8 *writes, const i64 *counts,
-           i64 num_sets, i64 ways, i64 *ws, i64 *out)
-{
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 *resident = ws;
-    i64 *stamps = ws + ways;
-    i64 *dirty = ws + 2 * ways;
-    i64 start = 0, s, k, w;
-    for (s = 0; s < num_sets; s++) {
-        i64 count = counts[s];
-        i64 stop = start + count;
-        i64 filled = 0, clock = 0;
-        if (!count) continue;
-        for (w = 0; w < ways; w++) { resident[w] = -1; stamps[w] = 0; dirty[w] = 0; }
-        for (k = start; k < stop; k++) {
-            i64 line = lines[k], way;
-            PROBE(way, resident, filled, line);
-            if (way >= 0) {
-                hits++;
-                if (writes[k]) dirty[way] = 1;
-                stamps[way] = ++clock;        /* promote to MRU */
-            } else {
-                misses++;
-                if (filled < ways) {
-                    way = filled++;
-                } else {
-                    way = first_min(stamps, ways);
-                    evics++;
-                    if (dirty[way]) wbs++;
-                }
-                resident[way] = line;
-                dirty[way] = writes[k];
-                /* LRU-point insertion: strictly below the current min,
-                 * computed over the victim's stale stamp (reference
-                 * order). */
-                stamps[way] = stamps[first_min(stamps, ways)] - 1;
-            }
-        }
-        start = stop;
-    }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
-}
-
-void k_bit_plru(const i64 *lines, const u8 *writes, const i64 *counts,
+/* Bit-PLRU: fill the next free way, else evict the lowest way whose MRU
+ * bit is clear (way 0 in the 1-way case); every touch sets the way's
+ * bit, and a touch that would set the last one clears the others. ws
+ * carves 3 * num_sets * ways + num_sets words. */
+void k_bit_plru(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
                 i64 num_sets, i64 ways, i64 *ws, i64 *out)
 {
     i64 hits = 0, misses = 0, evics = 0, wbs = 0;
+    i64 total = num_sets * ways;
     i64 *resident = ws;
-    i64 *mru = ws + ways;
-    i64 *dirty = ws + 2 * ways;
-    i64 start = 0, s, k, w;
-    for (s = 0; s < num_sets; s++) {
-        i64 count = counts[s];
-        i64 stop = start + count;
-        i64 filled = 0;
-        if (!count) continue;
-        for (w = 0; w < ways; w++) { resident[w] = -1; mru[w] = 0; dirty[w] = 0; }
-        for (k = start; k < stop; k++) {
-            i64 line = lines[k], way;
-            i64 nset;
-            PROBE(way, resident, filled, line);
-            if (way >= 0) {
-                hits++;
-                if (writes[k]) dirty[way] = 1;
+    i64 *mru = ws + total;
+    i64 *dirty = ws + 2 * total;
+    i64 *filled = ws + 3 * total;
+    i64 k, w;
+    for (k = 0; k < total; k++) { resident[k] = -1; mru[k] = 0; dirty[k] = 0; }
+    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    for (k = 0; k < n; k++) {
+        i64 line = lines[k], s = sidx[k], base = s * ways, way, nset;
+        i64 *res_s = resident + base;
+        i64 *mru_s = mru + base;
+        PROBE(way, res_s, filled[s], line);
+        if (way >= 0) {
+            hits++;
+            if (writes[k]) dirty[base + way] = 1;
+        } else {
+            misses++;
+            if (filled[s] < ways) {
+                way = filled[s]++;
             } else {
-                misses++;
-                if (filled < ways) {
-                    way = filled++;
-                } else {
-                    /* lowest clear MRU bit; way 0 in the 1-way case */
-                    way = 0;
-                    for (w = 0; w < ways; w++)
-                        if (!mru[w]) { way = w; break; }
-                    evics++;
-                    if (dirty[way]) wbs++;
-                }
-                resident[way] = line;
-                dirty[way] = writes[k];
+                way = 0;
+                for (w = 0; w < ways; w++)
+                    if (!mru_s[w]) { way = w; break; }
+                evics++;
+                if (dirty[base + way]) wbs++;
             }
-            mru[way] = 1;
-            nset = 0;
-            for (w = 0; w < ways; w++) nset += mru[w];
-            if (nset == ways) {
-                for (w = 0; w < ways; w++) mru[w] = 0;
-                mru[way] = 1;
-            }
+            res_s[way] = line;
+            dirty[base + way] = writes[k];
         }
-        start = stop;
+        mru_s[way] = 1;
+        nset = 0;
+        for (w = 0; w < ways; w++) nset += mru_s[w];
+        if (nset == ways) {
+            for (w = 0; w < ways; w++) mru_s[w] = 0;
+            mru_s[way] = 1;
+        }
+    }
+    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
+}
+
+/* Belady's MIN: evict the first way whose line is next used farthest
+ * away. next_use[k] is the compact (LLC-visible-stream) position of the
+ * next access to lines[k]'s line, n when there is none. ws carves
+ * 3 * num_sets * ways + num_sets words. */
+void k_opt(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
+           i64 num_sets, i64 ways, const i64 *next_use, i64 *ws, i64 *out)
+{
+    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
+    i64 total = num_sets * ways;
+    i64 *resident = ws;
+    i64 *line_next = ws + total;
+    i64 *dirty = ws + 2 * total;
+    i64 *filled = ws + 3 * total;
+    i64 k, w;
+    for (k = 0; k < total; k++) { resident[k] = -1; line_next[k] = 0; dirty[k] = 0; }
+    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    for (k = 0; k < n; k++) {
+        i64 line = lines[k], s = sidx[k], base = s * ways, way;
+        i64 *res_s = resident + base;
+        i64 *next_s = line_next + base;
+        PROBE(way, res_s, filled[s], line);
+        if (way >= 0) {
+            hits++;
+            if (writes[k]) dirty[base + way] = 1;
+        } else {
+            misses++;
+            if (filled[s] < ways) {
+                way = filled[s]++;
+            } else {
+                i64 far = next_s[0];
+                way = 0;
+                for (w = 1; w < ways; w++)
+                    if (next_s[w] > far) { far = next_s[w]; way = w; }
+                evics++;
+                if (dirty[base + way]) wbs++;
+            }
+            res_s[way] = line;
+            dirty[base + way] = writes[k];
+        }
+        next_s[way] = next_use[k];
     }
     out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
 }
@@ -232,140 +242,40 @@ static i64 rrip_victim(i64 *rrpv, i64 ways, i64 rmax)
     return way;
 }
 
-void k_srrip(const i64 *lines, const u8 *writes, const i64 *counts,
-             i64 num_sets, i64 ways, i64 rmax, i64 *ws, i64 *out)
+/* A DRRIP fill's insertion RRPV, in the reference's _miss_feedback ->
+ * role -> insertion order: a leader set votes PSEL first, then its
+ * fixed role (1 = SRRIP, 2 = BRRIP) decides its own insertion, while a
+ * follower (role 0) reads the updated PSEL. A BRRIP insertion consumes
+ * the next fill outcome. k_drrip and P-OPT's tie-break both fill
+ * through this one sequence. */
+static inline __attribute__((always_inline)) i64
+drrip_fill(i64 role, i64 *psel, i64 psel_max, i64 rmax,
+           const u8 *trickled, i64 *dc)
 {
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 *resident = ws;
-    i64 *rrpv = ws + ways;
-    i64 *dirty = ws + 2 * ways;
-    i64 start = 0, s, k, w;
-    for (s = 0; s < num_sets; s++) {
-        i64 count = counts[s];
-        i64 stop = start + count;
-        i64 filled = 0;
-        if (!count) continue;
-        for (w = 0; w < ways; w++) { resident[w] = -1; rrpv[w] = rmax; dirty[w] = 0; }
-        for (k = start; k < stop; k++) {
-            i64 line = lines[k], way;
-            PROBE(way, resident, filled, line);
-            if (way >= 0) {
-                hits++;
-                if (writes[k]) dirty[way] = 1;
-                rrpv[way] = 0;
-            } else {
-                misses++;
-                if (filled < ways) {
-                    way = filled++;
-                } else {
-                    way = rrip_victim(rrpv, ways, rmax);
-                    evics++;
-                    if (dirty[way]) wbs++;
-                }
-                resident[way] = line;
-                dirty[way] = writes[k];
-                rrpv[way] = rmax - 1;
-            }
-        }
-        start = stop;
+    i64 use_brrip;
+    if (role == 1) {
+        if (*psel < psel_max) ++*psel;
+        use_brrip = 0;
+    } else if (role == 2) {
+        if (*psel > 0) --*psel;
+        use_brrip = 1;
+    } else {
+        use_brrip = *psel > psel_max / 2;
     }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
+    if (!use_brrip) return rmax - 1;
+    return trickled[(*dc)++] ? rmax - 1 : rmax;
 }
 
-void k_opt(const i64 *lines, const u8 *writes, const i64 *snext,
-           const i64 *counts, i64 num_sets, i64 ways, i64 *ws, i64 *out)
-{
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 *resident = ws;
-    i64 *line_next = ws + ways;
-    i64 *dirty = ws + 2 * ways;
-    i64 start = 0, s, k, w;
-    for (s = 0; s < num_sets; s++) {
-        i64 count = counts[s];
-        i64 stop = start + count;
-        i64 filled = 0;
-        if (!count) continue;
-        for (w = 0; w < ways; w++) { resident[w] = -1; line_next[w] = 0; dirty[w] = 0; }
-        for (k = start; k < stop; k++) {
-            i64 line = lines[k], way;
-            PROBE(way, resident, filled, line);
-            if (way >= 0) {
-                hits++;
-                if (writes[k]) dirty[way] = 1;
-            } else {
-                misses++;
-                if (filled < ways) {
-                    way = filled++;
-                } else {
-                    i64 far = line_next[0];
-                    way = 0;
-                    for (w = 1; w < ways; w++)
-                        if (line_next[w] > far) { far = line_next[w]; way = w; }
-                    evics++;
-                    if (dirty[way]) wbs++;
-                }
-                resident[way] = line;
-                dirty[way] = writes[k];
-            }
-            line_next[way] = snext[k];
-        }
-        start = stop;
-    }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
-}
-
-/* Access-order kernels: a global fill RNG (and DRRIP's PSEL) couples
- * the sets, so these walk the stream in original order with flat
- * (set, way) state arrays carved from the caller's workspace. */
-
-void k_brrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
-             i64 num_sets, i64 ways, i64 rmax, const u8 *trickled,
-             i64 *ws, i64 *out)
-{
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 total = num_sets * ways;
-    i64 *resident = ws;
-    i64 *rrpv = ws + total;
-    i64 *dirty = ws + 2 * total;
-    i64 *filled = ws + 3 * total;
-    i64 k, dc = 0;
-    for (k = 0; k < total; k++) { resident[k] = -1; rrpv[k] = rmax; dirty[k] = 0; }
-    for (k = 0; k < num_sets; k++) filled[k] = 0;
-    for (k = 0; k < n; k++) {
-        i64 line = lines[k];
-        i64 base = sidx[k] * ways;
-        i64 *res_s = resident + base;
-        i64 *rrpv_s = rrpv + base;
-        i64 way;
-        PROBE(way, res_s, filled[sidx[k]], line);
-        if (way >= 0) {
-            hits++;
-            if (writes[k]) dirty[base + way] = 1;
-            rrpv_s[way] = 0;
-        } else {
-            misses++;
-            if (filled[sidx[k]] < ways) {
-                way = filled[sidx[k]]++;
-            } else {
-                way = rrip_victim(rrpv_s, ways, rmax);
-                evics++;
-                if (dirty[base + way]) wbs++;
-            }
-            res_s[way] = line;
-            dirty[base + way] = writes[k];
-            rrpv_s[way] = trickled[dc++] ? rmax - 1 : rmax;
-        }
-    }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
-}
-
+/* DRRIP set dueling over SRRIP and BRRIP; leader[s] is set s's role.
+ * SRRIP is the case where every set is an SRRIP leader and BRRIP the
+ * case where every set is a BRRIP leader, so one kernel replays all
+ * three. ws carves 3 * num_sets * ways + num_sets words. */
 void k_drrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
              i64 num_sets, i64 ways, i64 rmax, i64 psel, i64 psel_max,
              const i64 *leader, const u8 *trickled, i64 *ws, i64 *out)
 {
     i64 hits = 0, misses = 0, evics = 0, wbs = 0;
     i64 total = num_sets * ways;
-    i64 psel_half = psel_max / 2;
     i64 *resident = ws;
     i64 *rrpv = ws + total;
     i64 *dirty = ws + 2 * total;
@@ -386,7 +296,6 @@ void k_drrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
             if (writes[k]) dirty[base + way] = 1;
             rrpv_s[way] = 0;
         } else {
-            i64 role, use_brrip;
             misses++;
             if (filled[s] < ways) {
                 way = filled[s]++;
@@ -397,23 +306,8 @@ void k_drrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
             }
             res_s[way] = line;
             dirty[base + way] = writes[k];
-            /* _miss_feedback -> role -> insertion, reference order:
-             * leaders vote PSEL first, then their fixed role decides
-             * their own insertion; followers read the updated PSEL. */
-            role = leader[s];
-            if (role == 1) {
-                if (psel < psel_max) psel++;
-                use_brrip = 0;
-            } else if (role == 2) {
-                if (psel > 0) psel--;
-                use_brrip = 1;
-            } else {
-                use_brrip = psel > psel_half;
-            }
-            if (!use_brrip)
-                rrpv_s[way] = rmax - 1;
-            else
-                rrpv_s[way] = trickled[dc++] ? rmax - 1 : rmax;
+            rrpv_s[way] = drrip_fill(leader[s], &psel, psel_max, rmax,
+                                     trickled, &dc);
         }
     }
     out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
@@ -618,7 +512,7 @@ popt_replay(const i64 *lines, const u8 *writes, const i32 *vertices,
 {
     i64 hits = 0, misses = 0, evics = 0, wbs = 0;
     i64 repl = 0, sevic = 0, rml = 0, ties = 0, tiec = 0;
-    i64 psel = psel_max / 2, psel_half = psel_max / 2;
+    i64 psel = psel_max / 2;
     i64 total = num_sets * ways;
     i64 *filled = ws + POPT_WORDS * total;
     i64 *wref = filled + num_sets;
@@ -652,7 +546,7 @@ popt_replay(const i64 *lines, const u8 *writes, const i32 *vertices,
             if (writes[k]) dirty[way] = 1;
             rrpv[way] = 0;
         } else {
-            i64 role, use_brrip, stream = sid[k];
+            i64 stream = sid[k];
             misses++;
             if (filled[s] < ways) {
                 way = filled[s]++;
@@ -716,21 +610,8 @@ popt_replay(const i64 *lines, const u8 *writes, const i32 *vertices,
             dirty[way] = writes[k];
             wsid[way] = stream;
             wrow[way] = stream >= 0 ? bases[stream] + off[k] : -1;
-            /* DRRIP tie-break fill (same sequence as k_drrip). */
-            role = leader[s];
-            if (role == 1) {
-                if (psel < psel_max) psel++;
-                use_brrip = 0;
-            } else if (role == 2) {
-                if (psel > 0) psel--;
-                use_brrip = 1;
-            } else {
-                use_brrip = psel > psel_half;
-            }
-            if (!use_brrip)
-                rrpv[way] = rmax - 1;
-            else
-                rrpv[way] = trickled[dc++] ? rmax - 1 : rmax;
+            rrpv[way] = drrip_fill(leader[s], &psel, psel_max, rmax,
+                                   trickled, &dc);
         }
     }
     out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
@@ -796,7 +677,7 @@ enum { PLRU_MRU, PLRU_DIRTY, PLRU_FILLED, PLRU_WORDS };
  * is clear (way 0 when none is, the 1-way case); every touch sets the
  * way's MRU bit, and a touch that would set the last one clears the
  * others.  Sets are independent, so replaying them interleaved in
- * access order is bit-identical to the set-partitioned replay. */
+ * access order is bit-identical to replaying them one after another. */
 static i64 plru_access(i64 *set, i64 ways, u64 full, i64 line, i64 write,
                        i64 *stats)
 {
@@ -924,27 +805,6 @@ void k_next_use(const i64 *lines, i64 n, i64 cap, i64 *ws, i64 *next_use)
             }
             slot = (slot + 1) & (cap - 1);
         }
-    }
-}
-
-/* Stable counting sort by precomputed set index: the same counts /
- * order / sorted_lines / sorted_writes quadruple engine.py builds
- * with np.argsort(kind="stable") + fancy indexing.  ws carves one
- * cursor per set. */
-void k_set_partition(const i64 *lines, const u8 *writes, const i64 *sidx,
-                     i64 n, i64 num_sets, i64 *counts, i64 *order,
-                     i64 *sorted_lines, u8 *sorted_writes, i64 *ws)
-{
-    i64 *cursor = ws;
-    i64 k, s, run = 0;
-    for (s = 0; s < num_sets; s++) counts[s] = 0;
-    for (k = 0; k < n; k++) counts[sidx[k]]++;
-    for (s = 0; s < num_sets; s++) { cursor[s] = run; run += counts[s]; }
-    for (k = 0; k < n; k++) {
-        i64 pos = cursor[sidx[k]]++;
-        order[pos] = k;
-        sorted_lines[pos] = lines[k];
-        sorted_writes[pos] = writes[k];
     }
 }
 

@@ -1,4 +1,4 @@
-"""Set-partitioned LLC replay kernels (phase-3 fast paths).
+"""Compiled LLC replay kernels (phase-3 fast paths).
 
 The three-phase engine (:mod:`repro.sim.engine`) reduced a policy sweep
 to "replay the LLC-visible stream per policy". The generic replay walks
@@ -15,8 +15,8 @@ counts.
 
 Each ``kernel_*`` is a thin wrapper: it gathers the cached numpy
 products of the :class:`~repro.sim.engine.PrivateFilter` (set
-partitions, set indices, next-use chain, region membership, fill
-outcomes), makes one C call and wraps the counters. When no compiled
+indices, next-use chain, region membership, fill outcomes), makes one C
+call and wraps the counters. When no compiled
 library is available (no toolchain, or a build that failed and said
 why), :func:`resolve_kernel` returns None and every policy replays
 through the generic engine — slower, never different.
@@ -33,20 +33,24 @@ Shared bit-identical transformations (vs. ``SetAssociativeCache``):
   reference's age-until-found loop always terminates after one bump, at
   the same first-index victim.
 
-Two kernel shapes:
+Every kernel walks the LLC-visible stream in access order over flat
+(set, way) state, reading the per-access set indices the filter
+memoizes per LLC set count
+(:meth:`~repro.sim.engine.PrivateFilter.set_index_array`). Policies
+that keep no cross-set state (LRU, LIP, Bit-PLRU, SRRIP, OPT) give the
+same result in any interleaving of their sets; the others need exactly
+this order, because global state couples the sets (the BRRIP-family
+fill RNG, DRRIP's PSEL set-dueling counter, SHiP's signature table,
+Hawkeye's predictor). Per policy:
 
-**Set-partitioned** (LRU, LIP, Bit-PLRU, SRRIP, OPT) — these policies
-keep no state that couples cache sets, so the accesses are grouped by
-set index with one stable sort (cached on the ``PrivateFilter`` per LLC
-set count) and each set is simulated over its own compact subsequence.
-Correctness argument per policy:
-
-- *LRU / LIP*: the reference's global clock is only ever **compared**
-  within a set, so a per-set clock that preserves the relative order of
-  touches yields identical victims. Hits always stamp a fresh per-set
-  maximum; LIP fills stamp ``min - 1``, a fresh per-set minimum — the
-  order relations (and tie structure) match the reference exactly.
-- *Bit-PLRU / SRRIP*: all metadata is per-set already.
+- *LRU / LIP* share ``k_lru``: the reference's global clock is only
+  ever **compared** within a set, so the access index serves as the
+  clock. Hits stamp a fresh per-set maximum; LIP fills stamp
+  ``min - 1``, a fresh per-set minimum, so the order relations (and tie
+  structure) match the reference exactly.
+- *SRRIP / BRRIP* are ``k_drrip`` with every set a leader of the one
+  policy (role 1 or 2), so the set-dueling vote never decides an
+  insertion.
 - *OPT*: victims are chosen by first-max of stored next-use positions.
   The kernel stores **compact** (LLC-visible-stream) positions where the
   reference stores original-trace positions; the original->compact
@@ -54,10 +58,6 @@ Correctness argument per policy:
   respective stream length), so every comparison — including first-max
   tie-breaks — is preserved.
 
-**Access-order** (BRRIP, DRRIP, SHiP-PC, Hawkeye) — global state
-couples the sets through the order of accesses (the BRRIP-family fill
-RNG, DRRIP's PSEL set-dueling counter, SHiP's signature table,
-Hawkeye's predictor), so these kernels keep the original access order.
 The BRRIP-family kernels only ever test a fill draw against the trickle
 probability, so they read that test's outcome: one uint8 per
 LLC-visible access (a safe upper bound on fills), generated from the
@@ -78,11 +78,9 @@ remembers its resident line's annotation, resolved in C when the line
 is filled, and the victim scan is a binary search over T-OPT's flat
 refs CSR / inlined Algorithm 2 arithmetic over the epoch-major
 Rereference Matrix columns (both inputs built once per prepared run).
-Both run in access order over flat (set, way) state arrays: P-OPT
-because its DRRIP tie-break carries the same PSEL/RNG coupling as
-:func:`kernel_drrip`, T-OPT because the same per-access arrays then
-serve both and no set partition is needed (it keeps no cross-set state
-and its counters are sums, so the order changes nothing). ``k_popt``
+P-OPT's DRRIP tie-break fills through the same C sequence as
+``k_drrip``; T-OPT keeps no cross-set state and its counters are sums,
+so the access order changes none of its results. ``k_popt``
 compiles its victim scan once per Rereference Matrix variant and picks
 one per call. Both write the engine-cost counters the timing model and
 Fig. 15 consume back onto the policy instance, bit-identical to the
@@ -90,9 +88,9 @@ generic path. No per-replay Python work remains beyond gathering those
 memoized arrays.
 
 The private-level front-end keeps a Python form: the per-set loop of
-:func:`replay_bit_plru_stream` and the numpy next-use and set-partition
-paths of :class:`~repro.sim.engine.PrivateFilter` run whenever the
-compiled helpers here return None. Every policy, kernel-covered or not,
+:func:`replay_bit_plru_stream` and the numpy next-use path of
+:class:`~repro.sim.engine.PrivateFilter` run whenever the compiled
+helpers here return None. Every policy, kernel-covered or not,
 needs the private filter, and the generic engine has nothing to replace
 it.
 
@@ -144,7 +142,6 @@ __all__ = [
     "replay_bit_plru_stream",
     "fused_private_filter",
     "compiled_next_use",
-    "compiled_set_partition",
 ]
 
 
@@ -154,7 +151,7 @@ class KernelRequest:
 
     config: CacheConfig       # effective LLC geometry (post way-reservation)
     policy: object            # unbound policy instance (parameters only)
-    filt: "PrivateFilter"     # LLC-visible stream + cached partitions
+    filt: "PrivateFilter"     # LLC-visible stream + memoized products
 
 
 def _finish(
@@ -183,20 +180,6 @@ def _ws(size: int) -> np.ndarray:
     kernel carves its per-set/per-way state out of one caller-owned
     int64 array and initializes it itself, so ``empty`` is safe)."""
     return np.empty(int(size), dtype=np.int64)
-
-
-def _c_partitioned(name: str, req: KernelRequest) -> CacheStats:
-    """Invoke a plain set-partitioned C kernel:
-    ``fn(lines, writes, counts, num_sets, ways, ws, out)``."""
-    config = req.config
-    counts, slines, swrites, _ = req.filt.set_partition_arrays(config)
-    out = np.zeros(4, dtype=np.int64)
-    getattr(ckernels.lib(), name)(
-        slines, swrites, counts,
-        config.num_sets, config.num_ways,
-        _ws(3 * config.num_ways), out,
-    )
-    return _finish(config, *out.tolist())
 
 
 def _fill_draws(seed: int, n: int) -> np.ndarray:
@@ -434,97 +417,8 @@ def compiled_next_use(lines: np.ndarray) -> Optional[np.ndarray]:
     return next_use
 
 
-def compiled_set_partition(
-    lines: np.ndarray,
-    writes: np.ndarray,
-    set_idx: np.ndarray,
-    num_sets: int,
-) -> Optional[tuple]:
-    """Stable set partition via ``k_set_partition``, or None.
-
-    A counting sort over the precomputed set indices produces the same
-    ``(counts, sorted_lines, sorted_writes, order)`` quadruple as the
-    ``np.argsort(kind="stable")`` path in
-    :meth:`~repro.sim.engine.PrivateFilter.set_partition_arrays`.
-    """
-    clib = ckernels.lib()
-    if clib is None:
-        return None
-    n = len(lines)
-    counts = np.empty(num_sets, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    sorted_lines = np.empty(n, dtype=np.int64)
-    sorted_writes = np.empty(n, dtype=np.uint8)
-    lines_arr = np.ascontiguousarray(lines, dtype=np.int64)
-    writes_arr = np.ascontiguousarray(writes, dtype=np.uint8)
-    sidx_arr = np.ascontiguousarray(set_idx, dtype=np.int64)
-    clib.k_set_partition(
-        lines_arr, writes_arr, sidx_arr, n, num_sets,
-        counts, order, sorted_lines, sorted_writes,
-        _ws(num_sets),
-    )
-    return counts, sorted_lines, sorted_writes, order
-
-
 # ----------------------------------------------------------------------
-# Set-partitioned kernels
-# ----------------------------------------------------------------------
-
-
-def kernel_lru(req: KernelRequest) -> CacheStats:
-    """Timestamp LRU, one tight loop per set."""
-    return _c_partitioned("k_lru", req)
-
-
-def kernel_lip(req: KernelRequest) -> CacheStats:
-    """LIP: hits promote to a fresh maximum, fills insert at min - 1."""
-    return _c_partitioned("k_lip", req)
-
-
-def kernel_bit_plru(req: KernelRequest) -> CacheStats:
-    """Bit-PLRU at the LLC (same rules as the private-level replay)."""
-    return _c_partitioned("k_bit_plru", req)
-
-
-def kernel_srrip(req: KernelRequest) -> CacheStats:
-    """SRRIP: pure per-set RRPV state, long-interval insertion."""
-    config = req.config
-    counts, slines, swrites, _ = req.filt.set_partition_arrays(config)
-    out = np.zeros(4, dtype=np.int64)
-    ckernels.lib().k_srrip(
-        slines, swrites, counts,
-        config.num_sets, config.num_ways, req.policy.rrpv_max,
-        _ws(3 * config.num_ways), out,
-    )
-    return _finish(config, *out.tolist())
-
-
-def kernel_opt(req: KernelRequest) -> CacheStats:
-    """Belady's MIN over compact (LLC-visible-stream) next-use positions.
-
-    The reference :class:`~repro.policies.opt.BeladyOPT` stores each
-    line's next use as an *original trace* position; this kernel stores
-    the position within the compacted LLC-visible stream instead (no
-    ``AccessContext`` needed — the sorted positions index straight into
-    the compact chain). The mapping between the two coordinate systems is
-    strictly increasing, so the first-max victim is the same.
-    """
-    config = req.config
-    counts, slines, swrites, order = req.filt.set_partition_arrays(config)
-    snext = np.ascontiguousarray(
-        req.filt.compact_next_use()[order], dtype=np.int64
-    )
-    out = np.zeros(4, dtype=np.int64)
-    ckernels.lib().k_opt(
-        slines, swrites, snext, counts,
-        config.num_sets, config.num_ways,
-        _ws(3 * config.num_ways), out,
-    )
-    return _finish(config, *out.tolist())
-
-
-# ----------------------------------------------------------------------
-# Access-order kernels (global RNG / set-dueling state couples the sets)
+# LLC replay kernels (access order over flat (set, way) state)
 # ----------------------------------------------------------------------
 
 
@@ -539,26 +433,47 @@ def _access_order_arrays(req: KernelRequest) -> tuple:
     )
 
 
-def kernel_brrip(req: KernelRequest) -> CacheStats:
-    """BRRIP: one global fill RNG, so the original access order is kept.
-
-    The trickle draw happens once per fill in global order — exactly the
-    reference's RNG consumption — which rules out set partitioning; the
-    kernel reads the filter's memoized fill outcomes for the policy's
-    seed (:meth:`~repro.sim.engine.PrivateFilter.fill_outcomes`).
-    """
+def _c_flat(name: str, req: KernelRequest, *params) -> CacheStats:
+    """Invoke an LLC kernel whose state is three flat (set, way) fields
+    plus the per-set fill counts:
+    ``fn(lines, writes, sidx, n, num_sets, ways, *params, ws, out)``."""
     config = req.config
-    policy = req.policy
     n, lines, writes, sidx = _access_order_arrays(req)
+    num_sets = config.num_sets
+    num_ways = config.num_ways
     out = np.zeros(4, dtype=np.int64)
-    ckernels.lib().k_brrip(
-        lines, writes, sidx, n,
-        config.num_sets, config.num_ways, policy.rrpv_max,
-        req.filt.fill_outcomes(policy._seed),
-        _ws(3 * config.num_sets * config.num_ways + config.num_sets),
-        out,
+    getattr(ckernels.lib(), name)(
+        lines, writes, sidx, n, num_sets, num_ways, *params,
+        _ws(3 * num_sets * num_ways + num_sets), out,
     )
     return _finish(config, *out.tolist())
+
+
+def kernel_lru(req: KernelRequest) -> CacheStats:
+    """Timestamp LRU, with the access index as the clock."""
+    return _c_flat("k_lru", req, 0)
+
+
+def kernel_lip(req: KernelRequest) -> CacheStats:
+    """LIP: hits promote to a fresh maximum, fills insert at min - 1."""
+    return _c_flat("k_lru", req, 1)
+
+
+def kernel_bit_plru(req: KernelRequest) -> CacheStats:
+    """Bit-PLRU at the LLC (same rules as the private-level replay)."""
+    return _c_flat("k_bit_plru", req)
+
+
+def kernel_opt(req: KernelRequest) -> CacheStats:
+    """Belady's MIN over compact (LLC-visible-stream) next-use positions.
+
+    The reference :class:`~repro.policies.opt.BeladyOPT` stores each
+    line's next use as an *original trace* position; this kernel reads
+    the filter's compact next-use chain instead (no ``AccessContext``
+    needed). The mapping between the two coordinate systems is strictly
+    increasing, so the first-max victim is the same.
+    """
+    return _c_flat("k_opt", req, req.filt.compact_next_use())
 
 
 def _drrip_leader_roles(num_sets: int, period: int) -> np.ndarray:
@@ -570,6 +485,32 @@ def _drrip_leader_roles(num_sets: int, period: int) -> np.ndarray:
     return leader
 
 
+def kernel_srrip(req: KernelRequest) -> CacheStats:
+    """SRRIP: ``k_drrip`` with every set an SRRIP leader (role 1), so
+    every fill inserts at ``rmax - 1`` and no fill outcome is read."""
+    return _c_flat(
+        "k_drrip", req, req.policy.rrpv_max, 0, 0,
+        np.full(req.config.num_sets, 1, dtype=np.int64),
+        np.zeros(1, dtype=np.uint8),
+    )
+
+
+def kernel_brrip(req: KernelRequest) -> CacheStats:
+    """BRRIP: ``k_drrip`` with every set a BRRIP leader (role 2).
+
+    The trickle draw happens once per fill in global order — exactly the
+    reference's RNG consumption — so the kernel reads the filter's
+    memoized fill outcomes for the policy's seed
+    (:meth:`~repro.sim.engine.PrivateFilter.fill_outcomes`).
+    """
+    policy = req.policy
+    return _c_flat(
+        "k_drrip", req, policy.rrpv_max, 0, 0,
+        np.full(req.config.num_sets, 2, dtype=np.int64),
+        req.filt.fill_outcomes(policy._seed),
+    )
+
+
 def kernel_drrip(req: KernelRequest) -> CacheStats:
     """DRRIP: set-dueling PSEL + global fill RNG, kept in access order.
 
@@ -578,21 +519,13 @@ def kernel_drrip(req: KernelRequest) -> CacheStats:
     the updated PSEL) decides the leader's own insertion; followers read
     the post-feedback PSEL.
     """
-    config = req.config
     policy = req.policy
-    n, lines, writes, sidx = _access_order_arrays(req)
-    num_sets = config.num_sets
-    num_ways = config.num_ways
     psel_max = policy.psel_max
-    out = np.zeros(4, dtype=np.int64)
-    ckernels.lib().k_drrip(
-        lines, writes, sidx, n,
-        num_sets, num_ways, policy.rrpv_max, psel_max // 2, psel_max,
-        _drrip_leader_roles(num_sets, policy.leader_period),
+    return _c_flat(
+        "k_drrip", req, policy.rrpv_max, psel_max // 2, psel_max,
+        _drrip_leader_roles(req.config.num_sets, policy.leader_period),
         req.filt.fill_outcomes(policy._seed),
-        _ws(3 * num_sets * num_ways + num_sets), out,
     )
-    return _finish(config, *out.tolist())
 
 
 def kernel_ship(req: KernelRequest) -> CacheStats:

@@ -9,9 +9,10 @@ scale, seed, policy names) and every worker **rebuilds** the prepared
 run locally on first use, memoizing it in a per-process cache keyed by
 ``(app, graph, scale, seed)``. Graph generation and app execution are
 seed-deterministic, so every worker reconstructs byte-identical traces;
-the private-level filter and the kernel partition caches then live on
-the worker's own :class:`~repro.apps.base.PreparedRun` and are shared
-by all policies chunked into the same task. Nothing large crosses the
+the private-level filter and the products the replay kernels memoize
+on it then live on the worker's own
+:class:`~repro.apps.base.PreparedRun` and are shared by all policies
+chunked into the same task. Nothing large crosses the
 process boundary in either direction — results come back as plain
 per-policy stat dicts.
 
@@ -186,9 +187,9 @@ def policy_chunks(
 # Per-process prepared-run cache, LRU-bounded so long multi-geometry
 # sweeps don't grow worker RSS without limit. In a worker this persists
 # across all tasks the pool hands it; in the parent (serial path) it
-# plays the same role. PreparedRun hosts the decoded-trace/filter/
-# partition caches, so reusing one across tasks is what makes chunked
-# sweeps fast — the bound only matters once a sweep touches more
+# plays the same role. PreparedRun hosts the decoded trace, the filter
+# and its memoized products, so reusing one across tasks is what makes
+# chunked sweeps fast — the bound only matters once a sweep touches more
 # (app, graph, technique) combinations than fit. Entries rebuild
 # deterministically from task descriptors, so workers never diverge.
 _PREPARED_CACHE: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()

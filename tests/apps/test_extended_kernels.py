@@ -16,7 +16,6 @@ from repro.apps import (
 )
 from repro.apps.sssp import INF
 from repro.cache import CacheConfig, HierarchyConfig
-from repro.memory.trace import AccessKind
 from repro.sim import prepare_run, simulate_prepared
 
 

@@ -4,7 +4,7 @@ kernels' loop nests (Algorithm 1's access pattern)."""
 import numpy as np
 import pytest
 
-from repro.graph import from_edges, load, uniform_random
+from repro.graph import from_edges, uniform_random
 from repro.memory.trace import AccessKind
 from repro.apps import (
     ConnectedComponents,

@@ -1,6 +1,5 @@
 """Tests for the banked S-NUCA LLC (Section V-E dynamic model)."""
 
-import numpy as np
 import pytest
 
 from repro.apps import PageRank

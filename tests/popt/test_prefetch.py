@@ -12,7 +12,7 @@ from repro.cache import (
     scaled_hierarchy,
 )
 from repro.graph import uniform_random
-from repro.memory.trace import AccessKind, MemoryTrace
+from repro.memory.trace import MemoryTrace
 from repro.policies import DRRIP, LRU
 from repro.prefetch import (
     IndirectPrefetcher,

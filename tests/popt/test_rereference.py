@@ -1,6 +1,5 @@
 """Tests for the Rereference Matrix and Algorithm 2."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -2,7 +2,6 @@
 decode, geometry edge cases."""
 
 import numpy as np
-import pytest
 
 from repro.graph import from_edges, uniform_random
 from repro.popt import build_rereference_matrix

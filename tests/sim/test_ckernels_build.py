@@ -205,11 +205,11 @@ class TestDerivedBoundary:
                         f"{ckernels.build_error()}")
         lines = np.arange(8, dtype=np.int64)
         writes = np.zeros(8, dtype=np.int64)  # kernel takes const u8 *
-        counts = np.array([8], dtype=np.int64)
-        ws = np.empty(3 * 2, dtype=np.int64)
+        sidx = np.zeros(8, dtype=np.int64)
+        ws = np.empty(3 * 2 + 1, dtype=np.int64)
         out = np.zeros(4, dtype=np.int64)
         with pytest.raises(ctypes.ArgumentError, match="uint8"):
-            clib.k_lru(lines, writes, counts, 1, 2, ws, out)
+            clib.k_lru(lines, writes, sidx, 8, 1, 2, 0, ws, out)
 
     def test_strided_array_raises_at_call(self, toolchain):
         clib, args = self._next_use(np.arange(16, dtype=np.int64)[::2])

@@ -16,7 +16,8 @@ from repro.sim import (
     replay,
     simulate_prepared,
 )
-from repro.sim.driver import DBG_BOUNDS, llc_filtered_next_use
+from repro.sim.driver import DBG_BOUNDS
+from repro.sim.engine import llc_visible_next_use
 from repro.sim.timing import TimingModel
 
 
@@ -81,7 +82,7 @@ class TestOracleFiltering:
             writes=np.zeros(3, bool),
             vertices=np.zeros(3, np.int32),
         )
-        next_use = llc_filtered_next_use(trace, hierarchy)
+        next_use = llc_visible_next_use(trace, hierarchy)
         assert next_use[0] == 3
 
     def test_opt_beats_or_matches_every_heuristic(self, prepared, hierarchy):

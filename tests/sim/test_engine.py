@@ -21,7 +21,8 @@ from repro.sim import (
     prepare_run,
     simulate_prepared,
 )
-from repro.sim.driver import POPT_POLICIES, llc_filtered_next_use
+from repro.sim.driver import POPT_POLICIES
+from repro.sim.engine import llc_visible_next_use
 from repro.sim.kernels import KERNEL_TABLE, resolve_kernel
 
 
@@ -255,7 +256,7 @@ class TestSetIndexProperty:
 class TestFilteredNextUse:
     def test_matches_backward_scan(self, prepared, hierarchy):
         trace = prepared.trace
-        next_use = llc_filtered_next_use(trace, hierarchy)
+        next_use = llc_visible_next_use(trace, hierarchy)
         # Reference: the original backward dict scan over the mask.
         filt = build_private_filter(trace, hierarchy)
         lines = (trace.addresses >> 6).tolist()
@@ -282,7 +283,7 @@ class TestFilteredNextUse:
             writes=np.zeros(3, bool),
             vertices=np.zeros(3, np.int32),
         )
-        next_use = llc_filtered_next_use(trace, hierarchy)
+        next_use = llc_visible_next_use(trace, hierarchy)
         assert next_use[0] == 3
         assert next_use[1] == 3 and next_use[2] == 3
 
@@ -296,7 +297,7 @@ class TestFilteredNextUse:
             writes=empty.astype(bool),
             vertices=empty.astype(np.int32),
         )
-        assert len(llc_filtered_next_use(trace, hierarchy)) == 0
+        assert len(llc_visible_next_use(trace, hierarchy)) == 0
 
 
 class TestEngineRunShape:
@@ -403,7 +404,7 @@ class TestKernelEquivalence:
         llc_sets=st.sampled_from([1, 3, 8]),   # incl. non-power-of-two
         llc_ways=st.sampled_from([1, 2, 4]),   # incl. direct-mapped
         policy=st.sampled_from(
-            ["LRU", "LIP", "Bit-PLRU", "SRRIP", "DRRIP", "OPT"]
+            ["LRU", "LIP", "Bit-PLRU", "SRRIP", "BRRIP", "DRRIP", "OPT"]
         ),
     )
     def test_odd_geometries(self, lines, llc_sets, llc_ways, policy):
@@ -427,7 +428,8 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("llc_ways", [1, 64])
     @pytest.mark.parametrize(
-        "policy", ["LRU", "LIP", "SRRIP", "BRRIP", "DRRIP"]
+        "policy",
+        ["LRU", "LIP", "Bit-PLRU", "SRRIP", "BRRIP", "DRRIP", "OPT"],
     )
     def test_way_count_extremes(self, llc_ways, policy):
         # Direct-mapped and 64-way LLCs under a stream that evicts from
@@ -702,7 +704,7 @@ class TestCompactNextUse:
         from repro.sim import get_private_filter
 
         filt = get_private_filter(prepared, hierarchy)
-        original = llc_filtered_next_use(
+        original = llc_visible_next_use(
             prepared.trace, hierarchy, prepared=prepared
         )[filt.mask]
         compact = filt.compact_next_use()

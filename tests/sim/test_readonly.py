@@ -55,10 +55,7 @@ class TestFilterChannels:
         products = [
             filt.compact_next_use(),
             filt.set_index_array(config),
-            *[
-                arr for arr in filt.set_partition_arrays(config)
-                if isinstance(arr, np.ndarray)
-            ],
+            filt.fill_outcomes(0),
             *filt.stream_membership(((0, 4),)),
         ]
         for product in products:
