@@ -98,8 +98,8 @@ class PrivateFilter:
     The LLC-visible subsequence is stored **once**, as numpy arrays; the
     plain-list views the generic per-access loop wants (and the set
     indices, next-use chain and other products the replay kernels want)
-    are derived lazily and memoized, so a filter costs one copy of the stream
-    regardless of how many replay paths consume it.
+    are derived lazily and memoized, so a filter costs one copy of the
+    stream regardless of how many replay paths consume it.
     """
 
     key: tuple

@@ -14,12 +14,12 @@ executable specification; a kernel is only a faster way to the same
 counts.
 
 Each ``kernel_*`` is a thin wrapper: it gathers the cached numpy
-products of the :class:`~repro.sim.engine.PrivateFilter` (set
-indices, next-use chain, region membership, fill outcomes), makes one C
-call and wraps the counters. When no compiled
-library is available (no toolchain, or a build that failed and said
-why), :func:`resolve_kernel` returns None and every policy replays
-through the generic engine — slower, never different.
+products of the :class:`~repro.sim.engine.PrivateFilter` (set indices,
+next-use chain, region membership, fill outcomes), makes one C call and
+wraps the counters. When no compiled library is available (no
+toolchain, or a build that failed and said why), :func:`resolve_kernel`
+returns None and every policy replays through the generic engine —
+slower, never different.
 
 Shared bit-identical transformations (vs. ``SetAssociativeCache``):
 
@@ -80,9 +80,9 @@ refs CSR / inlined Algorithm 2 arithmetic over the epoch-major
 Rereference Matrix columns (both inputs built once per prepared run).
 P-OPT's DRRIP tie-break fills through the same C sequence as
 ``k_drrip``; T-OPT keeps no cross-set state and its counters are sums,
-so the access order changes none of its results. ``k_popt``
-compiles its victim scan once per Rereference Matrix variant and picks
-one per call. Both write the engine-cost counters the timing model and
+so the access order changes none of its results. ``k_popt`` compiles
+its victim scan once per Rereference Matrix variant and picks one per
+call. Both write the engine-cost counters the timing model and
 Fig. 15 consume back onto the policy instance, bit-identical to the
 generic path. No per-replay Python work remains beyond gathering those
 memoized arrays.
@@ -90,9 +90,8 @@ memoized arrays.
 The private-level front-end keeps a Python form: the per-set loop of
 :func:`replay_bit_plru_stream` and the numpy next-use path of
 :class:`~repro.sim.engine.PrivateFilter` run whenever the compiled
-helpers here return None. Every policy, kernel-covered or not,
-needs the private filter, and the generic engine has nothing to replace
-it.
+helpers here return None. Every policy, kernel-covered or not, needs
+the private filter, and the generic engine has nothing to replace it.
 
 Dispatch: :data:`KERNEL_TABLE` maps a policy's exact type to its kernel
 name and implementation, and :func:`resolve_kernel` looks a policy up

@@ -455,6 +455,23 @@ class TestKernelEquivalence:
         assert_results_match(fast, ref)
         assert fast.llc.evictions > 0 and fast.llc.hits > 0
 
+    def test_drrip_follower_at_psel_midpoint(self):
+        # Set 0 leads SRRIP, set 1 follows. Line 1 fills set 1 while
+        # PSEL sits at its midpoint, so a follower must insert SRRIP
+        # there (PSEL > midpoint picks BRRIP). Set 0's miss then tips
+        # PSEL, line 3 fills BRRIP, and line 5 evicts line 3, not line
+        # 1, so the last access hits.
+        prepared = synthetic_prepared([1, 0, 3, 5, 1], [False] * 5)
+        config = HierarchyConfig(
+            l1=CacheConfig("L1", num_sets=1, num_ways=1),
+            llc=CacheConfig("LLC", num_sets=2, num_ways=2),
+        )
+        fast = simulate_prepared(prepared, "DRRIP", config, engine="fast")
+        ref = simulate_prepared(prepared, "DRRIP", config, engine="reference")
+        assert_kernel_dispatch(fast)
+        assert_results_match(fast, ref)
+        assert fast.llc.hits == 1
+
 
 @pytest.fixture(scope="module")
 def small_prepared():
