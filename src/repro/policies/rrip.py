@@ -16,6 +16,7 @@ keeps an M-bit RRPV per line; victims are lines with the maximum RRPV
 from __future__ import annotations
 
 import random
+from typing import List
 
 from ..sim.constants import (
     BRRIP_TRICKLE,
@@ -25,7 +26,7 @@ from ..sim.constants import (
 )
 from .base import ReplacementPolicy
 
-__all__ = ["SRRIP", "BRRIP", "DRRIP"]
+__all__ = ["SRRIP", "BRRIP", "DRRIP", "drrip_leader_roles"]
 
 
 class _RRIPBase(ReplacementPolicy):
@@ -98,6 +99,19 @@ class BRRIP(_RRIPBase):
         return self.rrpv_max
 
 
+def drrip_leader_roles(num_sets: int, period: int) -> List[int]:
+    """DRRIP's set roles: 0 follower, 1 SRRIP leader, 2 BRRIP leader.
+
+    Within each period of sets, set 0 leads SRRIP and set period // 2
+    leads BRRIP (a standard static mapping; at period 1 every set leads
+    SRRIP). The policy and its replay kernels read this one map.
+    """
+    return [
+        1 if s % period == 0 else 2 if s % period == period // 2 else 0
+        for s in range(num_sets)
+    ]
+
+
 class DRRIP(_RRIPBase):
     """Dynamic RRIP via set dueling between SRRIP and BRRIP insertion."""
 
@@ -119,15 +133,7 @@ class DRRIP(_RRIPBase):
         super().reset()
         self._rng = random.Random(self._seed)
         self._psel = self.psel_max // 2
-        # Leader assignment: within each period of sets, set 0 leads SRRIP
-        # and set period/2 leads BRRIP (a standard static mapping).
-        self._leader = [0] * self.num_sets  # 0 follower, 1 SRRIP, 2 BRRIP
-        for set_idx in range(self.num_sets):
-            phase = set_idx % self.leader_period
-            if phase == 0:
-                self._leader[set_idx] = 1
-            elif phase == self.leader_period // 2:
-                self._leader[set_idx] = 2
+        self._leader = drrip_leader_roles(self.num_sets, self.leader_period)
 
     def _miss_feedback(self, set_idx: int) -> None:
         # A miss in a leader set votes against that leader's policy.

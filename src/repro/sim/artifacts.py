@@ -507,7 +507,7 @@ def cached_filter(store: ArtifactStore, trace, hierarchy_config):
     if entry is None:
         return None
     from ..cache.stats import CacheStats
-    from .engine import PrivateFilter, filter_key
+    from .engine import PrivateFilter
 
     meta = entry["meta"]
     arrays = entry["arrays"]
@@ -517,7 +517,6 @@ def cached_filter(store: ArtifactStore, trace, hierarchy_config):
 
     try:
         return PrivateFilter(
-            key=filter_key(hierarchy_config),
             num_accesses=meta["num_accesses"],
             mask=arrays["mask"],
             l1_stats=stats_from(meta["l1_stats"]),

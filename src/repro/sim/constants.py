@@ -46,12 +46,17 @@ __all__ = [
     "POPT_SPARAM_LAYOUT",
     "POPT_SPARAM_SLOTS",
     "POPT_DECODE_SLOTS",
+    "LLC_WAY_WORDS",
+    "PLRU_SET_WORDS",
+    "NEXT_USE_SLOT_WORDS",
     "KERNEL_SIG_SPACE",
     "SHIP_SHCT_MAX",
     "SHIP_SHCT_INITIAL",
     "HAWKEYE_RRPV_MAX",
     "HAWKEYE_COUNTER_MAX",
     "HAWKEYE_COUNTER_INITIAL",
+    "HAWKEYE_SAMPLED_WORDS",
+    "HAWKEYE_SLOT_WORDS",
     "C_DEFINES",
     "WIDTH_CONTRACTS",
     "storage_dtype",
@@ -178,6 +183,23 @@ POPT_SPARAM_SLOTS = len(POPT_SPARAM_LAYOUT)
 POPT_DECODE_SLOTS = 8
 
 
+#: Workspace words each LLC replay kernel keeps per (set, way): the
+#: resident line, the dirty bit and the policy's own fields.
+#: ``kernels.c`` carves that many (set, way) arrays and the wrappers in
+#: :mod:`repro.sim.kernels` size the workspace with the same number.
+LLC_WAY_WORDS: Dict[str, int] = {
+    "k_lru": 3, "k_bit_plru": 3, "k_opt": 3, "k_drrip": 3,
+    "k_topt": 7, "k_popt": 5, "k_ship": 5, "k_hawkeye": 4,
+}
+
+#: Private-level Bit-PLRU words per set after its resident lines (its
+#: MRU bits, dirty bits and fill count).
+PLRU_SET_WORDS = 3
+
+#: Words per slot of ``k_next_use``'s line map (a line, its position).
+NEXT_USE_SLOT_WORDS = 2
+
+
 # ----------------------------------------------------------------------
 # PC-predictor policies (SHiP / Hawkeye replay kernels)
 # ----------------------------------------------------------------------
@@ -197,6 +219,12 @@ SHIP_SHCT_INITIAL = 1
 HAWKEYE_RRPV_MAX = 7
 HAWKEYE_COUNTER_MAX = 7
 HAWKEYE_COUNTER_INITIAL = 4
+
+#: ``k_hawkeye`` workspace words per sampled set beside its occupancy
+#: window (window start, length, clock) and per line-map slot (line,
+#: last access time, PC).
+HAWKEYE_SAMPLED_WORDS = 3
+HAWKEYE_SLOT_WORDS = 3
 
 
 # ----------------------------------------------------------------------
@@ -356,4 +384,12 @@ C_DEFINES: Dict[str, int] = {
     "HAWKEYE_RRPV_MAX": HAWKEYE_RRPV_MAX,
     "HAWKEYE_COUNTER_MAX": HAWKEYE_COUNTER_MAX,
     "HAWKEYE_COUNTER_INITIAL": HAWKEYE_COUNTER_INITIAL,
+    "PLRU_SET_WORDS": PLRU_SET_WORDS,
+    "NEXT_USE_SLOT_WORDS": NEXT_USE_SLOT_WORDS,
+    "HAWKEYE_SAMPLED_WORDS": HAWKEYE_SAMPLED_WORDS,
+    "HAWKEYE_SLOT_WORDS": HAWKEYE_SLOT_WORDS,
+    **{
+        f"{name[2:].upper()}_WAY_WORDS": words
+        for name, words in LLC_WAY_WORDS.items()
+    },
 }

@@ -102,7 +102,6 @@ class PrivateFilter:
     stream regardless of how many replay paths consume it.
     """
 
-    key: tuple
     num_accesses: int
     mask: np.ndarray                 # True where the access reaches the LLC
     l1_stats: Optional[CacheStats]   # exact snapshots (copy() before use)
@@ -279,7 +278,6 @@ def build_private_filter(
         mask[visible_idx] = True
         elapsed = time.perf_counter() - start
         return PrivateFilter(
-            key=filter_key(config),
             num_accesses=n,
             mask=mask,
             l1_stats=l1_stats,
@@ -326,7 +324,6 @@ def build_private_filter(
     mask[visible_idx] = True
     elapsed = time.perf_counter() - start
     return PrivateFilter(
-        key=filter_key(config),
         num_accesses=n,
         mask=mask,
         l1_stats=l1_stats,

@@ -20,18 +20,22 @@
  * i64|i32|u8|u16|double [*] name`; anything else refuses to load.
  *
  * Shared numeric constants (TOPT_NEVER, the POPT_SP_* parameter-block
- * slots, the RM_VARIANT_* codes, the SHiP/Hawkeye bounds) are not
- * defined in this file: the loader passes every
- * repro.sim.constants.C_DEFINES entry as a -D flag, so the bit layouts
- * have one definition, on the Python side.
+ * slots, the RM_VARIANT_* codes, the SHiP/Hawkeye bounds, the
+ * *_WAY_WORDS workspace widths) are not defined in this file: the
+ * loader passes every repro.sim.constants.C_DEFINES entry as a -D
+ * flag, so the bit layouts have one definition, on the Python side.
  *
  * Determinism discipline, enforced by how the file is built and
  * loaded: no heap allocation or other external calls (the object is
  * freestanding and linked with -nostdlib -Wl,-z,defs, so any call this
  * file does not define fails the link), and no mutable state, at file
  * or function scope (the loader refuses a .so with a writable section
- * such as .data or .bss). Every kernel's scratch is carved from a
- * caller-provided int64 workspace `ws` and fully initialized here.
+ * such as .data or .bss). Every exported function's scratch is carved
+ * from a caller-provided int64 workspace `ws` of `ws_len` words and
+ * fully initialized here. A workspace shorter than the carve needs is
+ * refused before anything is written to it: the function returns at
+ * once with minus the words it needs in the first word of its output
+ * array (out[0], or next_use[0]).
  *
  * Randomness: BRRIP/DRRIP/P-OPT consume `random.Random` draws in fill
  * order, and only ever test `draw < trickle`. Reproducing the Mersenne
@@ -41,18 +45,6 @@
  * trickle probability, generated with the *same* RNG the reference
  * policy owns and memoized per private filter and seed. Consumption
  * order matches the reference's lazy draws exactly.
- *
- * Residency probes are linear tag scans: a set's ways hold distinct
- * lines, so "first way whose tag matches" answers exactly what the
- * reference cache's tags.index(line) answers.
- *
- * Every LLC replay kernel walks the LLC-visible stream in access order:
- * sidx[k] is access k's set, and the per-way state lives in flat
- * (set, way) arrays carved from ws, one array per field with set s's
- * ways at s * ways, followed by the per-set fill counts. A policy that
- * keeps no cross-set state gets the same result in any interleaving of
- * its sets; the others (a global fill RNG, DRRIP's PSEL, a predictor
- * table) need exactly this order.
  */
 
 #include <stdint.h>
@@ -62,8 +54,11 @@ typedef uint8_t u8;
 typedef uint16_t u16;
 typedef int32_t i32;
 
-/* out[0..3] += hits, misses, evictions, writebacks */
+#define INLINE static inline __attribute__((always_inline))
 
+/* Residency probe: a set's ways hold distinct lines, so "first way
+ * whose tag matches" answers exactly what the reference cache's
+ * tags.index(line) answers. */
 #define PROBE(way, resident, filled, line)                                   \
     do {                                                                     \
         i64 _w;                                                              \
@@ -71,6 +66,128 @@ typedef int32_t i32;
         for (_w = 0; _w < (filled); _w++)                                    \
             if ((resident)[_w] == (line)) { (way) = _w; break; }             \
     } while (0)
+
+/* 1 when a workspace of ws_len words holds `needed`; else 0, with the
+ * shortfall reported as out[0] = -needed. */
+INLINE i64 ws_fits(i64 ws_len, i64 needed, i64 *out)
+{
+    if (ws_len >= needed) return 1;
+    out[0] = -needed;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* The LLC model every replay kernel shares.                          */
+/* ------------------------------------------------------------------ */
+
+/* The mechanics of SetAssociativeCache.access and _fill, written once:
+ * probe, fill the lowest invalid way or evict the policy's victim, and
+ * count hits, misses, evictions and writebacks. A kernel adds only its
+ * victim choice and what a hit, an eviction and a fill update. Every
+ * kernel walks the LLC-visible stream in access order (sidx[k] is
+ * access k's set), which the policies with cross-set state (a global
+ * fill RNG, DRRIP's PSEL, a predictor table) need; the others give the
+ * same result in any interleaving of their sets.
+ *
+ * Workspace layout of every LLC replay kernel (total = num_sets * ways):
+ *
+ *   resident | dirty | field 0 .. field F-1 | filled | tail
+ *
+ * resident, dirty and the policy's F fields are total words each, set
+ * s's ways at s * ways (structure of arrays: a probe touches only the
+ * resident lines, contiguous across sets). The kernel's <NAME>_WAY_WORDS
+ * is 2 + F; the Python wrapper sizes ws from the same constant. filled
+ * holds the per-set fill counts: a set fills its lowest invalid way and
+ * never invalidates one, so its invalid ways are filled..ways-1. The
+ * tail is the kernel's own state outside the (set, way) grid. */
+struct cache {
+    i64 *resident, *dirty, *filled, *tail;
+    i64 ways, total;
+    /* A local the always-inline helpers update, so the compiler
+     * replaces these by plain locals: no out[] round trip per access. */
+    i64 hits, misses, evictions, writebacks;
+};
+
+/* Carve the layout above from ws and reset it: every line invalid and
+ * clean, every set empty, every field word and counter 0. Returns 0,
+ * having written nothing to ws, when ws_len words do not hold it. */
+INLINE i64 cache_carve(struct cache *c, i64 *ws, i64 ws_len, i64 num_sets,
+                       i64 ways, i64 way_words, i64 tail, i64 *out)
+{
+    i64 total = num_sets * ways;
+    i64 front = way_words * total + num_sets, k;
+    if (!ws_fits(ws_len, front + tail, out)) return 0;
+    for (k = 0; k < front; k++) ws[k] = k < total ? -1 : 0;
+    c->resident = ws;
+    c->dirty = ws + total;
+    c->filled = ws + way_words * total;
+    c->tail = c->filled + num_sets;
+    c->ways = ways;
+    c->total = total;
+    c->hits = c->misses = c->evictions = c->writebacks = 0;
+    return 1;
+}
+
+/* The policy's (set, way) field f, every word set to `init`. */
+INLINE i64 *cache_field(const struct cache *c, i64 f, i64 init)
+{
+    i64 *field = c->resident + (2 + f) * c->total, k;
+    for (k = 0; k < c->total; k++) field[k] = init;
+    return field;
+}
+
+/* Look `line` up in set s: on a hit, count it, dirty the way on a write
+ * and return the way; on a miss, count it and return -1. */
+INLINE i64 cache_probe(struct cache *c, i64 s, i64 line, i64 write)
+{
+    i64 base = s * c->ways, way;
+    PROBE(way, c->resident + base, c->filled[s], line);
+    if (way >= 0) {
+        c->hits++;
+        if (write) c->dirty[base + way] = 1;
+    } else {
+        c->misses++;
+    }
+    return way;
+}
+
+/* Set s's lowest invalid way, now taken, or -1 when the set is full. */
+INLINE i64 cache_free_way(const struct cache *c, i64 s)
+{
+    return c->filled[s] < c->ways ? c->filled[s]++ : -1;
+}
+
+/* Evict set s's `way`: count the eviction, and a writeback when the
+ * victim is dirty. Returns `way`. */
+INLINE i64 cache_evict(struct cache *c, i64 s, i64 way)
+{
+    c->evictions++;
+    if (c->dirty[s * c->ways + way]) c->writebacks++;
+    return way;
+}
+
+/* Install `line` in set s's `way`, dirty when the filling access is a
+ * write. */
+INLINE void cache_fill(const struct cache *c, i64 s, i64 way, i64 line,
+                       i64 write)
+{
+    c->resident[s * c->ways + way] = line;
+    c->dirty[s * c->ways + way] = write;
+}
+
+/* out[0..3] += hits, misses, evictions, writebacks */
+INLINE void cache_out(const struct cache *c, i64 *out)
+{
+    out[0] += c->hits;
+    out[1] += c->misses;
+    out[2] += c->evictions;
+    out[3] += c->writebacks;
+}
+
+/* ------------------------------------------------------------------ */
+/* LLC replay kernels: each states its victim choice and its hit,     */
+/* eviction and fill updates.                                         */
+/* ------------------------------------------------------------------ */
 
 /* Index of the first minimum of stamps[0..ways): one pass of selects
  * (no data-dependent branch), keeping the earliest way on a tie. */
@@ -90,138 +207,94 @@ static i64 first_min(const i64 *stamps, i64 ways)
  * ever compared within a set, so the access index serves as the clock:
  * a hit (and an LRU fill) stamps a fresh maximum of its set. A LIP fill
  * inserts at the LRU point instead, one below the set's current
- * minimum, computed over the victim's stale stamp (reference order).
- * ws carves 3 * num_sets * ways + num_sets words. */
+ * minimum, computed over the victim's stale stamp (reference order). */
 void k_lru(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
-           i64 num_sets, i64 ways, i64 lip, i64 *ws, i64 *out)
+           i64 num_sets, i64 ways, i64 lip, i64 *ws, i64 ws_len, i64 *out)
 {
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 total = num_sets * ways;
-    i64 *resident = ws;
-    i64 *stamps = ws + total;
-    i64 *dirty = ws + 2 * total;
-    i64 *filled = ws + 3 * total;
-    i64 k;
-    for (k = 0; k < total; k++) { resident[k] = -1; stamps[k] = 0; dirty[k] = 0; }
-    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    struct cache c;
+    i64 *stamps, k;
+    if (!cache_carve(&c, ws, ws_len, num_sets, ways, LRU_WAY_WORDS, 0, out))
+        return;
+    stamps = cache_field(&c, 0, 0);
     for (k = 0; k < n; k++) {
-        i64 line = lines[k], s = sidx[k], base = s * ways, way;
-        i64 *res_s = resident + base;
-        i64 *stamp_s = stamps + base;
-        PROBE(way, res_s, filled[s], line);
+        i64 s = sidx[k], way = cache_probe(&c, s, lines[k], writes[k]);
+        i64 *stamp_s = stamps + s * ways;
         if (way >= 0) {
-            hits++;
-            if (writes[k]) dirty[base + way] = 1;
             stamp_s[way] = k + 1;
-        } else {
-            misses++;
-            if (filled[s] < ways) {
-                way = filled[s]++;
-            } else {
-                way = first_min(stamp_s, ways);
-                evics++;
-                if (dirty[base + way]) wbs++;
-            }
-            res_s[way] = line;
-            dirty[base + way] = writes[k];
-            stamp_s[way] = lip ? stamp_s[first_min(stamp_s, ways)] - 1
-                               : k + 1;
+            continue;
         }
+        way = cache_free_way(&c, s);
+        if (way < 0) way = cache_evict(&c, s, first_min(stamp_s, ways));
+        cache_fill(&c, s, way, lines[k], writes[k]);
+        stamp_s[way] = lip ? stamp_s[first_min(stamp_s, ways)] - 1 : k + 1;
     }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
+    cache_out(&c, out);
 }
 
-/* Bit-PLRU: fill the next free way, else evict the lowest way whose MRU
- * bit is clear (way 0 in the 1-way case); every touch sets the way's
- * bit, and a touch that would set the last one clears the others. ws
- * carves 3 * num_sets * ways + num_sets words. */
+/* Bit-PLRU: evict the lowest way whose MRU bit is clear (way 0 in the
+ * 1-way case); every touch sets the way's bit, and a touch that would
+ * set the last one clears the others. */
 void k_bit_plru(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
-                i64 num_sets, i64 ways, i64 *ws, i64 *out)
+                i64 num_sets, i64 ways, i64 *ws, i64 ws_len, i64 *out)
 {
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 total = num_sets * ways;
-    i64 *resident = ws;
-    i64 *mru = ws + total;
-    i64 *dirty = ws + 2 * total;
-    i64 *filled = ws + 3 * total;
-    i64 k, w;
-    for (k = 0; k < total; k++) { resident[k] = -1; mru[k] = 0; dirty[k] = 0; }
-    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    struct cache c;
+    i64 *mru, k, w;
+    if (!cache_carve(&c, ws, ws_len, num_sets, ways, BIT_PLRU_WAY_WORDS, 0,
+                     out))
+        return;
+    mru = cache_field(&c, 0, 0);
     for (k = 0; k < n; k++) {
-        i64 line = lines[k], s = sidx[k], base = s * ways, way, nset;
-        i64 *res_s = resident + base;
-        i64 *mru_s = mru + base;
-        PROBE(way, res_s, filled[s], line);
-        if (way >= 0) {
-            hits++;
-            if (writes[k]) dirty[base + way] = 1;
-        } else {
-            misses++;
-            if (filled[s] < ways) {
-                way = filled[s]++;
-            } else {
+        i64 s = sidx[k], way = cache_probe(&c, s, lines[k], writes[k]);
+        i64 *mru_s = mru + s * ways, nset = 0;
+        if (way < 0) {
+            way = cache_free_way(&c, s);
+            if (way < 0) {
                 way = 0;
                 for (w = 0; w < ways; w++)
                     if (!mru_s[w]) { way = w; break; }
-                evics++;
-                if (dirty[base + way]) wbs++;
+                cache_evict(&c, s, way);
             }
-            res_s[way] = line;
-            dirty[base + way] = writes[k];
+            cache_fill(&c, s, way, lines[k], writes[k]);
         }
         mru_s[way] = 1;
-        nset = 0;
         for (w = 0; w < ways; w++) nset += mru_s[w];
         if (nset == ways) {
             for (w = 0; w < ways; w++) mru_s[w] = 0;
             mru_s[way] = 1;
         }
     }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
+    cache_out(&c, out);
 }
 
 /* Belady's MIN: evict the first way whose line is next used farthest
  * away. next_use[k] is the compact (LLC-visible-stream) position of the
- * next access to lines[k]'s line, n when there is none. ws carves
- * 3 * num_sets * ways + num_sets words. */
+ * next access to lines[k]'s line, n when there is none. */
 void k_opt(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
-           i64 num_sets, i64 ways, const i64 *next_use, i64 *ws, i64 *out)
+           i64 num_sets, i64 ways, const i64 *next_use, i64 *ws, i64 ws_len,
+           i64 *out)
 {
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 total = num_sets * ways;
-    i64 *resident = ws;
-    i64 *line_next = ws + total;
-    i64 *dirty = ws + 2 * total;
-    i64 *filled = ws + 3 * total;
-    i64 k, w;
-    for (k = 0; k < total; k++) { resident[k] = -1; line_next[k] = 0; dirty[k] = 0; }
-    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    struct cache c;
+    i64 *line_next, k, w;
+    if (!cache_carve(&c, ws, ws_len, num_sets, ways, OPT_WAY_WORDS, 0, out))
+        return;
+    line_next = cache_field(&c, 0, 0);
     for (k = 0; k < n; k++) {
-        i64 line = lines[k], s = sidx[k], base = s * ways, way;
-        i64 *res_s = resident + base;
-        i64 *next_s = line_next + base;
-        PROBE(way, res_s, filled[s], line);
-        if (way >= 0) {
-            hits++;
-            if (writes[k]) dirty[base + way] = 1;
-        } else {
-            misses++;
-            if (filled[s] < ways) {
-                way = filled[s]++;
-            } else {
+        i64 s = sidx[k], way = cache_probe(&c, s, lines[k], writes[k]);
+        i64 *next_s = line_next + s * ways;
+        if (way < 0) {
+            way = cache_free_way(&c, s);
+            if (way < 0) {
                 i64 far = next_s[0];
                 way = 0;
                 for (w = 1; w < ways; w++)
                     if (next_s[w] > far) { far = next_s[w]; way = w; }
-                evics++;
-                if (dirty[base + way]) wbs++;
+                cache_evict(&c, s, way);
             }
-            res_s[way] = line;
-            dirty[base + way] = writes[k];
+            cache_fill(&c, s, way, lines[k], writes[k]);
         }
         next_s[way] = next_use[k];
     }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
+    cache_out(&c, out);
 }
 
 /* RRIP victim: age every way by rmax - top so the oldest reaches rmax,
@@ -248,9 +321,8 @@ static i64 rrip_victim(i64 *rrpv, i64 ways, i64 rmax)
  * follower (role 0) reads the updated PSEL. A BRRIP insertion consumes
  * the next fill outcome. k_drrip and P-OPT's tie-break both fill
  * through this one sequence. */
-static inline __attribute__((always_inline)) i64
-drrip_fill(i64 role, i64 *psel, i64 psel_max, i64 rmax,
-           const u8 *trickled, i64 *dc)
+INLINE i64 drrip_fill(i64 role, i64 *psel, i64 psel_max, i64 rmax,
+                      const u8 *trickled, i64 *dc)
 {
     i64 use_brrip;
     if (role == 1) {
@@ -269,58 +341,41 @@ drrip_fill(i64 role, i64 *psel, i64 psel_max, i64 rmax,
 /* DRRIP set dueling over SRRIP and BRRIP; leader[s] is set s's role.
  * SRRIP is the case where every set is an SRRIP leader and BRRIP the
  * case where every set is a BRRIP leader, so one kernel replays all
- * three. ws carves 3 * num_sets * ways + num_sets words. */
+ * three. */
 void k_drrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
              i64 num_sets, i64 ways, i64 rmax, i64 psel, i64 psel_max,
-             const i64 *leader, const u8 *trickled, i64 *ws, i64 *out)
+             const i64 *leader, const u8 *trickled, i64 *ws, i64 ws_len,
+             i64 *out)
 {
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 total = num_sets * ways;
-    i64 *resident = ws;
-    i64 *rrpv = ws + total;
-    i64 *dirty = ws + 2 * total;
-    i64 *filled = ws + 3 * total;
-    i64 k, dc = 0;
-    for (k = 0; k < total; k++) { resident[k] = -1; rrpv[k] = rmax; dirty[k] = 0; }
-    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    struct cache c;
+    i64 *rrpv, k, dc = 0;
+    if (!cache_carve(&c, ws, ws_len, num_sets, ways, DRRIP_WAY_WORDS, 0,
+                     out))
+        return;
+    rrpv = cache_field(&c, 0, rmax);
     for (k = 0; k < n; k++) {
-        i64 line = lines[k];
-        i64 s = sidx[k];
-        i64 base = s * ways;
-        i64 *res_s = resident + base;
-        i64 *rrpv_s = rrpv + base;
-        i64 way;
-        PROBE(way, res_s, filled[s], line);
+        i64 s = sidx[k], way = cache_probe(&c, s, lines[k], writes[k]);
+        i64 *rrpv_s = rrpv + s * ways;
         if (way >= 0) {
-            hits++;
-            if (writes[k]) dirty[base + way] = 1;
             rrpv_s[way] = 0;
-        } else {
-            misses++;
-            if (filled[s] < ways) {
-                way = filled[s]++;
-            } else {
-                way = rrip_victim(rrpv_s, ways, rmax);
-                evics++;
-                if (dirty[base + way]) wbs++;
-            }
-            res_s[way] = line;
-            dirty[base + way] = writes[k];
-            rrpv_s[way] = drrip_fill(leader[s], &psel, psel_max, rmax,
-                                     trickled, &dc);
+            continue;
         }
+        way = cache_free_way(&c, s);
+        if (way < 0) way = cache_evict(&c, s, rrip_victim(rrpv_s, ways, rmax));
+        cache_fill(&c, s, way, lines[k], writes[k]);
+        rrpv_s[way] = drrip_fill(leader[s], &psel, psel_max, rmax, trickled,
+                                 &dc);
     }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
+    cache_out(&c, out);
 }
 
 /* Next-ref kernels: the paper's own policies (T-OPT and P-OPT). Both
- * walk the LLC-visible stream in access order over flat (set, way)
- * state arrays, and resolve a filled line's annotation when it is
- * filled, from the access's stream membership: sid[k] is the irregular
- * stream holding lines[k] (-1 for streaming data) and off[k] the
- * line's offset in that stream. Counters beyond the hit/miss quartet
- * go into a separate cnt[] array so the Python wrapper can write them
- * back onto the policy instance. */
+ * resolve a filled line's annotation when it is filled, from the
+ * access's stream membership: sid[k] is the irregular stream holding
+ * lines[k] (-1 for streaming data) and off[k] the line's offset in that
+ * stream. Counters beyond the hit/miss quartet go into a separate cnt[]
+ * array so the Python wrapper can write them back onto the policy
+ * instance. */
 
 static i64 lower_bound(const i32 *a, i64 lo, i64 hi, i64 key)
 {
@@ -331,24 +386,17 @@ static i64 lower_bound(const i32 *a, i64 lo, i64 hi, i64 key)
     return lo;
 }
 
-/* T-OPT state: TOPT_WORDS arrays of num_sets * ways words in ws, in
- * this order (set s's ways at s * ways in each), then the per-set fill
- * counts. A hit touches only the resident lines, so keeping them
- * contiguous across sets keeps probes compact. */
-enum {
-    TOPT_RESIDENT, TOPT_LO, TOPT_HI, TOPT_DIRTY,
-    TOPT_MLOW, TOPT_MREF, TOPT_MCOST, TOPT_WORDS
-};
+/* T-OPT's (set, way) fields. */
+enum { TOPT_LO, TOPT_HI, TOPT_MLOW, TOPT_MREF, TOPT_MCOST };
 
 /* cnt[0..1] += replacements, transpose_walk_elements
  *
  * T-OPT keeps no cross-set state and both counters are sums over
  * evictions, so the access-order walk gives exactly what a replay set
- * by set gives. ws carves TOPT_WORDS * num_sets * ways + num_sets
- * words. A fill of stream t's line at offset o takes the refs slice
- * [offsets[obase[t] + o], offsets[obase[t] + o + 1]) of the flat CSR
- * (obase[t] is stream t's first slot in `offsets`); a streaming line
- * gets lo = -1.
+ * by set gives. A fill of stream t's line at offset o takes the refs
+ * slice [offsets[obase[t] + o], offsets[obase[t] + o + 1]) of the flat
+ * CSR (obase[t] is stream t's first slot in `offsets`); a streaming
+ * line gets lo = -1.
  *
  * Each way memoizes its last lower_bound: the vertex interval
  * (refs[idx-1], refs[idx]] it answered for (open below at -1 when idx
@@ -357,94 +405,75 @@ enum {
  * inside the interval has the same lower_bound, so the memo returns
  * exactly what a fresh search would, walk cost included. A fill clears
  * it (an empty interval). */
-void k_topt(const i64 *lines, const u8 *writes, const i32 *vertices,
-            const i64 *sidx, const i64 *sid, const i64 *off,
-            const i64 *obase, const i64 *offsets, const i32 *refs,
-            i64 n, i64 num_sets, i64 ways, i64 *ws, i64 *out, i64 *cnt)
+void k_topt(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
+            i64 num_sets, i64 ways, const i32 *vertices, const i64 *sid,
+            const i64 *off, const i64 *obase, const i64 *offsets,
+            const i32 *refs, i64 *ws, i64 ws_len, i64 *out, i64 *cnt)
 {
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 repl = 0, walk = 0;
     const i64 never = TOPT_NEVER;
-    i64 total = num_sets * ways;
-    i64 *filled = ws + TOPT_WORDS * total;
-    i64 k, w;
-    for (k = 0; k < total; k++) {
-        ws[TOPT_RESIDENT * total + k] = -1;
-        ws[TOPT_LO * total + k] = 0;
-        ws[TOPT_HI * total + k] = 0;
-        ws[TOPT_DIRTY * total + k] = 0;
-        ws[TOPT_MLOW * total + k] = never;
-        ws[TOPT_MREF * total + k] = -1;
-        ws[TOPT_MCOST * total + k] = 0;
-    }
-    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    struct cache c;
+    i64 repl = 0, walk = 0, k, w;
+    i64 *lo, *hi, *mlow, *mref, *mcost;
+    if (!cache_carve(&c, ws, ws_len, num_sets, ways, TOPT_WAY_WORDS, 0, out))
+        return;
+    lo = cache_field(&c, TOPT_LO, 0);
+    hi = cache_field(&c, TOPT_HI, 0);
+    mlow = cache_field(&c, TOPT_MLOW, never);  /* memo interval */
+    mref = cache_field(&c, TOPT_MREF, -1);     /* (mlow, mref] */
+    mcost = cache_field(&c, TOPT_MCOST, 0);
     for (k = 0; k < n; k++) {
-        i64 line = lines[k], s = sidx[k], way;
-        i64 *resident = ws + s * ways;
-        i64 *wlo = resident + TOPT_LO * total;
-        i64 *whi = resident + TOPT_HI * total;
-        i64 *dirty = resident + TOPT_DIRTY * total;
-        i64 *mlow = resident + TOPT_MLOW * total;  /* memo interval */
-        i64 *mref = resident + TOPT_MREF * total;  /* (mlow, mref] */
-        i64 *mcost = resident + TOPT_MCOST * total;
-        PROBE(way, resident, filled[s], line);
-        if (way >= 0) {
-            hits++;
-            if (writes[k]) dirty[way] = 1;
-        } else {
-            i64 stream = sid[k];
-            misses++;
-            if (filled[s] < ways) {
-                way = filled[s]++;
-            } else {
-                i64 vertex = vertices[k];
-                i64 victim = -1, best_way = 0, best = -1;
-                repl++;
-                for (w = 0; w < ways; w++) {
-                    i64 l = wlo[w], h, idx, stepped, r;
-                    if (l < 0) { victim = w; break; } /* streaming */
-                    if (mlow[w] < vertex && vertex <= mref[w]) {
-                        walk += mcost[w];
-                        r = mref[w];
-                    } else {
-                        h = whi[w];
-                        idx = lower_bound(refs, l, h, vertex);
-                        stepped = idx - l;
-                        r = idx >= h ? never : refs[idx];
-                        mlow[w] = idx > l ? refs[idx - 1] : -1;
-                        mref[w] = r;
-                        mcost[w] = stepped > 1 ? stepped : 1;
-                        walk += mcost[w];
-                    }
-                    if (r > best) { best = r; best_way = w; }
+        i64 s = sidx[k], base = s * ways, stream;
+        i64 way = cache_probe(&c, s, lines[k], writes[k]);
+        i64 *wlo = lo + base, *whi = hi + base;
+        i64 *ml = mlow + base, *mr = mref + base, *mc = mcost + base;
+        if (way >= 0) continue;
+        way = cache_free_way(&c, s);
+        if (way < 0) {
+            i64 vertex = vertices[k];
+            i64 victim = -1, best_way = 0, best = -1;
+            repl++;
+            for (w = 0; w < ways; w++) {
+                i64 l = wlo[w], h, idx, stepped, r;
+                if (l < 0) { victim = w; break; } /* streaming */
+                if (ml[w] < vertex && vertex <= mr[w]) {
+                    walk += mc[w];
+                    r = mr[w];
+                } else {
+                    h = whi[w];
+                    idx = lower_bound(refs, l, h, vertex);
+                    stepped = idx - l;
+                    r = idx >= h ? never : refs[idx];
+                    ml[w] = idx > l ? refs[idx - 1] : -1;
+                    mr[w] = r;
+                    mc[w] = stepped > 1 ? stepped : 1;
+                    walk += mc[w];
                 }
-                way = victim >= 0 ? victim : best_way;
-                evics++;
-                if (dirty[way]) wbs++;
+                if (r > best) { best = r; best_way = w; }
             }
-            resident[way] = line;
-            dirty[way] = writes[k];
-            if (stream >= 0) {
-                i64 at = obase[stream] + off[k];
-                wlo[way] = offsets[at];
-                whi[way] = offsets[at + 1];
-            } else {
-                wlo[way] = -1;
-                whi[way] = -1;
-            }
-            mlow[way] = never;
-            mref[way] = -1;
+            way = cache_evict(&c, s, victim >= 0 ? victim : best_way);
         }
+        cache_fill(&c, s, way, lines[k], writes[k]);
+        stream = sid[k];
+        if (stream >= 0) {
+            i64 at = obase[stream] + off[k];
+            wlo[way] = offsets[at];
+            whi[way] = offsets[at + 1];
+        } else {
+            wlo[way] = -1;
+            whi[way] = -1;
+        }
+        ml[way] = never;
+        mr[way] = -1;
     }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
+    cache_out(&c, out);
     cnt[0] += repl; cnt[1] += walk;
 }
 
-/* P-OPT keeps, per stream, one POPT_DECODE_SLOTS-word block of ws laid
- * out as below: the stream's Algorithm 2 parameters, hoisted out of
- * its POPT_SP_* block once per call, then the decode of the current
- * victim scan's vertex (refreshed once per stream and scan, so no
- * division happens per way). */
+/* P-OPT keeps, per stream, one POPT_DECODE_SLOTS-word block of its
+ * tail laid out as below: the stream's Algorithm 2 parameters, hoisted
+ * out of its POPT_SP_* block once per call, then the decode of the
+ * current victim scan's vertex (refreshed once per stream and scan, so
+ * no division happens per way). */
 enum {
     PD_MSB, PD_LOW, PD_NBIT,
     PD_COLUMN,    /* entries offset of the scan epoch's column */
@@ -469,8 +498,8 @@ typedef char popt_decode_fits[PD_WORDS <= POPT_DECODE_SLOTS ? 1 : -1];
  * column when there is no next one. A vertex past the last epoch gets
  * the sentinel; its PD_COLUMN is 0, so the loads stay inside the
  * matrix. */
-static inline __attribute__((always_inline)) i64
-popt_next_ref(const i64 *d, const u16 *entries, i64 row, i64 variant)
+INLINE i64 popt_next_ref(const i64 *d, const u16 *entries, i64 row,
+                         i64 variant)
 {
     const u16 *at = entries + row + d[PD_COLUMN];
     i64 msb = d[PD_MSB], low = d[PD_LOW];
@@ -493,129 +522,115 @@ popt_next_ref(const i64 *d, const u16 *entries, i64 row, i64 variant)
     return (low & past) | (r & ~past);
 }
 
-/* P-OPT state: POPT_WORDS arrays of num_sets * ways words in ws, laid
- * out like T-OPT's, then the per-set fill counts, one scan's per-way
- * next-refs and the per-stream decode blocks. */
-enum { POPT_RESIDENT, POPT_RRPV, POPT_SID, POPT_ROW, POPT_DIRTY, POPT_WORDS };
+/* P-OPT's (set, way) fields; its tail is one scan's per-way next-refs,
+ * then the per-stream decode blocks. */
+enum { POPT_RRPV, POPT_SID, POPT_ROW };
 
 /* The whole P-OPT replay for one Rereference Matrix variant; k_popt
  * calls it with a constant `variant`, so the scan is compiled once per
  * variant. */
-static inline __attribute__((always_inline)) void
-popt_replay(const i64 *lines, const u8 *writes, const i32 *vertices,
-            const i64 *sidx, const i64 *sid, const i64 *off,
-            const i64 *bases, i64 n, i64 num_sets, i64 ways,
-            i64 num_streams, const i64 *sparams, const u16 *entries,
-            i64 prefer_streaming, i64 rmax, i64 psel_max,
-            const i64 *leader, const u8 *trickled, i64 *ws, i64 *out,
-            i64 *cnt, i64 variant)
+INLINE void popt_replay(const i64 *lines, const u8 *writes, const i64 *sidx,
+                        i64 n, i64 num_sets, i64 ways, const i32 *vertices,
+                        const i64 *sid, const i64 *off, const i64 *bases,
+                        i64 num_streams, const i64 *sparams,
+                        const u16 *entries, i64 prefer_streaming, i64 rmax,
+                        i64 psel_max, const i64 *leader, const u8 *trickled,
+                        i64 *ws, i64 ws_len, i64 *out, i64 *cnt,
+                        i64 variant)
 {
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
+    struct cache c;
     i64 repl = 0, sevic = 0, rml = 0, ties = 0, tiec = 0;
     i64 psel = psel_max / 2;
-    i64 total = num_sets * ways;
-    i64 *filled = ws + POPT_WORDS * total;
-    i64 *wref = filled + num_sets;
-    i64 *decode = wref + ways;
-    i64 k, w, t, dc = 0;
-    for (k = 0; k < total; k++) {
-        ws[POPT_RESIDENT * total + k] = -1;
-        ws[POPT_RRPV * total + k] = rmax;
-        ws[POPT_SID * total + k] = -1;
-        ws[POPT_ROW * total + k] = -1;
-        ws[POPT_DIRTY * total + k] = 0;
-    }
-    for (k = 0; k < num_sets; k++) filled[k] = 0;
-    for (t = 0; t < num_streams; t++) {
-        const i64 *sp = sparams + POPT_SPARAM_SLOTS * t;
-        i64 *d = decode + POPT_DECODE_SLOTS * t;
+    i64 *rrpvs, *sids, *rows, *wref, *decode;
+    i64 k, w, tt, dc = 0;
+    if (!cache_carve(&c, ws, ws_len, num_sets, ways, POPT_WAY_WORDS,
+                     ways + POPT_DECODE_SLOTS * num_streams, out))
+        return;
+    rrpvs = cache_field(&c, POPT_RRPV, rmax);
+    sids = cache_field(&c, POPT_SID, -1);
+    rows = cache_field(&c, POPT_ROW, -1);
+    wref = c.tail;
+    decode = wref + ways;
+    for (tt = 0; tt < num_streams; tt++) {
+        const i64 *sp = sparams + POPT_SPARAM_SLOTS * tt;
+        i64 *d = decode + POPT_DECODE_SLOTS * tt;
         d[PD_MSB] = sp[POPT_SP_MSB];
         d[PD_LOW] = sp[POPT_SP_LOW_MASK];
         d[PD_NBIT] = sp[POPT_SP_NEXT_BIT];
     }
     for (k = 0; k < n; k++) {
-        i64 line = lines[k], s = sidx[k], way;
-        i64 *resident = ws + s * ways;
-        i64 *rrpv = resident + POPT_RRPV * total;
-        i64 *wsid = resident + POPT_SID * total;
-        i64 *wrow = resident + POPT_ROW * total;
-        i64 *dirty = resident + POPT_DIRTY * total;
-        PROBE(way, resident, filled[s], line);
+        i64 s = sidx[k], base = s * ways, stream;
+        i64 way = cache_probe(&c, s, lines[k], writes[k]);
+        i64 *rrpv = rrpvs + base, *wsid = sids + base, *wrow = rows + base;
         if (way >= 0) {
-            hits++;
-            if (writes[k]) dirty[way] = 1;
             rrpv[way] = 0;
-        } else {
-            i64 stream = sid[k];
-            misses++;
-            if (filled[s] < ways) {
-                way = filled[s]++;
-            } else {
-                i64 vertex = vertices[k];
-                i64 victim = -1, best = -1;
-                repl++;
-                for (t = 0; t < num_streams; t++) {
-                    const i64 *sp = sparams + POPT_SPARAM_SLOTS * t;
-                    i64 *d = decode + POPT_DECODE_SLOTS * t;
-                    i64 esize = sp[POPT_SP_EPOCH_SIZE];
-                    i64 epochs = sp[POPT_SP_NUM_EPOCHS];
-                    i64 epoch = vertex / esize;
-                    i64 past = epoch >= epochs;
-                    i64 last = epoch + 1 >= epochs;
-                    d[PD_PAST_END] = past;
-                    d[PD_LAST] = last;
-                    d[PD_COLUMN] = past ? 0 : epoch * sp[POPT_SP_STRIDE];
-                    d[PD_NEXT] = last ? 0 : sp[POPT_SP_STRIDE];
-                    d[PD_SUB] = (vertex - epoch * esize)
-                                / sp[POPT_SP_SUB_EPOCH_SIZE];
-                }
-                for (w = 0; w < ways; w++) {
-                    i64 sw = wsid[w], r;
-                    if (sw < 0) {
-                        if (prefer_streaming) {
-                            /* First streaming way wins outright. */
-                            sevic++; victim = w; break;
-                        }
-                        r = POPT_STREAMING_NEXT_REF;
-                    } else {
-                        rml++;
-                        r = popt_next_ref(decode + POPT_DECODE_SLOTS * sw,
-                                          entries, wrow[w], variant);
-                    }
-                    wref[w] = r;
-                    if (r > best) best = r;
-                }
-                if (victim < 0) {
-                    i64 tied = 0;
-                    for (w = 0; w < ways; w++)
-                        if (wref[w] == best) {
-                            tied++;
-                            if (tied == 1) victim = w;
-                        }
-                    if (tied > 1) {
-                        i64 best_value = -1;
-                        ties++; tiec += tied;
-                        for (w = 0; w < ways; w++)
-                            if (wref[w] == best && rrpv[w] > best_value) {
-                                best_value = rrpv[w];
-                                victim = w;
-                            }
-                    }
-                }
-                way = victim;
-                evics++;
-                if (dirty[way]) wbs++;
-            }
-            resident[way] = line;
-            dirty[way] = writes[k];
-            wsid[way] = stream;
-            wrow[way] = stream >= 0 ? bases[stream] + off[k] : -1;
-            rrpv[way] = drrip_fill(leader[s], &psel, psel_max, rmax,
-                                   trickled, &dc);
+            continue;
         }
+        way = cache_free_way(&c, s);
+        if (way < 0) {
+            i64 vertex = vertices[k];
+            i64 victim = -1, best = -1;
+            repl++;
+            for (tt = 0; tt < num_streams; tt++) {
+                const i64 *sp = sparams + POPT_SPARAM_SLOTS * tt;
+                i64 *d = decode + POPT_DECODE_SLOTS * tt;
+                i64 esize = sp[POPT_SP_EPOCH_SIZE];
+                i64 epochs = sp[POPT_SP_NUM_EPOCHS];
+                i64 epoch = vertex / esize;
+                i64 past = epoch >= epochs;
+                i64 last = epoch + 1 >= epochs;
+                d[PD_PAST_END] = past;
+                d[PD_LAST] = last;
+                d[PD_COLUMN] = past ? 0 : epoch * sp[POPT_SP_STRIDE];
+                d[PD_NEXT] = last ? 0 : sp[POPT_SP_STRIDE];
+                d[PD_SUB] = (vertex - epoch * esize)
+                            / sp[POPT_SP_SUB_EPOCH_SIZE];
+            }
+            for (w = 0; w < ways; w++) {
+                i64 sw = wsid[w], r;
+                if (sw < 0) {
+                    if (prefer_streaming) {
+                        /* First streaming way wins outright. */
+                        sevic++; victim = w; break;
+                    }
+                    r = POPT_STREAMING_NEXT_REF;
+                } else {
+                    rml++;
+                    r = popt_next_ref(decode + POPT_DECODE_SLOTS * sw,
+                                      entries, wrow[w], variant);
+                }
+                wref[w] = r;
+                if (r > best) best = r;
+            }
+            if (victim < 0) {
+                i64 tied = 0;
+                for (w = 0; w < ways; w++)
+                    if (wref[w] == best) {
+                        tied++;
+                        if (tied == 1) victim = w;
+                    }
+                if (tied > 1) {
+                    i64 best_value = -1;
+                    ties++; tiec += tied;
+                    for (w = 0; w < ways; w++)
+                        if (wref[w] == best && rrpv[w] > best_value) {
+                            best_value = rrpv[w];
+                            victim = w;
+                        }
+                }
+            }
+            way = cache_evict(&c, s, victim);
+        }
+        cache_fill(&c, s, way, lines[k], writes[k]);
+        stream = sid[k];
+        wsid[way] = stream;
+        wrow[way] = stream >= 0 ? bases[stream] + off[k] : -1;
+        rrpv[way] = drrip_fill(leader[s], &psel, psel_max, rmax, trickled,
+                               &dc);
     }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
-    cnt[0] += repl; cnt[1] += sevic; cnt[2] += rml; cnt[3] += ties; cnt[4] += tiec;
+    cache_out(&c, out);
+    cnt[0] += repl; cnt[1] += sevic; cnt[2] += rml;
+    cnt[3] += ties; cnt[4] += tiec;
 }
 
 /* cnt[0..4] += replacements, streaming_evictions, rm_lookups, ties,
@@ -623,34 +638,32 @@ popt_replay(const i64 *lines, const u8 *writes, const i32 *vertices,
  * Every stream's matrix has the same variant (the POPT policy refuses
  * a mix), so stream 0's block picks the one compiled scan. A matrix
  * row is bases[sid[k]] + off[k]: the stream's start in `entries` plus
- * the line offset. ws carves POPT_WORDS * num_sets * ways + num_sets +
- * ways words, then POPT_DECODE_SLOTS words per stream. */
-void k_popt(const i64 *lines, const u8 *writes, const i32 *vertices,
-            const i64 *sidx, const i64 *sid, const i64 *off,
-            const i64 *bases, i64 n, i64 num_sets, i64 ways,
-            i64 num_streams, const i64 *sparams, const u16 *entries,
-            i64 prefer_streaming, i64 rmax, i64 psel_max,
-            const i64 *leader, const u8 *trickled, i64 *ws, i64 *out,
-            i64 *cnt)
+ * the line offset. */
+void k_popt(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
+            i64 num_sets, i64 ways, const i32 *vertices, const i64 *sid,
+            const i64 *off, const i64 *bases, i64 num_streams,
+            const i64 *sparams, const u16 *entries, i64 prefer_streaming,
+            i64 rmax, i64 psel_max, const i64 *leader, const u8 *trickled,
+            i64 *ws, i64 ws_len, i64 *out, i64 *cnt)
 {
     switch (sparams[POPT_SP_VARIANT]) {
     case RM_VARIANT_INTER_ONLY:
-        popt_replay(lines, writes, vertices, sidx, sid, off, bases, n,
-                    num_sets, ways, num_streams, sparams, entries,
+        popt_replay(lines, writes, sidx, n, num_sets, ways, vertices, sid,
+                    off, bases, num_streams, sparams, entries,
                     prefer_streaming, rmax, psel_max, leader, trickled,
-                    ws, out, cnt, RM_VARIANT_INTER_ONLY);
+                    ws, ws_len, out, cnt, RM_VARIANT_INTER_ONLY);
         break;
     case RM_VARIANT_SINGLE_EPOCH:
-        popt_replay(lines, writes, vertices, sidx, sid, off, bases, n,
-                    num_sets, ways, num_streams, sparams, entries,
+        popt_replay(lines, writes, sidx, n, num_sets, ways, vertices, sid,
+                    off, bases, num_streams, sparams, entries,
                     prefer_streaming, rmax, psel_max, leader, trickled,
-                    ws, out, cnt, RM_VARIANT_SINGLE_EPOCH);
+                    ws, ws_len, out, cnt, RM_VARIANT_SINGLE_EPOCH);
         break;
     default:
-        popt_replay(lines, writes, vertices, sidx, sid, off, bases, n,
-                    num_sets, ways, num_streams, sparams, entries,
+        popt_replay(lines, writes, sidx, n, num_sets, ways, vertices, sid,
+                    off, bases, num_streams, sparams, entries,
                     prefer_streaming, rmax, psel_max, leader, trickled,
-                    ws, out, cnt, RM_VARIANT_INTER_INTRA);
+                    ws, ws_len, out, cnt, RM_VARIANT_INTER_INTRA);
         break;
     }
 }
@@ -661,12 +674,13 @@ void k_popt(const i64 *lines, const u8 *writes, const i32 *vertices,
 
 typedef uint64_t u64;
 
-/* Private-level Bit-PLRU state: each set is `ways + 3` words of ws, its
- * resident lines followed by three u64 bit words (PLRU_MRU and
- * PLRU_DIRTY hold bit w for way w, PLRU_FILLED counts filled ways).
- * The caller declines a level wider than 64 ways, so one word always
- * holds a set's bits. */
+/* Private-level Bit-PLRU state: each set is `ways + PLRU_SET_WORDS`
+ * words of ws, its resident lines followed by u64 bit words
+ * (PLRU_MRU and PLRU_DIRTY hold bit w for way w, PLRU_FILLED counts
+ * filled ways). The caller declines a level wider than 64 ways, so one
+ * word always holds a set's bits. */
 enum { PLRU_MRU, PLRU_DIRTY, PLRU_FILLED, PLRU_WORDS };
+typedef char plru_fits[PLRU_WORDS <= PLRU_SET_WORDS ? 1 : -1];
 
 /* One Bit-PLRU access against a single private-level set.  `set`
  * points at the set's state (layout above), `full` is the all-ways
@@ -713,9 +727,9 @@ static i64 plru_access(i64 *set, i64 ways, u64 full, i64 line, i64 write,
 static void plru_reset(i64 *state, i64 sets, i64 ways)
 {
     i64 s, w;
-    for (s = 0; s < sets; s++, state += ways + PLRU_WORDS) {
+    for (s = 0; s < sets; s++, state += ways + PLRU_SET_WORDS) {
         for (w = 0; w < ways; w++) state[w] = -1;
-        for (w = 0; w < PLRU_WORDS; w++) state[ways + w] = 0;
+        for (w = 0; w < PLRU_SET_WORDS; w++) state[ways + w] = 0;
     }
 }
 
@@ -726,20 +740,22 @@ static void plru_reset(i64 *state, i64 sets, i64 ways)
  * ways.  Outputs: visible_idx / vis_lines / vis_writes hold the first
  * out[0] surviving accesses; out[1..4] are L1 {hits, misses,
  * evictions, writebacks} and out[5..8] the same for L2.  ws carves
- * sets * (ways + 3) words per level. */
+ * sets * (ways + PLRU_SET_WORDS) words per level. */
 void k_private_filter(const i64 *addrs, const u8 *writes, i64 n,
                       i64 line_shift, i64 l1_sets, i64 l1_ways, i64 l1_pow2,
                       i64 l2_sets, i64 l2_ways, i64 l2_pow2,
                       i64 *visible_idx, i64 *vis_lines, u8 *vis_writes,
-                      i64 *ws, i64 *out)
+                      i64 *ws, i64 ws_len, i64 *out)
 {
-    i64 l1_stride = l1_ways + PLRU_WORDS;
-    i64 l2_stride = l2_ways + PLRU_WORDS;
+    i64 l1_stride = l1_ways + PLRU_SET_WORDS;
+    i64 l2_stride = l2_ways + PLRU_SET_WORDS;
     i64 *l1 = ws;
     i64 *l2 = ws + l1_sets * l1_stride;
     u64 l1_full = l1_ways >= 64 ? ~(u64)0 : ((u64)1 << l1_ways) - 1;
     u64 l2_full = l2_ways >= 64 ? ~(u64)0 : ((u64)1 << l2_ways) - 1;
     i64 k, m = 0;
+    if (!ws_fits(ws_len, l1_sets * l1_stride + l2_sets * l2_stride, out))
+        return;
     plru_reset(l1, l1_sets, l1_ways);
     plru_reset(l2, l2_sets, l2_ways);
     for (k = 0; k < n; k++) {
@@ -780,12 +796,16 @@ static i64 hash_slot(i64 key, i64 cap_mask)
  * again — the same values engine.py's lexsort neighbour-compare
  * produces.  One backward scan with an open-addressing map from line
  * to its earliest known position; ws carves keys[cap] + vals[cap]
- * with cap a power of two > n (so a free slot always exists). */
-void k_next_use(const i64 *lines, i64 n, i64 cap, i64 *ws, i64 *next_use)
+ * with cap a power of two > n (so a free slot always exists). An empty
+ * stream has nothing to compute or report. */
+void k_next_use(const i64 *lines, i64 n, i64 cap, i64 *ws, i64 ws_len,
+                i64 *next_use)
 {
     i64 *keys = ws;
     i64 *vals = ws + cap;
     i64 k, kk;
+    if (n == 0 || !ws_fits(ws_len, NEXT_USE_SLOT_WORDS * cap, next_use))
+        return;
     for (k = 0; k < cap; k++) keys[k] = -1;
     for (kk = 0; kk < n; kk++) {
         i64 at = n - 1 - kk;
@@ -813,66 +833,47 @@ void k_next_use(const i64 *lines, i64 n, i64 cap, i64 *ws, i64 *next_use)
 /* ------------------------------------------------------------------ */
 
 /* SHiP-PC: SRRIP substrate plus a global PC-signature history counter
- * table, so the SHCT couples every set and the kernel walks the
- * stream in access order.  ws carves flat (set, way) state
- * {resident, rrpv, sig, reused, dirty}, per-set fill counters, and
- * the KERNEL_SIG_SPACE-entry SHCT. */
-void k_ship(const i64 *lines, const u8 *writes, const u8 *pcs,
-            const i64 *sidx, i64 n, i64 num_sets, i64 ways, i64 rmax,
-            i64 *ws, i64 *out)
+ * table, so the SHCT couples every set.  Fields: rrpv, the filling
+ * access's signature, and the reused bit; the tail is the
+ * KERNEL_SIG_SPACE-entry SHCT. */
+void k_ship(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
+            i64 num_sets, i64 ways, const u8 *pcs, i64 rmax, i64 *ws,
+            i64 ws_len, i64 *out)
 {
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 total = num_sets * ways;
-    i64 *resident = ws;
-    i64 *rrpv = ws + total;
-    i64 *sig = ws + 2 * total;
-    i64 *reused = ws + 3 * total;
-    i64 *dirty = ws + 4 * total;
-    i64 *filled = ws + 5 * total;
-    i64 *shct = ws + 5 * total + num_sets;
-    i64 k;
-    for (k = 0; k < total; k++) {
-        resident[k] = -1; rrpv[k] = rmax; sig[k] = 0; reused[k] = 0;
-        dirty[k] = 0;
-    }
-    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    struct cache c;
+    i64 *rrpv, *sig, *reused, *shct, k;
+    if (!cache_carve(&c, ws, ws_len, num_sets, ways, SHIP_WAY_WORDS,
+                     KERNEL_SIG_SPACE, out))
+        return;
+    rrpv = cache_field(&c, 0, rmax);
+    sig = cache_field(&c, 1, 0);
+    reused = cache_field(&c, 2, 0);
+    shct = c.tail;
     for (k = 0; k < KERNEL_SIG_SPACE; k++) shct[k] = SHIP_SHCT_INITIAL;
     for (k = 0; k < n; k++) {
-        i64 line = lines[k];
-        i64 s = sidx[k];
-        i64 base = s * ways;
-        i64 *res_s = resident + base;
-        i64 *rrpv_s = rrpv + base;
-        i64 way;
-        PROBE(way, res_s, filled[s], line);
+        i64 s = sidx[k], base = s * ways;
+        i64 way = cache_probe(&c, s, lines[k], writes[k]);
+        i64 *rrpv_s = rrpv + base, *sig_s = sig + base;
+        i64 *reused_s = reused + base;
         if (way >= 0) {
-            hits++;
-            if (writes[k]) dirty[base + way] = 1;
             rrpv_s[way] = 0;
-            if (!reused[base + way]) {
-                reused[base + way] = 1;
-                if (shct[sig[base + way]] < SHIP_SHCT_MAX)
-                    shct[sig[base + way]]++;
+            if (!reused_s[way]) {
+                reused_s[way] = 1;
+                if (shct[sig_s[way]] < SHIP_SHCT_MAX) shct[sig_s[way]]++;
             }
-        } else {
-            misses++;
-            if (filled[s] < ways) {
-                way = filled[s]++;
-            } else {
-                way = rrip_victim(rrpv_s, ways, rmax);
-                evics++;
-                if (dirty[base + way]) wbs++;
-                if (!reused[base + way] && shct[sig[base + way]] > 0)
-                    shct[sig[base + way]]--;
-            }
-            res_s[way] = line;
-            dirty[base + way] = writes[k];
-            sig[base + way] = pcs[k];
-            reused[base + way] = 0;
-            rrpv_s[way] = shct[pcs[k]] ? rmax - 1 : rmax;
+            continue;
         }
+        way = cache_free_way(&c, s);
+        if (way < 0) {
+            way = cache_evict(&c, s, rrip_victim(rrpv_s, ways, rmax));
+            if (!reused_s[way] && shct[sig_s[way]] > 0) shct[sig_s[way]]--;
+        }
+        cache_fill(&c, s, way, lines[k], writes[k]);
+        sig_s[way] = pcs[k];
+        reused_s[way] = 0;
+        rrpv_s[way] = shct[pcs[k]] ? rmax - 1 : rmax;
     }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
+    cache_out(&c, out);
 }
 
 /* One Hawkeye OPTgen training step for sampled set history `si`:
@@ -945,41 +946,37 @@ static void hawkeye_train(i64 si, i64 line, i64 pc, i64 capacity,
 }
 
 /* Hawkeye: sampled OPTgen + PC predictor over an RRIP-like substrate.
- * The predictor couples all sets, so the kernel walks the stream in
- * access order.  Sampled sets are those with set % sample_every == 0;
- * the caller sizes ws with num_sampled = ceil(num_sets / sample_every)
- * occupancy windows and a power-of-two line map of capacity `cap`.
- * ws carves: resident/rrpv/wpc/dirty (4*total), filled (num_sets),
- * predictor (KERNEL_SIG_SPACE), occ (num_sampled*window), occ_start /
- * occ_len / clocks (num_sampled each), hkeys/htime/hpc (cap each).
+ * The predictor couples all sets.  Sampled sets are those with
+ * set % sample_every == 0, num_sampled = ceil(num_sets / sample_every)
+ * of them, and `cap` is the power-of-two capacity of the line map.
+ * Fields: rrpv and the last touching PC; the tail is the predictor
+ * (KERNEL_SIG_SPACE), occ (num_sampled * window), occ_start / occ_len /
+ * clocks (num_sampled each) and hkeys / htime / hpc (cap each).
  * Victim choice is Hawkeye's: first way at RRPV_MAX, else the first
  * way holding the maximum RRPV — no aging pass. */
-void k_hawkeye(const i64 *lines, const u8 *writes, const u8 *pcs,
-               const i64 *sidx, i64 n, i64 num_sets, i64 ways,
-               i64 sample_every, i64 window, i64 cap, i64 *ws, i64 *out)
+void k_hawkeye(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
+               i64 num_sets, i64 ways, const u8 *pcs, i64 sample_every,
+               i64 window, i64 cap, i64 *ws, i64 ws_len, i64 *out)
 {
-    i64 hits = 0, misses = 0, evics = 0, wbs = 0;
-    i64 total = num_sets * ways;
+    struct cache c;
     i64 num_sampled = (num_sets + sample_every - 1) / sample_every;
-    i64 *resident = ws;
-    i64 *rrpv = ws + total;
-    i64 *wpc = ws + 2 * total;
-    i64 *dirty = ws + 3 * total;
-    i64 *filled = ws + 4 * total;
-    i64 *predictor = filled + num_sets;
-    i64 *occ = predictor + KERNEL_SIG_SPACE;
-    i64 *occ_start = occ + num_sampled * window;
-    i64 *occ_len = occ_start + num_sampled;
-    i64 *clocks = occ_len + num_sampled;
-    i64 *hkeys = clocks + num_sampled;
-    i64 *htime = hkeys + cap;
-    i64 *hpc = htime + cap;
-    i64 k, w;
-    for (k = 0; k < total; k++) {
-        resident[k] = -1; rrpv[k] = HAWKEYE_RRPV_MAX; wpc[k] = 0;
-        dirty[k] = 0;
-    }
-    for (k = 0; k < num_sets; k++) filled[k] = 0;
+    i64 *rrpv, *wpc, *predictor, *occ, *occ_start, *occ_len, *clocks;
+    i64 *hkeys, *htime, *hpc, k, w;
+    if (!cache_carve(&c, ws, ws_len, num_sets, ways, HAWKEYE_WAY_WORDS,
+                     KERNEL_SIG_SPACE
+                     + num_sampled * (window + HAWKEYE_SAMPLED_WORDS)
+                     + HAWKEYE_SLOT_WORDS * cap, out))
+        return;
+    rrpv = cache_field(&c, 0, HAWKEYE_RRPV_MAX);
+    wpc = cache_field(&c, 1, 0);
+    predictor = c.tail;
+    occ = predictor + KERNEL_SIG_SPACE;
+    occ_start = occ + num_sampled * window;
+    occ_len = occ_start + num_sampled;
+    clocks = occ_len + num_sampled;
+    hkeys = clocks + num_sampled;
+    htime = hkeys + cap;
+    hpc = htime + cap;
     for (k = 0; k < KERNEL_SIG_SPACE; k++)
         predictor[k] = HAWKEYE_COUNTER_INITIAL;
     for (k = 0; k < num_sampled; k++) {
@@ -987,31 +984,13 @@ void k_hawkeye(const i64 *lines, const u8 *writes, const u8 *pcs,
     }
     for (k = 0; k < cap; k++) hkeys[k] = -1;
     for (k = 0; k < n; k++) {
-        i64 line = lines[k];
-        i64 s = sidx[k];
-        i64 pc = pcs[k];
-        i64 base = s * ways;
-        i64 *res_s = resident + base;
-        i64 *rrpv_s = rrpv + base;
-        i64 sampled = (s % sample_every) == 0;
-        i64 way;
-        PROBE(way, res_s, filled[s], line);
-        if (way >= 0) {
-            hits++;
-            if (writes[k]) dirty[base + way] = 1;
-            if (sampled)
-                hawkeye_train(s / sample_every, line, pc, ways, window,
-                              cap, occ, occ_start, occ_len, clocks,
-                              hkeys, htime, hpc, predictor);
-            wpc[base + way] = pc;
-            if (predictor[pc] >= HAWKEYE_COUNTER_INITIAL) rrpv_s[way] = 0;
-        } else {
-            misses++;
-            if (filled[s] < ways) {
-                way = filled[s]++;
-            } else {
+        i64 line = lines[k], s = sidx[k], pc = pcs[k], base = s * ways;
+        i64 way = cache_probe(&c, s, line, writes[k]), hit = way >= 0;
+        i64 *rrpv_s = rrpv + base, *wpc_s = wpc + base;
+        if (!hit) {
+            way = cache_free_way(&c, s);
+            if (way < 0) {
                 i64 vpc;
-                way = -1;
                 for (w = 0; w < ways; w++)
                     if (rrpv_s[w] == HAWKEYE_RRPV_MAX) { way = w; break; }
                 if (way < 0) {
@@ -1020,29 +999,28 @@ void k_hawkeye(const i64 *lines, const u8 *writes, const u8 *pcs,
                     for (w = 1; w < ways; w++)
                         if (rrpv_s[w] > top) { top = rrpv_s[w]; way = w; }
                 }
-                evics++;
-                if (dirty[base + way]) wbs++;
-                vpc = wpc[base + way];
+                cache_evict(&c, s, way);
+                vpc = wpc_s[way];
                 if (predictor[vpc] >= HAWKEYE_COUNTER_INITIAL &&
                     predictor[vpc] > 0)
                     predictor[vpc]--;
             }
-            res_s[way] = line;
-            dirty[base + way] = writes[k];
-            if (sampled)
-                hawkeye_train(s / sample_every, line, pc, ways, window,
-                              cap, occ, occ_start, occ_len, clocks,
-                              hkeys, htime, hpc, predictor);
-            wpc[base + way] = pc;
-            if (predictor[pc] >= HAWKEYE_COUNTER_INITIAL) {
+            cache_fill(&c, s, way, line, writes[k]);
+        }
+        if (s % sample_every == 0)
+            hawkeye_train(s / sample_every, line, pc, ways, window, cap, occ,
+                          occ_start, occ_len, clocks, hkeys, htime, hpc,
+                          predictor);
+        wpc_s[way] = pc;
+        if (predictor[pc] >= HAWKEYE_COUNTER_INITIAL) {
+            if (!hit)
                 for (w = 0; w < ways; w++)
                     if (w != way && rrpv_s[w] < HAWKEYE_RRPV_MAX - 1)
                         rrpv_s[w]++;
-                rrpv_s[way] = 0;
-            } else {
-                rrpv_s[way] = HAWKEYE_RRPV_MAX;
-            }
+            rrpv_s[way] = 0;
+        } else if (!hit) {
+            rrpv_s[way] = HAWKEYE_RRPV_MAX;
         }
     }
-    out[0] += hits; out[1] += misses; out[2] += evics; out[3] += wbs;
+    cache_out(&c, out);
 }

@@ -21,7 +21,10 @@ toolchain, or a build that failed and said why), :func:`resolve_kernel`
 returns None and every policy replays through the generic engine —
 slower, never different.
 
-Shared bit-identical transformations (vs. ``SetAssociativeCache``):
+The shared bit-identical transformations (vs. ``SetAssociativeCache``)
+live in one set of always-inline cache helpers in ``kernels.c``, which
+every LLC kernel calls; a kernel states only its policy's victim choice
+and what a hit, an eviction and a fill update:
 
 - *Residency* is a linear tag scan: a set's ways always hold distinct
   lines, so "first way whose tag matches" answers exactly what
@@ -29,13 +32,14 @@ Shared bit-identical transformations (vs. ``SetAssociativeCache``):
 - *Invalid-way fills* use a monotone ``filled`` counter: the cache fills
   the lowest invalid way, ways are never invalidated, so invalid ways
   are exactly ``filled..num_ways-1``.
-- *RRIP aging* bumps once by ``rmax - max(rrpv)`` and then scans: the
-  reference's age-until-found loop always terminates after one bump, at
-  the same first-index victim.
 
-Every kernel walks the LLC-visible stream in access order over flat
-(set, way) state, reading the per-access set indices the filter
-memoizes per LLC set count
+Every LLC kernel carves one workspace layout, sized by :func:`_llc` from
+:data:`~repro.sim.constants.LLC_WAY_WORDS`, the constant the C side
+compiles with. Every exported function refuses a workspace shorter than
+it needs, and the call raises :class:`~repro.errors.SimulationError`.
+
+Every kernel walks the LLC-visible stream in access order, reading the
+per-access set indices the filter memoizes per LLC set count
 (:meth:`~repro.sim.engine.PrivateFilter.set_index_array`). Policies
 that keep no cross-set state (LRU, LIP, Bit-PLRU, SRRIP, OPT) give the
 same result in any interleaving of their sets; the others need exactly
@@ -50,7 +54,9 @@ Hawkeye's predictor). Per policy:
   structure) match the reference exactly.
 - *SRRIP / BRRIP* are ``k_drrip`` with every set a leader of the one
   policy (role 1 or 2), so the set-dueling vote never decides an
-  insertion.
+  insertion. *RRIP aging* bumps once by ``rmax - max(rrpv)`` and then
+  scans: the reference's age-until-found loop always terminates after
+  one bump, at the same first-index victim.
 - *OPT*: victims are chosen by first-max of stored next-use positions.
   The kernel stores **compact** (LLC-visible-stream) positions where the
   reference stores original-trace positions; the original->compact
@@ -117,18 +123,23 @@ import numpy as np
 from ..cache.cache import INVALID_TAG
 from ..cache.config import CacheConfig
 from ..cache.stats import CacheStats
+from ..errors import SimulationError
 from ..policies.hawkeye import Hawkeye
 from ..policies.lip import LIP
 from ..policies.lru import LRU
 from ..policies.opt import BeladyOPT
 from ..policies.plru import BitPLRU
-from ..policies.rrip import BRRIP, DRRIP, SRRIP
+from ..policies.rrip import BRRIP, DRRIP, SRRIP, drrip_leader_roles
 from ..policies.ship import SHiP
 from ..popt.arch import PoptCounters
 from ..popt.policy import POPT
 from ..popt.topt import TOPT
 from . import ckernels
-from .constants import BRRIP_TRICKLE, KERNEL_SIG_SPACE, POPT_DECODE_SLOTS
+from .constants import (
+    BRRIP_TRICKLE, HAWKEYE_SAMPLED_WORDS, HAWKEYE_SLOT_WORDS,
+    KERNEL_SIG_SPACE, LLC_WAY_WORDS, NEXT_USE_SLOT_WORDS, PLRU_SET_WORDS,
+    POPT_DECODE_SLOTS,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import PrivateFilter
@@ -153,20 +164,10 @@ class KernelRequest:
     filt: "PrivateFilter"     # LLC-visible stream + memoized products
 
 
-def _finish(
-    config: CacheConfig,
-    hits: int,
-    misses: int,
-    evictions: int,
-    writebacks: int,
-) -> CacheStats:
-    stats = CacheStats(config.name)
-    stats.accesses = hits + misses
-    stats.hits = hits
-    stats.misses = misses
-    stats.evictions = evictions
-    stats.writebacks = writebacks
-    return stats
+def _finish(config: CacheConfig, hits: int, misses: int, evictions: int,
+            writebacks: int) -> CacheStats:
+    return CacheStats(config.name, hits + misses, hits, misses, evictions,
+                      writebacks)
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +180,24 @@ def _ws(size: int) -> np.ndarray:
     kernel carves its per-set/per-way state out of one caller-owned
     int64 array and initializes it itself, so ``empty`` is safe)."""
     return np.empty(int(size), dtype=np.int64)
+
+
+def _call(name: str, args: tuple, words: int, out: np.ndarray,
+          *rest) -> None:
+    """``fn(*args, ws, len(ws), out, *rest)`` for kernel ``name``, with
+    a fresh ``words``-word workspace.
+
+    Every kernel checks the workspace against what its carve needs and,
+    when it is short, writes nothing to it and returns minus the words
+    it needs in ``out[0]``; that raises here, naming the kernel.
+    """
+    ws = _ws(words)
+    getattr(ckernels.lib(), name)(*args, ws, len(ws), out, *rest)
+    if out[0] < 0:
+        raise SimulationError(
+            f"kernel {name} needs a workspace of {-int(out[0])} words, "
+            f"was given {len(ws)}"
+        )
 
 
 def _fill_draws(seed: int, n: int) -> np.ndarray:
@@ -232,10 +251,9 @@ def replay_bit_plru_stream(
     ``k_private_filter`` pass is checked against it.
     """
     n = len(lines)
-    stats = CacheStats(config.name)
     hit_mask = np.zeros(n, dtype=bool)
     if n == 0:
-        return hit_mask, stats
+        return hit_mask, CacheStats(config.name)
     num_sets = config.num_sets
     num_ways = config.num_ways
     if config.sets_are_power_of_two:
@@ -294,12 +312,7 @@ def replay_bit_plru_stream(
         start = stop
 
     hit_mask[order] = hit_flags
-    stats.accesses = n
-    stats.hits = hits
-    stats.misses = misses
-    stats.evictions = evictions
-    stats.writebacks = writebacks
-    return hit_mask, stats
+    return hit_mask, _finish(config, hits, misses, evictions, writebacks)
 
 
 # ----------------------------------------------------------------------
@@ -372,12 +385,14 @@ def fused_private_filter(
     vis_lines = np.empty(n, dtype=np.int64)
     vis_writes = np.empty(n, dtype=np.uint8)
     out = np.zeros(9, dtype=np.int64)
-    scratch = l1_sets * (l1_ways + 3) + l2_sets * (l2_ways + 3)
-    clib.k_private_filter(
-        addr_arr, writes_u8, n, line_shift,
-        l1_sets, l1_ways, l1_pow2, l2_sets, l2_ways, l2_pow2,
-        visible_idx, vis_lines, vis_writes,
-        _ws(scratch), out,
+    _call(
+        "k_private_filter",
+        (addr_arr, writes_u8, n, line_shift,
+         l1_sets, l1_ways, l1_pow2, l2_sets, l2_ways, l2_pow2,
+         visible_idx, vis_lines, vis_writes),
+        l1_sets * (l1_ways + PLRU_SET_WORDS)
+        + l2_sets * (l2_ways + PLRU_SET_WORDS),
+        out,
     )
     counters = out.tolist()
     m = counters[0]
@@ -412,7 +427,8 @@ def compiled_next_use(lines: np.ndarray) -> Optional[np.ndarray]:
     while cap < 2 * m:
         cap <<= 1
     lines_arr = np.ascontiguousarray(lines, dtype=np.int64)
-    clib.k_next_use(lines_arr, m, cap, _ws(2 * cap), next_use)
+    _call("k_next_use", (lines_arr, m, cap), NEXT_USE_SLOT_WORDS * cap,
+          next_use)
     return next_use
 
 
@@ -421,46 +437,45 @@ def compiled_next_use(lines: np.ndarray) -> Optional[np.ndarray]:
 # ----------------------------------------------------------------------
 
 
-def _access_order_arrays(req: KernelRequest) -> tuple:
-    """``(n, lines, writes, set_idx)`` in access order, C-ready."""
-    filt = req.filt
-    return (
-        len(filt.lines),
-        np.ascontiguousarray(filt.lines, dtype=np.int64),
-        np.ascontiguousarray(filt.writes, dtype=np.uint8),
-        filt.set_index_array(req.config),
-    )
+def _llc(name: str, req: KernelRequest, *params, tail: int = 0,
+         cnt: Optional[np.ndarray] = None) -> CacheStats:
+    """Run LLC kernel ``name`` over the filter's stream in access order:
+    ``fn(lines, writes, sidx, n, num_sets, ways, *params, ws, ws_len,
+    out[, cnt])``.
 
-
-def _c_flat(name: str, req: KernelRequest, *params) -> CacheStats:
-    """Invoke an LLC kernel whose state is three flat (set, way) fields
-    plus the per-set fill counts:
-    ``fn(lines, writes, sidx, n, num_sets, ways, *params, ws, out)``."""
-    config = req.config
-    n, lines, writes, sidx = _access_order_arrays(req)
-    num_sets = config.num_sets
-    num_ways = config.num_ways
+    The workspace is the one layout every LLC kernel carves:
+    ``LLC_WAY_WORDS[name]`` words per (set, way), the per-set fill
+    counts, then ``tail`` words of the kernel's own state.
+    """
+    config, filt = req.config, req.filt
+    num_sets, num_ways = config.num_sets, config.num_ways
     out = np.zeros(4, dtype=np.int64)
-    getattr(ckernels.lib(), name)(
-        lines, writes, sidx, n, num_sets, num_ways, *params,
-        _ws(3 * num_sets * num_ways + num_sets), out,
+    _call(
+        name,
+        (np.ascontiguousarray(filt.lines, dtype=np.int64),
+         np.ascontiguousarray(filt.writes, dtype=np.uint8),
+         filt.set_index_array(config), len(filt.lines),
+         num_sets, num_ways, *params),
+        LLC_WAY_WORDS[name] * num_sets * num_ways + num_sets + tail,
+        out,
+        *(() if cnt is None else (cnt,)),
     )
     return _finish(config, *out.tolist())
 
 
 def kernel_lru(req: KernelRequest) -> CacheStats:
     """Timestamp LRU, with the access index as the clock."""
-    return _c_flat("k_lru", req, 0)
+    return _llc("k_lru", req, 0)
 
 
 def kernel_lip(req: KernelRequest) -> CacheStats:
     """LIP: hits promote to a fresh maximum, fills insert at min - 1."""
-    return _c_flat("k_lru", req, 1)
+    return _llc("k_lru", req, 1)
 
 
 def kernel_bit_plru(req: KernelRequest) -> CacheStats:
     """Bit-PLRU at the LLC (same rules as the private-level replay)."""
-    return _c_flat("k_bit_plru", req)
+    return _llc("k_bit_plru", req)
 
 
 def kernel_opt(req: KernelRequest) -> CacheStats:
@@ -472,22 +487,13 @@ def kernel_opt(req: KernelRequest) -> CacheStats:
     needed). The mapping between the two coordinate systems is strictly
     increasing, so the first-max victim is the same.
     """
-    return _c_flat("k_opt", req, req.filt.compact_next_use())
-
-
-def _drrip_leader_roles(num_sets: int, period: int) -> np.ndarray:
-    """0 = follower, 1 = SRRIP leader, 2 = BRRIP leader (reference map)."""
-    phase = np.arange(num_sets, dtype=np.int64) % period
-    leader = np.zeros(num_sets, dtype=np.int64)
-    leader[phase == period // 2] = 2
-    leader[phase == 0] = 1
-    return leader
+    return _llc("k_opt", req, req.filt.compact_next_use())
 
 
 def kernel_srrip(req: KernelRequest) -> CacheStats:
     """SRRIP: ``k_drrip`` with every set an SRRIP leader (role 1), so
     every fill inserts at ``rmax - 1`` and no fill outcome is read."""
-    return _c_flat(
+    return _llc(
         "k_drrip", req, req.policy.rrpv_max, 0, 0,
         np.full(req.config.num_sets, 1, dtype=np.int64),
         np.zeros(1, dtype=np.uint8),
@@ -503,7 +509,7 @@ def kernel_brrip(req: KernelRequest) -> CacheStats:
     (:meth:`~repro.sim.engine.PrivateFilter.fill_outcomes`).
     """
     policy = req.policy
-    return _c_flat(
+    return _llc(
         "k_drrip", req, policy.rrpv_max, 0, 0,
         np.full(req.config.num_sets, 2, dtype=np.int64),
         req.filt.fill_outcomes(policy._seed),
@@ -516,13 +522,15 @@ def kernel_drrip(req: KernelRequest) -> CacheStats:
     Inlines the reference's ``_miss_feedback`` -> role -> insertion
     sequence per fill: leader sets vote PSEL first, then the role (not
     the updated PSEL) decides the leader's own insertion; followers read
-    the post-feedback PSEL.
+    the post-feedback PSEL. The set roles are the policy's own map
+    (:func:`~repro.policies.rrip.drrip_leader_roles`).
     """
     policy = req.policy
     psel_max = policy.psel_max
-    return _c_flat(
+    return _llc(
         "k_drrip", req, policy.rrpv_max, psel_max // 2, psel_max,
-        _drrip_leader_roles(req.config.num_sets, policy.leader_period),
+        np.array(drrip_leader_roles(req.config.num_sets,
+                                    policy.leader_period), dtype=np.int64),
         req.filt.fill_outcomes(policy._seed),
     )
 
@@ -539,18 +547,12 @@ def kernel_ship(req: KernelRequest) -> CacheStats:
     (``SHiP.fits_replay_kernel`` gates on ``signature_kind``); SHiP-Mem
     stays on the generic path.
     """
-    config = req.config
-    n, lines, writes, sidx = _access_order_arrays(req)
-    num_sets = config.num_sets
-    num_ways = config.num_ways
-    out = np.zeros(4, dtype=np.int64)
-    ckernels.lib().k_ship(
-        lines, writes, np.ascontiguousarray(req.filt.pcs, dtype=np.uint8),
-        sidx, n, num_sets, num_ways, req.policy.rrpv_max,
-        _ws(5 * num_sets * num_ways + num_sets + KERNEL_SIG_SPACE),
-        out,
+    return _llc(
+        "k_ship", req,
+        np.ascontiguousarray(req.filt.pcs, dtype=np.uint8),
+        req.policy.rrpv_max,
+        tail=KERNEL_SIG_SPACE,
     )
-    return _finish(config, *out.tolist())
 
 
 def kernel_hawkeye(req: KernelRequest) -> CacheStats:
@@ -573,28 +575,22 @@ def kernel_hawkeye(req: KernelRequest) -> CacheStats:
     counter array. Victim choice is Hawkeye's own (first way at
     ``HAWKEYE_RRPV_MAX``, else first way at the maximum RRPV — no aging).
     """
-    config = req.config
     policy = req.policy
-    n, lines, writes, sidx = _access_order_arrays(req)
-    num_sets = config.num_sets
-    num_ways = config.num_ways
+    num_sets = req.config.num_sets
     sample_every = policy.sample_every
-    window = policy.history_factor * num_ways
+    window = policy.history_factor * req.config.num_ways
     num_sampled = (num_sets + sample_every - 1) // sample_every
     cap = 1
-    while cap < 2 * (n + 1):
+    while cap < 2 * (len(req.filt.lines) + 1):
         cap <<= 1
-    scratch = (
-        4 * num_sets * num_ways + num_sets + KERNEL_SIG_SPACE
-        + num_sampled * (window + 3) + 3 * cap
+    return _llc(
+        "k_hawkeye", req,
+        np.ascontiguousarray(req.filt.pcs, dtype=np.uint8),
+        sample_every, window, cap,
+        tail=KERNEL_SIG_SPACE
+        + num_sampled * (window + HAWKEYE_SAMPLED_WORDS)
+        + HAWKEYE_SLOT_WORDS * cap,
     )
-    out = np.zeros(4, dtype=np.int64)
-    ckernels.lib().k_hawkeye(
-        lines, writes, np.ascontiguousarray(req.filt.pcs, dtype=np.uint8),
-        sidx, n, num_sets, num_ways, sample_every, window, cap,
-        _ws(scratch), out,
-    )
-    return _finish(config, *out.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -602,23 +598,15 @@ def kernel_hawkeye(req: KernelRequest) -> CacheStats:
 # ----------------------------------------------------------------------
 
 
-def _region_bounds(policy) -> tuple:
-    """(line_base, line_bound) pairs of a next-ref policy's regions."""
-    return tuple(
-        (line_base, line_bound)
-        for line_base, line_bound, _ in policy._regions
-    )
-
-
 def _next_ref_arrays(req: KernelRequest) -> tuple:
-    """``(n, lines, writes, set_idx, vertices, sid, off)`` in access
-    order: the access-order channels, the int32 vertex channel as the
-    filter holds it, and the filter's memoized stream membership."""
+    """``(vertices, sid, off)`` in access order: the int32 vertex
+    channel as the filter holds it and the filter's memoized stream
+    membership over the policy's (line_base, line_bound) regions."""
     filt = req.filt
-    sid, off = filt.stream_membership(_region_bounds(req.policy))
-    return _access_order_arrays(req) + (
-        np.ascontiguousarray(filt.vertices, dtype=np.int32), sid, off,
+    sid, off = filt.stream_membership(
+        tuple((base, bound) for base, bound, _ in req.policy._regions)
     )
+    return np.ascontiguousarray(filt.vertices, dtype=np.int32), sid, off
 
 
 def kernel_topt(req: KernelRequest) -> CacheStats:
@@ -641,22 +629,16 @@ def kernel_topt(req: KernelRequest) -> CacheStats:
     instance so the timing model reads identical values from every
     engine.
     """
-    config = req.config
     policy = req.policy
-    n, lines, writes, sidx, verts, sid, off = _next_ref_arrays(req)
-    num_sets = config.num_sets
-    num_ways = config.num_ways
-    out = np.zeros(4, dtype=np.int64)
     cnt = np.zeros(2, dtype=np.int64)
-    ckernels.lib().k_topt(
-        lines, writes, verts, sidx, sid, off,
+    stats = _llc(
+        "k_topt", req, *_next_ref_arrays(req),
         policy._offset_bases, policy._offsets_arr, policy._refs_arr,
-        n, num_sets, num_ways,
-        _ws(7 * num_sets * num_ways + num_sets), out, cnt,
+        cnt=cnt,
     )
     policy.replacements = int(cnt[0])
     policy.transpose_walk_elements = int(cnt[1])
-    return _finish(config, *out.tolist())
+    return stats
 
 
 def kernel_popt(req: KernelRequest) -> CacheStats:
@@ -690,35 +672,29 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     computed vectorized up front and written back with the scan
     counters as a fresh :class:`~repro.popt.arch.PoptCounters`.
     """
-    config = req.config
     policy = req.policy
     tie = policy._tie_break
     matrices = [matrix for _, _, matrix in policy._regions]
-    n, lines, writes, sidx, verts, sid, off = _next_ref_arrays(req)
+    verts, sid, off = _next_ref_arrays(req)
 
     epochs = verts // policy._epoch_size
-    transitions = (
-        int(np.count_nonzero(epochs[1:] != epochs[:-1])) if n else 0
-    )
+    transitions = int(np.count_nonzero(epochs[1:] != epochs[:-1]))
     column_bytes = sum(matrix.column_bytes() for matrix in matrices)
 
     kernel_matrices = policy.kernel_matrices
-    num_sets = config.num_sets
-    num_ways = config.num_ways
-    out = np.zeros(4, dtype=np.int64)
     cnt = np.zeros(5, dtype=np.int64)
-    ckernels.lib().k_popt(
-        lines, writes, verts, sidx, sid, off,
+    stats = _llc(
+        "k_popt", req, verts, sid, off,
         np.array(kernel_matrices.bases, dtype=np.int64),
-        n, num_sets, num_ways,
         len(matrices), kernel_matrices.sparams, kernel_matrices.entries,
         1 if policy.prefer_streaming_victims else 0,
         tie.rrpv_max, tie.psel_max,
-        _drrip_leader_roles(num_sets, tie.leader_period),
+        np.array(drrip_leader_roles(req.config.num_sets, tie.leader_period),
+                 dtype=np.int64),
         req.filt.fill_outcomes(tie._seed),
-        _ws(num_sets * (5 * num_ways + 1) + num_ways
-            + POPT_DECODE_SLOTS * len(matrices)),
-        out, cnt,
+        # One scan's per-way next-refs, then the per-stream decode blocks.
+        tail=req.config.num_ways + POPT_DECODE_SLOTS * len(matrices),
+        cnt=cnt,
     )
     replacements, streaming_evictions, rm_lookups, ties, tie_candidates = (
         cnt.tolist()
@@ -732,7 +708,7 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
         epoch_transitions=transitions,
         bytes_streamed=transitions * column_bytes,
     )
-    return _finish(config, *out.tolist())
+    return stats
 
 
 # ----------------------------------------------------------------------

@@ -14,13 +14,16 @@ it loads.
 """
 
 import ctypes
+import re
 import subprocess
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim import ckernels
+from repro.sim.constants import LLC_WAY_WORDS
 
 
 @pytest.fixture
@@ -191,7 +194,7 @@ class TestDerivedBoundary:
         cap = 2 * len(lines)
         ws = np.empty(2 * cap, dtype=np.int64)
         out = np.empty(len(lines), dtype=np.int64)
-        return clib, (lines, len(lines), cap, ws, out)
+        return clib, (lines, len(lines), cap, ws, len(ws), out)
 
     def test_int32_array_raises_at_call(self, toolchain):
         clib, args = self._next_use(np.arange(8, dtype=np.int32))
@@ -206,10 +209,10 @@ class TestDerivedBoundary:
         lines = np.arange(8, dtype=np.int64)
         writes = np.zeros(8, dtype=np.int64)  # kernel takes const u8 *
         sidx = np.zeros(8, dtype=np.int64)
-        ws = np.empty(3 * 2 + 1, dtype=np.int64)
+        ws = np.empty(LLC_WAY_WORDS["k_lru"] * 2 + 1, dtype=np.int64)
         out = np.zeros(4, dtype=np.int64)
         with pytest.raises(ctypes.ArgumentError, match="uint8"):
-            clib.k_lru(lines, writes, sidx, 8, 1, 2, 0, ws, out)
+            clib.k_lru(lines, writes, sidx, 8, 1, 2, 0, ws, len(ws), out)
 
     def test_strided_array_raises_at_call(self, toolchain):
         clib, args = self._next_use(np.arange(16, dtype=np.int64)[::2])
@@ -291,26 +294,25 @@ def _next_ref_args(name, **override):
     i64 = np.zeros(1, dtype=np.int64)
     u8 = np.zeros(1, dtype=np.uint8)
     i32 = np.zeros(1, dtype=np.int32)
+    head = dict(lines=i64, writes=u8, sidx=i64, n=0, num_sets=1, ways=1)
     tail = {
         "ws": np.zeros(64, dtype=np.int64),
+        "ws_len": 64,
         "out": np.zeros(4, dtype=np.int64),
     }
     args = {
         "k_drrip": dict(
-            lines=i64, writes=u8, sidx=i64, n=0, num_sets=1, ways=1,
-            rmax=3, psel=511, psel_max=1023, leader=i64, trickled=u8,
-            **tail,
+            **head, rmax=3, psel=511, psel_max=1023, leader=i64,
+            trickled=u8, **tail,
         ),
         "k_topt": dict(
-            lines=i64, writes=u8, vertices=i32, sidx=i64, sid=i64,
-            off=i64, obase=i64, offsets=np.zeros(2, dtype=np.int64),
-            refs=i32, n=0, num_sets=1, ways=1, **tail,
+            **head, vertices=i32, sid=i64, off=i64, obase=i64,
+            offsets=np.zeros(2, dtype=np.int64), refs=i32, **tail,
             cnt=np.zeros(2, dtype=np.int64),
         ),
         "k_popt": dict(
-            lines=i64, writes=u8, vertices=i32, sidx=i64, sid=i64,
-            off=i64, bases=i64, n=0, num_sets=1, ways=1, num_streams=1,
-            sparams=np.zeros(8, dtype=np.int64),
+            **head, vertices=i32, sid=i64, off=i64, bases=i64,
+            num_streams=1, sparams=np.zeros(8, dtype=np.int64),
             entries=np.zeros(4, dtype=np.uint16), prefer_streaming=1,
             rmax=3, psel_max=1023, leader=i64, trickled=u8, **tail,
             cnt=np.zeros(5, dtype=np.int64),
@@ -350,6 +352,79 @@ class TestNextRefBoundary:
         args = _next_ref_args(name, vertices=np.zeros(1, dtype=np.int64))
         with pytest.raises(ctypes.ArgumentError, match="int32"):
             getattr(self._lib(), name)(*args)
+
+
+#: One policy per exported LLC kernel (LIP, SRRIP and BRRIP reuse
+#: k_lru and k_drrip).
+_LLC_KERNEL_POLICIES = {
+    "k_lru": "LRU", "k_bit_plru": "Bit-PLRU", "k_opt": "OPT",
+    "k_drrip": "DRRIP", "k_topt": "T-OPT", "k_popt": "P-OPT",
+    "k_ship": "SHiP-PC", "k_hawkeye": "Hawkeye",
+}
+
+
+@pytest.mark.needs_ckernels
+class TestShortWorkspace:
+    """Every exported function checks its workspace against what its
+    carve needs: one word short, it writes nothing and the wrapper
+    raises, naming the kernel and the words needed and given."""
+
+    @pytest.fixture
+    def one_word_short(self, monkeypatch):
+        from repro.sim import kernels
+
+        def short(size):
+            return np.empty(int(size) - 1, dtype=np.int64)
+
+        return lambda: monkeypatch.setattr(kernels, "_ws", short)
+
+    def _raises(self, name):
+        return pytest.raises(
+            SimulationError,
+            match=rf"^kernel {name} needs a workspace of (\d+) words, "
+                  rf"was given (\d+)$",
+        )
+
+    @pytest.mark.parametrize("name", sorted(_LLC_KERNEL_POLICIES))
+    def test_llc_kernel(self, name, one_word_short):
+        from repro.apps import PageRank
+        from repro.graph import uniform_random
+        from repro.sim import prepare_run, simulate_prepared
+        from tests.sim.test_engine import small_hierarchy
+
+        prepared = prepare_run(
+            PageRank(), uniform_random(128, avg_degree=4.0, seed=3)
+        )
+        policy = _LLC_KERNEL_POLICIES[name]
+        # Warm every memoized filter product first, so the short
+        # workspace reaches the replay kernel and nothing before it.
+        fits = simulate_prepared(prepared, policy, small_hierarchy())
+        assert fits.details["engine"]["kernel"] is not None
+        one_word_short()
+        with self._raises(name) as caught:
+            simulate_prepared(prepared, policy, small_hierarchy())
+        needed, given = map(int, re.findall(r"\d+", str(caught.value)))
+        assert needed == given + 1
+
+    def test_private_filter(self, one_word_short):
+        from repro.cache import CacheConfig
+        from repro.sim.kernels import fused_private_filter
+
+        one_word_short()
+        with self._raises("k_private_filter"):
+            fused_private_filter(
+                np.arange(64, dtype=np.int64) * 64, np.zeros(64, bool), 6,
+                CacheConfig("L1", num_sets=2, num_ways=4),
+                CacheConfig("L2", num_sets=4, num_ways=4),
+            )
+
+    def test_next_use(self, one_word_short):
+        from repro.sim.kernels import compiled_next_use
+
+        lines = np.arange(16, dtype=np.int64) % 5
+        one_word_short()
+        with self._raises("k_next_use"):
+            compiled_next_use(lines)
 
 
 class TestDialect:

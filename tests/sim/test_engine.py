@@ -455,6 +455,27 @@ class TestKernelEquivalence:
         assert_results_match(fast, ref)
         assert fast.llc.evictions > 0 and fast.llc.hits > 0
 
+    @pytest.mark.parametrize("leader_period", [1, 2, 3])
+    def test_drrip_leader_periods(self, prepared, hierarchy, leader_period):
+        # Period 1 makes every set an SRRIP leader, period 2 alternates
+        # SRRIP and BRRIP leaders with no follower, and period 3 adds one
+        # follower per period: the kernel and the policy read one map.
+        from repro.policies.rrip import DRRIP
+
+        engine = ReplayEngine(prepared, hierarchy)
+        kernel, generic = (
+            engine.run(DRRIP(leader_period=leader_period),
+                       use_kernel=use_kernel)
+            for use_kernel in (True, False)
+        )
+        assert kernel.kernel == ("drrip" if ckernels.available() else None)
+        assert generic.kernel is None
+        assert kernel.level_counts == generic.level_counts
+        for a, b in zip(kernel.levels, generic.levels):
+            assert (a.hits, a.misses, a.evictions, a.writebacks) == (
+                b.hits, b.misses, b.evictions, b.writebacks
+            )
+
     def test_drrip_follower_at_psel_midpoint(self):
         # Set 0 leads SRRIP, set 1 follows. Line 1 fills set 1 while
         # PSEL sits at its midpoint, so a follower must insert SRRIP
