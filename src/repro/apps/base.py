@@ -92,9 +92,8 @@ class PreparedRun:
     """Everything the simulation driver needs for one kernel run.
 
     A prepared run is replayed under many LLC policies, so it also hosts
-    the replay engine's policy-independent caches: the decoded trace
-    (line addresses + metadata, phase 1) and the private-level filters
-    (the LLC-visible subsequence per L1/L2 geometry, phase 2), keyed by
+    the replay engine's policy-independent caches: the private-level
+    filters (the LLC-visible subsequence per L1/L2 geometry), keyed by
     hierarchy configuration. ``filter_counters`` records how often a
     filter was built vs reused (throughput instrumentation). P-OPT's
     Rereference Matrices and T-OPT's line references depend only on the
@@ -173,12 +172,6 @@ class PreparedRun:
     @property
     def num_accesses(self) -> int:
         return len(self.trace)
-
-    def decoded(self, line_shift: int):
-        """Line-granular decode of the trace, memoized (engine phase 1)."""
-        from ..memory.trace import decode_trace
-
-        return decode_trace(self.trace, line_shift)
 
 
 class GraphApp:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
 
 from ..errors import PolicyError
 from .config import CacheConfig
@@ -77,18 +76,6 @@ class SetAssociativeCache:
         """Set index of one line address (mask fast path, else modulo)."""
         mask = self.set_mask
         return line_addr & mask if mask >= 0 else line_addr % self.num_sets
-
-    def set_indices(self, lines: np.ndarray) -> np.ndarray:
-        """Vectorized set indices for an array of line addresses.
-
-        The replay engine precomputes these once per trace; the scalar
-        and vectorized paths agree for any set count (power-of-two or
-        not — the paper's footnote-3 modulo indexing).
-        """
-        lines = np.asarray(lines, dtype=np.int64)
-        if self.set_mask >= 0:
-            return lines & self.set_mask
-        return lines % self.num_sets
 
     def access(self, line_addr: int, ctx: AccessContext) -> bool:
         """Look up a line-granular address; fill on miss. Returns hit."""

@@ -92,7 +92,3 @@ class CacheHierarchy:
     def stats_snapshot(self) -> List[CacheStats]:
         """Independent copies of every level's stats (result records)."""
         return [stats.copy() for stats in self.all_stats()]
-
-    def dram_accesses(self) -> int:
-        """Accesses that went all the way to memory."""
-        return self.level_counts[LEVEL_DRAM]

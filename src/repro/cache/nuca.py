@@ -66,13 +66,3 @@ class BankMapper:
         """
         line_id = (addr - irreg_base) // self.line_size
         return self.irreg_bank(addr, irreg_base) == self.rm_bank(line_id)
-
-    def default_mapping_locality(self, irreg_base: int, num_lines: int) -> float:
-        """Fraction of irregData lines whose RM entry would be bank-local
-        if irregData used default striping (for the Section V-E ablation)."""
-        local = 0
-        for line_id in range(num_lines):
-            addr = irreg_base + line_id * self.line_size
-            if self.default_bank(addr) == self.rm_bank(line_id):
-                local += 1
-        return local / num_lines if num_lines else 1.0

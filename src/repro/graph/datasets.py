@@ -21,7 +21,10 @@ generator at exactly ``N`` vertices instead of a scale profile's count;
 :func:`load` keeps the last :data:`GRAPH_MEMO_SIZE` graphs per process,
 with read-only arrays, so a sweep that crosses every app with every
 graph builds each graph once. A ``file:`` entry is keyed on the file's
-``(abspath, mtime_ns, size)`` signature, so an edited file reloads.
+``(abspath, mtime_ns, size)`` signature, so an edited file reloads. On a
+memo miss with an artifact store configured (:mod:`repro.sim.artifacts`),
+the graph is read from the store before it is generated or parsed, and
+written there after.
 
 ==========  =======================  ==========================================
 Paper name  Structural class         Stand-in generator
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ..errors import GraphFormatError
+from ..sim import artifacts
 from . import generators
 from .csr import CSRGraph
 
@@ -227,15 +231,11 @@ def load(name: str, scale: str = "small", seed: int = 42) -> CSRGraph:
         )
     else:
         key = (name, scale, seed)
-    graph = _GRAPH_MEMO.get(key)
-    if graph is None:
-        graph = _build(name, scale, seed).freeze()
-        _GRAPH_MEMO[key] = graph
-        while len(_GRAPH_MEMO) > GRAPH_MEMO_SIZE:
-            _GRAPH_MEMO.popitem(last=False)
-    else:
-        _GRAPH_MEMO.move_to_end(key)
-    return graph
+    return artifacts.get_or_build(
+        artifacts.GRAPH, (name, scale, seed),
+        lambda: _build(name, scale, seed).freeze(),
+        _GRAPH_MEMO, key, GRAPH_MEMO_SIZE,
+    )
 
 
 def _build(name: str, scale: str, seed: int) -> CSRGraph:

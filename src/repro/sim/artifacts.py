@@ -36,11 +36,18 @@ property ``tests/sim/test_parallel.py`` already locks in). CI caches the
 store directory keyed by a hash of ``src/repro``, so any source change
 starts from a cold store.
 
+Every kind is looked up through one path, :func:`get_or_build`: the
+caller's in-process memo, then the store, then the build, whose product
+is written back. A kind is only its codec (:class:`Kind`: key, encode,
+decode). A lookup is a miss exactly when reading or decoding the entry
+raises one of :data:`BAD_ENTRY_ERRORS`: the bad entry counts as a miss,
+never a hit, and is removed, so its rebuild is written in its place and
+the next lookup hits. Any other error is a bug and propagates.
+
 The store is *opt-in*: it engages only when :data:`DIR_ENV`
 (``REPRO_ARTIFACTS_DIR``) points somewhere, which :func:`configure` sets
-process-wide (inherited by pool workers). Every load falls back to a
-rebuild on any corruption — a broken entry is a cache miss, never an
-error.
+process-wide (inherited by pool workers). Without it no store key is
+derived, so no content hash runs.
 """
 
 from __future__ import annotations
@@ -49,34 +56,22 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import PolicyError
+from ..errors import GraphFormatError, PolicyError
 
 __all__ = [
-    "ArtifactStore",
-    "DIR_ENV",
-    "SCHEMA_VERSION",
-    "configure",
-    "get_store",
-    "canonical_json",
-    "content_digest",
-    "trace_sha",
-    "graph_sha",
-    "file_content_sha",
-    "graph_content_token",
-    "cached_graph",
-    "store_graph",
-    "cached_prepared",
-    "store_prepared",
-    "cached_filter",
-    "store_filter",
-    "rereference_matrix_for",
-    "cached_rows",
-    "store_rows",
+    "ArtifactStore", "BAD_ENTRY_ERRORS", "DIR_ENV", "SCHEMA_VERSION",
+    "Kind", "GRAPH", "PREPARED", "FILTER", "MATRIX", "ROWS",
+    "configure", "get_store", "get_or_build", "lookup", "build_and_store",
+    "canonical_json", "content_digest", "trace_sha", "graph_sha",
+    "file_content_sha", "graph_content_token",
+    "cached_graph", "store_graph", "cached_prepared", "store_prepared",
+    "cached_filter", "store_filter", "cached_rows", "store_rows",
 ]
 
 #: Environment variable enabling the store (value = store directory).
@@ -90,6 +85,15 @@ KIND_PREPARED = "prepared"
 KIND_FILTER = "filter"
 KIND_MATRIX = "rereference-matrix"
 KIND_ROWS = "rows"
+
+#: What reading or decoding a bad entry raises (truncated or missing
+#: files, a ``meta.json`` missing a field or holding a wrong type, arrays
+#: a constructor refuses). A lookup that raises one of these is a miss;
+#: ``EOFError`` is numpy's error for a zero-byte ``.npy``.
+BAD_ENTRY_ERRORS = (
+    OSError, EOFError, ValueError, KeyError, TypeError, GraphFormatError,
+    PolicyError,
+)
 
 
 def canonical_json(obj: object) -> str:
@@ -152,9 +156,9 @@ class ArtifactStore:
 
     Entries live at ``<root>/<kind>/<digest[:2]>/<digest>/`` as a
     ``meta.json`` plus one ``.npy`` per array channel. Writers stage
-    into a sibling temp directory and rename; a concurrent writer losing
-    the rename race simply discards its copy (both wrote identical
-    content — keys are content/provenance hashes).
+    into a sibling temp directory and rename; a writer that finds the
+    entry already there keeps it and discards its copy (both wrote
+    identical content — keys are content/provenance hashes).
     """
 
     def __init__(self, root) -> None:
@@ -176,18 +180,17 @@ class ArtifactStore:
     ) -> Optional[Dict[str, object]]:
         """Load an entry: ``{"meta": dict, "arrays": {name: ndarray}}``.
 
-        Arrays come back memory-mapped read-only. Any corruption (missing
-        meta, unreadable array) is treated as a miss.
+        Arrays come back memory-mapped read-only. An entry that is
+        absent or does not read (:data:`BAD_ENTRY_ERRORS`) is a miss.
         """
         entry = self.entry_dir(kind, key)
-        meta_path = entry / "meta.json"
         try:
-            payload = json.loads(meta_path.read_text())
+            meta = json.loads((entry / "meta.json").read_text())["meta"]
             arrays = {
                 path.stem: np.load(path, mmap_mode="r")
                 for path in sorted(entry.glob("*.npy"))
             }
-        except (OSError, ValueError):
+        except BAD_ENTRY_ERRORS:
             self._count(kind, "misses")
             return None
         for array in arrays.values():
@@ -197,7 +200,7 @@ class ArtifactStore:
             # callers must .copy().
             array.setflags(write=False)
         self._count(kind, "hits")
-        return {"meta": payload.get("meta", {}), "arrays": arrays}
+        return {"meta": meta, "arrays": arrays}
 
     def put(
         self,
@@ -206,8 +209,15 @@ class ArtifactStore:
         arrays: Optional[Dict[str, np.ndarray]] = None,
         meta: Optional[Dict[str, object]] = None,
     ) -> Path:
-        """Write an entry atomically; racing writers converge."""
+        """Write an entry atomically; never over an existing one.
+
+        A writer that finds the entry present, or loses the rename race
+        to a concurrent writer, keeps the entry that is there. Only a
+        rename that landed counts as a write.
+        """
         entry = self.entry_dir(kind, key)
+        if entry.exists():
+            return entry
         entry.parent.mkdir(parents=True, exist_ok=True)
         tmp = entry.parent / f".tmp-{os.getpid()}-{entry.name[:16]}"
         if tmp.exists():
@@ -228,11 +238,16 @@ class ArtifactStore:
             except OSError:
                 if not entry.exists():  # a real failure, not a lost race
                     raise
+            else:
+                self._count(kind, "writes")
         finally:
             if tmp.exists():
                 shutil.rmtree(tmp, ignore_errors=True)
-        self._count(kind, "writes")
         return entry
+
+    def discard(self, kind: str, key: Dict[str, object]) -> None:
+        """Remove an entry, if there is one, so its rebuild can land."""
+        shutil.rmtree(self.entry_dir(kind, key), ignore_errors=True)
 
     def stats(self) -> Dict[str, object]:
         """Counters per kind plus totals (CI smoke asserts on these)."""
@@ -275,6 +290,98 @@ def configure(root) -> Optional[ArtifactStore]:
         return None
     os.environ[DIR_ENV] = str(root)
     return get_store()
+
+
+# ----------------------------------------------------------------------
+# The one get-or-build path
+# ----------------------------------------------------------------------
+
+Arrays = Dict[str, np.ndarray]
+Meta = Dict[str, object]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One artifact kind: its directory name and its codec.
+
+    ``key`` maps a lookup's arguments to the entry's store key; it runs
+    only when a store is configured. ``encode`` turns a value into
+    ``(arrays, meta)`` and ``decode`` turns them back.
+    """
+
+    name: str
+    key: Callable[..., Dict[str, object]]
+    encode: Callable[[Any], Tuple[Arrays, Meta]]
+    decode: Callable[[Arrays, Meta], Any]
+
+
+def _read(store: ArtifactStore, kind: Kind, key: Dict[str, object]):
+    """The decoded entry under ``key``, or None on a miss.
+
+    A bad entry is counted as a miss and removed, so the value rebuilt
+    for it can be written.
+    """
+    entry = store.get(kind.name, key)
+    if entry is not None:
+        try:
+            return kind.decode(entry["arrays"], entry["meta"])
+        except BAD_ENTRY_ERRORS:  # read, but not a value: a miss
+            bucket = store.counters[kind.name]
+            bucket["hits"] -= 1
+            bucket["misses"] += 1
+    store.discard(kind.name, key)
+    return None
+
+
+def _write(
+    store: ArtifactStore, kind: Kind, key: Dict[str, object], value
+) -> None:
+    arrays, meta = kind.encode(value)
+    store.put(kind.name, key, arrays=arrays, meta=meta)
+
+
+def lookup(kind: Kind, key: Tuple[object, ...]):
+    """The store step alone: the stored value, or None (a miss, or no
+    store). ``key`` is the argument tuple of ``kind.key``."""
+    store = get_store()
+    return None if store is None else _read(store, kind, kind.key(*key))
+
+
+def build_and_store(kind: Kind, key: Tuple[object, ...], build):
+    """The build step alone, after a miss: build, then write the value
+    if a store is configured."""
+    value = build()
+    store = get_store()
+    if store is not None:
+        _write(store, kind, kind.key(*key), value)
+    return value
+
+
+def get_or_build(
+    kind: Kind, key: Tuple[object, ...], build: Callable[[], Any],
+    memory: Optional[dict] = None, slot: object = None,
+    bound: Optional[int] = None,
+):
+    """Memory, then store, then build: the one lookup of every kind.
+
+    ``memory`` is the caller's in-process memo and ``slot`` the value's
+    place in it; with ``bound`` it is an ``OrderedDict`` kept as an LRU
+    of that many values. A value read or built is put there.
+    """
+    if memory is not None:
+        value = memory.get(slot)
+        if value is not None:
+            if bound is not None:
+                memory.move_to_end(slot)
+            return value
+    value = lookup(kind, key)
+    if value is None:
+        value = build_and_store(kind, key, build)
+    if memory is not None:
+        memory[slot] = value
+        while bound is not None and len(memory) > bound:
+            memory.popitem(last=False)
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -327,30 +434,32 @@ def _graph_key(name: str, scale: str, seed: int) -> Dict[str, object]:
     return {"name": name, "scale": scale, "seed": seed}
 
 
-def cached_graph(store: ArtifactStore, name: str, scale: str, seed: int):
-    entry = store.get(KIND_GRAPH, _graph_key(name, scale, seed))
-    if entry is None:
-        return None
+def _encode_graph(graph) -> Tuple[Arrays, Meta]:
+    return (
+        {"offsets": graph.offsets, "neighbors": graph.neighbors},
+        {"num_vertices": graph.num_vertices},
+    )
+
+
+def _decode_graph(arrays: Arrays, meta: Meta):
     from ..graph.csr import CSRGraph
 
-    try:
-        return CSRGraph(
-            offsets=entry["arrays"]["offsets"],
-            neighbors=entry["arrays"]["neighbors"],
-        )
-    except Exception:
-        return None
+    return CSRGraph(
+        offsets=arrays["offsets"], neighbors=arrays["neighbors"]
+    ).freeze()
+
+
+GRAPH = Kind(KIND_GRAPH, _graph_key, _encode_graph, _decode_graph)
+
+
+def cached_graph(store: ArtifactStore, name: str, scale: str, seed: int):
+    return _read(store, GRAPH, _graph_key(name, scale, seed))
 
 
 def store_graph(
     store: ArtifactStore, name: str, scale: str, seed: int, graph
 ) -> None:
-    store.put(
-        KIND_GRAPH,
-        _graph_key(name, scale, seed),
-        arrays={"offsets": graph.offsets, "neighbors": graph.neighbors},
-        meta={"num_vertices": graph.num_vertices},
-    )
+    _write(store, GRAPH, _graph_key(name, scale, seed), graph)
 
 
 # ----------------------------------------------------------------------
@@ -358,87 +467,84 @@ def store_graph(
 # ----------------------------------------------------------------------
 
 
-def _span_fields(span) -> Dict[str, object]:
-    return {
-        "name": span.name,
-        "base": span.base,
-        "num_elems": span.num_elems,
-        "elem_bits": span.elem_bits,
-        "line_size": span.line_size,
-        "irregular": span.irregular,
-    }
+#: A trace's channels, stored as ``trace_<channel>`` arrays.
+_TRACE_CHANNELS = ("addresses", "pcs", "writes", "vertices")
 
 
-def store_prepared(
-    store: ArtifactStore, key: Dict[str, object], prepared
-) -> None:
-    arrays: Dict[str, np.ndarray] = {
-        "trace_addresses": prepared.trace.addresses,
-        "trace_pcs": prepared.trace.pcs,
-        "trace_writes": prepared.trace.writes,
-        "trace_vertices": prepared.trace.vertices,
+def _encode_prepared(prepared) -> Tuple[Arrays, Meta]:
+    arrays: Arrays = {
+        f"trace_{channel}": getattr(prepared.trace, channel)
+        for channel in _TRACE_CHANNELS
     }
-    streams: List[Dict[str, object]] = []
     for index, stream in enumerate(prepared.irregular_streams):
         arrays[f"ref{index}_offsets"] = stream.reference_graph.offsets
         arrays[f"ref{index}_neighbors"] = stream.reference_graph.neighbors
-        streams.append({"span": stream.span.name})
     meta = {
         "app_name": prepared.app_name,
         "details": prepared.details,
         "line_size": prepared.layout.line_size,
-        "spans": [_span_fields(span) for span in prepared.layout.spans],
-        "streams": streams,
+        "spans": [asdict(span) for span in prepared.layout.spans],
+        "streams": [
+            {"span": stream.span.name}
+            for stream in prepared.irregular_streams
+        ],
     }
-    store.put(KIND_PREPARED, key, arrays=arrays, meta=meta)
+    return arrays, meta
 
 
-def cached_prepared(store: ArtifactStore, key: Dict[str, object]):
-    """Rebuild a :class:`PreparedRun` from a stored entry, or None.
+def _decode_prepared(arrays: Arrays, meta: Meta):
+    """Rebuild a :class:`PreparedRun` from a stored entry.
 
     ``reference_result`` is not serialized (nothing on the replay path
     consumes it): the rebuilt run has no ``reference`` and reads
-    ``None``. The engine-side caches (filters, decode) start empty
+    ``None``. The engine-side caches (filters, matrices) start empty
     and re-fill from their own store kinds.
     """
-    entry = store.get(KIND_PREPARED, key)
-    if entry is None:
-        return None
     from ..apps.base import PreparedRun
     from ..graph.csr import CSRGraph
     from ..memory.layout import AddressSpace, ArraySpan
     from ..memory.trace import MemoryTrace
     from ..popt.topt import IrregularStream
 
-    meta = entry["meta"]
-    arrays = entry["arrays"]
-    try:
-        spans = [ArraySpan(**fields) for fields in meta["spans"]]
-        layout = AddressSpace.from_spans(spans, line_size=meta["line_size"])
-        trace = MemoryTrace(
-            addresses=arrays["trace_addresses"],
-            pcs=arrays["trace_pcs"],
-            writes=arrays["trace_writes"],
-            vertices=arrays["trace_vertices"],
+    spans = [ArraySpan(**fields) for fields in meta["spans"]]
+    layout = AddressSpace.from_spans(spans, line_size=meta["line_size"])
+    trace = MemoryTrace(**{
+        channel: arrays[f"trace_{channel}"] for channel in _TRACE_CHANNELS
+    })
+    streams = [
+        IrregularStream(
+            span=layout[stream_meta["span"]],
+            reference_graph=CSRGraph(
+                offsets=arrays[f"ref{index}_offsets"],
+                neighbors=arrays[f"ref{index}_neighbors"],
+            ),
         )
-        streams = []
-        for index, stream_meta in enumerate(meta["streams"]):
-            streams.append(IrregularStream(
-                span=layout[stream_meta["span"]],
-                reference_graph=CSRGraph(
-                    offsets=arrays[f"ref{index}_offsets"],
-                    neighbors=arrays[f"ref{index}_neighbors"],
-                ),
-            ))
-        return PreparedRun(
-            app_name=meta["app_name"],
-            layout=layout,
-            trace=trace,
-            irregular_streams=streams,
-            details=dict(meta["details"]),
-        )
-    except Exception:
-        return None
+        for index, stream_meta in enumerate(meta["streams"])
+    ]
+    return PreparedRun(
+        app_name=meta["app_name"],
+        layout=layout,
+        trace=trace,
+        irregular_streams=streams,
+        details=dict(meta["details"]),
+    )
+
+
+#: Keyed by a :class:`~repro.sim.parallel.SweepTask`'s ``artifact_key()``.
+PREPARED = Kind(
+    KIND_PREPARED, lambda task: task.artifact_key(),
+    _encode_prepared, _decode_prepared,
+)
+
+
+def store_prepared(
+    store: ArtifactStore, key: Dict[str, object], prepared
+) -> None:
+    _write(store, PREPARED, key, prepared)
+
+
+def cached_prepared(store: ArtifactStore, key: Dict[str, object]):
+    return _read(store, PREPARED, key)
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +558,7 @@ def _level_geometry(config) -> Optional[List[int]]:
     return [config.num_sets, config.num_ways]
 
 
-def _filter_store_key(trace, hierarchy_config) -> Dict[str, object]:
+def _filter_key(trace, hierarchy_config) -> Dict[str, object]:
     return {
         "trace": trace_sha(trace),
         "l1": _level_geometry(hierarchy_config.l1),
@@ -461,78 +567,52 @@ def _filter_store_key(trace, hierarchy_config) -> Dict[str, object]:
     }
 
 
-def _stats_fields(stats) -> Optional[Dict[str, object]]:
-    if stats is None:
-        return None
-    return {
-        "name": stats.name,
-        "accesses": stats.accesses,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "evictions": stats.evictions,
-        "writebacks": stats.writebacks,
-    }
+#: A filter's array channels, and the scalars its ``meta`` carries
+#: beside the two private-level stats.
+_FILTER_ARRAYS = ("mask", "lines", "pcs", "writes", "vertices", "indices")
+_FILTER_SCALARS = ("num_accesses", "l1_hits", "l2_hits")
+
+
+def _encode_filter(filt) -> Tuple[Arrays, Meta]:
+    meta = {name: getattr(filt, name) for name in _FILTER_SCALARS}
+    for level in ("l1_stats", "l2_stats"):
+        stats = getattr(filt, level)
+        meta[level] = None if stats is None else asdict(stats)
+    # Provenance only: what the original build cost. Engine reports
+    # count rehydrated filters as reused (0.0 phases).
+    meta["decode_seconds"] = filt.decode_seconds
+    meta["filter_seconds"] = filt.filter_seconds
+    return {name: getattr(filt, name) for name in _FILTER_ARRAYS}, meta
+
+
+def _decode_filter(arrays: Arrays, meta: Meta):
+    from ..cache.stats import CacheStats
+    from .engine import PrivateFilter
+
+    return PrivateFilter(
+        **{name: arrays[name] for name in _FILTER_ARRAYS},
+        **{name: meta[name] for name in _FILTER_SCALARS},
+        **{
+            level: None if meta[level] is None
+            else CacheStats(**meta[level])
+            for level in ("l1_stats", "l2_stats")
+        },
+        decode_seconds=float(meta.get("decode_seconds", 0.0)),
+        filter_seconds=float(meta.get("filter_seconds", 0.0)),
+    )
+
+
+FILTER = Kind(KIND_FILTER, _filter_key, _encode_filter, _decode_filter)
 
 
 def store_filter(
     store: ArtifactStore, trace, hierarchy_config, filt
 ) -> None:
-    store.put(
-        KIND_FILTER,
-        _filter_store_key(trace, hierarchy_config),
-        arrays={
-            "mask": filt.mask,
-            "lines": filt.lines,
-            "pcs": filt.pcs,
-            "writes": filt.writes,
-            "vertices": filt.vertices,
-            "indices": filt.indices,
-        },
-        meta={
-            "num_accesses": filt.num_accesses,
-            "l1_stats": _stats_fields(filt.l1_stats),
-            "l2_stats": _stats_fields(filt.l2_stats),
-            "l1_hits": filt.l1_hits,
-            "l2_hits": filt.l2_hits,
-            # Provenance only: what the original build cost. Engine
-            # reports count rehydrated filters as reused (0.0 phases).
-            "decode_seconds": filt.decode_seconds,
-            "filter_seconds": filt.filter_seconds,
-        },
-    )
+    _write(store, FILTER, _filter_key(trace, hierarchy_config), filt)
 
 
 def cached_filter(store: ArtifactStore, trace, hierarchy_config):
-    entry = store.get(KIND_FILTER, _filter_store_key(trace, hierarchy_config))
-    if entry is None:
-        return None
-    from ..cache.stats import CacheStats
-    from .engine import PrivateFilter
-
-    meta = entry["meta"]
-    arrays = entry["arrays"]
-
-    def stats_from(fields):
-        return None if fields is None else CacheStats(**fields)
-
-    try:
-        return PrivateFilter(
-            num_accesses=meta["num_accesses"],
-            mask=arrays["mask"],
-            l1_stats=stats_from(meta["l1_stats"]),
-            l2_stats=stats_from(meta["l2_stats"]),
-            l1_hits=meta["l1_hits"],
-            l2_hits=meta["l2_hits"],
-            lines=arrays["lines"],
-            pcs=arrays["pcs"],
-            writes=arrays["writes"],
-            vertices=arrays["vertices"],
-            indices=arrays["indices"],
-            decode_seconds=float(meta.get("decode_seconds", 0.0)),
-            filter_seconds=float(meta.get("filter_seconds", 0.0)),
-        )
-    except Exception:
-        return None
+    return _read(store, FILTER, _filter_key(trace, hierarchy_config))
 
 
 # ----------------------------------------------------------------------
@@ -540,73 +620,43 @@ def cached_filter(store: ArtifactStore, trace, hierarchy_config):
 # ----------------------------------------------------------------------
 
 
-def rereference_matrix_for(
-    reference_graph,
-    elems_per_line: int,
-    entry_bits: int,
-    variant: str,
-    num_lines: Optional[int] = None,
-    store: Optional[ArtifactStore] = None,
-):
-    """Build (or load) a Rereference Matrix through the ambient store.
-
-    Drop-in for :func:`repro.popt.rereference.build_rereference_matrix`;
-    with no store configured it simply builds.
-    """
-    from ..popt.rereference import RereferenceMatrix, build_rereference_matrix
-
-    store = store if store is not None else get_store()
-    if store is None:
-        return build_rereference_matrix(
-            reference_graph,
-            elems_per_line=elems_per_line,
-            entry_bits=entry_bits,
-            variant=variant,
-            num_lines=num_lines,
-        )
-    key = {
+def _matrix_key(
+    reference_graph, elems_per_line, entry_bits, variant, num_lines
+) -> Dict[str, object]:
+    return {
         "graph": graph_sha(reference_graph),
         "elems_per_line": elems_per_line,
         "entry_bits": entry_bits,
         "variant": variant,
         "num_lines": num_lines,
     }
-    entry = store.get(KIND_MATRIX, key)
-    if entry is not None:
-        meta = entry["meta"]
-        try:
-            return RereferenceMatrix(
-                entries=entry["arrays"]["entries"],
-                variant=meta["variant"],
-                entry_bits=meta["entry_bits"],
-                epoch_size=meta["epoch_size"],
-                sub_epoch_size=meta["sub_epoch_size"],
-                elems_per_line=meta["elems_per_line"],
-                num_vertices=meta["num_vertices"],
-            )
-        except (KeyError, TypeError, ValueError, PolicyError):
-            pass  # a malformed stored entry: rebuild and overwrite it
-    matrix = build_rereference_matrix(
-        reference_graph,
-        elems_per_line=elems_per_line,
-        entry_bits=entry_bits,
-        variant=variant,
-        num_lines=num_lines,
+
+
+_MATRIX_FIELDS = (
+    "variant", "entry_bits", "epoch_size", "sub_epoch_size",
+    "elems_per_line", "num_vertices",
+)
+
+
+def _encode_matrix(matrix) -> Tuple[Arrays, Meta]:
+    return (
+        {"entries": matrix.entries},
+        {name: getattr(matrix, name) for name in _MATRIX_FIELDS},
     )
-    store.put(
-        KIND_MATRIX,
-        key,
-        arrays={"entries": matrix.entries},
-        meta={
-            "variant": matrix.variant,
-            "entry_bits": matrix.entry_bits,
-            "epoch_size": matrix.epoch_size,
-            "sub_epoch_size": matrix.sub_epoch_size,
-            "elems_per_line": matrix.elems_per_line,
-            "num_vertices": matrix.num_vertices,
-        },
+
+
+def _decode_matrix(arrays: Arrays, meta: Meta):
+    from ..popt.rereference import RereferenceMatrix
+
+    return RereferenceMatrix(
+        entries=arrays["entries"],
+        **{name: meta[name] for name in _MATRIX_FIELDS},
     )
-    return matrix
+
+
+#: Keyed by ``(reference_graph, elems_per_line, entry_bits, variant,
+#: num_lines)``, the arguments of ``build_rereference_matrix``.
+MATRIX = Kind(KIND_MATRIX, _matrix_key, _encode_matrix, _decode_matrix)
 
 
 # ----------------------------------------------------------------------
@@ -614,15 +664,28 @@ def rereference_matrix_for(
 # ----------------------------------------------------------------------
 
 
+def _encode_rows(rows: List[Dict[str, object]]) -> Tuple[Arrays, Meta]:
+    return {}, {"rows": rows}
+
+
+def _decode_rows(arrays: Arrays, meta: Meta) -> List[Dict[str, object]]:
+    rows = meta["rows"]
+    if not isinstance(rows, list):
+        raise TypeError(f"stored rows are a {type(rows).__name__}")
+    return list(rows)
+
+
+#: Keyed by a :class:`~repro.sim.parallel.SweepTask`'s ``rows_key()``.
+ROWS = Kind(
+    KIND_ROWS, lambda task: {"task": task.rows_key()},
+    _encode_rows, _decode_rows,
+)
+
+
 def cached_rows(
     store: ArtifactStore, task_key: Dict[str, object]
 ) -> Optional[List[Dict[str, object]]]:
-    entry = store.get(KIND_ROWS, {"task": task_key})
-    if entry is None:
-        return None
-    meta = entry["meta"]
-    rows = meta.get("rows")
-    return list(rows) if isinstance(rows, list) else None
+    return _read(store, ROWS, {"task": task_key})
 
 
 def store_rows(
@@ -630,4 +693,4 @@ def store_rows(
     task_key: Dict[str, object],
     rows: List[Dict[str, object]],
 ) -> None:
-    store.put(KIND_ROWS, {"task": task_key}, meta={"rows": rows})
+    _write(store, ROWS, {"task": task_key}, rows)

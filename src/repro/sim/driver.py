@@ -14,7 +14,7 @@ The driver is where the paper's methodology lives:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..apps.base import GraphApp, PreparedRun
@@ -28,6 +28,7 @@ from ..graph.csr import CSRGraph
 from ..graph.reorder import DbgLayout, apply_order, dbg_order
 from ..memory.trace import decode_trace
 from ..policies.registry import PolicyContext, make_policy
+from ..popt import rereference
 from ..popt.arch import reserved_ways
 from ..popt.policy import POPT, KernelMatrices, PoptStream
 from ..popt.topt import TOPT, build_stream_references
@@ -148,17 +149,19 @@ def _build_popt_policy(
     start = time.perf_counter()
     streams = []
     for index, irregular in enumerate(prepared.irregular_streams):
-        memo_key = (index, entry_bits, variant)
-        matrix = prepared.matrices.get(memo_key)
-        if matrix is None:
-            matrix = artifacts.rereference_matrix_for(
-                irregular.reference_graph,
-                elems_per_line=irregular.span.elems_per_line,
+        graph, span = irregular.reference_graph, irregular.span
+        matrix = artifacts.get_or_build(
+            artifacts.MATRIX,
+            (graph, span.elems_per_line, entry_bits, variant, span.num_lines),
+            lambda: rereference.build_rereference_matrix(
+                graph,
+                elems_per_line=span.elems_per_line,
                 entry_bits=entry_bits,
                 variant=variant,
-                num_lines=irregular.span.num_lines,
-            )
-            prepared.matrices[memo_key] = matrix
+                num_lines=span.num_lines,
+            ),
+            prepared.matrices, (index, entry_bits, variant),
+        )
         streams.append(PoptStream(span=irregular.span, matrix=matrix))
     kernel_matrices = prepared.kernel_matrices.get((entry_bits, variant))
     if kernel_matrices is None:
@@ -296,15 +299,9 @@ def simulate_prepared(
         filter_seconds = run.filter_seconds
         phase_replay = run.replay_seconds
     else:
-        effective_config = HierarchyConfig(
-            llc=llc_config,
-            l1=hierarchy_config.l1,
-            l2=hierarchy_config.l2,
-            dram_latency_ns=hierarchy_config.dram_latency_ns,
-            frequency_ghz=hierarchy_config.frequency_ghz,
-            num_nuca_banks=hierarchy_config.num_nuca_banks,
+        hierarchy = CacheHierarchy(
+            replace(hierarchy_config, llc=llc_config), llc_policy
         )
-        hierarchy = CacheHierarchy(effective_config, llc_policy)
         replay(prepared.trace, hierarchy)
         levels = hierarchy.stats_snapshot()
         level_counts = list(hierarchy.level_counts)

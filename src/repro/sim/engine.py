@@ -344,24 +344,20 @@ def get_private_filter(
     prepared: PreparedRun, config: HierarchyConfig
 ) -> PrivateFilter:
     """Fetch (or build and cache) the run's filter for this geometry."""
-    key = filter_key(config)
-    cached = prepared.private_filters.get(key)
-    if cached is not None:
-        prepared.filter_counters["reused"] += 1
-        return cached
-    store = artifacts.get_store()
-    if store is not None:
-        loaded = artifacts.cached_filter(store, prepared.trace, config)
-        if loaded is not None:
-            prepared.private_filters[key] = loaded
-            prepared.filter_counters["reused"] += 1
-            return loaded
-    built = build_private_filter(prepared.trace, config)
-    prepared.private_filters[key] = built
-    prepared.filter_counters["built"] += 1
-    if store is not None:
-        artifacts.store_filter(store, prepared.trace, config, built)
-    return built
+    counters = prepared.filter_counters
+    built = counters["built"]
+
+    def build() -> PrivateFilter:
+        counters["built"] += 1
+        return build_private_filter(prepared.trace, config)
+
+    filt = artifacts.get_or_build(
+        artifacts.FILTER, (prepared.trace, config), build,
+        prepared.private_filters, filter_key(config),
+    )
+    if counters["built"] == built:
+        counters["reused"] += 1
+    return filt
 
 
 @dataclass

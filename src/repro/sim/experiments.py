@@ -29,6 +29,11 @@ __all__ = [
 
 DEFAULT_GRAPHS = tuple(datasets.graph_names())
 
+#: Table IV and the kernel sweeps time each measured side this many
+#: times and keep the median, so one slow run on a busy host moves no
+#: column.
+TIMING_REPEATS = 5
+
 
 ENGINE_SWEEP_POLICIES = ("LRU", "DRRIP", "SHiP-PC", "Hawkeye")
 
@@ -120,17 +125,17 @@ def kernel_throughput_sweep(
 
     For every policy, replays the same LLC-visible stream with the
     generic per-access engine and with the policy's replay kernel
-    (:mod:`repro.sim.kernels`), recording phase-3 replay seconds and the
-    kernel's speedup. A warm-up pass per engine builds the private
-    filter and its memoized products (set indices, next-use chain, fill
-    outcomes) first, so the measured
-    numbers isolate the replay loop. The miss columns come from both
-    paths and let callers assert bit-identity; ``kernel`` is the
-    dispatched kernel name (``None`` means the generic engine ran) and
-    ``counters_match`` says the engine-cost counters agree between
-    paths: P-OPT's ``PoptCounters``, and T-OPT's ``replacements`` and
-    ``transpose_walk_elements`` (trivially True for policies without
-    counters).
+    (:mod:`repro.sim.kernels`), recording phase-3 replay seconds (the
+    median of :data:`TIMING_REPEATS` replays per side) and the kernel's
+    speedup. A warm-up pass per engine builds the private filter and its
+    memoized products (set indices, next-use chain, fill outcomes)
+    first, so the measured numbers isolate the replay loop. The miss
+    columns come from both paths and let callers assert bit-identity;
+    ``kernel`` is the dispatched kernel name (``None`` means the generic
+    engine ran) and ``counters_match`` says the engine-cost counters
+    agree between paths: P-OPT's ``PoptCounters``, and T-OPT's
+    ``replacements`` and ``transpose_walk_elements`` (trivially True for
+    policies without counters).
     """
     from . import ckernels  # local: report which kernel form ran
 
@@ -144,12 +149,10 @@ def kernel_throughput_sweep(
                 simulate_prepared(
                     prepared, policy, hierarchy, engine=engine
                 )  # warm caches
-            generic, fast = (
-                simulate_prepared(prepared, policy, hierarchy, engine=engine)
+            (generic, generic_seconds), (fast, kernel_seconds) = (
+                _median_replay(prepared, policy, hierarchy, engine)
                 for engine in ("generic", "fast")
             )
-            generic_seconds = generic.details["engine"]["replay_seconds"]
-            kernel_seconds = fast.details["engine"]["replay_seconds"]
             rows.append(
                 {
                     "graph": graph_name,
@@ -176,6 +179,16 @@ def kernel_throughput_sweep(
     return rows
 
 
+def _median_replay(prepared, policy, hierarchy, engine: str):
+    """The last of :data:`TIMING_REPEATS` replays and the median of
+    their phase-3 replay seconds."""
+    samples = []
+    for _ in range(TIMING_REPEATS):
+        result = simulate_prepared(prepared, policy, hierarchy, engine=engine)
+        samples.append(result.details["engine"]["replay_seconds"])
+    return result, statistics.median(samples)
+
+
 def _topt_counters(prepared, hierarchy, use_kernel: bool) -> tuple:
     """T-OPT's ``(replacements, transpose_walk_elements)`` after one
     replay. They live on the policy instance, which
@@ -189,14 +202,9 @@ def _topt_counters(prepared, hierarchy, use_kernel: bool) -> tuple:
     return policy.replacements, policy.transpose_walk_elements
 
 
-#: Table IV times each side this many times and keeps the median, so
-#: one slow run on a busy host moves neither column.
-TABLE4_REPEATS = 5
-
-
 def _median_seconds(fn, *args, **kwargs) -> float:
     samples = []
-    for _ in range(TABLE4_REPEATS):
+    for _ in range(TIMING_REPEATS):
         start = time.perf_counter()
         fn(*args, **kwargs)
         samples.append(time.perf_counter() - start)
@@ -212,7 +220,7 @@ def table4_preprocessing(
     """Table IV: Rereference Matrix build time vs PageRank runtime.
 
     Both measured as wall-clock on this host over the same graph, each
-    the median of :data:`TABLE4_REPEATS` runs. Paper shape:
+    the median of :data:`TIMING_REPEATS` runs. Paper shape:
     preprocessing ~= 20% of one PageRank execution on average (HBUBL
     excepted — its PR converges unusually fast).
     """

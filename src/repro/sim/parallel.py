@@ -33,12 +33,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import apps as apps_module
-from ..cache.config import CacheConfig, HierarchyConfig, scaled_hierarchy
+from ..cache.config import HierarchyConfig, scaled_hierarchy
 from ..errors import ReservationError
 from ..graph import datasets
 from . import artifacts
@@ -198,24 +198,10 @@ _PREPARED_CACHE: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
 DEFAULT_PREPARED_CACHE_SIZE = 8
 
 
-def _load_graph(task: SweepTask):
-    store = artifacts.get_store()
-    if store is not None:
-        cached = artifacts.cached_graph(
-            store, task.graph, task.scale, task.seed
-        )
-        if cached is not None:
-            return cached
-    graph = datasets.load(task.graph, scale=task.scale, seed=task.seed)
-    if store is not None:
-        artifacts.store_graph(store, task.graph, task.scale, task.seed, graph)
-    return graph
-
-
 def _build_prepared(task: SweepTask):
     """Trace the task's app under its software technique."""
     validate_technique(task.technique)
-    graph = _load_graph(task)
+    graph = datasets.load(task.graph, scale=task.scale, seed=task.seed)
     params = dict(task.params)
     technique, _, arg = task.technique.partition(":")
     if technique == "none":
@@ -247,22 +233,10 @@ def _build_prepared(task: SweepTask):
 
 
 def _prepared_for(task: SweepTask):
-    key = task.prepare_key()
-    prepared = _PREPARED_CACHE.get(key)
-    if prepared is not None:
-        _PREPARED_CACHE.move_to_end(key)
-        return prepared
-    store = artifacts.get_store()
-    if store is not None:
-        prepared = artifacts.cached_prepared(store, task.artifact_key())
-    if prepared is None:
-        prepared = _build_prepared(task)
-        if store is not None:
-            artifacts.store_prepared(store, task.artifact_key(), prepared)
-    _PREPARED_CACHE[key] = prepared
-    while len(_PREPARED_CACHE) > DEFAULT_PREPARED_CACHE_SIZE:
-        _PREPARED_CACHE.popitem(last=False)
-    return prepared
+    return artifacts.get_or_build(
+        artifacts.PREPARED, (task,), lambda: _build_prepared(task),
+        _PREPARED_CACHE, task.prepare_key(), DEFAULT_PREPARED_CACHE_SIZE,
+    )
 
 
 def task_hierarchy(task: SweepTask) -> HierarchyConfig:
@@ -276,19 +250,8 @@ def task_hierarchy(task: SweepTask) -> HierarchyConfig:
     if task.llc is None:
         return base
     num_sets, num_ways = task.llc
-    return HierarchyConfig(
-        llc=CacheConfig(
-            "LLC",
-            num_sets=num_sets,
-            num_ways=num_ways,
-            line_size=base.llc.line_size,
-            load_to_use_cycles=base.llc.load_to_use_cycles,
-        ),
-        l1=base.l1,
-        l2=base.l2,
-        dram_latency_ns=base.dram_latency_ns,
-        frequency_ghz=base.frequency_ghz,
-        num_nuca_banks=base.num_nuca_banks,
+    return replace(
+        base, llc=replace(base.llc, num_sets=num_sets, num_ways=num_ways)
     )
 
 
@@ -299,6 +262,24 @@ ROWS_ENV = "REPRO_ARTIFACTS_ROWS"
 
 def _rows_cache_enabled() -> bool:
     return os.environ.get(ROWS_ENV, "1") != "0"
+
+
+def stored_rows(task: SweepTask) -> Optional[List[Dict[str, object]]]:
+    """The task's finished rows from the artifact store, or None (a
+    miss, no store, or row caching off): the one rows lookup."""
+    if not _rows_cache_enabled():
+        return None
+    return artifacts.lookup(artifacts.ROWS, (task,))
+
+
+def simulate_task(task: SweepTask) -> List[Dict[str, object]]:
+    """Simulate a task whose rows lookup missed and store its rows
+    (with row caching on), without reading them again."""
+    if not _rows_cache_enabled():
+        return _simulate(task)
+    return artifacts.build_and_store(
+        artifacts.ROWS, (task,), lambda: _simulate(task)
+    )
 
 
 def run_task(task: SweepTask) -> List[Dict[str, object]]:
@@ -316,12 +297,11 @@ def run_task(task: SweepTask) -> List[Dict[str, object]]:
     Tasks with a ``replay`` point add ``entry_bits``/``account_capacity``
     to the identity columns and P-OPT's ``tie_rate`` to the stats.
     """
-    store = artifacts.get_store()
-    use_rows = store is not None and _rows_cache_enabled()
-    if use_rows:
-        cached = artifacts.cached_rows(store, task.rows_key())
-        if cached is not None:
-            return cached
+    rows = stored_rows(task)
+    return rows if rows is not None else simulate_task(task)
+
+
+def _simulate(task: SweepTask) -> List[Dict[str, object]]:
     prepared = _prepared_for(task)
     hierarchy = task_hierarchy(task)
     options: Dict[str, object] = {}
@@ -368,8 +348,6 @@ def run_task(task: SweepTask) -> List[Dict[str, object]]:
             counters = result.popt_counters or {}
             row["tie_rate"] = counters.get("tie_rate")
         rows.append(row)
-    if use_rows:
-        artifacts.store_rows(store, task.rows_key(), rows)
     return rows
 
 

@@ -47,14 +47,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cache.config import scaled_hierarchy
 from ..graph import datasets
-from . import artifacts, parallel
 from .artifacts import canonical_json
 from .parallel import (
     APP_FACTORIES,
     SweepTask,
     policy_chunks,
     pool_context,
-    run_task,
+    simulate_task,
+    stored_rows,
     validate_technique,
 )
 
@@ -331,52 +331,30 @@ def run_spec(
     a re-run streams previously-finished rows immediately.
     """
     tasks = spec.tasks()
-    rows: List[Dict[str, object]] = []
+    # The one rows lookup per task, made here before any worker starts:
+    # a warm rerun costs zero pool round-trips, and the parent's cache
+    # counters (what the matrix CLI reports) see the row hits. A task
+    # that missed goes straight to simulation, never to a second lookup.
+    found = [stored_rows(task) for task in tasks]
+    pending = [task for task, rows in zip(tasks, found) if rows is None]
 
-    def emit(task_rows: List[Dict[str, object]]) -> None:
-        for row in task_rows:
-            rows.append(row)
-            if stream is not None:
-                stream(row)
-
-    if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            emit(run_task(task))
+    def collect(simulated) -> List[Dict[str, object]]:
+        # ``simulated`` yields the pending tasks' rows in submission
+        # order; cached tasks keep their plan positions.
+        rows: List[Dict[str, object]] = []
+        for task_rows in found:
+            for row in next(simulated) if task_rows is None else task_rows:
+                rows.append(row)
+                if stream is not None:
+                    stream(row)
         return rows
 
-    # Resolve already-finished tasks from the artifact store in the
-    # parent before spinning up workers: a warm rerun costs zero pool
-    # round-trips, and the parent's cache counters (what the matrix CLI
-    # reports) see the row hits instead of attributing them to workers.
-    done: Dict[int, List[Dict[str, object]]] = {}
-    store = artifacts.get_store()
-    if store is not None and parallel._rows_cache_enabled():
-        for index, task in enumerate(tasks):
-            cached = artifacts.cached_rows(store, task.rows_key())
-            if cached is not None:
-                done[index] = cached
-    pending = [
-        (index, task)
-        for index, task in enumerate(tasks)
-        if index not in done
-    ]
-    if len(pending) <= 1:
-        for index, task in pending:
-            done[index] = run_task(task)
-        for index in range(len(tasks)):
-            emit(done[index])
-        return rows
+    if jobs <= 1 or len(pending) <= 1:
+        return collect(map(simulate_task, pending))
     with ProcessPoolExecutor(
         max_workers=jobs, mp_context=pool_context()
     ) as pool:
-        # Executor.map yields per-task results in submission order;
-        # interleave cached tasks back at their plan positions.
-        results = pool.map(
-            run_task, [task for _, task in pending], chunksize=1
-        )
-        for index in range(len(tasks)):
-            emit(done[index] if index in done else next(results))
-    return rows
+        return collect(pool.map(simulate_task, pending, chunksize=1))
 
 
 # ----------------------------------------------------------------------

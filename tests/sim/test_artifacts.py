@@ -1,12 +1,17 @@
 """Artifact-store tests: content-hash keys, round-trips, bit-identical
 replay from rehydrated artifacts, cache counters, corruption handling."""
 
+import json
+from collections import OrderedDict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cache import scaled_hierarchy
 from repro.graph import datasets
-from repro.sim import artifacts
+from repro.graph.csr import CSRGraph
+from repro.sim import artifacts, parallel
 from repro.sim.artifacts import (
     ArtifactStore,
     canonical_json,
@@ -15,13 +20,28 @@ from repro.sim.artifacts import (
     trace_sha,
 )
 from repro.popt.rereference import build_rereference_matrix
-from repro.sim import prepare_run, simulate_prepared
+from repro.sim import get_private_filter, prepare_run, simulate_prepared
 from repro.sim.parallel import APP_FACTORIES, SweepTask, run_task
+from repro.sim.spec import run_spec, scenario_matrix
+
+
+KARATE = Path(__file__).resolve().parents[1] / "graph" / "data" / "karate.el"
 
 
 @pytest.fixture
 def store(tmp_path):
     return ArtifactStore(tmp_path / "arts")
+
+
+@pytest.fixture
+def ambient(tmp_path, monkeypatch):
+    """The process-wide store, fresh, with empty graph and prepared-run
+    memos (so every lookup below reaches the store)."""
+    monkeypatch.setenv(artifacts.DIR_ENV, str(tmp_path / "ambient"))
+    monkeypatch.setattr(artifacts, "_STORES", {})
+    monkeypatch.setattr(datasets, "_GRAPH_MEMO", OrderedDict())
+    monkeypatch.setattr(parallel, "_PREPARED_CACHE", OrderedDict())
+    return artifacts.get_store()
 
 
 class TestKeys:
@@ -126,27 +146,32 @@ class TestMatrixEntries:
             "entry_bits": 8, "variant": "inter_intra", "num_lines": None,
         }
 
-    def _matrix(self, graph, store):
-        return artifacts.rereference_matrix_for(
-            graph, elems_per_line=16, entry_bits=8,
-            variant="inter_intra", store=store,
+    def _matrix(self, graph):
+        return artifacts.get_or_build(
+            artifacts.MATRIX, (graph, 16, 8, "inter_intra", None),
+            lambda: build_rereference_matrix(graph, elems_per_line=16),
         )
 
-    def test_malformed_entry_is_rebuilt(self, store):
+    def test_malformed_entry_is_rebuilt(self, ambient):
         graph = datasets.load("URAND", scale="tiny")
         fresh = build_rereference_matrix(graph, elems_per_line=16)
-        store.put(
+        ambient.put(
             artifacts.KIND_MATRIX, self._key(graph),
             arrays={"entries": fresh.entries},
             meta={"variant": "inter_intra"},  # geometry fields missing
         )
-        matrix = self._matrix(graph, store)
+        matrix = self._matrix(graph)
         assert np.array_equal(matrix.entries, fresh.entries)
         assert matrix.epoch_size == fresh.epoch_size
+        # The rebuilt matrix replaced the malformed entry on disk.
+        self._matrix(graph)
+        assert ambient.counters[artifacts.KIND_MATRIX] == {
+            "hits": 1, "misses": 1, "writes": 2,
+        }
 
-    def test_decode_bug_raises(self, store, monkeypatch):
+    def test_decode_bug_raises(self, ambient, monkeypatch):
         graph = datasets.load("URAND", scale="tiny")
-        self._matrix(graph, store)  # stores a well-formed entry
+        self._matrix(graph)  # stores a well-formed entry
 
         class BrokenMeta(dict):
             def __getitem__(self, name):
@@ -160,7 +185,170 @@ class TestMatrixEntries:
 
         monkeypatch.setattr(ArtifactStore, "get", get)
         with pytest.raises(RuntimeError, match="decode bug"):
-            self._matrix(graph, store)
+            self._matrix(graph)
+
+
+def _tiny_task(policies=("P-OPT",)):
+    return SweepTask(graph="URAND", policies=policies, scale="tiny")
+
+
+def _prepared():
+    return prepare_run(
+        APP_FACTORIES["PR"](), datasets.load("URAND", scale="tiny")
+    )
+
+
+def _lookup_graph():
+    datasets._GRAPH_MEMO.clear()
+    return datasets.load("URAND", scale="tiny")
+
+
+def _lookup_prepared():
+    parallel._PREPARED_CACHE.clear()
+    return parallel._prepared_for(_tiny_task())
+
+
+def _lookup_filter():
+    return get_private_filter(_prepared(), scaled_hierarchy("tiny"))
+
+
+def _lookup_matrix():
+    return simulate_prepared(_prepared(), "P-OPT", scaled_hierarchy("tiny"))
+
+
+def _lookup_rows():
+    return run_task(_tiny_task(("LRU",)))
+
+
+#: Every kind's lookup through its caller in the program, each starting
+#: from an empty in-process memory so it reaches the store.
+LOOKUPS = {
+    artifacts.KIND_GRAPH: _lookup_graph,
+    artifacts.KIND_PREPARED: _lookup_prepared,
+    artifacts.KIND_FILTER: _lookup_filter,
+    artifacts.KIND_MATRIX: _lookup_matrix,
+    artifacts.KIND_ROWS: _lookup_rows,
+}
+
+
+def _entries(store, kind):
+    return sorted(path.parent for path in (store.root / kind).rglob(
+        "meta.json"
+    ))
+
+
+def _spoil(entry):
+    """Truncate an entry's first array, or drop its rows field."""
+    arrays = sorted(entry.glob("*.npy"))
+    if arrays:
+        with open(arrays[0], "r+b") as handle:
+            handle.truncate(100)
+        return arrays[0]
+    meta_path = entry / "meta.json"
+    payload = json.loads(meta_path.read_text())
+    del payload["meta"]["rows"]
+    meta_path.write_text(json.dumps(payload))
+    return meta_path
+
+
+def _counts(store, kind):
+    return dict(store.counters.get(
+        kind, {"hits": 0, "misses": 0, "writes": 0}
+    ))
+
+
+class TestBadEntries:
+    """One rule for every kind: an entry that does not read or decode is
+    a counted miss (never a hit), is rebuilt and replaced on disk, and
+    the next lookup hits; any other error propagates."""
+
+    @pytest.mark.parametrize("kind", sorted(LOOKUPS))
+    def test_bad_entry_is_a_miss_and_is_replaced(self, ambient, kind):
+        lookup = LOOKUPS[kind]
+        lookup()
+        entries = _entries(ambient, kind)
+        assert entries
+        spoiled = {entry: _spoil(entry) for entry in entries}
+        sizes = {entry: path.stat().st_size
+                 for entry, path in spoiled.items()}
+        before = _counts(ambient, kind)
+        lookup()
+        after = _counts(ambient, kind)
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"] + len(entries)
+        assert after["writes"] == before["writes"] + len(entries)
+        for entry, path in spoiled.items():
+            assert path.stat().st_size > sizes[entry]
+        lookup()
+        final = _counts(ambient, kind)
+        assert final["hits"] == after["hits"] + len(entries)
+        assert final["misses"] == after["misses"]
+
+    @pytest.mark.parametrize("kind", sorted(LOOKUPS))
+    def test_decode_bug_raises(self, ambient, monkeypatch, kind):
+        lookup = LOOKUPS[kind]
+        lookup()
+
+        class Broken(dict):
+            def __getitem__(self, name):
+                raise RuntimeError("decode bug")
+
+            def get(self, name, default=None):
+                raise RuntimeError("decode bug")
+
+        real_get = ArtifactStore.get
+
+        def get(self, kind_name, key):
+            entry = real_get(self, kind_name, key)
+            if entry is None or kind_name != kind:
+                return entry
+            return {"meta": Broken(entry["meta"]),
+                    "arrays": Broken(entry["arrays"])}
+
+        monkeypatch.setattr(ArtifactStore, "get", get)
+        with pytest.raises(RuntimeError, match="decode bug"):
+            lookup()
+
+
+def test_no_store_derives_no_key(monkeypatch):
+    """Without a store no content hash runs: not the trace's, not a
+    reference graph's, not a ``file:`` graph's."""
+    monkeypatch.delenv(artifacts.DIR_ENV, raising=False)
+    monkeypatch.setattr(parallel, "_PREPARED_CACHE", OrderedDict())
+
+    def forbidden(*args):
+        raise AssertionError("a store key was derived without a store")
+
+    monkeypatch.setattr(artifacts, "_array_sha", forbidden)
+    monkeypatch.setattr(artifacts, "file_content_sha", forbidden)
+    rows = run_task(SweepTask(
+        graph=f"file:{KARATE}",
+        policies=("LRU", "P-OPT"), scale="tiny",
+    ))
+    assert [row["policy"] for row in rows] == ["LRU", "P-OPT"]
+
+
+class TestMemoryFirst:
+    def test_cold_serial_matrix_reads_no_graph_back(
+        self, ambient, monkeypatch
+    ):
+        """A graph the process holds is never read back from the store,
+        and its transpose is built once."""
+        transposes = []
+        real_build = CSRGraph._build_transpose
+
+        def counting(self):
+            transposes.append(self.num_vertices)
+            return real_build(self)
+
+        monkeypatch.setattr(CSRGraph, "_build_transpose", counting)
+        run_spec(scenario_matrix(
+            scale="small", graphs=("DBP", "KRON", "URAND"),
+        ))
+        assert ambient.counters[artifacts.KIND_GRAPH] == {
+            "hits": 0, "misses": 3, "writes": 3,
+        }
+        assert len(transposes) == 3
 
 
 class TestRowsCache:

@@ -22,7 +22,7 @@ from repro.sim import (
     simulate_prepared,
 )
 from repro.sim.driver import POPT_POLICIES
-from repro.sim.engine import llc_visible_next_use
+from repro.sim.engine import PrivateFilter, llc_visible_next_use
 from repro.sim.kernels import KERNEL_TABLE, resolve_kernel
 
 
@@ -228,8 +228,10 @@ class TestPrivateFilterExactness:
 
 
 class TestSetIndexProperty:
-    """Vectorized set indices agree with the scalar path, including the
-    paper's footnote-3 modulo indexing for non-power-of-two set counts."""
+    """The replay kernels' vectorized set indices
+    (:meth:`PrivateFilter.set_index_array`) agree with the scalar path,
+    including the paper's footnote-3 modulo indexing for
+    non-power-of-two set counts."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -241,7 +243,15 @@ class TestSetIndexProperty:
     def test_vectorized_matches_scalar(self, num_sets, lines):
         config = CacheConfig("X", num_sets=num_sets, num_ways=2)
         cache = SetAssociativeCache(config, LRU())
-        vectorized = cache.set_indices(np.asarray(lines, np.int64))
+        n = len(lines)
+        filt = PrivateFilter(
+            num_accesses=n, mask=np.ones(n, bool), l1_stats=None,
+            l2_stats=None, l1_hits=0, l2_hits=0,
+            lines=np.asarray(lines, np.int64), pcs=np.zeros(n, np.int64),
+            writes=np.zeros(n, bool), vertices=np.zeros(n, np.int64),
+            indices=np.arange(n, dtype=np.int64),
+        )
+        vectorized = filt.set_index_array(config)
         assert vectorized.tolist() == [
             config.set_index(line) for line in lines
         ]

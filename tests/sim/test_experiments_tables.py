@@ -183,6 +183,6 @@ class TestHarnessSmoke:
             exp, "pagerank_reference", lambda graph: calls.append("pr")
         )
         exp.table4_preprocessing(scale="tiny", graphs=("URAND",))
-        repeats = exp.TABLE4_REPEATS
+        repeats = exp.TIMING_REPEATS
         assert repeats > 1
         assert calls == ["rm"] * repeats + ["pr"] * repeats
