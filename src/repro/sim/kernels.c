@@ -377,13 +377,24 @@ void k_drrip(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
  * array so the Python wrapper can write them back onto the policy
  * instance. */
 
+/* The first index in [lo, hi) whose a[] is >= key (hi if none), the
+ * index bisect_left gives. Branch-free halving: the answer stays in
+ * [base, base + len], each step keeps the upper part when the last
+ * element of the lower half is < key, and one compare resolves the
+ * last element. The loop runs the same number of steps for every key
+ * of a slice, and the select compiles to a conditional move, so no
+ * branch depends on the data. An empty slice never reads a[lo]. */
 static i64 lower_bound(const i32 *a, i64 lo, i64 hi, i64 key)
 {
-    while (lo < hi) {
-        i64 mid = lo + (hi - lo) / 2;
-        if (a[mid] < key) lo = mid + 1; else hi = mid;
+    const i32 *base = a + lo;
+    i64 len = hi - lo;
+    if (len == 0) return lo;
+    while (len > 1) {
+        i64 half = len / 2;
+        base = base[half - 1] < key ? base + half : base;
+        len -= half;
     }
-    return lo;
+    return (base - a) + (*base < key);
 }
 
 /* T-OPT's (set, way) fields. */
@@ -397,6 +408,10 @@ enum { TOPT_LO, TOPT_HI, TOPT_MLOW, TOPT_MREF, TOPT_MCOST };
  * slice [offsets[obase[t] + o], offsets[obase[t] + o + 1]) of the flat
  * CSR (obase[t] is stream t's first slot in `offsets`); a streaming
  * line gets lo = -1.
+ *
+ * A victim scan resolves each way's next reference with lower_bound,
+ * the branch-free search above. It returns the reference's bisect_left
+ * index, so the next-ref and the walk cost match TOPT._next_ref.
  *
  * Each way memoizes its last lower_bound: the vertex interval
  * (refs[idx-1], refs[idx]] it answered for (open below at -1 when idx

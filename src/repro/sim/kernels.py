@@ -619,9 +619,11 @@ def kernel_topt(req: KernelRequest) -> CacheStats:
     its line's (lo, hi) refs slice in C from the filter's memoized
     stream membership (stream, line offset) and each stream's base in
     the one concatenated offsets array — no per-replay annotation and
-    no set partition. A victim scan binary-searches each way's slice for the
-    current outer vertex, accounting the same walk elements as
-    ``TOPT._next_ref``, and the first streaming way (``lo < 0``)
+    no set partition. A victim scan searches each way's slice for the
+    current outer vertex with a branch-free halving search that returns
+    ``bisect_left``'s index (no data-dependent branch to mispredict),
+    accounting the same walk elements as ``TOPT._next_ref``, and the
+    first streaming way (``lo < 0``)
     short-circuits exactly like the reference. Each way also keeps its
     last search's vertex interval, answer and walk cost, and reuses them
     while the outer vertex stays inside the interval (the same answer a

@@ -465,26 +465,40 @@ class TestKernelEquivalence:
         assert_results_match(fast, ref)
         assert fast.llc.evictions > 0 and fast.llc.hits > 0
 
-    @pytest.mark.parametrize("leader_period", [1, 2, 3])
-    def test_drrip_leader_periods(self, prepared, hierarchy, leader_period):
+    @pytest.mark.parametrize(
+        "leader_period, psel_bits",
+        [
+            pytest.param(1, 10, id="1"),
+            pytest.param(2, 10, id="2"),
+            pytest.param(3, 10, id="3"),
+            pytest.param(4, 1, id="4-psel1"),
+            pytest.param(4, 2, id="4-psel2"),
+        ],
+    )
+    def test_drrip_leader_periods(
+        self, prepared, hierarchy, leader_period, psel_bits
+    ):
         # Period 1 makes every set an SRRIP leader, period 2 alternates
         # SRRIP and BRRIP leaders with no follower, and period 3 adds one
         # follower per period: the kernel and the policy read one map.
+        # A 1- or 2-bit PSEL reaches its maximum after a few SRRIP-leader
+        # misses and must stay there; period 4 gives the 8-set LLC two
+        # leaders of each role, so PSEL moves both ways.
         from repro.policies.rrip import DRRIP
 
         engine = ReplayEngine(prepared, hierarchy)
         kernel, generic = (
-            engine.run(DRRIP(leader_period=leader_period),
+            engine.run(DRRIP(psel_bits=psel_bits,
+                             leader_period=leader_period),
                        use_kernel=use_kernel)
             for use_kernel in (True, False)
         )
         assert kernel.kernel == ("drrip" if ckernels.available() else None)
         assert generic.kernel is None
         assert kernel.level_counts == generic.level_counts
-        for a, b in zip(kernel.levels, generic.levels):
-            assert (a.hits, a.misses, a.evictions, a.writebacks) == (
-                b.hits, b.misses, b.evictions, b.writebacks
-            )
+        assert [vars(level) for level in kernel.levels] == [
+            vars(level) for level in generic.levels
+        ]
 
     def test_drrip_follower_at_psel_midpoint(self):
         # Set 0 leads SRRIP, set 1 follows. Line 1 fills set 1 while
@@ -661,6 +675,28 @@ def tiny_llc_hierarchy():
     )
 
 
+def topt_kernel_and_generic(prepared, hierarchy):
+    """T-OPT's per-level stats, ``replacements`` and
+    ``transpose_walk_elements`` with its kernel, then without. The
+    counters live on the policy (SimResult carries only P-OPT's), so
+    this replays through the engine API."""
+    from repro.popt.topt import TOPT
+
+    engine = ReplayEngine(prepared, hierarchy)
+    runs = []
+    for use_kernel in (True, False):
+        policy = TOPT(prepared.irregular_streams, line_size=hierarchy.line_size)
+        run = engine.run(policy, use_kernel=use_kernel)
+        compiled = use_kernel and ckernels.available()
+        assert run.kernel == ("t-opt" if compiled else None)
+        runs.append((
+            [vars(level) for level in run.levels],
+            policy.replacements,
+            policy.transpose_walk_elements,
+        ))
+    return runs
+
+
 class TestMultiStreamKernelEquivalence:
     """The next-ref kernels match the generic engine on apps with two
     irregular streams (data plus frontier) whose outer vertices are not
@@ -701,26 +737,104 @@ class TestMultiStreamKernelEquivalence:
     def test_topt_matches_generic(self, multi_stream_prepared):
         # T-OPT reads no Rereference Matrix, so entry_bits does not
         # apply; its counters live on the policy (engine API).
-        from repro.popt.topt import TOPT
+        kernel, generic = topt_kernel_and_generic(
+            multi_stream_prepared, tiny_llc_hierarchy()
+        )
+        assert kernel == generic
+        assert kernel[1] > 0
+
+    @pytest.mark.parametrize("psel_bits", [1, 2])
+    def test_popt_drrip_tie_break_psel_saturates(
+        self, multi_stream_prepared, psel_bits
+    ):
+        # P-OPT's fills go through its DRRIP tie-break's insertion, so a
+        # 1- or 2-bit PSEL saturates there too (period 4: both leader
+        # roles in the 4-set LLC). The tiny LLC makes P-OPT's victim
+        # scans tie, so the tie-break's RRPVs pick victims.
+        from repro.policies.rrip import DRRIP
+        from repro.popt.policy import POPT
+        from repro.sim.driver import _build_popt_policy
 
         hierarchy = tiny_llc_hierarchy()
+        base, _ = _build_popt_policy(
+            multi_stream_prepared, "inter_intra", 8, hierarchy.line_size
+        )
         engine = ReplayEngine(multi_stream_prepared, hierarchy)
-        runs = {}
+        outcome = {}
         for use_kernel in (True, False):
-            policy = TOPT(
-                multi_stream_prepared.irregular_streams,
-                line_size=hierarchy.line_size,
+            policy = POPT(
+                base.streams, line_size=hierarchy.line_size,
+                tie_break=DRRIP(psel_bits=psel_bits, leader_period=4),
             )
             run = engine.run(policy, use_kernel=use_kernel)
             compiled = use_kernel and ckernels.available()
-            assert run.kernel == ("t-opt" if compiled else None)
-            runs[use_kernel] = (
-                [vars(level) for level in run.levels],
-                policy.replacements,
-                policy.transpose_walk_elements,
+            assert run.kernel == ("p-opt" if compiled else None)
+            outcome[use_kernel] = (
+                [vars(level) for level in run.levels], policy.counters
             )
-        assert runs[True] == runs[False]
-        assert runs[True][1] > 0
+        assert outcome[True] == outcome[False]
+        assert outcome[True][1].ties > 0
+
+    # One element per line, so line l's references are element l's.
+    # Line 0 has none, line 1 one, line 2 two, lines 3 and 5 a 33-vertex
+    # hub slice each, line 4 one.
+    EDGE_REFS = {1: [5], 2: [3, 9], 3: list(range(0, 66, 2)), 4: [20],
+                 5: list(range(1, 67, 2))}
+    # (line, outer vertex) per access. Every eviction searches each
+    # resident line's slice for the vertex, so the searches see vertices
+    # before a slice's first reference (0, 1), equal to one (3, 5, 9,
+    # 20, 40), past its last (10, 21, 70: TOPT_NEVER), and the channel
+    # jumps backward (70 -> 2, 41 -> 3).
+    EDGE_ACCESSES = [
+        (0, 0), (1, 0), (2, 0), (3, 1), (4, 3), (5, 3), (1, 5), (0, 9),
+        (2, 9), (3, 10), (5, 20), (4, 21), (1, 40), (3, 40), (2, 41),
+        (0, 70), (4, 70), (5, 2), (1, 2), (3, 3), (2, 3), (0, 41),
+        (4, 65), (5, 66), (1, 66), (3, 3), (0, 4), (2, 4), (5, 64),
+    ]
+
+    def _edge_prepared(self):
+        from repro.apps.base import PreparedRun
+        from repro.graph.csr import CSRGraph
+        from repro.memory.layout import ArraySpan
+        from repro.memory.trace import MemoryTrace
+        from repro.popt.topt import IrregularStream
+
+        num_lines = 80
+        degrees = [len(self.EDGE_REFS.get(v, ())) for v in range(num_lines)]
+        reference_graph = CSRGraph(
+            offsets=np.concatenate([[0], np.cumsum(degrees)]),
+            neighbors=np.array(
+                [r for v in range(num_lines) for r in self.EDGE_REFS.get(v, ())]
+            ),
+        )
+        span = ArraySpan("data", 0, num_lines, 512, 64, True)
+        lines, vertices = zip(*self.EDGE_ACCESSES)
+        trace = MemoryTrace(
+            addresses=np.asarray(lines, np.int64) * 64,
+            pcs=np.ones(len(lines), np.uint8),
+            writes=np.arange(len(lines)) % 3 == 0,
+            vertices=np.asarray(vertices, np.int32),
+        )
+        return PreparedRun(
+            app_name="synthetic", layout=None, trace=trace,
+            irregular_streams=[IrregularStream(span, reference_graph)],
+        )
+
+    @pytest.mark.parametrize("llc_ways", [2, 3, 4])
+    def test_topt_search_edge_cases(self, llc_ways):
+        # The search's corner cases against the generic engine's
+        # bisect_left: empty, one- and two-reference slices and hub
+        # slices, searched for vertices before, at and past their
+        # references, with the vertex channel jumping backward.
+        hierarchy = HierarchyConfig(
+            l1=CacheConfig("L1", num_sets=1, num_ways=1),
+            llc=CacheConfig("LLC", num_sets=1, num_ways=llc_ways),
+        )
+        kernel, generic = topt_kernel_and_generic(
+            self._edge_prepared(), hierarchy
+        )
+        assert kernel == generic
+        assert kernel[1] > 0
 
 
 class TestCompactNextUse:
