@@ -6,6 +6,8 @@ from .base import (
     GraphApp,
     PerEdgeAccess,
     PreparedRun,
+    Traversal,
+    build_trace,
     traversal_trace,
 )
 from .components import ConnectedComponents, shiloach_vishkin_reference
@@ -25,6 +27,8 @@ __all__ = [
     "GraphApp",
     "PerEdgeAccess",
     "PreparedRun",
+    "Traversal",
+    "build_trace",
     "traversal_trace",
     "PageRank",
     "pagerank_reference",

@@ -20,15 +20,16 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
-from ..memory.trace import AccessKind, concat_traces
+from ..memory.trace import AccessKind
 from ..popt.topt import IrregularStream
 from .base import (
     AppInfo,
     GraphApp,
     PerEdgeAccess,
     PreparedRun,
+    Traversal,
+    build_trace,
     known_result,
-    traversal_trace,
 )
 
 __all__ = ["BFS", "bfs_reference"]
@@ -124,7 +125,7 @@ class BFS(GraphApp):
         iterations = []
         for __, mask in pull_rounds[: self.max_trace_rounds]:
             iterations.append(
-                traversal_trace(
+                Traversal(
                     topology=csc,
                     oa_span=oa,
                     na_span=na,
@@ -141,7 +142,7 @@ class BFS(GraphApp):
                     dense_span=next_bits,
                 )
             )
-        trace = concat_traces(iterations)
+        trace = build_trace(iterations)
         streams = [
             IrregularStream(span=parent_span, reference_graph=graph),
             IrregularStream(span=frontier_bits, reference_graph=graph),

@@ -18,9 +18,11 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
-from ..memory.trace import AccessKind, concat_traces
+from ..memory.trace import AccessKind
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo, GraphApp, PerEdgeAccess, PreparedRun, Traversal, build_trace,
+)
 
 __all__ = ["ConnectedComponents", "shiloach_vishkin_reference"]
 
@@ -77,7 +79,7 @@ class ConnectedComponents(GraphApp):
         comp = layout.alloc("comp", n, 32, irregular=True)
         # The hook phase also reads comp[src] once per source (streaming
         # in vertex order) — modeled as the dense access.
-        iteration = traversal_trace(
+        iteration = Traversal(
             topology=graph,  # push: scan outgoing neighbors
             oa_span=oa,
             na_span=na,
@@ -90,7 +92,7 @@ class ConnectedComponents(GraphApp):
             dense_pc=AccessKind.DENSE_DATA,
             dense_write=False,
         )
-        trace = concat_traces([iteration] * self.num_trace_iterations)
+        trace = build_trace([iteration] * self.num_trace_iterations)
         # Push execution: dstData next-refs come from the CSC (the
         # transpose of the traversal direction).
         streams = [

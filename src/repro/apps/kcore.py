@@ -17,15 +17,16 @@ import numpy as np
 from ..graph.builders import symmetrize
 from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
-from ..memory.trace import AccessKind, concat_traces
+from ..memory.trace import AccessKind
 from ..popt.topt import IrregularStream
 from .base import (
     AppInfo,
     GraphApp,
     PerEdgeAccess,
     PreparedRun,
+    Traversal,
+    build_trace,
     known_result,
-    traversal_trace,
 )
 
 __all__ = ["KCore", "kcore_reference"]
@@ -106,7 +107,7 @@ class KCore(GraphApp):
             if len(peeled) == 0:
                 continue
             iterations.append(
-                traversal_trace(
+                Traversal(
                     topology=undirected,
                     oa_span=oa,
                     na_span=na,
@@ -123,7 +124,7 @@ class KCore(GraphApp):
                     order=peeled.astype(np.int64),
                 )
             )
-        trace = concat_traces(iterations)
+        trace = build_trace(iterations)
         # Push over the symmetric graph: its own transpose = itself.
         streams = [
             IrregularStream(span=degree_span, reference_graph=undirected),

@@ -17,15 +17,16 @@ import numpy as np
 from ..graph.builders import symmetrize
 from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
-from ..memory.trace import AccessKind, concat_traces
+from ..memory.trace import AccessKind
 from ..popt.topt import IrregularStream
 from .base import (
     AppInfo,
     GraphApp,
     PerEdgeAccess,
     PreparedRun,
+    Traversal,
+    build_trace,
     known_result,
-    traversal_trace,
 )
 
 __all__ = ["MaximalIndependentSet", "mis_reference"]
@@ -109,7 +110,7 @@ class MaximalIndependentSet(GraphApp):
         iterations = []
         for mask in round_masks[: self.max_trace_rounds]:
             iterations.append(
-                traversal_trace(
+                Traversal(
                     topology=csc,
                     oa_span=oa,
                     na_span=na,
@@ -126,7 +127,7 @@ class MaximalIndependentSet(GraphApp):
                     dense_span=decision,
                 )
             )
-        trace = concat_traces(iterations)
+        trace = build_trace(iterations)
         streams = [
             IrregularStream(span=status_span, reference_graph=undirected),
             IrregularStream(span=frontier_bits, reference_graph=undirected),

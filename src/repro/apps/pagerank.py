@@ -16,9 +16,11 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
-from ..memory.trace import AccessKind, concat_traces
+from ..memory.trace import AccessKind
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo, GraphApp, PerEdgeAccess, PreparedRun, Traversal, build_trace,
+)
 
 __all__ = ["PageRank", "pagerank_reference"]
 
@@ -86,7 +88,7 @@ class PageRank(GraphApp):
         src_data = layout.alloc("srcData", n, 32, irregular=True)
         dst_data = layout.alloc("dstData", n, 32)
 
-        iteration = traversal_trace(
+        iteration = Traversal(
             topology=csc,
             oa_span=oa,
             na_span=na,
@@ -96,7 +98,7 @@ class PageRank(GraphApp):
             dense_span=dst_data,
             order=order,
         )
-        trace = concat_traces([iteration] * self.num_trace_iterations)
+        trace = build_trace([iteration] * self.num_trace_iterations)
 
         # The reference graph for srcData next-refs is the CSR: element v
         # is touched while processing v's *out*-neighbors (Section III-A).

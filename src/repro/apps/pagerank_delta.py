@@ -18,15 +18,16 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
-from ..memory.trace import AccessKind, concat_traces
+from ..memory.trace import AccessKind
 from ..popt.topt import IrregularStream
 from .base import (
     AppInfo,
     GraphApp,
     PerEdgeAccess,
     PreparedRun,
+    Traversal,
+    build_trace,
     known_result,
-    traversal_trace,
 )
 
 __all__ = ["PageRankDelta", "pagerank_delta_reference"]
@@ -102,7 +103,7 @@ class PageRankDelta(GraphApp):
                 continue
             mask = frontier_history[iteration]
             iterations.append(
-                traversal_trace(
+                Traversal(
                     topology=csc,
                     oa_span=oa,
                     na_span=na,
@@ -119,7 +120,7 @@ class PageRankDelta(GraphApp):
                     dense_span=rank_data,
                 )
             )
-        trace = concat_traces(iterations)
+        trace = build_trace(iterations)
         streams = [
             IrregularStream(span=delta, reference_graph=graph),
             IrregularStream(span=frontier_bits, reference_graph=graph),

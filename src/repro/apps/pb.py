@@ -31,7 +31,9 @@ from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
 from ..memory.trace import AccessKind, MemoryTrace
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo, GraphApp, PerEdgeAccess, PreparedRun, Traversal, build_trace,
+)
 
 __all__ = ["PropagationBlockingBinning", "binning_reference"]
 
@@ -80,7 +82,7 @@ class PropagationBlockingBinning(GraphApp):
             # PHI: per-edge commutative update coalesces into the
             # destination accumulator line (irregular, replacement-managed).
             accum = layout.alloc("accum", n, 32, irregular=True)
-            trace = traversal_trace(
+            trace = build_trace([Traversal(
                 topology=graph,
                 oa_span=oa,
                 na_span=na,
@@ -91,7 +93,7 @@ class PropagationBlockingBinning(GraphApp):
                 ],
                 dense_span=contrib,
                 dense_write=False,
-            )
+            )])
             streams.append(
                 IrregularStream(span=accum, reference_graph=graph.transpose())
             )

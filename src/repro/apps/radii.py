@@ -19,15 +19,16 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
-from ..memory.trace import AccessKind, concat_traces
+from ..memory.trace import AccessKind
 from ..popt.topt import IrregularStream
 from .base import (
     AppInfo,
     GraphApp,
     PerEdgeAccess,
     PreparedRun,
+    Traversal,
+    build_trace,
     known_result,
-    traversal_trace,
 )
 
 __all__ = ["Radii", "radii_reference"]
@@ -119,7 +120,7 @@ class Radii(GraphApp):
         for round_index in chosen:
             mask = frontier_history[round_index]
             iterations.append(
-                traversal_trace(
+                Traversal(
                     topology=csc,
                     oa_span=oa,
                     na_span=na,
@@ -136,7 +137,7 @@ class Radii(GraphApp):
                     dense_span=next_visited,
                 )
             )
-        trace = concat_traces(iterations)
+        trace = build_trace(iterations)
         streams = [
             IrregularStream(span=visited, reference_graph=graph),
             IrregularStream(span=frontier_bits, reference_graph=graph),

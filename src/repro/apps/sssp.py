@@ -17,15 +17,16 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..memory.layout import AddressSpace
-from ..memory.trace import AccessKind, concat_traces
+from ..memory.trace import AccessKind
 from ..popt.topt import IrregularStream
 from .base import (
     AppInfo,
     GraphApp,
     PerEdgeAccess,
     PreparedRun,
+    Traversal,
+    build_trace,
     known_result,
-    traversal_trace,
 )
 
 __all__ = ["SSSP", "sssp_reference", "synthetic_weights"]
@@ -116,7 +117,7 @@ class SSSP(GraphApp):
         for round_index in chosen:
             active_vertices = np.flatnonzero(rounds[round_index])
             iterations.append(
-                traversal_trace(
+                Traversal(
                     topology=graph,
                     oa_span=oa,
                     na_span=na,
@@ -133,7 +134,7 @@ class SSSP(GraphApp):
                     order=active_vertices.astype(np.int64),
                 )
             )
-        trace = concat_traces(iterations)
+        trace = build_trace(iterations)
         streams = [
             IrregularStream(
                 span=dist_span, reference_graph=graph.transpose()

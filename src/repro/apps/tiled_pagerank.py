@@ -20,7 +20,6 @@ that index space.
 from __future__ import annotations
 
 import functools
-from typing import List
 
 import numpy as np
 
@@ -29,9 +28,11 @@ from ..graph.builders import from_edges
 from ..graph.csr import CSRGraph
 from ..graph.tiling import segment_csr
 from ..memory.layout import AddressSpace
-from ..memory.trace import AccessKind, MemoryTrace, concat_traces
+from ..memory.trace import AccessKind
 from ..popt.topt import IrregularStream
-from .base import AppInfo, GraphApp, PerEdgeAccess, PreparedRun, traversal_trace
+from .base import (
+    AppInfo, GraphApp, PerEdgeAccess, PreparedRun, Traversal, build_trace,
+)
 from .pagerank import pagerank_reference
 
 __all__ = ["TiledPageRank"]
@@ -73,10 +74,10 @@ class TiledPageRank(GraphApp):
             )
             tile_spans.append((oa, na))
 
-        pieces: List[MemoryTrace] = []
-        for index, tile in enumerate(tiles):
-            oa, na = tile_spans[index]
-            piece = traversal_trace(
+        # Each tile's outer-loop coordinate becomes the global
+        # iteration index.
+        trace = build_trace([
+            Traversal(
                 topology=tile.graph,
                 oa_span=oa,
                 na_span=na,
@@ -84,17 +85,10 @@ class TiledPageRank(GraphApp):
                     PerEdgeAccess(span=src_data, pc=AccessKind.IRREG_DATA)
                 ],
                 dense_span=dst_data,
+                vertex_offset=index * n,
             )
-            # Outer-loop coordinate becomes the global iteration index.
-            pieces.append(
-                MemoryTrace(
-                    addresses=piece.addresses,
-                    pcs=piece.pcs,
-                    writes=piece.writes,
-                    vertices=piece.vertices + np.int32(index * n),
-                )
-            )
-        trace = concat_traces(pieces)
+            for index, (tile, (oa, na)) in enumerate(zip(tiles, tile_spans))
+        ])
 
         # Reference graph in global-iteration space: srcData[v] (v inside
         # tile t) is touched at iteration t*n + dst for each out-neighbor

@@ -15,7 +15,7 @@ access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "MemoryTrace",
     "DecodedTrace",
     "decode_trace",
-    "concat_traces",
 ]
 
 
@@ -210,19 +209,3 @@ def decode_trace(trace: MemoryTrace, line_shift: int) -> DecodedTrace:
         cache[line_shift] = decoded
     return decoded
 
-
-def concat_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
-    """Concatenate traces in order (e.g., successive kernel iterations)."""
-    if not traces:
-        return MemoryTrace(
-            addresses=np.empty(0, np.int64),
-            pcs=np.empty(0, np.uint8),
-            writes=np.empty(0, bool),
-            vertices=np.empty(0, np.int32),
-        )
-    return MemoryTrace(
-        addresses=np.concatenate([t.addresses for t in traces]),
-        pcs=np.concatenate([t.pcs for t in traces]),
-        writes=np.concatenate([t.writes for t in traces]),
-        vertices=np.concatenate([t.vertices for t in traces]),
-    )

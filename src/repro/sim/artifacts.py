@@ -165,11 +165,13 @@ class ArtifactStore:
         self.root = Path(root)
         self.counters: Dict[str, Dict[str, int]] = {}
 
-    def _count(self, kind: str, event: str) -> None:
-        bucket = self.counters.setdefault(
+    def _bucket(self, kind: str) -> Dict[str, int]:
+        return self.counters.setdefault(
             kind, {"hits": 0, "misses": 0, "writes": 0}
         )
-        bucket[event] += 1
+
+    def _count(self, kind: str, event: str) -> None:
+        self._bucket(kind)[event] += 1
 
     def entry_dir(self, kind: str, key: Dict[str, object]) -> Path:
         digest = content_digest(kind, key)
@@ -245,6 +247,27 @@ class ArtifactStore:
                 shutil.rmtree(tmp, ignore_errors=True)
         return entry
 
+    def counts_since(
+        self, before: Dict[str, Dict[str, int]]
+    ) -> Dict[str, Dict[str, int]]:
+        """What the counters moved since ``before`` (a ``stats()``
+        ``by_kind`` map)."""
+        return {
+            kind: {
+                event: count - before.get(kind, {}).get(event, 0)
+                for event, count in bucket.items()
+            }
+            for kind, bucket in self.counters.items()
+        }
+
+    def add_counts(self, delta: Dict[str, Dict[str, int]]) -> None:
+        """Add another process's :meth:`counts_since` to these counters
+        (a pool worker's lookups, reported by the parent)."""
+        for kind, bucket in delta.items():
+            mine = self._bucket(kind)
+            for event, count in bucket.items():
+                mine[event] += count
+
     def discard(self, kind: str, key: Dict[str, object]) -> None:
         """Remove an entry, if there is one, so its rebuild can land."""
         shutil.rmtree(self.entry_dir(kind, key), ignore_errors=True)
@@ -319,8 +342,10 @@ def _read(store: ArtifactStore, kind: Kind, key: Dict[str, object]):
     """The decoded entry under ``key``, or None on a miss.
 
     A bad entry is counted as a miss and removed, so the value rebuilt
-    for it can be written.
+    for it can be written. An entry that was absent when the lookup
+    began is never removed: another worker may have written it since.
     """
+    present = store.entry_dir(kind.name, key).is_dir()
     entry = store.get(kind.name, key)
     if entry is not None:
         try:
@@ -329,7 +354,8 @@ def _read(store: ArtifactStore, kind: Kind, key: Dict[str, object]):
             bucket = store.counters[kind.name]
             bucket["hits"] -= 1
             bucket["misses"] += 1
-    store.discard(kind.name, key)
+    if present:
+        store.discard(kind.name, key)
     return None
 
 
@@ -485,11 +511,25 @@ def _encode_prepared(prepared) -> Tuple[Arrays, Meta]:
         "line_size": prepared.layout.line_size,
         "spans": [asdict(span) for span in prepared.layout.spans],
         "streams": [
-            {"span": stream.span.name}
+            {
+                "span": stream.span.name,
+                "graph_sha": graph_sha(stream.reference_graph),
+            }
             for stream in prepared.irregular_streams
         ],
+        "trace_sha": trace_sha(prepared.trace),
     }
     return arrays, meta
+
+
+def _with_sha(obj, sha: object):
+    """``obj`` with its content hash memoized as read from an entry's
+    meta, so :func:`trace_sha` / :func:`graph_sha` never re-read the
+    arrays. A hash that is not a hex digest makes a bad entry."""
+    if not (isinstance(sha, str) and len(sha) == 64):
+        raise ValueError(f"stored content hash {sha!r} is not a sha256")
+    object.__setattr__(obj, "_content_sha", sha)
+    return obj
 
 
 def _decode_prepared(arrays: Arrays, meta: Meta):
@@ -498,7 +538,10 @@ def _decode_prepared(arrays: Arrays, meta: Meta):
     ``reference_result`` is not serialized (nothing on the replay path
     consumes it): the rebuilt run has no ``reference`` and reads
     ``None``. The engine-side caches (filters, matrices) start empty
-    and re-fill from their own store kinds.
+    and re-fill from their own store kinds. The trace and the reference
+    graphs carry the content hashes recorded when the entry was
+    written, so keying their filters and matrices reads none of their
+    pages; an entry without them is a bad entry.
     """
     from ..apps.base import PreparedRun
     from ..graph.csr import CSRGraph
@@ -508,16 +551,16 @@ def _decode_prepared(arrays: Arrays, meta: Meta):
 
     spans = [ArraySpan(**fields) for fields in meta["spans"]]
     layout = AddressSpace.from_spans(spans, line_size=meta["line_size"])
-    trace = MemoryTrace(**{
+    trace = _with_sha(MemoryTrace(**{
         channel: arrays[f"trace_{channel}"] for channel in _TRACE_CHANNELS
-    })
+    }), meta["trace_sha"])
     streams = [
         IrregularStream(
             span=layout[stream_meta["span"]],
-            reference_graph=CSRGraph(
+            reference_graph=_with_sha(CSRGraph(
                 offsets=arrays[f"ref{index}_offsets"],
                 neighbors=arrays[f"ref{index}_neighbors"],
-            ),
+            ), stream_meta["graph_sha"]),
         )
         for index, stream_meta in enumerate(meta["streams"])
     ]

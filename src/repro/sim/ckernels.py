@@ -1,11 +1,15 @@
-"""Build/load harness for the compiled replay kernels (``kernels.c``).
+"""Build/load harness for the compiled kernels (``kernels.c``).
 
-The compiled kernels are an *optional* acceleration: the policy
-classes under the generic engine are the executable specification.
+The library holds the LLC replay kernels, the private-level front-end
+(``k_private_filter``, ``k_next_use``) and the trace builder
+(``k_traversal``). Every one is an *optional* acceleration of a Python
+executable specification: the policy classes under the generic engine,
+the numpy/Python private filter, and the numpy ``traversal_trace``.
 When this module reports the library unavailable,
 :func:`repro.sim.kernels.resolve_kernel` returns None, so every policy
-replays through the generic engine, and the private-level filter takes
-its numpy/Python path. Availability requires only a system C compiler
+replays through the generic engine, the private-level filter takes its
+numpy/Python path, and :func:`repro.apps.base.build_trace` builds each
+traversal with numpy. Availability requires only a system C compiler
 (``cc``/``gcc``/``clang``, override with ``REPRO_CC``) — the shared
 object is built on first use with one compile command (:data:`_CFLAGS`
 plus the ``-D`` flags), cached under ``build/ckernels/`` keyed by a
@@ -190,15 +194,15 @@ def _compiler() -> Optional[str]:
 def _record_failure(reason: str) -> None:
     """Remember *why* the compiled path is unavailable and say so once.
 
-    The generic-engine fallback still engages — the kernels are
-    optional — but a missing or failing toolchain is a diagnostic the
-    user (and CI) should see, not a silent slowdown.
+    The Python fallbacks still engage — the kernels are optional — but
+    a missing or failing toolchain is a diagnostic the user (and CI)
+    should see, not a silent slowdown.
     """
     global _BUILD_ERROR
     _BUILD_ERROR = reason
     warnings.warn(
-        f"compiled replay kernels unavailable, falling back to "
-        f"the generic engine: {reason}",
+        f"compiled kernels unavailable, falling back to the generic "
+        f"engine and the numpy trace builder: {reason}",
         RuntimeWarning,
         stacklevel=3,
     )

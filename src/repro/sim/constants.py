@@ -46,6 +46,8 @@ __all__ = [
     "POPT_SPARAM_LAYOUT",
     "POPT_SPARAM_SLOTS",
     "POPT_DECODE_SLOTS",
+    "TRAVERSAL_SLOT_LAYOUT",
+    "TRAVERSAL_SLOT_WORDS",
     "LLC_WAY_WORDS",
     "PLRU_SET_WORDS",
     "NEXT_USE_SLOT_WORDS",
@@ -181,6 +183,23 @@ POPT_SPARAM_SLOTS = len(POPT_SPARAM_LAYOUT)
 #: 2 parameters and the current victim scan's decode (the C side lays
 #: them out and fails to compile if they outgrow this).
 POPT_DECODE_SLOTS = 8
+
+
+#: Layout of one access slot of ``k_traversal``'s parameter block: the
+#: span an access reads (``base`` byte address, ``elem_bits`` per
+#: element), its access-site ID, its write flag, and the row of the
+#: neighbor-mask array that gates it (``-1``: it fires on every edge).
+#: The block holds the offsets-array slot, the neighbor-array slot, one
+#: slot per per-edge access and, last, the dense slot when there is one.
+TRAVERSAL_SLOT_LAYOUT: Tuple[str, ...] = (
+    "base",
+    "elem_bits",
+    "pc",
+    "write",
+    "mask_row",
+)
+
+TRAVERSAL_SLOT_WORDS = len(TRAVERSAL_SLOT_LAYOUT)
 
 
 #: Workspace words each LLC replay kernel keeps per (set, way): the
@@ -375,6 +394,11 @@ C_DEFINES: Dict[str, int] = {
     "POPT_SP_SUB_EPOCH_SIZE": POPT_SPARAM_LAYOUT.index("sub_epoch_size"),
     "POPT_SP_NUM_EPOCHS": POPT_SPARAM_LAYOUT.index("num_epochs"),
     "POPT_SP_STRIDE": POPT_SPARAM_LAYOUT.index("stride"),
+    "TRAVERSAL_SLOT_WORDS": TRAVERSAL_SLOT_WORDS,
+    **{
+        f"TRAV_{name.upper()}": index
+        for index, name in enumerate(TRAVERSAL_SLOT_LAYOUT)
+    },
     "RM_VARIANT_INTER_ONLY": RM_VARIANT_INTER_ONLY,
     "RM_VARIANT_INTER_INTRA": RM_VARIANT_INTER_INTRA,
     "RM_VARIANT_SINGLE_EPOCH": RM_VARIANT_SINGLE_EPOCH,

@@ -1,4 +1,5 @@
-/* Compiled LLC replay kernels (optional fast path).
+/* Compiled kernels (optional fast path): LLC replay, the private-level
+ * front-end and trace generation.
  *
  * Each k_<policy> replay kernel must be bit-identical to the policy
  * class of the same name under the generic engine (repro.policies,
@@ -7,7 +8,8 @@
  * specification; the equivalence suite compares compiled vs generic vs
  * reference. The front-end helpers (k_private_filter, k_next_use)
  * match their numpy/Python constructions in repro.sim.engine and
- * repro.sim.kernels the same way.
+ * repro.sim.kernels the same way, and the trace builder (k_traversal)
+ * matches repro.apps.base.traversal_trace byte for byte.
  *
  * Built on demand by repro.sim.ckernels via the system C compiler and
  * loaded with ctypes; when no compiler is available every policy
@@ -19,8 +21,8 @@
  * definitions below, so parameters must be spelled `[const]
  * i64|i32|u8|u16|double [*] name`; anything else refuses to load.
  *
- * Shared numeric constants (TOPT_NEVER, the POPT_SP_* parameter-block
- * slots, the RM_VARIANT_* codes, the SHiP/Hawkeye bounds, the
+ * Shared numeric constants (TOPT_NEVER, the POPT_SP_* and TRAV_*
+ * parameter-block slots, the RM_VARIANT_* codes, the SHiP/Hawkeye bounds, the
  * *_WAY_WORDS workspace widths) are not defined in this file: the
  * loader passes every repro.sim.constants.C_DEFINES entry as a -D
  * flag, so the bit layouts have one definition, on the Python side.
@@ -35,7 +37,8 @@
  * fully initialized here. A workspace shorter than the carve needs is
  * refused before anything is written to it: the function returns at
  * once with minus the words it needs in the first word of its output
- * array (out[0], or next_use[0]).
+ * array (out[0], or next_use[0]). k_traversal carves no workspace; it
+ * applies the same rule to the trace channels it writes.
  *
  * Randomness: BRRIP/DRRIP/P-OPT consume `random.Random` draws in fill
  * order, and only ever test `draw < trickle`. Reproducing the Mersenne
@@ -841,6 +844,107 @@ void k_next_use(const i64 *lines, i64 n, i64 cap, i64 *ws, i64 ws_len,
             slot = (slot + 1) & (cap - 1);
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Trace generation: one edge-centric traversal.                      */
+/* ------------------------------------------------------------------ */
+
+/* The trace's four channels and the next position to write. */
+struct trace_out {
+    i64 *addresses;
+    u8 *pcs, *writes;
+    i32 *vertices;
+    i64 at;
+};
+
+/* Whether the access in `slot` fires for an edge to `nbr`: an access
+ * without a mask row always does, a masked one when its row marks the
+ * neighbor. */
+INLINE i64 fires(const i64 *slot, const u8 *masks, i64 num_vertices,
+                 i64 nbr)
+{
+    i64 row = slot[TRAV_MASK_ROW];
+    return row < 0 || masks[row * num_vertices + nbr] != 0;
+}
+
+/* Append the access `slot` makes to element idx of its span. The byte
+ * address is taken after the multiply, so 1-bit spans pack eight
+ * elements per byte. */
+INLINE void emit(struct trace_out *t, const i64 *slot, i64 idx, i32 vertex)
+{
+    t->addresses[t->at] = slot[TRAV_BASE] + ((idx * slot[TRAV_ELEM_BITS]) >> 3);
+    t->pcs[t->at] = (u8)slot[TRAV_PC];
+    t->writes[t->at] = (u8)(slot[TRAV_WRITE] != 0);
+    t->vertices[t->at] = vertex;
+    t->at++;
+}
+
+/* The trace of one traversal, written from position `start` of four
+ * channels of trace_len accesses: per outer vertex v = order[i], the
+ * offsets read OA[v], then per edge e of v the neighbor read NA[e] and
+ * each per-edge access that fires, indexed by the neighbor, then the
+ * dense access indexed by v. Every access carries v + vertex_offset as
+ * its vertex. `slots` holds TRAVERSAL_SLOT_WORDS words per access: OA,
+ * NA, the `per_edge` accesses in order, then the dense access when
+ * has_dense. `masks` holds one row of num_vertices flags per masked
+ * access. The caller checks order (in range, no vertex twice) and the
+ * vertex width. When the channels are shorter than start plus the
+ * traversal's length, nothing is written and out[0] is minus that
+ * length; else out[0] is the position after the last access written.
+ * A sizing call passes trace_len 0. */
+void k_traversal(const i64 *order, i64 n_order, const i64 *offsets,
+                 const i32 *neighbors, const i64 *slots, i64 per_edge,
+                 i64 has_dense, const u8 *masks, i64 num_vertices,
+                 i64 vertex_offset, i64 start, i64 *addresses, u8 *pcs,
+                 u8 *writes, i32 *vertices, i64 trace_len, i64 *out)
+{
+    const i64 *oa = slots, *na = slots + TRAVERSAL_SLOT_WORDS;
+    const i64 *edge = na + TRAVERSAL_SLOT_WORDS;
+    const i64 *dense = edge + per_edge * TRAVERSAL_SLOT_WORDS;
+    struct trace_out t;
+    i64 needed = start + n_order * (1 + (has_dense != 0));
+    i64 always = 1, masked = 0, i, e, a;
+    for (a = 0; a < per_edge; a++) {
+        if (edge[a * TRAVERSAL_SLOT_WORDS + TRAV_MASK_ROW] < 0) always++;
+        else masked++;
+    }
+    for (i = 0; i < n_order; i++) {
+        i64 v = order[i];
+        needed += always * (offsets[v + 1] - offsets[v]);
+        if (!masked) continue;
+        for (e = offsets[v]; e < offsets[v + 1]; e++)
+            for (a = 0; a < per_edge; a++) {
+                const i64 *slot = edge + a * TRAVERSAL_SLOT_WORDS;
+                if (slot[TRAV_MASK_ROW] >= 0)
+                    needed += fires(slot, masks, num_vertices, neighbors[e]);
+            }
+    }
+    if (trace_len < needed) {
+        out[0] = -needed;
+        return;
+    }
+    t.addresses = addresses;
+    t.pcs = pcs;
+    t.writes = writes;
+    t.vertices = vertices;
+    t.at = start;
+    for (i = 0; i < n_order; i++) {
+        i64 v = order[i];
+        i32 vertex = (i32)(v + vertex_offset);
+        emit(&t, oa, v, vertex);
+        for (e = offsets[v]; e < offsets[v + 1]; e++) {
+            i64 nbr = neighbors[e];
+            emit(&t, na, e, vertex);
+            for (a = 0; a < per_edge; a++) {
+                const i64 *slot = edge + a * TRAVERSAL_SLOT_WORDS;
+                if (fires(slot, masks, num_vertices, nbr))
+                    emit(&t, slot, nbr, vertex);
+            }
+        }
+        if (has_dense) emit(&t, dense, v, vertex);
+    }
+    out[0] = t.at;
 }
 
 /* ------------------------------------------------------------------ */

@@ -282,6 +282,21 @@ def simulate_task(task: SweepTask) -> List[Dict[str, object]]:
     )
 
 
+def simulate_task_in_worker(
+    task: SweepTask,
+) -> Tuple[List[Dict[str, object]], Dict[str, Dict[str, int]]]:
+    """:func:`simulate_task` as a pool worker runs it: the rows, and
+    what the task moved on the worker's store counters, which the
+    parent adds to its own (:meth:`ArtifactStore.add_counts`) so a
+    sweep's counters cover every lookup, wherever it ran."""
+    store = artifacts.get_store()
+    if store is None:
+        return simulate_task(task), {}
+    before = store.stats()["by_kind"]
+    rows = simulate_task(task)
+    return rows, store.counts_since(before)
+
+
 def run_task(task: SweepTask) -> List[Dict[str, object]]:
     """Simulate every policy in one task; returns plain stat rows.
 

@@ -47,13 +47,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cache.config import scaled_hierarchy
 from ..graph import datasets
-from .artifacts import canonical_json
+from .artifacts import canonical_json, get_store
 from .parallel import (
     APP_FACTORIES,
     SweepTask,
     policy_chunks,
     pool_context,
     simulate_task,
+    simulate_task_in_worker,
     stored_rows,
     validate_technique,
 )
@@ -351,10 +352,21 @@ def run_spec(
 
     if jobs <= 1 or len(pending) <= 1:
         return collect(map(simulate_task, pending))
+
+    def counted(results):
+        # A worker's store lookups count in the parent's counters.
+        store = get_store()
+        for rows, counts in results:
+            if store is not None:
+                store.add_counts(counts)
+            yield rows
+
     with ProcessPoolExecutor(
         max_workers=jobs, mp_context=pool_context()
     ) as pool:
-        return collect(pool.map(simulate_task, pending, chunksize=1))
+        return collect(counted(pool.map(
+            simulate_task_in_worker, pending, chunksize=1
+        )))
 
 
 # ----------------------------------------------------------------------

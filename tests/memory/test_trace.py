@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.memory import MemoryTrace, concat_traces
+from repro.memory import MemoryTrace
 
 
 def make_trace(addresses, pcs=None, writes=None, vertices=None):
@@ -46,7 +46,7 @@ class TestMemoryTrace:
         assert t.stats() == {1: 1, 2: 2}
 
     def test_empty(self):
-        t = concat_traces([])
+        t = make_trace([])
         assert len(t) == 0
         assert t.next_use_indices().size == 0
 
@@ -75,23 +75,6 @@ class TestNextUse:
                     expected = j
                     break
             assert next_use[i] == expected
-
-
-class TestConcat:
-    def test_concat(self):
-        a = make_trace([0], vertices=[1])
-        b = make_trace([64], vertices=[2])
-        t = concat_traces([a, b])
-        assert t.addresses.tolist() == [0, 64]
-        assert t.vertices.tolist() == [1, 2]
-
-    def test_concat_empty_list(self):
-        t = concat_traces([])
-        assert len(t) == 0
-        assert t.addresses.dtype == np.int64
-        assert t.pcs.dtype == np.uint8
-        assert t.writes.dtype == bool
-        assert t.vertices.dtype == np.int32
 
 
 class TestPickle:

@@ -136,6 +136,58 @@ class TestPreparedRoundTrip:
             )
 
 
+    def test_read_back_hashes_no_array(self, store, monkeypatch):
+        """A stored run carries the content hashes of its trace and its
+        reference graphs: reading it back and keying its filter and its
+        matrices hashes no array (a store read never pages the trace
+        in)."""
+        graph = datasets.load("URAND", scale="tiny")
+        prepared = prepare_run(APP_FACTORIES["PR-Delta"](), graph)
+        task = SweepTask(
+            app="PR-Delta", graph="URAND", policies=("LRU",), scale="tiny"
+        )
+        artifacts.store_prepared(store, task.artifact_key(), prepared)
+        hierarchy = scaled_hierarchy("tiny")
+
+        def keys(run):
+            return artifacts._filter_key(run.trace, hierarchy), [
+                artifacts._matrix_key(
+                    stream.reference_graph, stream.span.elems_per_line,
+                    8, "inter_intra", stream.span.num_lines,
+                )
+                for stream in run.irregular_streams
+            ]
+
+        built = keys(prepared)
+
+        def forbidden(*arrays):
+            raise AssertionError("a stored run's arrays were hashed")
+
+        monkeypatch.setattr(artifacts, "_array_sha", forbidden)
+        read = artifacts.cached_prepared(store, task.artifact_key())
+        assert read is not None
+        assert len(read.irregular_streams) == 2
+        assert keys(read) == built
+
+    @pytest.mark.parametrize("field", ["trace_sha", "graph_sha"])
+    def test_entry_without_hashes_is_bad(self, ambient, field):
+        _lookup_prepared()
+        (entry,) = _entries(ambient, artifacts.KIND_PREPARED)
+        meta_path = entry / "meta.json"
+        payload = json.loads(meta_path.read_text())
+        if field == "trace_sha":
+            del payload["meta"]["trace_sha"]
+        else:
+            del payload["meta"]["streams"][0]["graph_sha"]
+        meta_path.write_text(json.dumps(payload))
+        before = _counts(ambient, artifacts.KIND_PREPARED)
+        _lookup_prepared()
+        after = _counts(ambient, artifacts.KIND_PREPARED)
+        assert after["misses"] == before["misses"] + 1
+        assert after["writes"] == before["writes"] + 1
+        assert after["hits"] == before["hits"]
+
+
 class TestMatrixEntries:
     """A stored Rereference Matrix that does not decode is rebuilt; a
     bug in the decode itself is not hidden behind a rebuild."""
@@ -284,6 +336,29 @@ class TestBadEntries:
         assert final["hits"] == after["hits"] + len(entries)
         assert final["misses"] == after["misses"]
 
+    def test_miss_keeps_a_concurrent_write(self, ambient, monkeypatch):
+        """A lookup that found no entry removes none: an entry another
+        worker renames into place after the miss stays, and the rebuild
+        finds it there, so the entry is written once."""
+        real_get = ArtifactStore.get
+
+        def get(self, kind_name, key):
+            found = real_get(self, kind_name, key)
+            if found is None and kind_name == artifacts.KIND_GRAPH:
+                # The other worker's write lands between miss and build.
+                real_put(self, kind_name, key, meta={"num_vertices": 1},
+                         arrays={"offsets": np.zeros(2, np.int64),
+                                 "neighbors": np.zeros(0, np.int32)})
+            return found
+
+        real_put = ArtifactStore.put
+        monkeypatch.setattr(ArtifactStore, "get", get)
+        _lookup_graph()
+        assert _counts(ambient, artifacts.KIND_GRAPH) == {
+            "hits": 0, "misses": 1, "writes": 1,
+        }
+        assert len(_entries(ambient, artifacts.KIND_GRAPH)) == 1
+
     @pytest.mark.parametrize("kind", sorted(LOOKUPS))
     def test_decode_bug_raises(self, ambient, monkeypatch, kind):
         lookup = LOOKUPS[kind]
@@ -349,6 +424,36 @@ class TestMemoryFirst:
             "hits": 0, "misses": 3, "writes": 3,
         }
         assert len(transposes) == 3
+
+
+class TestWorkerCounters:
+    def test_pool_counts_reach_the_parent(self, tmp_path, monkeypatch):
+        """A cold matrix writes the same entries per kind at jobs 2 as
+        at jobs 1, and the parent's counters see every write: each
+        worker returns what its tasks moved on its counters."""
+        spec = scenario_matrix(
+            scale="tiny", graphs=("URAND",), policies=("LRU", "P-OPT"),
+            techniques=("none", "tiling:4"), llc_factors=(1, 2),
+        )
+        writes = {}
+        for jobs in (1, 2):
+            monkeypatch.setenv(artifacts.DIR_ENV, str(tmp_path / f"{jobs}"))
+            monkeypatch.setattr(artifacts, "_STORES", {})
+            monkeypatch.setattr(datasets, "_GRAPH_MEMO", OrderedDict())
+            monkeypatch.setattr(parallel, "_PREPARED_CACHE", OrderedDict())
+            run_spec(spec, jobs=jobs)
+            writes[jobs] = {
+                kind: counts["writes"]
+                for kind, counts in
+                artifacts.get_store().stats()["by_kind"].items()
+            }
+        assert writes[2] == writes[1]
+        assert set(writes[1]) == {
+            artifacts.KIND_GRAPH, artifacts.KIND_PREPARED,
+            artifacts.KIND_FILTER, artifacts.KIND_MATRIX,
+            artifacts.KIND_ROWS,
+        }
+        assert all(count > 0 for count in writes[1].values())
 
 
 class TestRowsCache:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation gate for the compiled replay kernels.
+"""Mutation gate for the compiled kernels (replay and trace).
 
 Each entry of :data:`MUTANTS` is a ``(label, exact text, replacement)``
 edit of ``src/repro/sim/kernels.c``. For every mutant the script copies
@@ -8,7 +8,8 @@ applies the edit there, points ``REPRO_CKERNELS_DIR`` at a fresh empty
 directory (so the mutated source is compiled, never a cached build) and
 runs::
 
-    python -m pytest tests/sim/test_engine.py tests/sim/test_ckernels_build.py -x -q
+    python -m pytest tests/sim/test_engine.py tests/sim/test_ckernels_build.py \
+        tests/apps/test_trace_kernel.py -x -q
 
 A mutant is killed when that run fails (or hangs past
 :data:`TIMEOUT_S`).
@@ -36,7 +37,10 @@ from typing import List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 KERNELS_C = Path("src/repro/sim/kernels.c")
-TESTS = ("tests/sim/test_engine.py", "tests/sim/test_ckernels_build.py")
+TESTS = (
+    "tests/sim/test_engine.py", "tests/sim/test_ckernels_build.py",
+    "tests/apps/test_trace_kernel.py",
+)
 #: A test run this long is a hang, which counts as a kill.
 TIMEOUT_S = 600.0
 
@@ -72,6 +76,37 @@ MUTANTS: Tuple[Tuple[str, str, str], ...] = (
         "rrip-victim-last-max",
         "i64 gt = r > top;",
         "i64 gt = r >= top;",
+    ),
+    # The trace kernel: a masked access fires on every edge, ...
+    (
+        "traversal-mask-ignored",
+        "return row < 0 || masks[row * num_vertices + nbr] != 0;",
+        "return 1;",
+    ),
+    # ... the dense access loses its write flag, ...
+    (
+        "traversal-dense-write-dropped",
+        "if (has_dense) emit(&t, dense, v, vertex);",
+        "if (has_dense) { emit(&t, dense, v, vertex); "
+        "t.writes[t.at - 1] = 0; }",
+    ),
+    # ... and the per-edge accesses come before the neighbor read.
+    (
+        "traversal-edge-before-neighbor",
+        """            emit(&t, na, e, vertex);
+            for (a = 0; a < per_edge; a++) {
+                const i64 *slot = edge + a * TRAVERSAL_SLOT_WORDS;
+                if (fires(slot, masks, num_vertices, nbr))
+                    emit(&t, slot, nbr, vertex);
+            }
+""",
+        """            for (a = 0; a < per_edge; a++) {
+                const i64 *slot = edge + a * TRAVERSAL_SLOT_WORDS;
+                if (fires(slot, masks, num_vertices, nbr))
+                    emit(&t, slot, nbr, vertex);
+            }
+            emit(&t, na, e, vertex);
+""",
     ),
 )
 
