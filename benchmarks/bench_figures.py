@@ -1,8 +1,9 @@
-"""Every :data:`repro.sim.spec.FIGURES` entry, run once at ``REPRO_SCALE``
-(thresholds are calibrated at ``small``): writes ``results/<id>.txt``
-(rows, then the measured-vs-paper claims table) and fails unless every
-claim that applies holds. ``REPRO_GRAPHS`` narrows the figures whose
-graphs default to the Table III set."""
+"""Every :data:`repro.sim.spec.ENTRIES` figure and study, run once at
+``REPRO_SCALE`` (thresholds are calibrated at ``small``): writes
+``results/<id>.txt`` (rows, then the measured-vs-paper claims table)
+and fails unless every claim that applies holds.
+``REPRO_GRAPHS`` narrows the entries whose graphs default to the Table
+III set."""
 
 import inspect
 import os
@@ -10,7 +11,7 @@ import os
 import pytest
 from common import get_graphs, get_scale, report, run_once
 
-from repro.sim.spec import FIGURES
+from repro.sim.spec import ENTRIES
 from repro.sim.tables import format_table
 
 
@@ -22,9 +23,9 @@ def figure_kwargs(figure):
     return kwargs
 
 
-@pytest.mark.parametrize("figure_id", list(FIGURES))
+@pytest.mark.parametrize("figure_id", list(ENTRIES))
 def bench_figure(benchmark, figure_id):
-    figure = FIGURES[figure_id]
+    figure = ENTRIES[figure_id]
     rows = run_once(benchmark, figure.run, **figure_kwargs(figure))
     claims = figure.check(rows)
     report(figure_id, figure.title, rows,

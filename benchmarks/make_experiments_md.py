@@ -2,10 +2,10 @@
 
 Run the benchmark suite first (``pytest benchmarks/ --benchmark-only``),
 then ``PYTHONPATH=src python benchmarks/make_experiments_md.py``. Each
-figure's section takes its title and the paper's result from
-:data:`repro.sim.spec.FIGURES` and embeds the recorded results file:
-the measured rows, then the measured-vs-paper claims table. The other
-sections pair the paper's result with a written verdict.
+figure's and study's section takes its title and the paper's result
+from :data:`repro.sim.spec.ENTRIES` and embeds the recorded results
+file: the measured rows, then the measured-vs-paper claims table. The
+other sections pair the paper's result with a written verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from repro.sim.spec import FIGURES
+from repro.sim.spec import ENTRIES
 
 RESULTS = Path(__file__).parent / "results"
 OUTPUT = Path(__file__).parent.parent / "EXPERIMENTS.md"
@@ -52,7 +52,7 @@ def table4_verdict() -> str:
     )
 
 
-#: Tables, ablations and extensions: (result-file id or ids, title,
+#: Tables and the prefetching extension: (result-file id or ids, title,
 #: paper's reported result, verdict or a function that measures it).
 SECTIONS = [
     (
@@ -88,52 +88,6 @@ SECTIONS = [
         table4_verdict,
     ),
     (
-        "ablation_streaming_first",
-        "Ablation — streaming-first victim search (Section V-C)",
-        "The next-ref engine reports the first streaming way before "
-        "consulting the RM.",
-        "Evicting streaming data first never hurts and avoids RM "
-        "lookups for ways that cannot benefit.",
-    ),
-    (
-        "ablation_tiebreak",
-        "Ablation — DRRIP tie-breaking (Section V-C)",
-        "Quantization ties are settled by a baseline policy (DRRIP).",
-        "DRRIP tie-breaking matches or beats naive first-way selection.",
-    ),
-    (
-        "ablation_nuca",
-        "Ablation — NUCA mapping, static check (Section V-E)",
-        "Block-interleaved irregData mapping makes every RM lookup "
-        "bank-local.",
-        "100% local under the modified mapping vs ~1/numBanks under "
-        "default striping.",
-    ),
-    (
-        "ablation_nuca_dynamic",
-        "Ablation — NUCA mapping, dynamic model (Section V-E)",
-        "Same claim measured on a banked S-NUCA LLC with per-bank "
-        "P-OPT engines.",
-        "Every replacement-time RM lookup is bank-local under the "
-        "modified mapping, with no aggregate locality cost.",
-    ),
-    (
-        "ablation_parallel",
-        "Ablation — epoch-serial parallelism (Section V-F)",
-        "Multi-threaded P-OPT with a main-thread currVertex shows LLC "
-        "miss rates similar to serial execution.",
-        "8-thread interleaving stays within a few points of the serial "
-        "miss rate on every graph.",
-    ),
-    (
-        "related_deadblock",
-        "Extension — dead-block predictors (Section VIII)",
-        "\"P-OPT can more accurately identify dead lines\" than "
-        "SDBP/Leeway-style prediction.",
-        "SDBP and Leeway land in LRU's neighborhood on PageRank; P-OPT "
-        "wins decisively.",
-    ),
-    (
         "future_prefetch",
         "Extension — transpose-driven prefetching (Section VIII "
         "future work)",
@@ -161,25 +115,27 @@ in DESIGN.md (synthetic stand-in graphs of the paper's five structural
 classes; LLC scaled so the irregular working set exceeds it by the same
 factor as in the paper). Absolute numbers differ by design — the shapes
 (who wins, by roughly what factor, where crossovers fall) are the
-reproduction targets. Each figure ends with its claims table: the
-paper's value, the measured one, and whether the shape check holds
-(`benchmarks/bench_figures.py` fails when one does not). Tables below
-are verbatim from `benchmarks/results/`.
+reproduction targets. Each figure and study ends with its claims
+table: the paper's value, the measured one, and whether the shape check
+holds (`benchmarks/bench_figures.py` fails when one does not). Tables
+below are verbatim from `benchmarks/results/`.
 
 """
 
 
-def figure_label(figure_id: str) -> str:
-    """``fig12a`` -> ``Fig. 12(a)``."""
-    number, panel = figure_id[3:5], figure_id[5:]
-    return f"Fig. {int(number)}" + (f"({panel})" if panel else "")
+def entry_title(entry_id: str, title: str) -> str:
+    """``fig12a`` -> ``Fig. 12(a) — <title>``; a study keeps its title."""
+    if not entry_id.startswith("fig"):
+        return title
+    number, panel = entry_id[3:5], entry_id[5:]
+    label = f"Fig. {int(number)}" + (f"({panel})" if panel else "")
+    return f"{label} — {title}"
 
 
 def main() -> None:
     figures = [
-        (figure_id, f"{figure_label(figure_id)} — {figure.title}",
-         figure.paper, "")
-        for figure_id, figure in FIGURES.items()
+        (entry_id, entry_title(entry_id, entry.title), entry.paper, "")
+        for entry_id, entry in ENTRIES.items()
     ]
     parts = [HEADER]
     missing = []

@@ -1,6 +1,5 @@
 """Cache substrate: configs, set-associative caches, hierarchy, NUCA."""
 
-from .banked import BankedLLC
 from .cache import AccessContext, SetAssociativeCache
 from .config import (
     CORE_FREQUENCY_GHZ,
@@ -36,7 +35,6 @@ __all__ = [
     "LEVEL_LLC",
     "LEVEL_DRAM",
     "BankMapper",
-    "BankedLLC",
     "CacheStats",
     "MPKI_INSTRUCTIONS_PER_ACCESS",
     "CacheSanitizer",

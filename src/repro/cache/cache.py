@@ -81,13 +81,6 @@ class SetAssociativeCache:
         """Look up a line-granular address; fill on miss. Returns hit."""
         mask = self.set_mask
         set_idx = line_addr & mask if mask >= 0 else line_addr % self.num_sets
-        return self.access_at(set_idx, line_addr, ctx)
-
-    def access_at(
-        self, set_idx: int, line_addr: int, ctx: AccessContext
-    ) -> bool:
-        """Access with a precomputed set index (banked LLCs index their
-        sets by the bank-local line, so the caller owns the mapping)."""
         set_tags = self.tags[set_idx]
         try:
             way = set_tags.index(line_addr)

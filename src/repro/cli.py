@@ -4,7 +4,8 @@ Commands:
 
 - ``run``        simulate one (app, graph, policy) combination
 - ``compare``    sweep several policies over one prepared run
-- ``experiment`` regenerate a paper figure/table by ID; a figure also
+- ``experiment`` regenerate a paper figure, table or study (an
+  ablation or the dead-block comparison) by ID; a figure or study also
   prints its measured-vs-paper claims table
 - ``matrix``     run the scenario-matrix spec (techniques x policies
   x graphs x LLC sizes), streaming rows; resumable via the artifact
@@ -41,13 +42,13 @@ from .sim import prepare_run, simulate_prepared
 from .sim import artifacts as artifacts_module
 from .sim.experiments import table4_preprocessing
 from .sim.parallel import APP_FACTORIES, START_METHOD_ENV
-from .sim.spec import FIGURES, ExperimentSpec, run_spec, scenario_matrix
+from .sim.spec import ENTRIES, ExperimentSpec, run_spec, scenario_matrix
 from .sim.tables import format_table, table1_rows, table2_rows, table3_rows
 
 __all__ = ["main", "APP_FACTORIES"]
 
-#: Experiment ids: every paper figure, plus Table IV.
-EXPERIMENTS = (*FIGURES, "table4")
+#: Experiment ids: every paper figure, every study, plus Table IV.
+EXPERIMENTS = (*ENTRIES, "table4")
 
 
 def _graph_choices():
@@ -119,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     experiment = sub.add_parser(
-        "experiment", help="regenerate a paper figure/table"
+        "experiment", help="regenerate a paper figure, table or study"
     )
     experiment.add_argument("id", choices=sorted(EXPERIMENTS))
     experiment.add_argument(
@@ -267,13 +268,13 @@ def _cmd_compare(args) -> int:
 
 def _cmd_experiment(args) -> int:
     title = f"{args.id} [scale={args.scale}]"
-    if args.id not in FIGURES:
+    figure = ENTRIES.get(args.id)
+    if figure is None:
         if args.jobs > 1:
             print(f"note: {args.id} does not sweep in parallel; "
                   f"running serially")
         print(format_table(table4_preprocessing(scale=args.scale), title))
         return 0
-    figure = FIGURES[args.id]
     rows = figure.run(jobs=max(1, args.jobs), scale=args.scale)
     print(format_table(rows, title))
     print()

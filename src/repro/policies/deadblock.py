@@ -5,7 +5,8 @@ dead-block predictors — "policies like SDBP [32] and Leeway [21] that
 find cache lines that will receive no further accesses" — arguing P-OPT
 identifies dead lines more accurately because it reads exact next
 references from the transpose. These implementations let that claim be
-measured directly (see ``benchmarks/bench_related_deadblock.py``).
+measured directly (the ``related_deadblock`` entry of
+:data:`repro.sim.spec.STUDIES`).
 
 **SDBP** (Khan, Tian & Jimenez, MICRO'10): a *decoupled sampler* observes
 a subset of sets with its own tag history (longer lifetime than the real

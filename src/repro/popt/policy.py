@@ -41,7 +41,7 @@ from ..sim.constants import (
 from .arch import PoptCounters
 from .rereference import RereferenceMatrix
 
-__all__ = ["PoptStream", "KernelMatrices", "POPT"]
+__all__ = ["PoptStream", "KernelMatrices", "FirstTiedWay", "POPT"]
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,17 @@ class KernelMatrices:
         sparams = np.array(blocks, dtype=np.int64)
         sparams.setflags(write=False)
         return sparams
+
+
+class FirstTiedWay(ReplacementPolicy):
+    """A tie-break with no state: :class:`POPT` settles a quantization
+    tie on the first tied way (Section V-C's ablation of the DRRIP
+    tie-break). On its own it always evicts way 0."""
+
+    name = "FirstWay"
+
+    def choose_victim(self, set_idx: int, ctx) -> int:
+        return 0
 
 
 class POPT(ReplacementPolicy):
@@ -223,9 +234,10 @@ class POPT(ReplacementPolicy):
 
     def fits_replay_kernel(self) -> bool:
         # The replay kernel inlines the tie-break sub-policy's RRPV/PSEL
-        # evolution and models DRRIP exactly; any other tie-break (or a
-        # DRRIP subclass) must take the generic per-access path.
-        return type(self._tie_break) is DRRIP
+        # evolution and models DRRIP exactly, or settles ties on the
+        # first tied way; any other tie-break (or a DRRIP subclass) must
+        # take the generic per-access path.
+        return type(self._tie_break) in (DRRIP, FirstTiedWay)
 
     def resident_bytes(self) -> int:
         """LLC bytes pinned for RM columns across all streams."""

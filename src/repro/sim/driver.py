@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple, Type
 
 from ..apps.base import GraphApp, PreparedRun
 from ..cache.cache import AccessContext
@@ -27,10 +28,12 @@ from ..errors import ReservationError, SimulationError
 from ..graph.csr import CSRGraph
 from ..graph.reorder import DbgLayout, apply_order, dbg_order
 from ..memory.trace import decode_trace
+from ..policies.base import ReplacementPolicy
 from ..policies.registry import PolicyContext, make_policy
+from ..policies.rrip import DRRIP
 from ..popt import rereference
 from ..popt.arch import reserved_ways
-from ..popt.policy import POPT, KernelMatrices, PoptStream
+from ..popt.policy import POPT, FirstTiedWay, KernelMatrices, PoptStream
 from ..popt.topt import TOPT, build_stream_references
 from . import artifacts
 from .engine import ReplayEngine, llc_visible_next_use
@@ -44,6 +47,7 @@ __all__ = [
     "grasp_ranges_for",
     "prepare_dbg_run",
     "POPT_POLICIES",
+    "POPT_VARIANTS",
     "ENGINES",
 ]
 
@@ -58,8 +62,23 @@ __all__ = [
 #: the equivalence baseline.
 ENGINES = ("fast", "generic", "reference")
 
+#: P-OPT policy names -> (Rereference Matrix variant,
+#: ``prefer_streaming_victims``, tie-break policy class). The last two
+#: rows are Section V-C's ablations: streaming lines ranked through the
+#: RM path, and quantization ties settled by the first tied way rather
+#: than DRRIP.
+POPT_VARIANTS: Mapping[
+    str, Tuple[str, bool, Type[ReplacementPolicy]]
+] = MappingProxyType({
+    "P-OPT": ("inter_intra", True, DRRIP),
+    "P-OPT-Inter": ("inter_only", True, DRRIP),
+    "P-OPT-SE": ("single_epoch", True, DRRIP),
+    "P-OPT-RM-Ranked": ("inter_intra", False, DRRIP),
+    "P-OPT-FirstWay": ("inter_intra", True, FirstTiedWay),
+})
+
 #: Policy names handled by the driver itself rather than the registry.
-POPT_POLICIES = ("T-OPT", "P-OPT", "P-OPT-Inter", "P-OPT-SE")
+POPT_POLICIES = ("T-OPT",) + tuple(POPT_VARIANTS)
 
 
 @dataclass
@@ -136,8 +155,10 @@ def _build_popt_policy(
     variant: str,
     entry_bits: int,
     line_size: int,
+    **options,
 ) -> Tuple[POPT, float]:
-    """Instantiate P-OPT with per-stream Rereference Matrices.
+    """Instantiate P-OPT with per-stream Rereference Matrices
+    (``options`` are the remaining :class:`POPT` arguments).
 
     Each matrix is built (or loaded from the artifact store) once per
     prepared run and kept in ``prepared.matrices``: it depends on the
@@ -169,7 +190,8 @@ def _build_popt_policy(
         prepared.kernel_matrices[(entry_bits, variant)] = kernel_matrices
     elapsed = time.perf_counter() - start
     policy = POPT(
-        streams, line_size=line_size, kernel_matrices=kernel_matrices
+        streams, line_size=line_size, kernel_matrices=kernel_matrices,
+        **options,
     )
     return policy, elapsed
 
@@ -232,14 +254,12 @@ def simulate_prepared(
             prepared.irregular_streams, line_size=line_size,
             references=prepared.line_references,
         )
-    elif policy_name in ("P-OPT", "P-OPT-Inter", "P-OPT-SE"):
-        variant = {
-            "P-OPT": "inter_intra",
-            "P-OPT-Inter": "inter_only",
-            "P-OPT-SE": "single_epoch",
-        }[policy_name]
+    elif policy_name in POPT_VARIANTS:
+        variant, prefer_streaming, tie_break = POPT_VARIANTS[policy_name]
         popt_policy, preprocessing = _build_popt_policy(
-            prepared, variant, entry_bits, line_size
+            prepared, variant, entry_bits, line_size,
+            prefer_streaming_victims=prefer_streaming,
+            tie_break=tie_break(),
         )
         llc_policy = popt_policy
         if account_capacity:

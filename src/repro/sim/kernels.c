@@ -551,10 +551,10 @@ INLINE void popt_replay(const i64 *lines, const u8 *writes, const i64 *sidx,
                         i64 n, i64 num_sets, i64 ways, const i32 *vertices,
                         const i64 *sid, const i64 *off, const i64 *bases,
                         i64 num_streams, const i64 *sparams,
-                        const u16 *entries, i64 prefer_streaming, i64 rmax,
-                        i64 psel_max, const i64 *leader, const u8 *trickled,
-                        i64 *ws, i64 ws_len, i64 *out, i64 *cnt,
-                        i64 variant)
+                        const u16 *entries, i64 prefer_streaming,
+                        i64 drrip_ties, i64 rmax, i64 psel_max,
+                        const i64 *leader, const u8 *trickled, i64 *ws,
+                        i64 ws_len, i64 *out, i64 *cnt, i64 variant)
 {
     struct cache c;
     i64 repl = 0, sevic = 0, rml = 0, ties = 0, tiec = 0;
@@ -630,7 +630,9 @@ INLINE void popt_replay(const i64 *lines, const u8 *writes, const i64 *sidx,
                 if (tied > 1) {
                     i64 best_value = -1;
                     ties++; tiec += tied;
-                    for (w = 0; w < ways; w++)
+                    /* DRRIP's highest RRPV among the tied ways; without
+                     * the DRRIP tie-break the first tied way stands. */
+                    for (w = 0; drrip_ties && w < ways; w++)
                         if (wref[w] == best && rrpv[w] > best_value) {
                             best_value = rrpv[w];
                             victim = w;
@@ -653,35 +655,37 @@ INLINE void popt_replay(const i64 *lines, const u8 *writes, const i64 *sidx,
 
 /* cnt[0..4] += replacements, streaming_evictions, rm_lookups, ties,
  * tie_candidates (epoch accounting is vectorized on the Python side).
- * Every stream's matrix has the same variant (the POPT policy refuses
- * a mix), so stream 0's block picks the one compiled scan. A matrix
- * row is bases[sid[k]] + off[k]: the stream's start in `entries` plus
- * the line offset. */
+ * A quantization tie goes to the tied way with DRRIP's highest RRPV
+ * when `drrip_ties` is set, else to the first tied way; the DRRIP
+ * state evolves either way. Every stream's matrix has the same variant
+ * (the POPT policy refuses a mix), so stream 0's block picks the one
+ * compiled scan. A matrix row is bases[sid[k]] + off[k]: the stream's
+ * start in `entries` plus the line offset. */
 void k_popt(const i64 *lines, const u8 *writes, const i64 *sidx, i64 n,
             i64 num_sets, i64 ways, const i32 *vertices, const i64 *sid,
             const i64 *off, const i64 *bases, i64 num_streams,
             const i64 *sparams, const u16 *entries, i64 prefer_streaming,
-            i64 rmax, i64 psel_max, const i64 *leader, const u8 *trickled,
-            i64 *ws, i64 ws_len, i64 *out, i64 *cnt)
+            i64 drrip_ties, i64 rmax, i64 psel_max, const i64 *leader,
+            const u8 *trickled, i64 *ws, i64 ws_len, i64 *out, i64 *cnt)
 {
     switch (sparams[POPT_SP_VARIANT]) {
     case RM_VARIANT_INTER_ONLY:
         popt_replay(lines, writes, sidx, n, num_sets, ways, vertices, sid,
                     off, bases, num_streams, sparams, entries,
-                    prefer_streaming, rmax, psel_max, leader, trickled,
-                    ws, ws_len, out, cnt, RM_VARIANT_INTER_ONLY);
+                    prefer_streaming, drrip_ties, rmax, psel_max, leader,
+                    trickled, ws, ws_len, out, cnt, RM_VARIANT_INTER_ONLY);
         break;
     case RM_VARIANT_SINGLE_EPOCH:
         popt_replay(lines, writes, sidx, n, num_sets, ways, vertices, sid,
                     off, bases, num_streams, sparams, entries,
-                    prefer_streaming, rmax, psel_max, leader, trickled,
-                    ws, ws_len, out, cnt, RM_VARIANT_SINGLE_EPOCH);
+                    prefer_streaming, drrip_ties, rmax, psel_max, leader,
+                    trickled, ws, ws_len, out, cnt, RM_VARIANT_SINGLE_EPOCH);
         break;
     default:
         popt_replay(lines, writes, sidx, n, num_sets, ways, vertices, sid,
                     off, bases, num_streams, sparams, entries,
-                    prefer_streaming, rmax, psel_max, leader, trickled,
-                    ws, ws_len, out, cnt, RM_VARIANT_INTER_INTRA);
+                    prefer_streaming, drrip_ties, rmax, psel_max, leader,
+                    trickled, ws, ws_len, out, cnt, RM_VARIANT_INTER_INTRA);
         break;
     }
 }

@@ -649,7 +649,10 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     The DRRIP tie-break's set-dueling PSEL and global fill RNG couple
     the sets exactly as in :func:`kernel_drrip`, so the access order is
     kept (``POPT.fits_replay_kernel`` admits this kernel only when the
-    tie-break is exactly DRRIP). Region membership is the filter's
+    tie-break is exactly DRRIP or the stateless
+    :class:`~repro.popt.policy.FirstTiedWay`; with the latter the kernel
+    still evolves a default DRRIP's state but settles a tie on the first
+    tied way). Region membership is the filter's
     memoized (stream, line offset) pair; each way remembers its resident
     line's (stream, RM row), resolved in C at fill time as the stream's
     base plus the line offset, so a victim scan is pure Algorithm 2
@@ -675,7 +678,8 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
     counters as a fresh :class:`~repro.popt.arch.PoptCounters`.
     """
     policy = req.policy
-    tie = policy._tie_break
+    drrip_ties = type(policy._tie_break) is DRRIP
+    tie = policy._tie_break if drrip_ties else DRRIP()
     matrices = [matrix for _, _, matrix in policy._regions]
     verts, sid, off = _next_ref_arrays(req)
 
@@ -690,6 +694,7 @@ def kernel_popt(req: KernelRequest) -> CacheStats:
         np.array(kernel_matrices.bases, dtype=np.int64),
         len(matrices), kernel_matrices.sparams, kernel_matrices.entries,
         1 if policy.prefer_streaming_victims else 0,
+        1 if drrip_ties else 0,
         tie.rrpv_max, tie.psel_max,
         np.array(drrip_leader_roles(req.config.num_sets, tie.leader_period),
                  dtype=np.int64),
@@ -746,9 +751,9 @@ def resolve_kernel(policy) -> Optional[Kernel]:
 
     None when the policy's exact type has no kernel, when the instance
     declines it (``fits_replay_kernel()`` is False: SHiP-Mem, or P-OPT
-    with a non-DRRIP tie-break), or when no compiled library is
-    available. The policy then replays through the generic engine
-    (``EngineRun.kernel`` is None), and
+    with a tie-break other than DRRIP and ``FirstTiedWay``), or when no
+    compiled library is available. The policy then replays through the
+    generic engine (``EngineRun.kernel`` is None), and
     :func:`~repro.sim.ckernels.build_error` says why the library is
     missing.
     """

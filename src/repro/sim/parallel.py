@@ -41,11 +41,13 @@ from .. import apps as apps_module
 from ..cache.config import HierarchyConfig, scaled_hierarchy
 from ..errors import ReservationError
 from ..graph import datasets
+from ..popt.rereference import epoch_geometry
 from . import artifacts
 from .driver import prepare_dbg_run, prepare_run, simulate_prepared
 
 __all__ = [
     "APP_FACTORIES",
+    "EPOCH_SERIAL_THREADS",
     "START_METHOD_ENV",
     "TECHNIQUES",
     "SweepTask",
@@ -72,17 +74,33 @@ APP_FACTORIES = MappingProxyType({
 #: Parameterized entries take a ``name:N`` suffix (``tiling:4``,
 #: ``dbg:8``); ``pb``/``phi`` select propagation blocking without/with
 #: the PHI hardware assist, ``hats`` traces under a BDFS traversal
-#: order, and ``none`` runs the app as declared.
-TECHNIQUES = ("none", "tiling", "pb", "phi", "dbg", "hats")
+#: order, ``epoch-serial`` runs PageRank on
+#: :data:`EPOCH_SERIAL_THREADS` epoch-serial threads that share the
+#: main thread's ``currVertex`` (Section V-F), and ``none`` runs the app
+#: as declared.
+TECHNIQUES = ("none", "tiling", "pb", "phi", "dbg", "hats", "epoch-serial")
+
+#: Threads of the ``epoch-serial`` technique (Section V-F's run).
+EPOCH_SERIAL_THREADS = 8
 
 
-def validate_technique(technique: str) -> str:
-    """Check a technique string; returns it, raises ValueError if bad."""
+def validate_technique(technique: str, app: Optional[str] = None) -> str:
+    """Check a technique string, and (when given) that it can trace
+    ``app``; returns it, raises ValueError if bad.
+
+    ``epoch-serial`` traces PageRank only: the frontier apps ignore a
+    vertex order, and the main-thread vertex channel assumes the one
+    pass over the vertices that PageRank's trace holds.
+    """
     base = technique.split(":", 1)[0]
     if base not in TECHNIQUES:
         raise ValueError(
             f"unknown software technique {technique!r}; "
             f"expected one of {TECHNIQUES}"
+        )
+    if base == "epoch-serial" and app is not None and app != "PR":
+        raise ValueError(
+            f"technique {technique!r} traces PageRank only, not {app!r}"
         )
     if ":" in technique:
         if base not in ("tiling", "dbg"):
@@ -200,7 +218,7 @@ DEFAULT_PREPARED_CACHE_SIZE = 8
 
 def _build_prepared(task: SweepTask):
     """Trace the task's app under its software technique."""
-    validate_technique(task.technique)
+    validate_technique(task.technique, task.app)
     graph = datasets.load(task.graph, scale=task.scale, seed=task.seed)
     params = dict(task.params)
     technique, _, arg = task.technique.partition(":")
@@ -225,11 +243,38 @@ def _build_prepared(task: SweepTask):
             num_groups=int(arg or 8), **params,
         )
         return prepared
+    if technique == "epoch-serial":
+        return _epoch_serial_prepared(graph, params)
     # "hats": same kernel, BDFS traversal order, baseline replacement.
     order = apps_module.bdfs_order(graph.transpose())
     return prepare_run(
         APP_FACTORIES[task.app](), graph, order=order, **params
     )
+
+
+def _epoch_serial_prepared(graph, params):
+    """PageRank on :data:`EPOCH_SERIAL_THREADS` threads running the
+    default 8-bit Rereference Matrix's epochs serially: the trace holds
+    their interleaved accesses, and its ``vertices`` channel the main
+    thread's vertex, which is what the ``currVertex`` register
+    publishes."""
+    _, epoch_size, _ = epoch_geometry(graph.num_vertices, 8)
+    # Chunks sized so the main thread owns several chunks per epoch,
+    # keeping the published currVertex tracking mid-epoch progress
+    # (guided scheduling uses fine-grained chunks).
+    chunk = max(1, epoch_size // 32)
+    order = apps_module.epoch_serial_parallel_order(
+        graph.num_vertices, epoch_size,
+        num_threads=EPOCH_SERIAL_THREADS, chunk=chunk,
+    )
+    prepared = prepare_run(
+        apps_module.PageRank(), graph, order=order, **params
+    )
+    prepared.trace = apps_module.main_thread_vertex_channel(
+        prepared.trace, epoch_size,
+        num_threads=EPOCH_SERIAL_THREADS, chunk=chunk,
+    )
+    return prepared
 
 
 def _prepared_for(task: SweepTask):

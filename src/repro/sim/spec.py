@@ -27,7 +27,9 @@ function. This module replaces the loops with data:
    the flat stat rows, and the paper's claims checked on those rows.
    Reporters are pure functions of the row list, so the replay work
    stays policy-chunked and parallel regardless of the figure's final
-   shape.
+   shape. The paper's ablations and its dead-block claim are
+   :class:`Figure` entries too, in :data:`STUDIES`; :data:`ENTRIES`
+   holds both tables in one.
 
 Expansion is deterministic by construction: axis order is declared data
 (``order``, policy always innermost), unit hashes are sha256 of
@@ -50,6 +52,7 @@ from ..graph import datasets
 from .artifacts import canonical_json, get_store
 from .parallel import (
     APP_FACTORIES,
+    EPOCH_SERIAL_THREADS,
     SweepTask,
     policy_chunks,
     pool_context,
@@ -62,9 +65,11 @@ from .parallel import (
 __all__ = [
     "AXES",
     "Claim",
+    "ENTRIES",
     "ExperimentSpec",
     "FIGURES",
     "Figure",
+    "STUDIES",
     "SpecUnit",
     "geomean",
     "run_spec",
@@ -80,6 +85,9 @@ __all__ = [
     "fig15_spec",
     "fig16_spec",
     "scenario_matrix",
+    "victim_search_spec",
+    "epoch_serial_spec",
+    "deadblock_spec",
 ]
 
 #: Axis names a spec's ``order`` may permute (policy is always the
@@ -212,7 +220,8 @@ class ExperimentSpec:
                     f"{sorted(APP_FACTORIES)}"
                 )
         for technique in self.techniques:
-            validate_technique(technique)
+            for app in self.apps:
+                validate_technique(technique, app)
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
 
@@ -1039,7 +1048,7 @@ def _figure_table(*figures: Figure) -> Mapping[str, Figure]:
     return MappingProxyType(table)
 
 
-FIGURES = _figure_table(
+_PAPER_FIGURES = (
     Figure(
         "fig02", "PageRank LLC MPKI under state-of-the-art policies",
         "LRU, DRRIP, SHiP-PC, SHiP-Mem and Hawkeye all sit in a 60-70% "
@@ -1246,3 +1255,151 @@ FIGURES = _figure_table(
         ),
     ),
 )
+
+
+# ----------------------------------------------------------------------
+# Studies: the design choices the paper ablates (Sections V-C and V-F)
+# and its related-work claim against dead-block predictors (Section
+# VIII), run, reported and checked like the figures. Each claim's
+# threshold is the one its hand-written bench asserted.
+# ----------------------------------------------------------------------
+
+
+def _report_misses(label):
+    """A reporter with one row per graph: ``<label>_misses`` and the
+    rounded ``<label>_missrate`` of each of its units."""
+
+    def report(spec, rows):
+        out: List[Dict[str, object]] = []
+        for (graph_name,), group in _group_in_order(rows, ("graph",)):
+            row: Dict[str, object] = {"graph": graph_name}
+            for item in group:
+                row[f"{label(item)}_misses"] = item["llc_misses"]
+                row[f"{label(item)}_missrate"] = round(
+                    float(item["llc_miss_rate"]), 3
+                )
+            out.append(row)
+        return out
+
+    return report
+
+
+def _policy_label(item) -> str:
+    return item["policy"]
+
+
+#: The column label of the ``epoch-serial`` technique's units.
+_THREADED = f"{EPOCH_SERIAL_THREADS}-thread"
+
+
+def _thread_label(item) -> str:
+    """``serial``, or ``<T>-thread`` for an ``epoch-serial`` unit."""
+    return "serial" if item["technique"] == "none" else _THREADED
+
+
+def victim_search_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
+    """P-OPT against its two Section V-C ablations: streaming lines
+    ranked through the Rereference Matrix, and quantization ties settled
+    by the first tied way. No way reservation, so the ablations alone
+    move the misses."""
+    return ExperimentSpec(
+        name="ablation_victims",
+        graphs=tuple(graphs or datasets.graph_names()),
+        policies=("P-OPT", "P-OPT-RM-Ranked", "P-OPT-FirstWay"),
+        replay=((8, False),),
+        scale=scale,
+        seed=seed,
+    )
+
+
+def epoch_serial_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
+    """P-OPT on PageRank's serial run and on its epoch-serial threads,
+    which share the main thread's ``currVertex``."""
+    return ExperimentSpec(
+        name="ablation_parallel",
+        graphs=tuple(graphs or datasets.graph_names()),
+        techniques=("none", "epoch-serial"),
+        policies=("P-OPT",),
+        scale=scale,
+        seed=seed,
+    )
+
+
+def deadblock_spec(scale="small", graphs=None, seed=42) -> ExperimentSpec:
+    """Section VIII's chain: the dead-block predictors against LRU,
+    DRRIP and P-OPT."""
+    return ExperimentSpec(
+        name="related_deadblock",
+        graphs=tuple(graphs or datasets.graph_names()),
+        policies=("LRU", "SDBP", "Leeway", "DRRIP", "P-OPT"),
+        scale=scale,
+        seed=seed,
+    )
+
+
+def _mean_ratio(num: str, den: str) -> Callable[[Rows], float]:
+    return lambda rows: _ratio(_mean(rows, num), _mean(rows, den))
+
+
+_STUDY_FIGURES = (
+    Figure(
+        "ablation_victims",
+        "Ablation — victim search: streaming-first and DRRIP tie-break "
+        "(Section V-C)",
+        "The next-ref engine evicts the first streaming way before "
+        "consulting the Rereference Matrix, and quantization ties are "
+        "settled by DRRIP rather than the first tied way.",
+        victim_search_spec, _report_misses(_policy_label), (
+            Claim("streaming-first - RM-ranked miss rate, highest graph",
+                  "~0",
+                  _over_rows(max, lambda row: row["P-OPT_missrate"]
+                             - row["P-OPT-RM-Ranked_missrate"]),
+                  lambda v: v <= 0.02),
+            Claim("mean DRRIP - first-way tie-break miss rate", "<= 0",
+                  _mean_gap("P-OPT_missrate", "P-OPT-FirstWay_missrate"),
+                  lambda v: v <= 0.02),
+        ),
+    ),
+    Figure(
+        "ablation_parallel",
+        "Ablation — serial vs 8-thread epoch-serial P-OPT (Section V-F)",
+        "Multi-threaded P-OPT with the main thread's currVertex shows "
+        "LLC miss rates similar to serial execution.",
+        epoch_serial_spec, _report_misses(_thread_label), (
+            Claim(f"|{_THREADED} - serial| miss rate, largest", "~0",
+                  _over_rows(max, lambda row: abs(
+                      row[f"{_THREADED}_missrate"]
+                      - row["serial_missrate"])),
+                  lambda v: v < 0.10),
+        ),
+    ),
+    Figure(
+        "related_deadblock",
+        "Extension — dead-block predictors vs P-OPT (Section VIII)",
+        "\"P-OPT can more accurately identify dead lines\" than "
+        "SDBP/Leeway-style dead-block prediction, which lands near LRU "
+        "on graph workloads.",
+        deadblock_spec, _report_misses(_policy_label), (
+            Claim("mean SDBP / LRU miss rate", "~1",
+                  _mean_ratio("SDBP_missrate", "LRU_missrate"),
+                  lambda v: v < 1.10),
+            Claim("mean Leeway / LRU miss rate", "~1",
+                  _mean_ratio("Leeway_missrate", "LRU_missrate"),
+                  lambda v: v < 1.10),
+            Claim("mean P-OPT - SDBP miss rate", "< 0",
+                  _mean_gap("P-OPT_missrate", "SDBP_missrate"),
+                  lambda v: v < 0),
+            Claim("mean P-OPT - Leeway miss rate", "< 0",
+                  _mean_gap("P-OPT_missrate", "Leeway_missrate"),
+                  lambda v: v < 0),
+        ),
+    ),
+)
+
+#: Every figure and study by id, read-only: what ``bench_figures.py``,
+#: ``repro experiment`` and ``make_experiments_md.py`` run. One table,
+#: so an id is unique across the figures and the studies.
+ENTRIES = _figure_table(*_PAPER_FIGURES, *_STUDY_FIGURES)
+#: The paper's figures, then the studies: read-only views of ENTRIES.
+FIGURES = _figure_table(*_PAPER_FIGURES)
+STUDIES = _figure_table(*_STUDY_FIGURES)

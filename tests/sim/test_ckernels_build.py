@@ -314,7 +314,8 @@ def _next_ref_args(name, **override):
             **head, vertices=i32, sid=i64, off=i64, bases=i64,
             num_streams=1, sparams=np.zeros(8, dtype=np.int64),
             entries=np.zeros(4, dtype=np.uint16), prefer_streaming=1,
-            rmax=3, psel_max=1023, leader=i64, trickled=u8, **tail,
+            drrip_ties=1, rmax=3, psel_max=1023, leader=i64, trickled=u8,
+            **tail,
             cnt=np.zeros(5, dtype=np.int64),
         ),
     }[name]

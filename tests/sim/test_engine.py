@@ -21,7 +21,7 @@ from repro.sim import (
     prepare_run,
     simulate_prepared,
 )
-from repro.sim.driver import POPT_POLICIES
+from repro.sim.driver import POPT_POLICIES, POPT_VARIANTS
 from repro.sim.engine import PrivateFilter, llc_visible_next_use
 from repro.sim.kernels import KERNEL_TABLE, resolve_kernel
 
@@ -576,7 +576,7 @@ class TestPoptKernelEquivalence:
     def test_popt_non_drrip_tie_break_stays_generic(
         self, prepared, hierarchy
     ):
-        from repro.popt.policy import POPT
+        from repro.popt.policy import POPT, FirstTiedWay
         from repro.sim.driver import _build_popt_policy
 
         policy, _ = _build_popt_policy(
@@ -591,6 +591,13 @@ class TestPoptKernelEquivalence:
         assert resolve_kernel(lru_tied) is None
         run = ReplayEngine(prepared, hierarchy).run(lru_tied)
         assert run.kernel is None
+        # The stateless first-way tie-break is a k_popt mode.
+        first_way = POPT(
+            policy.streams, line_size=hierarchy.line_size,
+            tie_break=FirstTiedWay(),
+        )
+        assert first_way.fits_replay_kernel()
+        assert resolve_kernel(first_way) == resolve_kernel(policy)
 
     @pytest.mark.needs_ckernels
     def test_way_reservation_configs(self, prepared, hierarchy):
@@ -712,7 +719,7 @@ class TestMultiStreamKernelEquivalence:
         assert np.any(np.diff(vertices) < 0)
 
     @pytest.mark.parametrize("entry_bits", [4, 8, 16])
-    @pytest.mark.parametrize("policy", ["P-OPT", "P-OPT-Inter", "P-OPT-SE"])
+    @pytest.mark.parametrize("policy", list(POPT_VARIANTS))
     def test_popt_variants_match_generic(
         self, multi_stream_prepared, policy, entry_bits
     ):

@@ -207,7 +207,7 @@ class TestTechniqueValidation:
         from repro.sim.parallel import validate_technique
 
         for technique in ("none", "tiling:4", "pb", "phi", "dbg:8",
-                          "hats"):
+                          "hats", "epoch-serial"):
             validate_technique(technique)
 
     def test_unknown_technique_rejected(self):
@@ -221,3 +221,54 @@ class TestTechniqueValidation:
             validate_technique("tiling:0")
         with pytest.raises(ValueError):
             validate_technique("tiling:x")
+        with pytest.raises(ValueError):
+            validate_technique("epoch-serial:8")
+
+    @pytest.mark.parametrize("app", sorted(set(APP_FACTORIES) - {"PR"}))
+    def test_epoch_serial_refuses_other_apps(self, app):
+        # The frontier apps ignore a vertex order and trace several
+        # rounds, which the main-thread vertex channel cannot follow.
+        from repro.sim.parallel import validate_technique
+
+        validate_technique("epoch-serial", "PR")
+        with pytest.raises(ValueError, match="PageRank only"):
+            validate_technique("epoch-serial", app)
+        with pytest.raises(ValueError, match="PageRank only"):
+            ExperimentSpec(
+                name="threads", graphs=("URAND",), policies=("P-OPT",),
+                apps=("PR", app), techniques=("epoch-serial",),
+            )
+        with pytest.raises(ValueError, match="PageRank only"):
+            parallel._build_prepared(SweepTask(
+                graph="URAND", app=app, scale="tiny",
+                technique="epoch-serial",
+            ))
+
+
+class TestEpochSerialTechnique:
+    def test_threads_publish_the_main_vertex(self):
+        """``epoch-serial`` replays the serial run's accesses, its
+        ``vertices`` channel holding the main thread's vertex."""
+        import numpy as np
+
+        from repro.apps import main_thread_vertex_channel
+        from repro.popt.rereference import epoch_geometry
+
+        def trace(technique):
+            # Epochs of 64 vertices, so 8 threads get two-vertex chunks.
+            task = SweepTask(graph="URAND@16384", scale="tiny",
+                             technique=technique)
+            return parallel._build_prepared(task).trace
+
+        serial, threaded = trace("none"), trace("epoch-serial")
+        assert np.array_equal(
+            np.sort(serial.addresses), np.sort(threaded.addresses)
+        )
+        _, epoch_size, _ = epoch_geometry(len(np.unique(serial.vertices)), 8)
+        assert np.array_equal(threaded.vertices, main_thread_vertex_channel(
+            threaded, epoch_size, num_threads=parallel.EPOCH_SERIAL_THREADS,
+            chunk=max(1, epoch_size // 32),
+        ).vertices)
+        assert len(np.unique(threaded.vertices)) < len(
+            np.unique(serial.vertices)
+        )

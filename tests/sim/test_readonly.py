@@ -17,10 +17,11 @@ from repro.graph import datasets, uniform_random
 from repro.memory.trace import decode_trace
 from repro.sim import build_private_filter, prepare_run, simulate_prepared
 from repro.sim.artifacts import ArtifactStore
+from repro.sim.driver import POPT_VARIANTS
 from repro.sim.engine import get_private_filter
 from repro.sim.kernels import KERNEL_TABLE
 from repro.sim.parallel import APP_FACTORIES
-from repro.sim.spec import FIGURES
+from repro.sim.spec import ENTRIES, FIGURES, STUDIES
 
 
 def small_hierarchy():
@@ -130,8 +131,11 @@ class TestRereferenceMatrices:
 
 class TestDispatchTables:
     @pytest.mark.parametrize(
-        "table", [APP_FACTORIES, KERNEL_TABLE, FIGURES],
-        ids=["APP_FACTORIES", "KERNEL_TABLE", "FIGURES"],
+        "table",
+        [APP_FACTORIES, KERNEL_TABLE, ENTRIES, FIGURES, STUDIES,
+         POPT_VARIANTS],
+        ids=["APP_FACTORIES", "KERNEL_TABLE", "ENTRIES", "FIGURES",
+             "STUDIES", "POPT_VARIANTS"],
     )
     def test_write_raises_type_error(self, table):
         name = next(iter(table))

@@ -2,9 +2,10 @@
 
 Three pillars:
 
-- **Golden regression** — every :data:`FIGURES` entry must emit rows
-  bit-identical (values *and* key order) to fixtures captured from the
-  hand-rolled pre-spec implementations (``tests/sim/golden/``), also in
+- **Golden regression** — every :data:`ENTRIES` figure and study
+  must emit rows bit-identical (values *and* key order) to
+  fixtures whose miss rates match the hand-rolled pre-spec
+  implementations (``tests/sim/golden/``), also in
   a fresh process with jumping clocks, reseeded global RNGs and another
   ``PYTHONHASHSEED``; every claim of a figure measures its golden rows.
 - **Plan determinism** — ``expand()`` and the per-unit content hashes
@@ -25,7 +26,9 @@ import pytest
 from repro.sim import artifacts
 from repro.sim import spec as spec_module
 from repro.sim.spec import (
+    ENTRIES,
     FIGURES,
+    STUDIES,
     ExperimentSpec,
     fig02_spec,
     fig10_spec,
@@ -55,10 +58,24 @@ GOLDEN_CASES = {
               "set_counts": (8, 16), "way_counts": (8,)},
 }
 
+#: ``STUDIES[id].run`` kwargs of each study's golden fixture (at tiny
+#: scale; the miss rates equal those of the hand-written benches the
+#: studies replaced).
+STUDY_CASES = {
+    "ablation_victims": {"scale": "tiny", "graphs": ("DBP", "KRON")},
+    "ablation_parallel": {"scale": "tiny", "graphs": ("URAND", "DBP")},
+    "related_deadblock": {"scale": "tiny", "graphs": ("UK-02", "KRON")},
+}
+
+#: Every entry's golden case: the figures, then the studies.
+ALL_CASES = {**GOLDEN_CASES, **STUDY_CASES}
+
 
 #: Figures whose goldens were captured from hand-written loops that the
 #: spec layer replaced last; they also run under a worker pool below.
-POOLED_CASES = ("fig07", "fig11", "fig12a", "fig12b", "fig15")
+POOLED_CASES = (
+    "fig07", "fig11", "fig12a", "fig12b", "fig15", *STUDY_CASES,
+)
 
 
 #: Runs every golden case in a fresh interpreter whose clocks jump and
@@ -84,10 +101,10 @@ seed = int(sys.argv[1])
 random.seed(seed)
 np.random.seed(seed)
 
-from repro.sim.spec import FIGURES
+from repro.sim.spec import ENTRIES
 
 cases = ast.literal_eval(sys.stdin.read())
-rows = {figure: FIGURES[figure].run(**kwargs)
+rows = {figure: ENTRIES[figure].run(**kwargs)
         for figure, kwargs in cases.items()}
 with open(sys.argv[2], "w") as handle:
     json.dump(rows, handle)
@@ -100,7 +117,7 @@ def golden_rows(figure):
 
 def assert_golden(figure, jobs=1):
     golden = golden_rows(figure)
-    rows = FIGURES[figure].run(jobs=jobs, **GOLDEN_CASES[figure])
+    rows = ENTRIES[figure].run(jobs=jobs, **ALL_CASES[figure])
     assert rows == golden
     # Key *order* matters too: format_table derives its columns
     # from insertion order, so a reordered dict is a changed table.
@@ -109,7 +126,7 @@ def assert_golden(figure, jobs=1):
 
 
 class TestGoldenRegression:
-    @pytest.mark.parametrize("figure", sorted(GOLDEN_CASES))
+    @pytest.mark.parametrize("figure", sorted(ALL_CASES))
     def test_rows_bit_identical_to_pre_spec_harness(self, figure):
         assert_golden(figure)
 
@@ -136,14 +153,14 @@ class TestGoldenRegression:
         proc = subprocess.run(
             [sys.executable, "-c", PERTURBED_GOLDEN_SCRIPT,
              str(1000 + int(hash_seed)), str(out)],
-            input=repr(GOLDEN_CASES), capture_output=True, text=True,
+            input=repr(ALL_CASES), capture_output=True, text=True,
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(out.read_text())
         # items() lists compare values and key order together.
         mismatched = [
-            figure for figure in sorted(GOLDEN_CASES)
+            figure for figure in sorted(ALL_CASES)
             if [list(row.items()) for row in rows[figure]] != [
                 list(row.items()) for row in golden_rows(figure)
             ]
@@ -232,10 +249,14 @@ class TestPlanExpansion:
         (fig02_spec, "2a263c609404affa"),
         (fig10_spec, "faea885377b97393"),
         (scenario_matrix, "5dcc162798e62b7c"),
+        (STUDIES["ablation_victims"].spec, "d72e1dcea7c0b6a9"),
+        (STUDIES["ablation_parallel"].spec, "a5d574de61174961"),
+        (STUDIES["related_deadblock"].spec, "390fdd8938044e1f"),
     ])
     def test_default_plan_digests_pinned(self, factory, digest):
         """Units without a replay point keep their pre-replay-axis keys
-        (artifact-store rows and benchmark plans depend on them)."""
+        (artifact-store rows and benchmark plans depend on them); the
+        studies' plans are pinned alike."""
         assert factory().plan_digest()[:16] == digest
 
     def test_tasks_group_consecutive_same_prepare(self):
@@ -344,7 +365,10 @@ class TestScenarioMatrix:
 class TestFigures:
     def test_exactly_the_paper_figures(self):
         assert list(FIGURES) == list(GOLDEN_CASES)
-        for figure_id, figure in FIGURES.items():
+        assert list(STUDIES) == list(STUDY_CASES)
+        assert dict(ENTRIES) == {**FIGURES, **STUDIES}
+        assert list(ENTRIES) == list(ALL_CASES)
+        for figure_id, figure in ENTRIES.items():
             assert figure.id == figure_id
             assert figure.spec().name == figure_id
 
@@ -353,7 +377,7 @@ class TestFigures:
         with pytest.raises(ValueError, match="'fig02' is defined twice"):
             spec_module._figure_table(figure, FIGURES["fig04"], figure)
 
-    @pytest.mark.parametrize("figure", sorted(GOLDEN_CASES))
+    @pytest.mark.parametrize("figure", sorted(ALL_CASES))
     def test_claims_measure_golden_rows(self, figure):
         """Every claim reads the reported columns it names, and only the
         graphs, tile counts and bit widths the rows hold (Fig. 13's hold
@@ -363,8 +387,8 @@ class TestFigures:
             "fig12b": ["HATS-BDFS on ARAB"],
             "fig14": ["PHI gain over PB, DBP - HBUBL"],
         }.get(figure, [])
-        checked = FIGURES[figure].check(golden_rows(figure))
-        assert len(checked) == len(FIGURES[figure].claims)
+        checked = ENTRIES[figure].check(golden_rows(figure))
+        assert len(checked) == len(ENTRIES[figure].claims)
         for row in checked:
             assert list(row) == ["claim", "paper", "measured", "holds"]
             assert row["holds"] in (True, False, None)

@@ -55,12 +55,12 @@ class TestCLI:
         from repro.sim.spec import fig13_spec
 
         figure = dataclasses.replace(
-            cli.FIGURES["fig13"],
+            cli.ENTRIES["fig13"],
             spec=lambda scale: fig13_spec(
                 scale=scale, graphs=("URAND",), tile_counts=(1, 2)
             ),
         )
-        monkeypatch.setattr(cli, "FIGURES", {"fig13": figure})
+        monkeypatch.setattr(cli, "ENTRIES", {"fig13": figure})
         assert main(["experiment", "fig13", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         rows, claims = out.split("fig13: paper claims\n")

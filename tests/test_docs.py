@@ -55,7 +55,7 @@ class TestDesignDoc:
         )
         pattern = rf"`(?:src/)?(?:repro/)?((?:{subpackages})/[\w/]+\.py)`"
         cited = re.findall(pattern, design)
-        assert "cache/banked.py" in cited
+        assert "policies/deadblock.py" in cited
         for path in cited:
             assert (package / path).exists(), path
 

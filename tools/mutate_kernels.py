@@ -77,6 +77,25 @@ MUTANTS: Tuple[Tuple[str, str, str], ...] = (
         "i64 gt = r > top;",
         "i64 gt = r >= top;",
     ),
+    # P-OPT's victim scan: streaming-first eviction whatever the
+    # policy asked for, a quantization tie going to the last way at
+    # the highest DRRIP RRPV instead of the first, and DRRIP settling
+    # ties under the first-way tie-break too.
+    (
+        "popt-streaming-first-ignored",
+        "if (prefer_streaming) {",
+        "if (1) {",
+    ),
+    (
+        "popt-tie-last-max",
+        "rrpv[w] > best_value",
+        "rrpv[w] >= best_value",
+    ),
+    (
+        "popt-first-way-ignored",
+        "drrip_ties && w < ways",
+        "w < ways",
+    ),
     # The trace kernel: a masked access fires on every edge, ...
     (
         "traversal-mask-ignored",
